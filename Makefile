@@ -80,7 +80,8 @@ bench-quick:
 	$(GO) run ./cmd/leapsbench -benchsweep BENCH_sweep.json -quick
 
 # Hot-path benchmarks of the bounds-check elision pass: per-strategy
-# checked-load micro timings, the gemm/atax elide on/off macro
+# checked-load micro timings, the sparse mmap/munmap and per-strategy
+# isolate-lifecycle layer benchmarks, the gemm/atax elide on/off macro
 # benches, and the machine-readable BENCH_bce.json artifact.
 bench-hot:
 	./scripts/bench_hot.sh

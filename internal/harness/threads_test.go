@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -103,45 +102,15 @@ func sharedTracedPair(t *testing.T) *obs.Snapshot {
 	return reg.Snapshot(true)
 }
 
-// TestSharedTraceAttribution is the tentpole's observable claim: with
-// one shared memory growing under live traffic, the mprotect
-// strategy's critical path accumulates vma_lock_wait (sibling faults
-// serialize behind the remap on the address space's mmap lock) while
-// uffd — whose registration spans the whole arena up front — stays
-// below it. Same probabilistic retry as TestRunTraceAttribution: a
-// quiet host may timeslice so that no wait crosses the 500ns span
-// threshold.
+// TestSharedTraceAttribution is the shared-memory scenario's
+// observable claim: with one shared memory growing under live traffic,
+// the mprotect strategy's sibling faults remap under the address
+// space's mmap lock, while uffd — whose registration spans the whole
+// arena up front — resolves every fault without it (see
+// assertFaultPathLocking; the workers share one mapping, so the
+// mprotect span count is bounded, not exact).
 func TestSharedTraceAttribution(t *testing.T) {
-	var rep obs.AttributionReport
-	contended := int64(0)
-	for attempt := 0; attempt < 4; attempt++ {
-		snap := sharedTracedPair(t)
-		rep = obs.Attribute(snap)
-		contended = 0
-		for name, v := range snap.Counters {
-			if strings.Contains(name, "strategy=mprotect") && strings.HasSuffix(name, "/lock_contended") {
-				contended += v
-			}
-		}
-		if contended > 0 {
-			break
-		}
-	}
-	mp := rep.Row("mprotect")
-	uf := rep.Row("uffd")
-	if mp.Spans == 0 || uf.Spans == 0 {
-		t.Fatalf("attribution missing rows: mprotect=%d uffd=%d spans", mp.Spans, uf.Spans)
-	}
-	if contended == 0 {
-		t.Skip("no lock contention observable on this host after 4 attempts")
-	}
-	if mp.NsByBucket["vma_lock_wait"] == 0 {
-		t.Fatal("vmm counted contended lock acquisitions but attribution has no vma_lock_wait time")
-	}
-	if mp.Share("vma_lock_wait") <= uf.Share("vma_lock_wait") {
-		t.Errorf("vma_lock_wait share: mprotect %.4f not above uffd %.4f",
-			mp.Share("vma_lock_wait"), uf.Share("vma_lock_wait"))
-	}
+	assertFaultPathLocking(t, sharedTracedPair(t), false)
 }
 
 // FuzzSharedGrowDiff drives the shared scenario through fuzzed

@@ -75,6 +75,41 @@ func BenchmarkLoadU64PerStrategy(b *testing.B) {
 	}
 }
 
+// BenchmarkLifecyclePerStrategy is the isolate-lifecycle layer
+// benchmark: instantiate on a 64 MiB reservation, grow to 2 MiB and
+// write one byte per 4 KiB page of it, close. Provisioning and
+// teardown must follow the 2 MiB the isolate touched, under every
+// strategy; the simulated kernel costs are zeroed (testAS), so ns/op
+// is this package's and vmm's own code.
+func BenchmarkLifecyclePerStrategy(b *testing.B) {
+	const maxPages, growPages = 1024, 31
+	for _, s := range Strategies() {
+		b.Run(s.String(), func(b *testing.B) {
+			cfg := Config{Strategy: s, AS: testAS(), MinPages: 1, MaxPages: maxPages}
+			if s == Uffd {
+				cfg.Pool = NewArenaPool()
+				b.Cleanup(cfg.Pool.Drain)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.Grow(growPages) < 0 {
+					b.Fatal("grow failed")
+				}
+				for a := uint64(0); a < m.SizeBytes(); a += 4096 {
+					m.StoreU8(a, 1)
+				}
+				if err := m.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // keep defeats dead-code elimination of the benchmark loop without
 // the cost of a package-level sink store per iteration.
 func keep(b *testing.B, v uint64) {

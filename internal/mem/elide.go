@@ -60,12 +60,18 @@ func (m *Memory) CheckRange(addr, n uint64, write bool) (uint64, bool) {
 	case Clamp:
 		// Per-access redirect semantics; see the file comment.
 		return 0, false
-	case None, Trap:
-		// fastLimit is the backing length (none) or the wasm-visible
-		// size (trap): past it the range is genuinely out of bounds —
-		// unless a shared grow published a larger size after the
-		// watermark read above.
-		if m.strategy == Trap && end <= m.sizeBytes.Load() {
+	case None:
+		// Anywhere inside the backing is accessible once its pages have
+		// taken their first-touch fault.
+		if m.touchRange(addr, n) {
+			return addr, true
+		}
+		return 0, false
+	case Trap:
+		// fastLimit is the wasm-visible size: past it the range is
+		// genuinely out of bounds — unless a shared grow published a
+		// larger size after the watermark read above.
+		if end <= m.sizeBytes.Load() {
 			return addr, true
 		}
 		return 0, false

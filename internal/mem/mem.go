@@ -1,7 +1,8 @@
 // Package mem implements WebAssembly linear memory with the five
 // bounds-checking strategies evaluated by the paper (§3.1):
 //
-//	none      entire addressable window mapped read-write, no checks
+//	none      entire addressable window mapped read-write, no checks;
+//	          pages past the memory size commit on first touch
 //	clamp     out-of-bounds addresses clamped to the memory end
 //	trap      explicit compare-and-trap on every access
 //	mprotect  PROT_NONE reservation; faults resolved by mprotect(2)
@@ -11,11 +12,18 @@
 //	          through a hazard-pointer pool
 //
 // Engines funnel every load and store through a Memory. The fast
-// path for the virtual-memory strategies is a single watermark
+// path is the same for all five strategies: a single watermark
 // compare (the simulator's stand-in for the hardware MMU, which
-// performs this check for free on real silicon); the software
-// strategies add their explicit check sequence on top, and the
-// engines charge the corresponding cycle-model cost.
+// performs this check for free on real silicon). The strategies
+// differ in what the watermark covers and in what a miss does —
+// first-touch commit (none), redirect (clamp), trap, or a fault
+// resolved by mprotect or uffd — and the engines charge the software
+// strategies' explicit check sequence in the cycle model.
+//
+// One rule ties this package to vmm's recycling: a byte of a backing
+// is written only inside a committed page (vmm.Mapping.Data), so
+// teardown scrubs committed pages and nothing else. Every strategy's
+// watermark therefore lies inside the committed prefix.
 package mem
 
 import (
@@ -155,11 +163,14 @@ type Memory struct {
 	// it on their slow paths (and via SizeBytes/memory.size).
 	sizeBytes atomic.Uint64
 	// fastLimit is the fast-path watermark: accesses at or below it
-	// proceed with no further checks. Its meaning is per-strategy:
-	// backing length for none, sizeBytes for clamp/trap, committed
-	// contiguous prefix for mprotect/uffd. Atomic for the same reason
-	// as sizeBytes; on amd64/arm64 the Load compiles to a plain move,
-	// so the fast path stays a single compare.
+	// proceed with no further checks. It never exceeds the committed
+	// contiguous prefix of the mapping: sizeBytes for clamp/trap (whose
+	// whole size is committed at instantiation and grow), the committed
+	// prefix capped at sizeBytes for mprotect/uffd, and the committed
+	// prefix uncapped for none, where a stray access past sizeBytes
+	// commits its page on the miss path and succeeds. Atomic for the
+	// same reason as sizeBytes; on amd64/arm64 the Load compiles to a
+	// plain move, so the fast path stays a single compare.
 	fastLimit atomic.Uint64
 	// committedEnd tracks the highest byte this instance has caused
 	// to be committed (fault path), which may exceed fastLimit when
@@ -266,11 +277,7 @@ func New(cfg Config) (*Memory, error) {
 		}
 		m.mapping = mp
 		m.data = mp.Data()
-		if cfg.Strategy == None {
-			m.fastLimit.Store(mp.Backing())
-		} else {
-			m.fastLimit.Store(size)
-		}
+		m.fastLimit.Store(size)
 	case Mprotect:
 		mp, err := cfg.AS.MmapTraced(Reserve, m.maxBytes, vmm.ProtNone, cfg.Span)
 		if err != nil {
@@ -453,11 +460,7 @@ func (m *Memory) Grow(delta uint32) int32 {
 	m.growCalls.Inc()
 	m.obs.Emit(obs.EvGrow, int64(delta), int64(m.strategy))
 	switch m.strategy {
-	case None:
-		if err := m.mapping.Touch(prev, newBytes-prev); err != nil {
-			trap.Throwf(trap.MemoryLimit, "grow: %v", err)
-		}
-	case Clamp, Trap:
+	case None, Clamp, Trap:
 		if err := m.mapping.Touch(prev, newBytes-prev); err != nil {
 			trap.Throwf(trap.MemoryLimit, "grow: %v", err)
 		}
@@ -554,10 +557,12 @@ func (m *Memory) StoreU64(addr uint64, v uint64) {
 func (m *Memory) slow(addr, n uint64, write bool) uint64 {
 	switch m.strategy {
 	case None:
-		// The "MMU" window is the whole backing; only accesses past
-		// the reservation-analog land here. Real hardware would read
-		// garbage inside the 8 GiB window; the simulator refuses.
-		trap.Throwf(trap.OutOfBounds, "none-strategy access at %#x beyond backing", addr)
+		if !m.touchRange(addr, n) {
+			// Past the reservation-analog. Real hardware would read
+			// garbage inside the 8 GiB window; the simulator refuses.
+			trap.Throwf(trap.OutOfBounds, "none-strategy access at %#x beyond backing", addr)
+		}
+		return addr
 	case Clamp:
 		// A shared grow may have raised sizeBytes after this access read
 		// a stale fastLimit; re-check against the published length before
@@ -700,12 +705,29 @@ func (m *Memory) mprotectRetry(mp *vmm.Mapping, off, length uint64) error {
 	return lastErr
 }
 
+// touchRange is the none strategy's miss path: the whole backing is
+// mapped read-write, so an access past the watermark is an ordinary
+// first-touch minor fault — lock-free, no trap, whatever the memory
+// size. It reports false for a range that leaves the backing.
+func (m *Memory) touchRange(addr, n uint64) bool {
+	if end := addr + n; end < addr || end > m.mapping.Backing() {
+		return false
+	}
+	if err := m.mapping.Touch(addr, n); err != nil {
+		trap.Throwf(trap.OutOfBounds, "none-strategy first touch: %v", err)
+	}
+	m.advanceWatermark()
+	return true
+}
+
 // advanceWatermark extends the fast-path limit over the contiguous
-// committed prefix so subsequent accesses skip the fault path.
+// committed prefix so subsequent accesses skip the miss path. The
+// strategies that fault to enforce the bound stop at sizeBytes; none
+// enforces nothing and follows the prefix wherever it goes.
 func (m *Memory) advanceWatermark() {
 	w := m.mapping.CommittedPrefix(m.fastLimit.Load())
-	if size := m.sizeBytes.Load(); w > size {
-		w = size
+	if m.strategy != None {
+		w = min(w, m.sizeBytes.Load())
 	}
 	storeMax(&m.fastLimit, w)
 }

@@ -51,9 +51,6 @@ type ArenaPool struct {
 type arena struct {
 	mapping *vmm.Mapping
 	next    atomic.Pointer[arena]
-	// highWater is the largest wasm-visible size the arena has
-	// served, so recycling only clears what was used.
-	highWater uint64
 	// obs is the owning process's scope, captured at creation so put
 	// (which has no AddressSpace parameter) can trace recycling.
 	obs *obs.Scope
@@ -127,11 +124,12 @@ func (p *ArenaPool) pop(maxBytes uint64) *arena {
 }
 
 // put recycles an arena after an instance closes. The used range is
-// zeroed and decommitted lock-free so the next instance observes
-// fresh zero-filled pages (kernel semantics), then the arena is
-// pushed back. Transient decommit failures are retried; if one
-// persists the arena is discarded (unmapped) rather than recycled
-// dirty. Releasing the same arena twice is detected and rejected.
+// decommitted lock-free — which scrubs it, MADV_DONTNEED-style — so
+// the next instance observes fresh zero-filled pages (kernel
+// semantics), then the arena is pushed back. Transient decommit
+// failures are retried; if one persists the arena is discarded
+// (unmapped) rather than recycled dirty. Releasing the same arena
+// twice is detected and rejected.
 func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 	if a.pooled.Swap(true) {
 		return ErrArenaDoubleRelease
@@ -153,18 +151,13 @@ func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 	}()
 	inj := a.mapping.AddressSpace().Injector()
 	inj.DelayIf(faultinject.SitePoolContention)
-	if usedBytes > a.highWater {
-		a.highWater = usedBytes
-	}
-	cleared := int64(a.highWater)
-	if a.highWater > 0 {
-		clear(a.mapping.Data()[:a.highWater])
+	if usedBytes > 0 {
 		var err error
 		for attempt := 0; attempt < faultMaxAttempts; attempt++ {
 			if attempt > 0 {
 				backoff(attempt)
 			}
-			if err = a.mapping.UffdDecommitPages(0, a.highWater); err == nil {
+			if err = a.mapping.UffdDecommitPages(0, usedBytes); err == nil {
 				if attempt > 0 {
 					inj.Recovered(faultinject.SiteUffdZero)
 				}
@@ -181,10 +174,9 @@ func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 			p.discarded.Add(1)
 			return a.mapping.Munmap()
 		}
-		a.highWater = 0
 	}
 	p.returned.Add(1)
-	a.obs.Emit(obs.EvArenaRecycle, cleared, 0)
+	a.obs.Emit(obs.EvArenaRecycle, int64(usedBytes), 0)
 	for {
 		old := p.head.Load()
 		a.next.Store(old)

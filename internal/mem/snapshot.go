@@ -121,11 +121,7 @@ func NewFromSnapshot(cfg Config, snap *Snapshot) (*Memory, error) {
 		}
 		m.mapping = mp
 		m.data = mp.Data()
-		if cfg.Strategy == None {
-			m.fastLimit.Store(mp.Backing())
-		} else {
-			m.fastLimit.Store(m.sizeBytes.Load())
-		}
+		m.fastLimit.Store(m.sizeBytes.Load())
 	case Mprotect:
 		mp, err := cfg.AS.MmapCoWTraced(Reserve, m.maxBytes, vmm.ProtNone, snap.src, cfg.Span)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/obs"
@@ -375,6 +376,17 @@ func (as *AddressSpace) MmapTraced(reserve, backing uint64, prot Prot, parent ob
 
 	sp := as.obs.StartSpan(obs.SpanKernelMmap, parent)
 	defer sp.End()
+
+	// The page table is simulator state, not kernel work (mmap(2)
+	// allocates no PTEs), so it is built before the mmap lock is taken.
+	// The zero value is an uncommitted ProtNone page; any other initial
+	// protection is filled in with plain stores while the table is
+	// still private to this call.
+	pages := make([]atomic.Uint32, backing/ps)
+	if prot != ProtNone {
+		fillPages(pages, uint32(prot))
+	}
+
 	release := as.lock(sp.Ref())
 	defer release()
 
@@ -389,7 +401,7 @@ func (as *AddressSpace) MmapTraced(reserve, backing uint64, prot Prot, parent ob
 		reserve: reserve,
 		backing: backing,
 		data:    as.takeBackingLocked(backing),
-		pages:   make([]atomic.Uint32, backing/ps),
+		pages:   pages,
 	}
 	if as.cfg.THPSize > 0 {
 		m.thp = make([]atomic.Uint32, (reserve+as.cfg.THPSize-1)/as.cfg.THPSize)
@@ -404,13 +416,24 @@ func (as *AddressSpace) MmapTraced(reserve, backing uint64, prot Prot, parent ob
 		}
 	}
 	as.stats.VMAsTouched.Add(2)
-	for i := range m.pages {
-		m.pages[i].Store(uint32(prot))
-	}
 	return m, nil
 }
 
+// fillPages sets every entry of a page table no other goroutine can
+// see yet, with plain stores: an atomic store per page (an XCHG on
+// amd64) made mapping a large reservation cost more than the mmap it
+// simulates.
+func fillPages(pages []atomic.Uint32, state uint32) {
+	raw := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(pages))), len(pages))
+	for i := range raw {
+		raw[i] = state
+	}
+}
+
 // takeBackingLocked recycles or allocates a zeroed backing slice.
+// Recycled slices are zero because a byte of a backing can be non-zero
+// only inside a committed page (see Data) and every path that drops a
+// page's committed bit — Munmap, UffdDecommitPages — scrubs the page.
 func (as *AddressSpace) takeBackingLocked(n uint64) []byte {
 	if list := as.freelist[n]; len(list) > 0 {
 		b := list[len(list)-1]
@@ -434,13 +457,13 @@ func (as *AddressSpace) Munmap(m *Mapping) error {
 	as.stats.MunmapCalls.Add(1)
 	as.obs.Emit(obs.EvMunmap, int64(m.backing), 0)
 
-	// Remove every node belonging to this mapping; mprotect may have
-	// split the original two into many.
+	// Remove every node of this mapping's reservation; mprotect may
+	// have split the original two into many. Only the reservation's own
+	// address range is searched, so teardown does not scale with the
+	// number of live mappings in the process.
 	var starts []uint64
-	as.tree.walk(func(v *vma) bool {
-		if v.mapping == m {
-			starts = append(starts, v.start)
-		}
+	as.tree.walkRange(m.addr, m.addr+m.reserve, func(v *vma) bool {
+		starts = append(starts, v.start)
 		return true
 	})
 	for _, s := range starts {
@@ -448,11 +471,17 @@ func (as *AddressSpace) Munmap(m *Mapping) error {
 	}
 	as.stats.VMAsTouched.Add(int64(len(starts)))
 
-	// Return committed memory to the pool.
+	// Return committed memory to the pool, scrubbing it on the way: the
+	// recycled backing must read as zero-filled pages, exactly as the
+	// kernel guarantees for a new mmap, and only committed pages can
+	// hold anything else. Teardown therefore costs what the mapping
+	// touched, not what it reserved — as zap_pte_range does.
 	freed := int64(0)
 	ps := as.cfg.PageSize
-	for i := range m.pages {
-		if m.pages[i].Load()&pageCommitted != 0 {
+	for p := range m.pages {
+		if m.pages[p].Load()&pageCommitted != 0 {
+			off := uint64(p) * ps
+			clear(m.data[off : off+ps])
 			freed += int64(ps)
 		}
 	}
@@ -465,9 +494,6 @@ func (as *AddressSpace) Munmap(m *Mapping) error {
 	}
 	as.resident.Add(-freed)
 
-	// Zero the slice before recycling: a new mmap must observe
-	// zero-filled pages, exactly as the kernel guarantees.
-	clear(m.data)
 	as.freelist[m.backing] = append(as.freelist[m.backing], m.data)
 	m.data = nil
 
@@ -689,9 +715,12 @@ func (m *Mapping) UffdZeroPages(off, length uint64) error {
 
 // UffdDecommitPages releases committed pages in [off, off+length)
 // back to missing state, as MADV_DONTNEED/UFFDIO_UNREGISTER-based
-// arena recycling does. Lock-free: per-page CAS only. Pages inside a
-// promoted THP block stay accounted resident (the kernel does not
-// split huge pages eagerly); other pages return to the pool.
+// arena recycling does: a released page's contents are gone, and it
+// reads as zeros when next populated. Lock-free: per-page CAS only,
+// with the scrub ahead of the CAS so a page is never both missing and
+// dirty. Pages inside a promoted THP block stay accounted resident
+// (the kernel does not split huge pages eagerly); other pages return
+// to the pool.
 func (m *Mapping) UffdDecommitPages(off, length uint64) error {
 	if !m.uffd.Load() {
 		return ErrNotUffd
@@ -718,6 +747,7 @@ func (m *Mapping) UffdDecommitPages(off, length uint64) error {
 			if old&pageCommitted == 0 {
 				break
 			}
+			clear(m.data[p*ps : (p+1)*ps])
 			if m.pages[p].CompareAndSwap(old, 0) {
 				inPromoted := false
 				if thp > 0 {
@@ -761,14 +791,16 @@ func (m *Mapping) Touch(off, length uint64) error {
 		return ErrUnmapped
 	}
 	ps := m.as.cfg.PageSize
+	// Every page the byte range overlaps: round the end, not the
+	// length, so an unaligned range that straddles a page boundary
+	// commits both pages.
+	end := roundUp(off+length, ps)
 	off = roundDown(off, ps)
-	length = roundUp(length, ps)
-	if off+length > m.backing {
-		return fmt.Errorf("%w: touch [%d,%d) backing %d", ErrBadRange, off, off+length, m.backing)
+	if end < off || end > m.backing {
+		return fmt.Errorf("%w: touch [%d,%d) backing %d", ErrBadRange, off, end, m.backing)
 	}
-	first := off / ps
 	var touched int64
-	for p := first; p < first+length/ps; p++ {
+	for p := off / ps; p < end/ps; p++ {
 		for {
 			old := m.pages[p].Load()
 			if old&pageCommitted != 0 {
@@ -845,7 +877,12 @@ func (m *Mapping) CommittedPrefix(from uint64) uint64 {
 // Data returns the backing bytes of the accessible prefix. Callers
 // (the linear-memory layer) enforce their own bounds discipline; the
 // simulated MMU state is advisory for them exactly as real page
-// tables are invisible to generated code.
+// tables are invisible to generated code — with one contract: write a
+// page only after committing it (Touch, Mprotect to a writable
+// protection, UffdZeroPages). Uncommitted pages read as zeros, and
+// Munmap and UffdDecommitPages scrub committed pages only, so a write
+// to an uncommitted page would leak into the next mapping that
+// recycles this backing.
 func (m *Mapping) Data() []byte { return m.data }
 
 // Addr returns the simulated base address.

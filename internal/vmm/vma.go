@@ -202,6 +202,29 @@ func walkNode(n *vma, f func(*vma) bool) bool {
 	return walkNode(n.right, f)
 }
 
+// walkRange visits, in address order, the VMAs that overlap
+// [lo, hi), descending only into subtrees that can hold one: the cost
+// is O(log n + matches), independent of how many VMAs lie outside.
+func (t *vmaTree) walkRange(lo, hi uint64, f func(*vma) bool) {
+	walkRangeNode(t.root, lo, hi, f)
+}
+
+func walkRangeNode(n *vma, lo, hi uint64, f func(*vma) bool) bool {
+	if n == nil {
+		return true
+	}
+	if lo < n.start && !walkRangeNode(n.left, lo, hi, f) {
+		return false
+	}
+	if n.end > lo && n.start < hi && !f(n) {
+		return false
+	}
+	if hi > n.end {
+		return walkRangeNode(n.right, lo, hi, f)
+	}
+	return true
+}
+
 // findGap returns the lowest address >= from where a hole of at
 // least length bytes exists between VMAs (or after the last one).
 func (t *vmaTree) findGap(from, length uint64) uint64 {
@@ -243,23 +266,13 @@ func (t *vmaTree) protRange(start, end uint64, prot Prot) (int, error) {
 		return 0, err
 	}
 	touched := 0
-	var inRange []*vma
-	t.walk(func(n *vma) bool {
-		if n.end <= start {
-			return true
-		}
-		if n.start >= end {
-			return false
-		}
-		inRange = append(inRange, n)
-		return true
-	})
-	for _, n := range inRange {
+	t.walkRange(start, end, func(n *vma) bool {
 		if n.prot != prot {
 			n.prot = prot
 			touched++
 		}
-	}
+		return true
+	})
 	touched += t.mergeAround(start, end)
 	return touched, nil
 }

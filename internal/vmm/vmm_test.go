@@ -223,6 +223,20 @@ func TestTouchRequiresWritable(t *testing.T) {
 	if as.Snapshot().MinorFaults != 2 {
 		t.Errorf("minor faults %d, want 2", as.Snapshot().MinorFaults)
 	}
+	// An unaligned range commits every page it overlaps: 8 bytes across
+	// the page 4/5 boundary are two pages, not ceil(8/4096) = 1.
+	if err := m2.Touch(5*4096-4, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.CheckAccess(5*4096-4, 8, true); err != nil {
+		t.Errorf("straddling touch left part of its range uncommitted: %v", err)
+	}
+	if got := m2.CommittedBytes(); got != 4*4096 {
+		t.Errorf("committed %d, want %d", got, 4*4096)
+	}
+	if err := m2.Touch(1<<16-4, 8); err == nil {
+		t.Error("touch running past the backing should fail")
+	}
 }
 
 func TestResidentAccountingNoTHP(t *testing.T) {
@@ -391,6 +405,10 @@ func TestZeroOnReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Data's contract: commit a page before writing it.
+	if err := m.Touch(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	m.Data()[123] = 42
 	if err := as.Munmap(m); err != nil {
 		t.Fatal(err)
@@ -454,5 +472,163 @@ func TestFindGapReusesHoles(t *testing.T) {
 	}
 	if d.Addr() != addr {
 		t.Errorf("new mapping at %#x, want reuse of hole at %#x", d.Addr(), addr)
+	}
+}
+
+// TestMunmapScrubsSparseCommits: teardown scrubs exactly the committed
+// pages — wherever they lie in the backing and however mprotect has
+// split the mapping's VMAs — while live neighbours on both sides keep
+// their nodes and their contents.
+func TestMunmapScrubsSparseCommits(t *testing.T) {
+	as := testAS()
+	ps := as.Config().PageSize
+	const pages = 64
+	mk := func() *Mapping {
+		m, err := as.Mmap(1<<20, pages*ps, ProtNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	left, mid, right := mk(), mk(), mk()
+	for _, m := range []*Mapping{left, right} {
+		if err := m.Mprotect(0, ps, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+		m.Data()[0] = 0x77
+	}
+	for _, p := range []uint64{0, 17, 18, pages - 1} {
+		if err := mid.Mprotect(p*ps, ps, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+		mid.Data()[p*ps+ps-1] = 0xEE
+	}
+	data := mid.Data()
+	before := as.Snapshot().VMACount
+	if err := mid.Munmap(); err != nil {
+		t.Fatal(err)
+	}
+	// rw, none, rw(17-18), none, rw, guard = 6 nodes.
+	if got := before - as.Snapshot().VMACount; got != 6 {
+		t.Errorf("munmap removed %d VMAs, want 6", got)
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range data {
+		if b != 0 {
+			t.Fatalf("recycled backing byte %d = %#x, want 0", i, b)
+		}
+	}
+	if got := as.ResidentBytes(); got != int64(2*ps) {
+		t.Errorf("resident %d, want the two neighbour pages (%d)", got, 2*ps)
+	}
+	for _, m := range []*Mapping{left, right} {
+		if m.Data()[0] != 0x77 || m.CheckAccess(0, 1, true) != nil {
+			t.Error("neighbour mapping disturbed by munmap")
+		}
+	}
+}
+
+// TestUffdDecommitScrubs: a decommitted page has MADV_DONTNEED
+// semantics — its contents are gone, not merely unaccounted.
+func TestUffdDecommitScrubs(t *testing.T) {
+	as := testAS()
+	ps := as.Config().PageSize
+	m, err := as.Mmap(1<<20, 8*ps, ProtNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterUffd(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []uint64{1, 3} {
+		if err := m.UffdZeroPages(p*ps, ps); err != nil {
+			t.Fatal(err)
+		}
+		m.Data()[p*ps+5] = 0xCC
+	}
+	// Decommit page 1 only: page 3 keeps its contents.
+	if err := m.UffdDecommitPages(0, 2*ps); err != nil {
+		t.Fatal(err)
+	}
+	if m.Data()[ps+5] != 0 {
+		t.Error("decommitted page kept its contents")
+	}
+	if m.Data()[3*ps+5] != 0xCC {
+		t.Error("decommit scrubbed a page outside its range")
+	}
+	if got := as.ResidentBytes(); got != int64(ps) {
+		t.Errorf("resident %d, want %d", got, ps)
+	}
+}
+
+// TestWalkRangeMatchesWalk checks the pruned range walk against a
+// filter over the full in-order walk.
+func TestWalkRangeMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var tree vmaTree
+	// Disjoint intervals with holes between some of them.
+	cursor := uint64(0x1000)
+	for i := 0; i < 200; i++ {
+		cursor += uint64(rng.Intn(3)) * 0x1000
+		end := cursor + uint64(rng.Intn(4)+1)*0x1000
+		if err := tree.insert(&vma{start: cursor, end: end}); err != nil {
+			t.Fatal(err)
+		}
+		cursor = end
+	}
+	for i := 0; i < 500; i++ {
+		lo := uint64(rng.Intn(int(cursor+0x2000))) &^ 0xfff
+		hi := lo + uint64(rng.Intn(40))*0x1000
+		var want, got []uint64
+		tree.walk(func(n *vma) bool {
+			if n.end > lo && n.start < hi {
+				want = append(want, n.start)
+			}
+			return true
+		})
+		tree.walkRange(lo, hi, func(n *vma) bool {
+			got = append(got, n.start)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("[%#x,%#x): walkRange visited %d nodes, walk filter %d", lo, hi, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("[%#x,%#x): node %d is %#x, want %#x", lo, hi, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// BenchmarkMmapMunmapSparse is the provisioning/teardown layer
+// benchmark for a sparse isolate: a 64 MiB backing of which 2 MiB is
+// committed. Both costs must follow the 2 MiB, not the 64.
+func BenchmarkMmapMunmapSparse(b *testing.B) {
+	const backing, committed = 64 << 20, 2 << 20
+	for _, prot := range []Prot{ProtNone, ProtRW} {
+		b.Run(prot.String(), func(b *testing.B) {
+			as := testAS()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := as.Mmap(8<<30, backing, prot)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if prot == ProtRW {
+					err = m.Touch(0, committed)
+				} else {
+					err = m.Mprotect(0, committed, ProtRW)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Munmap(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # bench_hot.sh — hot-path benchmarks of the bounds-check elision
-# pass. Prints the per-strategy checked-load micro timings and the
-# gemm/atax elide on/off macro benches for humans, then writes the
+# pass, plus the provisioning/teardown layer benchmarks. Prints the
+# per-strategy checked-load micro timings, the sparse mmap/munmap and
+# isolate-lifecycle timings (ns/op and B/op), and the gemm/atax elide
+# on/off macro benches for humans, then writes the
 # machine-readable report (micro timings, the full workload ×
 # strategy × elide matrix with checksum equality, and the elision
 # counters) to BENCH_bce.json, the BENCH_sweep.json-style artifact
@@ -14,6 +16,12 @@ cd "$(dirname "$0")/.."
 
 echo "== checked-load micro benchmarks (per strategy)"
 go test -run '^$' -bench 'BenchmarkLoadU(8|32|64)PerStrategy' -benchtime 100ms ./internal/mem
+
+echo "== sparse mmap/munmap (vmm: 64 MiB backing, 2 MiB committed)"
+go test -run '^$' -bench 'BenchmarkMmapMunmapSparse' -benchtime 200ms -benchmem ./internal/vmm
+
+echo "== isolate lifecycle (mem: New, grow+touch 2 MiB, Close; per strategy)"
+go test -run '^$' -bench 'BenchmarkLifecyclePerStrategy' -benchtime 200ms -benchmem ./internal/mem
 
 echo "== codegen macro benchmarks (gemm, atax; trap strategy; elide x rir matrix)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .
