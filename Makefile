@@ -15,7 +15,11 @@ test:
 # registry and span tracing, the simulated VM subsystem, linear
 # memory and the arena pool, the fault injector, the hazard-pointer
 # domain, the module cache's singleflight path, the sweep scheduler,
-# the compiled engines' unchecked fast paths, the register-IR
+# the compiled engines' unchecked fast paths and, with the
+# interpreter and the flattener, the per-function compile fan-out
+# (core.CompileFuncs' workers run flatten → rir → elide → emit
+# concurrently; TestCompileSameOnAnyWorkerCount compiles 256
+# functions on 4 workers with tracing on), the register-IR
 # lowering's process-wide counters, the tiered engine's background
 # workers and GC controller, the live telemetry server streaming
 # from the trace ring, the template/fork paths: concurrent CoW
@@ -26,7 +30,7 @@ test:
 # attachment in core, and the RunShared contention driver in
 # harness).
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/compiled/ ./internal/rir/ ./internal/tiered/ ./internal/telemetry/ ./internal/core/ ./internal/wasi/ ./internal/prof/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/telemetry/ ./internal/core/ ./internal/wasi/ ./internal/prof/
 
 # Profiler smoke: sample a short gemm run through the harness and
 # assert the profile is non-empty and its pprof export parses

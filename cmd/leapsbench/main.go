@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -496,7 +497,8 @@ func dumpWorkloadIR(w *os.File, wl workloads.Spec, cls workloads.Class) error {
 	if err != nil {
 		return err
 	}
-	after := rir.Optimize(before, ff.NumLocals)
+	// The passes rewrite their input; the left column keeps the built IR.
+	after := rir.Optimize(slices.Clone(before), ff.NumLocals)
 	after = rir.Compact(after)
 	after, regs := rir.Lower(after, ff.NumLocals)
 	after, fused := rir.FuseMem(after)

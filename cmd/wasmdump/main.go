@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"leapsandbounds/internal/flatten"
@@ -126,7 +127,8 @@ func dumpFuncIR(m *wasm.Module, idx uint32, code *wasm.Code) error {
 	if err != nil {
 		return err
 	}
-	after := rir.Optimize(before, ff.NumLocals)
+	// The passes rewrite their input; the left column keeps the built IR.
+	after := rir.Optimize(slices.Clone(before), ff.NumLocals)
 	after = rir.Compact(after)
 	after, regs := rir.Lower(after, ff.NumLocals)
 	after, fused := rir.FuseMem(after)

@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"slices"
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/flatten"
@@ -175,10 +174,11 @@ func (e *Engine) EncodeArtifact(cm core.CompiledModule) ([]byte, error) {
 
 // DecodeArtifact implements core.ArtifactCodec: it rebuilds a Module
 // from EncodeArtifact bytes by replaying only the post-retention
-// pipeline (elide → FuseMem → emit) per function. The source module m
-// must be the one the artifact was encoded from (the cache keys by
-// content hash); decode validates structural agreement and errors —
-// treated as corruption upstream — on any mismatch.
+// pipeline (backHalf → emit) per function, on the same fan-out as a
+// fresh compile. The source module m must be the one the artifact was
+// encoded from (the cache keys by content hash); decode validates
+// structural agreement and errors — treated as corruption upstream —
+// on any mismatch.
 func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModule, error) {
 	var art artifact
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&art); err != nil {
@@ -194,38 +194,23 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 	if len(art.Funcs) != len(m.Code) {
 		return nil, fmt.Errorf("compiled: artifact has %d functions, module has %d", len(art.Funcs), len(m.Code))
 	}
-	cm := &Module{engine: e, wasm: m}
-	for i := range art.Funcs {
+	funcs, err := core.CompileFuncs(len(art.Funcs), "compiled: artifact function", func(i int) (*cfunc, error) {
 		af := &art.Funcs[i]
-		pre := fromArtifactIR(af.IR)
-		// elide rewrites instructions in place before inserting guards;
-		// work on a copy so the retained pre-elision IR stays re-encodable.
-		ir := slices.Clone(pre)
-		if e.elision() {
-			ir = elide(ir, af.NumLocals)
-		}
-		if e.registerIR() {
-			ir, _ = rir.FuseMem(ir)
-		}
-		code, classes, memAcc, elided, err := emit(ir)
-		if err != nil {
-			return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
-		}
-		cm.funcs = append(cm.funcs, &cfunc{
+		cf := &cfunc{
 			name:      af.Name,
 			typ:       af.Type,
 			numParams: af.NumParams,
 			numLocals: af.NumLocals,
 			frameSize: af.FrameSize,
-			code:      code,
-			classes:   classes,
-			memAcc:    memAcc,
-			elided:    elided,
 			index:     uint32(m.NumImportedFuncs() + i),
-			preIR:     pre,
-		})
+			preIR:     fromArtifactIR(af.IR),
+		}
+		return cf, cf.emit(e.backHalf(cf))
+	})
+	if err != nil {
+		return nil, err
 	}
-	return cm, nil
+	return &Module{engine: e, wasm: m, funcs: funcs}, nil
 }
 
 // Interface conformance.

@@ -111,11 +111,18 @@ func bceCount(c *atomic.Int64, pick func(*bceObsHandles) *obs.Counter, n int64) 
 	}
 }
 
-// elide is the pass entry point, run after optimize+rir.Compact.
-func elide(ir []rir.Inst, numLocals int) []rir.Inst {
-	ir = hoistLoops(ir, numLocals)
+// elide is the pass entry point, run after optimize+rir.Compact. It
+// does not write the slice it is handed (the engine retains that one
+// for the artifact tier): the two versioning passes build a new,
+// longer stream or return their input untouched, and address fusion,
+// which rewrites in place, only has unchecked accesses to work on —
+// and only runs — once one of them has.
+func elide(pre []rir.Inst, numLocals int) []rir.Inst {
+	ir := hoistLoops(pre, numLocals)
 	ir = coalesceEBB(ir, numLocals)
-	ir = fuseAddrs(ir, numLocals)
+	if len(ir) != len(pre) {
+		ir = fuseAddrs(ir, numLocals)
+	}
 	checked := int64(0)
 	for i := range ir {
 		if (ir[i].Shape == rir.ShLoad || ir[i].Shape == rir.ShStore) && !ir[i].Unchecked {
@@ -985,13 +992,7 @@ func rewriteTargets(s *rir.Inst, f func(int32) int32) {
 // rir.Inst sequence so check failures, trap pcs and clamp redirects stay
 // byte-identical to the unelided build.
 func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
-	isTgt := make([]bool, len(ir))
-	for i := range ir {
-		rewriteTargets(&ir[i], func(t int32) int32 {
-			isTgt[t] = true
-			return t
-		})
-	}
+	isTgt := rir.FindLabels(ir)
 	fusableOp := func(d *rir.Inst) bool {
 		if d.Shape != rir.ShBin {
 			return false
@@ -1014,7 +1015,6 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		return false
 	}
 	const maxSink = 24 // bound the backward scan per access
-	drop := make([]bool, len(ir))
 	fusedOps := int64(0)
 	for pc := range ir {
 		s := &ir[pc]
@@ -1035,7 +1035,7 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		var betweenWrites []int
 		for q := pc - 1; q >= 0 && pc-q <= maxSink; q-- {
 			d := &ir[q]
-			if drop[q] {
+			if d.Dead {
 				break // already consumed by an earlier fusion
 			}
 			wrotesA := false
@@ -1074,7 +1074,7 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		n := 0
 		for n < 3 {
 			q := end - n
-			if q < 0 || drop[q] {
+			if q < 0 || ir[q].Dead {
 				break
 			}
 			d := &ir[q]
@@ -1117,26 +1117,16 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		copy(chain, ir[head:end+1])
 		s.Fuse = chain
 		for q := head; q <= end; q++ {
-			drop[q] = true
+			ir[q].Dead = true
 		}
 		fusedOps += int64(n)
 	}
 	if fusedOps == 0 {
 		return ir
 	}
-	out := make([]rir.Inst, 0, len(ir))
-	remap := make([]int32, len(ir))
-	for pc := range ir {
-		remap[pc] = int32(len(out))
-		if !drop[pc] {
-			out = append(out, ir[pc])
-		}
-	}
-	for i := range out {
-		rewriteTargets(&out[i], func(t int32) int32 { return remap[t] })
-	}
+	ir = rir.Compact(ir)
 	bceCount(&bceAddrFused, func(h *bceObsHandles) *obs.Counter { return h.fused }, fusedOps)
-	return out
+	return ir
 }
 
 // fusedAddrFn compiles an access's fused chain (s.Fuse) into one

@@ -17,22 +17,22 @@ type cop func(inst *Instance, base int, pc int) int
 // emit compiles the slot IR to closures plus the parallel class,
 // memory-access and check-elided arrays used by cycle accounting and
 // the sampling profiler.
-func emit(ir []rir.Inst) ([]cop, []isa.OpClass, []bool, []bool, error) {
-	code := make([]cop, 0, len(ir))
-	classes := make([]isa.OpClass, 0, len(ir))
-	memAcc := make([]bool, 0, len(ir))
-	elided := make([]bool, 0, len(ir))
+func (cf *cfunc) emit(ir []rir.Inst) error {
+	cf.code = make([]cop, len(ir))
+	cf.classes = make([]isa.OpClass, len(ir))
+	cf.memAcc = make([]bool, len(ir))
+	cf.elided = make([]bool, len(ir))
 	for i := range ir {
 		c, err := emitOne(&ir[i])
 		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("compiled: op %d (%s): %w", i, ir[i].Op, err)
+			return fmt.Errorf("compiled: op %d (%s): %w", i, ir[i].Op, err)
 		}
-		code = append(code, c)
-		classes = append(classes, ir[i].Class)
-		memAcc = append(memAcc, ir[i].MemAcc)
-		elided = append(elided, ir[i].MemAcc && ir[i].Unchecked)
+		cf.code[i] = c
+		cf.classes[i] = ir[i].Class
+		cf.memAcc[i] = ir[i].MemAcc
+		cf.elided[i] = ir[i].MemAcc && ir[i].Unchecked
 	}
-	return code, classes, memAcc, elided, nil
+	return nil
 }
 
 func emitOne(s *rir.Inst) (cop, error) {

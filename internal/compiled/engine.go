@@ -182,12 +182,32 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 	return cm.(*Module), nil
 }
 
-// compileModule is the uncached compile pipeline:
+// compileModule is the uncached compile pipeline: validate, then per
+// function
 //
 //	flatten → rir.Build → rir.Optimize → rir.Compact
 //	        → rir.Lower (register tier)
 //	        → elide (bounds-check elision)
 //	        → rir.FuseMem (memory superinstructions) → emit
+//
+// Functions compile independently — they share only the read-only
+// *wasm.Module and the atomic rir/bce counters — so the chain runs on
+// core.CompileFuncs' workers.
+func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
+	if err := validate.Module(m); err != nil {
+		return nil, err
+	}
+	funcs, err := core.CompileFuncs(len(m.Code), "compiled: function", func(i int) (*cfunc, error) {
+		return e.compileFunc(m, i)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Module{engine: e, wasm: m, funcs: funcs}, nil
+}
+
+// compileFunc is the front half of the chain for m.Code[i], up to the
+// last all-plain-data stage, which the cfunc retains as preIR.
 //
 // Lower must precede elide — the elision passes capture raw register
 // indices inside CheckPlan closures and address-mode chains — and
@@ -195,66 +215,69 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 // produced. When the register tier is on the frame shrinks from
 // locals+maxStack to locals+registers (plus the same scratch pad
 // flatten reserves above MaxStack).
-func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
-	if err := validate.Module(m); err != nil {
+func (e *Engine) compileFunc(m *wasm.Module, i int) (*cfunc, error) {
+	start := time.Now()
+	index := uint32(m.NumImportedFuncs() + i)
+	ff, err := flatten.Flatten(m, index, &m.Code[i])
+	if err != nil {
 		return nil, err
 	}
-	cm := &Module{engine: e, wasm: m}
-	imported := uint32(m.NumImportedFuncs())
-	lowering := e.registerIR()
-	for i := range m.Code {
-		start := time.Now()
-		ff, err := flatten.Flatten(m, imported+uint32(i), &m.Code[i])
-		if err != nil {
-			return nil, fmt.Errorf("compiled: function %d: %w", i, err)
-		}
-		ir, err := rir.Build(ff)
-		if err != nil {
-			return nil, fmt.Errorf("compiled: function %d: %w", i, err)
-		}
-		opsIn := len(ir)
-		if e.optimize || lowering {
-			ir = rir.Optimize(ir, ff.NumLocals)
-		}
-		ir = rir.Compact(ir)
-		frameSize := ff.NumLocals + ff.MaxStack
-		regs := 0
-		if lowering {
-			ir, regs = rir.Lower(ir, ff.NumLocals)
-			// Mirror flatten's MaxStack = maxH+8 scratch margin.
-			frameSize = ff.NumLocals + regs + 8
-		}
-		// Retain the last all-plain-data stage for the disk artifact
-		// tier (artifact.go) before elide/FuseMem attach closures. A
-		// shallow clone suffices: the elision passes assign fresh inner
-		// slices rather than mutating the ones they were handed.
-		preIR := slices.Clone(ir)
-		if e.elision() {
-			ir = elide(ir, ff.NumLocals)
-		}
-		if lowering {
-			ir, _ = rir.FuseMem(ir)
-			rir.RecordLowering(opsIn, len(ir), regs, time.Since(start).Nanoseconds())
-		}
-		code, classes, memAcc, elided, err := emit(ir)
-		if err != nil {
-			return nil, fmt.Errorf("compiled: function %d: %w", i, err)
-		}
-		cm.funcs = append(cm.funcs, &cfunc{
-			name:      ff.Name,
-			typ:       ff.Type,
-			numParams: ff.NumParams,
-			numLocals: ff.NumLocals,
-			frameSize: frameSize,
-			code:      code,
-			classes:   classes,
-			memAcc:    memAcc,
-			elided:    elided,
-			index:     imported + uint32(i),
-			preIR:     preIR,
-		})
+	ir, err := rir.Build(ff)
+	if err != nil {
+		return nil, err
 	}
-	return cm, nil
+	opsIn := len(ir)
+	lowering := e.registerIR()
+	if e.optimize || lowering {
+		ir = rir.Optimize(ir, ff.NumLocals)
+	}
+	ir = rir.Compact(ir)
+	frameSize := ff.NumLocals + ff.MaxStack
+	regs := 0
+	if lowering {
+		ir, regs = rir.Lower(ir, ff.NumLocals)
+		// Mirror flatten's MaxStack = maxH+8 scratch margin.
+		frameSize = ff.NumLocals + regs + 8
+	}
+	cf := &cfunc{
+		name:      ff.Name,
+		typ:       ff.Type,
+		numParams: ff.NumParams,
+		numLocals: ff.NumLocals,
+		frameSize: frameSize,
+		index:     index,
+		preIR:     ir,
+	}
+	ir = e.backHalf(cf)
+	if lowering {
+		rir.RecordLowering(opsIn, len(ir), regs, time.Since(start).Nanoseconds())
+	}
+	if err := cf.emit(ir); err != nil {
+		return nil, err
+	}
+	return cf, nil
+}
+
+// backHalf runs the passes that attach closures, elide → FuseMem, and
+// returns the IR to emit; a fresh compile and an artifact decode share
+// it. cf.preIR stays as it was, so the module can still be encoded:
+// elide does not write the slice it is handed (it returns that slice
+// when it finds nothing to elide, a new one otherwise), and FuseMem,
+// which rewrites in place, gets a copy whenever its input would still
+// be preIR. The copy is shallow: the passes replace inner slices
+// (branch tables, chains) rather than write through them.
+func (e *Engine) backHalf(cf *cfunc) []rir.Inst {
+	ir := cf.preIR
+	if e.elision() {
+		ir = elide(ir, cf.numLocals)
+	}
+	if e.registerIR() {
+		if len(ir) > 0 && &ir[0] == &cf.preIR[0] {
+			ir = slices.Clone(ir)
+		}
+		ir, _ = rir.FuseMem(ir)
+	}
+	return ir
 }
 
 // Instantiate implements core.CompiledModule.

@@ -111,7 +111,9 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 	}
 
 	var (
-		out    []Instr
+		// Every body instruction flattens to at most one Instr (block,
+		// loop, nop and inner end to none), so out never regrows.
+		out    = make([]Instr, 0, len(code.Body))
 		stack  []ctrl
 		height int32
 		maxH   int32

@@ -94,21 +94,20 @@ func (e *Engine) CompileInterp(m *wasm.Module) (*Module, error) {
 	return cm.(*Module), nil
 }
 
-// compileInterp is the uncached compile pipeline.
+// compileInterp is the uncached compile pipeline: validate, then
+// flatten every function on core.CompileFuncs' workers.
 func (e *Engine) compileInterp(m *wasm.Module) (*Module, error) {
 	if err := validate.Module(m); err != nil {
 		return nil, err
 	}
-	cm := &Module{engine: e, wasm: m}
 	imported := uint32(m.NumImportedFuncs())
-	for i := range m.Code {
-		pf, err := flatten.Flatten(m, imported+uint32(i), &m.Code[i])
-		if err != nil {
-			return nil, fmt.Errorf("interp: function %d: %w", i, err)
-		}
-		cm.funcs = append(cm.funcs, pf)
+	funcs, err := core.CompileFuncs(len(m.Code), "interp: function", func(i int) (*flatten.Func, error) {
+		return flatten.Flatten(m, imported+uint32(i), &m.Code[i])
+	})
+	if err != nil {
+		return nil, err
 	}
-	return cm, nil
+	return &Module{engine: e, wasm: m, funcs: funcs}, nil
 }
 
 // Instantiate implements core.CompiledModule.

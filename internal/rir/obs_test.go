@@ -61,3 +61,46 @@ func TestRecordLoweringConcurrent(t *testing.T) {
 		t.Error("lowering stats cannot show ops_out >= ops_in here")
 	}
 }
+
+// TestRecordLoweringSpansConcurrent: the compile fan-out calls
+// RecordLowering from every worker, and with tracing on each call
+// pushes a rir.lower span into the shared ring. Every span must
+// arrive, whole (-race covers the ring slots).
+func TestRecordLoweringSpansConcurrent(t *testing.T) {
+	const workers, rounds = 8, 200
+	reg := obs.NewRegistrySized(1 << 12) // 2 events per span, 3200 in all
+	reg.EnableTracing(true)
+	AttachObs(reg.Scope("rir"))
+	defer AttachObs(nil)
+
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				RecordLowering(10, 7, 3, 1000)
+			}
+		}()
+	}
+	wg.Wait()
+
+	begins, ends := map[int64]bool{}, 0
+	for _, ev := range reg.DrainEvents(0) {
+		if obs.SpanEventKind(ev.A) != obs.SpanRIRLower {
+			t.Fatalf("unexpected event %+v", ev)
+		}
+		switch ev.Kind {
+		case obs.EvSpanBegin.String():
+			begins[obs.SpanEventID(ev.A)] = true
+		case obs.EvSpanEnd.String():
+			if !begins[obs.SpanEventID(ev.A)] {
+				t.Errorf("span %d ended before it began", obs.SpanEventID(ev.A))
+			}
+			ends++
+		}
+	}
+	if len(begins) != workers*rounds || ends != workers*rounds {
+		t.Errorf("%d distinct spans begun, %d ended, want %d each", len(begins), ends, workers*rounds)
+	}
+}

@@ -337,8 +337,12 @@ func FindLabels(ir []Inst) []bool {
 	return labels[:len(ir)]
 }
 
-// Compact removes dead instructions, remapping branch targets. Both
-// engines run it (the baseline engine only accumulates dead drops).
+// Compact removes dead instructions in place, remapping branch
+// targets, and returns the shortened prefix of ir: the caller's slice
+// is consumed. Both engines run it (the baseline engine only
+// accumulates dead drops). A br_table gets a fresh target table
+// rather than a rewritten one, because a shallow copy of the IR — the
+// compiled engines keep one for the artifact tier — shares its tables.
 func Compact(ir []Inst) []Inst {
 	remap := make([]int32, len(ir)+1)
 	n := int32(0)
@@ -350,12 +354,16 @@ func Compact(ir []Inst) []Inst {
 	}
 	remap[len(ir)] = n
 
-	out := make([]Inst, 0, n)
 	for i := range ir {
 		if ir[i].Dead {
 			continue
 		}
-		s := ir[i]
+		// remap[i] <= i, and every slot below i has already been moved
+		// or dropped, so the move never overwrites a live instruction.
+		s := &ir[remap[i]]
+		if int(remap[i]) != i {
+			*s = ir[i]
+		}
 		switch s.Shape {
 		case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch, ShRangeCheck:
 			s.Tgt = remap[s.Tgt]
@@ -367,7 +375,6 @@ func Compact(ir []Inst) []Inst {
 			}
 			s.Table = tbl
 		}
-		out = append(out, s)
 	}
-	return out
+	return ir[:n]
 }

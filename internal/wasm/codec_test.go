@@ -76,6 +76,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"trailing garbage section", func(b []byte) []byte {
 			return append(clone(b), 0x63, 0x05, 1, 2, 3)
 		}},
+		{"oversized body size", func([]byte) []byte { return oversizedBodyModule }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,6 +85,18 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oversizedBodyModule declares one function whose body-size prefix
+// claims 4 GiB while two bytes follow: the decoder must size what it
+// allocates by the bytes present, not by the prefix.
+var oversizedBodyModule = []byte{
+	0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00,
+	0x01, 0x04, 0x01, 0x60, 0x00, 0x00, // type: () -> ()
+	0x03, 0x02, 0x01, 0x00, // function 0 : type 0
+	0x0a, 0x08, 0x01, // code: one body
+	0xf0, 0xff, 0xff, 0xff, 0x0f, // body size 0xfffffff0
+	0x00, 0x0b, // no locals; end
 }
 
 // TestDecodeTruncationSweep truncates a real module at every length.

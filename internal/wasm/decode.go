@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Magic and Version are the WebAssembly binary preamble values.
@@ -627,6 +628,11 @@ func decodeCode(d *decoder, m *Module) error {
 		return err
 	}
 	m.Code = make([]Code, 0, n)
+	// One buffer, reused, takes every body as it is decoded; each is
+	// then copied out at its exact length. Allocation follows the
+	// instructions actually decoded — never a declared size or count —
+	// and no body carries spare capacity for the module's lifetime.
+	var scratch []Instr
 	for i := uint32(0); i < n; i++ {
 		size, err := d.u32()
 		if err != nil {
@@ -660,23 +666,22 @@ func decodeCode(d *decoder, m *Module) error {
 				code.Locals = append(code.Locals, t)
 			}
 		}
-		instrs, err := decodeExpr(bd)
+		scratch, err = decodeExpr(bd, scratch[:0])
 		if err != nil {
 			return fmt.Errorf("function %d: %w", i, err)
 		}
 		if bd.remaining() != 0 {
 			return bd.failf("function %d: trailing bytes after body", i)
 		}
-		code.Body = instrs
+		code.Body = slices.Clone(scratch)
 		m.Code = append(m.Code, code)
 	}
 	return nil
 }
 
 // decodeExpr decodes an instruction sequence up to and including the
-// matching final end.
-func decodeExpr(d *decoder) ([]Instr, error) {
-	var out []Instr
+// matching final end, appending to out.
+func decodeExpr(d *decoder, out []Instr) ([]Instr, error) {
 	depth := 0
 	for {
 		b, err := d.byteVal()

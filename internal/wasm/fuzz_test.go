@@ -31,6 +31,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00})
+	f.Add(oversizedBodyModule)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wasm.Decode(data)

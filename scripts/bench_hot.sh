@@ -1,13 +1,14 @@
 #!/bin/sh
 # bench_hot.sh — hot-path benchmarks of the bounds-check elision
-# pass, plus the provisioning/teardown layer benchmarks. Prints the
-# per-strategy checked-load micro timings, the sparse mmap/munmap and
-# isolate-lifecycle timings (ns/op and B/op), and the gemm/atax elide
-# on/off macro benches for humans, then writes the
-# machine-readable report (micro timings, the full workload ×
-# strategy × elide matrix with checksum equality, and the elision
-# counters) to BENCH_bce.json, the BENCH_sweep.json-style artifact
-# tracking the perf trajectory across commits.
+# pass, plus the provisioning/teardown and cold-compile layer
+# benchmarks. Prints the per-strategy checked-load micro timings, the
+# sparse mmap/munmap, isolate-lifecycle and many-function cold-compile
+# timings (ns/op and B/op), and the gemm/atax elide on/off macro
+# benches for humans, then writes the machine-readable report (micro
+# timings, the full workload × strategy × elide matrix with checksum
+# equality, and the elision counters) to BENCH_bce.json, the
+# BENCH_sweep.json-style artifact tracking the perf trajectory across
+# commits.
 #
 #     ./scripts/bench_hot.sh        # or: make bench-hot
 set -eu
@@ -22,6 +23,9 @@ go test -run '^$' -bench 'BenchmarkMmapMunmapSparse' -benchtime 200ms -benchmem 
 
 echo "== isolate lifecycle (mem: New, grow+touch 2 MiB, Close; per strategy)"
 go test -run '^$' -bench 'BenchmarkLifecyclePerStrategy' -benchtime 200ms -benchmem ./internal/mem
+
+echo "== cold compile of a 256-function module (per engine; -cpu 1,2: B/op is the passes' copying, 1-vs-2 the fan-out)"
+go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem -cpu 1,2 ./internal/compiled
 
 echo "== codegen macro benchmarks (gemm, atax; trap strategy; elide x rir matrix)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .
