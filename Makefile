@@ -57,7 +57,8 @@ fuzz-smoke:
 	$(GO) test ./internal/wasi/ -run '^$$' -fuzz FuzzWASIDiff -fuzztime 10s
 	$(GO) test ./internal/harness/ -run '^$$' -fuzz FuzzSharedGrowDiff -fuzztime 10s
 
-# The full tier-1 gate: build + vet + tests + race pass.
+# The full tier-1 gate: build + vet + gofmt + tests (internal/tiered
+# twice in one process) + race pass.
 verify:
 	./scripts/verify.sh
 

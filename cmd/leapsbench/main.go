@@ -20,14 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/figures"
-	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/harness"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -488,23 +486,13 @@ func dumpWorkloadIR(w *os.File, wl workloads.Spec, cls workloads.Class) error {
 	if !ok {
 		return fmt.Errorf("workload %s exports no %q function", wl.Name, workloads.Entry)
 	}
-	imported := uint32(m.NumImportedFuncs())
-	ff, err := flatten.Flatten(m, fi, &m.Code[fi-imported])
+	before, after, numLocals, err := compiled.NewWAVM().EmittedIR(m, int(fi)-m.NumImportedFuncs())
 	if err != nil {
 		return err
 	}
-	before, err := rir.Build(ff)
-	if err != nil {
-		return err
-	}
-	// The passes rewrite their input; the left column keeps the built IR.
-	after := rir.Optimize(slices.Clone(before), ff.NumLocals)
-	after = rir.Compact(after)
-	after, regs := rir.Lower(after, ff.NumLocals)
-	after, fused := rir.FuseMem(after)
-	fmt.Fprintf(w, "%s %q: %d stack ops -> %d register ops, %d locals, %d regs, %d mem fusions\n\n",
-		wl.Name, workloads.Entry, len(before), len(after), ff.NumLocals, regs, fused)
-	rir.DumpSideBySide(w, before, after, ff.NumLocals)
+	fmt.Fprintf(w, "%s %q: %d stack ops -> %d dispatched ops, %d locals\n\n",
+		wl.Name, workloads.Entry, len(before), len(after), numLocals)
+	rir.DumpSideBySide(w, before, after, numLocals)
 	return nil
 }
 

@@ -9,10 +9,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 
-	"leapsandbounds/internal/flatten"
+	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/validate"
 	"leapsandbounds/internal/wasm"
@@ -108,7 +107,7 @@ func run(path string, disasm, dumpIR, check bool) error {
 			}
 		}
 		if dumpIR {
-			if err := dumpFuncIR(m, idx, &m.Code[i]); err != nil {
+			if err := dumpFuncIR(m, i); err != nil {
 				return err
 			}
 		}
@@ -116,24 +115,14 @@ func run(path string, disasm, dumpIR, check bool) error {
 	return nil
 }
 
-// dumpFuncIR lowers one function body through the compiled tier's
-// register pipeline and prints the stack ops next to the register IR.
-func dumpFuncIR(m *wasm.Module, idx uint32, code *wasm.Code) error {
-	ff, err := flatten.Flatten(m, idx, code)
+// dumpFuncIR prints one function body's stack ops next to the register
+// IR the optimizing engine emits closures for.
+func dumpFuncIR(m *wasm.Module, i int) error {
+	before, after, numLocals, err := compiled.NewWAVM().EmittedIR(m, i)
 	if err != nil {
 		return err
 	}
-	before, err := rir.Build(ff)
-	if err != nil {
-		return err
-	}
-	// The passes rewrite their input; the left column keeps the built IR.
-	after := rir.Optimize(slices.Clone(before), ff.NumLocals)
-	after = rir.Compact(after)
-	after, regs := rir.Lower(after, ff.NumLocals)
-	after, fused := rir.FuseMem(after)
-	fmt.Printf("  %d stack ops -> %d register ops (%d regs, %d mem fusions)\n",
-		len(before), len(after), regs, fused)
-	rir.DumpSideBySide(os.Stdout, before, after, ff.NumLocals)
+	fmt.Printf("  %d stack ops -> %d dispatched ops\n", len(before), len(after))
+	rir.DumpSideBySide(os.Stdout, before, after, numLocals)
 	return nil
 }

@@ -31,14 +31,17 @@ import (
 	"leapsandbounds/internal/wasm"
 )
 
-// artifactVersion guards the gob payload shape. Bump on any change to
-// ainst/afunc/artifact; a version mismatch decodes as corruption and
-// the disk tier recompiles.
-const artifactVersion = 1
+// artifactVersion guards the gob payload: its shape (ainst, afunc,
+// artifact) and what the front half puts in it. Bump on any change to
+// either; a version mismatch decodes as corruption and the disk tier
+// recompiles. Version 2: Optimize forwards every retargetable producer
+// into its local.set and folds eqz into compare+branch, so the IR a
+// version-1 file holds is no longer what compileFunc would retain.
+const artifactVersion = 2
 
 // ainst mirrors the pure-data fields of rir.Inst (everything the
 // pre-elision pipeline writes). Post-elision fields (Unchecked, Chk,
-// Fuse, Pair) are deliberately absent: they carry closures and are
+// Addr, Pair, HasElse/Else) are deliberately absent: they are
 // reconstructed by the decode-side elide/FuseMem replay.
 type ainst struct {
 	Op       wasm.Opcode
@@ -89,13 +92,14 @@ type artifact struct {
 }
 
 // toArtifactIR converts pre-elision IR, refusing instructions that
-// carry post-elision state (a non-nil CheckPlan, fused chains, or the
-// unchecked flag means the caller cloned after the wrong pass).
+// carry post-elision state (a non-nil CheckPlan, a folded address, a
+// fused pair, a threaded jump or the unchecked flag means the caller
+// cloned after the wrong pass).
 func toArtifactIR(ir []rir.Inst) ([]ainst, error) {
 	out := make([]ainst, len(ir))
 	for i := range ir {
 		s := &ir[i]
-		if s.Unchecked || s.Chk != nil || s.Fuse != nil || s.Pair != nil {
+		if s.Unchecked || s.Chk != nil || s.Addr != nil || s.Pair != nil || s.HasElse {
 			return nil, fmt.Errorf("compiled: instruction %d carries post-elision state", i)
 		}
 		out[i] = ainst{

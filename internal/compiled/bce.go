@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/rir"
@@ -118,8 +117,8 @@ func bceCount(c *atomic.Int64, pick func(*bceObsHandles) *obs.Counter, n int64) 
 // which rewrites in place, only has unchecked accesses to work on —
 // and only runs — once one of them has.
 func elide(pre []rir.Inst, numLocals int) []rir.Inst {
-	ir := hoistLoops(pre, numLocals)
-	ir = coalesceEBB(ir, numLocals)
+	ir, slow := hoistLoops(pre, numLocals)
+	ir = coalesceEBB(ir, slow)
 	if len(ir) != len(pre) {
 		ir = fuseAddrs(ir, numLocals)
 	}
@@ -171,8 +170,10 @@ type loopVer struct {
 }
 
 // hoistLoops finds analyzable innermost counted loops and versions
-// them: [check][fast copy (+revalidations)][slow copy].
-func hoistLoops(ir []rir.Inst, numLocals int) []rir.Inst {
+// them: [check][fast copy (+revalidations)][slow copy]. It also returns
+// which pcs of its output are slow copies (nil when it versioned
+// nothing).
+func hoistLoops(ir []rir.Inst, numLocals int) ([]rir.Inst, []bool) {
 	labels := rir.FindLabels(ir)
 	loops := map[int]*loopVer{}
 	claimed := -1 // highest pc already inside a chosen loop
@@ -191,7 +192,7 @@ func hoistLoops(ir []rir.Inst, numLocals int) []rir.Inst {
 		}
 	}
 	if len(loops) == 0 {
-		return ir
+		return ir, nil
 	}
 
 	// Phase A: layout. remap carries old→new positions for branch
@@ -243,13 +244,14 @@ func hoistLoops(ir []rir.Inst, numLocals int) []rir.Inst {
 
 	// Phase B: emit.
 	out := make([]rir.Inst, 0, newPC)
+	slow := make([]bool, newPC)
 	pi := 0
 	hoisted, elided := int64(0), int64(0)
 	for i := 0; i < len(ir); {
 		lv, ok := loops[i]
 		if !ok {
 			s := ir[i]
-			rewriteTargets(&s, func(t int32) int32 { return remap[t] })
+			s.RewriteTargets(func(t int32) int32 { return remap[t] })
 			out = append(out, s)
 			i++
 			continue
@@ -278,7 +280,7 @@ func hoistLoops(ir []rir.Inst, numLocals int) []rir.Inst {
 		ri := 0
 		for k := 0; k < n; k++ {
 			s := ir[lv.L+k]
-			rewriteTargets(&s, mapLoopTgt(p.fastPos[0]))
+			s.RewriteTargets(mapLoopTgt(p.fastPos[0]))
 			if lv.planned[k] {
 				s.Unchecked = true
 				s.MemAcc = false
@@ -301,7 +303,8 @@ func hoistLoops(ir []rir.Inst, numLocals int) []rir.Inst {
 		// Slow copy: the original loop, verbatim.
 		for k := 0; k < n; k++ {
 			s := ir[lv.L+k]
-			rewriteTargets(&s, mapLoopTgt(int32(p.slowStart)))
+			s.RewriteTargets(mapLoopTgt(int32(p.slowStart)))
+			slow[len(out)] = true
 			out = append(out, s)
 		}
 		hoisted += int64(len(lv.plan.Ranges))
@@ -309,7 +312,7 @@ func hoistLoops(ir []rir.Inst, numLocals int) []rir.Inst {
 	}
 	bceCount(&bceHoisted, func(h *bceObsHandles) *obs.Counter { return h.hoisted }, hoisted)
 	bceCount(&bceChecksElided, func(h *bceObsHandles) *obs.Counter { return h.elided }, elided)
-	return out
+	return out, slow
 }
 
 // analyzeLoop decides whether [L..E] is a versionable counted loop
@@ -629,10 +632,14 @@ type ebbGroup struct {
 }
 
 // coalesceEBB groups same-base accesses inside straight-line runs and
-// versions each group region on one range check.
-func coalesceEBB(ir []rir.Inst, numLocals int) []rir.Inst {
+// versions each group region on one range check. The slow copy of a
+// versioned loop (slow[pc]) is left as it is: it runs when the loop's
+// own check has failed — every iteration under clamp, where no range
+// check can pass — so a second check there is a dispatch per iteration
+// spent on the path that exists to be the plain checked one.
+func coalesceEBB(ir []rir.Inst, slow []bool) []rir.Inst {
 	labels := rir.FindLabels(ir)
-	groups := collectGroups(ir, labels)
+	groups := collectGroups(ir, labels, slow)
 	if len(groups) == 0 {
 		return ir
 	}
@@ -686,7 +693,7 @@ func coalesceEBB(ir []rir.Inst, numLocals int) []rir.Inst {
 	for i := 0; i < len(ir); {
 		if ri >= len(regions) || regions[ri].first != i {
 			s := ir[i]
-			rewriteTargets(&s, func(t int32) int32 { return remap[t] })
+			s.RewriteTargets(func(t int32) int32 { return remap[t] })
 			out = append(out, s)
 			i++
 			continue
@@ -724,7 +731,7 @@ func coalesceEBB(ir []rir.Inst, numLocals int) []rir.Inst {
 		})
 		for k := 0; k < n; k++ {
 			s := ir[r.first+k]
-			rewriteTargets(&s, func(t int32) int32 { return remap[t] })
+			s.RewriteTargets(func(t int32) int32 { return remap[t] })
 			if member[r.first+k] {
 				s.Unchecked = true
 				s.MemAcc = false
@@ -735,7 +742,7 @@ func coalesceEBB(ir []rir.Inst, numLocals int) []rir.Inst {
 		out = append(out, rir.Inst{Shape: rir.ShJump, Tgt: merge, CarrySrc: -1, Class: isa.ClassBranch})
 		for k := 0; k < n; k++ {
 			s := ir[r.first+k]
-			rewriteTargets(&s, func(t int32) int32 { return remap[t] })
+			s.RewriteTargets(func(t int32) int32 { return remap[t] })
 			out = append(out, s)
 		}
 		coalesced++
@@ -748,7 +755,7 @@ func coalesceEBB(ir []rir.Inst, numLocals int) []rir.Inst {
 
 // collectGroups value-numbers each straight-line run and returns the
 // ≥2-member same-base access groups in program order of first member.
-func collectGroups(ir []rir.Inst, labels []bool) []ebbGroup {
+func collectGroups(ir []rir.Inst, labels, slow []bool) []ebbGroup {
 	var groups []ebbGroup
 
 	type bucket struct {
@@ -832,7 +839,7 @@ func collectGroups(ir []rir.Inst, labels []bool) []ebbGroup {
 			vnOf[s.Dst] = hash(2+uint64(s.Op), va, vb)
 			continue
 		case rir.ShLoad, rir.ShStore:
-			if !s.Unchecked {
+			if !s.Unchecked && (slow == nil || !slow[pc]) {
 				vn := vnImmBase
 				baseSlot := -1
 				if !s.AImm {
@@ -953,21 +960,6 @@ func emitRangeCheck(s *rir.Inst) (cop, error) {
 	}, nil
 }
 
-// rewriteTargets applies f to every branch target in s.
-func rewriteTargets(s *rir.Inst, f func(int32) int32) {
-	switch s.Shape {
-	case rir.ShJump, rir.ShIfFalse, rir.ShBranchIf, rir.ShCmpBranch, rir.ShRangeCheck:
-		s.Tgt = f(s.Tgt)
-	case rir.ShBrTable:
-		tbl := make([]flatten.BranchTarget, len(s.Table))
-		for k, bt := range s.Table {
-			bt.Tgt = f(bt.Tgt)
-			tbl[k] = bt
-		}
-		s.Table = tbl
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Address-mode fusion
 // ---------------------------------------------------------------------------
@@ -979,13 +971,16 @@ func rewriteTargets(s *rir.Inst, f func(int32) int32) {
 // cycles stepping through those closures than computing anything — the
 // closure-level analog of folding the sequence into a native
 // instruction's addressing mode (scale, index, base, displacement).
-// The chain is re-executed inside the access closure from the same
-// source slots, so it may also be *sunk*: a chain separated from its
-// access by sops that touch neither the address slot nor the chain's
-// sources (typically the value computation of a store) fuses the same
-// way. A branch to the head of a chain can land on the next remaining
-// rir.Inst; a branch anywhere between head and access (which would rely on
-// a partially computed address slot or skip the sources' defs)
+// The chain becomes one linear form over at most two slots (rir.Lin,
+// the access's Addr), which the access closure evaluates inline from
+// the same source slots; a chain that is not linear stays as ops. Since
+// it is re-evaluated at the access, it may also be *sunk*: a chain
+// separated from its access by ops that touch neither the address slot
+// nor the chain's sources (typically the value computation of a store,
+// or loads whose own chains were folded first) fuses the same way. A
+// branch to the head of a chain can land on the next remaining
+// rir.Inst; a branch anywhere between head and access (which would rely
+// on a partially computed address slot or skip the sources' defs)
 // disables fusion.
 //
 // Only unchecked accesses fuse: a checked access keeps its original
@@ -993,16 +988,6 @@ func rewriteTargets(s *rir.Inst, f func(int32) int32) {
 // byte-identical to the unelided build.
 func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 	isTgt := rir.FindLabels(ir)
-	fusableOp := func(d *rir.Inst) bool {
-		if d.Shape != rir.ShBin {
-			return false
-		}
-		switch d.Op {
-		case wasm.OpI32Add, wasm.OpI32Sub, wasm.OpI32Mul, wasm.OpI32Shl:
-			return true
-		}
-		return false
-	}
 	// transparent reports whether a rir.Inst between chain and access can
 	// stay in place: straight-line, no calls (which clobber temps) and
 	// no control flow.
@@ -1015,6 +1000,7 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		return false
 	}
 	const maxSink = 24 // bound the backward scan per access
+	const maxChain = 4 // ops folded into one access
 	fusedOps := int64(0)
 	for pc := range ir {
 		s := &ir[pc]
@@ -1036,7 +1022,13 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		for q := pc - 1; q >= 0 && pc-q <= maxSink; q-- {
 			d := &ir[q]
 			if d.Dead {
-				break // already consumed by an earlier fusion
+				// A chain an earlier access consumed: it is re-executed
+				// inside that access and writes no register, so this
+				// chain sinks past it — unless it computed this slot.
+				if d.Dst == a {
+					break
+				}
+				continue
 			}
 			wrotesA := false
 			clob := rir.InstWrites(d, func(w int) {
@@ -1068,39 +1060,29 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		if end < 0 {
 			continue
 		}
-		// Maximal contiguous run ending at end whose ops all write the
-		// address slot. Slot discipline makes each intermediate dead
-		// once the next op (and finally the access) consumes it.
-		n := 0
-		for n < 3 {
-			q := end - n
-			if q < 0 || ir[q].Dead {
+		// Longest contiguous run ending at end whose ops all write the
+		// address slot and compose to one linear form. Slot discipline
+		// makes each intermediate dead once the next op (and finally the
+		// access) consumes it.
+		head := end + 1
+		for head > 0 && end-head+1 < maxChain && !ir[head-1].Dead &&
+			ir[head-1].Shape == rir.ShBin && ir[head-1].Dst == a {
+			head--
+		}
+		var addr rir.Lin
+		ok := false
+		for ; head <= end; head++ {
+			if addr, ok = chainLin(ir[head:end+1], a); ok {
 				break
 			}
-			d := &ir[q]
-			if !fusableOp(d) || d.Dst != a {
-				break
+		}
+		// Re-evaluating the chain at the access must see its source
+		// slots unmodified by the in-between region (nothing there
+		// writes the address slot itself: the walk stopped at its def).
+		for _, w := range betweenWrites {
+			if (addr.CX != 0 && w == addr.X) || (addr.CY != 0 && w == addr.Y) {
+				ok = false
 			}
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		head := end - n + 1
-		// Re-executing the chain at the access must see its source
-		// slots unmodified by the in-between region.
-		ok := true
-		for q := head; q <= end; q++ {
-			rir.InstReads(&ir[q], func(r int) {
-				if r == a {
-					return // chain register, carried internally
-				}
-				for _, w := range betweenWrites {
-					if w == r {
-						ok = false
-					}
-				}
-			})
 		}
 		// Any branch target after the head would either resume a
 		// partially computed address or skip the sources' defs.
@@ -1113,13 +1095,11 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		if !ok {
 			continue
 		}
-		chain := make([]rir.Inst, n)
-		copy(chain, ir[head:end+1])
-		s.Fuse = chain
+		s.Addr = &addr
 		for q := head; q <= end; q++ {
 			ir[q].Dead = true
 		}
-		fusedOps += int64(n)
+		fusedOps += int64(end - head + 1)
 	}
 	if fusedOps == 0 {
 		return ir
@@ -1129,112 +1109,14 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 	return ir
 }
 
-// fusedAddrFn compiles an access's fused chain (s.Fuse) into one
-// effective-address callable (offset included), specializing the
-// row-major indexing pattern (x*K + y) << k that dominates the kernel
-// workloads.
-func fusedAddrFn(s *rir.Inst) func(st []uint64, base int) uint64 {
-	if len(s.Fuse) == 0 {
-		return nil
+// chainLin composes a run of ops that all write slot a into the linear
+// form of a's final value: reads of a see the running value (the
+// incoming frame value before the first op), everything else reads the
+// frame. It reports false when some op is not linear.
+func chainLin(chain []rir.Inst, a int) (rir.Lin, bool) {
+	cur, ok := rir.LinSlot(a), true
+	for i := 0; ok && i < len(chain); i++ {
+		cur, ok = cur.Then(&chain[i], a)
 	}
-	off := s.Off
-	a := s.A
-	if fn := fusedRowMajor(s); fn != nil {
-		return fn
-	}
-	if len(s.Fuse) == 1 {
-		d := &s.Fuse[0]
-		// Single op: no chain register involved, read slots directly
-		// (a read of the address slot sees the incoming frame value,
-		// exactly as the original rir.Inst did).
-		x := d.A
-		switch {
-		case d.Op == wasm.OpI32Add && !d.AImm && d.BImm:
-			k := uint32(d.ImmB)
-			return func(st []uint64, base int) uint64 {
-				return uint64(uint32(st[base+x])+k) + off
-			}
-		case d.Op == wasm.OpI32Add && !d.AImm && !d.BImm:
-			y := d.B
-			return func(st []uint64, base int) uint64 {
-				return uint64(uint32(st[base+x])+uint32(st[base+y])) + off
-			}
-		case d.Op == wasm.OpI32Shl && !d.AImm && d.BImm:
-			k := uint32(d.ImmB) & 31
-			return func(st []uint64, base int) uint64 {
-				return uint64(uint32(st[base+x])<<k) + off
-			}
-		case d.Op == wasm.OpI32Mul && !d.AImm && d.BImm:
-			k := uint32(d.ImmB)
-			return func(st []uint64, base int) uint64 {
-				return uint64(uint32(st[base+x])*k) + off
-			}
-		}
-	}
-	// Generic fallback: pre-lower each op to a step over the running
-	// chain value v (reads of the address slot after the first write
-	// see v; everything else reads the frame).
-	type stepFn func(st []uint64, base int, v uint64) uint64
-	steps := make([]stepFn, len(s.Fuse))
-	for i := range s.Fuse {
-		d := &s.Fuse[i]
-		fn := rir.BinOps[d.Op]
-		sel := func(imm bool, iv uint64, slot int) func(st []uint64, base int, v uint64) uint64 {
-			switch {
-			case imm:
-				return func(_ []uint64, _ int, _ uint64) uint64 { return iv }
-			case slot == a:
-				return func(_ []uint64, _ int, v uint64) uint64 { return v }
-			default:
-				return func(st []uint64, base int, _ uint64) uint64 { return st[base+slot] }
-			}
-		}
-		ax := sel(d.AImm, d.ImmA, d.A)
-		bx := sel(d.BImm, d.ImmB, d.B)
-		steps[i] = func(st []uint64, base int, v uint64) uint64 {
-			return fn(ax(st, base, v), bx(st, base, v))
-		}
-	}
-	return func(st []uint64, base int) uint64 {
-		v := st[base+a]
-		for i := range steps {
-			v = steps[i](st, base, v)
-		}
-		return uint64(uint32(v)) + off
-	}
-}
-
-// fusedRowMajor matches the three-op row-major address chain
-// mul(x, K); add(·, y); shl(·, k) and compiles it to straight-line
-// uint32 arithmetic.
-func fusedRowMajor(s *rir.Inst) func(st []uint64, base int) uint64 {
-	if len(s.Fuse) != 3 {
-		return nil
-	}
-	a := s.A
-	f0, f1, f2 := &s.Fuse[0], &s.Fuse[1], &s.Fuse[2]
-	if f0.Op != wasm.OpI32Mul || f0.AImm || f0.A == a || !f0.BImm {
-		return nil
-	}
-	if f1.Op != wasm.OpI32Add || f2.Op != wasm.OpI32Shl {
-		return nil
-	}
-	var y int
-	switch {
-	case !f1.AImm && f1.A == a && !f1.BImm && f1.B != a:
-		y = f1.B
-	case !f1.BImm && f1.B == a && !f1.AImm && f1.A != a:
-		y = f1.A
-	default:
-		return nil
-	}
-	if f2.AImm || f2.A != a || !f2.BImm {
-		return nil
-	}
-	x, mk := f0.A, uint32(f0.ImmB)
-	sk := uint32(f2.ImmB) & 31
-	off := s.Off
-	return func(st []uint64, base int) uint64 {
-		return uint64((uint32(st[base+x])*mk+uint32(st[base+y]))<<sk) + off
-	}
+	return cur, ok
 }

@@ -132,6 +132,7 @@ type cfunc struct {
 	frameSize int // locals + operand slots
 	code      []cop
 	classes   []isa.OpClass
+	classes2  []isa.OpClass // second half's class of a fused pair, or noClass
 	memAcc    []bool
 	// elided marks memory accesses whose bounds check the elision
 	// pass removed; index is the function-space index. Both feed the
@@ -140,7 +141,7 @@ type cfunc struct {
 	index  uint32
 	// preIR is the pre-elision IR retained for the disk artifact tier
 	// (artifact.go): the last all-plain-data pipeline stage, from which
-	// elide → FuseMem → emit reproduce this function exactly.
+	// backHalf → emit reproduce this function exactly.
 	preIR []rir.Inst
 }
 
@@ -188,7 +189,7 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 //	flatten → rir.Build → rir.Optimize → rir.Compact
 //	        → rir.Lower (register tier)
 //	        → elide (bounds-check elision)
-//	        → rir.FuseMem (memory superinstructions) → emit
+//	        → rir.FuseMem (jump threading, pair superinstructions) → emit
 //
 // Functions compile independently — they share only the read-only
 // *wasm.Module and the atomic rir/bce counters — so the chain runs on
@@ -206,25 +207,38 @@ func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
 	return &Module{engine: e, wasm: m, funcs: funcs}, nil
 }
 
-// compileFunc is the front half of the chain for m.Code[i], up to the
-// last all-plain-data stage, which the cfunc retains as preIR.
+// compileFunc compiles m.Code[i]: lowerFunc, then emit.
+func (e *Engine) compileFunc(m *wasm.Module, i int) (*cfunc, error) {
+	cf, ir, err := e.lowerFunc(m, i)
+	if err != nil {
+		return nil, err
+	}
+	if err := cf.emit(ir); err != nil {
+		return nil, err
+	}
+	return cf, nil
+}
+
+// lowerFunc runs the chain for m.Code[i] up to the stream emit
+// receives. The front half ends at the last all-plain-data stage, which
+// the cfunc retains as preIR; backHalf does the rest.
 //
 // Lower must precede elide — the elision passes capture raw register
-// indices inside CheckPlan closures and address-mode chains — and
-// FuseMem runs last so it can fuse the unchecked accesses elision
-// produced. When the register tier is on the frame shrinks from
-// locals+maxStack to locals+registers (plus the same scratch pad
-// flatten reserves above MaxStack).
-func (e *Engine) compileFunc(m *wasm.Module, i int) (*cfunc, error) {
+// indices inside CheckPlan closures and folded addresses — and FuseMem
+// runs last so it can fuse the unchecked accesses elision produced.
+// When the register tier is on the frame shrinks from locals+maxStack
+// to locals+registers (plus the same scratch pad flatten reserves
+// above MaxStack).
+func (e *Engine) lowerFunc(m *wasm.Module, i int) (*cfunc, []rir.Inst, error) {
 	start := time.Now()
 	index := uint32(m.NumImportedFuncs() + i)
 	ff, err := flatten.Flatten(m, index, &m.Code[i])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ir, err := rir.Build(ff)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opsIn := len(ir)
 	lowering := e.registerIR()
@@ -252,20 +266,37 @@ func (e *Engine) compileFunc(m *wasm.Module, i int) (*cfunc, error) {
 	if lowering {
 		rir.RecordLowering(opsIn, len(ir), regs, time.Since(start).Nanoseconds())
 	}
-	if err := cf.emit(ir); err != nil {
-		return nil, err
-	}
-	return cf, nil
+	return cf, ir, nil
 }
 
-// backHalf runs the passes that attach closures, elide → FuseMem, and
-// returns the IR to emit; a fresh compile and an artifact decode share
-// it. cf.preIR stays as it was, so the module can still be encoded:
-// elide does not write the slice it is handed (it returns that slice
-// when it finds nothing to elide, a new one otherwise), and FuseMem,
-// which rewrites in place, gets a copy whenever its input would still
-// be preIR. The copy is shallow: the passes replace inner slices
-// (branch tables, chains) rather than write through them.
+// EmittedIR returns what the dump tools print side by side for
+// m.Code[i]: the stack-shaped IR rir.Build makes of the body, the
+// register IR exactly as emit receives it under e's codegen (optimized,
+// lowered, elided, jumps threaded, pairs fused), and the local count
+// that splits locals from registers in both.
+func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted []rir.Inst, numLocals int, err error) {
+	ff, err := flatten.Flatten(m, uint32(m.NumImportedFuncs()+i), &m.Code[i])
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if built, err = rir.Build(ff); err != nil {
+		return nil, nil, 0, err
+	}
+	cf, emitted, err := e.lowerFunc(m, i)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return built, emitted, cf.numLocals, nil
+}
+
+// backHalf runs the passes whose output is not plain data, elide →
+// FuseMem, and returns the IR to emit; a fresh compile and an artifact
+// decode share it. cf.preIR stays as it was, so the module can still be
+// encoded: elide does not write the slice it is handed (it returns that
+// slice when it finds nothing to elide, a new one otherwise), and
+// FuseMem, which rewrites in place, gets a copy whenever its input would
+// still be preIR. The copy is shallow: the passes replace inner slices
+// (branch tables) rather than write through them.
 func (e *Engine) backHalf(cf *cfunc) []rir.Inst {
 	ir := cf.preIR
 	if e.elision() {
@@ -347,6 +378,9 @@ type Instance struct {
 	// call frame (nil prof keeps the seed-identical loops).
 	prof   *prof.Cell
 	ckSoft bool
+	// dispatches counts closures executed by the counting loops (the
+	// plain loop stays free of it).
+	dispatches int64
 	// Safepoint is polled at function entry when non-nil; the tiered
 	// engine (V8 analog) uses it to implement stop-the-world pauses.
 	Safepoint func()
@@ -357,6 +391,12 @@ func (inst *Instance) Memory() *mem.Memory { return inst.base.Mem }
 
 // Counts implements core.Instance.
 func (inst *Instance) Counts() *isa.Counts { return inst.base.Counts() }
+
+// Dispatches returns the number of closures the run loop has executed
+// under Config.CountCycles: the unit the closure engine's run time is
+// made of, which superinstruction fusion exists to shrink. A fused
+// pair is one dispatch, whatever it charges the cycle model.
+func (inst *Instance) Dispatches() int64 { return inst.dispatches }
 
 // Close implements core.Instance.
 func (inst *Instance) Close() error { return inst.base.Close() }
@@ -433,9 +473,13 @@ func (inst *Instance) run(cf *cfunc, base int) {
 		ck, ckOn := inst.base.CheckClass()
 		shared := inst.base.Mem != nil && inst.base.Mem.Shared()
 		memAcc := cf.memAcc
-		classes := cf.classes
+		classes, classes2 := cf.classes, cf.classes2
 		for pc := 0; pc >= 0; {
+			inst.dispatches++
 			counts[classes[pc]]++
+			if c := classes2[pc]; c != noClass {
+				counts[c]++
+			}
 			if memAcc[pc] {
 				if ckOn {
 					counts[ck]++
@@ -459,7 +503,7 @@ func (inst *Instance) run(cf *cfunc, base int) {
 // enabled, runs here too so `-cycles -profile` composes.
 func (inst *Instance) runProfiled(cf *cfunc, base int, cell *prof.Cell) {
 	code := cf.code
-	classes := cf.classes
+	classes, classes2 := cf.classes, cf.classes2
 	memAcc := cf.memAcc
 	elided := cf.elided
 	fn := cf.index
@@ -485,7 +529,11 @@ func (inst *Instance) runProfiled(cf *cfunc, base int, cell *prof.Cell) {
 		}
 		cell.Set(fn, classes[pc], fl)
 		if counting {
+			inst.dispatches++
 			counts[classes[pc]]++
+			if c := classes2[pc]; c != noClass {
+				counts[c]++
+			}
 			if memAcc[pc] {
 				if ckOn {
 					counts[ck]++

@@ -100,6 +100,10 @@ func FuzzRIRDiff(f *testing.F) {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}
+	for _, seed := range latchSeeds {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, oob bool) {
 		build := buildRandomProgram
 		if oob {
@@ -111,6 +115,57 @@ func FuzzRIRDiff(f *testing.F) {
 		}
 		checkRIREquivalence(t, m)
 	})
+}
+
+// latchSeeds generate programs with nested counted loops that elision
+// versions, so their back-edges become two-target latches whose exit is
+// not the next pc (the slow clone sits in between), inside an outer
+// loop that has a latch of its own: the shape the late pass's jump threading and
+// the second branch target exist for.
+var latchSeeds = []int64{29, 62}
+
+// TestLatchSeedsNestFarExits keeps latchSeeds honest against drift in
+// the program generator.
+func TestLatchSeedsNestFarExits(t *testing.T) {
+	for _, seed := range latchSeeds {
+		m, err := buildRandomProgram(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ir, _, err := compiled.NewWAVM().EmittedIR(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type latch struct {
+			pc, head int
+			far      bool // the exit is not the next pc
+		}
+		var latches []latch
+		for pc := range ir {
+			s := &ir[pc]
+			if (s.Shape != rir.ShCmpBranch && s.Shape != rir.ShPairBr) || !s.HasElse {
+				continue
+			}
+			head, exit := int(s.Else), int(s.Tgt)
+			if head > pc {
+				head, exit = exit, head
+			}
+			if head <= pc {
+				latches = append(latches, latch{pc, head, exit != pc+1})
+			}
+		}
+		nested := 0
+		for _, o := range latches {
+			for _, i := range latches {
+				if i.far && o.head < i.head && i.pc < o.pc {
+					nested++
+				}
+			}
+		}
+		if nested == 0 {
+			t.Errorf("seed %d: %d latches, none with a far exit nested in another's loop", seed, len(latches))
+		}
+	}
 }
 
 // TestRIRLoweringShrinksOps pins the tier's reason to exist: for a

@@ -63,7 +63,11 @@ func (s *Inst) String(numLocals int) string {
 		if !s.BrOnTrue {
 			sense = "unless"
 		}
-		return fmt.Sprintf("br @%d %s %s %s, %s", s.Tgt, sense, s.CmpOp, opA(), opB())
+		str := fmt.Sprintf("br @%d %s %s %s, %s", s.Tgt, sense, s.CmpOp, opA(), opB())
+		if s.HasElse {
+			str += fmt.Sprintf(" else @%d", s.Else)
+		}
+		return str
 	case ShBrTable:
 		return fmt.Sprintf("br_table %s (%d targets)", r(s.A), len(s.Table))
 	case ShReturn:
@@ -102,24 +106,32 @@ func (s *Inst) String(numLocals int) string {
 				reg(s.Chk.BaseSlot, numLocals), s.Chk.Lo, s.Chk.N, s.Chk.Write, s.Tgt)
 		}
 		return fmt.Sprintf("range_check else @%d", s.Tgt)
-	case ShLoadOp:
+	case ShLoadOp, ShOpStore, ShPair:
 		return fmt.Sprintf("fused{%s ; %s}", s.Pair[0].String(numLocals), s.Pair[1].String(numLocals))
-	case ShOpStore:
-		return fmt.Sprintf("fused{%s ; %s}", s.Pair[0].String(numLocals), s.Pair[1].String(numLocals))
+	case ShPairBr:
+		// The targets live on the pair (Compact rewrites them there).
+		br := s.Pair[1]
+		br.Tgt, br.HasElse, br.Else = s.Tgt, s.HasElse, s.Else
+		return fmt.Sprintf("fused{%s ; %s}", s.Pair[0].String(numLocals), br.String(numLocals))
 	default:
 		return fmt.Sprintf("%s?", s.Op)
 	}
 }
 
 func addrStr(s *Inst, numLocals int) string {
-	base := "mem["
-	if len(s.Fuse) > 0 {
-		base = "mem[fused-chain "
+	switch {
+	case s.Addr != nil:
+		l := s.Addr
+		str := fmt.Sprintf("mem[%s*%d", reg(l.X, numLocals), l.CX)
+		if l.CY != 0 {
+			str += fmt.Sprintf("+%s*%d", reg(l.Y, numLocals), l.CY)
+		}
+		return fmt.Sprintf("%s+%d +%d]", str, l.K, s.Off)
+	case s.AImm:
+		return fmt.Sprintf("mem[abs+%d]", s.Off)
+	default:
+		return fmt.Sprintf("mem[%s+%d]", reg(s.A, numLocals), s.Off)
 	}
-	if s.AImm {
-		return fmt.Sprintf("%s+%d]", base[:len(base)-1]+"[abs", s.Off)
-	}
-	return fmt.Sprintf("%s%s+%d]", base, reg(s.A, numLocals), s.Off)
 }
 
 func accFlags(s *Inst) string {

@@ -23,7 +23,7 @@ func InstWrites(s *Inst, f func(slot int)) (clob int) {
 		}
 	case ShCall, ShCallInd:
 		clob = s.ArgBase
-	case ShLoadOp, ShOpStore:
+	case ShLoadOp, ShOpStore, ShPair, ShPairBr:
 		for i := range s.Pair {
 			InstWrites(&s.Pair[i], f)
 		}
@@ -32,14 +32,24 @@ func InstWrites(s *Inst, f func(slot int)) (clob int) {
 }
 
 // InstReads calls f for every frame slot s reads, for the
-// straight-line shapes address-chain fusion treats as transparent
-// (branch and call shapes track their reads elsewhere and never
-// participate in chain sinking).
+// straight-line shapes address-chain fusion treats as transparent and
+// the compare+branch the late pass fuses producers into (other branch
+// and call shapes track their reads elsewhere). An access with a
+// folded address chain reads the chain's slots, not its address slot.
 func InstReads(s *Inst, f func(slot int)) {
+	addr := func() {
+		switch {
+		case s.Addr != nil:
+			f(s.Addr.X)
+			f(s.Addr.Y)
+		case !s.AImm:
+			f(s.A)
+		}
+	}
 	switch s.Shape {
 	case ShMove, ShUn, ShTruncSat, ShGlobalSet:
 		f(s.A)
-	case ShBin:
+	case ShBin, ShCmpBranch:
 		if !s.AImm {
 			f(s.A)
 		}
@@ -51,13 +61,9 @@ func InstReads(s *Inst, f func(slot int)) {
 		f(s.B)
 		f(s.C)
 	case ShLoad:
-		if !s.AImm {
-			f(s.A)
-		}
+		addr()
 	case ShStore:
-		if !s.AImm {
-			f(s.A)
-		}
+		addr()
 		if !s.BImm {
 			f(s.B)
 		}
@@ -67,7 +73,7 @@ func InstReads(s *Inst, f func(slot int)) {
 		f(s.A)
 		f(s.B)
 		f(s.C)
-	case ShLoadOp, ShOpStore:
+	case ShLoadOp, ShOpStore, ShPair:
 		for i := range s.Pair {
 			InstReads(&s.Pair[i], f)
 		}

@@ -7,7 +7,9 @@ import (
 
 // Optimize runs the WAVM-analog optimization passes over the slot
 // IR: constant folding, copy propagation of locals/constants into
-// consumers, binop→local.set forwarding, and compare+branch fusion.
+// consumers, forwarding of every retargetable producer (ALU op, load,
+// select, global.get, memory.size) into the local.set that follows it,
+// and compare+branch fusion (an eqz counts as a compare with zero).
 // It relies on the stack discipline invariant that every operand
 // slot is written once and read once between two labels.
 //
@@ -73,8 +75,8 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			}
 		case ShMove:
 			if s.Op == wasm.OpLocalSet && s.Dst < numLocals {
-				// Try binop→local forwarding: retarget an adjacent
-				// producer to write the local directly.
+				// Forwarding: retarget an adjacent producer to write the
+				// local directly.
 				if di, ok := pending[s.A]; ok && di == lastAlive {
 					d := &ir[di]
 					if retargetable(d.Shape) {
@@ -163,9 +165,6 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 					MarkDead(ir, rb.def)
 				}
 			}
-			if s.Dst >= numLocals && CmpBranchOps[s.Op] {
-				pending[s.Dst] = i // eligible for compare+branch fusion
-			}
 		case ShLoad:
 			r := use(s.A)
 			if r.isImm {
@@ -178,10 +177,6 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 				if r.def >= 0 {
 					MarkDead(ir, r.def)
 				}
-			}
-			if s.Dst >= numLocals {
-				// Loads are retargetable producers (for local.set).
-				pending[s.Dst] = i
 			}
 		case ShStore:
 			rb := use(s.B)
@@ -212,13 +207,22 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			}
 			if di, ok := pending[s.A]; ok && di == lastAlive {
 				d := &ir[di]
-				if d.Shape == ShBin && CmpBranchOps[d.Op] && s.CarrySrc < 0 {
+				// A compare, or an eqz (a compare against zero), feeding
+				// the branch becomes the branch's own condition.
+				cmp, isCmp := d.Op, d.Shape == ShBin && CmpBranchOps[d.Op]
+				if eq, ok := eqzCompare[d.Op]; ok && d.Shape == ShUn {
+					cmp, isCmp = eq, true
+				}
+				if isCmp && s.CarrySrc < 0 {
 					delete(pending, s.A)
 					s.Shape = ShCmpBranch
-					s.CmpOp = d.Op
+					s.CmpOp = cmp
 					s.BrOnTrue = ir[i].Op != flatten.OpIfFalse
 					s.A, s.AImm, s.ImmA = d.A, d.AImm, d.ImmA
 					s.B, s.BImm, s.ImmB = d.B, d.BImm, d.ImmB
+					if d.Shape == ShUn {
+						s.B, s.BImm, s.ImmB = 0, true, 0
+					}
 					MarkDead(ir, di)
 					CountFusedCmpBr(1)
 					lastAlive = i
@@ -273,10 +277,12 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			forceKeep(s.A)
 			forceKeep(s.B)
 			forceKeep(s.C)
-		case ShGlobalGet:
-			if s.Dst >= numLocals {
-				pending[s.Dst] = i
-			}
+		}
+		if retargetable(s.Shape) && s.Dst >= numLocals {
+			// A producer into an operand slot: a local.set right behind
+			// it takes over its destination, and a compare (or eqz)
+			// becomes the condition of the branch behind it.
+			pending[s.Dst] = i
 		}
 		if !s.Dead {
 			lastAlive = i
@@ -285,8 +291,15 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 	return ir
 }
 
+// eqzCompare maps the unary zero tests to the compare they are with a
+// zero right-hand side.
+var eqzCompare = map[wasm.Opcode]wasm.Opcode{
+	wasm.OpI32Eqz: wasm.OpI32Eq,
+	wasm.OpI64Eqz: wasm.OpI64Eq,
+}
+
 // retargetable reports whether a producer's dst can be redirected to
-// a local slot (binop→local.set forwarding).
+// a local slot (forwarding into local.set).
 func retargetable(sh Shape) bool {
 	switch sh {
 	case ShBin, ShUn, ShLoad, ShSelect, ShGlobalGet, ShTruncSat, ShMemSize:
@@ -318,16 +331,19 @@ func MarkDead(ir []Inst, def int) {
 
 // FindLabels returns the set of pcs that are branch targets. Range
 // checks count: their failure edge enters the slow clone, so any pass
-// that requires label-free straight-line runs (EBB coalescing, memory
-// superinstruction fusion) must flush at a check's target exactly as
-// it would at a branch target.
+// that requires label-free straight-line runs (EBB coalescing, late
+// pair fusion) must flush at a check's target exactly as it would at
+// a branch target.
 func FindLabels(ir []Inst) []bool {
 	labels := make([]bool, len(ir)+1)
 	for i := range ir {
 		s := &ir[i]
 		switch s.Shape {
-		case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch, ShRangeCheck:
+		case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch, ShPairBr, ShRangeCheck:
 			labels[s.Tgt] = true
+			if s.HasElse {
+				labels[s.Else] = true
+			}
 		case ShBrTable:
 			for _, bt := range s.Table {
 				labels[bt.Tgt] = true
@@ -337,12 +353,31 @@ func FindLabels(ir []Inst) []bool {
 	return labels[:len(ir)]
 }
 
+// RewriteTargets applies f to every branch target of s. A br_table
+// gets a fresh target table rather than a rewritten one, because a
+// shallow copy of the IR — the compiled engines keep one for the
+// artifact tier — shares its tables.
+func (s *Inst) RewriteTargets(f func(int32) int32) {
+	switch s.Shape {
+	case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch, ShPairBr, ShRangeCheck:
+		s.Tgt = f(s.Tgt)
+		if s.HasElse {
+			s.Else = f(s.Else)
+		}
+	case ShBrTable:
+		tbl := make([]flatten.BranchTarget, len(s.Table))
+		for k, bt := range s.Table {
+			bt.Tgt = f(bt.Tgt)
+			tbl[k] = bt
+		}
+		s.Table = tbl
+	}
+}
+
 // Compact removes dead instructions in place, remapping branch
 // targets, and returns the shortened prefix of ir: the caller's slice
 // is consumed. Both engines run it (the baseline engine only
-// accumulates dead drops). A br_table gets a fresh target table
-// rather than a rewritten one, because a shallow copy of the IR — the
-// compiled engines keep one for the artifact tier — shares its tables.
+// accumulates dead drops).
 func Compact(ir []Inst) []Inst {
 	remap := make([]int32, len(ir)+1)
 	n := int32(0)
@@ -364,17 +399,7 @@ func Compact(ir []Inst) []Inst {
 		if int(remap[i]) != i {
 			*s = ir[i]
 		}
-		switch s.Shape {
-		case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch, ShRangeCheck:
-			s.Tgt = remap[s.Tgt]
-		case ShBrTable:
-			tbl := make([]flatten.BranchTarget, len(s.Table))
-			for k, bt := range s.Table {
-				bt.Tgt = remap[bt.Tgt]
-				tbl[k] = bt
-			}
-			s.Table = tbl
-		}
+		s.RewriteTargets(func(t int32) int32 { return remap[t] })
 	}
 	return ir[:n]
 }

@@ -8,20 +8,22 @@
 //  1. Build: one Inst per flatten.Instr, stack heights translated to
 //     frame slots (same pc numbering, branch targets carry over);
 //  2. Optimize: constant folding, copy propagation of locals and
-//     constants into consumers, binop→local forwarding and
+//     constants into consumers, producer→local forwarding and
 //     compare+branch fusion — this is the dead push/pop elimination
 //     that makes the IR register-shaped (the wazeroir-style
 //     lowering), since every move it deletes was stack traffic;
 //  3. Lower: dense order-preserving renumbering of the surviving
 //     operand slots into virtual registers, shrinking the frame to
 //     locals + live registers;
-//  4. FuseMem (after bounds-check elision): superinstruction fusion
-//     of adjacent load+op and op+store pairs into one dispatch.
+//  4. FuseMem (after bounds-check elision): the late fusion pass —
+//     jumps threaded onto compare headers (loop latches) and adjacent
+//     producer→consumer pairs fused into one dispatch, wherever the
+//     emitter has a flat closure for the pair.
 //
 // The bounds-check elision passes (internal/compiled/bce.go) run
 // between Lower and FuseMem, over the same Inst stream — their
-// range-check guards and address-mode chains are part of this IR
-// (ShRangeCheck, Inst.Fuse), so elision and fusion compose.
+// range-check guards and folded addresses are part of this IR
+// (ShRangeCheck, Inst.Addr), so elision and fusion compose.
 package rir
 
 import (
@@ -61,8 +63,10 @@ const (
 	ShUnreachable
 	ShNop        // deleted/padding
 	ShRangeCheck // bounds-check elision guard; branches to tgt on failure
-	ShLoadOp     // superinstruction: load + dependent ALU op (Pair[0], Pair[1])
-	ShOpStore    // superinstruction: ALU op + dependent store (Pair[0], Pair[1])
+	ShLoadOp     // fused pair: load + ALU op on the loaded value; counts as one memory op
+	ShOpStore    // fused pair: ALU op + store of its result; counts as one memory op
+	ShPair       // fused pair: any other producer + straight-line consumer; counts as both
+	ShPairBr     // fused pair: producer + compare-branch (targets on the pair); counts as both
 )
 
 // Inst is one register-IR operation. Register indices are
@@ -92,9 +96,13 @@ type Inst struct {
 	NArgs   int8   // argument count (register window above ArgBase)
 	Results int8
 	// compare-branch fusion: the fused compare opcode and whether
-	// the branch fires when the compare is true.
+	// the branch fires when the compare is true. A two-target branch
+	// (HasElse; the late pass threads jumps onto compare headers) goes
+	// to Else instead of the next pc when it does not fire.
 	CmpOp    wasm.Opcode
 	BrOnTrue bool
+	HasElse  bool
+	Else     int32
 
 	Class  isa.OpClass
 	MemAcc bool // charges the software bounds-check class
@@ -104,12 +112,12 @@ type Inst struct {
 	Pure      bool       // load/store address is derivable from locals+consts
 	Unchecked bool       // load/store proven in-range; emit the no-check variant
 	Chk       *CheckPlan // ShRangeCheck payload
-	Fuse      []Inst     // address-mode chain folded into an unchecked access
+	Addr      *Lin       // address-mode chain folded into an unchecked access: the address slot's value
 
-	// Superinstruction payload (ShLoadOp/ShOpStore): the two original
-	// operations, executed back-to-back in one dispatch. Pair[0] runs
-	// first and still writes its destination register, so the fused
-	// form is observationally identical to the unfused pair.
+	// Fused-pair payload (ShLoadOp, ShOpStore, ShPair, ShPairBr): the
+	// two original operations, executed back-to-back in one dispatch.
+	// Pair[0] runs first and still writes its destination register, so
+	// the fused form is observationally identical to the unfused pair.
 	Pair []Inst
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
+	"leapsandbounds/internal/modcache"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/tiered"
@@ -55,6 +56,7 @@ func rirKernelModule(t *testing.T, mult int32) *wasm.Module {
 // pipeline rather than the old single-pass emit.
 func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 	e := tiered.New()
+	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
 	if !e.Codegen().RegisterIR {
 		t.Fatal("tiered top tier does not default to RegisterIR")

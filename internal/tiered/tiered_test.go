@@ -7,6 +7,7 @@ import (
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
+	"leapsandbounds/internal/modcache"
 	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
@@ -41,6 +42,7 @@ func kernelModule(t *testing.T) *wasm.Module {
 
 func TestTierUpProducesSameResults(t *testing.T) {
 	e := tiered.New()
+	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
 	cm, err := e.Compile(kernelModule(t))
 	if err != nil {
@@ -104,7 +106,10 @@ func TestGCPausesOccurUnderLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := inst.Invoke("k", 2000); err != nil {
+				// Long enough that the workers spend their time inside the
+				// guest, where a collector tick finds them: the collector
+				// skips ticks on which no isolate is running.
+				if _, err := inst.Invoke("k", 16000); err != nil {
 					t.Error(err)
 				}
 				inst.Close()

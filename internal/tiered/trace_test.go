@@ -6,6 +6,7 @@ import (
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
+	"leapsandbounds/internal/modcache"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasm"
@@ -71,6 +72,7 @@ func TestRuntimeServiceSpans(t *testing.T) {
 	reg := obs.NewRegistrySized(1 << 16)
 	reg.EnableTracing(true)
 	e := tiered.New()
+	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
 	e.AttachObs(reg.Scope("v8"))
 

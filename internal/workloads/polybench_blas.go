@@ -12,28 +12,28 @@ import (
 
 func init() {
 	register(Spec{Name: "gemm", Suite: "polybench",
-		Desc:  "C = alpha*A*B + beta*C",
+		Desc:    "C = alpha*A*B + beta*C",
 		BuildFn: buildGemm})
 	register(Spec{Name: "2mm", Suite: "polybench",
-		Desc:  "D = alpha*A*B*C + beta*D",
+		Desc:    "D = alpha*A*B*C + beta*D",
 		BuildFn: build2mm})
 	register(Spec{Name: "3mm", Suite: "polybench",
-		Desc:  "G = (A*B)*(C*D)",
+		Desc:    "G = (A*B)*(C*D)",
 		BuildFn: build3mm})
 	register(Spec{Name: "gesummv", Suite: "polybench",
-		Desc:  "y = alpha*A*x + beta*B*x",
+		Desc:    "y = alpha*A*x + beta*B*x",
 		BuildFn: buildGesummv})
 	register(Spec{Name: "syrk", Suite: "polybench",
-		Desc:  "symmetric rank-k update",
+		Desc:    "symmetric rank-k update",
 		BuildFn: buildSyrk})
 	register(Spec{Name: "syr2k", Suite: "polybench",
-		Desc:  "symmetric rank-2k update",
+		Desc:    "symmetric rank-2k update",
 		BuildFn: buildSyr2k})
 	register(Spec{Name: "trmm", Suite: "polybench",
-		Desc:  "triangular matrix multiply",
+		Desc:    "triangular matrix multiply",
 		BuildFn: buildTrmm})
 	register(Spec{Name: "symm", Suite: "polybench",
-		Desc:  "symmetric matrix multiply",
+		Desc:    "symmetric matrix multiply",
 		BuildFn: buildSymm})
 }
 

@@ -15,22 +15,22 @@ import (
 
 func init() {
 	register(Spec{Name: "doitgen", Suite: "polybench",
-		Desc:  "multi-resolution tensor contraction",
+		Desc:    "multi-resolution tensor contraction",
 		BuildFn: buildDoitgen})
 	register(Spec{Name: "gramschmidt", Suite: "polybench",
-		Desc:  "Gram-Schmidt QR decomposition",
+		Desc:    "Gram-Schmidt QR decomposition",
 		BuildFn: buildGramschmidt})
 	register(Spec{Name: "heat-3d", Suite: "polybench",
-		Desc:  "3-D heat equation stencil",
+		Desc:    "3-D heat equation stencil",
 		BuildFn: buildHeat3d})
 	register(Spec{Name: "adi", Suite: "polybench",
-		Desc:  "alternating-direction implicit solver",
+		Desc:    "alternating-direction implicit solver",
 		BuildFn: buildAdi})
 	register(Spec{Name: "floyd-warshall", Suite: "polybench",
-		Desc:  "all-pairs shortest paths (integer)",
+		Desc:    "all-pairs shortest paths (integer)",
 		BuildFn: buildFloydWarshall})
 	register(Spec{Name: "correlation", Suite: "polybench",
-		Desc:  "correlation matrix computation",
+		Desc:    "correlation matrix computation",
 		BuildFn: buildCorrelation})
 }
 

@@ -10,19 +10,19 @@ import (
 
 func init() {
 	register(Spec{Name: "atax", Suite: "polybench",
-		Desc:  "y = A^T (A x)",
+		Desc:    "y = A^T (A x)",
 		BuildFn: buildAtax})
 	register(Spec{Name: "bicg", Suite: "polybench",
-		Desc:  "BiCG sub-kernel: s = A^T r, q = A p",
+		Desc:    "BiCG sub-kernel: s = A^T r, q = A p",
 		BuildFn: buildBicg})
 	register(Spec{Name: "mvt", Suite: "polybench",
-		Desc:  "x1 += A y1, x2 += A^T y2",
+		Desc:    "x1 += A y1, x2 += A^T y2",
 		BuildFn: buildMvt})
 	register(Spec{Name: "gemver", Suite: "polybench",
-		Desc:  "vector multiplications and additions",
+		Desc:    "vector multiplications and additions",
 		BuildFn: buildGemver})
 	register(Spec{Name: "covariance", Suite: "polybench",
-		Desc:  "covariance matrix computation",
+		Desc:    "covariance matrix computation",
 		BuildFn: buildCovariance})
 }
 

@@ -14,16 +14,16 @@ import (
 
 func init() {
 	register(Spec{Name: "cholesky", Suite: "polybench",
-		Desc:  "Cholesky factorization",
+		Desc:    "Cholesky factorization",
 		BuildFn: buildCholesky})
 	register(Spec{Name: "lu", Suite: "polybench",
-		Desc:  "LU factorization",
+		Desc:    "LU factorization",
 		BuildFn: buildLU})
 	register(Spec{Name: "trisolv", Suite: "polybench",
-		Desc:  "triangular solve",
+		Desc:    "triangular solve",
 		BuildFn: buildTrisolv})
 	register(Spec{Name: "durbin", Suite: "polybench",
-		Desc:  "Toeplitz system solver",
+		Desc:    "Toeplitz system solver",
 		BuildFn: buildDurbin})
 }
 

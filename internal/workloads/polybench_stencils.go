@@ -10,16 +10,16 @@ import (
 
 func init() {
 	register(Spec{Name: "jacobi-1d", Suite: "polybench",
-		Desc:  "1-D Jacobi stencil",
+		Desc:    "1-D Jacobi stencil",
 		BuildFn: buildJacobi1d})
 	register(Spec{Name: "jacobi-2d", Suite: "polybench",
-		Desc:  "2-D Jacobi 5-point stencil",
+		Desc:    "2-D Jacobi 5-point stencil",
 		BuildFn: buildJacobi2d})
 	register(Spec{Name: "seidel-2d", Suite: "polybench",
-		Desc:  "2-D Gauss-Seidel 9-point stencil",
+		Desc:    "2-D Gauss-Seidel 9-point stencil",
 		BuildFn: buildSeidel2d})
 	register(Spec{Name: "fdtd-2d", Suite: "polybench",
-		Desc:  "2-D finite-difference time-domain",
+		Desc:    "2-D finite-difference time-domain",
 		BuildFn: buildFdtd2d})
 }
 

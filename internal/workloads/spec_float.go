@@ -17,13 +17,13 @@ import (
 
 func init() {
 	register(Spec{Name: "508.namd", Suite: "spec",
-		Desc:  "Lennard-Jones pairwise forces with cutoff",
+		Desc:    "Lennard-Jones pairwise forces with cutoff",
 		BuildFn: buildNamd})
 	register(Spec{Name: "519.lbm", Suite: "spec",
-		Desc:  "D2Q9 lattice-Boltzmann stream/collide",
+		Desc:    "D2Q9 lattice-Boltzmann stream/collide",
 		BuildFn: buildLbm})
 	register(Spec{Name: "544.nab", Suite: "spec",
-		Desc:  "generalized-Born pairwise energy",
+		Desc:    "generalized-Born pairwise energy",
 		BuildFn: buildNab})
 }
 

@@ -23,13 +23,13 @@ import (
 
 func init() {
 	register(Spec{Name: "505.mcf", Suite: "spec",
-		Desc:  "shortest-path relaxation over a sparse network",
+		Desc:    "shortest-path relaxation over a sparse network",
 		BuildFn: buildMcf})
 	register(Spec{Name: "531.deepsjeng", Suite: "spec",
-		Desc:  "alpha-beta game-tree search",
+		Desc:    "alpha-beta game-tree search",
 		BuildFn: buildDeepsjeng})
 	register(Spec{Name: "557.xz", Suite: "spec",
-		Desc:  "LZ77 compression with hash chains",
+		Desc:    "LZ77 compression with hash chains",
 		BuildFn: buildXz})
 }
 

@@ -93,7 +93,7 @@ func echoContent(c Class) []byte {
 	n := echoFrames(c) * echoFrameSize
 	out := make([]byte, n)
 	for i := range out {
-		out[i] = byte(uint64(i)*2654435761 >> 24)
+		out[i] = byte(uint64(i) * 2654435761 >> 24)
 	}
 	return out
 }

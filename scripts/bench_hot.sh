@@ -3,8 +3,9 @@
 # pass, plus the provisioning/teardown and cold-compile layer
 # benchmarks. Prints the per-strategy checked-load micro timings, the
 # sparse mmap/munmap, isolate-lifecycle and many-function cold-compile
-# timings (ns/op and B/op), and the gemm/atax elide on/off macro
-# benches for humans, then writes the machine-readable report (micro
+# timings (ns/op and B/op), the wavm run loop's dispatches/op and
+# ns/dispatch on the five steady kernels, and the gemm/atax elide
+# on/off macro benches for humans, then writes the machine-readable report (micro
 # timings, the full workload × strategy × elide matrix with checksum
 # equality, and the elision counters) to BENCH_bce.json, the
 # BENCH_sweep.json-style artifact tracking the perf trajectory across
@@ -26,6 +27,9 @@ go test -run '^$' -bench 'BenchmarkLifecyclePerStrategy' -benchtime 200ms -bench
 
 echo "== cold compile of a 256-function module (per engine; -cpu 1,2: B/op is the passes' copying, 1-vs-2 the fan-out)"
 go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem -cpu 1,2 ./internal/compiled
+
+echo "== wavm run loop on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
+go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x .
 
 echo "== codegen macro benchmarks (gemm, atax; trap strategy; elide x rir matrix)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .

@@ -13,11 +13,17 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l (any file it names is a failure)"
+test -z "$(gofmt -l . | tee /dev/stderr)"
+
 echo "== go test ./..."
 go test ./...
 
 # Short race pass over the concurrency-heavy packages; the list and
 # the reason each package is on it live with the Makefile's race target.
+echo "== internal/tiered twice in one process (no compile state may leak into a second pass)"
+go test -count=2 ./internal/tiered/
+
 echo "== make race"
 make race
 
