@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify check bench bench-quick bench-hot bench-serve bench-wasi bench-threads bench-gate figures fuzz-smoke prof-smoke
+.PHONY: build test vet race verify check bench bench-hot figures fuzz-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -11,24 +11,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# Short race pass over the concurrency-heavy packages (the metrics
-# registry and span tracing, the simulated VM subsystem, linear
-# memory and the arena pool, the fault injector, the hazard-pointer
-# domain, the module cache's singleflight path, the sweep scheduler,
-# the compiled engines' unchecked fast paths and, with the
-# interpreter and the flattener, the per-function compile fan-out
-# (core.CompileFuncs' workers run flatten → rir → elide → emit
-# concurrently; TestCompileSameOnAnyWorkerCount compiles 256
-# functions on 4 workers with tracing on), the register-IR
-# lowering's process-wide counters, the tiered engine's background
-# workers and GC controller, the live telemetry server streaming
-# from the trace ring, the template/fork paths: concurrent CoW
-# forks in core and the vmm page-duplication machinery behind them,
-# the WASI layer, whose Env serves hostcalls from every worker of a
-# multithreaded guest, and the shared-memory paths: atomic accessors
-# and the grow-under-traffic protocol in mem, cross-instance
-# attachment in core, and the RunShared contention driver in
-# harness).
+# Race pass over the packages with goroutines or unsynchronised fast
+# paths; this is also where the differential suites (elide, rir, fork,
+# hostcall, shared memory) run in full, without -short.
+#   compiled, interp, flatten, rir: core.CompileFuncs' workers run
+#     flatten → rir → elide → emit concurrently, and the compiled
+#     engines' unchecked fast paths only show a race here
+#   wasi: one Env serves hostcalls from every worker of a guest
+#   harness: RunShared, N workers and a grower on one shared memory
+#   prof, telemetry: a sampler / an SSE stream reading live state
 race:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/telemetry/ ./internal/core/ ./internal/wasi/ ./internal/prof/
 
@@ -62,56 +53,25 @@ fuzz-smoke:
 verify:
 	./scripts/verify.sh
 
-# Everything the repo can check about itself: the tier-1 gate (which
-# includes the telemetry endpoint smoke tests and the Chrome/Perfetto
-# trace validity tests) plus the benchmark regression gate against
-# the committed BENCH_*.json baselines.
-check: verify bench-gate
-
-# Benchmark regression gate: quick re-measurement of the cache sweep
-# and elision suites, compared (with tolerances) against the
-# committed BENCH_sweep.json / BENCH_bce.json; verdict and provenance
-# land in BENCH_gate.json.
-bench-gate:
-	./scripts/bench_check.sh
+# Everything the repo can check about itself: the tier-1 gate, then a
+# correctness pass of the benchmark — 3 s per workload, every digest
+# held to its native twin / Go evaluator / closed form, non-zero exit
+# on any failed op. It compares no timing: gains and regressions are
+# judged by interleaved parent/change pairs (benchmark/README.md).
+check: verify
+	for w in steady coldstart churn hostcall; do \
+		./benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Cold-serial vs warm-parallel cache benchmark: runs a small sweep
-# twice and writes wall clocks, hit rate and compile-ns-saved to
-# BENCH_sweep.json.
-bench-quick:
-	$(GO) run ./cmd/leapsbench -benchsweep BENCH_sweep.json -quick
-
-# Hot-path benchmarks of the bounds-check elision pass: per-strategy
-# checked-load micro timings, the sparse mmap/munmap and per-strategy
-# isolate-lifecycle layer benchmarks, the gemm/atax elide on/off macro
-# benches, and the machine-readable BENCH_bce.json artifact.
+# Layer benchmarks (go test -bench): per-strategy checked-load micro
+# timings, sparse mmap/munmap, per-strategy isolate lifecycle, the
+# many-function cold compile, the wavm run loop on the steady kernels,
+# and the gemm/atax elide × rir macro benches.
 bench-hot:
 	./scripts/bench_hot.sh
-
-# Serverless serving benchmark: open-loop Poisson arrivals against
-# the cold/warm/fork provisioning arms over all five strategies;
-# exact p50/p95/p99 time-to-ready percentiles and CoW traffic land in
-# BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/leapsbench -benchserve BENCH_serve.json
-
-# Hostcall-boundary benchmark: the syscall-heavy wasi workloads
-# (logscan, kvstore, echo) across all five strategies, with
-# per-strategy hostcall-bucket attribution from the causal trace;
-# results land in BENCH_wasi.json.
-bench-wasi:
-	$(GO) run ./cmd/leapsbench -benchwasi BENCH_wasi.json
-
-# Shared-memory grow-under-traffic benchmark: worker threads invoking
-# into one shared linear memory while a grower expands it, across all
-# five strategies; per-strategy grow-stall vs clean p99, mmap-lock
-# waits, and the disk-tier second-process provenance check land in
-# BENCH_threads.json.
-bench-threads:
-	$(GO) run ./cmd/leapsbench -benchthreads BENCH_threads.json
 
 figures:
 	$(GO) run ./cmd/leapsbench -fig all

@@ -283,9 +283,9 @@ func benchCodegenKernel(b *testing.B, workload string) {
 }
 
 // BenchmarkGemmCompiled and BenchmarkAtaxCompiled are the headline
-// hot-path benches of the codegen passes (see BENCH_bce.json and the
-// rir_runs section of BENCH_sweep.json for the committed full-size
-// numbers from cmd/leapsbench -benchbce / -benchsweep).
+// hot-path benches of the codegen passes: the elide × rir matrix under
+// trap, failing if any variant changes the result. The benchmark's
+// steady workload times the same kernels end to end.
 func BenchmarkGemmCompiled(b *testing.B) { benchCodegenKernel(b, "gemm") }
 func BenchmarkAtaxCompiled(b *testing.B) { benchCodegenKernel(b, "atax") }
 

@@ -21,23 +21,6 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// chaosPlan enables every transient site. SiteGrow stays off: grow
-// failure is spec-visible (memory.grow returns -1), so injecting it
-// would legitimately change workload results, and chaos mode's
-// invariant is that transient faults never do.
-func chaosPlan(seed int64) *faultinject.Plan {
-	return &faultinject.Plan{
-		Seed: seed,
-		Rate: 0.15,
-		Sites: []faultinject.Site{
-			faultinject.SiteMmap, faultinject.SiteMprotect,
-			faultinject.SiteUffdZero, faultinject.SiteUffdDelay,
-			faultinject.SiteFaultDrop, faultinject.SitePoolGet,
-			faultinject.SitePoolContention,
-		},
-	}
-}
-
 // chaosRun is one configuration's deterministic outcome.
 type chaosRun struct {
 	Label       string
@@ -61,7 +44,7 @@ func chaosSweep(seed int64, quick bool) (*chaosPass, error) {
 	if quick {
 		names = names[:1]
 	}
-	plan := chaosPlan(seed)
+	plan := faultinject.ChaosPlan(seed)
 	reg := obs.NewRegistry()
 	var items []harness.SweepItem
 	for _, n := range names {
@@ -88,7 +71,7 @@ func chaosSweep(seed int64, quick bool) (*chaosPass, error) {
 	if err != nil {
 		return nil, err
 	}
-	pass := &chaosPass{Counters: make(map[string]int64)}
+	pass := &chaosPass{Counters: faultinject.ReplayCounters(reg.Snapshot(false).Counters)}
 	for _, r := range results {
 		if r.Result == nil {
 			return nil, fmt.Errorf("%s: no result", r.Opts.RunLabel())
@@ -99,17 +82,6 @@ func chaosSweep(seed int64, quick bool) (*chaosPass, error) {
 			FailedIters: r.Result.FailedIters,
 			Causes:      r.Result.FailureCauses,
 		})
-	}
-	// Keep only the deterministic counters: injections, recoveries,
-	// degradations. Timing histograms and syscall tallies from warmup
-	// scheduling are legitimately run-to-run noise.
-	for name, v := range reg.Snapshot(false).Counters {
-		if strings.Contains(name, "faultinject/") ||
-			strings.Contains(name, "failures/") ||
-			strings.Contains(name, "uffd_fallbacks") ||
-			strings.Contains(name, "injected_traps") {
-			pass.Counters[name] = v
-		}
 	}
 	return pass, nil
 }

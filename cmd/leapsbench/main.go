@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -55,17 +56,11 @@ func main() {
 		metrics  = flag.String("metrics", "", "write run metrics and trace events to this file (.json, .csv, or .txt summary; \"-\" for stdout)")
 		trace    = flag.String("trace", "", "record causal spans and write a Chrome/Perfetto trace-event JSON to this file; also prints the critical-path attribution table")
 		serve    = flag.String("serve", "", "serve live telemetry on this address while the run executes (/metrics, /snapshot, /events, /debug/pprof)")
-		bgate    = flag.String("benchgate", "", "re-run both benchmark suites and gate them against the committed BENCH_sweep.json/BENCH_bce.json, writing the verdict to this file (\"-\" for stdout)")
 		parallel = flag.Bool("parallel", true, "figure mode: schedule configurations through the sweep scheduler (single-isolate runs pack onto a worker pool; thread-scaling runs stay exclusive)")
 		nocache  = flag.Bool("nocache", false, "disable the compiled-module cache (every run pays the full compile)")
 		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision in engines that support it (wavm); -elide=false compiles with per-access checks")
 		rirOn    = flag.Bool("rir", true, "single-run mode: register-IR lowering in engines that support it (wavm, v8 top tier); -rir=false keeps the stack-machine emit")
 		dumpIR   = flag.Bool("dump-ir", false, "single-run mode: print the workload entry function's stack ops next to its lowered register IR instead of running it")
-		bsweep   = flag.String("benchsweep", "", "run the cold-vs-warm cache benchmark and write its JSON report to this file (\"-\" for stdout)")
-		bbce     = flag.String("benchbce", "", "run the bounds-check elision benchmark and write its JSON report to this file (\"-\" for stdout)")
-		bserve   = flag.String("benchserve", "", "run the serverless serving benchmark (cold/warm/fork arms per strategy) and write its JSON report to this file (\"-\" for stdout)")
-		bwasi    = flag.String("benchwasi", "", "run the hostcall-boundary benchmark (wasi workloads per strategy, hostcall attribution) and write its JSON report to this file (\"-\" for stdout)")
-		bthreads = flag.String("benchthreads", "", "run the shared-memory grow-under-traffic benchmark (worker threads on one shared memory per strategy, disk-cache provenance) and write its JSON report to this file (\"-\" for stdout)")
 		diskdir  = flag.String("diskcache", "", "attach an on-disk compiled-artifact tier at this directory (cross-process cache; artifacts are content-addressed and corruption-checked)")
 		chaos    = flag.Int64("chaos", 0, "run the deterministic fault-injection sweep with this seed (twice, verifying the replay reproduces it exactly)")
 		list     = flag.Bool("list", false, "list workloads and engines")
@@ -137,54 +132,6 @@ func main() {
 			tier.AttachObs(reg.Scope("modcache").Child("disk"))
 		}
 		modcache.Shared().SetDiskTier(tier)
-	}
-
-	if *bgate != "" {
-		if err := runBenchGate(*bgate, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bsweep != "" {
-		if err := runBenchSweep(*bsweep, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bbce != "" {
-		if err := runBenchBCE(*bbce, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bserve != "" {
-		if err := runBenchServe(*bserve, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bwasi != "" {
-		if err := runBenchWasi(*bwasi, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bthreads != "" {
-		if err := runBenchThreads(*bthreads, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *chaos != 0 {
@@ -316,6 +263,17 @@ func main() {
 		return
 	}
 	printResult(res)
+}
+
+// gitSHA returns the short commit hash of the working tree for
+// -serve's build info, or "unknown" when git (or the .git directory)
+// is unavailable.
+func gitSHA() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // finishObs drains the registry once, after all runs have completed

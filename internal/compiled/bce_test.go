@@ -137,8 +137,8 @@ func TestCoalesceEBBChecks(t *testing.T) {
 // the full pipeline to engage on it: checks elided, and address-mode
 // chains fused into the unchecked accesses (the closure-level analog
 // of folding the scale/index/base arithmetic into the memory
-// operand). It then runs the kernel under the trap strategy, the
-// configuration whose headline win BENCH_bce.json records.
+// operand). It then runs the kernel under the trap strategy, the one
+// BenchmarkGemmCompiled's elide × rir matrix runs under.
 func TestGemmElisionStats(t *testing.T) {
 	wl, err := workloads.ByName("gemm")
 	if err != nil {

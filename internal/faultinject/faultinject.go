@@ -27,6 +27,7 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -87,6 +88,39 @@ func AllSites() []Site {
 		sites[i] = Site(i)
 	}
 	return sites
+}
+
+// ChaosPlan is the plan behind the chaos regression tests and
+// `leapsbench -chaos`: every transient site at rate 0.15. SiteGrow
+// stays off: grow failure is spec-visible (memory.grow returns -1), so
+// injecting it would legitimately change workload results, and the
+// chaos invariant is that transient faults never do.
+func ChaosPlan(seed int64) *Plan {
+	return &Plan{
+		Seed: seed,
+		Rate: 0.15,
+		Sites: []Site{
+			SiteMmap, SiteMprotect, SiteUffdZero, SiteUffdDelay,
+			SiteFaultDrop, SitePoolGet, SitePoolContention,
+		},
+	}
+}
+
+// ReplayCounters keeps the counters of a registry snapshot that a
+// single-threaded run must reproduce exactly under the same plan:
+// injections, recoveries, degradations. Timing histograms and syscall
+// tallies from warmup scheduling are legitimately run-to-run noise.
+func ReplayCounters(all map[string]int64) map[string]int64 {
+	kept := make(map[string]int64)
+	for name, v := range all {
+		if strings.Contains(name, "faultinject/") ||
+			strings.Contains(name, "failures/") ||
+			strings.Contains(name, "uffd_fallbacks") ||
+			strings.Contains(name, "injected_traps") {
+			kept[name] = v
+		}
+	}
+	return kept
 }
 
 // Error is the transient failure returned (or wrapped) by an

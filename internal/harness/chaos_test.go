@@ -13,23 +13,6 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// chaosPlan enables every transient site. SiteGrow is deliberately
-// excluded: grow failure is spec-visible (memory.grow returns -1), so
-// it would legitimately change workload results; the invariant under
-// test is that *transient* faults never do.
-func chaosPlan(seed int64) *faultinject.Plan {
-	return &faultinject.Plan{
-		Seed: seed,
-		Rate: 0.15,
-		Sites: []faultinject.Site{
-			faultinject.SiteMmap, faultinject.SiteMprotect,
-			faultinject.SiteUffdZero, faultinject.SiteUffdDelay,
-			faultinject.SiteFaultDrop, faultinject.SitePoolGet,
-			faultinject.SitePoolContention,
-		},
-	}
-}
-
 // chaosOutcome is the deterministic portion of one chaos sweep:
 // per-run checksums and failure causes, plus every injection/recovery
 // counter from the registry (timing counters are excluded — they are
@@ -43,7 +26,7 @@ type chaosOutcome struct {
 func runChaosSweep(t *testing.T, seed int64) chaosOutcome {
 	t.Helper()
 	wl := spec(t, "gemm")
-	plan := chaosPlan(seed)
+	plan := faultinject.ChaosPlan(seed)
 	reg := obs.NewRegistry()
 	var items []harness.SweepItem
 	for _, s := range []mem.Strategy{mem.Mprotect, mem.Uffd} {
@@ -66,22 +49,13 @@ func runChaosSweep(t *testing.T, seed int64) chaosOutcome {
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	out := chaosOutcome{Counters: make(map[string]int64)}
+	out := chaosOutcome{Counters: faultinject.ReplayCounters(reg.Snapshot(false).Counters)}
 	for _, r := range results {
 		if r.Result == nil {
 			t.Fatalf("%s: nil result", r.Opts.RunLabel())
 		}
 		out.Checksums = append(out.Checksums, r.Result.Checksum)
 		out.Failed = append(out.Failed, r.Result.FailureCauses)
-	}
-	snap := reg.Snapshot(false)
-	for name, v := range snap.Counters {
-		if strings.Contains(name, "faultinject/") ||
-			strings.Contains(name, "failures/") ||
-			strings.Contains(name, "uffd_fallbacks") ||
-			strings.Contains(name, "injected_traps") {
-			out.Counters[name] = v
-		}
 	}
 	return out
 }

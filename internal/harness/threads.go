@@ -1,9 +1,9 @@
-// Shared-memory grow-under-traffic: the load driver behind
-// `leapsbench -benchthreads`. Where Run measures isolate-per-thread
-// execution (each worker owns a private memory), RunShared measures
-// the wasm-threads topology the paper's §4.2 contention analysis
-// points at: one shared linear memory, N worker threads invoking into
-// it concurrently, and a grower thread expanding it on a cadence.
+// Shared-memory grow-under-traffic: the fixture behind the shared
+// differential tests and FuzzSharedGrowDiff. Where Run gives each
+// worker a private memory, RunShared builds the wasm-threads topology
+// the paper's §4.2 contention analysis points at: one shared linear
+// memory, N worker threads invoking into it concurrently, and a grower
+// thread expanding it on a cadence.
 //
 // Every grow moves the memory end, and the workload's tail writes
 // chase it onto the youngest page, so each strategy's grow protocol
@@ -13,15 +13,13 @@
 // populates lock-free, and the flat strategies commit before the new
 // length is published.
 //
-// The headline statistic is the grow-stall p99: the p99 invoke
-// latency over invokes that overlapped a grow window, against the p99
-// of invokes that ran clean. The gap is the per-request cost of
-// growing under traffic, per strategy.
+// It checks every lane's result against the native twin and reports
+// counts, not timings: on a time-sliced host an invoke's latency under
+// a racing grower measures the scheduler (DESIGN §16).
 package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,8 +31,7 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// ThreadsOptions configures one shared-memory contention run (one
-// strategy).
+// ThreadsOptions configures one shared-memory run (one strategy).
 type ThreadsOptions struct {
 	Engine   string
 	Strategy mem.Strategy
@@ -55,8 +52,6 @@ type ThreadsOptions struct {
 	// Obs receives the run's telemetry under one "threads[...]"
 	// scope. Nil leaves the run unobserved.
 	Obs *obs.Registry
-
-	UffdNoPool, UffdPoll, EagerCommit bool
 }
 
 func (o ThreadsOptions) label() string {
@@ -64,61 +59,28 @@ func (o ThreadsOptions) label() string {
 		o.Engine, o.Strategy, o.Workers)
 }
 
-// ThreadsResult is one strategy's contention measurements.
+// ThreadsResult is one strategy's outcome.
 type ThreadsResult struct {
-	Engine   string `json:"engine"`
-	Strategy string `json:"strategy"`
-	Workers  int    `json:"workers"`
-	Invokes  int    `json:"invokes_per_worker"`
-	Rounds   int    `json:"rounds"`
+	// Workers is the lane count the run used (the option, or the
+	// geometry's default).
+	Workers int
 
 	// Grows the grower landed; GrowDenied counts grows refused at the
 	// memory's max (the cadence outliving the headroom is expected).
-	Grows      int `json:"grows"`
-	GrowDenied int `json:"grow_denied"`
+	Grows      int
+	GrowDenied int
 
 	// Digest is the cross-lane checksum (sum of per-lane work()
 	// results); DigestOK pins it against the native twin. Engines and
-	// strategies must all agree byte-for-byte — the bench gate holds
-	// this across all five strategies.
-	Digest   uint64 `json:"digest"`
-	DigestOK bool   `json:"digest_ok"`
+	// strategies must all agree byte-for-byte.
+	Digest   uint64
+	DigestOK bool
 
-	// Exact invoke-latency percentiles over all workers.
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-
-	// The headline split: p99 over invokes whose execution window
-	// overlapped a grow window, vs invokes that ran clean. Stalled is
-	// the overlapping count.
-	GrowStallP99Ns int64 `json:"grow_stall_p99_ns"`
-	CleanP99Ns     int64 `json:"clean_p99_ns"`
-	Stalled        int   `json:"stalled_invokes"`
-
-	// GrowP99Ns is the p99 of the grower's own Grow() calls.
-	GrowP99Ns int64 `json:"grow_p99_ns"`
-
-	WallNs int64 `json:"wall_ns"`
-
-	// Simulated-kernel traffic over the run (deltas).
-	MmapCalls     int64 `json:"mmap_calls"`
-	MprotectCalls int64 `json:"mprotect_calls"`
-	MinorFaults   int64 `json:"minor_faults"`
-	UffdFaults    int64 `json:"uffd_faults"`
-	SegvFaults    int64 `json:"segv_faults"`
-	LockWaitNs    int64 `json:"lock_wait_ns"`
-	LockContended int64 `json:"lock_contended"`
+	// VM is the simulated-kernel traffic over the run (counter deltas).
+	VM vmm.StatsSnapshot
 }
 
-// span is one timestamped interval (invoke execution or grow window),
-// in nanoseconds since the run start.
-type tspan struct {
-	start, end int64
-}
-
-func (a tspan) overlaps(b tspan) bool { return a.start < b.end && b.start < a.end }
-
-// RunShared executes one shared-memory contention configuration.
+// RunShared executes one shared-memory configuration.
 func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	if opts.Profile == nil {
 		return nil, fmt.Errorf("harness: ThreadsOptions.Profile is required")
@@ -147,13 +109,12 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	}
 
 	runScope := opts.Obs.Scope(opts.label())
-	invokeHist := runScope.Histogram("invoke_wall_ns")
 	runSpan := runScope.StartSpan(obs.SpanRun, obs.SpanRef{})
 	defer runSpan.End()
 
 	as := vmm.NewObserved(opts.Profile.VM, runScope.Child("vmm"))
 	var pool *mem.ArenaPool
-	if opts.Strategy == mem.Uffd && !opts.UffdNoPool {
+	if opts.Strategy == mem.Uffd {
 		pool = mem.NewArenaPool()
 		defer pool.Drain()
 	}
@@ -169,15 +130,12 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	}
 
 	cfg := core.Config{
-		Strategy:    opts.Strategy,
-		Profile:     opts.Profile,
-		AS:          as,
-		Pool:        pool,
-		UffdNoPool:  opts.UffdNoPool,
-		UffdPoll:    opts.UffdPoll,
-		EagerCommit: opts.EagerCommit,
-		Obs:         runScope.Child("engine"),
-		Span:        runSpan.Ref(),
+		Strategy: opts.Strategy,
+		Profile:  opts.Profile,
+		AS:       as,
+		Pool:     pool,
+		Obs:      runScope.Child("engine"),
+		Span:     runSpan.Ref(),
 	}
 	shm, err := core.NewSharedMemory(module, cfg)
 	if err != nil {
@@ -209,15 +167,12 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	}()
 
 	type lane struct {
-		sum     uint64
-		invokes []tspan
-		lats    []time.Duration
-		err     error
+		sum uint64
+		err error
 	}
 	lanes := make([]lane, opts.Workers)
 
 	before := as.Snapshot()
-	epoch := time.Now()
 	var (
 		start    = make(chan struct{})
 		done     = make(chan struct{})
@@ -225,12 +180,10 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	)
 
 	// Grower: expand the shared memory on a cadence until the workers
-	// finish or the memory tops out, recording each grow's window.
+	// finish or the memory tops out.
 	var (
-		growWindows []tspan
-		growLats    []time.Duration
-		growDenied  int
-		growerDone  = make(chan struct{})
+		grows, growDenied int
+		growerDone        = make(chan struct{})
 	)
 	go func() {
 		defer close(growerDone)
@@ -242,15 +195,11 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 			case <-done:
 				return
 			case <-ticker.C:
-				t0 := time.Now()
-				r := shm.Grow(1)
-				t1 := time.Now()
-				if r < 0 {
+				if shm.Grow(1) < 0 {
 					growDenied++
-					continue
+				} else {
+					grows++
 				}
-				growWindows = append(growWindows, tspan{t0.Sub(epoch).Nanoseconds(), t1.Sub(epoch).Nanoseconds()})
-				growLats = append(growLats, t1.Sub(t0))
 			}
 		}
 	}()
@@ -267,9 +216,7 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 			l := &lanes[w]
 			<-start
 			for k := 0; k < opts.Invokes; k++ {
-				t0 := time.Now()
 				out, err := insts[w].Invoke("work", uint64(w), uint64(opts.Rounds))
-				t1 := time.Now()
 				if err != nil {
 					l.err = fmt.Errorf("worker %d invoke %d: %w", w, k, err)
 					return
@@ -279,84 +226,32 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 					return
 				}
 				l.sum = out[0]
-				dt := t1.Sub(t0)
-				l.invokes = append(l.invokes, tspan{t0.Sub(epoch).Nanoseconds(), t1.Sub(epoch).Nanoseconds()})
-				l.lats = append(l.lats, dt)
-				invokeHist.Observe(dt.Nanoseconds())
 			}
 		}(w)
 	}
 
 	close(start)
 	finished.Wait()
-	wall := time.Since(epoch)
 	close(done)
 	<-growerDone
 	after := as.Snapshot()
 
+	var digest uint64
 	for w := range lanes {
 		if lanes[w].err != nil {
 			return nil, lanes[w].err
 		}
-	}
-
-	var digest uint64
-	var all, stalled, clean []time.Duration
-	stalledN := 0
-	for w := range lanes {
 		digest += lanes[w].sum
-		for i, iv := range lanes[w].invokes {
-			lat := lanes[w].lats[i]
-			all = append(all, lat)
-			hit := false
-			for _, gw := range growWindows {
-				if iv.overlaps(gw) {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				stalled = append(stalled, lat)
-				stalledN++
-			} else {
-				clean = append(clean, lat)
-			}
-		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	sort.Slice(stalled, func(i, j int) bool { return stalled[i] < stalled[j] })
-	sort.Slice(clean, func(i, j int) bool { return clean[i] < clean[j] })
-	sort.Slice(growLats, func(i, j int) bool { return growLats[i] < growLats[j] })
 
-	delta := deltaSnapshot(before, after)
 	res := &ThreadsResult{
-		Engine:         opts.Engine,
-		Strategy:       opts.Strategy.String(),
-		Workers:        opts.Workers,
-		Invokes:        opts.Invokes,
-		Rounds:         opts.Rounds,
-		Grows:          len(growWindows),
-		GrowDenied:     growDenied,
-		Digest:         digest,
-		DigestOK:       digest == workloads.SharedDigestNative(opts.Class, opts.Workers, opts.Rounds),
-		P50Ns:          exactQuantile(all, 0.50).Nanoseconds(),
-		P99Ns:          exactQuantile(all, 0.99).Nanoseconds(),
-		GrowStallP99Ns: exactQuantile(stalled, 0.99).Nanoseconds(),
-		CleanP99Ns:     exactQuantile(clean, 0.99).Nanoseconds(),
-		Stalled:        stalledN,
-		GrowP99Ns:      exactQuantile(growLats, 0.99).Nanoseconds(),
-		WallNs:         wall.Nanoseconds(),
-		MmapCalls:      delta.MmapCalls,
-		MprotectCalls:  delta.MprotectCalls,
-		MinorFaults:    delta.MinorFaults,
-		UffdFaults:     delta.UffdFaults,
-		SegvFaults:     delta.SegvFaults,
-		LockWaitNs:     delta.LockWaitNs,
-		LockContended:  delta.LockContended,
+		Workers:    opts.Workers,
+		Grows:      grows,
+		GrowDenied: growDenied,
+		Digest:     digest,
+		DigestOK:   digest == workloads.SharedDigestNative(opts.Class, opts.Workers, opts.Rounds),
+		VM:         deltaSnapshot(before, after),
 	}
-	runScope.Gauge("grow_stall_p99_ns").Set(res.GrowStallP99Ns)
-	runScope.Gauge("clean_p99_ns").Set(res.CleanP99Ns)
-	runScope.Counter("grows").Add(int64(res.Grows))
 	if opts.Strategy == mem.Uffd {
 		mem.SharedPool(as).Drain()
 	}

@@ -204,6 +204,53 @@ func TestRunTraceAttribution(t *testing.T) {
 	}
 }
 
+// TestHostcallTraceAttribution: a traced WASI run attributes time to
+// the hostcall bucket under every strategy — core.CallHost opens a
+// hostcall span around each host function, beneath the invoke span —
+// and the span reaches the Chrome export under its own name.
+func TestHostcallTraceAttribution(t *testing.T) {
+	reg := obs.NewRegistrySized(1 << 18)
+	reg.EnableTracing(true)
+	wl := traceSpec(t, "kvstore")
+	for _, s := range mem.Strategies() {
+		res, err := Run(Options{
+			Engine:   EngineWAVM,
+			Workload: wl,
+			Class:    workloads.Test,
+			Strategy: s,
+			Profile:  isa.X86_64(),
+			Warmup:   1,
+			Measure:  2,
+			Obs:      reg,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if res.VM.Hostcalls == 0 {
+			t.Fatalf("%v: kvstore made no hostcalls", s)
+		}
+	}
+	snap := reg.Snapshot(true)
+	if snap.DroppedEvents != 0 {
+		t.Fatalf("trace ring dropped %d events; the span tree is incomplete", snap.DroppedEvents)
+	}
+	rep := obs.Attribute(snap)
+	for _, s := range mem.Strategies() {
+		row := rep.Row(s.String())
+		if row.NsByBucket["hostcall"] <= 0 || row.NsByBucket["exec"] <= 0 {
+			t.Errorf("row %s: hostcall=%d exec=%d ns, want both > 0",
+				row.Strategy, row.NsByBucket["hostcall"], row.NsByBucket["exec"])
+		}
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, snap); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"name":"hostcall"`)) {
+		t.Error("Chrome trace has no hostcall span")
+	}
+}
+
 // TestRunSnapshotStableAfterReturn is the regression for the -metrics
 // under-count: Run must join its resident watcher and any uffd poll
 // servers before returning, so a snapshot taken right after Run is

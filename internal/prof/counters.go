@@ -38,18 +38,6 @@ func (a CounterSample) Delta(b CounterSample) CounterSample {
 	}
 }
 
-// Add accumulates o into a (both must be OK for the sum to be).
-func (a CounterSample) Add(o CounterSample) CounterSample {
-	return CounterSample{
-		Instructions:   a.Instructions + o.Instructions,
-		Cycles:         a.Cycles + o.Cycles,
-		BranchMisses:   a.BranchMisses + o.BranchMisses,
-		DTLBLoadMisses: a.DTLBLoadMisses + o.DTLBLoadMisses,
-		PageFaults:     a.PageFaults + o.PageFaults,
-		OK:             a.OK && o.OK,
-	}
-}
-
 // RusageSample is one getrusage(RUSAGE_SELF) reading.
 type RusageSample struct {
 	UserNs           int64
@@ -86,7 +74,7 @@ func (a RusageSample) Delta(b RusageSample) RusageSample {
 }
 
 // HWStats is the counter-attribution summary attached to harness
-// results and the BENCH_*.json provenance blocks: the perf-event
+// results (Options.HWCounters, leapsbench -perf): the perf-event
 // group's deltas (calling-thread scope) plus process-wide rusage
 // deltas over the same window. Either half degrades independently.
 type HWStats struct {
@@ -135,22 +123,4 @@ func (h *HWStats) MergeRusage(d RusageSample) {
 	h.MajorFaults += d.MajorFaults
 	h.VoluntaryCtxSw += d.VoluntaryCtxSw
 	h.InvoluntaryCtxSw += d.InvoluntaryCtxSw
-}
-
-// CollectHW measures f: a perf-event group on the calling thread and
-// process-wide rusage, read before and after. The caller should be
-// OS-thread-locked if the perf half is to mean anything; the rusage
-// half is process-wide regardless.
-func CollectHW(f func()) HWStats {
-	g := OpenGroup()
-	defer g.Close()
-	r0 := ReadRusage()
-	c0 := g.Read()
-	f()
-	c1 := g.Read()
-	r1 := ReadRusage()
-	var hw HWStats
-	hw.MergeCounters(c0.Delta(c1))
-	hw.MergeRusage(r0.Delta(r1))
-	return hw
 }

@@ -209,13 +209,6 @@ func TestCounterSampleDegradation(t *testing.T) {
 	if d := later.Delta(ok); d.OK {
 		t.Error("backwards delta reported OK")
 	}
-	sum := d.Add(CounterSample{Instructions: 1, OK: true})
-	if !sum.OK || sum.Instructions != 51 {
-		t.Errorf("sum %+v", sum)
-	}
-	if bad := d.Add(CounterSample{Instructions: 1}); bad.OK {
-		t.Error("sum with degraded half reported OK")
-	}
 }
 
 func TestRusageSampleDegradation(t *testing.T) {
@@ -271,28 +264,5 @@ func TestGroupDegradesGracefully(t *testing.T) {
 	}
 	if (&Group{}).Read().OK {
 		t.Error("zero group read OK")
-	}
-}
-
-func TestCollectHW(t *testing.T) {
-	ran := false
-	hw := CollectHW(func() {
-		// Burn a little user time so rusage has something to count.
-		x := 0
-		for i := 0; i < 1e6; i++ {
-			x += i
-		}
-		ran = x >= 0
-	})
-	if !ran {
-		t.Fatal("CollectHW did not run f")
-	}
-	// On any host at least one half should report, and a degraded
-	// half must be all zeros.
-	if !hw.PerfSupported && (hw.Instructions|hw.Cycles|hw.BranchMisses) != 0 {
-		t.Errorf("degraded perf half carries counts: %+v", hw)
-	}
-	if !hw.RusageSupported && (hw.UserNs|hw.SystemNs) != 0 {
-		t.Errorf("degraded rusage half carries counts: %+v", hw)
 	}
 }

@@ -25,7 +25,7 @@ func profiledRun(t *testing.T, p *prof.Profiler, strategy mem.Strategy, cls work
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = harness.Run(harness.Options{
+	res, err := harness.Run(harness.Options{
 		Engine:   harness.EngineWAVM,
 		Workload: wl,
 		Class:    cls,
@@ -42,6 +42,11 @@ func profiledRun(t *testing.T, p *prof.Profiler, strategy mem.Strategy, cls work
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The sampled run loop is a loop of its own; it must compute what
+	// the plain one does.
+	if _, native := wl.Build(cls); res.Checksum != native() {
+		t.Fatalf("sampled %v run: checksum %#x, native twin %#x", strategy, res.Checksum, native())
 	}
 }
 

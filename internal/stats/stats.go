@@ -36,56 +36,6 @@ func MedianDurations(ds []time.Duration) time.Duration {
 	return time.Duration(Median(xs))
 }
 
-// Mean returns the arithmetic mean, 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// linear interpolation between order statistics.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
 // Geomean returns the geometric mean of positive values; zero or
 // negative entries are skipped (they would poison the product).
 func Geomean(xs []float64) float64 {

@@ -32,32 +32,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Stddev(xs); math.Abs(got-2.138089935299395) > 1e-12 {
-		t.Errorf("Stddev = %v", got)
-	}
-	if Stddev([]float64{1}) != 0 {
-		t.Error("Stddev of singleton should be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	if got := Percentile(xs, 0); got != 10 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 40 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 25 {
-		t.Errorf("p50 = %v", got)
-	}
-}
-
 func TestGeomean(t *testing.T) {
 	if got := Geomean([]float64{1, 4}); got != 2 {
 		t.Errorf("Geomean = %v", got)
@@ -94,27 +68,6 @@ func TestGeomeanScaleInvariance(t *testing.T) {
 		// Scale benchmark 0 on both sides: ratio unchanged.
 		after := GeomeanRatios([]float64{v[0] * k, v[1]}, []float64{base[0] * k, base[1]})
 		return math.Abs(before-after) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPercentileMonotonic(t *testing.T) {
-	f := func(raw []uint16, a, b uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-		}
-		pa := float64(a % 101)
-		pb := float64(b % 101)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		return Percentile(xs, pa) <= Percentile(xs, pb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,15 +1,11 @@
 #!/bin/sh
-# bench_hot.sh — hot-path benchmarks of the bounds-check elision
-# pass, plus the provisioning/teardown and cold-compile layer
-# benchmarks. Prints the per-strategy checked-load micro timings, the
-# sparse mmap/munmap, isolate-lifecycle and many-function cold-compile
-# timings (ns/op and B/op), the wavm run loop's dispatches/op and
-# ns/dispatch on the five steady kernels, and the gemm/atax elide
-# on/off macro benches for humans, then writes the machine-readable report (micro
-# timings, the full workload × strategy × elide matrix with checksum
-# equality, and the elision counters) to BENCH_bce.json, the
-# BENCH_sweep.json-style artifact tracking the perf trajectory across
-# commits.
+# bench_hot.sh — the go test -bench layer benchmarks, for humans:
+# per-strategy checked-load micro timings, the sparse mmap/munmap,
+# isolate-lifecycle and many-function cold-compile timings (ns/op and
+# B/op), the wavm run loop's dispatches/op and ns/dispatch on the five
+# steady kernels, and the gemm/atax elide × rir macro benches (which
+# assert equal results across the matrix). The numbers that are
+# published come from benchmark/run.sh, not from here.
 #
 #     ./scripts/bench_hot.sh        # or: make bench-hot
 set -eu
@@ -36,6 +32,3 @@ go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .
 
 echo "== register-IR on/off (gemm; trap strategy)"
 go test -run '^$' -bench 'BenchmarkGemmCompiled/elide=on' -benchtime 1s .
-
-echo "== BENCH_bce.json"
-go run ./cmd/leapsbench -benchbce BENCH_bce.json
