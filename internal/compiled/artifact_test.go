@@ -162,3 +162,7 @@ type foreignModule struct{}
 func (foreignModule) Instantiate(core.Config, core.Imports) (core.Instance, error) {
 	return nil, errors.New("foreign")
 }
+
+func (foreignModule) InstantiateSnapshot(core.Config, core.Imports, *core.StateSnapshot) (core.Instance, error) {
+	return nil, errors.New("foreign")
+}

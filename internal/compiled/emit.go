@@ -190,7 +190,7 @@ func emitOne(s *rir.Inst, pc int) (cop, error) {
 	case rir.ShCallInd:
 		typeIdx, idxSlot, argBase := s.Fidx, s.A, s.ArgBase
 		return func(inst *Instance, base, pc int) int {
-			fi := inst.resolveIndirect(uint32(inst.stack[base+idxSlot]), typeIdx)
+			fi := inst.base.ResolveIndirect(uint32(inst.stack[base+idxSlot]), typeIdx)
 			inst.callFunc(fi, base+argBase)
 			return pc + 1
 		}, nil

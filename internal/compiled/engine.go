@@ -12,9 +12,16 @@ import (
 	"leapsandbounds/internal/modcache"
 	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/rir"
-	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/validate"
 	"leapsandbounds/internal/wasm"
+)
+
+// A break of the engine contract is a build error here, in the package
+// that caused it.
+var (
+	_ core.Engine         = (*Engine)(nil)
+	_ core.CompiledModule = (*Module)(nil)
+	_ core.Instance       = (*Instance)(nil)
 )
 
 // Engine is a closure-compiling AOT engine. Engines are immutable
@@ -55,17 +62,17 @@ func NewWasmtime() *Engine {
 	}
 }
 
-// SetCache implements core.CacheSetter: it redirects the engine's
-// compile path to c, or detaches it from caching when c is nil. Call
-// before the first Compile.
+// SetCache implements core.Engine: it redirects the engine's compile
+// path to c, or detaches it from caching when c is nil. Call before
+// the first Compile.
 func (e *Engine) SetCache(c core.ModuleCache) { e.cache = c }
 
-// SetCodegen implements core.CodegenSetter. Call before the first
-// Compile; the knobs fold into the module-cache key, so modules
-// compiled under different codegen never alias.
+// SetCodegen implements core.Engine. Call before the first Compile;
+// the knobs fold into the module-cache key, so modules compiled under
+// different codegen never alias.
 func (e *Engine) SetCodegen(cg core.Codegen) { e.codegen = cg }
 
-// Codegen implements core.CodegenGetter.
+// Codegen implements core.Engine.
 func (e *Engine) Codegen() core.Codegen { return e.codegen }
 
 // elision reports whether the elision pass runs: it rewrites the
@@ -166,17 +173,10 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 	if e.cache == nil {
 		return e.compileModule(m)
 	}
-	compile := func() (core.CompiledModule, error) { return e.compileModule(m) }
-	if ac, ok := e.cache.(core.ArtifactCache); ok {
-		// A cache with a disk tier resolves memory → disk → compile; the
-		// engine itself is the codec that round-trips its artifacts.
-		cm, _, err := ac.GetOrCompileArtifact(m, e.name, e.cacheOpts(), e, compile)
-		if err != nil {
-			return nil, err
-		}
-		return cm.(*Module), nil
-	}
-	cm, _, err := e.cache.GetOrCompile(m, e.name, e.cacheOpts(), compile)
+	// The cache resolves memory → disk → compile; the engine itself is
+	// the codec that round-trips its artifacts through the disk tier.
+	cm, _, err := e.cache.GetOrCompileArtifact(m, e.name, e.cacheOpts(), e,
+		func() (core.CompiledModule, error) { return e.compileModule(m) })
 	if err != nil {
 		return nil, err
 	}
@@ -313,15 +313,29 @@ func (e *Engine) backHalf(cf *cfunc) []rir.Inst {
 
 // Instantiate implements core.CompiledModule.
 func (cm *Module) Instantiate(cfg core.Config, imports core.Imports) (core.Instance, error) {
-	return cm.InstantiateCompiled(cfg, imports)
+	return cm.instantiate(cfg, imports, nil)
+}
+
+// InstantiateSnapshot implements core.CompiledModule. Compiled code is
+// shared with every other instance of this module — forks never
+// recompile.
+func (cm *Module) InstantiateSnapshot(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
+	return cm.instantiate(cfg, imports, snap)
 }
 
 // InstantiateCompiled is Instantiate with a concrete result type.
 func (cm *Module) InstantiateCompiled(cfg core.Config, imports core.Imports) (*Instance, error) {
+	return cm.instantiate(cfg, imports, nil)
+}
+
+// instantiate creates one isolate, fresh (snap nil: the start function
+// runs) or from a template's frozen state (the start function's
+// effects are in the snapshot).
+func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (*Instance, error) {
 	if cfg.ProfLabel == "" {
 		cfg.ProfLabel = cm.engine.name
 	}
-	base, err := core.NewInstanceBase(cm.wasm, cfg, imports)
+	base, err := core.NewInstanceBase(cm.wasm, cfg, imports, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -334,37 +348,13 @@ func (cm *Module) InstantiateCompiled(cfg core.Config, imports core.Imports) (*I
 		prof:   base.ProfCell,
 		ckSoft: ckSoft,
 	}
-	if cm.wasm.Start != nil {
+	if snap == nil && cm.wasm.Start != nil {
 		if _, err := inst.invokeIndex(*cm.wasm.Start, nil); err != nil {
 			_ = base.Close()
 			return nil, fmt.Errorf("compiled: start function: %w", err)
 		}
 	}
 	return inst, nil
-}
-
-// InstantiateSnapshot implements core.SnapshotInstantiator: the
-// instance starts from a template's frozen state instead of running
-// segment initialization and the start function (their effects are in
-// the snapshot). Compiled code is shared with every other instance of
-// this module — forks never recompile.
-func (cm *Module) InstantiateSnapshot(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
-	if cfg.ProfLabel == "" {
-		cfg.ProfLabel = cm.engine.name
-	}
-	base, err := core.NewInstanceBaseFromSnapshot(cm.wasm, cfg, imports, snap)
-	if err != nil {
-		return nil, err
-	}
-	_, ckSoft := base.CheckClass()
-	return &Instance{
-		base:   base,
-		mod:    cm,
-		stack:  make([]uint64, 4096),
-		count:  cfg.CountCycles,
-		prof:   base.ProfCell,
-		ckSoft: ckSoft,
-	}, nil
 }
 
 // Instance is one compiled-engine isolate.
@@ -378,12 +368,9 @@ type Instance struct {
 	// call frame (nil prof keeps the seed-identical loops).
 	prof   *prof.Cell
 	ckSoft bool
-	// dispatches counts closures executed by the counting loops (the
+	// dispatches counts closures executed under Config.CountCycles (the
 	// plain loop stays free of it).
 	dispatches int64
-	// Safepoint is polled at function entry when non-nil; the tiered
-	// engine (V8 analog) uses it to implement stop-the-world pauses.
-	Safepoint func()
 }
 
 // Memory implements core.Instance.
@@ -401,7 +388,7 @@ func (inst *Instance) Dispatches() int64 { return inst.dispatches }
 // Close implements core.Instance.
 func (inst *Instance) Close() error { return inst.base.Close() }
 
-// Snapshot implements core.Snapshotter.
+// Snapshot implements core.Instance.
 func (inst *Instance) Snapshot() (*core.StateSnapshot, error) { return inst.base.Snapshot() }
 
 // Invoke implements core.Instance.
@@ -460,53 +447,30 @@ func (inst *Instance) ensureStack(base int, cf *cfunc) {
 
 // run executes a compiled function with its frame at base.
 func (inst *Instance) run(cf *cfunc, base int) {
-	if inst.Safepoint != nil {
-		inst.Safepoint()
+	if inst.prof != nil || inst.count {
+		inst.runInstrumented(cf, base)
+		return
 	}
 	code := cf.code
-	if cell := inst.prof; cell != nil {
-		inst.runProfiled(cf, base, cell)
-		return
-	}
-	if inst.count {
-		counts := &inst.base.CycleCounts
-		ck, ckOn := inst.base.CheckClass()
-		shared := inst.base.Mem != nil && inst.base.Mem.Shared()
-		memAcc := cf.memAcc
-		classes, classes2 := cf.classes, cf.classes2
-		for pc := 0; pc >= 0; {
-			inst.dispatches++
-			counts[classes[pc]]++
-			if c := classes2[pc]; c != noClass {
-				counts[c]++
-			}
-			if memAcc[pc] {
-				if ckOn {
-					counts[ck]++
-				}
-				if shared {
-					counts[isa.ClassAtomic]++
-				}
-			}
-			pc = code[pc](inst, base, pc)
-		}
-		return
-	}
 	for pc := 0; pc >= 0; {
 		pc = code[pc](inst, base, pc)
 	}
 }
 
-// runProfiled is the sampled dispatch loop: before every closure it
-// publishes (function, opcode class, check flags) into the
-// instance's cell with one atomic store. Cycle accounting, when
-// enabled, runs here too so `-cycles -profile` composes.
-func (inst *Instance) runProfiled(cf *cfunc, base int, cell *prof.Cell) {
+// runInstrumented is the one instrumented dispatch loop. When the
+// instance is sampled, it publishes (function, opcode class, check
+// flags) into the instance's cell with one atomic store before every
+// closure; when cycle accounting is on, it charges the closure's
+// classes (both halves of a fused pair, plus the strategy's check and
+// the shared-memory surcharge on accesses) and counts the dispatch.
+// `-cycles -profile` gets both.
+func (inst *Instance) runInstrumented(cf *cfunc, base int) {
 	code := cf.code
 	classes, classes2 := cf.classes, cf.classes2
 	memAcc := cf.memAcc
 	elided := cf.elided
 	fn := cf.index
+	cell := inst.prof
 	ckSoft := inst.ckSoft
 	counting := inst.count
 	var counts *isa.Counts
@@ -518,16 +482,18 @@ func (inst *Instance) runProfiled(cf *cfunc, base int, cell *prof.Cell) {
 		shared = inst.base.Mem != nil && inst.base.Mem.Shared()
 	}
 	for pc := 0; pc >= 0; {
-		var fl uint8
-		if memAcc[pc] {
-			switch {
-			case elided[pc]:
-				fl = prof.FlagElided
-			case ckSoft:
-				fl = prof.FlagChecked
+		if cell != nil {
+			var fl uint8
+			if memAcc[pc] {
+				switch {
+				case elided[pc]:
+					fl = prof.FlagElided
+				case ckSoft:
+					fl = prof.FlagChecked
+				}
 			}
+			cell.Set(fn, classes[pc], fl)
 		}
-		cell.Set(fn, classes[pc], fl)
 		if counting {
 			inst.dispatches++
 			counts[classes[pc]]++
@@ -553,15 +519,7 @@ func (inst *Instance) runProfiled(cf *cfunc, base int, cell *prof.Cell) {
 func (inst *Instance) callFunc(fi uint32, calleeBase int) {
 	imported := inst.mod.wasm.NumImportedFuncs()
 	if int(fi) < imported {
-		hf := inst.base.HostFuncs[fi]
-		n := len(hf.Type.Params)
-		v, err := inst.base.CallHost(int(fi), inst.stack[calleeBase:calleeBase+n])
-		if err != nil {
-			trap.ThrowHostErr(err)
-		}
-		if len(hf.Type.Results) > 0 {
-			inst.stack[calleeBase] = v
-		}
+		inst.base.CallImport(fi, inst.stack, calleeBase)
 		return
 	}
 	cf := inst.mod.funcs[fi-uint32(imported)]
@@ -572,22 +530,4 @@ func (inst *Instance) callFunc(fi uint32, calleeBase int) {
 	}
 	inst.run(cf, calleeBase)
 	inst.base.LeaveCall()
-}
-
-func (inst *Instance) resolveIndirect(slot, typeIdx uint32) uint32 {
-	if int(slot) >= len(inst.base.Table) {
-		trap.Throw(trap.TableOutOfBounds)
-	}
-	if !inst.base.Filled[slot] {
-		trap.Throw(trap.IndirectCallNull)
-	}
-	fi := inst.base.Table[slot]
-	ft, err := inst.mod.wasm.FuncTypeAt(fi)
-	if err != nil {
-		trap.Throwf(trap.HostError, "%v", err)
-	}
-	if !ft.Equal(inst.mod.wasm.Types[typeIdx]) {
-		trap.Throw(trap.IndirectCallType)
-	}
-	return fi
 }

@@ -78,9 +78,6 @@ func checkForkEquivalence(tb testing.TB, m *wasm.Module) {
 		if err != nil {
 			tb.Fatalf("%v: template: %v", s, err)
 		}
-		if !tpl.CanFork() {
-			tb.Fatalf("%v: template cannot fork", s)
-		}
 		fork, err := tpl.Fork()
 		if err != nil {
 			tb.Fatalf("%v: fork: %v", s, err)

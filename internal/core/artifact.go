@@ -54,14 +54,3 @@ func (p Provenance) String() string {
 	}
 	return "provenance(?)"
 }
-
-// ArtifactCache is a ModuleCache with an optional disk tier behind
-// the in-memory one. GetOrCompileArtifact resolves through
-// memory → disk → compile, with the whole miss path deduplicated by
-// the same singleflight as GetOrCompile; codec may be nil, which
-// skips the disk tier for that call.
-type ArtifactCache interface {
-	ModuleCache
-	GetOrCompileArtifact(m *wasm.Module, engine, opts string, codec ArtifactCodec,
-		compile func() (CompiledModule, error)) (CompiledModule, Provenance, error)
-}

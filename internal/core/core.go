@@ -13,8 +13,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -176,20 +176,6 @@ func (cg Codegen) CacheKey() string {
 	return sb.String()
 }
 
-// CodegenSetter is implemented by engines whose code generation can
-// be reconfigured. Call it before the engine's first Compile.
-type CodegenSetter interface {
-	SetCodegen(Codegen)
-}
-
-// CodegenGetter is the read side: callers that want to flip one knob
-// (the harness's ablation switches) read the current configuration,
-// modify it, and SetCodegen the result instead of clobbering the
-// engine's other defaults.
-type CodegenGetter interface {
-	Codegen() Codegen
-}
-
 // ModuleCache is a process-wide cache of compiled modules, keyed by
 // module content hash, engine name and codegen-affecting options
 // (implemented by internal/modcache). Engines route Compile through
@@ -204,20 +190,20 @@ type ModuleCache interface {
 	// or runs compile exactly once (concurrent requests for the same
 	// key are deduplicated) and caches its result.
 	GetOrCompile(m *wasm.Module, engine, opts string, compile func() (CompiledModule, error)) (CompiledModule, bool, error)
+	// GetOrCompileArtifact is GetOrCompile through an optional disk tier
+	// behind the in-memory one: memory → disk → compile, the whole miss
+	// path deduplicated by the same singleflight. codec round-trips the
+	// engine's artifacts through bytes; nil skips the disk tier for that
+	// call.
+	GetOrCompileArtifact(m *wasm.Module, engine, opts string, codec ArtifactCodec,
+		compile func() (CompiledModule, error)) (CompiledModule, Provenance, error)
 	// Peek returns the cached artifact without compiling.
 	Peek(m *wasm.Module, engine, opts string) (CompiledModule, bool)
 }
 
-// CacheSetter is implemented by engines whose compile path can be
-// redirected to a different ModuleCache — or detached from caching
-// entirely with a nil cache (benchmarks that measure compile cost
-// need every Compile to do the work). Call it before the engine's
-// first Compile; it is not synchronized against concurrent compiles.
-type CacheSetter interface {
-	SetCache(ModuleCache)
-}
-
-// Engine compiles modules for one runtime design point.
+// Engine compiles modules for one runtime design point. The three
+// configuration methods are not synchronized against Compile: call
+// them before the engine's first Compile.
 type Engine interface {
 	// Name is the short identifier used in figures (e.g. "wavm").
 	Name() string
@@ -227,6 +213,17 @@ type Engine interface {
 	// returned module is immutable and safe for concurrent
 	// instantiation from many goroutines.
 	Compile(m *wasm.Module) (CompiledModule, error)
+	// SetCache redirects the compile path to a different ModuleCache, or
+	// detaches it from caching with a nil cache (benchmarks that measure
+	// compile cost need every Compile to do the work).
+	SetCache(ModuleCache)
+	// Codegen returns the engine's code-generation knobs, so a caller
+	// that wants to flip one (the harness's ablation switches) can read,
+	// modify and SetCodegen the result instead of clobbering the other
+	// defaults. An engine with no code generator reports the zero value
+	// and ignores SetCodegen.
+	Codegen() Codegen
+	SetCodegen(Codegen)
 }
 
 // CompiledModule is a compiled, instantiable module.
@@ -234,6 +231,11 @@ type CompiledModule interface {
 	// Instantiate creates one isolate: its own memory, globals and
 	// table. Instances are not safe for concurrent use.
 	Instantiate(cfg Config, imports Imports) (Instance, error)
+	// InstantiateSnapshot creates one isolate that starts from snap —
+	// memory forked copy-on-write, globals and table restored by value —
+	// instead of running segment initialization and the start function,
+	// whose effects are in the image. A nil snap is Instantiate.
+	InstantiateSnapshot(cfg Config, imports Imports, snap *StateSnapshot) (Instance, error)
 }
 
 // Instance is one running isolate.
@@ -245,6 +247,10 @@ type Instance interface {
 	// Counts returns accumulated cycle-model counts (nil when
 	// accounting is disabled).
 	Counts() *isa.Counts
+	// Snapshot freezes the instance's state (memory image, globals,
+	// table) for InstantiateSnapshot. Snapshots are engine- and
+	// tier-independent.
+	Snapshot() (*StateSnapshot, error)
 	// Close releases instance resources (unmaps or recycles memory).
 	Close() error
 }
@@ -339,9 +345,6 @@ type InstanceBase struct {
 	sharedMem bool
 }
 
-// NewInstanceBase performs the engine-independent instantiation
-// steps in specification order: import resolution, memory and table
-// allocation, global initialization, then element and data segments.
 // FuncNames builds the function-index → name table the profiler
 // resolves samples against: the module's name section where present,
 // "fnN" placeholders elsewhere (imports included, so indices line up
@@ -357,7 +360,16 @@ func FuncNames(m *wasm.Module) []string {
 	return names
 }
 
-func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports) (*InstanceBase, error) {
+// NewInstanceBase performs the engine-independent instantiation steps
+// in specification order: import resolution, memory allocation, then
+// either global, table, element and data-segment initialization (snap
+// nil: a fresh instance) or the restoration of snap's globals and
+// table by value over a copy-on-write fork of its memory image (a
+// fork: the image already holds the effects of the segments, the
+// start function and whatever the donor's warm-up did on top, so
+// engines skip the start function too). Imports are resolved either
+// way — host functions are per-instance.
+func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports, snap *StateSnapshot) (*InstanceBase, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -370,11 +382,12 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports) (*InstanceBase
 		obsInjected:  cfg.Obs.Counter("injected_traps"),
 		obsHostcalls: cfg.Obs.Counter("hostcalls"),
 	}
-	if cfg.Prof != nil {
-		b.ProfCell = cfg.Prof.Register(cfg.ProfLabel, cfg.Strategy.String(), FuncNames(m))
+	kind := obs.SpanInstantiate
+	if snap != nil {
+		kind = obs.SpanFork
 	}
-	instSpan := cfg.Obs.StartSpan(obs.SpanInstantiate, cfg.Span)
-	defer instSpan.End()
+	sp := cfg.Obs.StartSpan(kind, cfg.Span)
+	defer sp.End()
 
 	for _, im := range m.Imports {
 		switch im.Kind {
@@ -391,119 +404,56 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports) (*InstanceBase
 		}
 	}
 
-	if lim, ok := m.MemoryLimits(); ok {
+	lim, hasMem := m.MemoryLimits()
+	var image *mem.Snapshot
+	if snap != nil {
 		if cfg.SharedMem != nil {
-			if !cfg.SharedMem.Shared() {
-				return nil, errors.New("core: Config.SharedMem must be built with mem.Config.Shared")
-			}
-			if cfg.SharedMem.Strategy() != cfg.Strategy {
-				return nil, fmt.Errorf("core: shared memory strategy %v does not match config strategy %v",
-					cfg.SharedMem.Strategy(), cfg.Strategy)
-			}
-			if uint64(lim.Min)*wasm.PageSize > cfg.SharedMem.SizeBytes() {
-				return nil, fmt.Errorf("core: shared memory smaller than module minimum (%d pages < %d)",
-					cfg.SharedMem.SizePages(), lim.Min)
-			}
-			b.Mem = cfg.SharedMem
-			b.sharedMem = true
-		} else {
-			maxPages := cfg.MaxPages
-			if lim.HasMax && lim.Max < maxPages {
-				maxPages = lim.Max
-			}
-			if maxPages < lim.Min {
-				maxPages = lim.Min
-			}
-			if maxPages == 0 {
-				maxPages = 1
-			}
-			memParent := cfg.Span
-			if instSpan.Ref().Valid() {
-				memParent = instSpan.Ref()
-			}
-			mm, err := mem.New(mem.Config{
-				Strategy:    cfg.Strategy,
-				AS:          cfg.AS,
-				MinPages:    lim.Min,
-				MaxPages:    maxPages,
-				Pool:        cfg.Pool,
-				DisablePool: cfg.UffdNoPool,
-				UffdPoll:    cfg.UffdPoll,
-				EagerCommit: cfg.EagerCommit,
-				Span:        memParent,
-			})
-			if err != nil {
-				return nil, err
-			}
-			b.Mem = mm
+			return nil, errors.New("core: a snapshot cannot be restored onto a shared memory")
 		}
-	} else if cfg.SharedMem != nil {
-		return nil, errors.New("core: Config.SharedMem set but module declares no memory")
+		if hasMem != (snap.Mem != nil) {
+			return nil, errors.New("core: snapshot memory does not match module declaration")
+		}
+		image = snap.Mem
+	}
+	switch {
+	case cfg.SharedMem != nil:
+		if !hasMem {
+			return nil, errors.New("core: Config.SharedMem set but module declares no memory")
+		}
+		if !cfg.SharedMem.Shared() {
+			return nil, errors.New("core: Config.SharedMem must be built with mem.Config.Shared")
+		}
+		if cfg.SharedMem.Strategy() != cfg.Strategy {
+			return nil, fmt.Errorf("core: shared memory strategy %v does not match config strategy %v",
+				cfg.SharedMem.Strategy(), cfg.Strategy)
+		}
+		if uint64(lim.Min)*wasm.PageSize > cfg.SharedMem.SizeBytes() {
+			return nil, fmt.Errorf("core: shared memory smaller than module minimum (%d pages < %d)",
+				cfg.SharedMem.SizePages(), lim.Min)
+		}
+		b.Mem = cfg.SharedMem
+		b.sharedMem = true
+	case hasMem:
+		memParent := cfg.Span
+		if sp.Ref().Valid() {
+			memParent = sp.Ref()
+		}
+		if b.Mem, err = cfg.newMemory(lim, image, false, memParent); err != nil {
+			return nil, err
+		}
 	}
 	b.HostCtx = HostContext{
 		Mem:    b.Mem,
 		views:  cfg.Obs.Counter("hostview_acquires"),
 		revals: cfg.Obs.Counter("hostview_revalidations"),
 	}
-
-	// Globals.
-	numImported := m.NumImportedGlobals()
-	if numImported > 0 {
-		b.close()
-		return nil, errors.New("core: imported globals are not supported")
-	}
-	b.Globals = make([]uint64, len(m.Globals))
-	for i, g := range m.Globals {
-		v, err := b.evalConst(g.Init)
-		if err != nil {
-			b.close()
-			return nil, fmt.Errorf("core: global %d: %w", i, err)
-		}
-		b.Globals[i] = v
-	}
-
-	// Table.
-	if len(m.Tables) > 0 {
-		b.Table = make([]uint32, m.Tables[0].Limits.Min)
-		b.Filled = make([]bool, len(b.Table))
-	}
-	for i, e := range m.Elems {
-		off, err := b.evalConst(e.Offset)
-		if err != nil {
-			b.close()
-			return nil, fmt.Errorf("core: element segment %d: %w", i, err)
-		}
-		start := uint32(off)
-		if uint64(start)+uint64(len(e.Funcs)) > uint64(len(b.Table)) {
-			b.close()
-			return nil, fmt.Errorf("core: element segment %d out of table bounds", i)
-		}
-		for j, fi := range e.Funcs {
-			b.Table[start+uint32(j)] = fi
-			b.Filled[start+uint32(j)] = true
-		}
-	}
-
-	// Data segments.
-	for i, ds := range m.Data {
-		off, err := b.evalConst(ds.Offset)
-		if err != nil {
-			b.close()
-			return nil, fmt.Errorf("core: data segment %d: %w", i, err)
-		}
-		if b.Mem == nil {
-			b.close()
-			return nil, fmt.Errorf("core: data segment %d with no memory", i)
-		}
-		start := uint64(uint32(off))
-		if start+uint64(len(ds.Data)) > b.Mem.SizeBytes() {
-			b.close()
-			return nil, fmt.Errorf("core: data segment %d out of memory bounds", i)
-		}
-		if err := b.writeSegment(start, ds.Data); err != nil {
-			b.close()
-			return nil, fmt.Errorf("core: data segment %d: %w", i, err)
-		}
+	if snap != nil {
+		b.Globals = slices.Clone(snap.Globals)
+		b.Table = slices.Clone(snap.Table)
+		b.Filled = slices.Clone(snap.Filled)
+	} else if err := b.initState(); err != nil {
+		_ = b.Close()
+		return nil, err
 	}
 	// Instantiation is done: faults and kernel work from here on
 	// belong to whatever context owns the instance, not to the
@@ -513,7 +463,92 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports) (*InstanceBase
 	if b.Mem != nil && !b.sharedMem {
 		b.Mem.SetSpanParent(cfg.Span)
 	}
+	// The profiler cell is registered last, once nothing can fail: a
+	// registered cell is sampled (and holds the name table) until Close
+	// unregisters it, and a failed instantiation has no Close.
+	if cfg.Prof != nil {
+		b.ProfCell = cfg.Prof.Register(cfg.ProfLabel, cfg.Strategy.String(), FuncNames(m))
+	}
 	return b, nil
+}
+
+// newMemory allocates a linear memory under c — the one place a
+// core.Config becomes a mem.Config. A fork takes its geometry from
+// image; a fresh memory (image nil) takes the module's limits, with
+// the maximum clamped by c.MaxPages, raised to the minimum, and never
+// zero (mem.Config requires a maximum).
+func (c Config) newMemory(lim wasm.Limits, image *mem.Snapshot, shared bool, span obs.SpanRef) (*mem.Memory, error) {
+	mc := mem.Config{
+		Strategy:    c.Strategy,
+		AS:          c.AS,
+		Pool:        c.Pool,
+		DisablePool: c.UffdNoPool,
+		UffdPoll:    c.UffdPoll,
+		EagerCommit: c.EagerCommit,
+		Shared:      shared,
+		Span:        span,
+	}
+	if image != nil {
+		return mem.NewFromSnapshot(mc, image)
+	}
+	mc.MinPages = lim.Min
+	mc.MaxPages = c.MaxPages
+	if lim.HasMax && lim.Max < mc.MaxPages {
+		mc.MaxPages = lim.Max
+	}
+	mc.MaxPages = max(mc.MaxPages, lim.Min, 1)
+	return mem.New(mc)
+}
+
+// initState initializes a fresh instance's globals, table, element and
+// data segments from the module.
+func (b *InstanceBase) initState() error {
+	m := b.Module
+	b.Globals = make([]uint64, len(m.Globals))
+	for i, g := range m.Globals {
+		v, err := b.evalConst(g.Init)
+		if err != nil {
+			return fmt.Errorf("core: global %d: %w", i, err)
+		}
+		b.Globals[i] = v
+	}
+
+	if len(m.Tables) > 0 {
+		b.Table = make([]uint32, m.Tables[0].Limits.Min)
+		b.Filled = make([]bool, len(b.Table))
+	}
+	for i, e := range m.Elems {
+		off, err := b.evalConst(e.Offset)
+		if err != nil {
+			return fmt.Errorf("core: element segment %d: %w", i, err)
+		}
+		start := uint32(off)
+		if uint64(start)+uint64(len(e.Funcs)) > uint64(len(b.Table)) {
+			return fmt.Errorf("core: element segment %d out of table bounds", i)
+		}
+		for j, fi := range e.Funcs {
+			b.Table[start+uint32(j)] = fi
+			b.Filled[start+uint32(j)] = true
+		}
+	}
+
+	for i, ds := range m.Data {
+		off, err := b.evalConst(ds.Offset)
+		if err != nil {
+			return fmt.Errorf("core: data segment %d: %w", i, err)
+		}
+		if b.Mem == nil {
+			return fmt.Errorf("core: data segment %d with no memory", i)
+		}
+		start := uint64(uint32(off))
+		if start+uint64(len(ds.Data)) > b.Mem.SizeBytes() {
+			return fmt.Errorf("core: data segment %d out of memory bounds", i)
+		}
+		if err := b.writeSegment(start, ds.Data); err != nil {
+			return fmt.Errorf("core: data segment %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // writeSegment copies segment bytes, converting traps to errors.
@@ -533,14 +568,6 @@ func (b *InstanceBase) evalConst(e wasm.ConstExpr) (uint64, error) {
 		return e.Value, nil
 	default:
 		return 0, fmt.Errorf("unsupported constant initializer %s", e.Op)
-	}
-}
-
-func (b *InstanceBase) close() {
-	b.Cfg.Prof.Unregister(b.ProfCell)
-	b.ProfCell = nil
-	if b.Mem != nil && !b.sharedMem {
-		_ = b.Mem.Close()
 	}
 }
 
@@ -690,6 +717,43 @@ func (b *InstanceBase) CallHost(i int, args []uint64) (uint64, error) {
 	return hf.Fn(&b.HostCtx, args)
 }
 
+// CallImport is the imported-function half of a wasm-level call, the
+// same in every engine: the arguments of import fi are already in
+// place at stack[base:], the result (if any) lands at stack[base], and
+// a host error unwinds as a trap.
+func (b *InstanceBase) CallImport(fi uint32, stack []uint64, base int) {
+	hf := &b.HostFuncs[fi]
+	v, err := b.CallHost(int(fi), stack[base:base+len(hf.Type.Params)])
+	if err != nil {
+		trap.ThrowHostErr(err)
+	}
+	if len(hf.Type.Results) > 0 {
+		stack[base] = v
+	}
+}
+
+// ResolveIndirect is the table half of call_indirect: it returns the
+// function-space index in table slot, trapping on a slot that is out
+// of bounds, uninitialized, or holds a function whose type is not
+// module type typeIdx.
+func (b *InstanceBase) ResolveIndirect(slot, typeIdx uint32) uint32 {
+	if int(slot) >= len(b.Table) {
+		trap.Throw(trap.TableOutOfBounds)
+	}
+	if !b.Filled[slot] {
+		trap.Throw(trap.IndirectCallNull)
+	}
+	fi := b.Table[slot]
+	ft, err := b.Module.FuncTypeAt(fi)
+	if err != nil {
+		trap.Throwf(trap.HostError, "%v", err)
+	}
+	if !ft.Equal(b.Module.Types[typeIdx]) {
+		trap.Throw(trap.IndirectCallType)
+	}
+	return fi
+}
+
 // InvokeErr converts a recovered engine panic into an Invoke error.
 func InvokeErr(r any) error { return trap.Recover(r) }
 
@@ -702,12 +766,18 @@ const InstantiateMaxAttempts = 8
 // errors return immediately; a recovery after a transient failure is
 // counted against the address space's injector.
 func InstantiateWithRetry(cm CompiledModule, cfg Config, imports Imports) (Instance, error) {
+	return instantiateWithRetry(cm, cfg, imports, nil)
+}
+
+// instantiateWithRetry is the retry loop for fresh instances (snap nil)
+// and template forks alike.
+func instantiateWithRetry(cm CompiledModule, cfg Config, imports Imports, snap *StateSnapshot) (Instance, error) {
 	var lastErr error
 	for attempt := 0; attempt < InstantiateMaxAttempts; attempt++ {
 		if attempt > 0 {
 			retryPause(attempt)
 		}
-		inst, err := cm.Instantiate(cfg, imports)
+		inst, err := cm.InstantiateSnapshot(cfg, imports, snap)
 		if err == nil {
 			if lastErr != nil && cfg.AS != nil {
 				if site, ok := faultinject.IsTransient(lastErr); ok {
@@ -737,13 +807,4 @@ func retryPause(attempt int) {
 	t0 := time.Now()
 	for time.Since(t0) < d {
 	}
-}
-
-// WriteTo is a small helper for engines that expose stdout-style
-// diagnostics; unused writers default to io.Discard.
-func WriteTo(w io.Writer) io.Writer {
-	if w == nil {
-		return io.Discard
-	}
-	return w
 }

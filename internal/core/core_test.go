@@ -3,10 +3,12 @@ package core_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
+	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/vmm"
 	"leapsandbounds/internal/wasm"
 )
@@ -30,7 +32,7 @@ func module() *wasm.Module {
 func cfg() core.Config { return core.Config{Profile: isa.X86_64()} }
 
 func TestInstanceBaseInit(t *testing.T) {
-	b, err := core.NewInstanceBase(module(), cfg(), nil)
+	b, err := core.NewInstanceBase(module(), cfg(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestInstanceBaseInit(t *testing.T) {
 func TestDataSegmentOutOfBounds(t *testing.T) {
 	m := module()
 	m.Data[0].Offset.Value = 65534 // "abc" crosses the 64 KiB end
-	if _, err := core.NewInstanceBase(m, cfg(), nil); err == nil {
+	if _, err := core.NewInstanceBase(m, cfg(), nil, nil); err == nil {
 		t.Error("out-of-bounds data segment accepted")
 	}
 }
@@ -63,7 +65,7 @@ func TestImportResolution(t *testing.T) {
 	m.Imports = []wasm.Import{{Module: "env", Name: "f", Kind: wasm.ExternFunc, Func: 1}}
 
 	// Missing import.
-	if _, err := core.NewInstanceBase(m, cfg(), nil); err == nil ||
+	if _, err := core.NewInstanceBase(m, cfg(), nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "unknown import") {
 		t.Errorf("missing import: %v", err)
 	}
@@ -72,7 +74,7 @@ func TestImportResolution(t *testing.T) {
 	bad := core.Imports{"env": {"f": core.HostFunc{
 		Type: wasm.FuncType{Params: []wasm.ValueType{wasm.F64}, Results: []wasm.ValueType{wasm.I32}},
 	}}}
-	if _, err := core.NewInstanceBase(m, cfg(), bad); err == nil ||
+	if _, err := core.NewInstanceBase(m, cfg(), bad, nil); err == nil ||
 		!strings.Contains(err.Error(), "type") {
 		t.Errorf("mismatched import: %v", err)
 	}
@@ -84,7 +86,7 @@ func TestImportResolution(t *testing.T) {
 			return args[0] + 1, nil
 		},
 	}}}
-	b, err := core.NewInstanceBase(m, cfg(), good)
+	b, err := core.NewInstanceBase(m, cfg(), good, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +97,42 @@ func TestImportResolution(t *testing.T) {
 	}
 }
 
+// TestFailedInstantiationLeavesNoProfilerCell: a failed instantiation
+// has no Close, so it must not leave a cell registered. The sampler
+// adds one to Profile.Idle per registered inactive cell per tick; with
+// no live instance the count must stand still.
+func TestFailedInstantiationLeavesNoProfilerCell(t *testing.T) {
+	m := module()
+	m.Types = append(m.Types, wasm.FuncType{})
+	m.Imports = []wasm.Import{{Module: "env", Name: "absent", Kind: wasm.ExternFunc, Func: 1}}
+	p := prof.New(4001, nil)
+	p.Start()
+	defer p.Stop()
+	c := cfg()
+	c.Prof = p
+	for i := 0; i < 5; i++ {
+		if _, err := core.NewInstanceBase(m, c, nil, nil); err == nil {
+			t.Fatal("unresolvable import accepted")
+		}
+	}
+	idle := p.Snapshot().Idle
+	time.Sleep(10 * time.Millisecond) // ≈ 40 sampler ticks
+	if again := p.Snapshot().Idle; again != idle {
+		t.Errorf("idle samples went %d → %d with no live instance: failed instantiations left cells registered", idle, again)
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	// Uffd without a pool must still instantiate (pool defaulted).
 	c := core.Config{Profile: isa.X86_64(), Strategy: mem.Uffd}
-	b, err := core.NewInstanceBase(module(), c, nil)
+	b, err := core.NewInstanceBase(module(), c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
 
 	// Missing profile is an error.
-	if _, err := core.NewInstanceBase(module(), core.Config{}, nil); err == nil {
+	if _, err := core.NewInstanceBase(module(), core.Config{}, nil, nil); err == nil {
 		t.Error("nil profile accepted")
 	}
 }
@@ -118,7 +145,7 @@ func TestDefaultPoolSharedAcrossInstances(t *testing.T) {
 	as := vmm.New(isa.X86_64().VM)
 	c := core.Config{Profile: isa.X86_64(), Strategy: mem.Uffd, AS: as}
 	for i := 0; i < 3; i++ {
-		b, err := core.NewInstanceBase(module(), c, nil)
+		b, err := core.NewInstanceBase(module(), c, nil, nil)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -140,7 +167,7 @@ func TestDefaultPoolSharedAcrossInstances(t *testing.T) {
 }
 
 func TestMemoryCapRespectsModuleMax(t *testing.T) {
-	b, err := core.NewInstanceBase(module(), cfg(), nil)
+	b, err := core.NewInstanceBase(module(), cfg(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +190,7 @@ func TestCheckClass(t *testing.T) {
 	} {
 		c := cfg()
 		c.Strategy = tc.s
-		b, err := core.NewInstanceBase(module(), c, nil)
+		b, err := core.NewInstanceBase(module(), c, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +211,7 @@ func TestTableInit(t *testing.T) {
 		Offset: wasm.ConstExpr{Op: wasm.OpI32Const, Value: 1},
 		Funcs:  []uint32{0},
 	}}
-	b, err := core.NewInstanceBase(m, cfg(), nil)
+	b, err := core.NewInstanceBase(m, cfg(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +225,7 @@ func TestTableInit(t *testing.T) {
 
 	// Out-of-bounds element segment.
 	m.Elems[0].Offset.Value = 3
-	if _, err := core.NewInstanceBase(m, cfg(), nil); err == nil {
+	if _, err := core.NewInstanceBase(m, cfg(), nil, nil); err == nil {
 		t.Error("out-of-bounds elem segment accepted")
 	}
 }

@@ -24,28 +24,7 @@ func NewSharedMemory(m *wasm.Module, cfg Config) (*mem.Memory, error) {
 	if !ok {
 		return nil, errors.New("core: module declares no memory")
 	}
-	maxPages := cfg.MaxPages
-	if lim.HasMax && lim.Max < maxPages {
-		maxPages = lim.Max
-	}
-	if maxPages < lim.Min {
-		maxPages = lim.Min
-	}
-	if maxPages == 0 {
-		maxPages = 1
-	}
-	mm, err := mem.New(mem.Config{
-		Strategy:    cfg.Strategy,
-		AS:          cfg.AS,
-		MinPages:    lim.Min,
-		MaxPages:    maxPages,
-		Pool:        cfg.Pool,
-		DisablePool: cfg.UffdNoPool,
-		UffdPoll:    cfg.UffdPoll,
-		EagerCommit: cfg.EagerCommit,
-		Shared:      true,
-		Span:        cfg.Span,
-	})
+	mm, err := cfg.newMemory(lim, nil, true, cfg.Span)
 	if err != nil {
 		return nil, fmt.Errorf("core: shared memory: %w", err)
 	}

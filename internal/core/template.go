@@ -17,7 +17,6 @@ import (
 
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/obs"
-	"leapsandbounds/internal/wasm"
 )
 
 // StateSnapshot is the frozen state of one warmed instance: the
@@ -29,20 +28,6 @@ type StateSnapshot struct {
 	Globals []uint64
 	Table   []uint32
 	Filled  []bool
-}
-
-// Snapshotter is implemented by instances whose state can be frozen
-// into a StateSnapshot (both closure-compiled and interpreted
-// instances, via InstanceBase).
-type Snapshotter interface {
-	Snapshot() (*StateSnapshot, error)
-}
-
-// SnapshotInstantiator is implemented by compiled modules that can
-// instantiate directly from a snapshot, skipping data segments and
-// the start function (their effects are baked into the image).
-type SnapshotInstantiator interface {
-	InstantiateSnapshot(cfg Config, imports Imports, snap *StateSnapshot) (Instance, error)
 }
 
 // Snapshot freezes the base's state. The memory image is copied, so
@@ -65,83 +50,6 @@ func (b *InstanceBase) Snapshot() (*StateSnapshot, error) {
 	return snap, nil
 }
 
-// NewInstanceBaseFromSnapshot is the fork-side counterpart of
-// NewInstanceBase: imports are re-resolved (host functions are
-// per-instance), the memory forks from the snapshot through the
-// strategy's copy-on-write machinery, and globals/table are restored
-// by value. Data segments, element segments and the start function
-// are deliberately skipped — the snapshot already contains their
-// effects plus whatever the warm-up invoke did on top.
-func NewInstanceBaseFromSnapshot(m *wasm.Module, cfg Config, imports Imports, snap *StateSnapshot) (*InstanceBase, error) {
-	if snap == nil {
-		return nil, errors.New("core: nil state snapshot")
-	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	b := &InstanceBase{
-		Module:       m,
-		Cfg:          cfg,
-		obsInvokes:   cfg.Obs.Counter("invokes"),
-		obsTraps:     cfg.Obs.Counter("traps"),
-		obsInjected:  cfg.Obs.Counter("injected_traps"),
-		obsHostcalls: cfg.Obs.Counter("hostcalls"),
-	}
-	forkSpan := cfg.Obs.StartSpan(obs.SpanFork, cfg.Span)
-	defer forkSpan.End()
-
-	for _, im := range m.Imports {
-		switch im.Kind {
-		case wasm.ExternFunc:
-			ft := m.Types[im.Func]
-			hf, err := imports.Resolve(im.Module, im.Name, ft)
-			if err != nil {
-				return nil, err
-			}
-			b.HostFuncs = append(b.HostFuncs, hf)
-		case wasm.ExternMemory, wasm.ExternTable, wasm.ExternGlobal:
-			return nil, fmt.Errorf("core: %v imports are not supported (import %q.%q)",
-				im.Kind, im.Module, im.Name)
-		}
-	}
-
-	if _, hasMem := m.MemoryLimits(); hasMem != (snap.Mem != nil) {
-		return nil, errors.New("core: snapshot memory does not match module declaration")
-	}
-	if snap.Mem != nil {
-		memParent := cfg.Span
-		if forkSpan.Ref().Valid() {
-			memParent = forkSpan.Ref()
-		}
-		mm, err := mem.NewFromSnapshot(mem.Config{
-			Strategy:    cfg.Strategy,
-			AS:          cfg.AS,
-			Pool:        cfg.Pool,
-			DisablePool: cfg.UffdNoPool,
-			UffdPoll:    cfg.UffdPoll,
-			EagerCommit: cfg.EagerCommit,
-			Span:        memParent,
-		}, snap.Mem)
-		if err != nil {
-			return nil, err
-		}
-		b.Mem = mm
-	}
-	b.HostCtx = HostContext{
-		Mem:    b.Mem,
-		views:  cfg.Obs.Counter("hostview_acquires"),
-		revals: cfg.Obs.Counter("hostview_revalidations"),
-	}
-	b.Globals = slices.Clone(snap.Globals)
-	b.Table = slices.Clone(snap.Table)
-	b.Filled = slices.Clone(snap.Filled)
-	if b.Mem != nil {
-		b.Mem.SetSpanParent(cfg.Span)
-	}
-	return b, nil
-}
-
 // Template is a warmed, frozen instance of a compiled module that
 // serves forks. Safe for concurrent Fork calls: all state is
 // immutable after NewTemplate returns.
@@ -150,7 +58,6 @@ type Template struct {
 	cfg     Config
 	imports Imports
 	snap    *StateSnapshot
-	warm    func(Instance) error
 }
 
 // NewTemplate instantiates cm once under cfg, runs the warm function
@@ -171,12 +78,9 @@ func NewTemplate(cm CompiledModule, cfg Config, imports Imports, warm func(Insta
 	if cfg.SharedMem != nil {
 		// A shared memory has racing writers; freezing it mid-traffic
 		// would tear, and a fork of one thread of a thread group is not
-		// a meaningful isolate. Refuse up front — even for engines
-		// without snapshot support, whose degraded fork path would
-		// otherwise hand every "fork" the same live memory.
+		// a meaningful isolate. Refuse before the donor attaches to it.
 		return nil, errors.New("core: cannot build a template from a shared-memory instance")
 	}
-	t := &Template{mod: cm, cfg: cfg, imports: imports, warm: warm}
 	inst, err := InstantiateWithRetry(cm, cfg, imports)
 	if err != nil {
 		return nil, fmt.Errorf("core: template instantiation: %w", err)
@@ -187,29 +91,14 @@ func NewTemplate(cm CompiledModule, cfg Config, imports Imports, warm func(Insta
 			return nil, fmt.Errorf("core: template warm-up: %w", err)
 		}
 	}
-	if s, ok := inst.(Snapshotter); ok {
-		snap, err := s.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("core: template snapshot: %w", err)
-		}
-		t.snap = snap
+	snap, err := inst.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("core: template snapshot: %w", err)
 	}
-	return t, nil
+	return &Template{mod: cm, cfg: cfg, imports: imports, snap: snap}, nil
 }
 
-// CanFork reports whether forks take the snapshot fast path. False
-// means the engine cannot snapshot or restore, and Fork degrades to
-// fresh instantiation plus a re-run of the warm function.
-func (t *Template) CanFork() bool {
-	if t.snap == nil {
-		return false
-	}
-	_, ok := t.mod.(SnapshotInstantiator)
-	return ok
-}
-
-// Snapshot exposes the frozen state (nil when the engine could not
-// snapshot).
+// Snapshot exposes the frozen state.
 func (t *Template) Snapshot() *StateSnapshot { return t.snap }
 
 // Config returns the template's normalized configuration.
@@ -223,6 +112,8 @@ func (t *Template) Fork() (Instance, error) { return t.ForkWith(t.cfg) }
 // typically repoint Config.Span per request, or fork into a different
 // strategy for ablations). A nil Profile or AS inherits the
 // template's, so forks land in the same simulated process by default.
+// Injected transient faults are retried exactly as the donor's
+// instantiation retried them.
 func (t *Template) ForkWith(cfg Config) (Instance, error) {
 	if cfg.Profile == nil {
 		cfg.Profile = t.cfg.Profile
@@ -230,21 +121,5 @@ func (t *Template) ForkWith(cfg Config) (Instance, error) {
 	if cfg.AS == nil {
 		cfg.AS = t.cfg.AS
 	}
-	if si, ok := t.mod.(SnapshotInstantiator); ok && t.snap != nil {
-		return si.InstantiateSnapshot(cfg, t.imports, t.snap)
-	}
-	// Degraded path: engines without snapshot support serve cold
-	// instances, re-running the warm-up per fork. Semantically
-	// identical, none of the latency win.
-	inst, err := InstantiateWithRetry(t.mod, cfg, t.imports)
-	if err != nil {
-		return nil, err
-	}
-	if t.warm != nil {
-		if err := t.warm(inst); err != nil {
-			_ = inst.Close()
-			return nil, err
-		}
-	}
-	return inst, nil
+	return instantiateWithRetry(t.mod, cfg, t.imports, t.snap)
 }

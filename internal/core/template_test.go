@@ -3,12 +3,16 @@ package core_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"leapsandbounds/gen"
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/faultinject"
+	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
+	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/wasm"
 )
 
@@ -81,9 +85,6 @@ func TestTemplateForkAllStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tpl.CanFork() {
-				t.Fatal("compiled engine template cannot fork")
-			}
 			fork, err := tpl.Fork()
 			if err != nil {
 				t.Fatal(err)
@@ -120,6 +121,102 @@ func TestTemplateForkAllStrategies(t *testing.T) {
 			}
 			if res, _ := fork2.Invoke("get", uint64(5)); res[0] != 5*salt+salt {
 				t.Fatalf("fork2 saw sibling write: %d", res[0])
+			}
+		})
+	}
+}
+
+// TestForkIsSampled: a fork registers with the sampling profiler exactly
+// as a fresh instance does. The template is built unprofiled, so every
+// sample belongs to the fork.
+func TestForkIsSampled(t *testing.T) {
+	for _, tc := range []struct {
+		eng             core.Engine
+		label, strategy string
+	}{
+		{compiled.NewWAVM(), "wavm", "mprotect"},
+		{interp.NewWasm3(), "interp", "trap"}, // wasm3 forces trap checks
+	} {
+		t.Run(tc.eng.Name(), func(t *testing.T) {
+			cm, err := tc.eng.Compile(templateModule(t, 13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tpl, err := core.NewTemplate(cm, core.Config{Profile: isa.X86_64(), Strategy: mem.Mprotect}, nil, warmInit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := prof.New(4001, nil)
+			p.Start()
+			defer p.Stop()
+			cfg := tpl.Config()
+			cfg.Prof = p
+			fork, err := tpl.ForkWith(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fork.Close()
+			var snap prof.Profile
+			for deadline := time.Now().Add(2 * time.Second); snap.Samples == 0 && time.Now().Before(deadline); {
+				if err := warmInit(fork); err != nil {
+					t.Fatal(err)
+				}
+				snap = p.Snapshot()
+			}
+			if snap.Samples == 0 {
+				t.Fatal("2 s of invokes on a fork under a started profiler: no samples")
+			}
+			for _, r := range snap.Rows {
+				if r.Engine != tc.label || r.Strategy != tc.strategy {
+					t.Errorf("row attributed to %s/%s, want %s/%s", r.Engine, r.Strategy, tc.label, tc.strategy)
+				}
+			}
+		})
+	}
+}
+
+// TestForkRetriesTransientFaults: Template.Fork absorbs injected mmap
+// failures with the same bounded retry as a fresh instantiation.
+func TestForkRetriesTransientFaults(t *testing.T) {
+	const salt = 17
+	eng := compiled.NewWAVM()
+	for _, s := range []mem.Strategy{mem.Trap, mem.Mprotect} {
+		t.Run(s.String(), func(t *testing.T) {
+			cm, err := eng.Compile(templateModule(t, salt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tpl, err := core.NewTemplate(cm, core.Config{
+				Profile:  isa.X86_64(),
+				Strategy: s,
+				Fault:    &faultinject.Plan{Seed: 1, Rate: 0.3, Sites: []faultinject.Site{faultinject.SiteMmap}},
+			}, nil, warmInit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			as := tpl.Config().AS
+			recovered := as.Obs().Child("faultinject").Counter("recover_" + faultinject.SiteMmap.String())
+			injects0, recovered0 := as.Injector().Stats().Injects[faultinject.SiteMmap], recovered.Load()
+			failed := 0
+			for i := 0; i < 100; i++ {
+				fork, err := tpl.Fork()
+				if err != nil {
+					failed++
+					continue
+				}
+				if res, err := fork.Invoke("get", uint64(5)); err != nil || res[0] != 5*salt+salt {
+					t.Fatalf("fork %d: get(5) = %v, %v", i, res, err)
+				}
+				if err := fork.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if failed > 0 {
+				t.Errorf("%d of 100 forks failed under injected mmap faults", failed)
+			}
+			injects := as.Injector().Stats().Injects[faultinject.SiteMmap] - injects0
+			if got := recovered.Load() - recovered0; injects == 0 || got == 0 {
+				t.Errorf("%d mmap faults injected into the forks, %d recovered: want both > 0", injects, got)
 			}
 		})
 	}
@@ -208,63 +305,12 @@ func TestTemplateForkWithHostImports(t *testing.T) {
 	}
 }
 
-// fakeModule's instances cannot snapshot; Template must degrade to
-// fresh instantiation + re-warm.
-type fakeModule struct{ instantiated int }
-
-type fakeInstance struct {
-	mod    *fakeModule
-	warmed bool
-}
-
-func (f *fakeModule) Instantiate(cfg core.Config, imports core.Imports) (core.Instance, error) {
-	f.instantiated++
-	return &fakeInstance{mod: f}, nil
-}
-
-func (f *fakeInstance) Invoke(name string, args ...uint64) ([]uint64, error) {
-	if name == "init" {
-		f.warmed = true
-	}
-	return nil, nil
-}
-func (f *fakeInstance) Memory() *mem.Memory { return nil }
-func (f *fakeInstance) Counts() *isa.Counts { return nil }
-func (f *fakeInstance) Close() error        { return nil }
-
-func TestTemplateFallbackWithoutSnapshotSupport(t *testing.T) {
-	fm := &fakeModule{}
-	tpl, err := core.NewTemplate(fm, core.Config{Profile: isa.X86_64()}, nil,
-		func(inst core.Instance) error { _, err := inst.Invoke("init"); return err })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tpl.CanFork() {
-		t.Fatal("fake module claims fork support")
-	}
-	inst, err := tpl.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inst.Close()
-	fi := inst.(*fakeInstance)
-	if !fi.warmed {
-		t.Error("fallback fork skipped the warm-up")
-	}
-	if fm.instantiated != 2 {
-		t.Errorf("instantiations = %d, want 2 (donor + fallback fork)", fm.instantiated)
-	}
-}
-
 func TestSnapshotModuleMismatch(t *testing.T) {
 	// A snapshot without memory cannot restore into a module that
 	// declares one.
-	if _, err := core.NewInstanceBaseFromSnapshot(module(), cfg(), nil,
+	if _, err := core.NewInstanceBase(module(), cfg(), nil,
 		&core.StateSnapshot{}); err == nil {
 		t.Error("memoryless snapshot accepted for module with memory")
-	}
-	if _, err := core.NewInstanceBaseFromSnapshot(module(), cfg(), nil, nil); err == nil {
-		t.Error("nil snapshot accepted")
 	}
 }
 

@@ -307,26 +307,19 @@ func Run(opts Options) (*Result, error) {
 		}
 		defer cleanup()
 		if opts.NoCache {
-			if cs, ok := eng.(core.CacheSetter); ok {
-				cs.SetCache(nil)
-			}
+			eng.SetCache(nil)
 		}
 		if opts.NoElide || opts.NoRIR {
-			if cs, ok := eng.(core.CodegenSetter); ok {
-				// Read the engine's current defaults and clear only the
-				// ablated knobs, so one ablation never resets the other.
-				var cg core.Codegen
-				if cgGet, ok := eng.(core.CodegenGetter); ok {
-					cg = cgGet.Codegen()
-				}
-				if opts.NoElide {
-					cg.BoundsElision = false
-				}
-				if opts.NoRIR {
-					cg.RegisterIR = false
-				}
-				cs.SetCodegen(cg)
+			// Read the engine's current defaults and clear only the
+			// ablated knobs, so one ablation never resets the other.
+			cg := eng.Codegen()
+			if opts.NoElide {
+				cg.BoundsElision = false
 			}
+			if opts.NoRIR {
+				cg.RegisterIR = false
+			}
+			eng.SetCodegen(cg)
 		}
 		if te, ok := eng.(*tiered.Engine); ok {
 			te.AttachObs(runScope.Child("v8"))

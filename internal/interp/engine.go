@@ -17,6 +17,14 @@ import (
 	"leapsandbounds/internal/wasm"
 )
 
+// A break of the engine contract is a build error here, in the package
+// that caused it.
+var (
+	_ core.Engine         = (*Engine)(nil)
+	_ core.CompiledModule = (*Module)(nil)
+	_ core.Instance       = (*Instance)(nil)
+)
+
 // Engine is the threaded-interpreter engine. Like the compiled
 // engines, an Engine is immutable configuration with no lifecycle,
 // so its compiled modules are safely shared through the process-wide
@@ -52,9 +60,16 @@ func NewConfigurable() *Engine {
 	}
 }
 
-// SetCache implements core.CacheSetter; a nil cache detaches the
-// engine from caching. Call before the first Compile.
+// SetCache implements core.Engine; a nil cache detaches the engine
+// from caching. Call before the first Compile.
 func (e *Engine) SetCache(c core.ModuleCache) { e.cache = c }
+
+// Codegen implements core.Engine: the interpreter generates no code,
+// so it has no knobs to report and ignores SetCodegen.
+func (e *Engine) Codegen() core.Codegen { return core.Codegen{} }
+
+// SetCodegen implements core.Engine as a no-op.
+func (e *Engine) SetCodegen(core.Codegen) {}
 
 // Name implements core.Engine.
 func (e *Engine) Name() string { return e.name }
@@ -62,41 +77,31 @@ func (e *Engine) Name() string { return e.name }
 // Description implements core.Engine.
 func (e *Engine) Description() string { return e.desc }
 
-// Module is the interpreter's compiled form; it implements
-// core.CompiledModule and is exported so the tiered engine can reuse
-// interpreter instances as its baseline tier.
+// Module is the interpreter's compiled form.
 type Module struct {
 	engine *Engine
 	wasm   *wasm.Module
 	funcs  []*flatten.Func // module-defined functions, in code order
 }
 
-// Compile implements core.Engine.
+// Compile implements core.Engine. It routes through the engine's
+// module cache: validate + flatten run only on a cache miss. "wasm3"
+// and "interp" artifacts are keyed separately (the engine name is part
+// of the key) even though flattening is identical, because the cached
+// module retains the engine pointer whose forceTrap flag selects the
+// memory accessors at instantiate.
 func (e *Engine) Compile(m *wasm.Module) (core.CompiledModule, error) {
-	return e.CompileInterp(m)
-}
-
-// CompileInterp is Compile with a concrete result type. It routes
-// through the engine's module cache: validate + flatten run only on
-// a cache miss. "wasm3" and "interp" artifacts are keyed separately
-// (the engine name is part of the key) even though flattening is
-// identical, because the cached module retains the engine pointer
-// whose forceTrap flag selects the memory accessors at instantiate.
-func (e *Engine) CompileInterp(m *wasm.Module) (*Module, error) {
+	compile := func() (core.CompiledModule, error) { return e.compileInterp(m) }
 	if e.cache == nil {
-		return e.compileInterp(m)
+		return compile()
 	}
-	cm, _, err := e.cache.GetOrCompile(m, e.name, "",
-		func() (core.CompiledModule, error) { return e.compileInterp(m) })
-	if err != nil {
-		return nil, err
-	}
-	return cm.(*Module), nil
+	cm, _, err := e.cache.GetOrCompile(m, e.name, "", compile)
+	return cm, err
 }
 
 // compileInterp is the uncached compile pipeline: validate, then
 // flatten every function on core.CompileFuncs' workers.
-func (e *Engine) compileInterp(m *wasm.Module) (*Module, error) {
+func (e *Engine) compileInterp(m *wasm.Module) (core.CompiledModule, error) {
 	if err := validate.Module(m); err != nil {
 		return nil, err
 	}
@@ -112,18 +117,26 @@ func (e *Engine) compileInterp(m *wasm.Module) (*Module, error) {
 
 // Instantiate implements core.CompiledModule.
 func (cm *Module) Instantiate(cfg core.Config, imports core.Imports) (core.Instance, error) {
-	return cm.InstantiateInterp(cfg, imports)
+	return cm.instantiate(cfg, imports, nil)
 }
 
-// InstantiateInterp is Instantiate with a concrete result type.
-func (cm *Module) InstantiateInterp(cfg core.Config, imports core.Imports) (*Instance, error) {
+// InstantiateSnapshot implements core.CompiledModule.
+func (cm *Module) InstantiateSnapshot(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
+	return cm.instantiate(cfg, imports, snap)
+}
+
+// instantiate creates one isolate, fresh (snap nil: the start function
+// runs) or from a template's frozen state. The wasm3 analog's forced
+// trap checking applies to forks exactly as it does to fresh
+// instances.
+func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
 	if cm.engine.forceTrap {
 		cfg.Strategy = mem.Trap
 	}
 	if cfg.ProfLabel == "" {
 		cfg.ProfLabel = "interp"
 	}
-	base, err := core.NewInstanceBase(cm.wasm, cfg, imports)
+	base, err := core.NewInstanceBase(cm.wasm, cfg, imports, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -133,37 +146,13 @@ func (cm *Module) InstantiateInterp(cfg core.Config, imports core.Imports) (*Ins
 		stack: make([]uint64, 4096),
 		count: cfg.CountCycles,
 	}
-	if cm.wasm.Start != nil {
+	if snap == nil && cm.wasm.Start != nil {
 		if _, err := inst.invokeIndex(*cm.wasm.Start, nil); err != nil {
 			_ = base.Close()
 			return nil, fmt.Errorf("interp: start function: %w", err)
 		}
 	}
 	return inst, nil
-}
-
-// InstantiateSnapshot implements core.SnapshotInstantiator: the
-// instance restores a template's frozen state, skipping segment
-// initialization and the start function. The wasm3 analog's forced
-// trap checking applies to forks exactly as it does to fresh
-// instances.
-func (cm *Module) InstantiateSnapshot(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
-	if cm.engine.forceTrap {
-		cfg.Strategy = mem.Trap
-	}
-	if cfg.ProfLabel == "" {
-		cfg.ProfLabel = "interp"
-	}
-	base, err := core.NewInstanceBaseFromSnapshot(cm.wasm, cfg, imports, snap)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{
-		base:  base,
-		mod:   cm,
-		stack: make([]uint64, 4096),
-		count: cfg.CountCycles,
-	}, nil
 }
 
 // Instance is one interpreter isolate.
@@ -183,7 +172,7 @@ func (inst *Instance) Counts() *isa.Counts { return inst.base.Counts() }
 // Close implements core.Instance.
 func (inst *Instance) Close() error { return inst.base.Close() }
 
-// Snapshot implements core.Snapshotter.
+// Snapshot implements core.Instance.
 func (inst *Instance) Snapshot() (*core.StateSnapshot, error) { return inst.base.Snapshot() }
 
 // Invoke implements core.Instance.
@@ -246,15 +235,7 @@ func (inst *Instance) ensureStack(base int, pf *flatten.Func) {
 func (inst *Instance) call(fi uint32, argBase int) {
 	imported := inst.mod.wasm.NumImportedFuncs()
 	if int(fi) < imported {
-		hf := inst.base.HostFuncs[fi]
-		n := len(hf.Type.Params)
-		v, err := inst.base.CallHost(int(fi), inst.stack[argBase:argBase+n])
-		if err != nil {
-			trap.ThrowHostErr(err)
-		}
-		if len(hf.Type.Results) > 0 {
-			inst.stack[argBase] = v
-		}
+		inst.base.CallImport(fi, inst.stack, argBase)
 		return
 	}
 	pf := inst.mod.funcs[fi-uint32(imported)]
@@ -345,7 +326,7 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 		case wasm.OpCallIndirect:
 			sp--
 			slot := uint32(inst.stack[sp])
-			fi := inst.resolveIndirect(slot, uint32(in.A))
+			fi := inst.base.ResolveIndirect(slot, uint32(in.A))
 			argBase := opBase + int(in.PopTo)
 			inst.call(fi, argBase)
 			sp = argBase + int(in.Arity)
@@ -405,24 +386,6 @@ func (inst *Instance) unwind(opBase, sp int, popTo int32, arity int8) int {
 		return dst + 1
 	}
 	return dst
-}
-
-func (inst *Instance) resolveIndirect(slot, typeIdx uint32) uint32 {
-	if int(slot) >= len(inst.base.Table) {
-		trap.Throw(trap.TableOutOfBounds)
-	}
-	if !inst.base.Filled[slot] {
-		trap.Throw(trap.IndirectCallNull)
-	}
-	fi := inst.base.Table[slot]
-	ft, err := inst.mod.wasm.FuncTypeAt(fi)
-	if err != nil {
-		trap.Throwf(trap.HostError, "%v", err)
-	}
-	if !ft.Equal(inst.mod.wasm.Types[typeIdx]) {
-		trap.Throw(trap.IndirectCallType)
-	}
-	return fi
 }
 
 func (inst *Instance) execPrefix(in *flatten.Instr, sp int) int {

@@ -287,3 +287,99 @@ func TestForkSnapshotClosedMemoryFails(t *testing.T) {
 		t.Error("snapshot of closed memory succeeded")
 	}
 }
+
+// TestNewAndForkOfFreshAgree pins the two entry points to one
+// behaviour: a fork of a just-created memory's snapshot is
+// indistinguishable from a fresh memory — geometry, committed bytes,
+// access results, the out-of-bounds trap, grow, and the kernel work of
+// the whole lifecycle (every vmm counter but the two that count
+// copy-on-write itself and the three that time the mmap lock).
+func TestNewAndForkOfFreshAgree(t *testing.T) {
+	type outcome struct {
+		size, committed      uint64
+		maxPages             uint32
+		strategy             Strategy
+		first, last, pastEnd uint64
+		pastEndTrap          string
+		grow                 int32
+		vm                   vmm.StatsSnapshot
+	}
+	lifecycle := func(t *testing.T, as *vmm.AddressSpace, m *Memory) outcome {
+		t.Helper()
+		o := outcome{
+			size:      m.SizeBytes(),
+			committed: m.Mapping().CommittedBytes(),
+			maxPages:  m.MaxPages(),
+			strategy:  m.Strategy(),
+		}
+		o.first = m.LoadU64(0)
+		o.last = m.LoadU64(o.size - 8)
+		if tr := catchTrap(func() { o.pastEnd = m.LoadU64(o.size) }); tr != nil {
+			o.pastEndTrap = tr.Error()
+		}
+		o.grow = m.Grow(1)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		o.vm = as.Snapshot()
+		o.vm.CowForks, o.vm.CowPagesCopied = 0, 0
+		o.vm.LockWaitNs, o.vm.LockHoldNs, o.vm.LockContended = 0, 0, 0
+		return o
+	}
+	for _, tc := range []struct {
+		name   string
+		s      Strategy
+		pooled bool
+		knobs  Config
+	}{
+		{"none", None, false, Config{}},
+		{"clamp", Clamp, false, Config{}},
+		{"trap", Trap, false, Config{}},
+		{"mprotect", Mprotect, false, Config{}},
+		{"mprotect/eager", Mprotect, false, Config{EagerCommit: true}},
+		{"uffd/pooled", Uffd, true, Config{}},
+		{"uffd/pooled/poll", Uffd, true, Config{UffdPoll: true}},
+		{"uffd/nopool", Uffd, false, Config{DisablePool: true}},
+		{"uffd/nopool/poll", Uffd, false, Config{DisablePool: true, UffdPoll: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each memory gets its own address space (and pool), so an
+			// arm's counters hold its lifecycle and nothing else.
+			cfg := func() Config {
+				c := tc.knobs
+				c.Strategy, c.AS, c.MinPages, c.MaxPages = tc.s, testAS(), 2, 8
+				if tc.pooled {
+					c.Pool = NewArenaPool()
+					t.Cleanup(c.Pool.Drain)
+				}
+				return c
+			}
+			donor, err := New(cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := donor.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := donor.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			freshCfg := cfg()
+			fresh, err := New(freshCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forkCfg := cfg()
+			fork, err := NewFromSnapshot(forkCfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := lifecycle(t, freshCfg.AS, fresh), lifecycle(t, forkCfg.AS, fork)
+			if got != want {
+				t.Errorf("New and NewFromSnapshot(fresh snapshot) disagree:\nfresh %+v\nfork  %+v", want, got)
+			}
+		})
+	}
+}

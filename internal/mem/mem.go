@@ -241,19 +241,47 @@ func backoff(attempt int) {
 	}
 }
 
-// New instantiates a linear memory per the configuration.
+// New instantiates a zero-filled linear memory per the configuration:
+// a fork of the empty image.
 func New(cfg Config) (*Memory, error) {
+	if cfg.MaxPages == 0 || cfg.MaxPages > wasm.MaxPages || cfg.MinPages > cfg.MaxPages {
+		return nil, fmt.Errorf("mem: bad page limits min=%d max=%d", cfg.MinPages, cfg.MaxPages)
+	}
+	minBytes := uint64(cfg.MinPages) * wasm.PageSize
+	return newMemory(cfg, &Snapshot{
+		sizeBytes: minBytes,
+		minBytes:  minBytes,
+		maxBytes:  uint64(cfg.MaxPages) * wasm.PageSize,
+	})
+}
+
+// newMemory is the one constructor body behind New and
+// NewFromSnapshot. from carries the geometry (size, min, max) and the
+// page image the mapping populates from as pages commit; a nil image
+// is the zero page, i.e. a fresh memory. A strategy lays a fresh and
+// a forked mapping out the same way:
+//
+//	none/clamp/trap  RW mapping, touched over the full size up front
+//	                 (a fork duplicates every source page here: the
+//	                 whole window is writable, so the copy cannot be
+//	                 deferred)
+//	mprotect         PROT_NONE reservation; faults commit (and, for a
+//	                 fork, duplicate) pages lazily, or one mprotect
+//	                 commits the whole size under EagerCommit
+//	uffd             a pooled arena, pointed at the image for a fork;
+//	                 without a pool, its own registered reservation
+func newMemory(cfg Config, from *Snapshot) (*Memory, error) {
 	if cfg.AS == nil {
 		return nil, fmt.Errorf("mem: Config.AS is required")
 	}
-	if cfg.MaxPages == 0 || cfg.MaxPages > wasm.MaxPages || cfg.MinPages > cfg.MaxPages {
-		return nil, fmt.Errorf("mem: bad page limits min=%d max=%d", cfg.MinPages, cfg.MaxPages)
+	if cfg.Strategy > Uffd {
+		return nil, fmt.Errorf("mem: unknown strategy %v", cfg.Strategy)
 	}
 	sc := cfg.AS.Obs().Child("mem").Child(cfg.Strategy.String())
 	m := &Memory{
 		strategy:     cfg.Strategy,
-		minBytes:     uint64(cfg.MinPages) * wasm.PageSize,
-		maxBytes:     uint64(cfg.MaxPages) * wasm.PageSize,
+		minBytes:     from.minBytes,
+		maxBytes:     from.maxBytes,
 		shared:       cfg.Shared,
 		obs:          sc,
 		growCalls:    sc.Counter("grows"),
@@ -261,97 +289,89 @@ func New(cfg Config) (*Memory, error) {
 		faultPages:   sc.Counter("fault_pages"),
 		inj:          cfg.AS.Injector(),
 	}
-	m.sizeBytes.Store(uint64(cfg.MinPages) * wasm.PageSize)
-	size := m.sizeBytes.Load()
-	switch cfg.Strategy {
-	case None, Clamp, Trap:
-		mp, err := cfg.AS.MmapTraced(Reserve, m.maxBytes, vmm.ProtRW, cfg.Span)
-		if err != nil {
-			return nil, err
-		}
-		if size > 0 {
-			if err := mp.Touch(0, size); err != nil {
-				cleanup(cfg.AS, mp)
-				return nil, err
-			}
-		}
-		m.mapping = mp
-		m.data = mp.Data()
-		m.fastLimit.Store(size)
-	case Mprotect:
-		mp, err := cfg.AS.MmapTraced(Reserve, m.maxBytes, vmm.ProtNone, cfg.Span)
-		if err != nil {
-			return nil, err
-		}
-		m.mapping = mp
-		m.data = mp.Data()
-		m.eager = cfg.EagerCommit
-		if m.eager && size > 0 {
-			if err := m.mprotectRetry(mp, 0, size); err != nil {
-				cleanup(cfg.AS, mp)
-				return nil, err
-			}
-			m.fastLimit.Store(size)
-		}
-	case Uffd:
-		if cfg.DisablePool {
-			mp, err := cfg.AS.MmapTraced(Reserve, m.maxBytes, vmm.ProtNone, cfg.Span)
-			if err != nil {
-				return nil, err
-			}
-			if err := mp.RegisterUffd(); err != nil {
-				cleanup(cfg.AS, mp)
-				return nil, err
-			}
-			m.mapping = mp
-			m.data = mp.Data()
-			if cfg.UffdPoll {
-				m.poll = newUffdServer()
-			}
-			break
-		}
+	size := from.sizeBytes
+	m.sizeBytes.Store(size)
+	if from.src != nil {
+		sc.Counter("forks").Inc()
+	}
+	var degraded bool
+	var degradedAt faultinject.Site
+	if cfg.Strategy == Uffd && !cfg.DisablePool {
 		if cfg.Pool == nil {
 			return nil, fmt.Errorf("mem: the uffd strategy requires an arena pool")
 		}
 		a, err := cfg.Pool.get(cfg.AS, m.maxBytes, cfg.Span)
-		if err != nil {
-			if site, ok := faultinject.IsTransient(err); ok {
-				// Pool exhausted (injected): degrade to the mprotect
-				// strategy rather than failing the instantiation. Trap
-				// semantics are identical — both virtual-memory
-				// strategies fault and commit lazily — so the
-				// degradation is invisible to the guest.
-				mp, merr := cfg.AS.MmapTraced(Reserve, m.maxBytes, vmm.ProtNone, cfg.Span)
-				if merr != nil {
-					return nil, merr
-				}
-				m.strategy = Mprotect
-				m.mapping = mp
-				m.data = mp.Data()
-				sc.Counter("uffd_fallbacks").Inc()
-				m.inj.Recovered(site)
-				break
+		if err == nil {
+			if from.src != nil {
+				// The borrowed arena becomes a fork: its decommitted pages
+				// now populate from the template image. pool.put clears the
+				// source before the arena is parked, so recycling stays
+				// zero-fill for the next plain instance.
+				a.mapping.SetSource(from.src)
 			}
+			m.arena = a
+			m.pool = cfg.Pool
+			if cfg.UffdPoll {
+				// Pooled memories, forks included, share the pool's one
+				// handler thread; none spawns a second poller.
+				m.poll = cfg.Pool.pollServer
+			}
+			m.adopt(a.mapping)
+			return m, nil
+		}
+		// Pool exhausted (injected): degrade to a lazy mprotect mapping
+		// rather than failing the instantiation. Trap semantics are
+		// identical — both virtual-memory strategies fault and commit
+		// lazily — so the degradation is invisible to the guest.
+		if degradedAt, degraded = faultinject.IsTransient(err); !degraded {
 			return nil, err
 		}
-		m.arena = a
-		m.pool = cfg.Pool
-		m.mapping = a.mapping
-		m.data = a.mapping.Data()
-		if cfg.UffdPoll {
-			m.poll = cfg.Pool.pollServer
+	}
+	prot := vmm.ProtNone
+	if cfg.Strategy <= Trap {
+		prot = vmm.ProtRW
+	}
+	mp, err := cfg.AS.MmapCoWTraced(Reserve, m.maxBytes, prot, from.src, cfg.Span)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case degraded:
+		m.strategy = Mprotect
+		sc.Counter("uffd_fallbacks").Inc()
+		m.inj.Recovered(degradedAt)
+	case cfg.Strategy <= Trap:
+		if size > 0 {
+			err = mp.Touch(0, size)
 		}
-	default:
-		return nil, fmt.Errorf("mem: unknown strategy %v", cfg.Strategy)
+		m.fastLimit.Store(size)
+	case cfg.Strategy == Mprotect:
+		m.eager = cfg.EagerCommit
+		if m.eager && size > 0 {
+			err = m.mprotectRetry(mp, 0, size)
+			m.fastLimit.Store(size)
+		}
+	default: // pool-less uffd
+		if err = mp.RegisterUffd(); err == nil && cfg.UffdPoll {
+			// Pool-less instances own their handler thread.
+			m.poll = newUffdServer()
+		}
 	}
-	if len(m.data) > 0 {
-		m.ptr = unsafe.Pointer(&m.data[0])
+	if err != nil {
+		_ = mp.Munmap()
+		return nil, err
 	}
+	m.adopt(mp)
 	return m, nil
 }
 
-func cleanup(as *vmm.AddressSpace, mp *vmm.Mapping) {
-	_ = as.Munmap(mp)
+// adopt installs mp as the memory's backing.
+func (m *Memory) adopt(mp *vmm.Mapping) {
+	m.mapping = mp
+	m.data = mp.Data()
+	if len(m.data) > 0 {
+		m.ptr = unsafe.Pointer(&m.data[0])
+	}
 }
 
 // Close releases the memory: pooled arenas are recycled, everything

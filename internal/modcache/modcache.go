@@ -329,9 +329,6 @@ func (c *Cache) insert(k Key, cm core.CompiledModule, size, compileNs int64) {
 // codec consult it; GetOrCompile never touches disk.
 func (c *Cache) SetDiskTier(d *DiskTier) { c.disk.Store(d) }
 
-// DiskTier returns the attached disk tier, or nil.
-func (c *Cache) DiskTier() *DiskTier { return c.disk.Load() }
-
 // GetOrCompile implements core.ModuleCache. On a hit it returns the
 // cached artifact; on a miss it runs compile — deduplicated, so
 // concurrent misses on the same key run it exactly once — and caches
@@ -343,7 +340,7 @@ func (c *Cache) GetOrCompile(m *wasm.Module, engine, opts string,
 	return cm, prov != core.FromCompile, err
 }
 
-// GetOrCompileArtifact implements core.ArtifactCache: the resolution
+// GetOrCompileArtifact implements core.ModuleCache: the resolution
 // chain is memory → disk → compile, with the whole miss path (disk
 // probe included) inside one singleflight so concurrent requesters of
 // an uncached key cost one disk read or one compile, never N.
@@ -476,8 +473,4 @@ func (c *Cache) timedCompile(compile func() (core.CompiledModule, error)) (core.
 	return cm, err
 }
 
-// Interface conformance.
-var (
-	_ core.ModuleCache   = (*Cache)(nil)
-	_ core.ArtifactCache = (*Cache)(nil)
-)
+var _ core.ModuleCache = (*Cache)(nil)

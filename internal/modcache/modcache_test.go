@@ -40,6 +40,10 @@ func (s *stubModule) Instantiate(core.Config, core.Imports) (core.Instance, erro
 	return nil, fmt.Errorf("stub %d", s.id)
 }
 
+func (s *stubModule) InstantiateSnapshot(core.Config, core.Imports, *core.StateSnapshot) (core.Instance, error) {
+	return nil, fmt.Errorf("stub %d", s.id)
+}
+
 func compileStub(id int64) func() (core.CompiledModule, error) {
 	return func() (core.CompiledModule, error) { return &stubModule{id: id}, nil }
 }

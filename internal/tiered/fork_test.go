@@ -47,9 +47,6 @@ func TestForkAdoptsTopTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tpl.CanFork() {
-		t.Fatal("tiered template cannot fork")
-	}
 
 	// Before the optimizing compile lands, forks run on whatever tier
 	// is available — the snapshot itself is tier-independent.

@@ -49,6 +49,14 @@ const (
 	safepointWaitThreshold = 500 * time.Nanosecond
 )
 
+// A break of the engine contract is a build error here, in the package
+// that caused it.
+var (
+	_ core.Engine         = (*Engine)(nil)
+	_ core.CompiledModule = (*module)(nil)
+	_ core.Instance       = (*instance)(nil)
+)
+
 // Engine is the tiered engine. It owns background workers and the
 // GC controller; call Close when done (tests and the harness do).
 type Engine struct {
@@ -203,7 +211,7 @@ func busySpin(d time.Duration) {
 	}
 }
 
-// SetCache implements core.CacheSetter by forwarding to both tiers:
+// SetCache implements core.Engine by forwarding to both tiers:
 // the tiered module itself is never cached (it holds a pointer to
 // this engine, which owns goroutines and a Close method), but its
 // per-tier artifacts are plain interp/compiled modules and cache
@@ -213,12 +221,12 @@ func (e *Engine) SetCache(c core.ModuleCache) {
 	e.topTier.SetCache(c)
 }
 
-// SetCodegen implements core.CodegenSetter by forwarding to the top
-// tier (the baseline interpreter has no codegen). The harness uses it
-// to ablate the register tier.
+// SetCodegen implements core.Engine by forwarding to the top tier (the
+// baseline interpreter has no codegen). The harness uses it to ablate
+// the register tier.
 func (e *Engine) SetCodegen(cg core.Codegen) { e.topTier.SetCodegen(cg) }
 
-// Codegen implements core.CodegenGetter.
+// Codegen implements core.Engine.
 func (e *Engine) Codegen() core.Codegen { return e.topTier.Codegen() }
 
 // Compile implements core.Engine: the baseline tier compiles
@@ -232,7 +240,7 @@ func (e *Engine) Compile(m *wasm.Module) (core.CompiledModule, error) {
 	if err := validate.Module(m); err != nil {
 		return nil, err
 	}
-	base, err := e.baseline.CompileInterp(m)
+	base, err := e.baseline.Compile(m)
 	if err != nil {
 		return nil, err
 	}
@@ -307,43 +315,29 @@ func tierCfg(cfg core.Config, label string) core.Config {
 type module struct {
 	engine   *Engine
 	wasm     *wasm.Module
-	baseline *interp.Module
+	baseline core.CompiledModule
 	top      atomic.Pointer[compiled.Module]
 }
 
-// Instantiate picks the best available tier. Under fault injection a
-// transient top-tier instantiation failure degrades to the baseline
-// tier (semantically identical, slower) rather than failing the
-// request, and the absorbed failure is counted as a recovery.
+// Instantiate implements core.CompiledModule.
 func (m *module) Instantiate(cfg core.Config, imports core.Imports) (core.Instance, error) {
-	var inner core.Instance
-	var err error
-	if top := m.top.Load(); top != nil {
-		inner, err = top.InstantiateCompiled(tierCfg(cfg, "tiered-top"), imports)
-		if err != nil && cfg.AS != nil {
-			if site, ok := faultinject.IsTransient(err); ok {
-				inner, err = m.baseline.InstantiateInterp(tierCfg(cfg, "tiered-baseline"), imports)
-				if err == nil {
-					m.engine.tierFallbacks.Add(1)
-					cfg.AS.Injector().Recovered(site)
-				}
-			}
-		}
-	} else {
-		inner, err = m.baseline.InstantiateInterp(tierCfg(cfg, "tiered-baseline"), imports)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &instance{engine: m.engine, inner: inner, obs: cfg.Obs, span: cfg.Span}, nil
+	return m.instantiate(cfg, imports, nil)
 }
 
-// InstantiateSnapshot implements core.SnapshotInstantiator: forks
-// adopt the best tier available at fork time — in the serving steady
-// state that is the optimized tier, even when the template's donor
-// instance ran on the baseline before tier-up finished. The same
-// transient-failure degradation as Instantiate applies.
+// InstantiateSnapshot implements core.CompiledModule: forks adopt the
+// best tier available at fork time — in the serving steady state that
+// is the optimized tier, even when the template's donor instance ran
+// on the baseline before tier-up finished.
 func (m *module) InstantiateSnapshot(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
+	return m.instantiate(cfg, imports, snap)
+}
+
+// instantiate creates one isolate, fresh or (snap non-nil) forked, on
+// the best available tier. Under fault injection a transient top-tier
+// instantiation failure degrades to the baseline tier (semantically
+// identical, slower) rather than failing the request, and the absorbed
+// failure is counted as a recovery.
+func (m *module) instantiate(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
 	var inner core.Instance
 	var err error
 	if top := m.top.Load(); top != nil {
@@ -409,16 +403,11 @@ func (i *instance) Counts() *isa.Counts { return i.inner.Counts() }
 // Close implements core.Instance.
 func (i *instance) Close() error { return i.inner.Close() }
 
-// Snapshot implements core.Snapshotter by freezing the inner tier's
+// Snapshot implements core.Instance by freezing the inner tier's
 // state. Snapshots are tier-independent — memory image, globals,
 // table — so a baseline donor's snapshot restores into an optimized
 // fork once tier-up completes.
-func (i *instance) Snapshot() (*core.StateSnapshot, error) {
-	if s, ok := i.inner.(core.Snapshotter); ok {
-		return s.Snapshot()
-	}
-	return nil, fmt.Errorf("tiered: inner tier %T cannot snapshot", i.inner)
-}
+func (i *instance) Snapshot() (*core.StateSnapshot, error) { return i.inner.Snapshot() }
 
 // Tier reports which tier the instance runs on ("baseline" or
 // "optimized"), for tests.

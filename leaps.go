@@ -120,9 +120,10 @@ type StateSnapshot = core.StateSnapshot
 // linear memory, globals, table — and closes the donor. Template.Fork
 // then mints instances from the frozen image via copy-on-write
 // mappings: no recompile (the compiled artifact is shared), no
-// re-init, page duplication deferred to first write. Engines that
-// cannot snapshot degrade to fresh instantiation plus a re-run of
-// warm per fork (Template.CanFork reports which path forks take).
+// re-init, page duplication deferred to first write. Every engine
+// snapshots and restores (it is part of the CompiledModule and
+// Instance contract), and a fork retries injected transient faults
+// exactly as a fresh instantiation does.
 func NewTemplate(cm CompiledModule, cfg Config, imports Imports, warm func(Instance) error) (*Template, error) {
 	return core.NewTemplate(cm, cfg, imports, warm)
 }

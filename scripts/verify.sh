@@ -16,6 +16,13 @@ go vet ./...
 echo "== gofmt -l (any file it names is a failure)"
 test -z "$(gofmt -l . | tee /dev/stderr)"
 
+# One engine contract: core.Engine / CompiledModule / Instance are what
+# every engine implements, so nothing outside tests asks an engine (or
+# a cache) whether it can do something.
+echo "== no engine capability probes (type assertions to core interfaces) outside tests"
+probes=$(grep -rnE '\.\(core\.[A-Z][A-Za-z]*\)' --include='*.go' . | grep -v '_test.go' | grep -v '^./benchmark/' || true)
+test -z "$probes" || { echo "$probes"; exit 1; }
+
 echo "== go test ./..."
 go test ./...
 
