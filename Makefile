@@ -14,14 +14,18 @@ test:
 # Race pass over the packages with goroutines or unsynchronised fast
 # paths; this is also where the differential suites (elide, rir, fork,
 # hostcall, shared memory) run in full, without -short.
-#   compiled, interp, flatten, rir: core.CompileFuncs' workers run
-#     flatten → rir → elide → emit concurrently, and the compiled
-#     engines' unchecked fast paths only show a race here
+#   fanout, wasm, validate, compiled, interp, flatten, rir: a cold
+#     start runs on fanout's workers from the code section on — decode
+#     and validate per body, then flatten → rir → elide → emit per
+#     function — and the validated mark on a module is read and written
+#     by engines compiling it at once; FuzzDecode's and FuzzValidate's
+#     seeds run here too. The compiled engines' unchecked fast paths
+#     only show a race here
 #   wasi: one Env serves hostcalls from every worker of a guest
 #   harness: RunShared, N workers and a grower on one shared memory
 #   prof, telemetry: a sampler / an SSE stream reading live state
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/telemetry/ ./internal/core/ ./internal/wasi/ ./internal/prof/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/telemetry/ ./internal/core/ ./internal/wasi/ ./internal/prof/
 
 # Profiler smoke: sample a short gemm run through the harness and
 # assert the profile is non-empty and its pprof export parses

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/fanout"
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/rir"
@@ -198,7 +199,8 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 	if len(art.Funcs) != len(m.Code) {
 		return nil, fmt.Errorf("compiled: artifact has %d functions, module has %d", len(art.Funcs), len(m.Code))
 	}
-	funcs, err := core.CompileFuncs(len(art.Funcs), "compiled: artifact function", func(i int) (*cfunc, error) {
+	imported := uint32(m.NumImportedFuncs())
+	funcs, i, err := fanout.Map(len(art.Funcs), func(i int) (*cfunc, error) {
 		af := &art.Funcs[i]
 		cf := &cfunc{
 			name:      af.Name,
@@ -206,15 +208,15 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 			numParams: af.NumParams,
 			numLocals: af.NumLocals,
 			frameSize: af.FrameSize,
-			index:     uint32(m.NumImportedFuncs() + i),
+			index:     imported + uint32(i),
 			preIR:     fromArtifactIR(af.IR),
 		}
 		return cf, cf.emit(e.backHalf(cf))
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
 	}
-	return &Module{engine: e, wasm: m, funcs: funcs}, nil
+	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
 }
 
 // Interface conformance.

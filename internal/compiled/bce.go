@@ -151,7 +151,7 @@ func accWidth(op wasm.Opcode) uint64 {
 
 // trappingBin lists binary ops that may trap and therefore must not
 // be evaluated speculatively at a loop preheader.
-var trappingBin = map[wasm.Opcode]bool{
+var trappingBin = [256]bool{
 	wasm.OpI32DivS: true, wasm.OpI32DivU: true,
 	wasm.OpI32RemS: true, wasm.OpI32RemU: true,
 	wasm.OpI64DivS: true, wasm.OpI64DivU: true,
@@ -690,6 +690,7 @@ func coalesceEBB(ir []rir.Inst, slow []bool) []rir.Inst {
 	out := make([]rir.Inst, 0, newPC)
 	ri = 0
 	coalesced, elided := int64(0), int64(0)
+	var member []bool
 	for i := 0; i < len(ir); {
 		if ri >= len(regions) || regions[ri].first != i {
 			s := ir[i]
@@ -703,9 +704,9 @@ func coalesceEBB(ir []rir.Inst, slow []bool) []rir.Inst {
 		n := r.last - r.first + 1
 		lo, hi := uint64(math.MaxUint64), uint64(0)
 		write := false
-		member := map[int]bool{}
+		member = append(member[:0], make([]bool, n)...) // by pc - r.first
 		for _, m := range r.g.members {
-			member[m.pc] = true
+			member[m.pc-r.first] = true
 			if m.Off < lo {
 				lo = m.Off
 			}
@@ -732,7 +733,7 @@ func coalesceEBB(ir []rir.Inst, slow []bool) []rir.Inst {
 		for k := 0; k < n; k++ {
 			s := ir[r.first+k]
 			s.RewriteTargets(func(t int32) int32 { return remap[t] })
-			if member[r.first+k] {
+			if member[k] {
 				s.Unchecked = true
 				s.MemAcc = false
 				elided++
@@ -762,18 +763,23 @@ func collectGroups(ir []rir.Inst, labels, slow []bool) []ebbGroup {
 		BaseSlot int
 		members  []ebbMember
 	}
+	// The tables are the function's, emptied at every run boundary.
+	// vnOf is indexed by slot and grown as slots appear; an entry holds
+	// only in the run that wrote it, so a new run empties it by number.
+	type slotVN struct{ vn, run uint64 }
 	var (
-		vnOf    map[int]uint64
-		vnTable map[[3]uint64]uint64
-		buckets map[uint64]*bucket
+		vnOf    []slotVN
+		run     uint64
+		vnTable = map[[3]uint64]uint64{}
+		buckets = map[uint64]*bucket{}
 		order   []uint64
 		nextVN  uint64
 	)
 	reset := func() {
-		vnOf = map[int]uint64{}
-		vnTable = map[[3]uint64]uint64{}
-		buckets = map[uint64]*bucket{}
-		order = nil
+		run++
+		clear(vnTable)
+		clear(buckets)
+		order = order[:0]
 		nextVN = 1
 	}
 	flush := func() {
@@ -786,12 +792,18 @@ func collectGroups(ir []rir.Inst, labels, slow []bool) []ebbGroup {
 		reset()
 	}
 	fresh := func() uint64 { nextVN++; return nextVN }
+	vnSet := func(slot int, vn uint64) {
+		for slot >= len(vnOf) {
+			vnOf = append(vnOf, slotVN{})
+		}
+		vnOf[slot] = slotVN{vn, run}
+	}
 	vnGet := func(slot int) uint64 {
-		if v, ok := vnOf[slot]; ok {
-			return v
+		if slot < len(vnOf) && vnOf[slot].run == run {
+			return vnOf[slot].vn
 		}
 		v := fresh()
-		vnOf[slot] = v
+		vnSet(slot, v)
 		return v
 	}
 	hash := func(kind, a, b uint64) uint64 {
@@ -814,14 +826,13 @@ func collectGroups(ir []rir.Inst, labels, slow []bool) []ebbGroup {
 		s := &ir[pc]
 		switch s.Shape {
 		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
-			flush()
-			rir.InstWrites(s, func(slot int) { delete(vnOf, slot) })
+			flush() // what the instruction writes is unknown with everything else
 			continue
 		case rir.ShConst:
-			vnOf[s.Dst] = hash(1, s.ImmA, 0)
+			vnSet(s.Dst, hash(1, s.ImmA, 0))
 			continue
 		case rir.ShMove:
-			vnOf[s.Dst] = vnGet(s.A)
+			vnSet(s.Dst, vnGet(s.A))
 			continue
 		case rir.ShBin:
 			va := uint64(0)
@@ -836,7 +847,7 @@ func collectGroups(ir []rir.Inst, labels, slow []bool) []ebbGroup {
 			} else {
 				vb = vnGet(s.B)
 			}
-			vnOf[s.Dst] = hash(2+uint64(s.Op), va, vb)
+			vnSet(s.Dst, hash(2+uint64(s.Op), va, vb))
 			continue
 		case rir.ShLoad, rir.ShStore:
 			if !s.Unchecked && (slow == nil || !slow[pc]) {
@@ -860,13 +871,13 @@ func collectGroups(ir []rir.Inst, labels, slow []bool) []ebbGroup {
 				})
 			}
 			if s.Shape == rir.ShLoad {
-				vnOf[s.Dst] = fresh()
+				vnSet(s.Dst, fresh())
 			}
 			continue
 		}
 		// Everything else: new values are opaque; branch carries and
 		// table pops invalidate their destinations.
-		rir.InstWrites(s, func(slot int) { vnOf[slot] = fresh() })
+		rir.InstWrites(s, func(slot int) { vnSet(slot, fresh()) })
 	}
 	flush()
 	return groups

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/fanout"
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -157,7 +158,10 @@ type cfunc struct {
 type Module struct {
 	engine *Engine
 	wasm   *wasm.Module
-	funcs  []*cfunc
+	funcs  []*cfunc // module-defined functions, in code order
+	// imported is wasm.NumImportedFuncs(), counted once: every guest
+	// call splits the function space on it.
+	imported uint32
 }
 
 // Compile implements core.Engine.
@@ -193,23 +197,26 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 //
 // Functions compile independently — they share only the read-only
 // *wasm.Module and the atomic rir/bce counters — so the chain runs on
-// core.CompileFuncs' workers.
+// fanout's workers. validate.Module returns at once for a module that
+// was validated when it was decoded or built.
 func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
 	if err := validate.Module(m); err != nil {
 		return nil, err
 	}
-	funcs, err := core.CompileFuncs(len(m.Code), "compiled: function", func(i int) (*cfunc, error) {
-		return e.compileFunc(m, i)
+	imported := uint32(m.NumImportedFuncs())
+	funcs, i, err := fanout.Map(len(m.Code), func(i int) (*cfunc, error) {
+		return e.compileFunc(m, imported, i)
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compiled: function %d: %w", i, err)
 	}
-	return &Module{engine: e, wasm: m, funcs: funcs}, nil
+	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
 }
 
-// compileFunc compiles m.Code[i]: lowerFunc, then emit.
-func (e *Engine) compileFunc(m *wasm.Module, i int) (*cfunc, error) {
-	cf, ir, err := e.lowerFunc(m, i)
+// compileFunc compiles m.Code[i], function imported+i of the function
+// space: lowerFunc, then emit.
+func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, error) {
+	cf, ir, err := e.lowerFunc(m, imported, i)
 	if err != nil {
 		return nil, err
 	}
@@ -229,9 +236,9 @@ func (e *Engine) compileFunc(m *wasm.Module, i int) (*cfunc, error) {
 // When the register tier is on the frame shrinks from locals+maxStack
 // to locals+registers (plus the same scratch pad flatten reserves
 // above MaxStack).
-func (e *Engine) lowerFunc(m *wasm.Module, i int) (*cfunc, []rir.Inst, error) {
+func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, []rir.Inst, error) {
 	start := time.Now()
-	index := uint32(m.NumImportedFuncs() + i)
+	index := imported + uint32(i)
 	ff, err := flatten.Flatten(m, index, &m.Code[i])
 	if err != nil {
 		return nil, nil, err
@@ -275,14 +282,15 @@ func (e *Engine) lowerFunc(m *wasm.Module, i int) (*cfunc, []rir.Inst, error) {
 // lowered, elided, jumps threaded, pairs fused), and the local count
 // that splits locals from registers in both.
 func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted []rir.Inst, numLocals int, err error) {
-	ff, err := flatten.Flatten(m, uint32(m.NumImportedFuncs()+i), &m.Code[i])
+	imported := uint32(m.NumImportedFuncs())
+	ff, err := flatten.Flatten(m, imported+uint32(i), &m.Code[i])
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	if built, err = rir.Build(ff); err != nil {
 		return nil, nil, 0, err
 	}
-	cf, emitted, err := e.lowerFunc(m, i)
+	cf, emitted, err := e.lowerFunc(m, imported, i)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -409,8 +417,8 @@ func (inst *Instance) invokeIndex(idx uint32, args []uint64) (res []uint64, err 
 			err = core.InvokeErr(r)
 		}
 	}()
-	imported := inst.mod.wasm.NumImportedFuncs()
-	if int(idx) < imported {
+	imported := inst.mod.imported
+	if idx < imported {
 		v, err := inst.base.CallHost(int(idx), args)
 		if err != nil {
 			return nil, err
@@ -420,7 +428,7 @@ func (inst *Instance) invokeIndex(idx uint32, args []uint64) (res []uint64, err 
 		}
 		return nil, nil
 	}
-	cf := inst.mod.funcs[idx-uint32(imported)]
+	cf := inst.mod.funcs[idx-imported]
 	if len(args) != cf.numParams {
 		return nil, fmt.Errorf("compiled: %d args for function with %d params", len(args), cf.numParams)
 	}
@@ -517,12 +525,12 @@ func (inst *Instance) runInstrumented(cf *cfunc, base int) {
 // place at calleeBase (the callee's locals window); results land at
 // calleeBase.
 func (inst *Instance) callFunc(fi uint32, calleeBase int) {
-	imported := inst.mod.wasm.NumImportedFuncs()
-	if int(fi) < imported {
+	imported := inst.mod.imported
+	if fi < imported {
 		inst.base.CallImport(fi, inst.stack, calleeBase)
 		return
 	}
-	cf := inst.mod.funcs[fi-uint32(imported)]
+	cf := inst.mod.funcs[fi-imported]
 	inst.base.EnterCall()
 	inst.ensureStack(calleeBase, cf)
 	for i := calleeBase + cf.numParams; i < calleeBase+cf.numLocals; i++ {

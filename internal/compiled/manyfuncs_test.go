@@ -3,6 +3,7 @@ package compiled_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/rir"
+	"leapsandbounds/internal/validate"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -87,12 +89,35 @@ func coldEngines() map[string]core.Engine {
 	return map[string]core.Engine{"wavm": wavm, "wasmtime": wasmtime, "wasm3": wasm3}
 }
 
-// BenchmarkCompileManyFuncs is the layer benchmark of the cold compile
-// of a 256-function module, per engine. Run it with -cpu 1,2: B/op is
-// the passes' copying, and the 1-vs-2 ratio of ns/op is what the
-// per-function fan-out buys on this host.
+// BenchmarkCompileManyFuncs is the layer benchmark of the cold start of
+// a 256-function module, in two layers. The engine rows compile one
+// *wasm.Module over and over: it carries wasmgen's validated mark, so
+// they contain no validation (they did before validate.Module kept the
+// mark: about a third of the wavm row and over half of the wasm3 row
+// was a walk whose outcome was known) — they are flatten → rir → elide
+// → emit, per engine. The front row is what comes before an engine
+// sees the module: wasm.Decode + validate.Module from bytes, every op
+// on a fresh module. Run it with -cpu 1,2: B/op is the passes' copying,
+// and the 1-vs-2 ratio of ns/op is what the per-function fan-out buys
+// on this host.
 func BenchmarkCompileManyFuncs(b *testing.B) {
 	m := manyFuncsModule(b, 256)
+	bin, err := wasm.Encode(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("front", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := wasm.Decode(bin)
+			if err == nil {
+				err = validate.Module(m)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, name := range []string{"wavm", "wasmtime", "wasm3"} {
 		eng := coldEngines()[name]
 		b.Run(name, func(b *testing.B) {
@@ -106,19 +131,28 @@ func BenchmarkCompileManyFuncs(b *testing.B) {
 	}
 }
 
-// compileOutcome is everything a compile of the many-function module
-// must reproduce whatever the worker count.
+// compileOutcome is everything a cold start of the many-function module
+// — decode, validate, compile — must reproduce whatever the worker
+// count.
 type compileOutcome struct {
-	artifact []byte // compiled engines only
+	module   *wasm.Module // as decoded and validated
+	artifact []byte       // compiled engines only
 	rir      rir.RIRStats
 	bce      compiled.BCEStats
 	spans    int
 	digest   uint64
 }
 
-func compileAt(t *testing.T, procs int, name string, m *wasm.Module) compileOutcome {
+func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	m, err := wasm.Decode(bin)
+	if err == nil {
+		err = validate.Module(m)
+	}
+	if err != nil {
+		t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
+	}
 	// Tracing is on so that the rir.lower spans the workers emit
 	// concurrently are under the race detector too.
 	reg := obs.NewRegistrySized(1 << 12)
@@ -134,6 +168,7 @@ func compileAt(t *testing.T, procs int, name string, m *wasm.Module) compileOutc
 	}
 	r1, b1 := rir.Stats(), compiled.Stats()
 	out := compileOutcome{
+		module: m,
 		rir: rir.RIRStats{
 			OpsIn: r1.OpsIn - r0.OpsIn, OpsOut: r1.OpsOut - r0.OpsOut,
 			FusedCmpBr: r1.FusedCmpBr - r0.FusedCmpBr, FusedLdOp: r1.FusedLdOp - r0.FusedLdOp,
@@ -189,15 +224,23 @@ func runDigest(t *testing.T, cm core.CompiledModule) uint64 {
 }
 
 // TestCompileSameOnAnyWorkerCount: the per-function fan-out must be
-// invisible in the result. One worker and four build byte-identical
+// invisible in the result, from the bytes on. One worker and four
+// decode the same module and accept it, build byte-identical
 // artifacts, move every pipeline counter by the same amount, emit the
 // same number of rir.lower spans and run to the same digest, on all
 // three engines; the artifact decodes back to the same module.
 func TestCompileSameOnAnyWorkerCount(t *testing.T) {
 	m := manyFuncsModule(t, 256)
+	bin, err := wasm.Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var digest uint64
 	for _, name := range []string{"wavm", "wasmtime", "wasm3"} {
-		one, four := compileAt(t, 1, name, m), compileAt(t, 4, name, m)
+		one, four := compileAt(t, 1, name, bin), compileAt(t, 4, name, bin)
+		if !reflect.DeepEqual(one.module, four.module) || len(one.module.Code) != len(m.Code) {
+			t.Errorf("%s: the module decoded by 1 worker and by 4 differ", name)
+		}
 		if !bytes.Equal(one.artifact, four.artifact) {
 			t.Errorf("%s: artifact differs between 1 and 4 workers (%d vs %d bytes)", name, len(one.artifact), len(four.artifact))
 		}
@@ -221,8 +264,8 @@ func TestCompileSameOnAnyWorkerCount(t *testing.T) {
 }
 
 // TestCompileTinyModules: modules of zero functions and of one — the
-// registered kernels' shape — compile inline (core.CompileFuncs starts
-// no worker for them, see its own test) on every engine.
+// registered kernels' shape — compile inline (fanout starts no worker
+// for them, see its own test) on every engine.
 func TestCompileTinyModules(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	mb := g.NewModule()

@@ -95,9 +95,12 @@ func TestBackHalfLeavesPreIR(t *testing.T) {
 }
 
 // TestCompileErrorIsLowestFunction drives the per-function fan-out over
-// a module with two broken bodies (past validation, which would refuse
-// them): whichever worker fails first, Compile's error is the serial
-// loop's — the lowest failing function, in the same words.
+// a module with two broken bodies: whichever worker fails first,
+// Compile's error is the serial loop's — the lowest failing function,
+// in the same words. The bodies are broken after wasmgen validated the
+// module, so it still carries the mark and validation (which would
+// refuse them) does not run again: that is outside wasm.Module's
+// contract, and here it is the way to reach a failing compileFunc.
 func TestCompileErrorIsLowestFunction(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	mb := g.NewModule()
@@ -115,11 +118,9 @@ func TestCompileErrorIsLowestFunction(t *testing.T) {
 	const want = "compiled: function 5: flatten: function body missing final end"
 	e := NewWAVM()
 	for round := 0; round < 200; round++ {
-		funcs, err := core.CompileFuncs(len(m.Code), "compiled: function", func(i int) (*cfunc, error) {
-			return e.compileFunc(m, i)
-		})
-		if funcs != nil || err == nil || err.Error() != want {
-			t.Fatalf("round %d: %d functions, error %q, want %q", round, len(funcs), err, want)
+		cm, err := e.compileModule(m)
+		if cm != nil || err == nil || err.Error() != want {
+			t.Fatalf("round %d: module %v, error %q, want %q", round, cm, err, want)
 		}
 	}
 }

@@ -1,10 +1,10 @@
-package core
+package fanout
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,11 +18,11 @@ func goid() string {
 	return string(bytes.Fields(buf)[1])
 }
 
-// TestCompileFuncsLowestError: with several failing indices the error
-// returned is always that of the lowest one — what the serial loop
+// TestLowestError: with several failing indices the index and error
+// returned are always those of the lowest one — what the serial loop
 // reports — every index below it ran, and the workers stop taking
 // indices once a call has failed instead of finishing the module.
-func TestCompileFuncsLowestError(t *testing.T) {
+func TestLowestError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n, lo, hi = 1 << 14, 37, 41
 	for round := 0; round < 100; round++ {
@@ -35,22 +35,22 @@ func TestCompileFuncsLowestError(t *testing.T) {
 		// flag. (Without the wait two workers can run the whole range
 		// while the OS has the failing ones descheduled.)
 		loFailed := make(chan struct{})
-		out, err := CompileFuncs(n, "eng: function", func(i int) (int, error) {
+		out, at, err := Map(n, func(i int) (int, error) {
 			ran[i].Store(true)
 			switch {
 			case i == lo:
 				close(loFailed)
-				return 0, errors.New("broken body")
+				return 0, fmt.Errorf("broken body %d", i)
 			case i == hi:
-				return 0, errors.New("broken body")
+				return 0, fmt.Errorf("broken body %d", i)
 			case i > hi:
 				<-loFailed
 				time.Sleep(time.Millisecond)
 			}
 			return i, nil
 		})
-		if want := fmt.Sprintf("eng: function %d: broken body", lo); out != nil || err == nil || err.Error() != want {
-			t.Fatalf("round %d: got %d results and %v, want %q", round, len(out), err, want)
+		if want := fmt.Sprintf("broken body %d", lo); out != nil || at != lo || err == nil || err.Error() != want {
+			t.Fatalf("round %d: got %d results, index %d and %v, want index %d and %q", round, len(out), at, err, lo, want)
 		}
 		for i := 0; i < lo; i++ {
 			if !ran[i].Load() {
@@ -63,15 +63,18 @@ func TestCompileFuncsLowestError(t *testing.T) {
 	}
 }
 
-// TestCompileFuncsByIndex: every index runs once and its result lands
-// at its own position, with and without workers.
-func TestCompileFuncsByIndex(t *testing.T) {
+// TestByIndex: every index runs once and its result lands at its own
+// position, with and without workers; and what newWorker makes belongs
+// to one worker — there are at most GOMAXPROCS of them, and a count
+// kept in one without synchronization (-race fails this if two workers
+// shared it) adds up to every index across them.
+func TestByIndex(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var hits [1000]atomic.Int32
-			out, err := CompileFuncs(len(hits), "f", func(i int) (int, error) { hits[i].Add(1); return 3 * i, nil })
-			if err != nil || len(out) != len(hits) {
+			out, at, err := Map(len(hits), func(i int) (int, error) { hits[i].Add(1); return 3 * i, nil })
+			if err != nil || at != len(hits) || len(out) != len(hits) {
 				t.Fatalf("GOMAXPROCS=%d: %d results, err %v", procs, len(out), err)
 			}
 			for i := range hits {
@@ -79,20 +82,37 @@ func TestCompileFuncsByIndex(t *testing.T) {
 					t.Fatalf("GOMAXPROCS=%d: index %d ran %d times, result %d", procs, i, got, out[i])
 				}
 			}
+
+			var mu sync.Mutex
+			var scratch []*int
+			at, err = Each(len(hits), func() func(int) error {
+				mine := new(int)
+				mu.Lock()
+				scratch = append(scratch, mine)
+				mu.Unlock()
+				return func(int) error { *mine++; return nil }
+			})
+			total := 0
+			for _, p := range scratch {
+				total += *p
+			}
+			if err != nil || at != len(hits) || len(scratch) > procs || total != len(hits) {
+				t.Fatalf("GOMAXPROCS=%d: %d workers took %d of %d indices, err %v", procs, len(scratch), total, len(hits), err)
+			}
 		}()
 	}
 }
 
-// TestCompileFuncsInline: zero and one function never leave the
-// caller's goroutine, whatever GOMAXPROCS is — a one-function kernel
-// must not pay for workers it cannot use — and neither does any count
-// when GOMAXPROCS is 1.
-func TestCompileFuncsInline(t *testing.T) {
+// TestInline: zero and one function never leave the caller's
+// goroutine, whatever GOMAXPROCS is — a one-function kernel must not
+// pay for workers it cannot use — and neither does any count when
+// GOMAXPROCS is 1.
+func TestInline(t *testing.T) {
 	for _, c := range []struct{ procs, n int }{{4, 0}, {4, 1}, {1, 64}} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			caller, calls := goid(), 0
-			out, err := CompileFuncs(c.n, "f", func(i int) (int, error) {
+			out, _, err := Map(c.n, func(i int) (int, error) {
 				calls++ // unsynchronized on purpose: -race fails this if a worker ran it
 				if id := goid(); id != caller {
 					t.Errorf("GOMAXPROCS=%d n=%d: index %d ran on goroutine %s, caller is %s", c.procs, c.n, i, id, caller)

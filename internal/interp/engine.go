@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/fanout"
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -82,6 +83,9 @@ type Module struct {
 	engine *Engine
 	wasm   *wasm.Module
 	funcs  []*flatten.Func // module-defined functions, in code order
+	// imported is wasm.NumImportedFuncs(), counted once: every guest
+	// call splits the function space on it.
+	imported uint32
 }
 
 // Compile implements core.Engine. It routes through the engine's
@@ -99,20 +103,21 @@ func (e *Engine) Compile(m *wasm.Module) (core.CompiledModule, error) {
 	return cm, err
 }
 
-// compileInterp is the uncached compile pipeline: validate, then
-// flatten every function on core.CompileFuncs' workers.
+// compileInterp is the uncached compile pipeline: validate (at once,
+// for a module validated when it was decoded or built), then flatten
+// every function on fanout's workers.
 func (e *Engine) compileInterp(m *wasm.Module) (core.CompiledModule, error) {
 	if err := validate.Module(m); err != nil {
 		return nil, err
 	}
 	imported := uint32(m.NumImportedFuncs())
-	funcs, err := core.CompileFuncs(len(m.Code), "interp: function", func(i int) (*flatten.Func, error) {
+	funcs, i, err := fanout.Map(len(m.Code), func(i int) (*flatten.Func, error) {
 		return flatten.Flatten(m, imported+uint32(i), &m.Code[i])
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("interp: function %d: %w", i, err)
 	}
-	return &Module{engine: e, wasm: m, funcs: funcs}, nil
+	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
 }
 
 // Instantiate implements core.CompiledModule.
@@ -193,8 +198,8 @@ func (inst *Instance) invokeIndex(idx uint32, args []uint64) (res []uint64, err 
 			err = core.InvokeErr(r)
 		}
 	}()
-	imported := inst.mod.wasm.NumImportedFuncs()
-	if int(idx) < imported {
+	imported := inst.mod.imported
+	if idx < imported {
 		v, err := inst.base.CallHost(int(idx), args)
 		if err != nil {
 			return nil, err
@@ -204,7 +209,7 @@ func (inst *Instance) invokeIndex(idx uint32, args []uint64) (res []uint64, err 
 		}
 		return nil, nil
 	}
-	pf := inst.mod.funcs[idx-uint32(imported)]
+	pf := inst.mod.funcs[idx-imported]
 	if len(args) != pf.NumParams {
 		return nil, fmt.Errorf("interp: %d args for function with %d params", len(args), pf.NumParams)
 	}
@@ -233,12 +238,12 @@ func (inst *Instance) ensureStack(base int, pf *flatten.Func) {
 // call dispatches a call to function-space index fi with arguments
 // already placed at stack[argBase:]; results end up at argBase.
 func (inst *Instance) call(fi uint32, argBase int) {
-	imported := inst.mod.wasm.NumImportedFuncs()
-	if int(fi) < imported {
+	imported := inst.mod.imported
+	if fi < imported {
 		inst.base.CallImport(fi, inst.stack, argBase)
 		return
 	}
-	pf := inst.mod.funcs[fi-uint32(imported)]
+	pf := inst.mod.funcs[fi-imported]
 	inst.base.EnterCall()
 	inst.ensureStack(argBase, pf)
 	for i := argBase + pf.NumParams; i < argBase+pf.NumLocals; i++ {

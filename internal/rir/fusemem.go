@@ -1,6 +1,10 @@
 package rir
 
-import "leapsandbounds/internal/wasm"
+import (
+	"slices"
+
+	"leapsandbounds/internal/wasm"
+)
 
 // FuseMem is the late fusion pass, run last, after bounds-check
 // elision (the name is from when it only knew load+op and op+store;
@@ -154,6 +158,8 @@ const (
 	// (lt/le/gt/ge, signed or unsigned, i32 or i64) and eq/ne.
 	HBrLt
 	HBrEq
+
+	numHalves = iota
 )
 
 // HalfOf classifies s, or returns HNone when no flat half covers it.
@@ -237,57 +243,60 @@ func HalfOf(s *Inst) Half {
 	return HNone
 }
 
-// fusable is the flat-closure set, keyed first<<8|second. It was
-// chosen from the dynamic frequency of adjacent producer→consumer
+// fusablePairs is the flat-closure set, each pair as first<<8|second. It
+// was chosen from the dynamic frequency of adjacent producer→consumer
 // pairs over every registered PolyBench and SPEC kernel (DESIGN.md §13
 // has the table): a closure body costs compile time and
 // instruction-cache space for every module, so a pair is here because
 // some kernel spends dispatches on it.
-var fusable = map[Half]bool{
+var fusablePairs = []Half{
 	// An induction update, a loaded value or a mask into a branch.
-	HLin<<8 | HBrLt:     true,
-	HLoad64C<<8 | HBrLt: true,
-	HI32And<<8 | HBrEq:  true,
+	HLin<<8 | HBrLt,
+	HLoad64C<<8 | HBrLt,
+	HI32And<<8 | HBrEq,
 	// Index arithmetic: (i*N + j) << 3 is two of these when the access
 	// it feeds is checked (an unchecked one absorbs the chain).
-	HLin<<8 | HLin:     true,
-	HLin<<8 | HLoad64:  true,
-	HLin<<8 | HLoad64C: true,
-	HLin<<8 | HLoad8C:  true,
-	HLoad32<<8 | HLin:  true,
+	HLin<<8 | HLin,
+	HLin<<8 | HLoad64,
+	HLin<<8 | HLoad64C,
+	HLin<<8 | HLoad8C,
+	HLoad32<<8 | HLin,
 	// A loaded value into f64 arithmetic, f64 arithmetic into the
 	// stored value, and f64 expression trees.
-	HLoad64<<8 | HF64Add:  true,
-	HLoad64<<8 | HF64Sub:  true,
-	HLoad64<<8 | HF64Mul:  true,
-	HF64Add<<8 | HStore64: true,
-	HF64Sub<<8 | HStore64: true,
-	HF64Mul<<8 | HStore64: true,
-	HF64Div<<8 | HStore64: true,
-	HF64Mul<<8 | HF64Add:  true,
-	HF64Mul<<8 | HF64Sub:  true,
-	HF64Sub<<8 | HF64Mul:  true,
-	HF64Add<<8 | HF64Mul:  true,
+	HLoad64<<8 | HF64Add,
+	HLoad64<<8 | HF64Sub,
+	HLoad64<<8 | HF64Mul,
+	HF64Add<<8 | HStore64,
+	HF64Sub<<8 | HStore64,
+	HF64Mul<<8 | HStore64,
+	HF64Div<<8 | HStore64,
+	HF64Mul<<8 | HF64Add,
+	HF64Mul<<8 | HF64Sub,
+	HF64Sub<<8 | HF64Mul,
+	HF64Add<<8 | HF64Mul,
 	// Integer hashing and predicates (531.deepsjeng, 557.xz).
-	HI32Eq<<8 | HI32And:         true,
-	HI64Mul<<8 | HI64ShrU:       true,
-	HI64ExtendI32S<<8 | HI64Xor: true,
-	HI64Xor<<8 | HMove:          true,
+	HI32Eq<<8 | HI32And,
+	HI64Mul<<8 | HI64ShrU,
+	HI64ExtendI32S<<8 | HI64Xor,
+	HI64Xor<<8 | HMove,
 	// The kernels' array initialisers and floyd-warshall's min.
-	HI32RemS<<8 | HF64ConvertI32S: true,
-	HI32LtS<<8 | HSelect:          true,
+	HI32RemS<<8 | HF64ConvertI32S,
+	HI32LtS<<8 | HSelect,
 }
+
+// fusable is fusablePairs as the table FuseMem asks once per adjacent
+// pair of instructions.
+var fusable = func() (t [numHalves][numHalves]bool) {
+	for _, k := range fusablePairs {
+		t[k>>8][k&0xff] = true
+	}
+	return t
+}()
 
 // Fusable reports whether the emitter has a flat closure for
 // first;second.
-func Fusable(first, second Half) bool { return fusable[first<<8|second] }
+func Fusable(first, second Half) bool { return fusable[first][second] }
 
 // Pairs returns the key (first<<8|second) of every fusable pair, for
 // the emitter's template test.
-func Pairs() []Half {
-	keys := make([]Half, 0, len(fusable))
-	for k := range fusable {
-		keys = append(keys, k)
-	}
-	return keys
-}
+func Pairs() []Half { return slices.Clone(fusablePairs) }

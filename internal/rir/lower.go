@@ -1,7 +1,5 @@
 package rir
 
-import "sort"
-
 // InstWrites calls f for every frame slot s may write. Calls clobber
 // the callee frame, i.e. everything at or above ArgBase; that is
 // reported separately through clob (the smallest such base, or -1).
@@ -184,11 +182,18 @@ func visitSlots(s *Inst, f func(p *int)) {
 // capture raw register indices inside CheckPlan closures and
 // address-mode chains, which a later renumbering could not reach.
 func Lower(ir []Inst, numLocals int) ([]Inst, int) {
-	used := map[int]bool{}
+	// reg is indexed by operand slot less numLocals, grown as slots
+	// appear: first 1 for a slot in use, then — a prefix sum over it,
+	// index order being slot order — the register that slot becomes.
+	var reg []int
 	mark := func(slot int) {
-		if slot >= numLocals {
-			used[slot] = true
+		if slot < numLocals {
+			return
 		}
+		for slot-numLocals >= len(reg) {
+			reg = append(reg, 0)
+		}
+		reg[slot-numLocals] = 1
 	}
 	for i := range ir {
 		s := &ir[i]
@@ -207,19 +212,15 @@ func Lower(ir []Inst, numLocals int) ([]Inst, int) {
 		}
 	}
 
-	slots := make([]int, 0, len(used))
-	for slot := range used {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	regOf := make(map[int]int, len(slots))
-	for rank, slot := range slots {
-		regOf[slot] = numLocals + rank
+	regs := 0
+	for k, used := range reg {
+		reg[k] = numLocals + regs
+		regs += used
 	}
 
 	renum := func(p *int) {
 		if *p >= numLocals {
-			*p = regOf[*p]
+			*p = reg[*p-numLocals]
 		}
 	}
 	for i := range ir {
@@ -231,5 +232,5 @@ func Lower(ir []Inst, numLocals int) ([]Inst, int) {
 			s.ArgBase = base
 		}
 	}
-	return ir, len(slots)
+	return ir, regs
 }

@@ -26,8 +26,13 @@ func g64(v uint64) float64 { return math.Float64frombits(v) }
 func p32(f float32) uint64 { return uint64(math.Float32bits(f)) }
 func p64(f float64) uint64 { return math.Float64bits(f) }
 
+// The tables below are indexed by opcode — a byte — so the passes and
+// the emitter that consult them per instruction index where they would
+// otherwise hash; an opcode a table does not list reads as the zero
+// value (nil, false).
+
 // BinOps maps every binary numeric opcode to its implementation.
-var BinOps = map[wasm.Opcode]BinFn{
+var BinOps = [256]BinFn{
 	wasm.OpI32Eq:  func(a, b uint64) uint64 { return bu(uint32(a) == uint32(b)) },
 	wasm.OpI32Ne:  func(a, b uint64) uint64 { return bu(uint32(a) != uint32(b)) },
 	wasm.OpI32LtS: func(a, b uint64) uint64 { return bu(int32(a) < int32(b)) },
@@ -125,7 +130,7 @@ var BinOps = map[wasm.Opcode]BinFn{
 
 // FoldableBin lists binary ops that are safe to constant-fold at
 // compile time (no traps, bit-exact evaluation).
-var FoldableBin = map[wasm.Opcode]bool{
+var FoldableBin = [256]bool{
 	wasm.OpI32Add: true, wasm.OpI32Sub: true, wasm.OpI32Mul: true,
 	wasm.OpI32And: true, wasm.OpI32Or: true, wasm.OpI32Xor: true,
 	wasm.OpI32Shl: true, wasm.OpI32ShrS: true, wasm.OpI32ShrU: true,
@@ -142,7 +147,7 @@ var FoldableBin = map[wasm.Opcode]bool{
 
 // CmpBranchOps lists compare opcodes eligible for compare+branch
 // fusion.
-var CmpBranchOps = map[wasm.Opcode]bool{
+var CmpBranchOps = [256]bool{
 	wasm.OpI32Eq: true, wasm.OpI32Ne: true,
 	wasm.OpI32LtS: true, wasm.OpI32LtU: true,
 	wasm.OpI32GtS: true, wasm.OpI32GtU: true,
@@ -159,7 +164,7 @@ var CmpBranchOps = map[wasm.Opcode]bool{
 
 // UnOps maps every unary numeric opcode (including conversions) to
 // its implementation.
-var UnOps = map[wasm.Opcode]UnFn{
+var UnOps = [256]UnFn{
 	wasm.OpI32Eqz:    func(a uint64) uint64 { return bu(uint32(a) == 0) },
 	wasm.OpI64Eqz:    func(a uint64) uint64 { return bu(a == 0) },
 	wasm.OpI32Clz:    func(a uint64) uint64 { return uint64(bits.LeadingZeros32(uint32(a))) },

@@ -18,17 +18,45 @@ import (
 func Optimize(ir []Inst, numLocals int) []Inst {
 	labels := FindLabels(ir)
 
-	// pending maps an operand slot to the index of the Inst that
-	// defines it, when that Inst is a candidate for substitution or
-	// retargeting.
-	pending := make(map[int]int)
+	// pending maps an operand slot to the Inst that defines it, when
+	// that Inst is a candidate for substitution or retargeting: def is
+	// the Inst's index plus one (0: not pending), ver the version its
+	// source local had there, for a local.get. It is indexed by slot —
+	// slots are small and dense — and grown as slots appear; hi bounds
+	// the entries that may be non-zero, so emptying it at a label costs
+	// what was put in since the last one.
+	type def struct{ def, ver int32 }
+	var (
+		pending []def
+		hi      int
+	)
 	// localVer invalidates local copies on reassignment.
-	localVer := make(map[int]int)
-	verAt := make(map[int]int) // def index -> version of its source local
+	localVer := make([]int32, numLocals)
 
-	clear := func() {
-		for k := range pending {
-			delete(pending, k)
+	lookup := func(s int) (int, bool) {
+		if s < 0 || s >= hi || pending[s].def == 0 {
+			return 0, false
+		}
+		return int(pending[s].def) - 1, true
+	}
+	set := func(s, di int, ver int32) {
+		for s >= len(pending) {
+			pending = append(pending, def{})
+		}
+		pending[s] = def{int32(di) + 1, ver}
+		hi = max(hi, s+1)
+	}
+	// forceKeep drops pending status without substitution.
+	forceKeep := func(s int) {
+		if s >= 0 && s < hi {
+			pending[s] = def{}
+		}
+	}
+	// forceKeepFrom drops every slot at or above base.
+	forceKeepFrom := func(base int) {
+		if base = max(base, 0); base < hi {
+			clear(pending[base:hi])
+			hi = base
 		}
 	}
 
@@ -43,44 +71,43 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 		def   int // def index to delete when the substitution is used, -1 otherwise
 	}
 	use := func(s int) resolved {
-		di, ok := pending[s]
+		di, ok := lookup(s)
 		if !ok {
 			return resolved{slot: s, def: -1}
 		}
-		delete(pending, s)
+		ver := pending[s].ver
+		pending[s] = def{}
 		d := &ir[di]
 		switch {
 		case d.Shape == ShConst:
 			return resolved{isImm: true, imm: d.ImmA, def: di}
-		case d.Shape == ShMove && d.A < numLocals && localVer[d.A] == verAt[di]:
+		case d.Shape == ShMove && d.A < numLocals && localVer[d.A] == ver:
 			return resolved{slot: d.A, def: di}
 		default:
 			return resolved{slot: s, def: -1}
 		}
 	}
-	// forceKeep drops pending status without substitution.
-	forceKeep := func(s int) { delete(pending, s) }
 
 	lastAlive := -1
 
 	for i := range ir {
 		if labels[i] {
-			clear()
+			forceKeepFrom(0)
 		}
 		s := &ir[i]
 		switch s.Shape {
 		case ShConst:
 			if s.Dst >= numLocals {
-				pending[s.Dst] = i
+				set(s.Dst, i, 0)
 			}
 		case ShMove:
 			if s.Op == wasm.OpLocalSet && s.Dst < numLocals {
 				// Forwarding: retarget an adjacent producer to write the
 				// local directly.
-				if di, ok := pending[s.A]; ok && di == lastAlive {
+				if di, ok := lookup(s.A); ok && di == lastAlive {
 					d := &ir[di]
 					if retargetable(d.Shape) {
-						delete(pending, s.A)
+						forceKeep(s.A)
 						d.Dst = s.Dst
 						s.Dead = true
 						s.Shape = ShNop
@@ -108,8 +135,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			} else {
 				// local.get: candidate copy.
 				if s.Dst >= numLocals && s.A < numLocals {
-					pending[s.Dst] = i
-					verAt[i] = localVer[s.A]
+					set(s.Dst, i, localVer[s.A])
 				}
 			}
 		case ShUn, ShTruncSat:
@@ -119,7 +145,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 				s.ImmA = UnOps[s.Op](r.imm)
 				MarkDead(ir, r.def)
 				if s.Dst >= numLocals {
-					pending[s.Dst] = i
+					set(s.Dst, i, 0)
 				}
 				continue
 			}
@@ -141,7 +167,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 				MarkDead(ir, ra.def)
 				MarkDead(ir, rb.def)
 				if s.Dst >= numLocals {
-					pending[s.Dst] = i
+					set(s.Dst, i, 0)
 				}
 				continue
 			}
@@ -205,16 +231,16 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if s.CarrySrc >= 0 {
 				forceKeep(s.CarrySrc)
 			}
-			if di, ok := pending[s.A]; ok && di == lastAlive {
+			if di, ok := lookup(s.A); ok && di == lastAlive {
 				d := &ir[di]
 				// A compare, or an eqz (a compare against zero), feeding
 				// the branch becomes the branch's own condition.
 				cmp, isCmp := d.Op, d.Shape == ShBin && CmpBranchOps[d.Op]
-				if eq, ok := eqzCompare[d.Op]; ok && d.Shape == ShUn {
+				if eq := eqzCompare[d.Op]; eq != 0 && d.Shape == ShUn {
 					cmp, isCmp = eq, true
 				}
 				if isCmp && s.CarrySrc < 0 {
-					delete(pending, s.A)
+					forceKeep(s.A)
 					s.Shape = ShCmpBranch
 					s.CmpOp = cmp
 					s.BrOnTrue = ir[i].Op != flatten.OpIfFalse
@@ -252,11 +278,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 		case ShCall, ShCallInd:
 			// Arguments are read in place by the callee: every
 			// pending def at or above argBase must materialize.
-			for slot := range pending {
-				if slot >= s.ArgBase {
-					forceKeep(slot)
-				}
-			}
+			forceKeepFrom(s.ArgBase)
 			if s.Shape == ShCallInd {
 				forceKeep(s.A)
 			}
@@ -282,7 +304,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			// A producer into an operand slot: a local.set right behind
 			// it takes over its destination, and a compare (or eqz)
 			// becomes the condition of the branch behind it.
-			pending[s.Dst] = i
+			set(s.Dst, i, 0)
 		}
 		if !s.Dead {
 			lastAlive = i
@@ -292,8 +314,8 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 }
 
 // eqzCompare maps the unary zero tests to the compare they are with a
-// zero right-hand side.
-var eqzCompare = map[wasm.Opcode]wasm.Opcode{
+// zero right-hand side (0, which is no compare, for every other op).
+var eqzCompare = [256]wasm.Opcode{
 	wasm.OpI32Eqz: wasm.OpI32Eq,
 	wasm.OpI64Eqz: wasm.OpI64Eq,
 }

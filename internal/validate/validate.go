@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
+	"leapsandbounds/internal/fanout"
 	"leapsandbounds/internal/wasm"
 )
 
@@ -18,10 +20,37 @@ var ErrInvalid = errors.New("validate: invalid module")
 // unknown is the bottom value type used for unreachable operand slots.
 const unknown wasm.ValueType = 0
 
-// Module validates m in full. It returns nil when the module is valid.
+// Process-wide counts of the work done, for the tests that hold a cold
+// start to validating each body once (and never zero times).
+var (
+	modulesChecked atomic.Int64
+	bodiesChecked  atomic.Int64
+)
+
+// Stats returns how many modules Module has walked and how many
+// function bodies it has type-checked, process-wide. A call that
+// returns at once for a module already marked valid counts nothing; a
+// walk that finds an invalid body counts the bodies up to and including
+// it — what a loop checks — whatever else the workers got to.
+func Stats() (modules, bodies int64) {
+	return modulesChecked.Load(), bodiesChecked.Load()
+}
+
+// Module validates m in full. It returns nil when the module is valid,
+// and marks a valid module (wasm.Module.Validated) so that the next
+// call — every engine's Compile makes one — returns at once. An
+// invalid module gets no mark: it is walked, and fails, again.
 func Module(m *wasm.Module) error {
+	if m.Validated() {
+		return nil
+	}
+	modulesChecked.Add(1)
 	v := &validator{m: m}
-	return v.run()
+	if err := v.run(); err != nil {
+		return err
+	}
+	m.MarkValidated()
+	return nil
 }
 
 type validator struct {
@@ -78,6 +107,10 @@ func (v *validator) run() error {
 	}
 	if v.numTabs > 1 {
 		return v.failf("at most one table is allowed, found %d", v.numTabs)
+	}
+
+	if len(m.Code) != len(m.Funcs) {
+		return v.failf("%d functions declared but %d bodies", len(m.Funcs), len(m.Code))
 	}
 
 	// Global initializers.
@@ -157,17 +190,22 @@ func (v *validator) run() error {
 		}
 	}
 
-	// Function bodies.
-	imported := m.NumImportedFuncs()
-	for i := range m.Code {
-		ft := v.funcs[imported+i]
-		if err := v.validateBody(ft, &m.Code[i]); err != nil {
-			name := fmt.Sprintf("function %d", imported+i)
-			if n, ok := m.FuncNames[uint32(imported+i)]; ok {
-				name = fmt.Sprintf("function %d (%s)", imported+i, n)
-			}
-			return v.failf("%s: %v", name, err)
+	// Function bodies, on fanout's workers: the index spaces above are
+	// complete and only read from here on, and each worker checks with
+	// a bodyChecker of its own. The lowest invalid body is the one
+	// reported, as by a loop.
+	imported := len(v.funcs) - len(m.Funcs)
+	i, err := fanout.Each(len(m.Code), func() func(int) error {
+		c := &bodyChecker{v: v}
+		return func(i int) error { return c.validateBody(v.funcs[imported+i], &m.Code[i]) }
+	})
+	bodiesChecked.Add(int64(min(i+1, len(m.Code))))
+	if err != nil {
+		name := fmt.Sprintf("function %d", imported+i)
+		if n, ok := m.FuncNames[uint32(imported+i)]; ok {
+			name = fmt.Sprintf("function %d (%s)", imported+i, n)
 		}
+		return v.failf("%s: %v", name, err)
 	}
 	return nil
 }
@@ -289,10 +327,13 @@ func blockTypes(bt byte) (in, out []wasm.ValueType) {
 	return nil, []wasm.ValueType{wasm.ValueType(bt)}
 }
 
-func (v *validator) validateBody(ft wasm.FuncType, code *wasm.Code) error {
-	c := &bodyChecker{v: v}
-	c.locals = append(c.locals, ft.Params...)
-	c.locals = append(c.locals, code.Locals...)
+// validateBody type-checks one function body. The checker's stacks are
+// emptied, not reallocated: one checker serves every body its worker
+// takes.
+func (c *bodyChecker) validateBody(ft wasm.FuncType, code *wasm.Code) error {
+	v := c.v
+	c.locals = append(append(c.locals[:0], ft.Params...), code.Locals...)
+	c.ops, c.ctrls = c.ops[:0], c.ctrls[:0]
 	c.pushCtrl(0, nil, ft.Results)
 
 	for pc, in := range code.Body {
@@ -557,7 +598,7 @@ func (v *validator) checkInstr(c *bodyChecker, in wasm.Instr) error {
 	case wasm.OpPrefix:
 		return v.checkPrefixed(c, in)
 	default:
-		if sig, ok := simpleSigs[op]; ok {
+		if sig := &simpleSigs[op]; sig.in != nil {
 			for i := len(sig.in) - 1; i >= 0; i-- {
 				if _, err := c.popOp(sig.in[i]); err != nil {
 					return err
@@ -672,8 +713,10 @@ var (
 	tDD = []wasm.ValueType{f64, f64}
 )
 
-// simpleSigs covers every fixed-signature numeric instruction.
-var simpleSigs = map[wasm.Opcode]sig{}
+// simpleSigs covers every fixed-signature numeric instruction, indexed
+// by opcode; each takes at least one operand, so an entry with no
+// inputs is an opcode that is not one of them.
+var simpleSigs [256]sig
 
 func init() {
 	add := func(ops []wasm.Opcode, s sig) {

@@ -1,6 +1,7 @@
 package validate_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -225,4 +226,62 @@ func TestLoopBranchTakesNoValues(t *testing.T) {
 		i(wasm.OpI32Const, 42),
 		i(wasm.OpEnd))
 	wantOK(t, m)
+}
+
+// TestBodiesWithoutFunctions: a hand-built module whose code section
+// is longer than its function section has no signature for the extra
+// body; that is an error, not an index out of range on a worker.
+func TestBodiesWithoutFunctions(t *testing.T) {
+	m := fn(nil, nil, nil)
+	m.Code = append(m.Code, m.Code[0])
+	wantErr(t, m, "1 functions declared but 2 bodies")
+}
+
+// TestLowestInvalidBody: bodies are checked on fanout's workers, and
+// with two invalid ones the error is still the loop's — the lower
+// function, in the loop's words — whichever worker fails first. The
+// module is walked every round: a failed validation leaves no mark.
+func TestLowestInvalidBody(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, lo, hi = 64, 5, 9
+	m := fn(nil, []wasm.ValueType{wasm.I32}, nil, i(wasm.OpI32Const, 1))
+	m.Imports = []wasm.Import{{Module: "env", Name: "f", Kind: wasm.ExternFunc}}
+	m.FuncNames = map[uint32]string{1 + hi: "later"}
+	good := m.Code[0]
+	m.Funcs, m.Code = make([]uint32, n), make([]wasm.Code, n)
+	for k := range m.Code {
+		m.Code[k] = good
+	}
+	m.Code[lo].Body = []wasm.Instr{i(wasm.OpI64Const, 1), i(wasm.OpEnd)}
+	m.Code[hi].Body = []wasm.Instr{i(wasm.OpEnd)}
+	const want = "validate: invalid module: function 6: instr 1 (end): type mismatch: got i64, want i32"
+	modules0, bodies0 := validate.Stats()
+	for round := 0; round < 100; round++ {
+		if err := validate.Module(m); err == nil || err.Error() != want {
+			t.Fatalf("round %d: error %q, want %q", round, err, want)
+		}
+	}
+	modules1, bodies1 := validate.Stats()
+	if modules1-modules0 != 100 || bodies1-bodies0 != 100*(lo+1) || m.Validated() {
+		t.Errorf("%d walks and %d bodies counted in 100 calls (marked valid: %v); an invalid module must be walked every time, up to body %d",
+			modules1-modules0, bodies1-bodies0, m.Validated(), lo)
+	}
+	m.Code[lo] = good
+	wantErr(t, m, "function 10 (later): instr 0 (end): operand stack underflow")
+}
+
+// TestValidatedOnce: a valid module is walked once — every body of it
+// — and the calls after that return at once.
+func TestValidatedOnce(t *testing.T) {
+	m := fn(nil, []wasm.ValueType{wasm.I32}, nil, i(wasm.OpI32Const, 1))
+	m.Funcs, m.Code = []uint32{0, 0, 0}, []wasm.Code{m.Code[0], m.Code[0], m.Code[0]}
+	modules0, bodies0 := validate.Stats()
+	for round := 0; round < 3; round++ {
+		wantOK(t, m)
+	}
+	modules1, bodies1 := validate.Stats()
+	if modules1-modules0 != 1 || bodies1-bodies0 != 3 || !m.Validated() {
+		t.Errorf("3 calls on a valid 3-body module: %d walks, %d bodies checked, marked valid: %v; want 1, 3, true",
+			modules1-modules0, bodies1-bodies0, m.Validated())
+	}
 }

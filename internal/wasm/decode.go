@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"leapsandbounds/internal/fanout"
 )
 
 // Magic and Version are the WebAssembly binary preamble values.
@@ -108,6 +110,20 @@ func (d *decoder) name() (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// vecLen reads a vector's declared element count and returns, beside
+// it, how many elements to allocate room for: the count bounded by the
+// bytes left in the section. Every element of every vector takes at
+// least one byte, so a count beyond that cannot be met — the element
+// loop runs into the end of the section and reports it — and what is
+// allocated follows the bytes present, never a number the input merely
+// declares.
+func (d *decoder) vecLen() (n uint32, room int, err error) {
+	if n, err = d.u32(); err != nil {
+		return 0, 0, err
+	}
+	return n, int(min(uint64(n), uint64(d.remaining()))), nil
 }
 
 func (d *decoder) valueType() (ValueType, error) {
@@ -316,11 +332,11 @@ func decodeCustom(d *decoder, m *Module) error {
 			continue
 		}
 		sd := &decoder{buf: body}
-		n, err := sd.u32()
+		n, room, err := sd.vecLen()
 		if err != nil {
 			return nil
 		}
-		names := make(map[uint32]string, n)
+		names := make(map[uint32]string, room)
 		for i := uint32(0); i < n; i++ {
 			idx, err := sd.u32()
 			if err != nil {
@@ -338,11 +354,11 @@ func decodeCustom(d *decoder, m *Module) error {
 }
 
 func decodeTypes(d *decoder, m *Module) error {
-	n, err := d.u32()
+	n, room, err := d.vecLen()
 	if err != nil {
 		return err
 	}
-	m.Types = make([]FuncType, 0, n)
+	m.Types = make([]FuncType, 0, room)
 	for i := uint32(0); i < n; i++ {
 		form, err := d.byteVal()
 		if err != nil {
@@ -383,11 +399,11 @@ func decodeTypes(d *decoder, m *Module) error {
 }
 
 func decodeImports(d *decoder, m *Module) error {
-	n, err := d.u32()
+	n, room, err := d.vecLen()
 	if err != nil {
 		return err
 	}
-	m.Imports = make([]Import, 0, n)
+	m.Imports = make([]Import, 0, room)
 	for i := uint32(0); i < n; i++ {
 		mod, err := d.name()
 		if err != nil {
@@ -450,11 +466,11 @@ func decodeImports(d *decoder, m *Module) error {
 }
 
 func decodeFuncs(d *decoder, m *Module) error {
-	n, err := d.u32()
+	n, room, err := d.vecLen()
 	if err != nil {
 		return err
 	}
-	m.Funcs = make([]uint32, 0, n)
+	m.Funcs = make([]uint32, 0, room)
 	for i := uint32(0); i < n; i++ {
 		ti, err := d.u32()
 		if err != nil {
@@ -532,11 +548,11 @@ func decodeGlobals(d *decoder, m *Module) error {
 }
 
 func decodeExports(d *decoder, m *Module) error {
-	n, err := d.u32()
+	n, room, err := d.vecLen()
 	if err != nil {
 		return err
 	}
-	seen := make(map[string]bool, n)
+	seen := make(map[string]bool, room)
 	for i := uint32(0); i < n; i++ {
 		name, err := d.name()
 		if err != nil {
@@ -576,11 +592,11 @@ func decodeElems(d *decoder, m *Module) error {
 		if err != nil {
 			return err
 		}
-		cnt, err := d.u32()
+		cnt, room, err := d.vecLen()
 		if err != nil {
 			return err
 		}
-		funcs := make([]uint32, 0, cnt)
+		funcs := make([]uint32, 0, room)
 		for j := uint32(0); j < cnt; j++ {
 			fi, err := d.u32()
 			if err != nil {
@@ -622,61 +638,94 @@ func decodeData(d *decoder, m *Module) error {
 	return nil
 }
 
+// decodeCode cuts the section into bodies — serially, reading size
+// prefixes only — and decodes the bodies on fanout's workers. The error
+// is the one a single loop over the section reports, whatever the
+// worker count: the lowest body that does not decode, and a size prefix
+// that cannot be cut at body k only if bodies [0, k) all decode.
 func decodeCode(d *decoder, m *Module) error {
-	n, err := d.u32()
+	n, room, err := d.vecLen()
 	if err != nil {
 		return err
 	}
-	m.Code = make([]Code, 0, n)
-	// One buffer, reused, takes every body as it is decoded; each is
-	// then copied out at its exact length. Allocation follows the
-	// instructions actually decoded — never a declared size or count —
-	// and no body carries spare capacity for the module's lifetime.
-	var scratch []Instr
+	bodies := make([][]byte, 0, room)
+	var cutErr error
 	for i := uint32(0); i < n; i++ {
 		size, err := d.u32()
 		if err != nil {
-			return err
+			cutErr = err
+			break
 		}
 		body, err := d.bytes(int(size))
 		if err != nil {
-			return err
+			cutErr = err
+			break
 		}
-		bd := &decoder{buf: body}
-		nd, err := bd.u32()
-		if err != nil {
-			return err
-		}
-		var code Code
-		total := 0
-		for j := uint32(0); j < nd; j++ {
-			cnt, err := bd.u32()
-			if err != nil {
-				return err
-			}
-			t, err := bd.valueType()
-			if err != nil {
-				return err
-			}
-			total += int(cnt)
-			if total > 1<<20 {
-				return bd.failf("function %d declares too many locals", i)
-			}
-			for k := uint32(0); k < cnt; k++ {
-				code.Locals = append(code.Locals, t)
-			}
-		}
-		scratch, err = decodeExpr(bd, scratch[:0])
-		if err != nil {
-			return fmt.Errorf("function %d: %w", i, err)
-		}
-		if bd.remaining() != 0 {
-			return bd.failf("function %d: trailing bytes after body", i)
-		}
-		code.Body = slices.Clone(scratch)
-		m.Code = append(m.Code, code)
+		bodies = append(bodies, body)
 	}
+	code := make([]Code, len(bodies))
+	_, err = fanout.Each(len(bodies), func() func(int) error {
+		// One buffer per worker, reused, takes every body as it is
+		// decoded; each is then copied out at its exact length.
+		// Allocation follows the instructions actually decoded — never
+		// a declared size or count — and no body carries spare capacity
+		// for the module's lifetime.
+		var scratch []Instr
+		return func(i int) error {
+			locals, body, err := decodeBody(i, bodies[i], scratch[:0])
+			if err != nil {
+				return err
+			}
+			scratch = body
+			code[i] = Code{Locals: locals, Body: slices.Clone(body)}
+			return nil
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if cutErr != nil {
+		return cutErr
+	}
+	m.Code = code
 	return nil
+}
+
+// decodeBody decodes function body i: its local declarations, expanded,
+// and its instructions, appended to out.
+func decodeBody(i int, body []byte, out []Instr) ([]ValueType, []Instr, error) {
+	bd := &decoder{buf: body}
+	nd, err := bd.u32()
+	if err != nil {
+		return nil, nil, err
+	}
+	var locals []ValueType
+	total := 0
+	for j := uint32(0); j < nd; j++ {
+		cnt, err := bd.u32()
+		if err != nil {
+			return nil, nil, err
+		}
+		t, err := bd.valueType()
+		if err != nil {
+			return nil, nil, err
+		}
+		total += int(cnt)
+		if total > 1<<20 {
+			return nil, nil, bd.failf("function %d declares too many locals", i)
+		}
+		for k := uint32(0); k < cnt; k++ {
+			locals = append(locals, t)
+		}
+	}
+	out, err = decodeExpr(bd, out)
+	if err != nil {
+		return nil, nil, fmt.Errorf("function %d: %w", i, err)
+	}
+	if bd.remaining() != 0 {
+		return nil, nil, bd.failf("function %d: trailing bytes after body", i)
+	}
+	return locals, out, nil
 }
 
 // decodeExpr decodes an instruction sequence up to and including the
@@ -745,14 +794,14 @@ func decodeExpr(d *decoder, out []Instr) ([]Instr, error) {
 			}
 			in.A = uint64(v)
 		case OpBrTable:
-			cnt, err := d.u32()
+			cnt, room, err := d.vecLen()
 			if err != nil {
 				return nil, err
 			}
-			if int(cnt) > d.remaining() {
+			if int(cnt) > room {
 				return nil, d.failf("br_table target count %d too large", cnt)
 			}
-			targets := make([]uint32, 0, cnt)
+			targets := make([]uint32, 0, room)
 			for j := uint32(0); j < cnt; j++ {
 				t, err := d.u32()
 				if err != nil {

@@ -14,8 +14,9 @@ import (
 // Encode succeeds, and Decode(Encode(m)) re-encodes to identical
 // bytes, i.e. encode∘decode is a fixed point on the decoder's image.
 // The seed corpus is every workload module plus the malformed-input
-// shapes the unit tests pin, so coverage guidance starts from inputs
-// that reach deep into section parsing.
+// shapes the unit tests pin (a vector count the input cannot back, at
+// every place the decoder reads one, among them), so coverage guidance
+// starts from inputs that reach deep into section parsing.
 func FuzzDecode(f *testing.F) {
 	for _, spec := range workloads.All() {
 		m, _ := spec.Build(workloads.Test)
@@ -32,6 +33,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00})
 	f.Add(oversizedBodyModule)
+	for _, c := range declaredCounts {
+		f.Add(c.in)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wasm.Decode(data)

@@ -1,6 +1,9 @@
 package wasm
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Instr is one decoded instruction. Immediates are stored in a fixed
 // layout so the struct stays small and allocation-free to copy:
@@ -119,7 +122,26 @@ type Module struct {
 	// Names from the custom name section, if present (index keyed by
 	// function space index).
 	FuncNames map[uint32]string
+
+	// validated is the mark Validated reads. It is a plain word behind
+	// sync/atomic's functions rather than an atomic.Bool because a
+	// Module is plain data that callers may copy.
+	validated uint32
 }
+
+// Validated reports whether validate.Module has accepted m, in which
+// case validating it again would repeat a walk over every body whose
+// outcome is known. Decode and hand-built modules start unmarked, so
+// whoever compiles a module nobody has validated still validates it.
+// The mark describes the module as it was when it was validated:
+// changing a module afterwards is outside the contract, exactly as
+// changing one after an engine has compiled it is.
+func (m *Module) Validated() bool { return atomic.LoadUint32(&m.validated) != 0 }
+
+// MarkValidated is validate.Module's alone, called after a complete
+// pass that found nothing wrong. Two engines may compile one module at
+// once, so the mark is written and read atomically.
+func (m *Module) MarkValidated() { atomic.StoreUint32(&m.validated, 1) }
 
 // NumImportedFuncs returns how many functions are imported; module-
 // defined functions are indexed after them in the function space.

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench_hot.sh — the go test -bench layer benchmarks, for humans:
 # per-strategy checked-load micro timings, the sparse mmap/munmap,
-# isolate-lifecycle and many-function cold-compile timings (ns/op and
-# B/op), the wavm run loop's dispatches/op and ns/dispatch on the five
+# isolate-lifecycle and many-function cold-start (decode + validate,
+# then compile per engine) timings (ns/op and B/op), the wavm run loop's dispatches/op and ns/dispatch on the five
 # steady kernels, and the gemm/atax elide × rir macro benches (which
 # assert equal results across the matrix). The numbers that are
 # published come from benchmark/run.sh, not from here.
@@ -21,7 +21,7 @@ go test -run '^$' -bench 'BenchmarkMmapMunmapSparse' -benchtime 200ms -benchmem 
 echo "== isolate lifecycle (mem: New, grow+touch 2 MiB, Close; per strategy)"
 go test -run '^$' -bench 'BenchmarkLifecyclePerStrategy' -benchtime 200ms -benchmem ./internal/mem
 
-echo "== cold compile of a 256-function module (per engine; -cpu 1,2: B/op is the passes' copying, 1-vs-2 the fan-out)"
+echo "== cold start of a 256-function module (front: decode + validate from bytes; then compile per engine, of a module already validated; -cpu 1,2: B/op is the passes' copying, 1-vs-2 the fan-out)"
 go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem -cpu 1,2 ./internal/compiled
 
 echo "== wavm run loop on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
