@@ -14,6 +14,7 @@ import (
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
+	"leapsandbounds/internal/vmm"
 )
 
 // benchWorkloads is the representative subset used by the benches
@@ -167,7 +168,7 @@ func BenchmarkFig3_Scaling(b *testing.B) {
 // memory under x86-style (1 GiB) vs Arm-style (2 MiB) transparent
 // huge pages, reported as a metric.
 func BenchmarkFig6_MemoryTHP(b *testing.B) {
-	for _, prof := range []*leaps.Profile{leaps.ProfileX86(), leaps.ProfileARM()} {
+	for _, prof := range leaps.Profiles()[:2] {
 		b.Run(prof.Name, func(b *testing.B) {
 			wl, err := leaps.WorkloadByName("gemm")
 			if err != nil {
@@ -196,7 +197,7 @@ func BenchmarkFig6_MemoryTHP(b *testing.B) {
 				if _, err := inst.Invoke("run"); err != nil {
 					b.Fatal(err)
 				}
-				if r := proc.ResidentBytes(); r > peak {
+				if r := proc.VMStats().ResidentBytes; r > peak {
 					peak = r
 				}
 				inst.Close()
@@ -289,67 +290,13 @@ func benchCodegenKernel(b *testing.B, workload string) {
 func BenchmarkGemmCompiled(b *testing.B) { benchCodegenKernel(b, "gemm") }
 func BenchmarkAtaxCompiled(b *testing.B) { benchCodegenKernel(b, "atax") }
 
-// BenchmarkSteadyKernels is the layer bench of the wavm run loop: the
-// benchmark's five steady kernels at class Bench under trap, one
-// isolate per op as the benchmark runs them, recompiled for every op
-// because closure and heap placement moves run time by tens of percent
-// from one compile to the next (benchmark/README.md). Only the invoke
-// is timed. dispatches/op is exact (one counted run); ns/dispatch is
-// what a closure costs on this host, and ns/op is their product.
-func BenchmarkSteadyKernels(b *testing.B) {
-	for _, name := range []string{"gemm", "atax", "505.mcf", "557.xz", "531.deepsjeng"} {
-		b.Run(name, func(b *testing.B) {
-			wl, err := leaps.WorkloadByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			module, native := wl.Build(leaps.SizeBench)
-			want := native()
-			cfg := core.Config{Profile: isa.X86_64(), Strategy: mem.Trap}
-			compile := func() *compiled.Module {
-				eng := compiled.NewWAVM()
-				eng.SetCache(nil)
-				cm, err := eng.CompileModule(module)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return cm
-			}
-			invoke := func(cm *compiled.Module, cfg core.Config) *compiled.Instance {
-				inst, err := cm.InstantiateCompiled(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := inst.Invoke("run")
-				b.StopTimer()
-				if err != nil || res[0] != want {
-					b.Fatalf("run() = %v, %v; native twin %#x", res, err, want)
-				}
-				inst.Close()
-				return inst
-			}
-			counted := cfg
-			counted.CountCycles = true
-			dispatches := invoke(compile(), counted).Dispatches()
-			b.ResetTimer()
-			b.StopTimer()
-			for i := 0; i < b.N; i++ {
-				invoke(compile(), cfg)
-			}
-			b.ReportMetric(float64(dispatches), "dispatches/op")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dispatches), "ns/dispatch")
-		})
-	}
-}
-
 // BenchmarkObsOverhead compares a gemm isolate-churn run with the
-// observability plumbing disabled (NewProcess: traceless private
-// registry, counters only) against fully enabled (shared registry
-// with the default trace ring, every layer emitting events). The
-// acceptance bar is <5% overhead for "enabled" over "disabled".
+// observability plumbing disabled (a traceless private registry,
+// counters only) against fully enabled (a registry with the default
+// trace ring, every layer emitting events). The acceptance bar is <5%
+// overhead for "enabled" over "disabled".
 func BenchmarkObsOverhead(b *testing.B) {
-	run := func(b *testing.B, proc *leaps.Process) {
+	run := func(b *testing.B, cfg leaps.Config) {
 		b.Helper()
 		wl, err := leaps.WorkloadByName("gemm")
 		if err != nil {
@@ -365,7 +312,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := proc.Config(leaps.Mprotect)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			inst, err := cm.Instantiate(cfg, nil)
@@ -378,15 +324,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 			inst.Close()
 		}
 	}
+	profile := leaps.ProfileX86()
 	b.Run("disabled", func(b *testing.B) {
-		proc := leaps.NewProcess(leaps.ProfileX86())
-		defer proc.Close()
-		run(b, proc)
+		run(b, leaps.Config{Strategy: leaps.Mprotect, Profile: profile, AS: vmm.New(profile.VM)})
 	})
 	b.Run("enabled", func(b *testing.B) {
-		metrics := leaps.NewMetrics()
-		proc := leaps.NewObservedProcess(leaps.ProfileX86(), metrics, "proc0")
-		defer proc.Close()
-		run(b, proc)
+		as := vmm.NewObserved(profile.VM, leaps.NewMetrics().Scope("proc0"))
+		run(b, leaps.Config{Strategy: leaps.Mprotect, Profile: profile, AS: as})
 	})
 }

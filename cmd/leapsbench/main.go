@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -34,7 +33,6 @@ import (
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/rir"
-	"leapsandbounds/internal/telemetry"
 	"leapsandbounds/internal/workloads"
 )
 
@@ -53,9 +51,8 @@ func main() {
 		cycles   = flag.Bool("cycles", false, "enable the per-ISA cycle model")
 		ops      = flag.Bool("ops", false, "single-run mode: print the executed-op histogram instead of timing")
 		asJSON   = flag.Bool("json", false, "single-run mode: emit the result as JSON")
-		metrics  = flag.String("metrics", "", "write run metrics and trace events to this file (.json, .csv, or .txt summary; \"-\" for stdout)")
+		metrics  = flag.String("metrics", "", "write run metrics and trace events to this file (.json, or a .txt summary; \"-\" for the summary on stdout)")
 		trace    = flag.String("trace", "", "record causal spans and write a Chrome/Perfetto trace-event JSON to this file; also prints the critical-path attribution table")
-		serve    = flag.String("serve", "", "serve live telemetry on this address while the run executes (/metrics, /snapshot, /events, /debug/pprof)")
 		parallel = flag.Bool("parallel", true, "figure mode: schedule configurations through the sweep scheduler (single-isolate runs pack onto a worker pool; thread-scaling runs stay exclusive)")
 		nocache  = flag.Bool("nocache", false, "disable the compiled-module cache (every run pays the full compile)")
 		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision in engines that support it (wavm); -elide=false compiles with per-access checks")
@@ -70,13 +67,13 @@ func main() {
 	)
 	flag.Parse()
 
-	// One registry backs all three observability outputs: the -metrics
-	// sink, the -trace span recording, and the -serve live server. The
-	// final Snapshot is taken once and feeds every post-run consumer,
-	// so the metrics file, the trace file and the attribution table
-	// always describe the same drained ring.
+	// One registry backs both observability outputs: the -metrics sink
+	// and the -trace span recording. The final Snapshot is taken once
+	// and feeds every post-run consumer, so the metrics file, the trace
+	// file and the attribution table always describe the same drained
+	// ring.
 	var reg *obs.Registry
-	if *metrics != "" || *trace != "" || *serve != "" {
+	if *metrics != "" || *trace != "" {
 		reg = obs.NewRegistry()
 		modcache.Shared().AttachObs(reg.Scope("modcache"))
 		compiled.AttachBCEObs(reg.Scope("bce"))
@@ -85,11 +82,8 @@ func main() {
 			reg.EnableTracing(true)
 		}
 	}
-	// The guest sampling profiler is created before the telemetry
-	// server so -serve exposes it live at /debug/pprof/wasm; -serve
-	// alone samples without writing files.
 	var sampler *prof.Profiler
-	if *profOut != "" || *serve != "" {
+	if *profOut != "" {
 		var scope *obs.Scope
 		if reg != nil {
 			scope = reg.Scope("prof")
@@ -97,27 +91,6 @@ func main() {
 		sampler = prof.New(*profHz, scope)
 		sampler.Start()
 		defer sampler.Stop()
-	}
-	if *serve != "" {
-		var strategies []string
-		for _, st := range mem.Strategies() {
-			strategies = append(strategies, st.String())
-		}
-		srv, err := telemetry.StartOptions(*serve, reg, telemetry.HandlerOptions{
-			Build: telemetry.BuildInfo{
-				GitSHA:     gitSHA(),
-				Strategies: strings.Join(strategies, ","),
-				Elide:      *elide,
-				RIR:        *rirOn,
-			},
-			Prof: sampler,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "leapsbench: serving telemetry on http://%s/\n", srv.Addr())
 	}
 	if *nocache {
 		modcache.Shared().SetEnabled(false)
@@ -167,7 +140,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "leapsbench:", err)
 			os.Exit(1)
 		}
-		if sampler != nil && *profOut != "" {
+		if sampler != nil {
 			sampler.Stop()
 			if err := writeGuestProfile(sampler, *profOut); err != nil {
 				fmt.Fprintln(os.Stderr, "leapsbench:", err)
@@ -239,7 +212,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "leapsbench:", err)
 		os.Exit(1)
 	}
-	if sampler != nil && *profOut != "" {
+	if sampler != nil {
 		sampler.Stop()
 		if err := writeGuestProfile(sampler, *profOut); err != nil {
 			fmt.Fprintln(os.Stderr, "leapsbench:", err)
@@ -263,17 +236,6 @@ func main() {
 		return
 	}
 	printResult(res)
-}
-
-// gitSHA returns the short commit hash of the working tree for
-// -serve's build info, or "unknown" when git (or the .git directory)
-// is unavailable.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 // finishObs drains the registry once, after all runs have completed
@@ -309,8 +271,8 @@ func finishObs(reg *obs.Registry, metricsPath, tracePath string) error {
 }
 
 // writeMetrics writes the snapshot to path, picking the sink by
-// extension: .csv → flat rows, .txt → human summary, anything else →
-// JSON. "-" writes the summary to stdout.
+// extension: .txt → human summary, anything else → JSON. "-" writes
+// the summary to stdout.
 func writeMetrics(snap *obs.Snapshot, path string) error {
 	if path == "" {
 		return nil
@@ -322,14 +284,9 @@ func writeMetrics(snap *obs.Snapshot, path string) error {
 	if err != nil {
 		return err
 	}
-	var sink obs.Sink
-	switch {
-	case strings.HasSuffix(path, ".csv"):
-		sink = obs.CSVSink{W: f}
-	case strings.HasSuffix(path, ".txt"):
+	var sink obs.Sink = obs.JSONSink{W: f}
+	if strings.HasSuffix(path, ".txt") {
 		sink = obs.SummarySink{W: f}
-	default:
-		sink = obs.JSONSink{W: f}
 	}
 	if err := sink.Write(snap); err != nil {
 		f.Close()

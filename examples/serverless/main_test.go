@@ -14,9 +14,6 @@ import (
 func TestBurstsCompileOnce(t *testing.T) {
 	module := buildHandler()
 	cache := leaps.CompileCache()
-	if !cache.Enabled() {
-		t.Fatal("shared compile cache is disabled")
-	}
 
 	// Warm-up burst: the one compile the function ever needs.
 	engine, closeEngine, err := leaps.NewEngine(leaps.EngineWasmtime)

@@ -2,7 +2,6 @@ package compiled
 
 import (
 	"math"
-	"sync/atomic"
 
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/obs"
@@ -45,21 +44,17 @@ import (
 // decorate; the passes themselves stay here because the emitters
 // below consume their plans directly.
 
-// Process-wide elision statistics, attached to obs like modcache's.
+// Process-wide elision statistics: obs counters the package owns,
+// like modcache's. Stats() reads them and AttachBCEObs registers these
+// same objects in a run registry.
 var (
-	bceChecksEmitted   atomic.Int64 // accesses left per-access checked
-	bceChecksElided    atomic.Int64 // accesses lowered to unchecked closures
-	bceRangesCoalesced atomic.Int64 // EBB groups replaced by one range check
-	bceHoisted         atomic.Int64 // per-access checks hoisted to loop preheaders
-	bceRevalidations   atomic.Int64 // runtime re-checks after call/grow in fast loop copies
-	bceAddrFused       atomic.Int64 // address-mode ops folded into unchecked accesses
-
-	bceObsH atomic.Pointer[bceObsHandles]
+	bceChecksEmitted   obs.Counter // accesses left per-access checked
+	bceChecksElided    obs.Counter // accesses lowered to unchecked closures
+	bceRangesCoalesced obs.Counter // EBB groups replaced by one range check
+	bceHoisted         obs.Counter // per-access checks hoisted to loop preheaders
+	bceRevalidations   obs.Counter // runtime re-checks after call/grow in fast loop copies
+	bceAddrFused       obs.Counter // address-mode ops folded into unchecked accesses
 )
-
-type bceObsHandles struct {
-	emitted, elided, coalesced, hoisted, revals, fused *obs.Counter
-}
 
 // BCEStats is a snapshot of the elision counters.
 type BCEStats struct {
@@ -83,31 +78,16 @@ func Stats() BCEStats {
 	}
 }
 
-// AttachBCEObs routes the elision counters to sc (typically a "bce"
-// scope of the run registry); nil detaches.
+// AttachBCEObs registers the elision counters under sc (typically a
+// "bce" scope of the run registry). They are process totals: a
+// registry attached after some compiles sees those compiles too.
 func AttachBCEObs(sc *obs.Scope) {
-	if sc == nil {
-		bceObsH.Store(nil)
-		return
-	}
-	bceObsH.Store(&bceObsHandles{
-		emitted:   sc.Counter("checks_emitted"),
-		elided:    sc.Counter("checks_elided"),
-		coalesced: sc.Counter("ranges_coalesced"),
-		hoisted:   sc.Counter("hoisted"),
-		revals:    sc.Counter("revalidations"),
-		fused:     sc.Counter("addr_fused"),
-	})
-}
-
-func bceCount(c *atomic.Int64, pick func(*bceObsHandles) *obs.Counter, n int64) {
-	if n == 0 {
-		return
-	}
-	c.Add(n)
-	if h := bceObsH.Load(); h != nil {
-		pick(h).Add(n)
-	}
+	sc.RegisterCounter("checks_emitted", &bceChecksEmitted)
+	sc.RegisterCounter("checks_elided", &bceChecksElided)
+	sc.RegisterCounter("ranges_coalesced", &bceRangesCoalesced)
+	sc.RegisterCounter("hoisted", &bceHoisted)
+	sc.RegisterCounter("revalidations", &bceRevalidations)
+	sc.RegisterCounter("addr_fused", &bceAddrFused)
 }
 
 // elide is the pass entry point, run after optimize+rir.Compact. It
@@ -128,7 +108,7 @@ func elide(pre []rir.Inst, numLocals int) []rir.Inst {
 			checked++
 		}
 	}
-	bceCount(&bceChecksEmitted, func(h *bceObsHandles) *obs.Counter { return h.emitted }, checked)
+	bceChecksEmitted.Add(checked)
 	return ir
 }
 
@@ -310,8 +290,8 @@ func hoistLoops(ir []rir.Inst, numLocals int) ([]rir.Inst, []bool) {
 		hoisted += int64(len(lv.plan.Ranges))
 		i = lv.E + 1
 	}
-	bceCount(&bceHoisted, func(h *bceObsHandles) *obs.Counter { return h.hoisted }, hoisted)
-	bceCount(&bceChecksElided, func(h *bceObsHandles) *obs.Counter { return h.elided }, elided)
+	bceHoisted.Add(hoisted)
+	bceChecksElided.Add(elided)
 	return out, slow
 }
 
@@ -749,8 +729,8 @@ func coalesceEBB(ir []rir.Inst, slow []bool) []rir.Inst {
 		coalesced++
 		i = r.last + 1
 	}
-	bceCount(&bceRangesCoalesced, func(h *bceObsHandles) *obs.Counter { return h.coalesced }, coalesced)
-	bceCount(&bceChecksElided, func(h *bceObsHandles) *obs.Counter { return h.elided }, elided)
+	bceRangesCoalesced.Add(coalesced)
+	bceChecksElided.Add(elided)
 	return out
 }
 
@@ -919,8 +899,7 @@ func emitRangeCheck(s *rir.Inst) (cop, error) {
 			return tgt
 		}
 		if reval {
-			bceCount(&bceRevalidations,
-				func(h *bceObsHandles) *obs.Counter { return h.revals }, 1)
+			bceRevalidations.Inc()
 		}
 		st := inst.stack
 		lo := int64(int32(uint32(st[base+ind])))
@@ -1116,7 +1095,7 @@ func fuseAddrs(ir []rir.Inst, numLocals int) []rir.Inst {
 		return ir
 	}
 	ir = rir.Compact(ir)
-	bceCount(&bceAddrFused, func(h *bceObsHandles) *obs.Counter { return h.fused }, fusedOps)
+	bceAddrFused.Add(fusedOps)
 	return ir
 }
 

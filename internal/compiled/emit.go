@@ -450,7 +450,7 @@ func emitCmpBranch(s *rir.Inst, pc int) (cop, error) {
 // what the fusion saves. So a half is captured data (behind one
 // pointer: a struct captured by value is copied to the closure's frame
 // on every call) plus inlinable, branch-free accessors, and emitPair
-// spells out one closure per fusable pair of halves (rir.Fusable).
+// spells out one closure per fusable pair of halves (rir.FuseMem fuses exactly those).
 // The first half writes its register and hands the value on; the
 // second takes it in place of the frame read of that register — a
 // store-to-load forward is ~5 cycles on the path to the result — and

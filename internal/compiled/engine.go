@@ -31,7 +31,6 @@ var (
 // process-wide module cache.
 type Engine struct {
 	name     string
-	desc     string
 	optimize bool
 	codegen  core.Codegen
 	cache    core.ModuleCache
@@ -45,7 +44,6 @@ type Engine struct {
 func NewWAVM() *Engine {
 	return &Engine{
 		name:     "wavm",
-		desc:     "optimizing closure-compiling AOT engine (WAVM/LLVM analog)",
 		optimize: true,
 		codegen:  core.Codegen{BoundsElision: true, RegisterIR: true},
 		cache:    modcache.Shared(),
@@ -57,7 +55,6 @@ func NewWAVM() *Engine {
 func NewWasmtime() *Engine {
 	return &Engine{
 		name:     "wasmtime",
-		desc:     "single-pass closure-compiling AOT engine (Wasmtime/Cranelift analog)",
 		optimize: false,
 		cache:    modcache.Shared(),
 	}
@@ -127,9 +124,6 @@ func (e *Engine) CachedModule(m *wasm.Module) (*Module, bool) {
 
 // Name implements core.Engine.
 func (e *Engine) Name() string { return e.name }
-
-// Description implements core.Engine.
-func (e *Engine) Description() string { return e.desc }
 
 // cfunc is one compiled function.
 type cfunc struct {
@@ -331,11 +325,6 @@ func (cm *Module) InstantiateSnapshot(cfg core.Config, imports core.Imports, sna
 	return cm.instantiate(cfg, imports, snap)
 }
 
-// InstantiateCompiled is Instantiate with a concrete result type.
-func (cm *Module) InstantiateCompiled(cfg core.Config, imports core.Imports) (*Instance, error) {
-	return cm.instantiate(cfg, imports, nil)
-}
-
 // instantiate creates one isolate, fresh (snap nil: the start function
 // runs) or from a template's frozen state (the start function's
 // effects are in the snapshot).
@@ -377,7 +366,10 @@ type Instance struct {
 	prof   *prof.Cell
 	ckSoft bool
 	// dispatches counts closures executed under Config.CountCycles (the
-	// plain loop stays free of it).
+	// plain loop stays free of it): the unit the closure engine's run
+	// time is made of, which superinstruction fusion exists to shrink. A
+	// fused pair is one dispatch, whatever it charges the cycle model.
+	// BenchmarkSteadyKernels reports it.
 	dispatches int64
 }
 
@@ -386,12 +378,6 @@ func (inst *Instance) Memory() *mem.Memory { return inst.base.Mem }
 
 // Counts implements core.Instance.
 func (inst *Instance) Counts() *isa.Counts { return inst.base.Counts() }
-
-// Dispatches returns the number of closures the run loop has executed
-// under Config.CountCycles: the unit the closure engine's run time is
-// made of, which superinstruction fusion exists to shrink. A fused
-// pair is one dispatch, whatever it charges the cycle model.
-func (inst *Instance) Dispatches() int64 { return inst.dispatches }
 
 // Close implements core.Instance.
 func (inst *Instance) Close() error { return inst.base.Close() }
@@ -469,8 +455,8 @@ func (inst *Instance) run(cf *cfunc, base int) {
 // instance is sampled, it publishes (function, opcode class, check
 // flags) into the instance's cell with one atomic store before every
 // closure; when cycle accounting is on, it charges the closure's
-// classes (both halves of a fused pair, plus the strategy's check and
-// the shared-memory surcharge on accesses) and counts the dispatch.
+// classes (both halves of a fused pair, plus the strategy's check on
+// accesses) and counts the dispatch.
 // `-cycles -profile` gets both.
 func (inst *Instance) runInstrumented(cf *cfunc, base int) {
 	code := cf.code
@@ -483,11 +469,10 @@ func (inst *Instance) runInstrumented(cf *cfunc, base int) {
 	counting := inst.count
 	var counts *isa.Counts
 	var ck isa.OpClass
-	var ckOn, shared bool
+	var ckOn bool
 	if counting {
 		counts = &inst.base.CycleCounts
 		ck, ckOn = inst.base.CheckClass()
-		shared = inst.base.Mem != nil && inst.base.Mem.Shared()
 	}
 	for pc := 0; pc >= 0; {
 		if cell != nil {
@@ -508,13 +493,8 @@ func (inst *Instance) runInstrumented(cf *cfunc, base int) {
 			if c := classes2[pc]; c != noClass {
 				counts[c]++
 			}
-			if memAcc[pc] {
-				if ckOn {
-					counts[ck]++
-				}
-				if shared {
-					counts[isa.ClassAtomic]++
-				}
+			if ckOn && memAcc[pc] {
+				counts[ck]++
 			}
 		}
 		pc = code[pc](inst, base, pc)

@@ -180,7 +180,7 @@ func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome 
 			Revalidations: b1.Revalidations - b0.Revalidations, AddrFused: b1.AddrFused - b0.AddrFused,
 		},
 	}
-	for _, ev := range reg.DrainEvents(0) {
+	for _, ev := range reg.Snapshot(true).Events {
 		if ev.Kind == obs.EvSpanEnd.String() {
 			out.spans++
 		}
@@ -207,6 +207,38 @@ func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome 
 	}
 	out.digest = runDigest(t, cm)
 	return out
+}
+
+// TestStatsAndRegistryReadTheSameCounters: the elision and lowering
+// counters are counted once, in objects their packages own. After a
+// real compile, Stats() and a snapshot of a registry they were attached
+// to — twice, which must not count anything twice — agree field for
+// field, although the registry came after other tests' compiles (a late
+// registry sees process totals).
+func TestStatsAndRegistryReadTheSameCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	for i := 0; i < 2; i++ {
+		compiled.AttachBCEObs(reg.Scope("bce"))
+		rir.AttachObs(reg.Scope("rir"))
+	}
+	defer rir.AttachObs(nil)
+	if _, err := coldEngines()["wavm"].Compile(manyFuncsModule(t, 24)); err != nil {
+		t.Fatal(err)
+	}
+	b, r, got := compiled.Stats(), rir.Stats(), reg.Snapshot(false).Counters
+	if b.ChecksElided == 0 || b.RangesCoalesced == 0 || r.OpsIn == 0 || r.FusedLdOp == 0 {
+		t.Fatalf("the compile left the counters idle: %+v %+v", b, r)
+	}
+	want := map[string]int64{
+		"bce/checks_emitted": b.ChecksEmitted, "bce/checks_elided": b.ChecksElided,
+		"bce/ranges_coalesced": b.RangesCoalesced, "bce/hoisted": b.Hoisted,
+		"bce/revalidations": b.Revalidations, "bce/addr_fused": b.AddrFused,
+		"rir/ops_in": r.OpsIn, "rir/ops_out": r.OpsOut, "rir/fused_cmpbr": r.FusedCmpBr,
+		"rir/fused_ldop": r.FusedLdOp, "rir/regs_allocated": r.RegsAllocated,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("registry %v\nStats()  %v", got, want)
+	}
 }
 
 func runDigest(t *testing.T, cm core.CompiledModule) uint64 {

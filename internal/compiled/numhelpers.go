@@ -13,7 +13,5 @@ func bu(b bool) uint64 {
 	return 0
 }
 
-func g32(v uint64) float32 { return math.Float32frombits(uint32(v)) }
 func g64(v uint64) float64 { return math.Float64frombits(v) }
-func p32(f float32) uint64 { return uint64(math.Float32bits(f)) }
 func p64(f float64) uint64 { return math.Float64bits(f) }

@@ -237,7 +237,7 @@ func pairInstance(t *testing.T) *Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := cm.InstantiateCompiled(core.Config{Profile: isa.X86_64(), Strategy: mem.Trap}, nil)
+	inst, err := cm.instantiate(core.Config{Profile: isa.X86_64(), Strategy: mem.Trap}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,3 @@ const (
 	// ran in this process.
 	FromDisk
 )
-
-var provenanceNames = [...]string{"compile", "memory", "disk"}
-
-func (p Provenance) String() string {
-	if int(p) < len(provenanceNames) {
-		return provenanceNames[p]
-	}
-	return "provenance(?)"
-}

@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"time"
 
 	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/isa"
@@ -59,16 +58,6 @@ type Config struct {
 	// the address space's scope is used, so every engine reports
 	// uniformly without explicit wiring.
 	Obs *obs.Scope
-	// MaxPages caps memory for modules that declare no maximum.
-	MaxPages uint32
-	// CallDepth bounds recursion; 0 means the default (1000).
-	CallDepth int
-	// Fault, when non-nil, installs a deterministic fault injector on
-	// the address space (chaos testing): vmm syscall and fault paths
-	// consult it, and the mem layer's retry/fallback machinery absorbs
-	// what it injects. An injector already installed on AS wins, so
-	// harness-level wiring is not overwritten.
-	Fault *faultinject.Plan
 	// SharedMem attaches the instance to an existing wasm-threads-style
 	// shared linear memory (built with NewSharedMemory) instead of
 	// allocating a private one. All instances of a thread group pass
@@ -95,29 +84,21 @@ type Config struct {
 	ProfLabel string
 }
 
-// DefaultMaxPages caps memories that declare no maximum: 2048 wasm
+// defaultMaxPages caps memories that declare no maximum: 2048 wasm
 // pages = 128 MiB, ample for every workload in this repository.
-const DefaultMaxPages = 2048
+const defaultMaxPages = 2048
 
-// DefaultCallDepth is the default call-stack bound.
-const DefaultCallDepth = 1000
+// callDepth bounds recursion: one more nested wasm-level call traps
+// with trap.StackOverflow.
+const callDepth = 1000
 
 // withDefaults normalizes a config.
 func (c Config) withDefaults() (Config, error) {
 	if c.Profile == nil {
 		return c, errors.New("core: Config.Profile is required")
 	}
-	if c.MaxPages == 0 {
-		c.MaxPages = DefaultMaxPages
-	}
-	if c.CallDepth == 0 {
-		c.CallDepth = DefaultCallDepth
-	}
 	if c.AS == nil {
 		c.AS = vmm.New(c.Profile.VM)
-	}
-	if c.Fault != nil && c.AS.Injector() == nil {
-		c.AS.SetInjector(faultinject.New(*c.Fault, c.AS.Obs().Child("faultinject")))
 	}
 	if c.Strategy == mem.Uffd && c.Pool == nil && !c.UffdNoPool {
 		// One pool per simulated process, not per instantiation: a
@@ -207,8 +188,6 @@ type ModuleCache interface {
 type Engine interface {
 	// Name is the short identifier used in figures (e.g. "wavm").
 	Name() string
-	// Description explains which real runtime the engine models.
-	Description() string
 	// Compile prepares a validated module for instantiation. The
 	// returned module is immutable and safe for concurrent
 	// instantiation from many goroutines.
@@ -258,8 +237,6 @@ type Instance interface {
 // HostContext is passed to host functions.
 type HostContext struct {
 	Mem *mem.Memory
-	// Env carries host-module state (e.g. the WASI environment).
-	Env any
 
 	// views/revals count HostMemView acquisitions and post-grow
 	// revalidations (cached metric handles; nil in hand-built
@@ -279,8 +256,8 @@ type HostFunc struct {
 // Imports maps module name → field name → host function.
 type Imports map[string]map[string]HostFunc
 
-// Resolve returns the host function for an import, or an error.
-func (im Imports) Resolve(module, name string, want wasm.FuncType) (HostFunc, error) {
+// resolve returns the host function for an import, or an error.
+func (im Imports) resolve(module, name string, want wasm.FuncType) (HostFunc, error) {
 	fields, ok := im[module]
 	if !ok {
 		return HostFunc{}, fmt.Errorf("core: unknown import module %q", module)
@@ -345,11 +322,11 @@ type InstanceBase struct {
 	sharedMem bool
 }
 
-// FuncNames builds the function-index → name table the profiler
+// funcNames builds the function-index → name table the profiler
 // resolves samples against: the module's name section where present,
 // "fnN" placeholders elsewhere (imports included, so indices line up
 // with the function space the engines publish).
-func FuncNames(m *wasm.Module) []string {
+func funcNames(m *wasm.Module) []string {
 	n := m.NumImportedFuncs() + len(m.Code)
 	names := make([]string, n)
 	for i := range names {
@@ -393,7 +370,7 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports, snap *StateSna
 		switch im.Kind {
 		case wasm.ExternFunc:
 			ft := m.Types[im.Func]
-			hf, err := imports.Resolve(im.Module, im.Name, ft)
+			hf, err := imports.resolve(im.Module, im.Name, ft)
 			if err != nil {
 				return nil, err
 			}
@@ -467,7 +444,7 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports, snap *StateSna
 	// registered cell is sampled (and holds the name table) until Close
 	// unregisters it, and a failed instantiation has no Close.
 	if cfg.Prof != nil {
-		b.ProfCell = cfg.Prof.Register(cfg.ProfLabel, cfg.Strategy.String(), FuncNames(m))
+		b.ProfCell = cfg.Prof.Register(cfg.ProfLabel, cfg.Strategy.String(), funcNames(m))
 	}
 	return b, nil
 }
@@ -475,8 +452,8 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports, snap *StateSna
 // newMemory allocates a linear memory under c — the one place a
 // core.Config becomes a mem.Config. A fork takes its geometry from
 // image; a fresh memory (image nil) takes the module's limits, with
-// the maximum clamped by c.MaxPages, raised to the minimum, and never
-// zero (mem.Config requires a maximum).
+// the maximum clamped by defaultMaxPages, raised to the minimum, and
+// never zero (mem.Config requires a maximum).
 func (c Config) newMemory(lim wasm.Limits, image *mem.Snapshot, shared bool, span obs.SpanRef) (*mem.Memory, error) {
 	mc := mem.Config{
 		Strategy:    c.Strategy,
@@ -492,7 +469,7 @@ func (c Config) newMemory(lim wasm.Limits, image *mem.Snapshot, shared bool, spa
 		return mem.NewFromSnapshot(mc, image)
 	}
 	mc.MinPages = lim.Min
-	mc.MaxPages = c.MaxPages
+	mc.MaxPages = defaultMaxPages
 	if lim.HasMax && lim.Max < mc.MaxPages {
 		mc.MaxPages = lim.Max
 	}
@@ -588,7 +565,7 @@ func (b *InstanceBase) Close() error {
 // parent) and points the memory's kernel-work attribution at it, so
 // faults taken during the call nest under the call. Engines bracket
 // Invoke with BeginInvoke/EndInvoke; the returned span is inert when
-// tracing is off, leaving only the counter cost of ObsInvoke.
+// tracing is off, leaving only the counter cost of obsInvoke.
 func (b *InstanceBase) BeginInvoke() obs.Span {
 	sp := b.Cfg.Obs.StartSpan(obs.SpanInvoke, b.Cfg.Span)
 	if sp.Ref().Valid() {
@@ -613,13 +590,13 @@ func (b *InstanceBase) EndInvoke(sp obs.Span, err error) {
 	}
 	sp.End()
 	b.ProfCell.Idle()
-	b.ObsInvoke(err)
+	b.obsInvoke(err)
 }
 
-// ObsInvoke records one completed Invoke call: every engine calls it
-// on the way out so invocation and trap counts are uniform across
-// compiled, tiered and interpreted execution.
-func (b *InstanceBase) ObsInvoke(err error) {
+// obsInvoke records one completed Invoke call, so invocation and trap
+// counts are uniform across compiled, tiered and interpreted
+// execution.
+func (b *InstanceBase) obsInvoke(err error) {
 	b.obsInvokes.Inc()
 	if err == nil {
 		return
@@ -665,7 +642,7 @@ func (b *InstanceBase) Counts() *isa.Counts {
 // level call and pair it with LeaveCall.
 func (b *InstanceBase) EnterCall() {
 	b.Depth++
-	if b.Depth > b.Cfg.CallDepth {
+	if b.Depth > callDepth {
 		trap.Throw(trap.StackOverflow)
 	}
 }
@@ -757,8 +734,8 @@ func (b *InstanceBase) ResolveIndirect(slot, typeIdx uint32) uint32 {
 // InvokeErr converts a recovered engine panic into an Invoke error.
 func InvokeErr(r any) error { return trap.Recover(r) }
 
-// InstantiateMaxAttempts bounds InstantiateWithRetry.
-const InstantiateMaxAttempts = 8
+// instantiateMaxAttempts bounds InstantiateWithRetry.
+const instantiateMaxAttempts = 8
 
 // InstantiateWithRetry instantiates cm, retrying with backoff when
 // instantiation fails with an injected transient fault (an mmap or
@@ -773,9 +750,9 @@ func InstantiateWithRetry(cm CompiledModule, cfg Config, imports Imports) (Insta
 // and template forks alike.
 func instantiateWithRetry(cm CompiledModule, cfg Config, imports Imports, snap *StateSnapshot) (Instance, error) {
 	var lastErr error
-	for attempt := 0; attempt < InstantiateMaxAttempts; attempt++ {
+	for attempt := 0; attempt < instantiateMaxAttempts; attempt++ {
 		if attempt > 0 {
-			retryPause(attempt)
+			faultinject.Backoff(attempt)
 		}
 		inst, err := cm.InstantiateSnapshot(cfg, imports, snap)
 		if err == nil {
@@ -792,19 +769,5 @@ func instantiateWithRetry(cm CompiledModule, cfg Config, imports Imports, snap *
 		lastErr = err
 	}
 	return nil, fmt.Errorf("core: instantiation failed after %d attempts: %w",
-		InstantiateMaxAttempts, lastErr)
-}
-
-// retryPause busy-waits an exponentially growing, capped interval.
-// Busy-waiting keeps single-threaded chaos runs replay-deterministic
-// (no scheduler round trip).
-func retryPause(attempt int) {
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	d := time.Duration(1<<shift) * 250 * time.Nanosecond
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
+		instantiateMaxAttempts, lastErr)
 }

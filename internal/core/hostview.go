@@ -41,7 +41,6 @@ type HostMemView struct {
 	// copyBuf is the eager copy (flat strategies); writes land back
 	// in guest memory at Commit.
 	copyBuf []byte
-	revals  int
 	revalC  *obs.Counter
 }
 
@@ -100,10 +99,10 @@ func (v *HostMemView) acquire(snapshot bool) {
 
 // Data returns the window's bytes, revalidating first if the guest
 // grew memory since the last validation. The returned slice is valid
-// until the next Data/Revalidate/Commit call.
+// until the next Data/Commit call.
 func (v *HostMemView) Data() []byte {
 	if v.m.Generation() != v.gen {
-		v.Revalidate()
+		v.revalidate()
 	}
 	if v.copyBuf != nil {
 		return v.copyBuf
@@ -111,14 +110,13 @@ func (v *HostMemView) Data() []byte {
 	return v.live
 }
 
-// Revalidate re-checks the window against the current memory bounds
+// revalidate re-checks the window against the current memory bounds
 // and re-acquires it. Called automatically by Data on a generation
 // mismatch; a grow can only extend memory, so an in-bounds window
 // stays in bounds, but the virtual-memory strategies must re-take
 // the live slice (the backing window is owned by the bounds check
 // that produced it) and the check cost is the point being measured.
-func (v *HostMemView) Revalidate() {
-	v.revals++
+func (v *HostMemView) revalidate() {
 	if v.revalC != nil {
 		v.revalC.Inc()
 	}
@@ -138,7 +136,3 @@ func (v *HostMemView) Commit() {
 
 // Len returns the window length.
 func (v *HostMemView) Len() uint64 { return v.n }
-
-// Revalidations returns how many times the view was revalidated
-// after a mid-hostcall grow (test and attribution hook).
-func (v *HostMemView) Revalidations() int { return v.revals }

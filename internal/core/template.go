@@ -98,12 +98,6 @@ func NewTemplate(cm CompiledModule, cfg Config, imports Imports, warm func(Insta
 	return &Template{mod: cm, cfg: cfg, imports: imports, snap: snap}, nil
 }
 
-// Snapshot exposes the frozen state.
-func (t *Template) Snapshot() *StateSnapshot { return t.snap }
-
-// Config returns the template's normalized configuration.
-func (t *Template) Config() Config { return t.cfg }
-
 // Fork creates one instance from the template under its own
 // configuration — the common serving path.
 func (t *Template) Fork() (Instance, error) { return t.ForkWith(t.cfg) }

@@ -66,9 +66,6 @@ const (
 	numSites
 )
 
-// NumSites is the number of distinct injection sites.
-const NumSites = int(numSites)
-
 var siteNames = [numSites]string{
 	"mmap", "mprotect", "uffd_zero", "uffd_delay",
 	"fault_drop", "pool_get", "pool_contention", "grow",
@@ -79,15 +76,6 @@ func (s Site) String() string {
 		return siteNames[s]
 	}
 	return fmt.Sprintf("site(%d)", uint8(s))
-}
-
-// AllSites lists every injectable site.
-func AllSites() []Site {
-	sites := make([]Site, NumSites)
-	for i := range sites {
-		sites[i] = Site(i)
-	}
-	return sites
 }
 
 // ChaosPlan is the plan behind the chaos regression tests and
@@ -156,8 +144,7 @@ type Plan struct {
 	// Rate is the per-evaluation injection probability in [0, 1],
 	// applied at every enabled site.
 	Rate float64
-	// Sites enables specific sites; an empty slice enables none (use
-	// AllSites for full chaos).
+	// Sites enables specific sites; an empty slice enables none.
 	Sites []Site
 	// GrowFailPages, when non-empty, restricts SiteGrow to fire only
 	// when the grow would reach one of these page counts (and then it
@@ -172,8 +159,8 @@ type Plan struct {
 	Budget int64
 }
 
-// DefaultDelay is the delay charged when Plan.Delay is zero.
-const DefaultDelay = 2 * time.Microsecond
+// defaultDelay is the delay charged when Plan.Delay is zero.
+const defaultDelay = 2 * time.Microsecond
 
 // Injector evaluates a Plan at runtime. All methods are safe for
 // concurrent use and nil-receiver safe (a nil injector never
@@ -183,15 +170,15 @@ type Injector struct {
 	enabled [numSites]bool
 	growSet map[uint32]bool
 
-	evals   [numSites]atomic.Int64
-	injects [numSites]atomic.Int64
-	total   atomic.Int64
+	evals [numSites]atomic.Int64
 
+	// The injector's own counters: the budget and the recover event
+	// read them, and New registers these same objects under the scope.
 	obs        *obs.Scope
-	injectCtrs [numSites]*obs.Counter
-	recoverCtr [numSites]*obs.Counter
-	injectAll  *obs.Counter
-	recoverAll *obs.Counter
+	injectCtrs [numSites]obs.Counter
+	recoverCtr [numSites]obs.Counter
+	injectAll  obs.Counter
+	recoverAll obs.Counter
 }
 
 // New builds an injector for the plan, registering its counters
@@ -199,11 +186,11 @@ type Injector struct {
 // A nil scope leaves the injector unobserved but functional.
 func New(plan Plan, sc *obs.Scope) *Injector {
 	if plan.Delay <= 0 {
-		plan.Delay = DefaultDelay
+		plan.Delay = defaultDelay
 	}
 	in := &Injector{plan: plan, obs: sc}
 	for _, s := range plan.Sites {
-		if int(s) < NumSites {
+		if s < numSites {
 			in.enabled[s] = true
 		}
 	}
@@ -214,26 +201,18 @@ func New(plan Plan, sc *obs.Scope) *Injector {
 		}
 		in.enabled[SiteGrow] = true
 	}
-	for s := 0; s < NumSites; s++ {
-		in.injectCtrs[s] = sc.Counter("inject_" + Site(s).String())
-		in.recoverCtr[s] = sc.Counter("recover_" + Site(s).String())
+	for s := Site(0); s < numSites; s++ {
+		sc.RegisterCounter("inject_"+s.String(), &in.injectCtrs[s])
+		sc.RegisterCounter("recover_"+s.String(), &in.recoverCtr[s])
 	}
-	in.injectAll = sc.Counter("injections")
-	in.recoverAll = sc.Counter("recoveries")
+	sc.RegisterCounter("injections", &in.injectAll)
+	sc.RegisterCounter("recoveries", &in.recoverAll)
 	return in
 }
 
-// Plan returns the injector's plan (zero Plan for nil).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
-// Enabled reports whether the site can fire at all.
-func (in *Injector) Enabled(site Site) bool {
-	return in != nil && int(site) < NumSites && in.enabled[site]
+// armed reports whether the site can fire at all.
+func (in *Injector) armed(site Site) bool {
+	return in != nil && site < numSites && in.enabled[site]
 }
 
 // splitmix64 is the SplitMix64 finalizer: a high-quality stateless
@@ -258,18 +237,16 @@ func (in *Injector) decide(site Site, n int64) bool {
 // The returned occurrence number is 1-based and identifies the
 // decision for replay.
 func (in *Injector) should(site Site) (int64, bool) {
-	if !in.Enabled(site) {
+	if !in.armed(site) {
 		return 0, false
 	}
 	n := in.evals[site].Add(1)
 	if !in.decide(site, n-1) {
 		return n, false
 	}
-	if b := in.plan.Budget; b > 0 && in.total.Load() >= b {
+	if b := in.plan.Budget; b > 0 && in.injectAll.Load() >= b {
 		return n, false
 	}
-	in.total.Add(1)
-	in.injects[site].Add(1)
 	in.injectCtrs[site].Inc()
 	in.injectAll.Inc()
 	in.obs.Emit(obs.EvInject, int64(site), n)
@@ -297,19 +274,23 @@ func (in *Injector) Fail(site Site) error {
 // matches the vmm cost model: the delayed handler occupies its CPU.
 func (in *Injector) DelayIf(site Site) bool {
 	_, fire := in.should(site)
-	if !fire {
-		return false
+	if fire {
+		spin(in.plan.Delay)
 	}
+	return fire
+}
+
+// spin busy-waits for d.
+func spin(d time.Duration) {
 	t0 := time.Now()
-	for time.Since(t0) < in.plan.Delay {
+	for time.Since(t0) < d {
 	}
-	return true
 }
 
 // GrowFail evaluates SiteGrow for a grow that would reach newPages,
 // honouring GrowFailPages when set.
 func (in *Injector) GrowFail(newPages uint32) bool {
-	if !in.Enabled(SiteGrow) {
+	if !in.armed(SiteGrow) {
 		return false
 	}
 	if in.growSet != nil {
@@ -317,10 +298,8 @@ func (in *Injector) GrowFail(newPages uint32) bool {
 			return false
 		}
 		n := in.evals[SiteGrow].Add(1)
-		in.injects[SiteGrow].Add(1)
 		in.injectCtrs[SiteGrow].Inc()
 		in.injectAll.Inc()
-		in.total.Add(1)
 		in.obs.Emit(obs.EvInject, int64(SiteGrow), n)
 		return true
 	}
@@ -330,32 +309,25 @@ func (in *Injector) GrowFail(newPages uint32) bool {
 // Recovered records that a degradation path (retry, fallback)
 // absorbed an injected failure at the site.
 func (in *Injector) Recovered(site Site) {
-	if in == nil || int(site) >= NumSites {
+	if in == nil || site >= numSites {
 		return
 	}
 	in.recoverCtr[site].Inc()
 	in.recoverAll.Inc()
-	in.obs.Emit(obs.EvRecover, int64(site), in.injects[site].Load())
+	in.obs.Emit(obs.EvRecover, int64(site), in.injectCtrs[site].Load())
 }
 
-// Stats is a plain-value snapshot of per-site activity.
-type Stats struct {
-	Evals, Injects [NumSites]int64
-	Total          int64
-}
-
-// Stats snapshots the injector's counters (zero value for nil).
-func (in *Injector) Stats() Stats {
-	var s Stats
-	if in == nil {
-		return s
+// Backoff busy-waits before retry attempt of an operation that failed
+// with a transient fault (exponential from 500 ns, capped at 16 µs).
+// It must not sleep: a sleep is a scheduler round trip, and the
+// determinism contract above needs single-threaded chaos runs to
+// replay without one — the same reason DelayIf spins.
+func Backoff(attempt int) {
+	shift := attempt
+	if shift > 6 {
+		shift = 6
 	}
-	for i := 0; i < NumSites; i++ {
-		s.Evals[i] = in.evals[i].Load()
-		s.Injects[i] = in.injects[i].Load()
-	}
-	s.Total = in.total.Load()
-	return s
+	spin(time.Duration(1<<shift) * 250 * time.Nanosecond)
 }
 
 // Derive returns a copy of the plan with a per-shard seed, so each

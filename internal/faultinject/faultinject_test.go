@@ -11,7 +11,11 @@ import (
 )
 
 func allPlan(seed int64, rate float64) Plan {
-	return Plan{Seed: seed, Rate: rate, Sites: AllSites(), Delay: time.Microsecond}
+	sites := make([]Site, numSites)
+	for i := range sites {
+		sites[i] = Site(i)
+	}
+	return Plan{Seed: seed, Rate: rate, Sites: sites, Delay: time.Microsecond}
 }
 
 // TestDecisionSequenceDeterministic is the replay contract: two
@@ -20,11 +24,11 @@ func allPlan(seed int64, rate float64) Plan {
 func TestDecisionSequenceDeterministic(t *testing.T) {
 	a := New(allPlan(42, 0.3), nil)
 	b := New(allPlan(42, 0.3), nil)
-	for s := 0; s < NumSites; s++ {
+	for s := Site(0); s < numSites; s++ {
 		for i := 0; i < 500; i++ {
-			da, db := a.Should(Site(s)), b.Should(Site(s))
+			da, db := a.Should(s), b.Should(s)
 			if da != db {
-				t.Fatalf("site %v decision %d: %v vs %v", Site(s), i, da, db)
+				t.Fatalf("site %v decision %d: %v vs %v", s, i, da, db)
 			}
 		}
 	}
@@ -171,12 +175,11 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := in.Stats()
-	if st.Evals[SiteFaultDrop] != workers*per {
-		t.Errorf("fault_drop evals = %d, want %d", st.Evals[SiteFaultDrop], workers*per)
+	if got := in.evals[SiteFaultDrop].Load(); got != workers*per {
+		t.Errorf("fault_drop evals = %d, want %d", got, workers*per)
 	}
-	if st.Injects[SiteFaultDrop] == 0 || st.Injects[SiteFaultDrop] >= workers*per {
-		t.Errorf("fault_drop injects = %d out of plausible range", st.Injects[SiteFaultDrop])
+	if got := in.injectCtrs[SiteFaultDrop].Load(); got == 0 || got >= workers*per {
+		t.Errorf("fault_drop injects = %d out of plausible range", got)
 	}
 }
 

@@ -400,7 +400,7 @@ func Run(opts Options) (*Result, error) {
 	tolerate := opts.Fault != nil
 	failScope := runScope.Child("failures")
 	record := func(o *workerOut, err error) {
-		cause := FailureCause(err)
+		cause := failureCause(err)
 		if o.causes == nil {
 			o.causes = make(map[string]int)
 		}
@@ -657,11 +657,11 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// FailureCause classifies an iteration error for partial-result
+// failureCause classifies an iteration error for partial-result
 // accounting: injected transient faults name their site, traps name
 // their kind, anything else is generic. Strings are deterministic so
 // replayed chaos runs produce identical cause maps.
-func FailureCause(err error) string {
+func failureCause(err error) string {
 	if site, ok := faultinject.IsTransient(err); ok {
 		return "transient:" + site.String()
 	}
@@ -700,17 +700,6 @@ func OpHistogram(engine string, wl workloads.Spec, cls workloads.Class,
 		Strategy:    strategy,
 		Profile:     profile,
 		CountCycles: true,
-	}
-	if wl.Suite == "shared" {
-		// Shared-suite workloads read and write a wasm-threads-style
-		// shared linear memory; attaching one makes the counting loops
-		// charge ClassAtomic ordering surcharges exactly as a threaded
-		// run would see them.
-		shm, err := core.NewSharedMemory(module, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.SharedMem = shm
 	}
 	inst, err := cm.Instantiate(cfg, im)
 	if err != nil {

@@ -135,7 +135,7 @@ func TestRunCycleModel(t *testing.T) {
 		Class: workloads.Test, Strategy: mem.None, Profile: isa.X86_64(),
 		Warmup: 1, Measure: 2, CountCycles: true})
 	rv, _ := harness.Run(harness.Options{Engine: harness.EngineWAVM, Workload: wl,
-		Class: workloads.Test, Strategy: mem.None, Profile: isa.RISCV64(),
+		Class: workloads.Test, Strategy: mem.None, Profile: isa.ByName("riscv64"),
 		Warmup: 1, Measure: 2, CountCycles: true})
 	if rv.MedianSimTime <= x86.MedianSimTime {
 		t.Errorf("riscv sim time %v should exceed x86 %v", rv.MedianSimTime, x86.MedianSimTime)

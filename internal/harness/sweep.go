@@ -26,19 +26,19 @@ type SweepItem struct {
 	Exclusive bool
 }
 
-// AutoExclusive applies the paper-derived taxonomy: a configuration
+// autoExclusive applies the paper-derived taxonomy: a configuration
 // that runs more than one worker (threads or simulated processes)
 // measures scaling behaviour and gets the host to itself; everything
 // else is a single-isolate latency measurement and can share.
-func AutoExclusive(opts Options) bool {
+func autoExclusive(opts Options) bool {
 	return opts.Threads > 1 || opts.Processes > 1
 }
 
-// SweepOf wraps configurations as sweep items using AutoExclusive.
+// SweepOf wraps configurations as sweep items using autoExclusive.
 func SweepOf(optss ...Options) []SweepItem {
 	items := make([]SweepItem, len(optss))
 	for i, o := range optss {
-		items[i] = SweepItem{Opts: o, Exclusive: AutoExclusive(o)}
+		items[i] = SweepItem{Opts: o, Exclusive: autoExclusive(o)}
 	}
 	return items
 }

@@ -39,7 +39,7 @@ func TestRunSweepExclusivity(t *testing.T) {
 	stubRuns(t, func(o Options) (*Result, error) {
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
-		if AutoExclusive(o) {
+		if autoExclusive(o) {
 			if n != 1 {
 				t.Errorf("exclusive run %s overlapped %d other run(s)", o.Workload.Name, n-1)
 			}
@@ -151,13 +151,13 @@ func TestRunSweepErrors(t *testing.T) {
 
 // TestAutoExclusive pins the taxonomy.
 func TestAutoExclusive(t *testing.T) {
-	if AutoExclusive(Options{Threads: 1}) {
+	if autoExclusive(Options{Threads: 1}) {
 		t.Error("single-threaded run should be shareable")
 	}
-	if !AutoExclusive(Options{Threads: 4}) {
+	if !autoExclusive(Options{Threads: 4}) {
 		t.Error("multi-threaded run should be exclusive")
 	}
-	if !AutoExclusive(Options{Threads: 1, Processes: 2}) {
+	if !autoExclusive(Options{Threads: 1, Processes: 2}) {
 		t.Error("multi-process run should be exclusive")
 	}
 }

@@ -28,14 +28,14 @@ import (
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/vmm"
+	"leapsandbounds/internal/wasm"
 	"leapsandbounds/internal/workloads"
 )
 
-// ThreadsOptions configures one shared-memory run (one strategy).
+// ThreadsOptions configures one shared-memory run (one strategy) on
+// the wavm engine and the x86-64 profile.
 type ThreadsOptions struct {
-	Engine   string
 	Strategy mem.Strategy
-	Profile  *isa.Profile
 	Class    workloads.Class
 	// Workers overrides the workload geometry's lane count; 0 uses
 	// SharedShape(Class).Workers. The module is built for the
@@ -52,11 +52,15 @@ type ThreadsOptions struct {
 	// Obs receives the run's telemetry under one "threads[...]"
 	// scope. Nil leaves the run unobserved.
 	Obs *obs.Registry
+	// Module replaces the shared-grow workload's module (same memory
+	// limits, same work(worker, rounds) export); nil builds the
+	// workload's.
+	Module *wasm.Module
 }
 
 func (o ThreadsOptions) label() string {
 	return fmt.Sprintf("threads[engine=%s workload=shared-grow strategy=%s workers=%d]",
-		o.Engine, o.Strategy, o.Workers)
+		EngineWAVM, o.Strategy, o.Workers)
 }
 
 // ThreadsResult is one strategy's outcome.
@@ -65,26 +69,16 @@ type ThreadsResult struct {
 	// geometry's default).
 	Workers int
 
-	// Grows the grower landed; GrowDenied counts grows refused at the
-	// memory's max (the cadence outliving the headroom is expected).
-	Grows      int
-	GrowDenied int
-
 	// Digest is the cross-lane checksum (sum of per-lane work()
 	// results); DigestOK pins it against the native twin. Engines and
 	// strategies must all agree byte-for-byte.
 	Digest   uint64
 	DigestOK bool
-
-	// VM is the simulated-kernel traffic over the run (counter deltas).
-	VM vmm.StatsSnapshot
 }
 
 // RunShared executes one shared-memory configuration.
 func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
-	if opts.Profile == nil {
-		return nil, fmt.Errorf("harness: ThreadsOptions.Profile is required")
-	}
+	profile := isa.X86_64()
 	geo := workloads.SharedShape(opts.Class)
 	if opts.Workers <= 0 {
 		opts.Workers = geo.Workers
@@ -102,36 +96,41 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 		opts.GrowEvery = 200 * time.Microsecond
 	}
 
-	spec := workloads.SharedSpec()
-	module, _, err := spec.BuildChecked(opts.Class)
-	if err != nil {
-		return nil, err
+	module := opts.Module
+	if module == nil {
+		spec, err := workloads.ByName("shared-grow")
+		if err != nil {
+			return nil, err
+		}
+		if module, _, err = spec.BuildChecked(opts.Class); err != nil {
+			return nil, err
+		}
 	}
 
 	runScope := opts.Obs.Scope(opts.label())
 	runSpan := runScope.StartSpan(obs.SpanRun, obs.SpanRef{})
 	defer runSpan.End()
 
-	as := vmm.NewObserved(opts.Profile.VM, runScope.Child("vmm"))
+	as := vmm.NewObserved(profile.VM, runScope.Child("vmm"))
 	var pool *mem.ArenaPool
 	if opts.Strategy == mem.Uffd {
 		pool = mem.NewArenaPool()
 		defer pool.Drain()
 	}
 
-	eng, cleanup, err := NewEngine(opts.Engine)
+	eng, cleanup, err := NewEngine(EngineWAVM)
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
 	cm, err := eng.Compile(module)
 	if err != nil {
-		return nil, fmt.Errorf("harness: compile shared-grow on %s: %w", opts.Engine, err)
+		return nil, fmt.Errorf("harness: compile shared-grow: %w", err)
 	}
 
 	cfg := core.Config{
 		Strategy: opts.Strategy,
-		Profile:  opts.Profile,
+		Profile:  profile,
 		AS:       as,
 		Pool:     pool,
 		Obs:      runScope.Child("engine"),
@@ -172,7 +171,6 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	}
 	lanes := make([]lane, opts.Workers)
 
-	before := as.Snapshot()
 	var (
 		start    = make(chan struct{})
 		done     = make(chan struct{})
@@ -180,11 +178,9 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	)
 
 	// Grower: expand the shared memory on a cadence until the workers
-	// finish or the memory tops out.
-	var (
-		grows, growDenied int
-		growerDone        = make(chan struct{})
-	)
+	// finish; grows refused at the memory's max are expected (the
+	// cadence outlives the headroom).
+	growerDone := make(chan struct{})
 	go func() {
 		defer close(growerDone)
 		ticker := time.NewTicker(opts.GrowEvery)
@@ -195,18 +191,16 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 			case <-done:
 				return
 			case <-ticker.C:
-				if shm.Grow(1) < 0 {
-					growDenied++
-				} else {
-					grows++
-				}
+				shm.Grow(1)
 			}
 		}
 	}()
 
 	wantLane := make([]uint64, opts.Workers)
+	var wantDigest uint64
 	for w := range wantLane {
 		wantLane[w] = workloads.SharedWorkNative(opts.Class, w, opts.Rounds)
+		wantDigest += wantLane[w]
 	}
 
 	finished.Add(opts.Workers)
@@ -221,8 +215,8 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 					l.err = fmt.Errorf("worker %d invoke %d: %w", w, k, err)
 					return
 				}
-				if len(out) == 0 || out[0] != wantLane[w] {
-					l.err = fmt.Errorf("worker %d invoke %d: lane checksum %#x, want %#x", w, k, out[0], wantLane[w])
+				if len(out) != 1 || out[0] != wantLane[w] {
+					l.err = fmt.Errorf("worker %d invoke %d: lane results %#x, want [%#x]", w, k, out, wantLane[w])
 					return
 				}
 				l.sum = out[0]
@@ -234,7 +228,6 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	finished.Wait()
 	close(done)
 	<-growerDone
-	after := as.Snapshot()
 
 	var digest uint64
 	for w := range lanes {
@@ -244,16 +237,8 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 		digest += lanes[w].sum
 	}
 
-	res := &ThreadsResult{
-		Workers:    opts.Workers,
-		Grows:      grows,
-		GrowDenied: growDenied,
-		Digest:     digest,
-		DigestOK:   digest == workloads.SharedDigestNative(opts.Class, opts.Workers, opts.Rounds),
-		VM:         deltaSnapshot(before, after),
-	}
 	if opts.Strategy == mem.Uffd {
 		mem.SharedPool(as).Drain()
 	}
-	return res, nil
+	return &ThreadsResult{Workers: opts.Workers, Digest: digest, DigestOK: digest == wantDigest}, nil
 }

@@ -1,10 +1,11 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
-	"leapsandbounds/internal/isa"
+	"leapsandbounds/gen"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/workloads"
@@ -20,9 +21,7 @@ func TestDifferentialShared(t *testing.T) {
 	for _, s := range mem.Strategies() {
 		t.Run(s.String(), func(t *testing.T) {
 			res, err := RunShared(ThreadsOptions{
-				Engine:    EngineWAVM,
 				Strategy:  s,
-				Profile:   isa.X86_64(),
 				Class:     workloads.Test,
 				Invokes:   8,
 				GrowEvery: 50 * time.Microsecond,
@@ -48,9 +47,7 @@ func TestDifferentialShared(t *testing.T) {
 // valid configuration; more is refused.
 func TestSharedLaneOverride(t *testing.T) {
 	res, err := RunShared(ThreadsOptions{
-		Engine:   EngineWAVM,
 		Strategy: mem.Trap,
-		Profile:  isa.X86_64(),
 		Class:    workloads.Test,
 		Workers:  2,
 		Invokes:  2,
@@ -63,13 +60,34 @@ func TestSharedLaneOverride(t *testing.T) {
 	}
 	geo := workloads.SharedShape(workloads.Test)
 	if _, err := RunShared(ThreadsOptions{
-		Engine:   EngineWAVM,
 		Strategy: mem.Trap,
-		Profile:  isa.X86_64(),
 		Class:    workloads.Test,
 		Workers:  geo.Workers + 1,
 	}); err == nil {
 		t.Fatal("oversubscribed workers accepted")
+	}
+}
+
+// TestSharedZeroResultExport: a guest whose work() returns nothing
+// fails the run with an error naming the lane; the fixture used to
+// index the empty result slice while building that very error, and
+// the panic took the worker goroutine — and the test binary — down.
+func TestSharedZeroResultExport(t *testing.T) {
+	geo := workloads.SharedShape(workloads.Test)
+	mb := gen.NewModule()
+	mb.Memory(geo.MinPages, geo.MaxPages)
+	work := mb.Func("work")
+	work.ParamI32("worker")
+	work.ParamI32("rounds")
+	work.Body()
+	mb.Export("work", work)
+	m, err := mb.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunShared(ThreadsOptions{Strategy: mem.Trap, Class: workloads.Test, Workers: 1, Invokes: 1, Module: m})
+	if err == nil || !strings.Contains(err.Error(), "worker 0 invoke 0: lane results") {
+		t.Fatalf("zero-result work(): err = %v, want a lane-results error", err)
 	}
 }
 
@@ -84,9 +102,7 @@ func sharedTracedPair(t *testing.T) *obs.Snapshot {
 		// with fresh pages (the contention source) for the whole run;
 		// the Test shape tops out after 7 grows and goes quiet.
 		res, err := RunShared(ThreadsOptions{
-			Engine:    EngineWAVM,
 			Strategy:  s,
-			Profile:   isa.X86_64(),
 			Class:     workloads.Bench,
 			Invokes:   12,
 			GrowEvery: 20 * time.Microsecond,
@@ -125,9 +141,7 @@ func FuzzSharedGrowDiff(f *testing.F) {
 	geo := workloads.SharedShape(workloads.Test)
 	f.Fuzz(func(t *testing.T, workers, rounds, invokes uint8, growMicros uint16, strat uint8) {
 		o := ThreadsOptions{
-			Engine:    EngineWAVM,
 			Strategy:  strategies[int(strat)%len(strategies)],
-			Profile:   isa.X86_64(),
 			Class:     workloads.Test,
 			Workers:   1 + int(workers)%geo.Workers,
 			Rounds:    1 + int(rounds)%4,

@@ -23,50 +23,39 @@ import (
 // slots; no pointer arithmetic is performed.
 func ptrOf[T any](p *T) unsafe.Pointer { return unsafe.Pointer(p) }
 
-// MaxReaders is the number of hazard slots in a Domain. Each
+// maxReaders is the number of hazard slots in a Domain. Each
 // concurrently protecting goroutine needs one slot; the benchmark
 // harness never exceeds the hardware thread count.
-const MaxReaders = 128
+const maxReaders = 128
 
 // Domain is a set of hazard slots plus a retirement list. The zero
 // value is ready to use.
 type Domain struct {
-	slots [MaxReaders]slot
+	slots [maxReaders]slot
 
-	// obs carries the attached telemetry (nil until AttachObs):
-	// retire/reclaim counters, the pending-reclamation gauge, and
-	// the scope reclamation-batch spans record into.
-	obs atomic.Pointer[domainObs]
+	// Reclamation telemetry, the domain's own: how many pointers were
+	// retired, how many reclaimed, and how many are parked waiting for
+	// a reader. AttachObs registers these same objects in a registry.
+	nRetired   obs.Counter
+	nReclaimed obs.Counter
+	pending    obs.Gauge
+	// sc is the scope reclamation-batch spans record into (nil until
+	// AttachObs).
+	sc atomic.Pointer[obs.Scope]
 
 	mu      sync.Mutex
 	retired []retiredPtr
 }
 
-// domainObs bundles the metrics resolved once at attach time so the
-// reclamation path does a single atomic load, not map lookups.
-type domainObs struct {
-	sc        *obs.Scope
-	retired   *obs.Counter
-	reclaimed *obs.Counter
-	pending   *obs.Gauge
-}
-
-// AttachObs routes the domain's reclamation telemetry to sc: how
-// many pointers were retired, how many reclaimed, how many are
-// parked waiting for a reader, and — when tracing is enabled — a
-// hazard.reclaim span per reclamation batch. A nil scope detaches.
-// Safe to call at any time; activity before attachment is dropped.
+// AttachObs registers the domain's reclamation counters under sc and,
+// when tracing is enabled, records a hazard.reclaim span per
+// reclamation batch there. A nil scope stops the spans. Safe to call
+// at any time; the counters cover the domain's whole life.
 func (d *Domain) AttachObs(sc *obs.Scope) {
-	if sc == nil {
-		d.obs.Store(nil)
-		return
-	}
-	d.obs.Store(&domainObs{
-		sc:        sc,
-		retired:   sc.Counter("retired"),
-		reclaimed: sc.Counter("reclaimed"),
-		pending:   sc.Gauge("pending"),
-	})
+	d.sc.Store(sc)
+	sc.RegisterCounter("retired", &d.nRetired)
+	sc.RegisterCounter("reclaimed", &d.nReclaimed)
+	sc.RegisterGauge("pending", &d.pending)
 }
 
 type slot struct {
@@ -93,7 +82,7 @@ var inUse byte
 
 // Acquire claims a free hazard slot, spinning if all slots are
 // momentarily claimed (which does not happen with fewer than
-// MaxReaders concurrent readers).
+// maxReaders concurrent readers).
 func (d *Domain) Acquire() *Slot {
 	for {
 		for i := range d.slots {
@@ -143,12 +132,9 @@ func Retire[T any](d *Domain, p *T, reclaim func()) {
 	d.mu.Lock()
 	d.retired = append(d.retired, retiredPtr{p: (*byte)(ptrOf(p)), reclaim: reclaim})
 	ready := d.scanLocked()
-	pending := len(d.retired)
+	d.pending.Set(int64(len(d.retired)))
 	d.mu.Unlock()
-	if o := d.obs.Load(); o != nil {
-		o.retired.Inc()
-		o.pending.Set(int64(pending))
-	}
+	d.nRetired.Inc()
 	d.runReclaims(ready)
 }
 
@@ -157,31 +143,22 @@ func Retire[T any](d *Domain, p *T, reclaim func()) {
 func (d *Domain) Flush() int {
 	d.mu.Lock()
 	ready := d.scanLocked()
-	pending := len(d.retired)
+	d.pending.Set(int64(len(d.retired)))
 	d.mu.Unlock()
-	if o := d.obs.Load(); o != nil {
-		o.pending.Set(int64(pending))
-	}
 	d.runReclaims(ready)
 	return len(ready)
 }
 
 // runReclaims runs a batch of reclaim callbacks outside the domain
-// lock, recording the batch (count + a retroactive hazard.reclaim
-// span covering the callbacks' wall time) when telemetry is
-// attached. Reclaimers run exactly as they would untraced.
+// lock and counts the batch; with a tracing scope attached it also
+// records a retroactive hazard.reclaim span covering the callbacks'
+// wall time. Reclaimers run exactly as they would untraced.
 func (d *Domain) runReclaims(ready []retiredPtr) {
 	if len(ready) == 0 {
 		return
 	}
-	o := d.obs.Load()
-	if o == nil {
-		for _, r := range ready {
-			r.reclaim()
-		}
-		return
-	}
-	traced := o.sc.TracingEnabled()
+	sc := d.sc.Load()
+	traced := sc.TracingEnabled()
 	var t0 time.Time
 	if traced {
 		t0 = time.Now()
@@ -189,17 +166,10 @@ func (d *Domain) runReclaims(ready []retiredPtr) {
 	for _, r := range ready {
 		r.reclaim()
 	}
-	o.reclaimed.Add(int64(len(ready)))
+	d.nReclaimed.Add(int64(len(ready)))
 	if traced {
-		o.sc.EndedSpan(obs.SpanHazardReclaim, obs.SpanRef{}, time.Since(t0).Nanoseconds())
+		sc.EndedSpan(obs.SpanHazardReclaim, obs.SpanRef{}, time.Since(t0).Nanoseconds())
 	}
-}
-
-// RetiredCount returns the number of pointers awaiting reclamation.
-func (d *Domain) RetiredCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.retired)
 }
 
 // scanLocked partitions the retired list into reclaimable and still-
@@ -209,7 +179,7 @@ func (d *Domain) scanLocked() []retiredPtr {
 	if len(d.retired) == 0 {
 		return nil
 	}
-	protected := make(map[*byte]bool, MaxReaders)
+	protected := make(map[*byte]bool, maxReaders)
 	for i := range d.slots {
 		if p := d.slots[i].ptr.Load(); p != nil && p != &inUse {
 			protected[p] = true

@@ -29,8 +29,8 @@ func TestProtectPreventsReclaim(t *testing.T) {
 	if reclaimed {
 		t.Fatal("arena reclaimed while protected")
 	}
-	if d.RetiredCount() != 1 {
-		t.Fatalf("retired count %d, want 1", d.RetiredCount())
+	if got := d.pending.Load(); got != 1 {
+		t.Fatalf("pending %d, want 1", got)
 	}
 
 	s.Clear()
@@ -51,8 +51,8 @@ func TestRetireUnprotectedReclaimsImmediately(t *testing.T) {
 	if !reclaimed {
 		t.Fatal("unprotected arena should reclaim on Retire")
 	}
-	if d.RetiredCount() != 0 {
-		t.Fatalf("retired count %d, want 0", d.RetiredCount())
+	if got := d.pending.Load(); got != 0 {
+		t.Fatalf("pending %d, want 0", got)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestConcurrentUseAfterFree(t *testing.T) {
 
 func TestSlotExhaustionAndReuse(t *testing.T) {
 	var d Domain
-	slots := make([]*Slot, 0, MaxReaders)
-	for i := 0; i < MaxReaders; i++ {
+	slots := make([]*Slot, 0, maxReaders)
+	for i := 0; i < maxReaders; i++ {
 		slots = append(slots, d.Acquire())
 	}
 	// Release one; a new Acquire must succeed promptly.

@@ -31,8 +31,10 @@ func TestAttachObsCountsAndSpans(t *testing.T) {
 	// b: unprotected, reclaims inside Retire.
 	Retire(&d, b, func() {})
 
+	// Attaching again registers the same objects: nothing counts twice.
+	d.AttachObs(reg.Scope("pool/hazard"))
 	snap := reg.Snapshot(false)
-	if got := snap.Counters["pool/hazard/retired"]; got != 2 {
+	if got := snap.Counters["pool/hazard/retired"]; got != 2 || got != d.nRetired.Load() {
 		t.Errorf("retired = %d, want 2", got)
 	}
 	if got := snap.Counters["pool/hazard/reclaimed"]; got != 1 {
@@ -66,15 +68,21 @@ func TestAttachObsCountsAndSpans(t *testing.T) {
 	}
 }
 
-// TestAttachObsDetach pins that a nil attach detaches cleanly and
-// the domain keeps working without telemetry.
+// TestAttachObsDetach pins what a nil attach does: the spans stop,
+// the domain keeps working, and the counters — the domain's own, still
+// registered where they were — keep counting.
 func TestAttachObsDetach(t *testing.T) {
 	reg := obs.NewRegistry()
+	reg.EnableTracing(true)
 	var d Domain
 	d.AttachObs(reg.Scope("h"))
 	d.AttachObs(nil)
 	Retire(&d, &arena{id: 3}, func() {})
-	if got := reg.Snapshot(false).Counters["h/retired"]; got != 0 {
-		t.Errorf("detached domain still counted: retired = %d", got)
+	snap := reg.Snapshot(true)
+	if got := snap.Counters["h/retired"]; got != 1 {
+		t.Errorf("retired = %d, want 1", got)
+	}
+	if len(snap.Events) != 0 {
+		t.Errorf("detached domain still traced: %d events", len(snap.Events))
 	}
 }

@@ -32,7 +32,6 @@ var (
 // module cache.
 type Engine struct {
 	name      string
-	desc      string
 	forceTrap bool
 	cache     core.ModuleCache
 }
@@ -44,7 +43,6 @@ type Engine struct {
 func NewWasm3() *Engine {
 	return &Engine{
 		name:      "wasm3",
-		desc:      "threaded interpreter (Wasm3 analog); trap-style bounds checks",
 		forceTrap: true,
 		cache:     modcache.Shared(),
 	}
@@ -56,7 +54,6 @@ func NewWasm3() *Engine {
 func NewConfigurable() *Engine {
 	return &Engine{
 		name:  "interp",
-		desc:  "threaded interpreter with configurable bounds checking",
 		cache: modcache.Shared(),
 	}
 }
@@ -74,9 +71,6 @@ func (e *Engine) SetCodegen(core.Codegen) {}
 
 // Name implements core.Engine.
 func (e *Engine) Name() string { return e.name }
-
-// Description implements core.Engine.
-func (e *Engine) Description() string { return e.desc }
 
 // Module is the interpreter's compiled form.
 type Module struct {
@@ -265,7 +259,6 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 	counting := inst.count
 	counts := &inst.base.CycleCounts
 	ckClass, ckOn := inst.base.CheckClass()
-	shared := memory != nil && memory.Shared()
 	cell := inst.base.ProfCell
 	fnIndex := pf.Index
 
@@ -274,16 +267,8 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 		if counting {
 			counts[in.Class]++
 			counts[isa.ClassDispatch]++
-			if in.Class == isa.ClassLoad || in.Class == isa.ClassStore {
-				if ckOn {
-					counts[ckClass]++
-				}
-				if shared {
-					// Accesses to a wasm-threads shared memory pay
-					// the ordering surcharge the atomic accessors
-					// model (see isa.ClassAtomic).
-					counts[isa.ClassAtomic]++
-				}
+			if ckOn && (in.Class == isa.ClassLoad || in.Class == isa.ClassStore) {
+				counts[ckClass]++
 			}
 		}
 		if cell != nil {

@@ -41,7 +41,6 @@ const (
 	ClassCheckTrap                 // software bounds check: compare + branch-to-trap
 	ClassCheckClamp                // software bounds check: clamp sequence (cmp+select on the address path)
 	ClassHostcall                  // guest→host boundary crossing (WASI hostcall)
-	ClassAtomic                    // shared-memory access ordering surcharge (wasm-threads accessors)
 	ClassDispatch                  // interpreter dispatch overhead per instruction
 	NumClasses
 )
@@ -49,8 +48,7 @@ const (
 var classNames = [NumClasses]string{
 	"alu", "mul", "divi", "fadd", "fmul", "fdiv", "conv",
 	"load", "store", "branch", "call", "callind", "select",
-	"global", "checktrap", "checkclamp", "hostcall", "atomic",
-	"dispatch",
+	"global", "checktrap", "checkclamp", "hostcall", "dispatch",
 }
 
 func (c OpClass) String() string {
@@ -64,13 +62,6 @@ func (c OpClass) String() string {
 // on the hot path; it is not safe for concurrent use (each instance
 // owns one).
 type Counts [NumClasses]int64
-
-// Add accumulates o into c.
-func (c *Counts) Add(o *Counts) {
-	for i := range c {
-		c[i] += o[i]
-	}
-}
 
 // Total returns the total operation count.
 func (c *Counts) Total() int64 {
@@ -146,9 +137,8 @@ func X86_64() *Profile {
 			// lengthens the load-to-use chain.
 			ClassCheckTrap: 0.8, ClassCheckClamp: 1.4,
 			// Hostcall: register spill + indirect into the host ABI
-			// and back; atomic: lock-prefixed access surcharge on a
-			// contended coherent core.
-			ClassHostcall: 60, ClassAtomic: 8,
+			// and back.
+			ClassHostcall: 60,
 			ClassDispatch: 4.0,
 		},
 	}
@@ -179,21 +169,20 @@ func ARMv8() *Profile {
 			ClassBranch: 0.5, ClassCall: 2.5, ClassCallInd: 7.0,
 			ClassSelect: 0.6, ClassGlobal: 0.8,
 			ClassCheckTrap: 1.0, ClassCheckClamp: 1.7,
-			// Slightly dearer boundary and LDAR/STLR ordering costs
-			// than the Xeon's fused lock ops.
-			ClassHostcall: 70, ClassAtomic: 12,
+			// A slightly dearer boundary than the Xeon's.
+			ClassHostcall: 70,
 			ClassDispatch: 5.0,
 		},
 	}
 }
 
-// RISCV64 models the XuanTie C906 on the Nezha D1: a single-issue
+// riscv64 models the XuanTie C906 on the Nezha D1: a single-issue
 // in-order RV64GC core at 1 GHz with 1 GiB of RAM, no THP, and no
 // SMP (shootdowns are trivial on one hart). Every instruction costs
 // about a cycle; there is no conditional move, so clamp sequences
 // lower to short branch+arith sequences that are relatively cheaper
 // than on the wide cores, while everything else is much slower.
-func RISCV64() *Profile {
+func riscv64() *Profile {
 	return &Profile{
 		Name:     "riscv64",
 		CPU:      "XuanTie C906 (Nezha D1)",
@@ -215,9 +204,8 @@ func RISCV64() *Profile {
 			ClassSelect: 2.0, ClassGlobal: 2.0,
 			ClassCheckTrap: 2.5, ClassCheckClamp: 3.0,
 			// Boundary crossings hurt on the in-order single-issue
-			// core; AMO ordering has no coherence traffic with one
-			// hart, but the fences still stall the in-order pipe.
-			ClassHostcall: 120, ClassAtomic: 14,
+			// core.
+			ClassHostcall: 120,
 			ClassDispatch: 12.0,
 		},
 	}
@@ -225,7 +213,7 @@ func RISCV64() *Profile {
 
 // Profiles returns all three hardware profiles in paper order.
 func Profiles() []*Profile {
-	return []*Profile{X86_64(), ARMv8(), RISCV64()}
+	return []*Profile{X86_64(), ARMv8(), riscv64()}
 }
 
 // ByName returns the profile with the given name, or nil.

@@ -109,11 +109,11 @@ func TestUffdPoolExhaustionFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := pool.Stats(); st.Created != 0 || st.Reused != 0 {
+	if st := pool.stats(); st.Created != 0 || st.Reused != 0 {
 		t.Errorf("pool served arenas under total exhaustion: %+v", st)
 	}
-	if st := as.Injector().Stats(); st.Injects[faultinject.SitePoolGet] != n {
-		t.Errorf("pool_get injections %d, want %d", st.Injects[faultinject.SitePoolGet], n)
+	if got := as.Obs().Child("faultinject").Counter("inject_pool_get").Load(); got != n {
+		t.Errorf("pool_get injections %d, want %d", got, n)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestPoolAcquireReleaseUnderIntermittentExhaustion(t *testing.T) {
 	if uffd == 0 || fellBack == 0 {
 		t.Errorf("both paths should fire at rate 0.5: uffd=%d fallback=%d", uffd, fellBack)
 	}
-	st := pool.Stats()
+	st := pool.stats()
 	if got := st.Created + st.Reused; got != int64(uffd) {
 		t.Errorf("pool served %d arenas (created %d + reused %d), want %d",
 			got, st.Created, st.Reused, uffd)
@@ -174,8 +174,8 @@ func TestArenaDoubleRelease(t *testing.T) {
 	if err := pool.put(a, wasm.PageSize); err != nil {
 		t.Fatalf("first put: %v", err)
 	}
-	if err := pool.put(a, wasm.PageSize); !errors.Is(err, ErrArenaDoubleRelease) {
-		t.Fatalf("second put: %v, want ErrArenaDoubleRelease", err)
+	if err := pool.put(a, wasm.PageSize); !errors.Is(err, errArenaDoubleRelease) {
+		t.Fatalf("second put: %v, want errArenaDoubleRelease", err)
 	}
 	// Re-acquiring re-arms the guard.
 	b, err := pool.get(as, 4*wasm.PageSize, obs.SpanRef{})
@@ -191,7 +191,7 @@ func TestArenaDoubleRelease(t *testing.T) {
 }
 
 // TestArenaConcurrentDoubleRelease races several releases of one
-// arena: exactly one wins, the rest see ErrArenaDoubleRelease, and
+// arena: exactly one wins, the rest see errArenaDoubleRelease, and
 // nothing tears (run under -race).
 func TestArenaConcurrentDoubleRelease(t *testing.T) {
 	as := testAS()
@@ -217,7 +217,7 @@ func TestArenaConcurrentDoubleRelease(t *testing.T) {
 		switch {
 		case err == nil:
 			ok++
-		case errors.Is(err, ErrArenaDoubleRelease):
+		case errors.Is(err, errArenaDoubleRelease):
 			dup++
 		default:
 			t.Errorf("unexpected error: %v", err)

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"leapsandbounds/internal/faultinject"
@@ -65,16 +64,6 @@ func (s Strategy) String() string {
 // MarshalText encodes the strategy by name (for JSON results).
 func (s Strategy) MarshalText() ([]byte, error) {
 	return []byte(s.String()), nil
-}
-
-// UnmarshalText decodes a strategy name.
-func (s *Strategy) UnmarshalText(text []byte) error {
-	v, err := ParseStrategy(string(text))
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
 }
 
 // ParseStrategy resolves a strategy name.
@@ -226,20 +215,6 @@ type Memory struct {
 // commit failure or dropped fault delivery is retried with backoff up
 // to this many times before surfacing as a trap.Injected.
 const faultMaxAttempts = 8
-
-// backoff busy-waits before retry attempt (exponential, capped).
-// Busy-waiting rather than sleeping keeps single-threaded chaos runs
-// replay-deterministic: no scheduler round trip is introduced.
-func backoff(attempt int) {
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	d := time.Duration(1<<shift) * 250 * time.Nanosecond
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
-}
 
 // New instantiates a zero-filled linear memory per the configuration:
 // a fork of the empty image.
@@ -414,9 +389,6 @@ func (m *Memory) SizeBytes() uint64 { return m.sizeBytes.Load() }
 
 // SizePages returns the current size in wasm pages.
 func (m *Memory) SizePages() uint32 { return uint32(m.sizeBytes.Load() / wasm.PageSize) }
-
-// MaxPages returns the page limit the memory was created with.
-func (m *Memory) MaxPages() uint32 { return uint32(m.maxBytes / wasm.PageSize) }
 
 // Generation returns the grow generation: it advances on every
 // successful Grow. Host-boundary code captures it when validating a
@@ -643,7 +615,7 @@ func (m *Memory) fault(addr, n uint64, write bool) uint64 {
 	lastSite := faultinject.SiteFaultDrop
 	for attempt := 0; attempt < faultMaxAttempts; attempt++ {
 		if attempt > 0 {
-			backoff(attempt)
+			faultinject.Backoff(attempt)
 		}
 		kind := m.mapping.Fault(addr, write)
 		if kind == vmm.FaultDropped {
@@ -708,7 +680,7 @@ func (m *Memory) mprotectRetry(mp *vmm.Mapping, off, length uint64) error {
 	var lastErr error
 	for attempt := 0; attempt < faultMaxAttempts; attempt++ {
 		if attempt > 0 {
-			backoff(attempt)
+			faultinject.Backoff(attempt)
 		}
 		err := mp.Mprotect(off, length, vmm.ProtRW)
 		if err == nil {
@@ -816,6 +788,3 @@ func (m *Memory) Copy(dst, src, n uint64) {
 	s := m.Bytes(src, n, false)
 	copy(d, s)
 }
-
-// Mapping exposes the underlying mapping for statistics.
-func (m *Memory) Mapping() *vmm.Mapping { return m.mapping }

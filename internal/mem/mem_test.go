@@ -11,9 +11,8 @@ import (
 )
 
 func testAS() *vmm.AddressSpace {
-	cfg := vmm.DefaultConfig()
-	cfg.ShootdownBase, cfg.ShootdownPerThread, cfg.MprotectPerPage, cfg.MmapBase = 0, 0, 0, 0
-	return vmm.New(cfg)
+	// Zero simulated costs so unit tests run fast; 4 KiB pages.
+	return vmm.New(vmm.Config{})
 }
 
 func newMem(t *testing.T, s Strategy, minPages, maxPages uint32) *Memory {
@@ -239,7 +238,7 @@ func TestUffdArenaReuseIsZeroed(t *testing.T) {
 	if got := m2.LoadU64(60000); got != 0 {
 		t.Errorf("recycled arena leaked %#x at 60000", got)
 	}
-	st := pool.Stats()
+	st := pool.stats()
 	if st.Created != 1 || st.Reused != 1 {
 		t.Errorf("pool stats %+v, want 1 created 1 reused", st)
 	}

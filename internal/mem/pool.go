@@ -12,10 +12,10 @@ import (
 	"leapsandbounds/internal/vmm"
 )
 
-// ErrArenaDoubleRelease reports an arena returned to the pool twice
+// errArenaDoubleRelease reports an arena returned to the pool twice
 // without an intervening acquisition — a lifetime bug that would
 // otherwise hand the same mapping to two instances.
-var ErrArenaDoubleRelease = errors.New("mem: arena released to the pool twice")
+var errArenaDoubleRelease = errors.New("mem: arena released to the pool twice")
 
 // ArenaPool recycles userfaultfd-registered memory arenas across
 // instance lifetimes. This is the paper's uffd mitigation (§4.2.1):
@@ -132,7 +132,7 @@ func (p *ArenaPool) pop(maxBytes uint64) *arena {
 // twice is detected and rejected.
 func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 	if a.pooled.Swap(true) {
-		return ErrArenaDoubleRelease
+		return errArenaDoubleRelease
 	}
 	// A fork's arena carries a copy-on-write source; detach it before
 	// the arena is parked so the next borrower observes zero-filled
@@ -155,7 +155,7 @@ func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 		var err error
 		for attempt := 0; attempt < faultMaxAttempts; attempt++ {
 			if attempt > 0 {
-				backoff(attempt)
+				faultinject.Backoff(attempt)
 			}
 			if err = a.mapping.UffdDecommitPages(0, usedBytes); err == nil {
 				if attempt > 0 {
@@ -211,17 +211,17 @@ func (p *ArenaPool) Drain() {
 	}
 }
 
-// PoolStats reports pool activity.
-type PoolStats struct {
+// poolStats reports pool activity.
+type poolStats struct {
 	Created, Reused, Returned int64
 	// Discarded counts arenas unmapped instead of recycled because
 	// their decommit failed persistently.
 	Discarded int64
 }
 
-// Stats returns a snapshot of pool counters.
-func (p *ArenaPool) Stats() PoolStats {
-	return PoolStats{
+// stats returns a snapshot of pool counters (read by the package's tests).
+func (p *ArenaPool) stats() poolStats {
+	return poolStats{
 		Created:   p.created.Load(),
 		Reused:    p.reused.Load(),
 		Returned:  p.returned.Load(),

@@ -172,7 +172,7 @@ func TestDiscardedArenaIsScrubbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	as.SetInjector(nil)
-	if st := pool.Stats(); st.Discarded != 1 || st.Returned != 0 {
+	if st := pool.stats(); st.Discarded != 1 || st.Returned != 0 {
 		t.Fatalf("pool stats %+v, want the arena discarded, not returned", st)
 	}
 	if got := as.ResidentBytes(); got != 0 {

@@ -9,6 +9,9 @@ import (
 	"leapsandbounds/internal/wasm"
 )
 
+// maxPages returns the page limit the memory was created with.
+func (m *Memory) maxPages() uint32 { return uint32(m.maxBytes / wasm.PageSize) }
+
 func newSharedMem(t *testing.T, s Strategy, minPages, maxPages uint32) *Memory {
 	t.Helper()
 	cfg := Config{Strategy: s, AS: testAS(), MinPages: minPages, MaxPages: maxPages, Shared: true}
@@ -23,56 +26,9 @@ func newSharedMem(t *testing.T, s Strategy, minPages, maxPages uint32) *Memory {
 	return m
 }
 
-func TestSharedAtomicAccessors(t *testing.T) {
-	for _, s := range Strategies() {
-		t.Run(s.String(), func(t *testing.T) {
-			m := newSharedMem(t, s, 2, 8)
-			m.AtomicStoreU32(64, 0xdeadbeef)
-			if got := m.AtomicLoadU32(64); got != 0xdeadbeef {
-				t.Errorf("u32: %#x", got)
-			}
-			if old := m.AtomicAddU32(64, 0x11); old != 0xdeadbeef {
-				t.Errorf("add old: %#x", old)
-			}
-			if old := m.AtomicCasU32(64, 0xdeadbf00, 7); old != 0xdeadbf00 {
-				t.Errorf("cas old: %#x", old)
-			}
-			if got := m.AtomicLoadU32(64); got != 7 {
-				t.Errorf("after cas: %#x", got)
-			}
-			m.AtomicStoreU64(128, 0x0123456789abcdef)
-			if old := m.AtomicAddU64(128, 1); old != 0x0123456789abcdef {
-				t.Errorf("add64 old: %#x", old)
-			}
-			if old := m.AtomicCasU64(128, 0x0123456789abcdf0, 42); old != 0x0123456789abcdf0 {
-				t.Errorf("cas64 old: %#x", old)
-			}
-			if got := m.AtomicLoadU64(128); got != 42 {
-				t.Errorf("after cas64: %#x", got)
-			}
-		})
-	}
-}
-
-func TestSharedAtomicUnalignedTraps(t *testing.T) {
-	for _, s := range Strategies() {
-		t.Run(s.String(), func(t *testing.T) {
-			m := newSharedMem(t, s, 1, 4)
-			tr := catchTrap(func() { m.AtomicLoadU32(2) })
-			if tr == nil || tr.Kind != trap.UnalignedAtomic {
-				t.Fatalf("u32 at 2: trap %v, want UnalignedAtomic", tr)
-			}
-			tr = catchTrap(func() { m.AtomicStoreU64(12, 0) })
-			if tr == nil || tr.Kind != trap.UnalignedAtomic {
-				t.Fatalf("u64 at 12: trap %v, want UnalignedAtomic", tr)
-			}
-		})
-	}
-}
-
 // TestSharedGrowUnderTraffic is the mem-level half of the tentpole
-// scenario: worker goroutines hammer disjoint slots (plain accessors)
-// and one contended counter (atomic accessors) while the main thread
+// scenario: worker goroutines hammer disjoint slots (plain accessors,
+// a test-local atomic word counting the rounds) while the main thread
 // grows the memory to its max one page at a time, writing a probe
 // into every freshly published page. All strategies must neither trap
 // nor lose a write.
@@ -85,6 +41,7 @@ func TestSharedGrowUnderTraffic(t *testing.T) {
 
 			var wg sync.WaitGroup
 			var stop atomic.Bool
+			var rounds atomic.Uint64
 			errs := make([]error, workers)
 			wg.Add(workers)
 			for w := 0; w < workers; w++ {
@@ -107,7 +64,7 @@ func TestSharedGrowUnderTraffic(t *testing.T) {
 							t.Errorf("worker %d: read back %#x, want %#x", w, got, v)
 							return
 						}
-						m.AtomicAddU64(4096, 1)
+						rounds.Add(1)
 						// Chase the published end: a per-worker slot on the
 						// youngest page, racing the grower's publication
 						// (disjoint across workers — plain stores at a shared
@@ -120,10 +77,10 @@ func TestSharedGrowUnderTraffic(t *testing.T) {
 			}
 
 			grows := 0
-			for m.SizePages() < m.MaxPages() {
+			for m.SizePages() < m.maxPages() {
 				old := m.Grow(1)
 				if old < 0 {
-					t.Fatalf("grow refused at %d pages (max %d)", m.SizePages(), m.MaxPages())
+					t.Fatalf("grow refused at %d pages (max %d)", m.SizePages(), m.maxPages())
 				}
 				grows++
 				// Probe the freshly published page immediately.
@@ -142,14 +99,14 @@ func TestSharedGrowUnderTraffic(t *testing.T) {
 					t.Errorf("worker %d trapped: %v", w, err)
 				}
 			}
-			if got := m.AtomicLoadU64(4096); got != workers*spins {
-				t.Errorf("contended counter: %d, want %d", got, workers*spins)
+			if got := rounds.Load(); got != workers*spins {
+				t.Errorf("rounds completed: %d, want %d", got, workers*spins)
 			}
 			if got := m.Generation(); got != uint64(grows) {
 				t.Errorf("generation %d after %d grows", got, grows)
 			}
-			if m.SizePages() != m.MaxPages() {
-				t.Errorf("final size %d pages, want max %d", m.SizePages(), m.MaxPages())
+			if m.SizePages() != m.maxPages() {
+				t.Errorf("final size %d pages, want max %d", m.SizePages(), m.maxPages())
 			}
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"leapsandbounds/internal/vmm"
-	"leapsandbounds/internal/wasm"
 )
 
 // Snapshot is an immutable image of one memory's state, shareable by
@@ -28,15 +27,6 @@ type Snapshot struct {
 	minBytes  uint64
 	maxBytes  uint64
 }
-
-// SizeBytes returns the wasm-visible size captured by the snapshot.
-func (s *Snapshot) SizeBytes() uint64 { return s.sizeBytes }
-
-// MaxPages returns the page limit captured by the snapshot.
-func (s *Snapshot) MaxPages() uint32 { return uint32(s.maxBytes / wasm.PageSize) }
-
-// Source exposes the frozen page image (for tests).
-func (s *Snapshot) Source() *vmm.PageSource { return s.src }
 
 // Snapshot freezes the memory's current state. The image is a copy:
 // the donor can keep running, grow, or close without affecting it.

@@ -37,7 +37,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 
 	"leapsandbounds/internal/obs"
@@ -58,17 +57,11 @@ const diskFooterLen = 8
 type DiskTier struct {
 	dir string
 
-	hits    atomic.Int64
-	misses  atomic.Int64
-	writes  atomic.Int64
-	corrupt atomic.Int64
-	errors  atomic.Int64
-
-	obsH atomic.Pointer[diskObsHandles]
-}
-
-type diskObsHandles struct {
-	hits, misses, writes, corrupt, errors *obs.Counter
+	hits    obs.Counter
+	misses  obs.Counter
+	writes  obs.Counter
+	corrupt obs.Counter
+	errors  obs.Counter
 }
 
 // NewDiskTier opens (creating if needed) an artifact directory.
@@ -79,23 +72,14 @@ func NewDiskTier(dir string) (*DiskTier, error) {
 	return &DiskTier{dir: dir}, nil
 }
 
-// Dir returns the tier's directory.
-func (d *DiskTier) Dir() string { return d.dir }
-
-// AttachObs routes the tier's counters to sc (typically the cache's
-// scope's "disk" child).
+// AttachObs registers the tier's own counters under sc (typically
+// the cache's scope's "disk" child).
 func (d *DiskTier) AttachObs(sc *obs.Scope) {
-	if sc == nil {
-		d.obsH.Store(nil)
-		return
-	}
-	d.obsH.Store(&diskObsHandles{
-		hits:    sc.Counter("hits"),
-		misses:  sc.Counter("misses"),
-		writes:  sc.Counter("writes"),
-		corrupt: sc.Counter("corrupt"),
-		errors:  sc.Counter("errors"),
-	})
+	sc.RegisterCounter("hits", &d.hits)
+	sc.RegisterCounter("misses", &d.misses)
+	sc.RegisterCounter("writes", &d.writes)
+	sc.RegisterCounter("corrupt", &d.corrupt)
+	sc.RegisterCounter("errors", &d.errors)
 }
 
 // DiskStats is a point-in-time snapshot of the tier's counters.
@@ -135,39 +119,23 @@ func (d *DiskTier) load(k Key) ([]byte, bool) {
 	data, unmap, err := mmapFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			d.errors.Add(1)
-			if h := d.obsH.Load(); h != nil {
-				h.errors.Inc()
-			}
+			d.errors.Inc()
 		}
-		d.miss()
+		d.misses.Inc()
 		return nil, false
 	}
 	defer unmap()
 	payload, ok := d.verify(k, data)
 	if !ok {
-		d.corrupt.Add(1)
-		if h := d.obsH.Load(); h != nil {
-			h.corrupt.Inc()
-		}
+		d.corrupt.Inc()
 		_ = os.Remove(path)
-		d.miss()
+		d.misses.Inc()
 		return nil, false
 	}
 	out := make([]byte, len(payload))
 	copy(out, payload)
-	d.hits.Add(1)
-	if h := d.obsH.Load(); h != nil {
-		h.hits.Inc()
-	}
+	d.hits.Inc()
 	return out, true
-}
-
-func (d *DiskTier) miss() {
-	d.misses.Add(1)
-	if h := d.obsH.Load(); h != nil {
-		h.misses.Inc()
-	}
 }
 
 // verify checks the file structure, key echo, and footer, returning
@@ -220,10 +188,7 @@ func (d *DiskTier) verify(k Key, data []byte) ([]byte, bool) {
 // still failed its codec, and deletes the file so the slot heals on
 // the next store.
 func (d *DiskTier) decodeCorrupt(k Key) {
-	d.corrupt.Add(1)
-	if h := d.obsH.Load(); h != nil {
-		h.corrupt.Inc()
-	}
+	d.corrupt.Inc()
 	_ = os.Remove(d.path(k))
 }
 
@@ -233,16 +198,10 @@ func (d *DiskTier) decodeCorrupt(k Key) {
 func (d *DiskTier) store(k Key, payload []byte) {
 	err := d.storeErr(k, payload)
 	if err != nil {
-		d.errors.Add(1)
-		if h := d.obsH.Load(); h != nil {
-			h.errors.Inc()
-		}
+		d.errors.Inc()
 		return
 	}
-	d.writes.Add(1)
-	if h := d.obsH.Load(); h != nil {
-		h.writes.Inc()
-	}
+	d.writes.Inc()
 }
 
 func (d *DiskTier) storeErr(k Key, payload []byte) error {

@@ -14,6 +14,7 @@ import (
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/modcache"
+	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -113,6 +114,69 @@ func TestDiskTierSecondProcessZeroRecompiles(t *testing.T) {
 	if st := tierB.Stats(); st.Hits != 1 {
 		t.Fatalf("process 2 disk hits = %d, want 1 (then memory-tier hits)", st.Hits)
 	}
+}
+
+// TestStatsAndRegistryReadTheSameCounters: a cache and its disk tier
+// count each event once, in counters they own. After a compile, a disk
+// store, a memory hit and (second cache, same directory) a disk hit,
+// Stats() and a registry snapshot agree field for field — for a cache
+// attached before the work, twice, and for one attached after it, which
+// sees its totals.
+func TestStatsAndRegistryReadTheSameCounters(t *testing.T) {
+	dir := t.TempDir()
+	m := memModule(t, 23)
+	reg := obs.NewRegistry()
+	check := func(name string, c *modcache.Cache, d *modcache.DiskTier) {
+		t.Helper()
+		cs, ds, snap := c.Stats(), d.Stats(), reg.Snapshot(false)
+		want := map[string]int64{
+			"hits": cs.Hits, "misses": cs.Misses, "dedups": cs.Dedups, "evictions": cs.Evictions,
+			"compiles": cs.Compiles, "compile_ns_saved": cs.CompileNsSaved,
+			"disk/hits": ds.Hits, "disk/misses": ds.Misses, "disk/writes": ds.Writes,
+			"disk/corrupt": ds.Corrupt, "disk/errors": ds.Errors,
+		}
+		for k, v := range want {
+			if got := snap.Counters[name+"/"+k]; got != v {
+				t.Errorf("%s/%s: registry %d, Stats() %d", name, k, got, v)
+			}
+		}
+		if e, b := snap.Gauges[name+"/entries"], snap.Gauges[name+"/bytes"]; e != cs.Entries || b != cs.Bytes {
+			t.Errorf("%s gauges: registry %d entries %d bytes, Stats() %d and %d", name, e, b, cs.Entries, cs.Bytes)
+		}
+	}
+	build := func() (*modcache.Cache, *modcache.DiskTier, *compiled.Engine) {
+		c := modcache.New(0)
+		d, err := modcache.NewDiskTier(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDiskTier(d)
+		eng := compiled.NewWAVM()
+		eng.SetCache(c)
+		return c, d, eng
+	}
+
+	cacheA, tierA, engA := build()
+	for i := 0; i < 2; i++ {
+		cacheA.AttachObs(reg.Scope("a"))
+		tierA.AttachObs(reg.Scope("a").Child("disk"))
+	}
+	runModule(t, engA, m, mem.Trap, 5) // compile + disk store
+	runModule(t, engA, m, mem.Trap, 5) // memory hit
+	if cs, ds := cacheA.Stats(), tierA.Stats(); cs.Compiles != 1 || cs.Hits != 1 || ds.Writes != 1 {
+		t.Fatalf("first cache: %+v, disk %+v; want 1 compile, 1 hit, 1 write", cs, ds)
+	}
+	check("a", cacheA, tierA)
+
+	cacheB, tierB, engB := build()
+	runModule(t, engB, m, mem.Trap, 5) // disk hit
+	if cs, ds := cacheB.Stats(), tierB.Stats(); cs.Compiles != 0 || ds.Hits != 1 {
+		t.Fatalf("second cache: %+v, disk %+v; want 0 compiles, 1 disk hit", cs, ds)
+	}
+	cacheB.AttachObs(reg.Scope("b"))
+	tierB.AttachObs(reg.Scope("b").Child("disk"))
+	check("b", cacheB, tierB)
+	check("a", cacheA, tierA) // untouched by the second cache
 }
 
 // TestDiskTierCorruptionRecompiles flips bytes in a published

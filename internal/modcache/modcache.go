@@ -24,10 +24,11 @@
 //     paper's harness spawns per-thread workers that would otherwise
 //     race to compile the same module);
 //   - LRU bounding: each shard evicts least-recently-used artifacts
-//     past its byte budget (sizes are estimates; see EstimateSize);
-//   - observability: hit/miss/evict/dedup counters and
-//     compile-ns-saved report through internal/obs once AttachObs is
-//     called, and Stats() snapshots them for tests and tools;
+//     past its byte budget (sizes are estimates; see estimateSize);
+//   - observability: the hit/miss/evict/dedup counters and
+//     compile-ns-saved are obs counters the cache owns; Stats()
+//     snapshots them, and AttachObs registers the same objects in a
+//     run registry;
 //   - a Disable knob (SetEnabled) so benchmarks that measure compile
 //     cost still can.
 //
@@ -62,11 +63,11 @@ type Key struct {
 	Opts string
 }
 
-// DefaultMaxBytes bounds the shared cache: generous next to the
+// defaultMaxBytes bounds the shared cache: generous next to the
 // repository's whole workload suite (a few MiB of closures per
 // engine) yet small next to the address-space budgets the harness
 // simulates.
-const DefaultMaxBytes = 256 << 20
+const defaultMaxBytes = 256 << 20
 
 // numShards stripes the key space; 16 is plenty for GOMAXPROCS-sized
 // sweep pools while keeping per-shard LRU lists coherent.
@@ -111,30 +112,21 @@ type Cache struct {
 	flightMu sync.Mutex
 	flights  map[Key]*flight
 
-	hits           atomic.Int64
-	misses         atomic.Int64
-	dedups         atomic.Int64
-	evictions      atomic.Int64
-	compiles       atomic.Int64
-	compileNsSaved atomic.Int64
-	entries        atomic.Int64
-	bytes          atomic.Int64
-
-	obsH atomic.Pointer[obsHandles]
-}
-
-// obsHandles are pre-resolved metric handles so the per-operation obs
-// cost is one atomic add (all obs types are nil-safe).
-type obsHandles struct {
-	hits, misses, dedups, evictions, compiles, nsSaved *obs.Counter
-	entries, bytes                                     *obs.Gauge
+	hits           obs.Counter
+	misses         obs.Counter
+	dedups         obs.Counter
+	evictions      obs.Counter
+	compiles       obs.Counter
+	compileNsSaved obs.Counter
+	entries        obs.Gauge
+	bytes          obs.Gauge
 }
 
 // New returns an enabled cache bounded to maxBytes (estimated;
-// <= 0 means DefaultMaxBytes).
+// <= 0 means defaultMaxBytes).
 func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
+		maxBytes = defaultMaxBytes
 	}
 	c := &Cache{
 		shardMax: maxBytes / numShards,
@@ -148,7 +140,7 @@ func New(maxBytes int64) *Cache {
 }
 
 // shared is the process-wide cache every engine uses by default.
-var shared = New(DefaultMaxBytes)
+var shared = New(defaultMaxBytes)
 
 // Shared returns the process-wide cache.
 func Shared() *Cache { return shared }
@@ -159,27 +151,20 @@ func Shared() *Cache { return shared }
 // compiles so callers can still observe the work done.
 func (c *Cache) SetEnabled(v bool) { c.enabled.Store(v) }
 
-// Enabled reports whether the cache is serving lookups.
-func (c *Cache) Enabled() bool { return c.enabled.Load() }
-
-// AttachObs routes the cache's counters and gauges to sc (typically
-// a "modcache" scope of the run registry). Safe to call at any time;
-// operations before attachment only accumulate in Stats.
+// AttachObs registers the cache's own counters and gauges under sc
+// (typically a "modcache" scope of the run registry): a snapshot of
+// that registry and Stats() read the same words. Safe to call at any
+// time; a registry attached late sees the totals since the cache was
+// made.
 func (c *Cache) AttachObs(sc *obs.Scope) {
-	if sc == nil {
-		c.obsH.Store(nil)
-		return
-	}
-	c.obsH.Store(&obsHandles{
-		hits:      sc.Counter("hits"),
-		misses:    sc.Counter("misses"),
-		dedups:    sc.Counter("dedups"),
-		evictions: sc.Counter("evictions"),
-		compiles:  sc.Counter("compiles"),
-		nsSaved:   sc.Counter("compile_ns_saved"),
-		entries:   sc.Gauge("entries"),
-		bytes:     sc.Gauge("bytes"),
-	})
+	sc.RegisterCounter("hits", &c.hits)
+	sc.RegisterCounter("misses", &c.misses)
+	sc.RegisterCounter("dedups", &c.dedups)
+	sc.RegisterCounter("evictions", &c.evictions)
+	sc.RegisterCounter("compiles", &c.compiles)
+	sc.RegisterCounter("compile_ns_saved", &c.compileNsSaved)
+	sc.RegisterGauge("entries", &c.entries)
+	sc.RegisterGauge("bytes", &c.bytes)
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -230,18 +215,14 @@ func (c *Cache) Purge() {
 		s.bytes = 0
 		s.mu.Unlock()
 	}
-	if h := c.obsH.Load(); h != nil {
-		h.entries.Set(c.entries.Load())
-		h.bytes.Set(c.bytes.Load())
-	}
 }
 
-// EstimateSize approximates the in-memory footprint of one compiled
+// estimateSize approximates the in-memory footprint of one compiled
 // artifact for LRU accounting: compiled closure code scales with the
 // instruction count, plus data segments carried by the module, plus a
 // fixed per-module overhead. Estimates only need to be consistent,
 // not exact — they bound the cache, they don't meter it.
-func EstimateSize(m *wasm.Module) int64 {
+func estimateSize(m *wasm.Module) int64 {
 	var n int64 = 4096
 	for i := range m.Code {
 		n += int64(len(m.Code[i].Body)) * 48
@@ -281,12 +262,8 @@ func (c *Cache) lookup(k Key) (core.CompiledModule, bool) {
 }
 
 func (c *Cache) addHit(savedNs int64) {
-	c.hits.Add(1)
+	c.hits.Inc()
 	c.compileNsSaved.Add(savedNs)
-	if h := c.obsH.Load(); h != nil {
-		h.hits.Inc()
-		h.nsSaved.Add(savedNs)
-	}
 }
 
 func (c *Cache) insert(k Key, cm core.CompiledModule, size, compileNs int64) {
@@ -317,11 +294,6 @@ func (c *Cache) insert(k Key, cm core.CompiledModule, size, compileNs int64) {
 	}
 	s.mu.Unlock()
 	c.evictions.Add(evicted)
-	if h := c.obsH.Load(); h != nil {
-		h.evictions.Add(evicted)
-		h.entries.Set(c.entries.Load())
-		h.bytes.Set(c.bytes.Load())
-	}
 }
 
 // SetDiskTier attaches d as the on-disk artifact tier behind the
@@ -374,17 +346,11 @@ func (c *Cache) GetOrCompileArtifact(m *wasm.Module, engine, opts string, codec 
 	c.flightMu.Lock()
 	if f, ok := c.flights[k]; ok {
 		c.flightMu.Unlock()
-		c.dedups.Add(1)
-		if h := c.obsH.Load(); h != nil {
-			h.dedups.Inc()
-		}
+		c.dedups.Inc()
 		<-f.done
 		if f.err == nil {
 			// The waiter was spared a compile of known cost.
 			c.compileNsSaved.Add(f.compileNs)
-			if h := c.obsH.Load(); h != nil {
-				h.nsSaved.Add(f.compileNs)
-			}
 		}
 		return f.cm, core.FromMemory, f.err
 	}
@@ -394,10 +360,7 @@ func (c *Cache) GetOrCompileArtifact(m *wasm.Module, engine, opts string, codec 
 
 	// Owner: the one true miss for this key (waiters above are dedups,
 	// not misses — they are served from this flight's result).
-	c.misses.Add(1)
-	if h := c.obsH.Load(); h != nil {
-		h.misses.Inc()
-	}
+	c.misses.Inc()
 
 	prov := core.FromCompile
 	if d := c.disk.Load(); d != nil && codec != nil {
@@ -417,10 +380,7 @@ func (c *Cache) GetOrCompileArtifact(m *wasm.Module, engine, opts string, codec 
 		t0 := time.Now()
 		f.cm, f.err = compile()
 		f.compileNs = time.Since(t0).Nanoseconds()
-		c.compiles.Add(1)
-		if h := c.obsH.Load(); h != nil {
-			h.compiles.Inc()
-		}
+		c.compiles.Inc()
 		if f.err == nil {
 			if d := c.disk.Load(); d != nil && codec != nil {
 				if payload, eerr := codec.EncodeArtifact(f.cm); eerr == nil {
@@ -438,7 +398,7 @@ func (c *Cache) GetOrCompileArtifact(m *wasm.Module, engine, opts string, codec 
 	// still get f.cm from the flight, and later requesters recompile;
 	// nobody can observe a half-built module.
 	if f.err == nil {
-		c.insert(k, f.cm, EstimateSize(m), f.compileNs)
+		c.insert(k, f.cm, estimateSize(m), f.compileNs)
 	}
 	c.flightMu.Lock()
 	delete(c.flights, k)
@@ -466,10 +426,7 @@ func (c *Cache) Peek(m *wasm.Module, engine, opts string) (core.CompiledModule, 
 
 func (c *Cache) timedCompile(compile func() (core.CompiledModule, error)) (core.CompiledModule, error) {
 	cm, err := compile()
-	c.compiles.Add(1)
-	if h := c.obsH.Load(); h != nil {
-		h.compiles.Inc()
-	}
+	c.compiles.Inc()
 	return cm, err
 }
 

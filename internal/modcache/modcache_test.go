@@ -193,8 +193,13 @@ func TestPeek(t *testing.T) {
 
 func TestEvictionBoundsBytes(t *testing.T) {
 	// Budget small enough that a few modules overflow a shard.
-	m0 := testModule(t, 0)
-	per := modcache.EstimateSize(m0)
+	// What the cache charges for one of these modules: its Bytes gauge
+	// after holding exactly one.
+	probe := modcache.New(0)
+	if _, _, err := probe.GetOrCompile(testModule(t, 0), "wavm", "", compileStub(0)); err != nil {
+		t.Fatal(err)
+	}
+	per := probe.Stats().Bytes
 	c := modcache.New(per * 32) // 2 entries per shard across 16 shards
 	for i := int64(0); i < 64; i++ {
 		if _, _, err := c.GetOrCompile(testModule(t, i), "wavm", "", compileStub(i)); err != nil {
@@ -271,7 +276,7 @@ func TestContentHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hash1.IsZero() {
+	if hash1 == (wasm.Hash{}) {
 		t.Fatal("content hash is zero")
 	}
 	hash2, err := testModule(t, 42).ContentHash()

@@ -9,8 +9,8 @@
 // serializes on the mmap lock, uffd does not" — ship attached to
 // every figure: each harness run labels a Scope, each layer registers
 // its counters under that scope, and a single Snapshot carries the
-// whole cross-layer story to a pluggable sink (JSON, CSV, or a human
-// summary).
+// whole cross-layer story to a sink (JSON for a machine, a text
+// summary for a person).
 //
 // Hot-path discipline: Counter.Add and Histogram.Observe are single
 // atomic RMWs on pre-resolved pointers; Scope.Emit writes one fixed-
@@ -104,9 +104,9 @@ func bucketFor(v int64) int {
 	return b
 }
 
-// BucketBound returns the inclusive upper bound of bucket i, or -1
+// bucketBound returns the inclusive upper bound of bucket i, or -1
 // for the overflow bucket.
-func BucketBound(i int) int64 {
+func bucketBound(i int) int64 {
 	if i >= histBuckets-1 {
 		return -1
 	}
@@ -124,22 +124,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketFor(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 for nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // HistogramSnapshot is a plain-value copy of a histogram, including
@@ -201,7 +185,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{Le: BucketBound(i), N: n})
+			s.Buckets = append(s.Buckets, BucketCount{Le: bucketBound(i), N: n})
 		}
 	}
 	s.P50 = s.Quantile(0.50)
@@ -210,9 +194,9 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// DefaultTraceCapacity is the trace-ring size (slots) of a registry
+// defaultTraceCapacity is the trace-ring size (slots) of a registry
 // built with NewRegistry.
-const DefaultTraceCapacity = 1 << 14
+const defaultTraceCapacity = 1 << 14
 
 // Registry holds every metric and the trace ring for one observation
 // domain (typically one benchmark run, or one simulated process when
@@ -238,7 +222,7 @@ type Registry struct {
 }
 
 // NewRegistry returns a registry with the default trace capacity.
-func NewRegistry() *Registry { return NewRegistrySized(DefaultTraceCapacity) }
+func NewRegistry() *Registry { return NewRegistrySized(defaultTraceCapacity) }
 
 // NewRegistrySized returns a registry whose trace ring holds
 // capacity events (rounded up to a power of two); capacity <= 0
@@ -293,22 +277,6 @@ type Scope struct {
 	id   uint32
 }
 
-// Name returns the scope's full path ("" for nil).
-func (s *Scope) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
-// Registry returns the owning registry (nil for a nil scope).
-func (s *Scope) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // Child returns the sub-scope "<path>/<name>".
 func (s *Scope) Child(name string) *Scope {
 	if s == nil {
@@ -350,6 +318,34 @@ func (s *Scope) Gauge(name string) *Gauge {
 		r.gauges[full] = g
 	}
 	return g
+}
+
+// RegisterCounter publishes a counter its owner already holds — a
+// field of the owner's struct, or a package-level variable — as the
+// scope's named counter, so the owner's Stats() and a registry
+// snapshot read the same word and every event is counted once. The
+// counter keeps whatever it counted before: a registry attached late
+// sees totals, not since-attach deltas (readers that want a window
+// subtract two snapshots). Registering the same counter again is a
+// no-op; a different counter under the same name replaces the old one
+// in snapshots. No-op on a nil scope.
+func (s *Scope) RegisterCounter(name string, c *Counter) {
+	if s == nil {
+		return
+	}
+	s.reg.mu.Lock()
+	s.reg.counters[s.path+"/"+name] = c
+	s.reg.mu.Unlock()
+}
+
+// RegisterGauge is RegisterCounter for a gauge.
+func (s *Scope) RegisterGauge(name string, g *Gauge) {
+	if s == nil {
+		return
+	}
+	s.reg.mu.Lock()
+	s.reg.gauges[s.path+"/"+name] = g
+	s.reg.mu.Unlock()
 }
 
 // Histogram returns the scope's named histogram, registering it on
@@ -431,33 +427,19 @@ func (r *Registry) Snapshot(drainEvents bool) *Snapshot {
 	if r.ring != nil {
 		s.DroppedEvents = r.ring.dropped.Load()
 		if drainEvents {
-			s.Events = r.drainInto(nil, 0, names)
+			s.Events = r.drain(names)
 		}
 	}
 	return s
 }
 
-// DrainEvents consumes up to limit events from the trace ring
-// (limit <= 0 means all currently buffered), resolving scope names.
-// Like a draining Snapshot, consumed events are removed: concurrent
-// drainers partition the trace. Returns nil on a nil registry or one
-// without a ring.
-func (r *Registry) DrainEvents(limit int) []EventRecord {
-	if r == nil || r.ring == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := append([]string(nil), r.scopeNames...)
-	r.mu.Unlock()
-	return r.drainInto(nil, limit, names)
-}
-
-// drainInto pops ring events into dst (at most limit when limit > 0).
-func (r *Registry) drainInto(dst []EventRecord, limit int, names []string) []EventRecord {
-	for limit <= 0 || len(dst) < limit {
+// drain pops every buffered ring event, resolving scope names.
+func (r *Registry) drain(names []string) []EventRecord {
+	var dst []EventRecord
+	for {
 		ev, ok := r.ring.pop()
 		if !ok {
-			break
+			return dst
 		}
 		scope := ""
 		if int(ev.Scope) < len(names) {
@@ -471,7 +453,6 @@ func (r *Registry) drainInto(dst []EventRecord, limit int, names []string) []Eve
 			B:      ev.B,
 		})
 	}
-	return dst
 }
 
 // sortedKeys returns map keys in lexical order (for stable sinks).

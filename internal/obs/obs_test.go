@@ -36,6 +36,36 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestRegisterOwnedMetrics: a counter or gauge its owner holds by
+// value is published, not mirrored — the snapshot reads the owner's
+// word, whatever it counted before the registry existed, and
+// registering again changes nothing.
+func TestRegisterOwnedMetrics(t *testing.T) {
+	var owner struct {
+		hits    Counter
+		entries Gauge
+	}
+	owner.hits.Add(3) // before any registry: a late registry sees totals
+	owner.entries.Set(2)
+	r := NewRegistry()
+	sc := r.Scope("cache")
+	for i := 0; i < 2; i++ {
+		sc.RegisterCounter("hits", &owner.hits)
+		sc.RegisterGauge("entries", &owner.entries)
+	}
+	owner.hits.Inc()
+	snap := r.Snapshot(false)
+	if snap.Counters["cache/hits"] != 4 || snap.Gauges["cache/entries"] != 2 {
+		t.Errorf("snapshot %v %v, want hits 4 and entries 2", snap.Counters, snap.Gauges)
+	}
+	if sc.Counter("hits") != &owner.hits || sc.Gauge("entries") != &owner.entries {
+		t.Error("the scope's named metric is not the owner's object")
+	}
+	var none *Scope
+	none.RegisterCounter("hits", &owner.hits) // no-ops, not panics
+	none.RegisterGauge("entries", &owner.entries)
+}
+
 func TestNilSafety(t *testing.T) {
 	var sc *Scope
 	sc.Counter("x").Add(1)
@@ -63,7 +93,7 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{1, 64, 65, 128, 129, 1 << 40, -5} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 7 {
+	if got := h.count.Load(); got != 7 {
 		t.Errorf("count = %d, want 7", got)
 	}
 	snap := h.snapshot()
@@ -202,18 +232,8 @@ func TestSinks(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := r.Flush(CSVSink{W: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "counter,run/vmm/lock_contended,5") ||
-		!strings.Contains(out, "lock_contended") {
-		t.Errorf("CSV sink output:\n%s", out)
-	}
-
-	buf.Reset()
 	sc.Emit(EvShootdown, 4, 0)
-	if err := r.Flush(SummarySink{W: &buf}); err != nil {
+	if err := (SummarySink{W: &buf}).Write(r.Snapshot(true)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "run/vmm/lock_contended") ||

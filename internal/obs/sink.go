@@ -1,25 +1,17 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 )
 
 // Sink renders a snapshot to some destination. Implementations:
-// JSONSink (machine-readable document), CSVSink (flat rows for
-// spreadsheets), SummarySink (human-readable digest).
+// JSONSink (the machine-readable document), SummarySink (the digest a
+// person reads).
 type Sink interface {
 	Write(*Snapshot) error
-}
-
-// Flush snapshots the registry (draining the trace ring) and writes
-// it to the sink.
-func (r *Registry) Flush(sink Sink) error {
-	return sink.Write(r.Snapshot(true))
 }
 
 // JSONSink writes the snapshot as one indented JSON document.
@@ -30,43 +22,6 @@ func (s JSONSink) Write(snap *Snapshot) error {
 	enc := json.NewEncoder(s.W)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
-}
-
-// CSVSink writes the snapshot as flat rows: one "counter"/"gauge"/
-// "histogram" row per metric, then one "event" row per trace event.
-type CSVSink struct{ W io.Writer }
-
-// Write implements Sink.
-func (s CSVSink) Write(snap *Snapshot) error {
-	w := csv.NewWriter(s.W)
-	if err := w.Write([]string{"type", "name", "value", "detail"}); err != nil {
-		return err
-	}
-	for _, name := range sortedKeys(snap.Counters) {
-		if err := w.Write([]string{"counter", name, strconv.FormatInt(snap.Counters[name], 10), ""}); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		if err := w.Write([]string{"gauge", name, strconv.FormatInt(snap.Gauges[name], 10), ""}); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		detail := fmt.Sprintf("sum=%d", h.Sum)
-		if err := w.Write([]string{"histogram", name, strconv.FormatInt(h.Count, 10), detail}); err != nil {
-			return err
-		}
-	}
-	for _, ev := range snap.Events {
-		detail := fmt.Sprintf("a=%d b=%d t_ns=%d", ev.A, ev.B, ev.TimeNs)
-		if err := w.Write([]string{"event", ev.Scope + "/" + ev.Kind, "", detail}); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
 }
 
 // SummarySink writes a short human-readable digest: every metric in

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,34 +30,6 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCSVSinkEscaping round-trips metric names containing every CSV
-// special character (quotes, commas, newlines) through a csv.Reader.
-func TestCSVSinkEscaping(t *testing.T) {
-	reg := NewRegistry()
-	nasty := `run[engine="wavm",mode=a b]` + "\nsecond/line"
-	reg.Scope(nasty).Counter(`count,with"quote`).Add(5)
-	reg.Scope(nasty).Emit(EvMmap, 1, 2)
-
-	var buf bytes.Buffer
-	if err := reg.Flush(CSVSink{W: &buf}); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not parseable CSV: %v", err)
-	}
-	found := false
-	wantName := nasty + `/count,with"quote`
-	for _, row := range rows[1:] {
-		if row[0] == "counter" && row[1] == wantName && row[2] == "5" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("escaped counter row not found in:\n%v", rows)
-	}
-}
-
 // TestSinkWriteFailures ensures every sink surfaces writer errors
 // instead of swallowing them, at various truncation points.
 func TestSinkWriteFailures(t *testing.T) {
@@ -72,7 +43,6 @@ func TestSinkWriteFailures(t *testing.T) {
 
 	sinks := map[string]func(*failWriter) Sink{
 		"json":    func(w *failWriter) Sink { return JSONSink{W: w} },
-		"csv":     func(w *failWriter) Sink { return CSVSink{W: w} },
 		"summary": func(w *failWriter) Sink { return SummarySink{W: w} },
 	}
 	for name, mk := range sinks {
@@ -86,11 +56,11 @@ func TestSinkWriteFailures(t *testing.T) {
 }
 
 // TestFlushEmptyRegistry: a registry with nothing registered must
-// flush cleanly through every sink, and a nil registry must too.
+// snapshot cleanly through every sink, and a nil registry must too.
 func TestFlushEmptyRegistry(t *testing.T) {
 	for _, reg := range []*Registry{NewRegistry(), nil} {
-		var jb, cb, sb bytes.Buffer
-		if err := reg.Flush(JSONSink{W: &jb}); err != nil {
+		var jb, sb bytes.Buffer
+		if err := (JSONSink{W: &jb}).Write(reg.Snapshot(true)); err != nil {
 			t.Fatalf("JSON flush: %v", err)
 		}
 		var snap Snapshot
@@ -100,13 +70,7 @@ func TestFlushEmptyRegistry(t *testing.T) {
 		if len(snap.Counters) != 0 {
 			t.Fatalf("empty registry has counters: %v", snap.Counters)
 		}
-		if err := reg.Flush(CSVSink{W: &cb}); err != nil {
-			t.Fatalf("CSV flush: %v", err)
-		}
-		if rows, err := csv.NewReader(&cb).ReadAll(); err != nil || len(rows) != 1 {
-			t.Fatalf("empty CSV: rows=%v err=%v (want header only)", rows, err)
-		}
-		if err := reg.Flush(SummarySink{W: &sb}); err != nil {
+		if err := (SummarySink{W: &sb}).Write(reg.Snapshot(true)); err != nil {
 			t.Fatalf("summary flush: %v", err)
 		}
 		if sb.Len() != 0 {
@@ -124,7 +88,7 @@ func TestSummarySinkPercentilesAndDrops(t *testing.T) {
 		h.Observe(int64(i) * 1000)
 	}
 	var buf bytes.Buffer
-	if err := reg.Flush(SummarySink{W: &buf}); err != nil {
+	if err := (SummarySink{W: &buf}).Write(reg.Snapshot(true)); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	out := buf.String()
@@ -142,7 +106,7 @@ func TestSummarySinkPercentilesAndDrops(t *testing.T) {
 		sc.Emit(EvMmap, int64(i), 0)
 	}
 	buf.Reset()
-	if err := small.Flush(SummarySink{W: &buf}); err != nil {
+	if err := (SummarySink{W: &buf}).Write(small.Snapshot(true)); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if !strings.Contains(buf.String(), "dropped") {

@@ -25,8 +25,8 @@ type SpanKind uint8
 
 // Span kinds.
 const (
-	// SpanNone is the zero value; never recorded.
-	SpanNone SpanKind = iota
+	// The zero value is no span; never recorded.
+	_ SpanKind = iota
 	// SpanRun covers one harness.Run (all phases, all workers).
 	SpanRun
 	// SpanIter covers one isolate lifecycle (instantiate → invoke →

@@ -10,7 +10,7 @@ import (
 // keyed by span ID.
 func drainSpans(r *Registry) (begins, ends map[int64]EventRecord) {
 	begins, ends = map[int64]EventRecord{}, map[int64]EventRecord{}
-	for _, ev := range r.DrainEvents(0) {
+	for _, ev := range r.Snapshot(true).Events {
 		switch ev.Kind {
 		case "span_begin":
 			begins[SpanEventID(ev.A)] = ev
@@ -32,7 +32,7 @@ func TestSpanBasics(t *testing.T) {
 		t.Fatal("span recorded while tracing disabled")
 	}
 	sp.End()
-	if evs := r.DrainEvents(0); len(evs) != 0 {
+	if evs := r.Snapshot(true).Events; len(evs) != 0 {
 		t.Fatalf("disabled tracing produced %d events", len(evs))
 	}
 

@@ -162,7 +162,7 @@ func WriteChromeTrace(w io.Writer, snap *Snapshot) error {
 // Attribution bucket names, in report order. Time buckets hold
 // exclusive span nanoseconds; bounds_check is special-cased (see
 // AttributionRow.BoundsCheckOps).
-var AttributionBuckets = []string{
+var attributionBuckets = []string{
 	"exec", "hostcall", "fault_handle", "vma_lock_wait", "page_populate", "other",
 }
 
@@ -302,13 +302,13 @@ func Attribute(snap *Snapshot) AttributionReport {
 func WriteAttribution(w io.Writer, rep AttributionReport) error {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "STRATEGY")
-	for _, b := range AttributionBuckets {
+	for _, b := range attributionBuckets {
 		fmt.Fprintf(tw, "\t%s", strings.ToUpper(b))
 	}
 	fmt.Fprint(tw, "\tCHECK OPS\tSPANS\n")
 	for _, r := range rep.Rows {
 		fmt.Fprintf(tw, "%s", r.Strategy)
-		for _, b := range AttributionBuckets {
+		for _, b := range attributionBuckets {
 			fmt.Fprintf(tw, "\t%d (%.1f%%)", r.NsByBucket[b], r.Share(b)*100)
 		}
 		fmt.Fprintf(tw, "\t%d\t%d\n", r.BoundsCheckOps, r.Spans)

@@ -1,7 +1,7 @@
 // Hardware/OS counter attribution: a perf_event_open counter group
 // plus getrusage deltas, read around the harness's measurement
 // window. Like internal/sysmon, everything degrades to zeros with
-// Supported() == false when the host forbids it (no perf_event_open
+// OK == false when the host forbids it (no perf_event_open
 // syscall, perf_event_paranoid too high, seccomp sandbox) — the
 // repo's measurements must never hard-depend on counter
 // availability.

@@ -70,8 +70,8 @@ func perfEventOpen(attr *perfEventAttr, pid, cpu, groupFD int, flags uintptr) (i
 // Group is a perf_event_open counter group pinned to the calling
 // thread: instructions, cycles, branch misses, dTLB load misses and
 // page faults, scheduled on and off the PMU together. When the
-// leader cannot be opened the whole group degrades (Supported()
-// false, zero reads); individual follower failures degrade only
+// leader cannot be opened the whole group degrades (OK false,
+// zero reads); individual follower failures degrade only
 // that counter to zero.
 type Group struct {
 	mu   sync.Mutex
@@ -121,17 +121,6 @@ func OpenGroup() *Group {
 	}
 	g.open = true
 	return g
-}
-
-// Supported reports whether the group is live (leader opened and
-// enabled). Mirrors sysmon.Supported's degradation contract.
-func (g *Group) Supported() bool {
-	if g == nil {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.open
 }
 
 func readCounter(fd int) uint64 {

@@ -4,16 +4,13 @@ package prof
 
 // Stub counter layer for platforms without perf_event_open support
 // wired up: everything degrades exactly like an unsupported host
-// (Supported() == false, zero reads), mirroring internal/sysmon.
+// (every read has OK == false), mirroring internal/sysmon.
 
 // Group is the degraded counter group.
 type Group struct{}
 
 // OpenGroup returns a degraded group.
 func OpenGroup() *Group { return &Group{} }
-
-// Supported reports false: no perf events on this platform.
-func (g *Group) Supported() bool { return false }
 
 // Read returns a degraded sample.
 func (g *Group) Read() CounterSample { return CounterSample{} }

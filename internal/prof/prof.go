@@ -136,14 +136,6 @@ func New(hz int, scope *obs.Scope) *Profiler {
 	}
 }
 
-// Hz returns the sampling rate.
-func (p *Profiler) Hz() int {
-	if p == nil {
-		return 0
-	}
-	return p.hz
-}
-
 // Register hands out a live cell for one instance, or nil when the
 // profiler is nil or stopped (instances created while stopped are
 // not sampled, and their engines take the uninstrumented hot path).

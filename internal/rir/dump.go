@@ -141,18 +141,6 @@ func accFlags(s *Inst) string {
 	return ""
 }
 
-// Dump writes the IR one instruction per line, pc-numbered.
-func Dump(w io.Writer, ir []Inst, numLocals int) {
-	labels := FindLabels(ir)
-	for i := range ir {
-		mark := " "
-		if labels[i] {
-			mark = ":"
-		}
-		fmt.Fprintf(w, "  %4d%s %s\n", i, mark, ir[i].String(numLocals))
-	}
-}
-
 // DumpSideBySide writes stack-shaped ops and the lowered register IR
 // in two columns (left: pre-lowering, right: post-lowering), aligned
 // top-to-bottom; the streams have different lengths so the shorter

@@ -17,7 +17,7 @@ import (
 //     the register the first writes.
 //
 // A pair is fused only when the emitter has a flat closure for it,
-// i.e. when Fusable(HalfOf(first), HalfOf(second)): a fused closure
+// i.e. when fusable[HalfOf(first)][HalfOf(second)]: a fused closure
 // that calls its halves costs more than the dispatch it saves, so there
 // is no composed fallback. The fused instruction carries both
 // originals in Pair and the closure runs them back to back, including
@@ -39,7 +39,7 @@ func FuseMem(ir []Inst) ([]Inst, int) {
 	fused := 0
 	for i := 0; i+1 < len(ir); i++ {
 		s, t := &ir[i], &ir[i+1]
-		if labels[i+1] || !Fusable(HalfOf(s), HalfOf(t)) || !consumes(t, s.Dst) {
+		if labels[i+1] || !fusable[HalfOf(s)][HalfOf(t)] || !consumes(t, s.Dst) {
 			continue
 		}
 		p := Inst{
@@ -73,7 +73,7 @@ func FuseMem(ir []Inst) ([]Inst, int) {
 	if fused == 0 {
 		return ir, 0
 	}
-	CountFusedLdOp(int64(fused))
+	rirFusedLdOp.Add(int64(fused))
 	return Compact(ir), fused
 }
 
@@ -125,7 +125,7 @@ func consumes(t *Inst, reg int) bool {
 type Half uint16
 
 const (
-	HNone Half = iota
+	hNone Half = iota
 	// HLin: an i32 add/sub/mul/shl that is linear in its slots (LinOf).
 	HLin
 	// Binary ops outside the linear family; operands are slots or
@@ -162,7 +162,7 @@ const (
 	numHalves = iota
 )
 
-// HalfOf classifies s, or returns HNone when no flat half covers it.
+// HalfOf classifies s, or returns hNone when no flat half covers it.
 func HalfOf(s *Inst) Half {
 	switch s.Shape {
 	case ShBin:
@@ -240,7 +240,7 @@ func HalfOf(s *Inst) Half {
 			return HBrEq
 		}
 	}
-	return HNone
+	return hNone
 }
 
 // fusablePairs is the flat-closure set, each pair as first<<8|second. It
@@ -292,10 +292,6 @@ var fusable = func() (t [numHalves][numHalves]bool) {
 	}
 	return t
 }()
-
-// Fusable reports whether the emitter has a flat closure for
-// first;second.
-func Fusable(first, second Half) bool { return fusable[first][second] }
 
 // Pairs returns the key (first<<8|second) of every fusable pair, for
 // the emitter's template test.

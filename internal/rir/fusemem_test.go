@@ -1,6 +1,7 @@
 package rir
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,7 +31,9 @@ func countedLoop() []Inst {
 
 func dump(ir []Inst) string {
 	var b strings.Builder
-	Dump(&b, ir, 4)
+	for i := range ir {
+		fmt.Fprintf(&b, "  %4d %s\n", i, ir[i].String(4))
+	}
 	return b.String()
 }
 

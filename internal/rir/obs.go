@@ -6,22 +6,19 @@ import (
 	"leapsandbounds/internal/obs"
 )
 
-// Process-wide lowering statistics, attached to obs like the elision
-// counters in internal/compiled/bce.go.
+// Process-wide lowering statistics: obs counters the package owns,
+// like the elision counters in internal/compiled/bce.go. Stats()
+// reads them and AttachObs registers these same objects in a run
+// registry, so each lowering is counted once.
 var (
-	rirOpsIn         atomic.Int64 // stack-shaped ops entering the lowering pipeline
-	rirOpsOut        atomic.Int64 // register-IR ops leaving it (post fusion)
-	rirFusedCmpBr    atomic.Int64 // compare+branch pairs fused by Optimize
-	rirFusedLdOp     atomic.Int64 // load+op / op+store superinstructions formed
-	rirRegsAllocated atomic.Int64 // virtual registers allocated by Lower
+	rirOpsIn         obs.Counter // stack-shaped ops entering the lowering pipeline
+	rirOpsOut        obs.Counter // register-IR ops leaving it (post fusion)
+	rirFusedCmpBr    obs.Counter // compare+branch pairs fused by Optimize
+	rirFusedLdOp     obs.Counter // load+op / op+store superinstructions formed
+	rirRegsAllocated obs.Counter // virtual registers allocated by Lower
 
-	rirObsH  atomic.Pointer[rirObsHandles]
 	rirObsSc atomic.Pointer[obs.Scope]
 )
-
-type rirObsHandles struct {
-	opsIn, opsOut, fusedCmpBr, fusedLdOp, regs *obs.Counter
-}
 
 // RIRStats is a snapshot of the lowering counters.
 type RIRStats struct {
@@ -43,42 +40,17 @@ func Stats() RIRStats {
 	}
 }
 
-// AttachObs routes the lowering counters and rir.lower spans to sc
-// (typically a "rir" scope of the run registry); nil detaches.
+// AttachObs registers the lowering counters under sc (typically a
+// "rir" scope of the run registry) and sends rir.lower spans there;
+// nil stops the spans. The counters are process totals: a registry
+// attached after some compiles sees those compiles too.
 func AttachObs(sc *obs.Scope) {
-	if sc == nil {
-		rirObsH.Store(nil)
-		rirObsSc.Store(nil)
-		return
-	}
 	rirObsSc.Store(sc)
-	rirObsH.Store(&rirObsHandles{
-		opsIn:      sc.Counter("ops_in"),
-		opsOut:     sc.Counter("ops_out"),
-		fusedCmpBr: sc.Counter("fused_cmpbr"),
-		fusedLdOp:  sc.Counter("fused_ldop"),
-		regs:       sc.Counter("regs_allocated"),
-	})
-}
-
-func rirCount(c *atomic.Int64, pick func(*rirObsHandles) *obs.Counter, n int64) {
-	if n == 0 {
-		return
-	}
-	c.Add(n)
-	if h := rirObsH.Load(); h != nil {
-		pick(h).Add(n)
-	}
-}
-
-// CountFusedCmpBr records compare+branch fusions (called by Optimize).
-func CountFusedCmpBr(n int64) {
-	rirCount(&rirFusedCmpBr, func(h *rirObsHandles) *obs.Counter { return h.fusedCmpBr }, n)
-}
-
-// CountFusedLdOp records memory superinstruction fusions.
-func CountFusedLdOp(n int64) {
-	rirCount(&rirFusedLdOp, func(h *rirObsHandles) *obs.Counter { return h.fusedLdOp }, n)
+	sc.RegisterCounter("ops_in", &rirOpsIn)
+	sc.RegisterCounter("ops_out", &rirOpsOut)
+	sc.RegisterCounter("fused_cmpbr", &rirFusedCmpBr)
+	sc.RegisterCounter("fused_ldop", &rirFusedLdOp)
+	sc.RegisterCounter("regs_allocated", &rirRegsAllocated)
 }
 
 // RecordLowering records one function's trip through the register-IR
@@ -87,9 +59,9 @@ func CountFusedLdOp(n int64) {
 // tracing is on (durNs is only known once the pipeline finishes, the
 // same shape as lock-wait attribution).
 func RecordLowering(opsIn, opsOut, regs int, durNs int64) {
-	rirCount(&rirOpsIn, func(h *rirObsHandles) *obs.Counter { return h.opsIn }, int64(opsIn))
-	rirCount(&rirOpsOut, func(h *rirObsHandles) *obs.Counter { return h.opsOut }, int64(opsOut))
-	rirCount(&rirRegsAllocated, func(h *rirObsHandles) *obs.Counter { return h.regs }, int64(regs))
+	rirOpsIn.Add(int64(opsIn))
+	rirOpsOut.Add(int64(opsOut))
+	rirRegsAllocated.Add(int64(regs))
 	if sc := rirObsSc.Load(); sc != nil && sc.TracingEnabled() {
 		sc.EndedSpan(obs.SpanRIRLower, obs.SpanRef{}, durNs)
 	}

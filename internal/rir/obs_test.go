@@ -1,6 +1,7 @@
 package rir
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -32,8 +33,8 @@ func TestRecordLoweringConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				RecordLowering(10, 7, 3, 1)
-				CountFusedCmpBr(1)
-				CountFusedLdOp(2)
+				rirFusedCmpBr.Add(1)
+				rirFusedLdOp.Add(2)
 			}
 		}()
 	}
@@ -59,6 +60,16 @@ func TestRecordLoweringConcurrent(t *testing.T) {
 	}
 	if after.OpsOut-before.OpsOut >= after.OpsIn-before.OpsIn {
 		t.Error("lowering stats cannot show ops_out >= ops_in here")
+	}
+	// Two hundred attaches later the registry holds the package's own
+	// counters, once: its snapshot is Stats(), field for field.
+	got := reg.Snapshot(false).Counters
+	want := map[string]int64{
+		"rir/ops_in": after.OpsIn, "rir/ops_out": after.OpsOut, "rir/regs_allocated": after.RegsAllocated,
+		"rir/fused_cmpbr": after.FusedCmpBr, "rir/fused_ldop": after.FusedLdOp,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("registry %v\nStats()  %v", got, want)
 	}
 }
 
@@ -86,7 +97,7 @@ func TestRecordLoweringSpansConcurrent(t *testing.T) {
 	wg.Wait()
 
 	begins, ends := map[int64]bool{}, 0
-	for _, ev := range reg.DrainEvents(0) {
+	for _, ev := range reg.Snapshot(true).Events {
 		if obs.SpanEventKind(ev.A) != obs.SpanRIRLower {
 			t.Fatalf("unexpected event %+v", ev)
 		}

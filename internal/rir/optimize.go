@@ -119,11 +119,11 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 				if r.isImm {
 					s.Shape = ShConst
 					s.ImmA = r.imm
-					MarkDead(ir, r.def)
+					markDead(ir, r.def)
 				} else {
 					s.A = r.slot
 					if r.def >= 0 {
-						MarkDead(ir, r.def)
+						markDead(ir, r.def)
 					}
 				}
 				localVer[s.Dst]++
@@ -143,14 +143,14 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if r.isImm && s.Shape == ShUn && UnOps[s.Op] != nil && SafeUnFold(s.Op) {
 				s.Shape = ShConst
 				s.ImmA = UnOps[s.Op](r.imm)
-				MarkDead(ir, r.def)
+				markDead(ir, r.def)
 				if s.Dst >= numLocals {
 					set(s.Dst, i, 0)
 				}
 				continue
 			}
 			if r.def >= 0 && !r.isImm {
-				MarkDead(ir, r.def)
+				markDead(ir, r.def)
 			}
 			if !r.isImm {
 				s.A = r.slot
@@ -164,8 +164,8 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if ra.isImm && rb.isImm && FoldableBin[s.Op] {
 				s.Shape = ShConst
 				s.ImmA = BinOps[s.Op](ra.imm, rb.imm)
-				MarkDead(ir, ra.def)
-				MarkDead(ir, rb.def)
+				markDead(ir, ra.def)
+				markDead(ir, rb.def)
 				if s.Dst >= numLocals {
 					set(s.Dst, i, 0)
 				}
@@ -174,21 +174,21 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if ra.isImm {
 				s.AImm = true
 				s.ImmA = ra.imm
-				MarkDead(ir, ra.def)
+				markDead(ir, ra.def)
 			} else {
 				s.A = ra.slot
 				if ra.def >= 0 {
-					MarkDead(ir, ra.def)
+					markDead(ir, ra.def)
 				}
 			}
 			if rb.isImm {
 				s.BImm = true
 				s.ImmB = rb.imm
-				MarkDead(ir, rb.def)
+				markDead(ir, rb.def)
 			} else {
 				s.B = rb.slot
 				if rb.def >= 0 {
-					MarkDead(ir, rb.def)
+					markDead(ir, rb.def)
 				}
 			}
 		case ShLoad:
@@ -197,11 +197,11 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 				// Fold the constant address into the static offset.
 				s.Off += uint64(uint32(r.imm))
 				s.AImm = true
-				MarkDead(ir, r.def)
+				markDead(ir, r.def)
 			} else {
 				s.A = r.slot
 				if r.def >= 0 {
-					MarkDead(ir, r.def)
+					markDead(ir, r.def)
 				}
 			}
 		case ShStore:
@@ -210,21 +210,21 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if ra.isImm {
 				s.Off += uint64(uint32(ra.imm))
 				s.AImm = true
-				MarkDead(ir, ra.def)
+				markDead(ir, ra.def)
 			} else {
 				s.A = ra.slot
 				if ra.def >= 0 {
-					MarkDead(ir, ra.def)
+					markDead(ir, ra.def)
 				}
 			}
 			if rb.isImm {
 				s.BImm = true
 				s.ImmB = rb.imm
-				MarkDead(ir, rb.def)
+				markDead(ir, rb.def)
 			} else {
 				s.B = rb.slot
 				if rb.def >= 0 {
-					MarkDead(ir, rb.def)
+					markDead(ir, rb.def)
 				}
 			}
 		case ShIfFalse, ShBranchIf:
@@ -249,8 +249,8 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 					if d.Shape == ShUn {
 						s.B, s.BImm, s.ImmB = 0, true, 0
 					}
-					MarkDead(ir, di)
-					CountFusedCmpBr(1)
+					markDead(ir, di)
+					rirFusedCmpBr.Inc()
 					lastAlive = i
 					continue
 				}
@@ -259,7 +259,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if !r.isImm {
 				s.A = r.slot
 				if r.def >= 0 {
-					MarkDead(ir, r.def)
+					markDead(ir, r.def)
 				}
 			}
 			// Immediate conditions keep their const def alive (the
@@ -289,7 +289,7 @@ func Optimize(ir []Inst, numLocals int) []Inst {
 			if !r.isImm {
 				s.C = r.slot
 				if r.def >= 0 {
-					MarkDead(ir, r.def)
+					markDead(ir, r.def)
 				}
 			}
 			// Immediate conditions keep their const def alive.
@@ -343,8 +343,8 @@ func SafeUnFold(op wasm.Opcode) bool {
 	}
 }
 
-// MarkDead marks a def for deletion (no-op for def == -1).
-func MarkDead(ir []Inst, def int) {
+// markDead marks a def for deletion (no-op for def == -1).
+func markDead(ir []Inst, def int) {
 	if def >= 0 {
 		ir[def].Dead = true
 		ir[def].Shape = ShNop

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// Median returns the median of xs (the mean of the middle pair for
+// median returns the median of xs (the mean of the middle pair for
 // even lengths). It returns 0 for empty input.
-func Median(xs []float64) float64 {
+func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -27,13 +27,13 @@ func Median(xs []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// MedianDurations is Median over time.Durations.
+// MedianDurations is median over time.Durations.
 func MedianDurations(ds []time.Duration) time.Duration {
 	xs := make([]float64, len(ds))
 	for i, d := range ds {
 		xs[i] = float64(d)
 	}
-	return time.Duration(Median(xs))
+	return time.Duration(median(xs))
 }
 
 // Geomean returns the geometric mean of positive values; zero or

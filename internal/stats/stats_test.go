@@ -18,15 +18,15 @@ func TestMedian(t *testing.T) {
 		{[]float64{1, 1, 1, 9}, 1},
 	}
 	for _, c := range cases {
-		if got := Median(c.in); got != c.want {
-			t.Errorf("Median(%v) = %v, want %v", c.in, got, c.want)
+		if got := median(c.in); got != c.want {
+			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestMedianDoesNotMutate(t *testing.T) {
 	in := []float64{3, 1, 2}
-	Median(in)
+	median(in)
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Error("Median mutated its input")
 	}

@@ -4,7 +4,7 @@
 // rescaled so 100% is one fully busy core), and the system-wide
 // context-switch rate from the ctxt line (§4.2.2). On systems
 // without procfs the sampler degrades to reporting zeros with
-// Supported() == false.
+// OK == false.
 package sysmon
 
 import (
@@ -119,6 +119,3 @@ func Delta(a, b Sample) Usage {
 	}
 	return u
 }
-
-// Supported reports whether procfs sampling works on this host.
-func Supported() bool { return Read().OK }

@@ -1,4 +1,4 @@
-package tiered_test
+package tiered
 
 import (
 	"testing"
@@ -6,7 +6,6 @@ import (
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
-	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -32,7 +31,7 @@ func warmableModule(t *testing.T) *wasm.Module {
 }
 
 func TestForkAdoptsTopTier(t *testing.T) {
-	e := tiered.New()
+	e := New()
 	defer e.Close()
 	cm, err := e.Compile(warmableModule(t))
 	if err != nil {
@@ -57,10 +56,10 @@ func TestForkAdoptsTopTier(t *testing.T) {
 	if res, _ := early.Invoke("get"); res[0] != 0xabcdef {
 		t.Fatalf("early fork lost warm state: %#x", res[0])
 	}
-	earlyTier := tiered.TierOf(early)
+	earlyTier := tierOf(early)
 	early.Close()
 
-	if !tiered.WaitReady(cm, 5*time.Second) {
+	if !WaitReady(cm, 5*time.Second) {
 		t.Fatal("top tier never became ready")
 	}
 
@@ -71,7 +70,7 @@ func TestForkAdoptsTopTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	if got := tiered.TierOf(late); got != "optimized" {
+	if got := tierOf(late); got != "optimized" {
 		t.Errorf("post-tier-up fork runs on %q (early fork ran on %q), want optimized",
 			got, earlyTier)
 	}

@@ -1,4 +1,4 @@
-package tiered_test
+package tiered
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 	"leapsandbounds/internal/modcache"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/rir"
-	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -55,7 +54,7 @@ func rirKernelModule(t *testing.T, mult int32) *wasm.Module {
 // counters prove the top tier actually went through the register
 // pipeline rather than the old single-pass emit.
 func TestTierUpToRegisterIRMidExecution(t *testing.T) {
-	e := tiered.New()
+	e := New()
 	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
 	if !e.Codegen().RegisterIR {
@@ -91,7 +90,7 @@ func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 		if got[0] != want[0] {
 			t.Fatalf("checksum drifted during tier-up: %d vs %d", got[0], want[0])
 		}
-		ready = tiered.WaitReady(cm, time.Millisecond)
+		ready = WaitReady(cm, time.Millisecond)
 	}
 	if !ready {
 		t.Fatal("top tier never became ready")
@@ -102,7 +101,7 @@ func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst2.Close()
-	if tier := tiered.TierOf(inst2); tier != "optimized" {
+	if tier := tierOf(inst2); tier != "optimized" {
 		t.Fatalf("post-tier-up instance runs on %q", tier)
 	}
 	got, err := inst2.Invoke("k", 500)
@@ -114,7 +113,7 @@ func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 	}
 
 	after := rir.Stats()
-	if e.Stats().TierUps > 0 && after.OpsIn == before.OpsIn {
+	if e.stats().TierUps > 0 && after.OpsIn == before.OpsIn {
 		t.Error("tier-up compiled without running the register-IR pipeline")
 	}
 	if after.OpsOut-before.OpsOut >= after.OpsIn-before.OpsIn {
@@ -131,7 +130,7 @@ func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 func TestRIRTierSpanNesting(t *testing.T) {
 	reg := obs.NewRegistrySized(1 << 16)
 	reg.EnableTracing(true)
-	e := tiered.New()
+	e := New()
 	defer e.Close()
 	e.AttachObs(reg.Scope("v8"))
 
@@ -139,7 +138,7 @@ func TestRIRTierSpanNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered.WaitReady(cm, 5*time.Second)
+	WaitReady(cm, 5*time.Second)
 
 	// Root span: the parent every safepoint wait must attach to.
 	run := reg.Scope("run strategy=trap").StartSpan(obs.SpanRun, obs.SpanRef{})
@@ -152,12 +151,12 @@ func TestRIRTierSpanNesting(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for e.Stats().GCPauses == 0 && time.Now().Before(deadline) {
+	for e.stats().GCPauses == 0 && time.Now().Before(deadline) {
 		if _, err := inst.Invoke("k", 200); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pauses := e.Stats().GCPauses
+	pauses := e.stats().GCPauses
 	inst.Close()
 	run.End()
 	time.Sleep(10 * time.Millisecond)

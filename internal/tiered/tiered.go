@@ -9,7 +9,6 @@
 package tiered
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -120,19 +119,15 @@ func New() *Engine {
 // Name implements core.Engine.
 func (e *Engine) Name() string { return "v8" }
 
-// Description implements core.Engine.
-func (e *Engine) Description() string {
-	return "tiered engine with background compile workers and GC pauses (V8 TurboFan analog)"
-}
-
 // Close stops the background workers.
 func (e *Engine) Close() {
 	e.stopped.Do(func() { close(e.stop) })
 	e.wg.Wait()
 }
 
-// Stats reports runtime-service activity.
-type Stats struct {
+// stats reports runtime-service activity (the package's tests read
+// it).
+type stats struct {
 	GCPauses, TierUps, Sweeps int64
 	// WarmStarts counts modules whose optimized tier was adopted
 	// from the compile cache instead of recompiled.
@@ -142,9 +137,9 @@ type Stats struct {
 	TierFallbacks int64
 }
 
-// Stats returns a snapshot of runtime-service counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
+// stats returns a snapshot of runtime-service counters.
+func (e *Engine) stats() stats {
+	return stats{
 		GCPauses:      e.gcPauses.Load(),
 		TierUps:       e.tierUps.Load(),
 		Sweeps:        e.sweeps.Load(),
@@ -287,9 +282,9 @@ func (e *Engine) Compile(m *wasm.Module) (core.CompiledModule, error) {
 	return tm, nil
 }
 
-// WaitTopTier blocks until the optimizing tier is available, for
+// waitTopTier blocks until the optimizing tier is available, for
 // benchmarks that want warmed-up code only.
-func (m *module) WaitTopTier(timeout time.Duration) bool {
+func (m *module) waitTopTier(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if m.top.Load() != nil {
@@ -409,31 +404,13 @@ func (i *instance) Close() error { return i.inner.Close() }
 // fork once tier-up completes.
 func (i *instance) Snapshot() (*core.StateSnapshot, error) { return i.inner.Snapshot() }
 
-// Tier reports which tier the instance runs on ("baseline" or
-// "optimized"), for tests.
-func (i *instance) Tier() string {
-	if _, ok := i.inner.(*compiled.Instance); ok {
-		return "optimized"
-	}
-	return "baseline"
-}
-
-// TierOf exposes instance tier detection without exporting the
-// concrete type.
-func TierOf(inst core.Instance) string {
-	if ti, ok := inst.(*instance); ok {
-		return ti.Tier()
-	}
-	return fmt.Sprintf("unknown(%T)", inst)
-}
-
 // WaitReady blocks until cm's optimizing tier is compiled (or the
 // timeout passes), returning whether it is ready. The harness calls
 // this during warm-up so measured iterations run optimized code,
 // matching the paper's protocol of excluding warm-up runs.
 func WaitReady(cm core.CompiledModule, timeout time.Duration) bool {
 	if m, ok := cm.(*module); ok {
-		return m.WaitTopTier(timeout)
+		return m.waitTopTier(timeout)
 	}
 	return true
 }

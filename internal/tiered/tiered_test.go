@@ -1,14 +1,14 @@
-package tiered_test
+package tiered
 
 import (
 	"sync"
 	"testing"
 	"time"
 
+	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/modcache"
-	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -40,8 +40,16 @@ func kernelModule(t *testing.T) *wasm.Module {
 	return m
 }
 
+// tierOf reports which tier an instance of this engine runs on.
+func tierOf(inst core.Instance) string {
+	if _, ok := inst.(*instance).inner.(*compiled.Instance); ok {
+		return "optimized"
+	}
+	return "baseline"
+}
+
 func TestTierUpProducesSameResults(t *testing.T) {
-	e := tiered.New()
+	e := New()
 	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
 	cm, err := e.Compile(kernelModule(t))
@@ -61,7 +69,7 @@ func TestTierUpProducesSameResults(t *testing.T) {
 	}
 	inst1.Close()
 
-	if !tiered.WaitReady(cm, 5*time.Second) {
+	if !WaitReady(cm, 5*time.Second) {
 		t.Fatal("top tier never became ready")
 	}
 	inst2, err := cm.Instantiate(cfg, nil)
@@ -69,7 +77,7 @@ func TestTierUpProducesSameResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst2.Close()
-	if got := tiered.TierOf(inst2); got != "optimized" {
+	if got := tierOf(inst2); got != "optimized" {
 		t.Errorf("after tier-up, instance tier = %s", got)
 	}
 	res2, err := inst2.Invoke("k", 500)
@@ -79,19 +87,19 @@ func TestTierUpProducesSameResults(t *testing.T) {
 	if res1[0] != res2[0] {
 		t.Errorf("tiers disagree: %d vs %d", res1[0], res2[0])
 	}
-	if e.Stats().TierUps != 1 {
-		t.Errorf("tier-ups: %d, want 1", e.Stats().TierUps)
+	if e.stats().TierUps != 1 {
+		t.Errorf("tier-ups: %d, want 1", e.stats().TierUps)
 	}
 }
 
 func TestGCPausesOccurUnderLoad(t *testing.T) {
-	e := tiered.New()
+	e := New()
 	defer e.Close()
 	cm, err := e.Compile(kernelModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered.WaitReady(cm, 5*time.Second)
+	WaitReady(cm, 5*time.Second)
 	cfg := core.Config{Profile: isa.X86_64()}
 
 	var wg sync.WaitGroup
@@ -117,13 +125,13 @@ func TestGCPausesOccurUnderLoad(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if e.Stats().GCPauses == 0 {
+	if e.stats().GCPauses == 0 {
 		t.Error("no GC pauses under sustained load")
 	}
 }
 
 func TestCloseIsIdempotent(t *testing.T) {
-	e := tiered.New()
+	e := New()
 	e.Close()
 	e.Close()
 }

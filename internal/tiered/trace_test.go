@@ -1,4 +1,4 @@
-package tiered_test
+package tiered
 
 import (
 	"testing"
@@ -8,7 +8,6 @@ import (
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/modcache"
 	"leapsandbounds/internal/obs"
-	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -71,7 +70,7 @@ func drainCompleteSpans(reg *obs.Registry, got map[obs.SpanKind]int) {
 func TestRuntimeServiceSpans(t *testing.T) {
 	reg := obs.NewRegistrySized(1 << 16)
 	reg.EnableTracing(true)
-	e := tiered.New()
+	e := New()
 	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
 	e.AttachObs(reg.Scope("v8"))
@@ -80,7 +79,7 @@ func TestRuntimeServiceSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tiered.WaitReady(cm, 5*time.Second) {
+	if !WaitReady(cm, 5*time.Second) {
 		t.Fatal("top tier never became ready")
 	}
 	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Obs: reg.Scope("engine")}, nil)
@@ -94,12 +93,12 @@ func TestRuntimeServiceSpans(t *testing.T) {
 	// are active), then give the loop a beat to emit the span that
 	// follows the counter tick.
 	deadline := time.Now().Add(2 * time.Second)
-	for e.Stats().GCPauses == 0 && time.Now().Before(deadline) {
+	for e.stats().GCPauses == 0 && time.Now().Before(deadline) {
 		if _, err := inst.Invoke("k", 200); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pauses := e.Stats().GCPauses
+	pauses := e.stats().GCPauses
 	time.Sleep(10 * time.Millisecond)
 
 	got := map[obs.SpanKind]int{}
@@ -123,14 +122,14 @@ func TestRuntimeServiceSpans(t *testing.T) {
 // events still flow).
 func TestSpansSilentWhenUntraced(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := tiered.New()
+	e := New()
 	defer e.Close()
 	e.AttachObs(reg.Scope("v8"))
 	cm, err := e.Compile(kernelModule(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tiered.WaitReady(cm, 5*time.Second) {
+	if !WaitReady(cm, 5*time.Second) {
 		t.Fatal("top tier never became ready")
 	}
 	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Obs: reg.Scope("engine")}, nil)

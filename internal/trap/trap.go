@@ -22,10 +22,6 @@ const (
 	TableOutOfBounds
 	StackOverflow
 	MemoryLimit // memory.grow beyond max (not a trap in wasm; grow returns -1; used for internal errors)
-	// UnalignedAtomic: an atomic accessor was applied to an address
-	// that is not naturally aligned for its width (the wasm threads
-	// proposal traps here rather than tearing).
-	UnalignedAtomic
 	HostError
 	// Injected: an injected transient fault persisted past the
 	// bounded retry/fallback budget (chaos testing only; never raised
@@ -44,7 +40,6 @@ var kindNames = map[Kind]string{
 	TableOutOfBounds:  "undefined table element",
 	StackOverflow:     "call stack exhausted",
 	MemoryLimit:       "memory limit exceeded",
-	UnalignedAtomic:   "unaligned atomic access",
 	HostError:         "host error",
 	Injected:          "injected fault persisted",
 }

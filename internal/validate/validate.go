@@ -7,7 +7,6 @@ package validate
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"leapsandbounds/internal/fanout"
@@ -777,13 +776,4 @@ func rangeOps(lo, hi wasm.Opcode) []wasm.Opcode {
 		ops = append(ops, op)
 	}
 	return ops
-}
-
-// EffectiveAlign returns the natural alignment exponent for an access
-// width (log2), used by engines when charging alignment penalties.
-func EffectiveAlign(width uint32) uint32 {
-	if width == 0 {
-		return 0
-	}
-	return uint32(bits.TrailingZeros32(width))
 }

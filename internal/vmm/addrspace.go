@@ -18,18 +18,18 @@ type Prot uint8
 // Protection bits.
 const (
 	ProtNone  Prot = 0
-	ProtRead  Prot = 1 << 0
-	ProtWrite Prot = 1 << 1
-	ProtRW    Prot = ProtRead | ProtWrite
+	protRead  Prot = 1 << 0
+	protWrite Prot = 1 << 1
+	ProtRW    Prot = protRead | protWrite
 )
 
 func (p Prot) String() string {
 	switch p {
 	case ProtNone:
 		return "---"
-	case ProtRead:
+	case protRead:
 		return "r--"
-	case ProtWrite:
+	case protWrite:
 		return "-w-"
 	case ProtRW:
 		return "rw-"
@@ -39,10 +39,7 @@ func (p Prot) String() string {
 }
 
 // Page state bits stored per page (atomically).
-const (
-	pageCommitted uint32 = 1 << 2
-	pageProtMask  uint32 = 0x3
-)
+const pageCommitted uint32 = 1 << 2
 
 // Config models the kernel/hardware parameters of one simulated
 // machine. Costs are charged by busy-waiting while holding the same
@@ -68,25 +65,11 @@ type Config struct {
 	MmapBase time.Duration
 }
 
-// DefaultConfig returns a configuration with Linux-like magnitudes
-// on a modern server: ~1 µs TLB shootdowns, ~4 ns/page PTE updates.
-func DefaultConfig() Config {
-	return Config{
-		PageSize:           4096,
-		THPSize:            0,
-		ShootdownBase:      1 * time.Microsecond,
-		ShootdownPerThread: 250 * time.Nanosecond,
-		MprotectPerPage:    4 * time.Nanosecond,
-		MmapBase:           600 * time.Nanosecond,
-	}
-}
-
 // Errors returned by address-space operations.
 var (
-	ErrNoMemory = errors.New("vmm: out of simulated address space")
-	ErrBadRange = errors.New("vmm: address range outside mapping")
-	ErrUnmapped = errors.New("vmm: mapping already unmapped")
-	ErrNotUffd  = errors.New("vmm: mapping not registered with userfaultfd")
+	errBadRange = errors.New("vmm: address range outside mapping")
+	errUnmapped = errors.New("vmm: mapping already unmapped")
+	errNotUffd  = errors.New("vmm: mapping not registered with userfaultfd")
 )
 
 // mmapBase is where simulated mappings start, mimicking the mmap
@@ -221,9 +204,6 @@ func NewObserved(cfg Config, sc *obs.Scope) *AddressSpace {
 	}
 }
 
-// Config returns the address space's configuration.
-func (as *AddressSpace) Config() Config { return as.cfg }
-
 // SetInjector installs the fault injector evaluated on this address
 // space's syscall and fault paths. Passing nil disables injection.
 // Install before workers start; the pointer is read lock-free.
@@ -261,9 +241,6 @@ func (as *AddressSpace) AddThread() { as.threads.Add(1) }
 
 // RemoveThread records a thread leaving the simulated process.
 func (as *AddressSpace) RemoveThread() { as.threads.Add(-1) }
-
-// Threads returns the current number of registered threads.
-func (as *AddressSpace) Threads() int64 { return as.threads.Load() }
 
 // lock acquires the mmap lock, recording wait time; the returned
 // release function records hold time. parent attributes the wait: a
@@ -446,7 +423,7 @@ func (as *AddressSpace) takeBackingLocked(n uint64) []byte {
 // Munmap removes the mapping, flushing TLBs and recycling backing.
 func (as *AddressSpace) Munmap(m *Mapping) error {
 	if m.dead.Swap(true) {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	sp := as.obs.StartSpan(obs.SpanKernelMunmap, m.SpanParent())
 	defer sp.End()
@@ -525,14 +502,14 @@ func (as *AddressSpace) thpCommittedPages(m *Mapping, block int) int64 {
 // relies on this, as mprotect-managed wasm memories do).
 func (m *Mapping) Mprotect(off, length uint64, prot Prot) error {
 	if m.dead.Load() {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	as := m.as
 	ps := as.cfg.PageSize
 	off = roundDown(off, ps)
 	length = roundUp(length, ps)
 	if off+length > m.backing {
-		return fmt.Errorf("%w: mprotect [%d,%d) backing %d", ErrBadRange, off, off+length, m.backing)
+		return fmt.Errorf("%w: mprotect [%d,%d) backing %d", errBadRange, off, off+length, m.backing)
 	}
 	if err := as.inj.Load().Fail(faultinject.SiteMprotect); err != nil {
 		return err
@@ -557,7 +534,7 @@ func (m *Mapping) Mprotect(off, length uint64, prot Prot) error {
 	for p := first; p < first+pages; p++ {
 		old := m.pages[p].Load()
 		state := uint32(prot)
-		if prot&ProtWrite != 0 || old&pageCommitted != 0 {
+		if prot&protWrite != 0 || old&pageCommitted != 0 {
 			state |= pageCommitted
 		}
 		if old&pageCommitted == 0 && state&pageCommitted != 0 {
@@ -637,9 +614,9 @@ func (m *Mapping) Fault(off uint64, write bool) FaultKind {
 	}
 	ps := m.as.cfg.PageSize
 	state := m.pages[off/ps].Load()
-	need := uint32(ProtRead)
+	need := uint32(protRead)
 	if write {
-		need = uint32(ProtWrite)
+		need = uint32(protWrite)
 	}
 	if state&pageCommitted != 0 && state&need != 0 {
 		return FaultResolved
@@ -659,7 +636,7 @@ func (m *Mapping) Fault(off uint64, write bool) FaultKind {
 // UFFDIO_REGISTER does), but subsequent fault handling is lock-free.
 func (m *Mapping) RegisterUffd() error {
 	if m.dead.Load() {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	release := m.as.lock(m.SpanParent())
 	spin(m.as.cfg.MmapBase)
@@ -674,16 +651,16 @@ func (m *Mapping) RegisterUffd() error {
 // concurrent handlers on distinct pages proceed in parallel.
 func (m *Mapping) UffdZeroPages(off, length uint64) error {
 	if !m.uffd.Load() {
-		return ErrNotUffd
+		return errNotUffd
 	}
 	if m.dead.Load() {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	ps := m.as.cfg.PageSize
 	off = roundDown(off, ps)
 	length = roundUp(length, ps)
 	if off+length > m.backing {
-		return fmt.Errorf("%w: uffd zero [%d,%d) backing %d", ErrBadRange, off, off+length, m.backing)
+		return fmt.Errorf("%w: uffd zero [%d,%d) backing %d", errBadRange, off, off+length, m.backing)
 	}
 	inj := m.as.inj.Load()
 	inj.DelayIf(faultinject.SiteUffdDelay)
@@ -723,16 +700,16 @@ func (m *Mapping) UffdZeroPages(off, length uint64) error {
 // to the pool.
 func (m *Mapping) UffdDecommitPages(off, length uint64) error {
 	if !m.uffd.Load() {
-		return ErrNotUffd
+		return errNotUffd
 	}
 	if m.dead.Load() {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	ps := m.as.cfg.PageSize
 	off = roundDown(off, ps)
 	length = roundUp(length, ps)
 	if off+length > m.backing {
-		return fmt.Errorf("%w: uffd decommit [%d,%d) backing %d", ErrBadRange, off, off+length, m.backing)
+		return fmt.Errorf("%w: uffd decommit [%d,%d) backing %d", errBadRange, off, off+length, m.backing)
 	}
 	if err := m.as.inj.Load().Fail(faultinject.SiteUffdZero); err != nil {
 		return err
@@ -788,7 +765,7 @@ func (m *Mapping) UffdDecommitPages(off, length uint64) error {
 // lock (the kernel fault path takes it in shared mode only).
 func (m *Mapping) Touch(off, length uint64) error {
 	if m.dead.Load() {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	ps := m.as.cfg.PageSize
 	// Every page the byte range overlaps: round the end, not the
@@ -797,7 +774,7 @@ func (m *Mapping) Touch(off, length uint64) error {
 	end := roundUp(off+length, ps)
 	off = roundDown(off, ps)
 	if end < off || end > m.backing {
-		return fmt.Errorf("%w: touch [%d,%d) backing %d", ErrBadRange, off, end, m.backing)
+		return fmt.Errorf("%w: touch [%d,%d) backing %d", errBadRange, off, end, m.backing)
 	}
 	var touched int64
 	for p := off / ps; p < end/ps; p++ {
@@ -806,8 +783,8 @@ func (m *Mapping) Touch(off, length uint64) error {
 			if old&pageCommitted != 0 {
 				break
 			}
-			if old&uint32(ProtWrite) == 0 {
-				return fmt.Errorf("%w: touch of non-writable page %d", ErrBadRange, p)
+			if old&uint32(protWrite) == 0 {
+				return fmt.Errorf("%w: touch of non-writable page %d", errBadRange, p)
 			}
 			m.populateFromSource(p)
 			if m.pages[p].CompareAndSwap(old, old|pageCommitted) {
@@ -828,20 +805,20 @@ func (m *Mapping) Touch(off, length uint64) error {
 }
 
 // CheckAccess verifies that [off, off+n) is accessible with the
-// given mode according to page state. Used by the engines'
-// verification mode and by tests; the fast path of execution does
-// not call it.
+// given mode according to page state. Tests hold the layers above to
+// the simulated MMU with it; the fast path of execution does not call
+// it.
 func (m *Mapping) CheckAccess(off, n uint64, write bool) error {
 	if m.dead.Load() {
-		return ErrUnmapped
+		return errUnmapped
 	}
 	if off+n > m.backing || off+n < off {
-		return fmt.Errorf("%w: access [%d,%d)", ErrBadRange, off, off+n)
+		return fmt.Errorf("%w: access [%d,%d)", errBadRange, off, off+n)
 	}
 	ps := m.as.cfg.PageSize
-	need := uint32(ProtRead) | pageCommitted
+	need := uint32(protRead) | pageCommitted
 	if write {
-		need = uint32(ProtWrite) | pageCommitted
+		need = uint32(protWrite) | pageCommitted
 	}
 	for p := off / ps; p <= (off+n-1)/ps; p++ {
 		if state := m.pages[p].Load(); state&need != need {
@@ -885,17 +862,8 @@ func (m *Mapping) CommittedPrefix(from uint64) uint64 {
 // recycles this backing.
 func (m *Mapping) Data() []byte { return m.data }
 
-// Addr returns the simulated base address.
-func (m *Mapping) Addr() uint64 { return m.addr }
-
-// Reserve returns the reserved (virtual) length in bytes.
-func (m *Mapping) Reserve() uint64 { return m.reserve }
-
 // Backing returns the accessible prefix length in bytes.
 func (m *Mapping) Backing() uint64 { return m.backing }
-
-// Dead reports whether the mapping has been unmapped.
-func (m *Mapping) Dead() bool { return m.dead.Load() }
 
 // CommittedBytes counts committed base pages (ignoring THP blocks).
 func (m *Mapping) CommittedBytes() uint64 {

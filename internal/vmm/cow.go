@@ -34,15 +34,6 @@ func NewPageSource(ps uint64, data []byte) *PageSource {
 // Len returns the image length in bytes (page-aligned).
 func (s *PageSource) Len() uint64 { return uint64(len(s.data)) }
 
-// Bytes returns the frozen image. Callers must treat it as read-only;
-// it is shared by every fork of the template.
-func (s *PageSource) Bytes() []byte { return s.data }
-
-// MmapCoW is MmapCoWTraced with no causal parent.
-func (as *AddressSpace) MmapCoW(reserve, backing uint64, prot Prot, src *PageSource) (*Mapping, error) {
-	return as.MmapCoWTraced(reserve, backing, prot, src, obs.SpanRef{})
-}
-
 // MmapCoWTraced reserves a mapping whose pages populate from src as
 // they commit, instead of from the zero page: the simulated analog of
 // mmap'ing a template's pages MAP_PRIVATE and letting write faults
@@ -72,10 +63,6 @@ func (m *Mapping) SetSource(src *PageSource) {
 		m.as.stats.CowForks.Add(1)
 	}
 }
-
-// Source returns the mapping's current copy-on-write origin (nil for
-// ordinary anonymous mappings).
-func (m *Mapping) Source() *PageSource { return m.src.Load() }
 
 // populateFromSource installs the source contents of page p into the
 // backing, called on the commit transition (Mprotect under the mmap

@@ -3,13 +3,15 @@ package vmm
 import (
 	"bytes"
 	"testing"
+
+	"leapsandbounds/internal/obs"
 )
 
 // cowSource builds a 4-page source image with a distinct byte per
 // page, so tests can tell which pages were duplicated.
 func cowSource(t *testing.T, as *AddressSpace) *PageSource {
 	t.Helper()
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 	img := make([]byte, 4*ps)
 	for p := uint64(0); p < 4; p++ {
 		for i := uint64(0); i < ps; i++ {
@@ -22,8 +24,8 @@ func cowSource(t *testing.T, as *AddressSpace) *PageSource {
 func TestCoWPopulateOnMprotectCommit(t *testing.T) {
 	as := testAS()
 	src := cowSource(t, as)
-	ps := as.Config().PageSize
-	m, err := as.MmapCoW(1<<20, 8*ps, ProtNone, src)
+	ps := as.cfg.PageSize
+	m, err := as.MmapCoWTraced(1<<20, 8*ps, ProtNone, src, obs.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +59,10 @@ func TestCoWPopulateOnMprotectCommit(t *testing.T) {
 func TestCoWPopulateOnUffdAndTouch(t *testing.T) {
 	as := testAS()
 	src := cowSource(t, as)
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 
 	// uffd path: install-before-publish population.
-	mu, err := as.MmapCoW(1<<20, 4*ps, ProtNone, src)
+	mu, err := as.MmapCoWTraced(1<<20, 4*ps, ProtNone, src, obs.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestCoWPopulateOnUffdAndTouch(t *testing.T) {
 	if err := mu.UffdZeroPages(0, 2*ps); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mu.Data()[:2*ps], src.Bytes()[:2*ps]) {
+	if !bytes.Equal(mu.Data()[:2*ps], src.data[:2*ps]) {
 		t.Error("uffd-populated pages differ from source")
 	}
 	// Decommit and re-populate with the source cleared: the arena-
@@ -88,21 +90,21 @@ func TestCoWPopulateOnUffdAndTouch(t *testing.T) {
 	}
 
 	// first-touch path (eager RW strategies).
-	mt, err := as.MmapCoW(1<<20, 4*ps, ProtRW, src)
+	mt, err := as.MmapCoWTraced(1<<20, 4*ps, ProtRW, src, obs.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mt.Touch(0, 4*ps); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mt.Data(), src.Bytes()) {
+	if !bytes.Equal(mt.Data(), src.data) {
 		t.Error("touch-populated pages differ from source")
 	}
 }
 
 func TestCoWChildIndependentOfTemplateTeardown(t *testing.T) {
 	as := testAS()
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 
 	// "Template": an ordinary mapping whose contents get frozen.
 	tmpl, err := as.Mmap(1<<20, 4*ps, ProtRW)
@@ -117,7 +119,7 @@ func TestCoWChildIndependentOfTemplateTeardown(t *testing.T) {
 	}
 	src := NewPageSource(ps, tmpl.Data())
 
-	fork, err := as.MmapCoW(1<<20, 4*ps, ProtNone, src)
+	fork, err := as.MmapCoWTraced(1<<20, 4*ps, ProtNone, src, obs.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestCoWChildIndependentOfTemplateTeardown(t *testing.T) {
 	// And writes to the fork never alias the (recycled) template
 	// backing or the source image.
 	fork.Data()[0] = 0x11
-	if src.Bytes()[0] != 0xAB {
+	if src.data[0] != 0xAB {
 		t.Error("fork write leaked into the frozen source image")
 	}
 	if err := as.CheckInvariants(); err != nil {
@@ -148,8 +150,8 @@ func TestCoWChildIndependentOfTemplateTeardown(t *testing.T) {
 func TestCoWOverlappingReprotectSplitsAndMerges(t *testing.T) {
 	as := testAS()
 	src := cowSource(t, as)
-	ps := as.Config().PageSize
-	m, err := as.MmapCoW(1<<20, 4*ps, ProtNone, src)
+	ps := as.cfg.PageSize
+	m, err := as.MmapCoWTraced(1<<20, 4*ps, ProtNone, src, obs.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestCoWOverlappingReprotectSplitsAndMerges(t *testing.T) {
 			t.Fatalf("invariants after mprotect [%d,%d): %v", s.off, s.off+s.len, err)
 		}
 	}
-	if !bytes.Equal(m.Data(), src.Bytes()) {
+	if !bytes.Equal(m.Data(), src.data) {
 		t.Error("overlapping re-protects corrupted source population")
 	}
 	// Every source page was copied exactly once despite the overlaps
@@ -186,7 +188,7 @@ func TestCoWOverlappingReprotectSplitsAndMerges(t *testing.T) {
 
 func TestCoWUnmapChildWhileTemplateLives(t *testing.T) {
 	as := testAS()
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 	tmpl, err := as.Mmap(1<<20, 4*ps, ProtRW)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +203,7 @@ func TestCoWUnmapChildWhileTemplateLives(t *testing.T) {
 	// template still alive throughout.
 	var forks []*Mapping
 	for i := 0; i < 3; i++ {
-		f, err := as.MmapCoW(1<<20, 4*ps, ProtNone, src)
+		f, err := as.MmapCoWTraced(1<<20, 4*ps, ProtNone, src, obs.SpanRef{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +222,7 @@ func TestCoWUnmapChildWhileTemplateLives(t *testing.T) {
 		}
 	}
 	// The template is untouched by child teardown.
-	if tmpl.Dead() || tmpl.Data()[0] != 0x5A {
+	if tmpl.dead.Load() || tmpl.Data()[0] != 0x5A {
 		t.Error("template affected by fork unmap")
 	}
 	if got := as.Snapshot().VMACount; got != 2 {
@@ -244,17 +246,17 @@ func TestCoWUnmapChildWhileTemplateLives(t *testing.T) {
 
 func TestPageSourceTailPadding(t *testing.T) {
 	as := testAS()
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 	// A source whose length is not page-aligned pads the tail page
 	// with zeros.
 	src := NewPageSource(ps, bytes.Repeat([]byte{7}, int(ps+3)))
 	if src.Len() != 2*ps {
 		t.Fatalf("source length %d, want %d", src.Len(), 2*ps)
 	}
-	if src.Bytes()[ps+3] != 0 || src.Bytes()[ps+2] != 7 {
+	if src.data[ps+3] != 0 || src.data[ps+2] != 7 {
 		t.Error("tail page not zero-padded at the right boundary")
 	}
-	m, err := as.MmapCoW(1<<20, 2*ps, ProtRW, src)
+	m, err := as.MmapCoWTraced(1<<20, 2*ps, ProtRW, src, obs.SpanRef{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func withInjection(site faultinject.Site) *AddressSpace {
 // the right site and leave the address space unchanged (no partial
 // VMAs, no committed pages), so the caller's retry starts clean.
 func TestInjectedSyscallFailures(t *testing.T) {
-	ps := DefaultConfig().PageSize
+	const ps = 4096
 	cases := []struct {
 		name string
 		site faultinject.Site

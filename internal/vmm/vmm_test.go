@@ -8,13 +8,8 @@ import (
 )
 
 func testAS() *AddressSpace {
-	cfg := DefaultConfig()
-	// Zero simulated costs so unit tests run fast.
-	cfg.ShootdownBase = 0
-	cfg.ShootdownPerThread = 0
-	cfg.MprotectPerPage = 0
-	cfg.MmapBase = 0
-	return New(cfg)
+	// Zero simulated costs so unit tests run fast; 4 KiB pages.
+	return New(Config{})
 }
 
 func TestMmapBasic(t *testing.T) {
@@ -23,8 +18,8 @@ func TestMmapBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Reserve() != 1<<20 || m.Backing() != 1<<16 {
-		t.Errorf("sizes: reserve=%d backing=%d", m.Reserve(), m.Backing())
+	if m.reserve != 1<<20 || m.Backing() != 1<<16 {
+		t.Errorf("sizes: reserve=%d backing=%d", m.reserve, m.Backing())
 	}
 	if len(m.Data()) != 1<<16 {
 		t.Errorf("data length %d", len(m.Data()))
@@ -55,10 +50,10 @@ func TestMmapNonOverlapping(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for _, m := range maps {
-		if seen[m.Addr()] {
-			t.Fatalf("duplicate address %#x", m.Addr())
+		if seen[m.addr] {
+			t.Fatalf("duplicate address %#x", m.addr)
 		}
-		seen[m.Addr()] = true
+		seen[m.addr] = true
 	}
 	if err := as.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -89,8 +84,8 @@ func TestMunmapTwice(t *testing.T) {
 	if err := as.Munmap(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.Munmap(m); err != ErrUnmapped {
-		t.Errorf("second munmap: got %v, want ErrUnmapped", err)
+	if err := as.Munmap(m); err != errUnmapped {
+		t.Errorf("second munmap: got %v, want errUnmapped", err)
 	}
 }
 
@@ -196,8 +191,8 @@ func TestUffdZeroWithoutRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.UffdZeroPages(0, 4096); err != ErrNotUffd {
-		t.Errorf("got %v, want ErrNotUffd", err)
+	if err := m.UffdZeroPages(0, 4096); err != errNotUffd {
+		t.Errorf("got %v, want errNotUffd", err)
 	}
 }
 
@@ -260,10 +255,7 @@ func TestResidentAccountingNoTHP(t *testing.T) {
 }
 
 func TestTHPPromotion(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ShootdownBase, cfg.ShootdownPerThread, cfg.MprotectPerPage, cfg.MmapBase = 0, 0, 0, 0
-	cfg.THPSize = 2 << 20 // 2 MiB blocks, as on Armv8
-	as := New(cfg)
+	as := New(Config{THPSize: 2 << 20}) // 2 MiB blocks, as on Armv8
 	// Reserve 8 MiB (4 blocks), back 4 MiB.
 	m, err := as.Mmap(8<<20, 4<<20, ProtRW)
 	if err != nil {
@@ -306,10 +298,7 @@ func TestTHPLargeBlocksIncreaseResident(t *testing.T) {
 	// working set reports far more resident memory than with 2 MiB
 	// blocks, for the same accesses.
 	resident := func(thp uint64) int64 {
-		cfg := DefaultConfig()
-		cfg.ShootdownBase, cfg.ShootdownPerThread, cfg.MprotectPerPage, cfg.MmapBase = 0, 0, 0, 0
-		cfg.THPSize = thp
-		as := New(cfg)
+		as := New(Config{THPSize: thp})
 		m, err := as.Mmap(8<<30, 16<<20, ProtRW) // 8 GiB reservation
 		if err != nil {
 			t.Fatal(err)
@@ -431,7 +420,7 @@ func TestVMATreeRandomOps(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		prots := []Prot{ProtNone, ProtRead, ProtRW}
+		prots := []Prot{ProtNone, protRead, ProtRW}
 		for i, op := range ops {
 			page := uint64(op % 1024)
 			length := uint64(op%7+1) * 4096
@@ -462,7 +451,7 @@ func TestFindGapReusesHoles(t *testing.T) {
 	c, _ := as.Mmap(1<<16, 1<<16, ProtNone)
 	_ = a
 	_ = c
-	addr := b.Addr()
+	addr := b.addr
 	if err := as.Munmap(b); err != nil {
 		t.Fatal(err)
 	}
@@ -470,8 +459,8 @@ func TestFindGapReusesHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Addr() != addr {
-		t.Errorf("new mapping at %#x, want reuse of hole at %#x", d.Addr(), addr)
+	if d.addr != addr {
+		t.Errorf("new mapping at %#x, want reuse of hole at %#x", d.addr, addr)
 	}
 }
 
@@ -481,7 +470,7 @@ func TestFindGapReusesHoles(t *testing.T) {
 // their nodes and their contents.
 func TestMunmapScrubsSparseCommits(t *testing.T) {
 	as := testAS()
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 	const pages = 64
 	mk := func() *Mapping {
 		m, err := as.Mmap(1<<20, pages*ps, ProtNone)
@@ -534,7 +523,7 @@ func TestMunmapScrubsSparseCommits(t *testing.T) {
 // semantics — its contents are gone, not merely unaccounted.
 func TestUffdDecommitScrubs(t *testing.T) {
 	as := testAS()
-	ps := as.Config().PageSize
+	ps := as.cfg.PageSize
 	m, err := as.Mmap(1<<20, 8*ps, ProtNone)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@
 package wasi
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -48,18 +47,6 @@ func (fs *FS) lookup(name string, create bool) (*memFile, bool) {
 		ok = true
 	}
 	return f, ok
-}
-
-// Names returns the file names in sorted order (tests and tools).
-func (fs *FS) Names() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ReadFile returns a copy of the named file's content.

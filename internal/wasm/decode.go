@@ -16,8 +16,8 @@ var (
 	Version = []byte{0x01, 0x00, 0x00, 0x00}
 )
 
-// ErrMalformed wraps all structural decoding failures.
-var ErrMalformed = errors.New("wasm: malformed module")
+// errMalformed wraps all structural decoding failures.
+var errMalformed = errors.New("wasm: malformed module")
 
 type decoder struct {
 	buf []byte
@@ -25,7 +25,7 @@ type decoder struct {
 }
 
 func (d *decoder) failf(format string, args ...any) error {
-	return fmt.Errorf("%w: offset %d: %s", ErrMalformed, d.pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: offset %d: %s", errMalformed, d.pos, fmt.Sprintf(format, args...))
 }
 
 func (d *decoder) remaining() int { return len(d.buf) - d.pos }
@@ -55,15 +55,6 @@ func (d *decoder) u32() (uint32, error) {
 	}
 	d.pos += n
 	return uint32(v), nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	v, n, err := Uleb128(d.buf[d.pos:], 64)
-	if err != nil {
-		return 0, d.failf("%v", err)
-	}
-	d.pos += n
-	return v, nil
 }
 
 func (d *decoder) s32() (int32, error) {
@@ -301,7 +292,7 @@ func Decode(data []byte) (*Module, error) {
 	}
 	if len(m.Funcs) != len(m.Code) {
 		return nil, fmt.Errorf("%w: function section declares %d functions but code section has %d bodies",
-			ErrMalformed, len(m.Funcs), len(m.Code))
+			errMalformed, len(m.Funcs), len(m.Code))
 	}
 	return m, nil
 }

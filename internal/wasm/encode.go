@@ -270,7 +270,7 @@ func encodeBody(c Code) ([]byte, error) {
 	}
 	for _, in := range c.Body {
 		var err error
-		b, err = AppendInstr(b, in)
+		b, err = appendInstr(b, in)
 		if err != nil {
 			return nil, err
 		}
@@ -278,8 +278,8 @@ func encodeBody(c Code) ([]byte, error) {
 	return b, nil
 }
 
-// AppendInstr appends the binary encoding of a single instruction.
-func AppendInstr(b []byte, in Instr) ([]byte, error) {
+// appendInstr appends the binary encoding of a single instruction.
+func appendInstr(b []byte, in Instr) ([]byte, error) {
 	b = append(b, byte(in.Op))
 	switch in.Op {
 	case OpBlock, OpLoop, OpIf:

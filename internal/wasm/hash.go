@@ -15,9 +15,6 @@ type Hash [sha256.Size]byte
 // and log lines without drowning them.
 func (h Hash) String() string { return hex.EncodeToString(h[:8]) }
 
-// IsZero reports whether the hash is the zero value (no hash).
-func (h Hash) IsZero() bool { return h == Hash{} }
-
 // ContentHash computes the module's content hash by encoding it to
 // the binary format and hashing the bytes. The encoding is
 // deterministic (section order is fixed, name-section keys are

@@ -13,9 +13,9 @@ import (
 	"fmt"
 )
 
-// ErrLEB128 is returned when a variable-length integer is malformed:
+// errLEB128 is returned when a variable-length integer is malformed:
 // truncated, over-long, or carrying non-canonical high bits.
-var ErrLEB128 = errors.New("wasm: malformed LEB128 integer")
+var errLEB128 = errors.New("wasm: malformed LEB128 integer")
 
 // AppendUleb128 appends the unsigned LEB128 encoding of v to dst.
 func AppendUleb128(dst []byte, v uint64) []byte {
@@ -50,14 +50,14 @@ func Uleb128(p []byte, bits int) (uint64, int, error) {
 	maxBytes := (bits + 6) / 7
 	for i := 0; i < len(p); i++ {
 		if i >= maxBytes {
-			return 0, 0, fmt.Errorf("%w: too long for u%d", ErrLEB128, bits)
+			return 0, 0, fmt.Errorf("%w: too long for u%d", errLEB128, bits)
 		}
 		b := p[i]
 		if i == maxBytes-1 {
 			// The final byte may only use the bits that remain.
 			rem := uint(bits) - shift
 			if b&0x80 != 0 || (rem < 7 && b>>rem != 0) {
-				return 0, 0, fmt.Errorf("%w: overflows u%d", ErrLEB128, bits)
+				return 0, 0, fmt.Errorf("%w: overflows u%d", errLEB128, bits)
 			}
 		}
 		v |= uint64(b&0x7f) << shift
@@ -66,7 +66,7 @@ func Uleb128(p []byte, bits int) (uint64, int, error) {
 		}
 		shift += 7
 	}
-	return 0, 0, fmt.Errorf("%w: truncated", ErrLEB128)
+	return 0, 0, fmt.Errorf("%w: truncated", errLEB128)
 }
 
 // Sleb128 decodes a signed LEB128 integer of at most bits bits from
@@ -77,12 +77,12 @@ func Sleb128(p []byte, bits int) (int64, int, error) {
 	maxBytes := (bits + 6) / 7
 	for i := 0; i < len(p); i++ {
 		if i >= maxBytes {
-			return 0, 0, fmt.Errorf("%w: too long for s%d", ErrLEB128, bits)
+			return 0, 0, fmt.Errorf("%w: too long for s%d", errLEB128, bits)
 		}
 		b := p[i]
 		if i == maxBytes-1 {
 			if b&0x80 != 0 {
-				return 0, 0, fmt.Errorf("%w: overflows s%d", ErrLEB128, bits)
+				return 0, 0, fmt.Errorf("%w: overflows s%d", errLEB128, bits)
 			}
 			// The bits beyond the value width must be a proper sign
 			// extension of the value's top bit.
@@ -92,7 +92,7 @@ func Sleb128(p []byte, bits int) (int64, int, error) {
 				top := b & signBits
 				negative := b&(1<<(rem-1)) != 0
 				if (negative && top != signBits) || (!negative && top != 0) {
-					return 0, 0, fmt.Errorf("%w: non-canonical s%d", ErrLEB128, bits)
+					return 0, 0, fmt.Errorf("%w: non-canonical s%d", errLEB128, bits)
 				}
 			}
 		}
@@ -105,5 +105,5 @@ func Sleb128(p []byte, bits int) (int64, int, error) {
 			return v, i + 1, nil
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: truncated", ErrLEB128)
+	return 0, 0, fmt.Errorf("%w: truncated", errLEB128)
 }

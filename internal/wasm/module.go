@@ -155,39 +155,6 @@ func (m *Module) NumImportedFuncs() int {
 	return n
 }
 
-// NumImportedGlobals returns the number of imported globals.
-func (m *Module) NumImportedGlobals() int {
-	n := 0
-	for _, im := range m.Imports {
-		if im.Kind == ExternGlobal {
-			n++
-		}
-	}
-	return n
-}
-
-// NumImportedMems returns the number of imported memories.
-func (m *Module) NumImportedMems() int {
-	n := 0
-	for _, im := range m.Imports {
-		if im.Kind == ExternMemory {
-			n++
-		}
-	}
-	return n
-}
-
-// NumImportedTables returns the number of imported tables.
-func (m *Module) NumImportedTables() int {
-	n := 0
-	for _, im := range m.Imports {
-		if im.Kind == ExternTable {
-			n++
-		}
-	}
-	return n
-}
-
 // FuncTypeAt returns the signature of the function with the given
 // function-space index (imports first, then module-defined).
 func (m *Module) FuncTypeAt(idx uint32) (FuncType, error) {

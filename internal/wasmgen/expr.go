@@ -347,11 +347,6 @@ func I32FromF64(a Expr) Expr {
 	return conv("i32.trunc_f64_s", a, wasm.F64, wasm.I32, wasm.OpI32TruncF64S)
 }
 
-// I32FromF32 truncates an f32 to signed i32 (trapping form).
-func I32FromF32(a Expr) Expr {
-	return conv("i32.trunc_f32_s", a, wasm.F32, wasm.I32, wasm.OpI32TruncF32S)
-}
-
 // I64FromF64 truncates an f64 to signed i64 (trapping form).
 func I64FromF64(a Expr) Expr {
 	return conv("i64.trunc_f64_s", a, wasm.F64, wasm.I64, wasm.OpI64TruncF64S)
@@ -385,11 +380,6 @@ func F32FromF64(a Expr) Expr {
 // I64ReinterpretF64 returns the raw bits of an f64 as i64.
 func I64ReinterpretF64(a Expr) Expr {
 	return conv("i64.reinterpret_f64", a, wasm.F64, wasm.I64, wasm.OpI64ReinterpretF64)
-}
-
-// F64ReinterpretI64 returns an i64 bit pattern as f64.
-func F64ReinterpretI64(a Expr) Expr {
-	return conv("f64.reinterpret_i64", a, wasm.I64, wasm.F64, wasm.OpF64ReinterpretI64)
 }
 
 // selExpr is cond ? a : b without branching.

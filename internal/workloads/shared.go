@@ -163,26 +163,6 @@ func SharedWorkNative(c Class, worker, rounds int) uint64 {
 	return acc
 }
 
-// SharedDigestNative is the native cross-lane digest for `workers`
-// lanes at `rounds` rounds each (commutative sum, so thread
-// completion order cannot matter).
-func SharedDigestNative(c Class, workers, rounds int) uint64 {
-	var digest uint64
-	for w := 0; w < workers; w++ {
-		digest += SharedWorkNative(c, w, rounds)
-	}
-	return digest
-}
-
-// SharedSpec returns the registered shared-memory workload.
-func SharedSpec() Spec {
-	s, err := ByName("shared-grow")
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func init() {
 	register(Spec{
 		Name:    "shared-grow",

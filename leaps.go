@@ -73,17 +73,9 @@ type Profile = isa.Profile
 // ProfileX86 returns the Intel Xeon Gold 6230R profile.
 func ProfileX86() *Profile { return isa.X86_64() }
 
-// ProfileARM returns the Cavium ThunderX2 profile.
-func ProfileARM() *Profile { return isa.ARMv8() }
-
-// ProfileRISCV returns the XuanTie C906 (Nezha D1) profile.
-func ProfileRISCV() *Profile { return isa.RISCV64() }
-
-// Profiles returns all three hardware profiles.
+// Profiles returns all three hardware profiles in paper order: the
+// Xeon, the Cavium ThunderX2 (aarch64), the XuanTie C906 (riscv64).
 func Profiles() []*Profile { return isa.Profiles() }
-
-// ProfileByName resolves "x86_64", "aarch64" or "riscv64".
-func ProfileByName(name string) *Profile { return isa.ByName(name) }
 
 // Engine compiles WebAssembly modules; see NewEngine.
 type Engine = core.Engine
@@ -215,18 +207,6 @@ func NewProcess(p *Profile) *Process {
 	}
 }
 
-// NewObservedProcess creates a simulated process whose kernel
-// counters, lock-wait histograms and trace events register in m
-// under the scope named name (e.g. "proc0"). Use one Metrics
-// registry across processes to compare strategies side by side.
-func NewObservedProcess(p *Profile, m *Metrics, name string) *Process {
-	return &Process{
-		as:      vmm.NewObserved(p.VM, m.Scope(name)),
-		pool:    mem.NewArenaPool(),
-		profile: p,
-	}
-}
-
 // Config returns an instantiation config bound to this process.
 func (p *Process) Config(s Strategy) Config {
 	return Config{Strategy: s, Profile: p.profile, AS: p.as, Pool: p.pool}
@@ -234,9 +214,6 @@ func (p *Process) Config(s Strategy) Config {
 
 // VMStats snapshots the process's memory-management counters.
 func (p *Process) VMStats() VMStats { return p.as.Snapshot() }
-
-// ResidentBytes returns the simulated resident-set size.
-func (p *Process) ResidentBytes() int64 { return p.as.ResidentBytes() }
 
 // Close releases pooled arenas.
 func (p *Process) Close() { p.pool.Drain() }
@@ -246,8 +223,7 @@ func (p *Process) Close() { p.pool.Drain() }
 // a lock-free bounded ring of typed trace events (faults, mmap-lock
 // acquisitions, TLB shootdowns, tier-ups, GC pauses, arena
 // recycling, harness phases). Pass one registry to BenchOptions.Obs
-// or figures.Config.Metrics and flush it through a sink
-// (obs.JSONSink, obs.CSVSink, obs.SummarySink) when done.
+// and read it back with Snapshot when done.
 type Metrics = obs.Registry
 
 // MetricsSnapshot is a point-in-time copy of a Metrics registry.
@@ -289,12 +265,9 @@ type ModuleCache = modcache.Cache
 type CacheStats = modcache.Stats
 
 // CompileCache returns the shared compiled-module cache, for
-// inspecting hit rates (see CacheHitRate) or disabling caching
-// process-wide with SetEnabled(false).
+// inspecting its counters (Stats) or disabling caching process-wide
+// with SetEnabled(false).
 func CompileCache() *ModuleCache { return modcache.Shared() }
-
-// CacheHitRate is the hit fraction between two CacheStats snapshots.
-func CacheHitRate(before, after CacheStats) float64 { return modcache.HitRate(before, after) }
 
 // SweepItem, SweepResult and SweepOptions parameterize RunSweep.
 type (

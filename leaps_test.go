@@ -200,7 +200,7 @@ func TestRunBenchmarkPublic(t *testing.T) {
 		Workload: wl,
 		Class:    leaps.SizeTest,
 		Strategy: leaps.Uffd,
-		Profile:  leaps.ProfileARM(),
+		Profile:  leaps.Profiles()[1], // aarch64
 		Measure:  3,
 		Warmup:   1,
 	})

@@ -25,7 +25,7 @@ echo "== cold start of a 256-function module (front: decode + validate from byte
 go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem -cpu 1,2 ./internal/compiled
 
 echo "== wavm run loop on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
-go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x .
+go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x ./internal/compiled
 
 echo "== codegen macro benchmarks (gemm, atax; trap strategy; elide x rir matrix)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .

@@ -48,7 +48,9 @@ echo "== benchmark module tests"
 
 # Docs describe the code that exists: every `make <target>` and every
 # `leapsbench -<flag>` the docs name must be a Makefile target / a flag
-# in the CLI's usage.
+# in the CLI's usage, and a flag that was removed must not linger in
+# prose either (a bare `-serve` has no `leapsbench` in front of it for
+# the command scan to see).
 echo "== docs name only make targets and leapsbench flags that exist"
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 targets=$(sed -n 's/^\([a-z][a-z-]*\):.*/\1/p' Makefile)
@@ -59,6 +61,9 @@ stale=$(
 	done
 	for f in $(grep -ohE 'leapsbench +[^`#|>]*' $docs | grep -oE ' -[a-z][a-z-]*' | sort -u); do
 		echo "$flags" | grep -qx -- "${f#-}" || echo "leapsbench $f"
+	done
+	for f in serve; do
+		echo "$flags" | grep -qx -- "$f" || grep -nE -- "(^|[^a-z-])-$f([^a-z-]|\$)" $docs | sed "s/^/removed flag -$f still in /"
 	done
 )
 test -z "$stale" || { echo "named in the docs but gone from the code:"; echo "$stale"; exit 1; }

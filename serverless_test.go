@@ -108,26 +108,23 @@ func TestServerlessLockContention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	metrics := leaps.NewMetrics()
-
 	// mprotect: every instantiate/teardown mmaps, mprotects and
 	// munmaps under the shared lock; with 4 workers churning isolates
 	// some acquisitions must wait past the contention threshold.
-	mp := leaps.NewObservedProcess(leaps.ProfileX86(), metrics, "mprotect")
+	mp := leaps.NewProcess(leaps.ProfileX86())
 	defer mp.Close()
 	serveTestBurst(t, cm, mp.Config(leaps.Mprotect), workers, requests)
 
-	snap := metrics.Snapshot(false)
-	if got := snap.Counters["mprotect/lock_contended"]; got == 0 {
+	if vm := mp.VMStats(); vm.LockContended == 0 {
 		t.Errorf("mprotect at %d threads: lock_contended = 0, want > 0 (lock_wait_ns=%d)",
-			workers, snap.Counters["mprotect/lock_wait_ns"])
+			workers, vm.LockWaitNs)
 	}
 
 	// uffd: pre-warm the arena pool with one arena per worker (held
 	// concurrently, then recycled), so the measured burst runs in
 	// steady state — every isolate pops a pooled arena, faults resolve
 	// through userfaultfd, and nothing acquires the mmap lock.
-	up := leaps.NewObservedProcess(leaps.ProfileX86(), metrics, "uffd")
+	up := leaps.NewProcess(leaps.ProfileX86())
 	defer up.Close()
 	ucfg := up.Config(leaps.Uffd)
 	warm := make([]leaps.Instance, workers)
@@ -147,17 +144,17 @@ func TestServerlessLockContention(t *testing.T) {
 		}
 	}
 
-	before := metrics.Snapshot(false)
+	before := up.VMStats()
 	serveTestBurst(t, cm, ucfg, workers, requests)
-	after := metrics.Snapshot(false)
+	after := up.VMStats()
 
-	if d := after.Counters["uffd/lock_contended"] - before.Counters["uffd/lock_contended"]; d != 0 {
+	if d := after.LockContended - before.LockContended; d != 0 {
 		t.Errorf("uffd steady state: lock_contended grew by %d, want 0", d)
 	}
-	if d := after.Counters["uffd/mmap_calls"] - before.Counters["uffd/mmap_calls"]; d != 0 {
+	if d := after.MmapCalls - before.MmapCalls; d != 0 {
 		t.Errorf("uffd steady state: mmap_calls grew by %d, want 0 (arena pool not reused?)", d)
 	}
-	if d := after.Counters["uffd/uffd_faults"] - before.Counters["uffd/uffd_faults"]; d == 0 {
+	if d := after.UffdFaults - before.UffdFaults; d == 0 {
 		t.Error("uffd steady state: no userfaultfd faults recorded; burst did not exercise the fault path")
 	}
 }
