@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify check bench bench-hot figures fuzz-smoke prof-smoke
+.PHONY: build test vet race verify check bench-hot figures fuzz-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -67,9 +67,6 @@ check: verify
 	for w in steady coldstart churn hostcall; do \
 		./benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
 	done
-
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # Layer benchmarks (go test -bench): per-strategy checked-load micro
 # timings, sparse mmap/munmap, per-strategy isolate lifecycle, the

@@ -1,8 +1,8 @@
-// Benchmarks regenerating the paper's tables and figures through
-// testing.B. Each BenchmarkFigN corresponds to one figure of the
-// evaluation (see DESIGN.md §5 and EXPERIMENTS.md); cmd/leapsbench
-// produces the full-size tables, these benches give the same series
-// in -bench form with vm statistics attached as custom metrics.
+// Root-package benchmarks: the codegen passes' elide × rir matrix on
+// two kernels (make bench-hot runs it; it also asserts equal results
+// across the matrix) and the cost of the observability plumbing. The
+// paper's figures come from cmd/leapsbench, published numbers from
+// benchmark/run.sh.
 package leaps_test
 
 import (
@@ -16,217 +16,6 @@ import (
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/vmm"
 )
-
-// benchWorkloads is the representative subset used by the benches
-// (the full set runs via cmd/leapsbench).
-var benchWorkloads = []string{"gemm", "atax", "cholesky", "jacobi-2d", "505.mcf", "557.xz"}
-
-// runIsolates executes instance-per-iteration (the paper's isolate
-// churn) on a shared simulated process and reports vm metrics.
-func runIsolates(b *testing.B, engine string, strategy leaps.Strategy, workload string, profile *leaps.Profile) {
-	b.Helper()
-	wl, err := leaps.WorkloadByName(workload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	module, _ := wl.Build(leaps.SizeTest)
-	eng, closeEng, err := leaps.NewEngine(engine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer closeEng()
-	cm, err := eng.Compile(module)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proc := leaps.NewProcess(profile)
-	defer proc.Close()
-	cfg := proc.Config(strategy)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst, err := cm.Instantiate(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := inst.Invoke("run"); err != nil {
-			b.Fatal(err)
-		}
-		inst.Close()
-	}
-	b.StopTimer()
-	vm := proc.VMStats()
-	if n := int64(b.N); n > 0 {
-		b.ReportMetric(float64(vm.MprotectCalls)/float64(n), "mprotect/op")
-		b.ReportMetric(float64(vm.UffdFaults)/float64(n), "uffdfaults/op")
-		b.ReportMetric(float64(vm.LockWaitNs)/float64(n), "lockwait-ns/op")
-	}
-}
-
-// BenchmarkFig1_BoundsCheckCost regenerates Figure 1's axis: the
-// default (mprotect) strategy against no checks, per benchmark, on
-// the V8 analog.
-func BenchmarkFig1_BoundsCheckCost(b *testing.B) {
-	for _, wl := range benchWorkloads {
-		for _, s := range []leaps.Strategy{leaps.None, leaps.Mprotect} {
-			b.Run(fmt.Sprintf("%s/%v", wl, s), func(b *testing.B) {
-				runIsolates(b, leaps.EngineV8, s, wl, leaps.ProfileX86())
-			})
-		}
-	}
-}
-
-// BenchmarkFig2_EngineStrategyMatrix regenerates Figure 2's matrix
-// on a representative kernel: every engine × strategy, plus the
-// native baseline.
-func BenchmarkFig2_EngineStrategyMatrix(b *testing.B) {
-	b.Run("native", func(b *testing.B) {
-		wl, err := leaps.WorkloadByName("gemm")
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, native := wl.Build(leaps.SizeTest)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			native()
-		}
-	})
-	for _, engine := range []string{leaps.EngineWAVM, leaps.EngineWasmtime, leaps.EngineV8} {
-		for _, s := range leaps.Strategies() {
-			b.Run(fmt.Sprintf("%s/%v", engine, s), func(b *testing.B) {
-				runIsolates(b, engine, s, "gemm", leaps.ProfileX86())
-			})
-		}
-	}
-	b.Run("wasm3/trap", func(b *testing.B) {
-		runIsolates(b, leaps.EngineWasm3, leaps.Trap, "gemm", leaps.ProfileX86())
-	})
-}
-
-// BenchmarkFig2_ISAs regenerates Figure 2's ISA axis: the same
-// engine × strategy on each hardware profile (the VM-subsystem
-// parameters differ; the cycle model is exercised by the harness).
-func BenchmarkFig2_ISAs(b *testing.B) {
-	for _, prof := range leaps.Profiles() {
-		for _, s := range []leaps.Strategy{leaps.None, leaps.Trap, leaps.Mprotect, leaps.Uffd} {
-			b.Run(fmt.Sprintf("%s/%v", prof.Name, s), func(b *testing.B) {
-				runIsolates(b, leaps.EngineWAVM, s, "atax", prof)
-			})
-		}
-	}
-}
-
-// BenchmarkFig3_Scaling regenerates Figure 3's thread axis: parallel
-// isolate churn under mprotect vs uffd.
-func BenchmarkFig3_Scaling(b *testing.B) {
-	wl, err := leaps.WorkloadByName("jacobi-1d")
-	if err != nil {
-		b.Fatal(err)
-	}
-	module, _ := wl.Build(leaps.SizeTest)
-	for _, threads := range []int{1, 4} {
-		for _, s := range []leaps.Strategy{leaps.Mprotect, leaps.Uffd} {
-			b.Run(fmt.Sprintf("threads=%d/%v", threads, s), func(b *testing.B) {
-				eng, closeEng, err := leaps.NewEngine(leaps.EngineWasmtime)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer closeEng()
-				cm, err := eng.Compile(module)
-				if err != nil {
-					b.Fatal(err)
-				}
-				proc := leaps.NewProcess(leaps.ProfileX86())
-				defer proc.Close()
-				cfg := proc.Config(s)
-				b.SetParallelism(threads)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						inst, err := cm.Instantiate(cfg, nil)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := inst.Invoke("run"); err != nil {
-							b.Error(err)
-							return
-						}
-						inst.Close()
-					}
-				})
-				b.StopTimer()
-				vm := proc.VMStats()
-				b.ReportMetric(float64(vm.LockWaitNs)/float64(b.N), "lockwait-ns/op")
-				b.ReportMetric(float64(vm.LockContended)/float64(b.N), "contended/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6_MemoryTHP regenerates Figure 6's mechanism: resident
-// memory under x86-style (1 GiB) vs Arm-style (2 MiB) transparent
-// huge pages, reported as a metric.
-func BenchmarkFig6_MemoryTHP(b *testing.B) {
-	for _, prof := range leaps.Profiles()[:2] {
-		b.Run(prof.Name, func(b *testing.B) {
-			wl, err := leaps.WorkloadByName("gemm")
-			if err != nil {
-				b.Fatal(err)
-			}
-			module, _ := wl.Build(leaps.SizeTest)
-			eng, closeEng, err := leaps.NewEngine(leaps.EngineWasmtime)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer closeEng()
-			cm, err := eng.Compile(module)
-			if err != nil {
-				b.Fatal(err)
-			}
-			proc := leaps.NewProcess(prof)
-			defer proc.Close()
-			cfg := proc.Config(leaps.Mprotect)
-			var peak int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				inst, err := cm.Instantiate(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := inst.Invoke("run"); err != nil {
-					b.Fatal(err)
-				}
-				if r := proc.VMStats().ResidentBytes; r > peak {
-					peak = r
-				}
-				inst.Close()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(peak)/(1<<20), "resident-MiB")
-		})
-	}
-}
-
-// BenchmarkReplication_InterpreterGap regenerates the §4.4 Titzer
-// comparison: the interpreter against the tiered JIT on PolyBench.
-func BenchmarkReplication_InterpreterGap(b *testing.B) {
-	for _, engine := range []string{leaps.EngineWasm3, leaps.EngineV8} {
-		b.Run(engine, func(b *testing.B) {
-			runIsolates(b, engine, leaps.Trap, "gemm", leaps.ProfileX86())
-		})
-	}
-}
-
-// BenchmarkUffdArenaPool measures the uffd mitigation in isolation:
-// isolate churn with pooled arenas vs fresh mmaps.
-func BenchmarkUffdArenaPool(b *testing.B) {
-	for _, s := range []leaps.Strategy{leaps.Mprotect, leaps.Uffd} {
-		b.Run(s.String(), func(b *testing.B) {
-			runIsolates(b, leaps.EngineWasmtime, s, "atax", leaps.ProfileX86())
-		})
-	}
-}
 
 // benchCodegenKernel measures the optimizing engine's codegen passes
 // on one kernel under the trap strategy (the paper's expensive

@@ -37,8 +37,9 @@ type chaosPass struct {
 }
 
 // chaosSweep runs one pass: the virtual-memory strategies (the ones
-// with fault paths to injure) on the compiled engine, serially and
-// single-threaded — the replay contract's deterministic regime.
+// with fault paths to injure) on the compiled engine, one run at a
+// time and single-threaded — the replay contract's deterministic
+// regime.
 func chaosSweep(seed int64, quick bool) (*chaosPass, error) {
 	names := []string{"gemm", "jacobi-1d", "atax"}
 	if quick {
@@ -46,14 +47,14 @@ func chaosSweep(seed int64, quick bool) (*chaosPass, error) {
 	}
 	plan := faultinject.ChaosPlan(seed)
 	reg := obs.NewRegistry()
-	var items []harness.SweepItem
+	pass := &chaosPass{}
 	for _, n := range names {
 		wl, err := workloads.ByName(n)
 		if err != nil {
 			return nil, err
 		}
 		for _, s := range []mem.Strategy{mem.Mprotect, mem.Uffd} {
-			items = append(items, harness.SweepItem{Opts: harness.Options{
+			opts := harness.Options{
 				Engine:   harness.EngineWAVM,
 				Workload: wl,
 				Class:    workloads.Test,
@@ -64,25 +65,20 @@ func chaosSweep(seed int64, quick bool) (*chaosPass, error) {
 				Measure:  6,
 				Fault:    plan,
 				Obs:      reg,
-			}})
+			}
+			res, err := harness.Run(opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", opts.RunLabel(), err)
+			}
+			pass.Runs = append(pass.Runs, chaosRun{
+				Label:       opts.RunLabel(),
+				Checksum:    res.Checksum,
+				FailedIters: res.FailedIters,
+				Causes:      res.FailureCauses,
+			})
 		}
 	}
-	results, err := harness.RunSweep(items, harness.SweepOptions{Serial: true, Obs: reg})
-	if err != nil {
-		return nil, err
-	}
-	pass := &chaosPass{Counters: faultinject.ReplayCounters(reg.Snapshot(false).Counters)}
-	for _, r := range results {
-		if r.Result == nil {
-			return nil, fmt.Errorf("%s: no result", r.Opts.RunLabel())
-		}
-		pass.Runs = append(pass.Runs, chaosRun{
-			Label:       r.Opts.RunLabel(),
-			Checksum:    r.Result.Checksum,
-			FailedIters: r.Result.FailedIters,
-			Causes:      r.Result.FailureCauses,
-		})
-	}
+	pass.Counters = faultinject.ReplayCounters(reg.Snapshot(false).Counters)
 	return pass, nil
 }
 

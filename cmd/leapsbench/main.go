@@ -37,6 +37,13 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "leapsbench:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
 		fig      = flag.String("fig", "", "figure to regenerate: 1..6, replication, keyresults, all")
 		quick    = flag.Bool("quick", false, "representative workload subset, fewer iterations")
@@ -53,7 +60,6 @@ func main() {
 		asJSON   = flag.Bool("json", false, "single-run mode: emit the result as JSON")
 		metrics  = flag.String("metrics", "", "write run metrics and trace events to this file (.json, or a .txt summary; \"-\" for the summary on stdout)")
 		trace    = flag.String("trace", "", "record causal spans and write a Chrome/Perfetto trace-event JSON to this file; also prints the critical-path attribution table")
-		parallel = flag.Bool("parallel", true, "figure mode: schedule configurations through the sweep scheduler (single-isolate runs pack onto a worker pool; thread-scaling runs stay exclusive)")
 		nocache  = flag.Bool("nocache", false, "disable the compiled-module cache (every run pays the full compile)")
 		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision in engines that support it (wavm); -elide=false compiles with per-access checks")
 		rirOn    = flag.Bool("rir", true, "single-run mode: register-IR lowering in engines that support it (wavm, v8 top tier); -rir=false keeps the stack-machine emit")
@@ -98,8 +104,7 @@ func main() {
 	if *diskdir != "" {
 		tier, err := modcache.NewDiskTier(*diskdir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
+			return err
 		}
 		if reg != nil {
 			tier.AttachObs(reg.Scope("modcache").Child("disk"))
@@ -108,16 +113,11 @@ func main() {
 	}
 
 	if *chaos != 0 {
-		if err := runChaos(*chaos, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
+		return runChaos(*chaos, *quick)
 	}
-
 	if *list {
 		listAll()
-		return
+		return nil
 	}
 
 	cls := workloads.Bench
@@ -125,33 +125,32 @@ func main() {
 		cls = workloads.Test
 	}
 
-	if *fig != "" {
-		cfg := figures.Config{
-			Out:      os.Stdout,
-			Class:    cls,
-			Quick:    *quick,
-			Measure:  *measure,
-			Warmup:   *warmup,
-			Metrics:  reg,
-			Prof:     sampler,
-			Parallel: *parallel,
-		}
-		if err := runFigures(*fig, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
+	// Figure mode and single-run mode share one epilogue: stop the
+	// sampler and write its profile, then drain the registry.
+	finish := func() error {
 		if sampler != nil {
 			sampler.Stop()
 			if err := writeGuestProfile(sampler, *profOut); err != nil {
-				fmt.Fprintln(os.Stderr, "leapsbench:", err)
-				os.Exit(1)
+				return err
 			}
 		}
-		if err := finishObs(reg, *metrics, *trace); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
+		return finishObs(reg, *metrics, *trace)
+	}
+
+	if *fig != "" {
+		cfg := &figures.Config{
+			Out:     os.Stdout,
+			Class:   cls,
+			Quick:   *quick,
+			Measure: *measure,
+			Warmup:  *warmup,
+			Metrics: reg,
+			Prof:    sampler,
 		}
-		return
+		if err := runFigures(*fig, cfg); err != nil {
+			return err
+		}
+		return finish()
 	}
 
 	if *workload == "" {
@@ -160,35 +159,18 @@ func main() {
 	}
 	wl, err := workloads.ByName(*workload)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "leapsbench:", err)
-		os.Exit(1)
+		return err
 	}
 	if *dumpIR {
-		if err := dumpWorkloadIR(os.Stdout, wl, cls); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
+		return dumpWorkloadIR(os.Stdout, wl, cls)
 	}
 	strat, err := mem.ParseStrategy(*strategy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "leapsbench:", err)
-		os.Exit(1)
+		return err
 	}
 	hwProfile := isa.ByName(*profileN)
 	if hwProfile == nil {
-		fmt.Fprintf(os.Stderr, "leapsbench: unknown profile %q\n", *profileN)
-		os.Exit(1)
-	}
-
-	if *ops {
-		counts, err := harness.OpHistogram(*engine, wl, cls, strat, hwProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		printOps(wl.Name, *engine, hwProfile, counts)
-		return
+		return fmt.Errorf("unknown profile %q", *profileN)
 	}
 
 	res, err := harness.Run(harness.Options{
@@ -200,8 +182,7 @@ func main() {
 		Threads:     *threads,
 		Measure:     *measure,
 		Warmup:      *warmup,
-		CountCycles: *cycles,
-		NoCache:     *nocache,
+		CountCycles: *cycles || *ops, // the histogram is the cycle model's op counts
 		NoElide:     !*elide,
 		NoRIR:       !*rirOn,
 		Obs:         reg,
@@ -209,33 +190,28 @@ func main() {
 		HWCounters:  *perfHW,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "leapsbench:", err)
-		os.Exit(1)
+		return err
 	}
-	if sampler != nil {
-		sampler.Stop()
-		if err := writeGuestProfile(sampler, *profOut); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-	}
-	if err := finishObs(reg, *metrics, *trace); err != nil {
-		fmt.Fprintln(os.Stderr, "leapsbench:", err)
-		os.Exit(1)
+	if err := finish(); err != nil {
+		return err
 	}
 	if *perfHW {
 		printHW(res.HW)
 	}
+	if *ops {
+		if res.Counts == nil {
+			return fmt.Errorf("engine %s counts no operations", *engine)
+		}
+		printOps(wl.Name, *engine, hwProfile, res.Counts)
+		return nil
+	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "leapsbench:", err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(res)
 	}
 	printResult(res)
+	return nil
 }
 
 // finishObs drains the registry once, after all runs have completed
@@ -295,10 +271,10 @@ func writeMetrics(snap *obs.Snapshot, path string) error {
 	return f.Close()
 }
 
-func runFigures(which string, cfg figures.Config) error {
+func runFigures(which string, cfg *figures.Config) error {
 	type figFn struct {
 		name string
-		fn   func(figures.Config) error
+		fn   func(*figures.Config) error
 	}
 	all := []figFn{
 		{"1", figures.Fig1},

@@ -22,7 +22,7 @@ import (
 //     effect is lock-hold-time driven;
 //  3. transparent huge pages: resident memory with THP off, 2 MiB
 //     and 1 GiB, isolating Figure 6's artifact.
-func Ablation(c Config) error {
+func Ablation(c *Config) error {
 	c.defaults()
 	if err := ablatePooling(c); err != nil {
 		return err
@@ -57,7 +57,7 @@ func Ablation(c Config) error {
 // strategy-transparent (identical results while the eager-copy
 // strategies pay per-view copies and the virtual-memory strategies
 // fault pages in under the view's bulk check).
-func ablateHostcall(c Config) error {
+func ablateHostcall(c *Config) error {
 	fmt.Fprintf(c.Out, "\nAblation 9: hostcall boundary (wasi workloads, wavm, 1 thread)\n")
 	fmt.Fprintf(c.Out, "%-10s %-10s %12s %10s %18s\n",
 		"benchmark", "strategy", "median", "hostcalls", "checksum")
@@ -85,7 +85,7 @@ func ablateHostcall(c Config) error {
 // dispatch-count driven — dead push/pop elimination and compare+
 // branch / load+op fusion shrink the op stream — so unlike elision
 // it shows up under every strategy.
-func ablateRegisterIR(c Config) error {
+func ablateRegisterIR(c *Config) error {
 	fmt.Fprintf(c.Out, "\nAblation 8: register-IR lowering (wavm, 1 thread)\n")
 	fmt.Fprintf(c.Out, "%-10s %-10s %12s %12s %9s\n",
 		"benchmark", "strategy", "rir=off", "rir=on", "speedup")
@@ -121,7 +121,7 @@ func ablateRegisterIR(c Config) error {
 // (trap, and none's watermark arithmetic); clamp never elides — its
 // redirect semantics depend on per-access clamping — so its rows are
 // the no-op control.
-func ablateElision(c Config) error {
+func ablateElision(c *Config) error {
 	fmt.Fprintf(c.Out, "\nAblation 7: bounds-check elision (wavm, 1 thread)\n")
 	fmt.Fprintf(c.Out, "%-10s %-10s %12s %12s %9s\n",
 		"benchmark", "strategy", "elide=off", "elide=on", "speedup")
@@ -156,7 +156,7 @@ func ablateElision(c Config) error {
 // against eager grow-time commits (what production runtimes do).
 // Eager trades many small critical sections for few large ones —
 // the kernel lock stays the bottleneck either way.
-func ablateCommitGranularity(c Config) error {
+func ablateCommitGranularity(c *Config) error {
 	wl, err := workloads.ByName("atax")
 	if err != nil {
 		return err
@@ -189,7 +189,7 @@ func ablateCommitGranularity(c Config) error {
 // SIGBUS handler running on the faulting thread (the paper's choice)
 // against the poll-based handler thread, whose per-fault cross-
 // thread round trip is the latency the paper's footnote 2 cites.
-func ablateUffdDelivery(c Config) error {
+func ablateUffdDelivery(c *Config) error {
 	wl, err := workloads.ByName("atax")
 	if err != nil {
 		return err
@@ -221,7 +221,7 @@ func ablateUffdDelivery(c Config) error {
 // instead build a multiprocess runtime". Splitting workers across
 // separate address spaces removes the shared-lock contention without
 // changing the bounds-checking strategy.
-func ablateMultiprocess(c Config) error {
+func ablateMultiprocess(c *Config) error {
 	wl, err := workloads.ByName("atax")
 	if err != nil {
 		return err
@@ -245,7 +245,7 @@ func ablateMultiprocess(c Config) error {
 	return nil
 }
 
-func ablatePooling(c Config) error {
+func ablatePooling(c *Config) error {
 	wl, err := workloads.ByName("atax")
 	if err != nil {
 		return err
@@ -281,7 +281,7 @@ func ablatePooling(c Config) error {
 	return nil
 }
 
-func ablateShootdown(c Config) error {
+func ablateShootdown(c *Config) error {
 	wl, err := workloads.ByName("atax")
 	if err != nil {
 		return err
@@ -292,6 +292,7 @@ func ablateShootdown(c Config) error {
 	base := isa.X86_64()
 	for _, scale := range []float64{0, 1, 2, 4} {
 		prof := *base
+		prof.Name = fmt.Sprintf("%s:shootdown=%.0fx", base.Name, scale) // its own -metrics scope
 		prof.VM.ShootdownBase = time.Duration(float64(base.VM.ShootdownBase) * scale)
 		prof.VM.ShootdownPerThread = time.Duration(float64(base.VM.ShootdownPerThread) * scale)
 		res, err := c.run(harness.Options{
@@ -309,7 +310,7 @@ func ablateShootdown(c Config) error {
 	return nil
 }
 
-func ablateTHP(c Config) error {
+func ablateTHP(c *Config) error {
 	wl, err := workloads.ByName("gemm")
 	if err != nil {
 		return err
@@ -319,6 +320,7 @@ func ablateTHP(c Config) error {
 	base := isa.X86_64()
 	for _, thp := range []uint64{0, 2 << 20, 1 << 30} {
 		prof := *base
+		prof.Name = fmt.Sprintf("%s:thp=%d", base.Name, thp) // its own -metrics scope
 		prof.VM.THPSize = thp
 		res, err := c.run(harness.Options{
 			Engine: harness.EngineWasmtime, Workload: wl,

@@ -21,7 +21,10 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// Config controls figure regeneration.
+// Config controls figure regeneration. The figure functions take it
+// by pointer because it also holds what has been measured so far that
+// more than one figure prints (see scaling): pass the same Config to
+// every figure of one regeneration.
 type Config struct {
 	// Out receives the rendered tables.
 	Out io.Writer
@@ -41,17 +44,11 @@ type Config struct {
 	// (see harness.Options.Obs); leapsbench -metrics wires it.
 	Metrics *obs.Registry
 	// Prof, when non-nil, samples every guest run into the given
-	// profiler (see harness.Options.Prof); leapsbench -profile and
-	// -serve wire it.
+	// profiler (see harness.Options.Prof); leapsbench -profile wires it.
 	Prof *prof.Profiler
-	// Parallel schedules each figure's configurations through
-	// harness.RunSweep instead of running them serially: the
-	// single-isolate runs (figures 1 and 2) pack onto a worker pool,
-	// while thread-scaling runs (figures 3-5) keep the host to
-	// themselves. Figure values are unaffected — results come back in
-	// input order and shareable runs measure per-iteration latency of
-	// one isolate, not machine-wide throughput.
-	Parallel bool
+
+	// scalings holds each suite's thread-scaling matrix once measured.
+	scalings map[string][]scalingRow
 }
 
 func (c *Config) defaults() {
@@ -103,47 +100,25 @@ func (c *Config) suiteWorkloads(suite string) []workloads.Spec {
 }
 
 // run executes one configuration, failing loudly: a figure with a
-// hole is worse than an error.
+// hole is worse than an error. Every figure cell is measured here,
+// one at a time in the order the figure asks: a timed run shares the
+// host with no other (DESIGN §9).
 func (c *Config) run(opts harness.Options) (*harness.Result, error) {
 	opts.Class = c.Class
-	if opts.Measure == 0 {
-		opts.Measure = c.Measure
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = c.Warmup
-	}
+	opts.Measure = c.Measure
+	opts.Warmup = c.Warmup
 	opts.Obs = c.Metrics
 	opts.Prof = c.Prof
 	return harness.Run(opts)
 }
 
-// runBatch executes a figure's configurations and returns results in
-// input order, failing on the first error. With c.Parallel the batch
-// goes through the sweep scheduler (shareable runs pack, exclusive
-// runs serialize); otherwise it runs serially in input order, which
-// is byte-for-byte the old per-call behaviour.
-func (c *Config) runBatch(optss []harness.Options) ([]*harness.Result, error) {
-	for i := range optss {
-		optss[i].Class = c.Class
-		if optss[i].Measure == 0 {
-			optss[i].Measure = c.Measure
-		}
-		if optss[i].Warmup == 0 {
-			optss[i].Warmup = c.Warmup
-		}
-		optss[i].Obs = c.Metrics
-		optss[i].Prof = c.Prof
-	}
-	sres, err := harness.RunSweep(harness.SweepOf(optss...),
-		harness.SweepOptions{Serial: !c.Parallel, Obs: c.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*harness.Result, len(sres))
-	for i := range sres {
-		out[i] = sres[i].Result
-	}
-	return out, nil
+// counted runs one single-threaded cell with cycle accounting — but
+// for the native Go twin, which has no op stream to count.
+func (c *Config) counted(eng string, wl workloads.Spec, s mem.Strategy, prof *isa.Profile) (*harness.Result, error) {
+	return c.run(harness.Options{
+		Engine: eng, Workload: wl, Strategy: s, Profile: prof,
+		CountCycles: eng != harness.EngineNative,
+	})
 }
 
 // nativeAdvantage is the single calibration constant of the cycle
@@ -166,43 +141,39 @@ const nativeAdvantage = 1.08
 //     cost of the virtual-memory default, small for single-threaded
 //     runs exactly as the paper's §4.1 finds (1-2 percentage
 //     points).
-func Fig1(c Config) error {
+func Fig1(c *Config) error {
 	c.defaults()
 	fmt.Fprintf(c.Out, "Figure 1: cost of bounds checking per benchmark (V8 analog, x86_64)\n")
 	fmt.Fprintf(c.Out, "%-14s %-10s %12s %12s %12s %12s\n",
 		"benchmark", "suite", "none", "mprotect", "vm ratio", "check ratio")
 
-	prof := isa.X86_64()
-	var wls []workloads.Spec
-	var optss []harness.Options
+	// The wall-clock pair runs without cycle accounting (the counting
+	// loop would bias whichever side carries it); the cycle-model pair
+	// gives the codegen-level check cost.
+	arms := [4]struct {
+		strategy mem.Strategy
+		cycles   bool
+	}{{mem.None, false}, {mem.Mprotect, false}, {mem.None, true}, {mem.Trap, true}}
 	for _, suite := range []string{"polybench", "spec"} {
 		for _, wl := range c.suiteWorkloads(suite) {
-			wls = append(wls, wl)
-			optss = append(optss,
-				// Wall-clock pair, both without cycle accounting (the
-				// counting loop would bias whichever side carries it).
-				harness.Options{Engine: harness.EngineV8, Workload: wl,
-					Strategy: mem.None, Profile: prof},
-				harness.Options{Engine: harness.EngineV8, Workload: wl,
-					Strategy: mem.Mprotect, Profile: prof},
-				// Cycle-model pair for the codegen-level check cost.
-				harness.Options{Engine: harness.EngineV8, Workload: wl,
-					Strategy: mem.None, Profile: prof, CountCycles: true},
-				harness.Options{Engine: harness.EngineV8, Workload: wl,
-					Strategy: mem.Trap, Profile: prof, CountCycles: true})
+			var res [len(arms)]*harness.Result
+			for i, arm := range arms {
+				var err error
+				res[i], err = c.run(harness.Options{
+					Engine: harness.EngineV8, Workload: wl, Strategy: arm.strategy,
+					Profile: isa.X86_64(), CountCycles: arm.cycles,
+				})
+				if err != nil {
+					return err
+				}
+			}
+			noneWall, mp, noneSim, checked := res[0], res[1], res[2], res[3]
+			vmRatio := float64(mp.MedianWall) / float64(noneWall.MedianWall)
+			checkRatio := float64(checked.MedianSimTime) / float64(noneSim.MedianSimTime)
+			fmt.Fprintf(c.Out, "%-14s %-10s %12v %12v %12.3f %12.3f\n",
+				wl.Name, wl.Suite, noneWall.MedianWall.Round(time.Microsecond),
+				mp.MedianWall.Round(time.Microsecond), vmRatio, checkRatio)
 		}
-	}
-	res, err := c.runBatch(optss)
-	if err != nil {
-		return err
-	}
-	for i, wl := range wls {
-		noneWall, mp, noneSim, checked := res[4*i], res[4*i+1], res[4*i+2], res[4*i+3]
-		vmRatio := float64(mp.MedianWall) / float64(noneWall.MedianWall)
-		checkRatio := float64(checked.MedianSimTime) / float64(noneSim.MedianSimTime)
-		fmt.Fprintf(c.Out, "%-14s %-10s %12v %12v %12.3f %12.3f\n",
-			wl.Name, wl.Suite, noneWall.MedianWall.Round(time.Microsecond),
-			mp.MedianWall.Round(time.Microsecond), vmRatio, checkRatio)
 	}
 	return nil
 }
@@ -222,7 +193,7 @@ func fig2Engines(profile *isa.Profile) []string {
 // reported: wall time against the real native Go twin, and the
 // cycle-model time against the simulated native baseline (see
 // nativeAdvantage).
-func Fig2(c Config) error {
+func Fig2(c *Config) error {
 	c.defaults()
 	for _, prof := range isa.Profiles() {
 		suites := []string{"polybench", "spec"}
@@ -238,68 +209,56 @@ func Fig2(c Config) error {
 	return nil
 }
 
-func fig2Panel(c Config, prof *isa.Profile, suite string) error {
+func fig2Panel(c *Config, prof *isa.Profile, suite string) error {
 	wls := c.suiteWorkloads(suite)
 	fmt.Fprintf(c.Out, "\nFigure 2 (%s, %s): geomean of medians vs native\n", prof.Name, suite)
 	fmt.Fprintf(c.Out, "(wall ratios: every wasm run carries cycle accounting, so rows compare fairly with each other but carry a uniform counting overhead against the native wall baseline)\n")
 	fmt.Fprintf(c.Out, "%-10s %-10s %14s %14s\n", "engine", "strategy", "wall ratio", "sim ratio")
 
-	// One batch holds the two baselines and the whole engine ×
-	// strategy matrix: native wall per workload, then the simulated-
-	// native baseline (the optimized wavm op stream, no checks), then
-	// one block of len(wls) runs per matrix cell.
-	var optss []harness.Options
-	for _, wl := range wls {
-		optss = append(optss, harness.Options{
-			Engine: harness.EngineNative, Workload: wl, Profile: prof})
+	// cell measures one engine × strategy over the panel's workloads
+	// and returns the median wall and cycle-model times per workload.
+	cell := func(eng string, s mem.Strategy) (wall, sim []float64, err error) {
+		for _, wl := range wls {
+			r, err := c.counted(eng, wl, s, prof)
+			if err != nil {
+				return nil, nil, err
+			}
+			wall = append(wall, float64(r.MedianWall))
+			sim = append(sim, float64(r.MedianSimTime))
+		}
+		return wall, sim, nil
 	}
-	for _, wl := range wls {
-		optss = append(optss, harness.Options{
-			Engine: harness.EngineWAVM, Workload: wl,
-			Strategy: mem.None, Profile: prof, CountCycles: true})
+	nativeWall, _, err := cell(harness.EngineNative, mem.None)
+	if err != nil {
+		return err
 	}
-	type cell struct {
-		eng string
-		s   mem.Strategy
+	// The simulated-native baseline is the optimized wavm op stream
+	// with no checks, discounted by nativeAdvantage — the panel's own
+	// wavm/none cell where its matrix has one (riscv64's has no wavm
+	// rows; the cycle model still prices the baseline there).
+	baseWall, baseSim, err := cell(harness.EngineWAVM, mem.None)
+	if err != nil {
+		return err
 	}
-	var cells []cell
+	nativeSim := make([]float64, len(wls))
+	for i := range baseSim {
+		nativeSim[i] = baseSim[i] / nativeAdvantage
+	}
 	for _, eng := range fig2Engines(prof) {
 		strategies := mem.Strategies()
 		if eng == harness.EngineWasm3 {
 			strategies = []mem.Strategy{mem.Trap} // wasm3 is trap-only (paper §3.2)
 		}
 		for _, s := range strategies {
-			cells = append(cells, cell{eng, s})
-			for _, wl := range wls {
-				optss = append(optss, harness.Options{
-					Engine: eng, Workload: wl,
-					Strategy: s, Profile: prof, CountCycles: true})
+			wall, sim := baseWall, baseSim
+			if eng != harness.EngineWAVM || s != mem.None {
+				if wall, sim, err = cell(eng, s); err != nil {
+					return err
+				}
 			}
+			fmt.Fprintf(c.Out, "%-10s %-10s %14.3f %14.3f\n", eng, s,
+				stats.GeomeanRatios(wall, nativeWall), stats.GeomeanRatios(sim, nativeSim))
 		}
-	}
-	res, err := c.runBatch(optss)
-	if err != nil {
-		return err
-	}
-
-	nativeWall := make([]float64, len(wls))
-	nativeSim := make([]float64, len(wls))
-	for i := range wls {
-		nativeWall[i] = float64(res[i].MedianWall)
-		nativeSim[i] = float64(res[len(wls)+i].MedianSimTime) / nativeAdvantage
-	}
-	cursor := 2 * len(wls)
-	for _, cl := range cells {
-		wall := make([]float64, len(wls))
-		sim := make([]float64, len(wls))
-		for i := range wls {
-			wall[i] = float64(res[cursor+i].MedianWall)
-			sim[i] = float64(res[cursor+i].MedianSimTime)
-		}
-		cursor += len(wls)
-		wallRatio := stats.GeomeanRatios(wall, nativeWall)
-		simRatio := stats.GeomeanRatios(sim, nativeSim)
-		fmt.Fprintf(c.Out, "%-10s %-10s %14.3f %14.3f\n", cl.eng, cl.s, wallRatio, simRatio)
 	}
 	return nil
 }
@@ -325,58 +284,46 @@ type scalingRow struct {
 	results  []*harness.Result
 }
 
-// runScaling executes the thread-scaling matrix shared by Figures
-// 3, 4 and 5 (the paper collects them from the same runs).
-func runScaling(c Config, suite string) ([]int, []scalingRow, error) {
+// scaling returns the suite's thread-scaling matrix — the thread axis
+// and one row per engine × strategy — measuring it the first time it
+// is asked for: Figures 3, 4 and 5 are three views of the same runs
+// (as in the paper), so a Config measures each cell once however many
+// of the three it prints.
+func (c *Config) scaling(suite string) ([]int, []scalingRow, error) {
+	axis := c.threadAxis()
+	if rows, ok := c.scalings[suite]; ok {
+		return axis, rows, nil
+	}
 	wls := c.suiteWorkloads(suite)
 	if c.Quick && len(wls) > 2 {
 		wls = wls[:2]
 	}
-	axis := c.threadAxis()
-	engines := []string{harness.EngineWAVM, harness.EngineWasmtime, harness.EngineV8}
-	strategies := []mem.Strategy{mem.None, mem.Trap, mem.Mprotect, mem.Uffd}
-	// One batch for the whole matrix. The multi-threaded entries are
-	// exclusive (the scheduler serializes them — they measure
-	// contention); the 1-thread entries pack.
-	var optss []harness.Options
-	for _, eng := range engines {
-		for _, s := range strategies {
-			for _, threads := range axis {
-				for _, wl := range wls {
-					optss = append(optss, harness.Options{
-						Engine: eng, Workload: wl,
-						Strategy: s, Profile: isa.X86_64(), Threads: threads,
-					})
-				}
-			}
-		}
-	}
-	res, err := c.runBatch(optss)
-	if err != nil {
-		return nil, nil, err
-	}
 	var rows []scalingRow
-	cursor := 0
-	for _, eng := range engines {
-		for _, s := range strategies {
+	for _, eng := range []string{harness.EngineWAVM, harness.EngineWasmtime, harness.EngineV8} {
+		for _, s := range []mem.Strategy{mem.None, mem.Trap, mem.Mprotect, mem.Uffd} {
 			row := scalingRow{engine: eng, strategy: s}
-			for range axis {
+			for _, threads := range axis {
 				// Aggregate throughput over the suite subset: sum
 				// normalized throughput across workloads.
 				var agg *harness.Result
-				for range wls {
-					r := res[cursor]
-					cursor++
+				for _, wl := range wls {
+					r, err := c.run(harness.Options{
+						Engine: eng, Workload: wl,
+						Strategy: s, Profile: isa.X86_64(), Threads: threads,
+					})
+					if err != nil {
+						return nil, nil, err
+					}
 					if agg == nil {
 						agg = r
-					} else {
-						agg.Throughput += r.Throughput
-						agg.CPUPercent += r.CPUPercent
-						agg.CtxtPerSec += r.CtxtPerSec
-						agg.VM.LockWaitNs += r.VM.LockWaitNs
-						agg.VM.MprotectCalls += r.VM.MprotectCalls
-						agg.VM.UffdFaults += r.VM.UffdFaults
+						continue
 					}
+					agg.Throughput += r.Throughput
+					agg.CPUPercent += r.CPUPercent
+					agg.CtxtPerSec += r.CtxtPerSec
+					agg.VM.LockWaitNs += r.VM.LockWaitNs
+					agg.VM.MprotectCalls += r.VM.MprotectCalls
+					agg.VM.UffdFaults += r.VM.UffdFaults
 				}
 				agg.CPUPercent /= float64(len(wls))
 				agg.CtxtPerSec /= float64(len(wls))
@@ -385,15 +332,19 @@ func runScaling(c Config, suite string) ([]int, []scalingRow, error) {
 			rows = append(rows, row)
 		}
 	}
+	if c.scalings == nil {
+		c.scalings = make(map[string][]scalingRow)
+	}
+	c.scalings[suite] = rows
 	return axis, rows, nil
 }
 
 // Fig3 regenerates Figures 3a/3b: performance scaling with thread
 // count (throughput per thread normalized to the single-thread run).
-func Fig3(c Config) error {
+func Fig3(c *Config) error {
 	c.defaults()
 	for _, suite := range []string{"polybench", "spec"} {
-		axis, rows, err := runScaling(c, suite)
+		axis, rows, err := c.scaling(suite)
 		if err != nil {
 			return err
 		}
@@ -422,9 +373,9 @@ func Fig3(c Config) error {
 
 // Fig4 regenerates Figures 4a-4d: average CPU utilization during
 // execution, single-threaded and fully-threaded.
-func Fig4(c Config) error {
+func Fig4(c *Config) error {
 	c.defaults()
-	axis, rows, err := runScaling(c, "polybench")
+	axis, rows, err := c.scaling("polybench")
 	if err != nil {
 		return err
 	}
@@ -449,9 +400,9 @@ func Fig4(c Config) error {
 
 // Fig5 regenerates Figures 5a/5b: context switches per second, with
 // the simulated kernel's lock-wait time as the mechanism column.
-func Fig5(c Config) error {
+func Fig5(c *Config) error {
 	c.defaults()
-	axis, rows, err := runScaling(c, "polybench")
+	axis, rows, err := c.scaling("polybench")
 	if err != nil {
 		return err
 	}
@@ -479,36 +430,23 @@ func Fig5(c Config) error {
 // strategy, on the x86-64 profile (1 GiB transparent huge pages) and
 // the Armv8 profile (2 MiB), exposing the THP artifact the paper
 // explains in §4.3.
-func Fig6(c Config) error {
+func Fig6(c *Config) error {
 	c.defaults()
-	engines := []string{harness.EngineWAVM, harness.EngineWasmtime, harness.EngineV8}
-	strategies := []mem.Strategy{mem.None, mem.Trap, mem.Mprotect, mem.Uffd}
 	wls := c.suiteWorkloads("polybench")
 	for _, prof := range []*isa.Profile{isa.X86_64(), isa.ARMv8()} {
-		var optss []harness.Options
-		for _, eng := range engines {
-			for _, s := range strategies {
-				for _, wl := range wls {
-					optss = append(optss, harness.Options{
-						Engine: eng, Workload: wl, Strategy: s, Profile: prof, Threads: 2,
-					})
-				}
-			}
-		}
-		res, err := c.runBatch(optss)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(c.Out, "\nFigure 6 (%s): average simulated resident memory (polybench)\n", prof.Name)
 		fmt.Fprintf(c.Out, "%-10s %-10s %14s %14s %8s\n",
 			"engine", "strategy", "mean", "peak", "THP")
-		cursor := 0
-		for _, eng := range engines {
-			for _, s := range strategies {
+		for _, eng := range []string{harness.EngineWAVM, harness.EngineWasmtime, harness.EngineV8} {
+			for _, s := range []mem.Strategy{mem.None, mem.Trap, mem.Mprotect, mem.Uffd} {
 				var mean, peak, thp int64
-				for range wls {
-					r := res[cursor]
-					cursor++
+				for _, wl := range wls {
+					r, err := c.run(harness.Options{
+						Engine: eng, Workload: wl, Strategy: s, Profile: prof, Threads: 2,
+					})
+					if err != nil {
+						return err
+					}
 					mean += r.ResidentMean
 					if r.ResidentPeak > peak {
 						peak = r.ResidentPeak
@@ -528,7 +466,7 @@ func Fig6(c Config) error {
 // Wasm3-vs-V8 interpreter gap (Titzer 2022), the PolyBench
 // near-native distribution (Rossberg et al. 2018) and the SPEC
 // geomean slowdown (Jangda et al. 2019).
-func Replication(c Config) error {
+func Replication(c *Config) error {
 	c.defaults()
 	prof := isa.X86_64()
 
@@ -537,21 +475,16 @@ func Replication(c Config) error {
 	// cycle model; the wall-clock gap between a Go switch
 	// interpreter and Go closure code is structurally compressed.
 	wls := c.suiteWorkloads("polybench")
-	var optss []harness.Options
-	for _, wl := range wls {
-		optss = append(optss,
-			harness.Options{Engine: harness.EngineWasm3, Workload: wl,
-				Strategy: mem.Trap, Profile: prof, CountCycles: true},
-			harness.Options{Engine: harness.EngineV8, Workload: wl,
-				Strategy: mem.Mprotect, Profile: prof, CountCycles: true})
-	}
-	res, err := c.runBatch(optss)
-	if err != nil {
-		return err
-	}
 	var simRatios, wallRatios []float64
-	for i := range wls {
-		w3, v8 := res[2*i], res[2*i+1]
+	for _, wl := range wls {
+		w3, err := c.counted(harness.EngineWasm3, wl, mem.Trap, prof)
+		if err != nil {
+			return err
+		}
+		v8, err := c.counted(harness.EngineV8, wl, mem.Mprotect, prof)
+		if err != nil {
+			return err
+		}
 		simRatios = append(simRatios, float64(w3.MedianSimTime)/float64(v8.MedianSimTime))
 		wallRatios = append(wallRatios, float64(w3.MedianWall)/float64(v8.MedianWall))
 	}
@@ -561,24 +494,20 @@ func Replication(c Config) error {
 
 	// SPEC slowdown vs native on V8 (Jangda et al.: 1.55x; the paper
 	// measures 1.69x on x86-64).
-	specWls := c.suiteWorkloads("spec")
-	optss = optss[:0]
-	for _, wl := range specWls {
-		optss = append(optss,
-			harness.Options{Engine: harness.EngineV8, Workload: wl,
-				Strategy: mem.Mprotect, Profile: prof, CountCycles: true},
-			harness.Options{Engine: harness.EngineWAVM, Workload: wl,
-				Strategy: mem.None, Profile: prof, CountCycles: true},
-			harness.Options{Engine: harness.EngineNative, Workload: wl,
-				Profile: prof})
-	}
-	res, err = c.runBatch(optss)
-	if err != nil {
-		return err
-	}
 	var v8Sim, natSim, v8Wall, natWall []float64
-	for i := range specWls {
-		v8, simNat, nat := res[3*i], res[3*i+1], res[3*i+2]
+	for _, wl := range c.suiteWorkloads("spec") {
+		v8, err := c.counted(harness.EngineV8, wl, mem.Mprotect, prof)
+		if err != nil {
+			return err
+		}
+		simNat, err := c.counted(harness.EngineWAVM, wl, mem.None, prof)
+		if err != nil {
+			return err
+		}
+		nat, err := c.counted(harness.EngineNative, wl, mem.None, prof)
+		if err != nil {
+			return err
+		}
 		v8Sim = append(v8Sim, float64(v8.MedianSimTime))
 		natSim = append(natSim, float64(simNat.MedianSimTime)/nativeAdvantage)
 		v8Wall = append(v8Wall, float64(v8.MedianWall))
@@ -588,21 +517,16 @@ func Replication(c Config) error {
 		stats.GeomeanRatios(v8Sim, natSim), stats.GeomeanRatios(v8Wall, natWall))
 
 	// PolyBench distribution vs native on the fastest engine.
-	optss = optss[:0]
-	for _, wl := range wls {
-		optss = append(optss,
-			harness.Options{Engine: harness.EngineWAVM, Workload: wl,
-				Strategy: mem.Mprotect, Profile: prof, CountCycles: true},
-			harness.Options{Engine: harness.EngineWAVM, Workload: wl,
-				Strategy: mem.None, Profile: prof, CountCycles: true})
-	}
-	res, err = c.runBatch(optss)
-	if err != nil {
-		return err
-	}
 	within10, within2x := 0, 0
-	for i := range wls {
-		wv, nat := res[2*i], res[2*i+1]
+	for _, wl := range wls {
+		wv, err := c.counted(harness.EngineWAVM, wl, mem.Mprotect, prof)
+		if err != nil {
+			return err
+		}
+		nat, err := c.counted(harness.EngineWAVM, wl, mem.None, prof)
+		if err != nil {
+			return err
+		}
 		r := float64(wv.MedianSimTime) / (float64(nat.MedianSimTime) / nativeAdvantage)
 		if r <= 1.10 {
 			within10++

@@ -2,15 +2,17 @@ package figures_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"leapsandbounds/internal/figures"
+	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/workloads"
 )
 
-func quickCfg(out *bytes.Buffer) figures.Config {
-	return figures.Config{
+func quickCfg(out *bytes.Buffer) *figures.Config {
+	return &figures.Config{
 		Out:        out,
 		Class:      workloads.Test,
 		Quick:      true,
@@ -62,6 +64,7 @@ func TestFig3Through5ShareScalingMatrix(t *testing.T) {
 	}
 	var out bytes.Buffer
 	cfg := quickCfg(&out)
+	cfg.Metrics = obs.NewRegistry()
 	if err := figures.Fig3(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +79,26 @@ func TestFig3Through5ShareScalingMatrix(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+	// The three figures are views of one matrix: every cell was
+	// measured exactly once, so its scope counts one run's iterations.
+	cells := 0
+	for name, n := range cfg.Metrics.Snapshot(false).Counters {
+		if !strings.HasPrefix(name, "run[") || !strings.HasSuffix(name, "]/iterations") {
+			continue
+		}
+		cells++
+		var threads int64
+		if _, err := fmt.Sscanf(name[strings.Index(name, "threads="):], "threads=%d", &threads); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := int64(cfg.Measure) * threads; n != want {
+			t.Errorf("%s = %d, want %d (Measure × Threads): the cell was not measured exactly once", name, n, want)
+		}
+	}
+	// 3 engines × 4 strategies × 2 thread counts × 2 workloads × 2 suites.
+	if cells != 96 {
+		t.Errorf("%d cells measured, want 96", cells)
 	}
 }
 

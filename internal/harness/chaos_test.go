@@ -13,7 +13,7 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// chaosOutcome is the deterministic portion of one chaos sweep:
+// chaosOutcome is the deterministic portion of one chaos pass:
 // per-run checksums and failure causes, plus every injection/recovery
 // counter from the registry (timing counters are excluded — they are
 // legitimately nondeterministic).
@@ -28,9 +28,11 @@ func runChaosSweep(t *testing.T, seed int64) chaosOutcome {
 	wl := spec(t, "gemm")
 	plan := faultinject.ChaosPlan(seed)
 	reg := obs.NewRegistry()
-	var items []harness.SweepItem
+	var out chaosOutcome
+	// One run at a time, single-threaded: the replay contract's
+	// deterministic regime (see the faultinject package documentation).
 	for _, s := range []mem.Strategy{mem.Mprotect, mem.Uffd} {
-		items = append(items, harness.SweepItem{Opts: harness.Options{
+		res, err := harness.Run(harness.Options{
 			Engine:   harness.EngineWAVM,
 			Workload: wl,
 			Class:    workloads.Test,
@@ -41,22 +43,14 @@ func runChaosSweep(t *testing.T, seed int64) chaosOutcome {
 			Measure:  4,
 			Fault:    plan,
 			Obs:      reg,
-		}})
-	}
-	// Serial, single-threaded: the replay contract's deterministic
-	// regime (see the faultinject package documentation).
-	results, err := harness.RunSweep(items, harness.SweepOptions{Serial: true, Obs: reg})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	out := chaosOutcome{Counters: faultinject.ReplayCounters(reg.Snapshot(false).Counters)}
-	for _, r := range results {
-		if r.Result == nil {
-			t.Fatalf("%s: nil result", r.Opts.RunLabel())
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
 		}
-		out.Checksums = append(out.Checksums, r.Result.Checksum)
-		out.Failed = append(out.Failed, r.Result.FailureCauses)
+		out.Checksums = append(out.Checksums, res.Checksum)
+		out.Failed = append(out.Failed, res.FailureCauses)
 	}
+	out.Counters = faultinject.ReplayCounters(reg.Snapshot(false).Counters)
 	return out
 }
 

@@ -113,12 +113,12 @@ type Options struct {
 	// aborts the run, as before.
 	Fault *faultinject.Plan
 	// Obs receives the run's telemetry. Each Run registers its
-	// metrics and trace events under one labeled scope
-	// "run[engine=E workload=W strategy=S threads=N]", with one
-	// child scope per simulated process, so a single registry can
-	// hold a whole figure sweep and still attribute every mmap-lock
-	// wait to its configuration. Nil leaves the run unobserved
-	// (each address space falls back to a private registry).
+	// metrics and trace events under one labeled scope (RunLabel),
+	// with one child scope per simulated process, so a single
+	// registry can hold every run of a figure and still attribute
+	// every mmap-lock wait to its configuration. Nil leaves the run
+	// unobserved (each address space falls back to a private
+	// registry).
 	Obs *obs.Registry
 	// Prof, when non-nil and started, samples every instance the run
 	// creates: each isolate registers a per-instance cell keyed by
@@ -134,14 +134,37 @@ type Options struct {
 	HWCounters bool
 }
 
-// RunLabel is the scope name a run registers under in Options.Obs.
-// Defaulted fields print their effective values (Threads 0 runs as 1).
+// RunLabel is the scope name a run registers under in Options.Obs:
+// "run[engine=E workload=W strategy=S threads=N]", followed by every
+// other field that tells two configurations apart, at its non-default
+// value only — two runs share a scope exactly when they measure the
+// same thing. Defaulted fields print their effective values (Threads 0
+// runs as 1). A profile whose parameters were edited needs a name of
+// its own to be told from its base (the ablations rename theirs).
 func (o Options) RunLabel() string {
 	threads := o.Threads
 	if threads <= 0 {
 		threads = 1
 	}
 	flags := ""
+	if o.Profile != nil && o.Profile.Name != "x86_64" {
+		flags += " isa=" + o.Profile.Name
+	}
+	if o.CountCycles {
+		flags += " cycles=on"
+	}
+	if procs := min(o.Processes, threads); procs > 1 {
+		flags += fmt.Sprintf(" procs=%d", procs)
+	}
+	if o.UffdNoPool {
+		flags += " pool=off"
+	}
+	if o.UffdPoll {
+		flags += " uffd=poll"
+	}
+	if o.EagerCommit {
+		flags += " commit=eager"
+	}
 	if o.NoElide {
 		flags += " elide=off"
 	}
@@ -187,6 +210,12 @@ type Result struct {
 	ResidentPeak  int64
 	ResidentMean  int64
 	MedianSimTime time.Duration // cycle model; 0 when not counted
+	// Counts is one measured iteration's executed operations by class
+	// (Options.CountCycles; nil when not counted): what MedianSimTime
+	// prices, and the histogram behind the paper's motivation that
+	// loads and stores make up ~40% of programs (§2.3), so per-access
+	// checks are expensive.
+	Counts *isa.Counts
 
 	// Checksum of the workload result (identical across iterations).
 	Checksum uint64
@@ -287,17 +316,17 @@ func Run(opts Options) (*Result, error) {
 
 	// iterators[p] runs one isolate lifecycle in process p and
 	// returns the timed execution duration, the checksum, and the
-	// per-iteration simulated time (0 when not counted). parent is
+	// iteration's executed-op counts (nil when not counted). parent is
 	// the iteration span the lifecycle's spans nest under (zero when
 	// tracing is off).
-	iterators := make([]func(parent obs.SpanRef) (time.Duration, uint64, time.Duration, error), numProcs)
+	iterators := make([]func(parent obs.SpanRef) (time.Duration, uint64, *isa.Counts, error), numProcs)
 
 	if opts.Engine == EngineNative {
 		for p := range iterators {
-			iterators[p] = func(obs.SpanRef) (time.Duration, uint64, time.Duration, error) {
+			iterators[p] = func(obs.SpanRef) (time.Duration, uint64, *isa.Counts, error) {
 				t0 := time.Now()
 				sum := native()
-				return time.Since(t0), sum, 0, nil
+				return time.Since(t0), sum, nil, nil
 			}
 		}
 	} else {
@@ -341,7 +370,7 @@ func Run(opts Options) (*Result, error) {
 				Obs:         engineScopes[p],
 				Prof:        opts.Prof,
 			}
-			iterators[p] = func(parent obs.SpanRef) (time.Duration, uint64, time.Duration, error) {
+			iterators[p] = func(parent obs.SpanRef) (time.Duration, uint64, *isa.Counts, error) {
 				c := cfg
 				c.Span = parent
 				// Hostcall workloads get a fresh environment per
@@ -354,26 +383,27 @@ func Run(opts Options) (*Result, error) {
 				}
 				inst, err := core.InstantiateWithRetry(cm, c, im)
 				if err != nil {
-					return 0, 0, 0, err
+					return 0, 0, nil, err
 				}
 				t0 := time.Now()
 				out, err := inst.Invoke(workloads.Entry)
 				dt := time.Since(t0)
-				var sim time.Duration
+				var counts *isa.Counts
 				if c := inst.Counts(); c != nil {
-					sim = opts.Profile.Time(c)
+					cp := *c
+					counts = &cp
 				}
 				closeErr := inst.Close()
 				if err != nil {
-					return 0, 0, 0, err
+					return 0, 0, nil, err
 				}
 				if closeErr != nil {
-					return 0, 0, 0, closeErr
+					return 0, 0, nil, closeErr
 				}
 				if len(out) == 0 {
-					return 0, 0, 0, errors.New("harness: workload returned no checksum")
+					return 0, 0, nil, errors.New("harness: workload returned no checksum")
 				}
-				return dt, out[0], sim, nil
+				return dt, out[0], counts, nil
 			}
 		}
 		// Give the tiered engine time to reach its optimizing tier so
@@ -384,6 +414,7 @@ func Run(opts Options) (*Result, error) {
 	type workerOut struct {
 		times   []time.Duration
 		sims    []time.Duration
+		counts  *isa.Counts
 		sum     uint64
 		haveSum bool
 		err     error
@@ -469,11 +500,11 @@ func Run(opts Options) (*Result, error) {
 			// Each isolate lifecycle gets an iteration span under the
 			// run root; the lifecycle's own spans (instantiate, invoke,
 			// faults, kernel ops) nest under it through Config.Span.
-			iterate := func() (time.Duration, uint64, time.Duration, error) {
+			iterate := func() (time.Duration, uint64, *isa.Counts, error) {
 				sp := runScope.StartSpan(obs.SpanIter, runSpan.Ref())
-				dt, sum, sim, err := inner(sp.Ref())
+				dt, sum, counts, err := inner(sp.Ref())
 				sp.End()
-				return dt, sum, sim, err
+				return dt, sum, counts, err
 			}
 			as.AddThread()
 			defer as.RemoveThread()
@@ -503,7 +534,7 @@ func Run(opts Options) (*Result, error) {
 			}
 
 			for i := 0; i < opts.Measure; i++ {
-				dt, sum, sim, err := iterate()
+				dt, sum, counts, err := iterate()
 				if err != nil {
 					if tolerate {
 						record(o, err)
@@ -526,8 +557,9 @@ func Run(opts Options) (*Result, error) {
 				}
 				o.times = append(o.times, dt)
 				iterHist.Observe(dt.Nanoseconds())
-				if sim > 0 {
-					o.sims = append(o.sims, sim)
+				if counts != nil {
+					o.sims = append(o.sims, opts.Profile.Time(counts))
+					o.counts = counts
 				}
 			}
 			if pg != nil {
@@ -586,6 +618,9 @@ func Run(opts Options) (*Result, error) {
 		if outs[w].haveSum {
 			checksum = outs[w].sum
 		}
+		if outs[w].counts != nil {
+			res.Counts = outs[w].counts
+		}
 		res.HW.MergeCounters(outs[w].hw)
 		for cause, n := range outs[w].causes {
 			if res.FailureCauses == nil {
@@ -615,7 +650,7 @@ func Run(opts Options) (*Result, error) {
 
 	usage := sysmon.Delta(before, after)
 	res.SysmonOK = usage.OK
-	res.VM = deltaSnapshot(vmBefore, vmAfter)
+	res.VM = vmAfter.Sub(vmBefore)
 	if usage.OK {
 		res.CPUPercent = usage.CPUPercent
 		res.CtxtPerSec = usage.CtxtPerSec
@@ -672,89 +707,11 @@ func failureCause(err error) string {
 	return "error"
 }
 
-// OpHistogram executes one iteration of a workload with cycle
-// accounting and returns the executed-operation counts by class —
-// the measurement behind the paper's motivation that loads and
-// stores make up ~40% of programs (§2.3) and hence per-access
-// checks are expensive.
-func OpHistogram(engine string, wl workloads.Spec, cls workloads.Class,
-	strategy mem.Strategy, profile *isa.Profile) (*isa.Counts, error) {
-	module, _, err := wl.BuildChecked(cls)
-	if err != nil {
-		return nil, err
-	}
-	eng, cleanup, err := NewEngine(engine)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	cm, err := eng.Compile(module)
-	if err != nil {
-		return nil, err
-	}
-	var im core.Imports
-	if wl.NewEnv != nil {
-		im = wl.NewEnv(cls).Imports()
-	}
-	cfg := core.Config{
-		Strategy:    strategy,
-		Profile:     profile,
-		CountCycles: true,
-	}
-	inst, err := cm.Instantiate(cfg, im)
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Close()
-	if _, err := inst.Invoke(workloads.Entry); err != nil {
-		return nil, err
-	}
-	counts := *inst.Counts()
-	return &counts, nil
-}
-
 // sumSnapshots aggregates counters across simulated processes.
 func sumSnapshots(procs []*vmm.AddressSpace) vmm.StatsSnapshot {
 	var sum vmm.StatsSnapshot
 	for _, as := range procs {
-		s := as.Snapshot()
-		sum.MmapCalls += s.MmapCalls
-		sum.MunmapCalls += s.MunmapCalls
-		sum.MprotectCalls += s.MprotectCalls
-		sum.MinorFaults += s.MinorFaults
-		sum.UffdFaults += s.UffdFaults
-		sum.SegvFaults += s.SegvFaults
-		sum.DroppedFaults += s.DroppedFaults
-		sum.Shootdowns += s.Shootdowns
-		sum.VMAsTouched += s.VMAsTouched
-		sum.THPPromotions += s.THPPromotions
-		sum.LockWaitNs += s.LockWaitNs
-		sum.LockHoldNs += s.LockHoldNs
-		sum.LockContended += s.LockContended
-		sum.Hostcalls += s.Hostcalls
-		sum.ResidentBytes += s.ResidentBytes
-		sum.VMACount += s.VMACount
+		sum = sum.Add(as.Snapshot())
 	}
 	return sum
-}
-
-func deltaSnapshot(a, b vmm.StatsSnapshot) vmm.StatsSnapshot {
-	return vmm.StatsSnapshot{
-		MmapCalls:     b.MmapCalls - a.MmapCalls,
-		MunmapCalls:   b.MunmapCalls - a.MunmapCalls,
-		MprotectCalls: b.MprotectCalls - a.MprotectCalls,
-		MinorFaults:   b.MinorFaults - a.MinorFaults,
-		UffdFaults:    b.UffdFaults - a.UffdFaults,
-		SegvFaults:    b.SegvFaults - a.SegvFaults,
-		DroppedFaults: b.DroppedFaults - a.DroppedFaults,
-		Shootdowns:    b.Shootdowns - a.Shootdowns,
-		VMAsTouched:   b.VMAsTouched - a.VMAsTouched,
-		THPPromotions: b.THPPromotions - a.THPPromotions,
-		LockWaitNs:    b.LockWaitNs - a.LockWaitNs,
-		LockHoldNs:    b.LockHoldNs - a.LockHoldNs,
-		LockContended: b.LockContended - a.LockContended,
-		Hostcalls:     b.Hostcalls - a.Hostcalls,
-		ResidentBytes: b.ResidentBytes,
-		VMACount:      b.VMACount,
-	}
 }

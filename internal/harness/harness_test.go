@@ -2,11 +2,13 @@ package harness_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"leapsandbounds/internal/harness"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
+	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/workloads"
 )
 
@@ -194,5 +196,41 @@ func TestRunUnknownEngine(t *testing.T) {
 		Engine: "quickjs", Workload: wl, Profile: isa.X86_64(),
 	}); err == nil {
 		t.Error("expected error for unknown engine")
+	}
+}
+
+// TestRunLabelTellsConfigurationsApart: two runs that differ only in
+// an ablation knob register under two scopes of one registry, so
+// neither's gauges overwrite — nor its counters add to — the other's.
+func TestRunLabelTellsConfigurationsApart(t *testing.T) {
+	reg := obs.NewRegistry()
+	opts := harness.Options{
+		Engine:   harness.EngineWasmtime,
+		Workload: spec(t, "atax"),
+		Class:    workloads.Test,
+		Strategy: mem.Uffd,
+		Profile:  isa.X86_64(),
+		Warmup:   1,
+		Measure:  2,
+		Obs:      reg,
+	}
+	noPool := opts
+	noPool.UffdNoPool = true
+	for _, o := range []harness.Options{opts, noPool} {
+		if _, err := harness.Run(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scopes := 0
+	for name, n := range reg.Snapshot(false).Counters {
+		if strings.HasPrefix(name, "run[") && strings.HasSuffix(name, "]/iterations") {
+			scopes++
+			if n != 2 {
+				t.Errorf("%s = %d, want this run's 2 iterations alone", name, n)
+			}
+		}
+	}
+	if scopes != 2 {
+		t.Errorf("%d run scopes for two configurations (%s, %s)", scopes, opts.RunLabel(), noPool.RunLabel())
 	}
 }

@@ -282,34 +282,3 @@ func TestRunSnapshotStableAfterReturn(t *testing.T) {
 		t.Errorf("gauges mutated after Run returned:\n%v\nvs\n%v", first.Gauges, second.Gauges)
 	}
 }
-
-// TestSweepSnapshotStableAfterReturn covers the same property one
-// layer up: RunSweep's bookkeeping (wall_ns and friends) must all be
-// recorded before it returns.
-func TestSweepSnapshotStableAfterReturn(t *testing.T) {
-	reg := obs.NewRegistry()
-	stubRuns(t, func(o Options) (*Result, error) {
-		time.Sleep(time.Millisecond)
-		return &Result{Engine: o.Engine}, nil
-	})
-	items := SweepOf(
-		Options{Engine: EngineWAVM, Workload: workloads.Spec{Name: "a"}},
-		Options{Engine: EngineWasm3, Workload: workloads.Spec{Name: "b"}},
-	)
-	if _, err := RunSweep(items, SweepOptions{Obs: reg}); err != nil {
-		t.Fatal(err)
-	}
-	first := reg.Snapshot(false)
-	if first.Counters["sweep/runs_ok"] != 2 {
-		t.Fatalf("runs_ok = %d, want 2", first.Counters["sweep/runs_ok"])
-	}
-	if first.Gauges["sweep/wall_ns"] <= 0 {
-		t.Fatal("sweep wall_ns missing from post-return snapshot")
-	}
-	time.Sleep(5 * time.Millisecond)
-	second := reg.Snapshot(false)
-	if !reflect.DeepEqual(first.Counters, second.Counters) ||
-		!reflect.DeepEqual(first.Gauges, second.Gauges) {
-		t.Error("sweep telemetry mutated after RunSweep returned")
-	}
-}

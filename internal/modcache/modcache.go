@@ -17,8 +17,7 @@
 // Design:
 //
 //   - lock striping: keys are sharded across independent mutexes so
-//     concurrent sweep workers compiling different modules never
-//     contend;
+//     concurrent workers compiling different modules never contend;
 //   - singleflight: N goroutines requesting the same uncompiled key
 //     trigger exactly one compile; the rest block on its result (the
 //     paper's harness spawns per-thread workers that would otherwise
@@ -70,7 +69,7 @@ type Key struct {
 const defaultMaxBytes = 256 << 20
 
 // numShards stripes the key space; 16 is plenty for GOMAXPROCS-sized
-// sweep pools while keeping per-shard LRU lists coherent.
+// worker pools while keeping per-shard LRU lists coherent.
 const numShards = 16
 
 type entry struct {

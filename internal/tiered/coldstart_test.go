@@ -101,9 +101,9 @@ func TestCompileValidatesWhatNobodyHas(t *testing.T) {
 }
 
 // TestTwoEnginesCompileOneFreshModule: a module nobody has validated,
-// compiled by two engines at once (a sweep does this, and so does the
-// tiered engine's background tier): both validate or one does and the
-// other reads its mark, and under -race neither trips over the other.
+// compiled by two engines at once (the tiered engine's background
+// tier does this): both validate or one does and the other reads its
+// mark, and under -race neither trips over the other.
 func TestTwoEnginesCompileOneFreshModule(t *testing.T) {
 	bin := fewFuncsBytes(t)
 	for round := 0; round < 20; round++ {

@@ -906,6 +906,40 @@ func (as *AddressSpace) Snapshot() StatsSnapshot {
 	}
 }
 
+// counters lists the fields that count events — every field but the
+// two levels, ResidentBytes and VMACount.
+func (s *StatsSnapshot) counters() []*int64 {
+	return []*int64{
+		&s.MmapCalls, &s.MunmapCalls, &s.MprotectCalls,
+		&s.MinorFaults, &s.UffdFaults, &s.SegvFaults, &s.DroppedFaults,
+		&s.Shootdowns, &s.VMAsTouched, &s.THPPromotions,
+		&s.LockWaitNs, &s.LockHoldNs, &s.LockContended,
+		&s.CowForks, &s.CowPagesCopied, &s.Hostcalls,
+	}
+}
+
+// Add returns s + o: the totals over several simulated processes,
+// whose resident sets and VMA counts add up like their counters do.
+func (s StatsSnapshot) Add(o StatsSnapshot) StatsSnapshot {
+	oc := o.counters()
+	for i, c := range s.counters() {
+		*c += *oc[i]
+	}
+	s.ResidentBytes += o.ResidentBytes
+	s.VMACount += o.VMACount
+	return s
+}
+
+// Sub returns what the counters gained between the snapshot earlier
+// and s; the levels keep the value they have in s.
+func (s StatsSnapshot) Sub(earlier StatsSnapshot) StatsSnapshot {
+	ec := earlier.counters()
+	for i, c := range s.counters() {
+		*c -= *ec[i]
+	}
+	return s
+}
+
 // CountHostcall records one guest→host boundary crossing; core's
 // host dispatch calls it on every imported-function invocation.
 func (as *AddressSpace) CountHostcall() { as.stats.Hostcalls.Inc() }

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -619,5 +620,34 @@ func BenchmarkMmapMunmapSparse(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatsSnapshotArithmeticCoversEveryField fails when a field is
+// added to StatsSnapshot and not to Add or Sub: the struct is filled
+// through reflection, so a field the methods do not name keeps its
+// left operand's value and shows.
+func TestStatsSnapshotArithmeticCoversEveryField(t *testing.T) {
+	var late, early StatsSnapshot
+	lv, ev := reflect.ValueOf(&late).Elem(), reflect.ValueOf(&early).Elem()
+	for i := 0; i < lv.NumField(); i++ {
+		lv.Field(i).SetInt(int64(1000 + 10*i))
+		ev.Field(i).SetInt(int64(1 + i))
+	}
+	levels := map[string]bool{"ResidentBytes": true, "VMACount": true}
+	sum, diff := reflect.ValueOf(late.Add(early)), reflect.ValueOf(late.Sub(early))
+	for i := 0; i < lv.NumField(); i++ {
+		name := lv.Type().Field(i).Name
+		l, e := lv.Field(i).Int(), ev.Field(i).Int()
+		if got := sum.Field(i).Int(); got != l+e {
+			t.Errorf("Add: %s = %d, want %d", name, got, l+e)
+		}
+		want := l - e
+		if levels[name] {
+			want = l
+		}
+		if got := diff.Field(i).Int(); got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
 	}
 }

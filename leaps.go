@@ -268,23 +268,3 @@ type CacheStats = modcache.Stats
 // inspecting its counters (Stats) or disabling caching process-wide
 // with SetEnabled(false).
 func CompileCache() *ModuleCache { return modcache.Shared() }
-
-// SweepItem, SweepResult and SweepOptions parameterize RunSweep.
-type (
-	SweepItem    = harness.SweepItem
-	SweepResult  = harness.SweepResult
-	SweepOptions = harness.SweepOptions
-)
-
-// Sweep wraps benchmark configurations as sweep items, marking the
-// multi-worker ones exclusive (they measure contention and must own
-// the host).
-func Sweep(optss ...BenchOptions) []SweepItem { return harness.SweepOf(optss...) }
-
-// RunSweep executes independent benchmark configurations through the
-// sweep scheduler: shareable (single-isolate) runs pack onto a
-// worker pool, exclusive runs serialize, and results come back in
-// input order.
-func RunSweep(items []SweepItem, so SweepOptions) ([]SweepResult, error) {
-	return harness.RunSweep(items, so)
-}

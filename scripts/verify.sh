@@ -49,8 +49,8 @@ echo "== benchmark module tests"
 # Docs describe the code that exists: every `make <target>` and every
 # `leapsbench -<flag>` the docs name must be a Makefile target / a flag
 # in the CLI's usage, and a flag that was removed must not linger in
-# prose either (a bare `-serve` has no `leapsbench` in front of it for
-# the command scan to see).
+# prose either (a bare `-serve` or `-parallel` has no `leapsbench` in
+# front of it for the command scan to see).
 echo "== docs name only make targets and leapsbench flags that exist"
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 targets=$(sed -n 's/^\([a-z][a-z-]*\):.*/\1/p' Makefile)
@@ -62,7 +62,7 @@ stale=$(
 	for f in $(grep -ohE 'leapsbench +[^`#|>]*' $docs | grep -oE ' -[a-z][a-z-]*' | sort -u); do
 		echo "$flags" | grep -qx -- "${f#-}" || echo "leapsbench $f"
 	done
-	for f in serve; do
+	for f in serve parallel; do
 		echo "$flags" | grep -qx -- "$f" || grep -nE -- "(^|[^a-z-])-$f([^a-z-]|\$)" $docs | sed "s/^/removed flag -$f still in /"
 	done
 )
