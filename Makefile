@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify check bench-hot figures fuzz-smoke prof-smoke
+.PHONY: build test vet race verify check bench-hot figures fuzz-smoke prof-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ prof-smoke:
 	@test -s /tmp/leaps-prof-smoke.pb.gz || { echo "prof-smoke: empty pprof profile"; exit 1; }
 	@rm -f /tmp/leaps-prof-smoke.folded /tmp/leaps-prof-smoke.pb.gz
 	@echo "prof-smoke: OK"
+
+# Trace smoke: build the CLI and drive a short traced uffd run through
+# it (TestTraceSmoke): its strategy's attribution row, the line saying
+# how much of the run the timeline file holds, and a file that parses
+# as JSON. Counts and presence only; no timing is compared.
+trace-smoke:
+	$(GO) test -count=1 -run 'TestTraceSmoke' -v ./cmd/leapsbench/
 
 # Short coverage-guided fuzz pass over the binary decoder, the
 # validator, the elide on/off differential, the register-IR on/off

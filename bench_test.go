@@ -82,8 +82,9 @@ func BenchmarkAtaxCompiled(b *testing.B) { benchCodegenKernel(b, "atax") }
 // BenchmarkObsOverhead compares a gemm isolate-churn run with the
 // observability plumbing disabled (a traceless private registry,
 // counters only) against fully enabled (a registry with the default
-// trace ring, every layer emitting events). The acceptance bar is <5%
-// overhead for "enabled" over "disabled".
+// trace ring and tracing on, every layer recording its spans and
+// summing their time). The acceptance bar is <5% overhead for
+// "enabled" over "disabled".
 func BenchmarkObsOverhead(b *testing.B) {
 	run := func(b *testing.B, cfg leaps.Config) {
 		b.Helper()
@@ -118,7 +119,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 		run(b, leaps.Config{Strategy: leaps.Mprotect, Profile: profile, AS: vmm.New(profile.VM)})
 	})
 	b.Run("enabled", func(b *testing.B) {
-		as := vmm.NewObserved(profile.VM, leaps.NewMetrics().Scope("proc0"))
+		reg := leaps.NewMetrics()
+		reg.EnableTracing(true)
+		as := vmm.NewObserved(profile.VM, reg.Scope("proc0"))
 		run(b, leaps.Config{Strategy: leaps.Mprotect, Profile: profile, AS: as})
 	})
 }

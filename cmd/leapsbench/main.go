@@ -58,7 +58,7 @@ func run() error {
 		cycles   = flag.Bool("cycles", false, "enable the per-ISA cycle model")
 		ops      = flag.Bool("ops", false, "single-run mode: print the executed-op histogram instead of timing")
 		asJSON   = flag.Bool("json", false, "single-run mode: emit the result as JSON")
-		metrics  = flag.String("metrics", "", "write run metrics and trace events to this file (.json, or a .txt summary; \"-\" for the summary on stdout)")
+		metrics  = flag.String("metrics", "", "write run metrics (with -trace, the recorded span events too) to this file (.json, or a .txt summary; \"-\" for the summary on stdout)")
 		trace    = flag.String("trace", "", "record causal spans and write a Chrome/Perfetto trace-event JSON to this file; also prints the critical-path attribution table")
 		nocache  = flag.Bool("nocache", false, "disable the compiled-module cache (every run pays the full compile)")
 		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision in engines that support it (wavm); -elide=false compiles with per-access checks")
@@ -90,11 +90,7 @@ func run() error {
 	}
 	var sampler *prof.Profiler
 	if *profOut != "" {
-		var scope *obs.Scope
-		if reg != nil {
-			scope = reg.Scope("prof")
-		}
-		sampler = prof.New(*profHz, scope)
+		sampler = prof.New(*profHz)
 		sampler.Start()
 		defer sampler.Stop()
 	}
@@ -243,6 +239,9 @@ func finishObs(reg *obs.Registry, metricsPath, tracePath string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "leapsbench: wrote trace to %s (load at https://ui.perfetto.dev or chrome://tracing)\n", tracePath)
+	// The file is a timeline of what fit the trace ring; the table is
+	// computed from counters and covers every span of the run.
+	fmt.Printf("timeline: first %d of %d span events\n", len(snap.Events), int64(len(snap.Events))+snap.DroppedEvents)
 	return obs.WriteAttribution(os.Stdout, obs.Attribute(snap))
 }
 

@@ -182,10 +182,10 @@ func hoistLoops(ir []rir.Inst, numLocals int) ([]rir.Inst, []bool) {
 	// check so every loop entry is guarded).
 	remap := make([]int32, len(ir)+1)
 	type placedLoop struct {
-		lv                *loopVer
-		check, fastStart  int
-		slowStart, merged int
-		fastPos           []int32
+		lv               *loopVer
+		check, fastStart int
+		slowStart        int
+		fastPos          []int32
 	}
 	var places []placedLoop
 	newPC := int32(0)

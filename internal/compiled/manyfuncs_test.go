@@ -181,7 +181,7 @@ func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome 
 		},
 	}
 	for _, ev := range reg.Snapshot(true).Events {
-		if ev.Kind == obs.EvSpanEnd.String() {
+		if ev.Kind == obs.SpanEnd {
 			out.spans++
 		}
 	}

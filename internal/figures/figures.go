@@ -40,7 +40,7 @@ type Config struct {
 	// bounded by the host's CPU count).
 	MaxThreads int
 	// Metrics, when non-nil, collects every run's counters,
-	// histograms and trace events under per-run labeled scopes
+	// histograms and spans under per-run labeled scopes
 	// (see harness.Options.Obs); leapsbench -metrics wires it.
 	Metrics *obs.Registry
 	// Prof, when non-nil, samples every guest run into the given

@@ -113,7 +113,7 @@ type Options struct {
 	// aborts the run, as before.
 	Fault *faultinject.Plan
 	// Obs receives the run's telemetry. Each Run registers its
-	// metrics and trace events under one labeled scope (RunLabel),
+	// metrics and spans under one labeled scope (RunLabel),
 	// with one child scope per simulated process, so a single
 	// registry can hold every run of a figure and still attribute
 	// every mmap-lock wait to its configuration. Nil leaves the run
@@ -510,10 +510,6 @@ func Run(opts Options) (*Result, error) {
 			defer as.RemoveThread()
 
 			o := &outs[w]
-			// Phase events reconstruct each thread's timeline
-			// (A = phase, B = worker index).
-			runScope.Emit(obs.EvPhase, obs.PhaseWarmup, int64(w))
-			defer runScope.Emit(obs.EvPhase, obs.PhaseDone, int64(w))
 			for i := 0; i < opts.Warmup; i++ {
 				if _, _, _, err := iterate(); err != nil {
 					if tolerate {
@@ -527,7 +523,6 @@ func Run(opts Options) (*Result, error) {
 			}
 			warmed.Done()
 			<-start
-			runScope.Emit(obs.EvPhase, obs.PhaseMeasure, int64(w))
 			var hw0 prof.CounterSample
 			if pg != nil {
 				hw0 = pg.Read()
@@ -566,7 +561,6 @@ func Run(opts Options) (*Result, error) {
 				o.hw = hw0.Delta(pg.Read())
 			}
 			measured.Add(1)
-			runScope.Emit(obs.EvPhase, obs.PhaseCooldown, int64(w))
 
 			// Cool-down: keep the CPU busy until every thread has
 			// finished its measured runs (paper §3.5).
@@ -682,7 +676,6 @@ func Run(opts Options) (*Result, error) {
 	if res.FailedIters > 0 {
 		runScope.Counter("failed_iters").Add(int64(res.FailedIters))
 	}
-	runScope.Emit(obs.EvSample, int64(res.CPUPercent*100), int64(res.CtxtPerSec))
 
 	for _, pool := range pools {
 		if pool != nil {

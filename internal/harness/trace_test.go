@@ -79,7 +79,7 @@ func assertFaultPathLocking(t *testing.T, snap *obs.Snapshot, exact bool) {
 	}
 	spans := map[int64]span{}
 	for _, ev := range snap.Events {
-		if ev.Kind == obs.EvSpanBegin.String() {
+		if ev.Kind == obs.SpanBegin {
 			spans[obs.SpanEventID(ev.A)] = span{obs.SpanEventKind(ev.A), ev.B, ev.Scope}
 		}
 	}
@@ -200,6 +200,66 @@ func TestRunTraceAttribution(t *testing.T) {
 	for _, want := range []string{"run", "iter", "instantiate", "invoke", "fault", "kernel.mprotect", "uffd.copy"} {
 		if !names[want] {
 			t.Errorf("run trace missing span %q", want)
+		}
+	}
+}
+
+// TestTracedSweepHasEveryStrategyRow: a sweep that outruns the trace
+// ring still gets its whole attribution table. Five strategies × 8
+// threads go into one default-sized registry — what `leapsbench -fig 3
+// -trace` does — which fills the ring long before the last strategy
+// starts; every strategy must still have a row with exec time in it,
+// and each row, less the overlap of its 8 concurrent workers, must sum
+// to its parentless spans' time exactly.
+func TestTracedSweepHasEveryStrategyRow(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.EnableTracing(true)
+	wl := traceSpec(t, "jacobi-1d")
+	for _, s := range mem.Strategies() {
+		_, err := Run(Options{
+			Engine:   EngineWAVM,
+			Workload: wl,
+			Class:    workloads.Test,
+			Strategy: s,
+			Profile:  isa.X86_64(),
+			Threads:  8,
+			Warmup:   1,
+			Measure:  64, // ≥ 5 × 8 × 65 iterations × 4 spans × 2 events > 16 384 slots
+			Obs:      reg,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+	}
+	snap := reg.Snapshot(true)
+	if snap.DroppedEvents == 0 {
+		t.Fatalf("the sweep fit the default ring (%d events); raise Measure or the test measures nothing", len(snap.Events))
+	}
+	rep := obs.Attribute(snap)
+	if len(rep.Rows) != len(mem.Strategies()) {
+		t.Errorf("%d attribution rows, want one per strategy: %+v", len(rep.Rows), rep.Rows)
+	}
+	for _, s := range mem.Strategies() {
+		row := rep.Row(s.String())
+		if row.NsByBucket["exec"] <= 0 {
+			t.Errorf("row %s: exec = %d ns, want > 0", row.Strategy, row.NsByBucket["exec"])
+		}
+		// The parentless spans of a wavm run: the run itself and, when
+		// an arena pool is drained, that teardown and its reclaim batch.
+		var rootNs int64
+		for name, v := range snap.Counters {
+			if !strings.Contains(name, "strategy="+s.String()+" ") {
+				continue
+			}
+			for _, k := range []obs.SpanKind{obs.SpanRun, obs.SpanPoolDrain, obs.SpanHazardReclaim} {
+				if strings.HasSuffix(name, "/span_ns/"+k.String()) {
+					rootNs += v
+				}
+			}
+		}
+		if row.TotalNs-row.OverlapNs != rootNs {
+			t.Errorf("row %s: buckets sum to %d ns less %d of overlap, its parentless spans lasted %d",
+				row.Strategy, row.TotalNs, row.OverlapNs, rootNs)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestAttachObsCountsAndSpans(t *testing.T) {
 	}
 	spans := 0
 	for _, ev := range snap.Events {
-		if ev.Kind == obs.EvSpanBegin.String() && obs.SpanEventKind(ev.A) == obs.SpanHazardReclaim {
+		if ev.Kind == obs.SpanBegin && obs.SpanEventKind(ev.A) == obs.SpanHazardReclaim {
 			spans++
 		}
 	}

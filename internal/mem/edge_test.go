@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"leapsandbounds/internal/faultinject"
@@ -226,4 +227,98 @@ func TestArenaConcurrentDoubleRelease(t *testing.T) {
 	if ok != 1 || dup != releasers-1 {
 		t.Errorf("%d successful releases and %d rejections, want 1 and %d", ok, dup, releasers-1)
 	}
+}
+
+// poolGet and poolPut are get and put for tests that only care which
+// arena they hold.
+func poolGet(t *testing.T, pool *ArenaPool, as *vmm.AddressSpace) *arena {
+	t.Helper()
+	a, err := pool.get(as, 4*wasm.PageSize, obs.SpanRef{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func poolPut(t *testing.T, pool *ArenaPool, a *arena) {
+	t.Helper()
+	if err := pool.put(a, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolStaleSwapFails replays the Treiber-stack ABA on the pool's
+// own fields, one step at a time. A popper (T1) reads the head and the
+// head's successor and is descheduled; meanwhile T2 takes both parked
+// arenas and returns the first, so the head again carries the arena T1
+// saw — but the arena T1 read as its successor is in T2's hands. T1's
+// compare-and-swap must fail: if it succeeded, the pool's next get
+// would hand out an arena that T2 still holds — two instances on one
+// mapping.
+func TestPoolStaleSwapFails(t *testing.T) {
+	as := testAS()
+	pool := NewArenaPool()
+	defer pool.Drain()
+	first, second := poolGet(t, pool, as), poolGet(t, pool, as)
+	poolPut(t, pool, second)
+	poolPut(t, pool, first) // head → first → second
+
+	// T1: the loads of pop, up to its compare-and-swap.
+	head := pool.head.Load()
+	next := head.next
+
+	// T2 runs to completion in between.
+	a, b := poolGet(t, pool, as), poolGet(t, pool, as)
+	if a != first || b != second {
+		t.Fatal("pool is not a stack; the replay below assumes one")
+	}
+	poolPut(t, pool, a) // the head carries first again; T2 keeps b
+
+	// T1 resumes.
+	if pool.head.CompareAndSwap(head, next) {
+		t.Error("a swap from a stale head succeeded")
+	}
+	if c := poolGet(t, pool, as); c == b {
+		t.Fatalf("arena %p handed out while its first holder still has it", b)
+	}
+}
+
+// TestPoolOneHolderPerArena is the same property under real
+// concurrency (run under -race): 8 goroutines take and return arenas
+// of a pool that starts with 2, and no arena may ever have two
+// holders.
+func TestPoolOneHolderPerArena(t *testing.T) {
+	as := testAS()
+	pool := NewArenaPool()
+	defer pool.Drain()
+	a, b := poolGet(t, pool, as), poolGet(t, pool, as)
+	poolPut(t, pool, a)
+	poolPut(t, pool, b)
+
+	var holders sync.Map // *arena → *atomic.Int32
+	const goroutines, rounds = 8, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				a, err := pool.get(as, 4*wasm.PageSize, obs.SpanRef{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n, _ := holders.LoadOrStore(a, new(atomic.Int32))
+				if held := n.(*atomic.Int32).Add(1); held != 1 {
+					t.Errorf("arena %p has %d holders", a, held)
+				}
+				n.(*atomic.Int32).Add(-1)
+				if err := pool.put(a, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -35,6 +35,12 @@ func init() {
 	}
 }
 
+// ElisionCapable reports whether CheckRange can ever succeed for
+// this memory: clamp rewrites addresses per access, so range guards
+// can skip their evaluation work and go straight to the checked
+// fallback.
+func (m *Memory) ElisionCapable() bool { return m.strategy != Clamp }
+
 // CheckRange reports whether every access inside [addr, addr+n) may
 // proceed without further bounds checks, committing the spanned pages
 // first when the strategy resolves accessibility through faults. It
@@ -42,12 +48,6 @@ func init() {
 // The returned address is addr itself on success (kept in the
 // signature so future strategies may relocate ranges the way clamp
 // relocates single accesses).
-// ElisionCapable reports whether CheckRange can ever succeed for
-// this memory: clamp rewrites addresses per access, so range guards
-// can skip their evaluation work and go straight to the checked
-// fallback.
-func (m *Memory) ElisionCapable() bool { return m.strategy != Clamp }
-
 func (m *Memory) CheckRange(addr, n uint64, write bool) (uint64, bool) {
 	end := addr + n
 	if end < addr {

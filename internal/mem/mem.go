@@ -127,8 +127,9 @@ type Config struct {
 	// access it concurrently. Grow serializes on an internal mutex and
 	// publishes the new length with release ordering per strategy (see
 	// Grow); plain accessors stay the single-watermark fast path and
-	// are safe for concurrent use at disjoint addresses, while racing
-	// same-address traffic must go through the Atomic* accessors.
+	// are safe for concurrent use at disjoint addresses; there are no
+	// atomic accessors (no engine decodes the 0xFE opcodes), so racing
+	// same-address traffic is unordered.
 	// Shared memories refuse Snapshot (and therefore template forks).
 	Shared bool
 	// Span is the causal parent for spans emitted during
@@ -142,8 +143,8 @@ type Config struct {
 // default) is not safe for concurrent use: each wasm instance owns
 // one, as the paper's isolates do. A memory created with
 // Config.Shared is attached to many instances at once; its size
-// bookkeeping is atomic, Grow serializes internally, and racing
-// same-address traffic must use the Atomic* accessors (shared.go).
+// bookkeeping is atomic, Grow serializes internally, and plain
+// accessors are safe at thread-disjoint addresses only.
 type Memory struct {
 	strategy Strategy
 	data     []byte
@@ -450,7 +451,6 @@ func (m *Memory) Grow(delta uint32) int32 {
 		return -1
 	}
 	m.growCalls.Inc()
-	m.obs.Emit(obs.EvGrow, int64(delta), int64(m.strategy))
 	switch m.strategy {
 	case None, Clamp, Trap:
 		if err := m.mapping.Touch(prev, newBytes-prev); err != nil {

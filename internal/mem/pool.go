@@ -28,29 +28,40 @@ var errArenaDoubleRelease = errors.New("mem: arena released to the pool twice")
 // A pool is shared by every instance in a simulated process; all
 // operations are safe for concurrent use.
 type ArenaPool struct {
-	head   atomic.Pointer[arena]
+	head   atomic.Pointer[link]
 	domain hazard.Domain
-	// obsOnce wires the hazard domain's reclamation telemetry to the
-	// first acquiring process's scope (pools are per-process, so the
-	// first is the only one).
+	// obsOnce wires the pool's counters and the hazard domain's
+	// reclamation telemetry to the first acquiring process's scope
+	// (pools are per-process, so the first is the only one).
 	obsOnce sync.Once
 	// pollServer serves poll-mode fault delivery when a Memory is
 	// configured with UffdPoll (one handler thread per process, as
 	// a real poll-mode userfaultfd deployment would run).
 	pollServer *uffdServer
 
-	// Statistics.
-	created   atomic.Int64
-	reused    atomic.Int64
-	returned  atomic.Int64
-	discarded atomic.Int64
+	// Statistics, the pool's own; obsOnce registers these same objects
+	// under the process scope's "pool" child.
+	created   obs.Counter
+	reused    obs.Counter
+	returned  obs.Counter
+	discarded obs.Counter
 }
 
-// arena is one pooled memory reservation plus its intrusive stack
-// link.
+// link is one cell of the pool's stack. put pushes a fresh link per
+// release and a link is never pushed twice, so a head that still
+// equals the link a popper loaded means the stack below it is the one
+// the popper read: an arena popped, handed out and returned between a
+// popper's load and its compare-and-swap comes back under a different
+// link, and the stale swap fails instead of installing a next that
+// another instance holds (the Treiber-stack ABA).
+type link struct {
+	a    *arena
+	next *link
+}
+
+// arena is one pooled memory reservation.
 type arena struct {
 	mapping *vmm.Mapping
-	next    atomic.Pointer[arena]
 	// obs is the owning process's scope, captured at creation so put
 	// (which has no AddressSpace parameter) can trace recycling.
 	obs *obs.Scope
@@ -71,7 +82,14 @@ func NewArenaPool() *ArenaPool {
 // parent is the causal span the acquisition (and any mmap it causes)
 // reports under; the returned arena's mapping is re-parented to it.
 func (p *ArenaPool) get(as *vmm.AddressSpace, maxBytes uint64, parent obs.SpanRef) (*arena, error) {
-	p.obsOnce.Do(func() { p.domain.AttachObs(as.Obs().Child("hazard")) })
+	p.obsOnce.Do(func() {
+		p.domain.AttachObs(as.Obs().Child("hazard"))
+		sc := as.Obs().Child("pool")
+		sc.RegisterCounter("created", &p.created)
+		sc.RegisterCounter("reused", &p.reused)
+		sc.RegisterCounter("returned", &p.returned)
+		sc.RegisterCounter("discarded", &p.discarded)
+	})
 	sp := as.Obs().StartSpan(obs.SpanPoolGet, parent)
 	defer sp.End()
 	inj := as.Injector()
@@ -79,11 +97,10 @@ func (p *ArenaPool) get(as *vmm.AddressSpace, maxBytes uint64, parent obs.SpanRe
 	if err := inj.Fail(faultinject.SitePoolGet); err != nil {
 		return nil, fmt.Errorf("mem: arena pool exhausted: %w", err)
 	}
-	if a := p.pop(maxBytes); a != nil {
+	if l := p.pop(maxBytes); l != nil {
 		p.reused.Add(1)
-		a.mapping.SetSpanParent(parent)
-		as.Obs().Emit(obs.EvArenaReuse, int64(a.mapping.Backing()), 0)
-		return a, nil
+		l.a.mapping.SetSpanParent(parent)
+		return l.a, nil
 	}
 	mp, err := as.MmapTraced(Reserve, maxBytes, vmm.ProtNone, sp.Ref())
 	if err != nil {
@@ -95,30 +112,28 @@ func (p *ArenaPool) get(as *vmm.AddressSpace, maxBytes uint64, parent obs.SpanRe
 	}
 	mp.SetSpanParent(parent)
 	p.created.Add(1)
-	as.Obs().Emit(obs.EvArenaCreate, int64(maxBytes), 0)
 	return &arena{mapping: mp, obs: as.Obs()}, nil
 }
 
-// pop removes an arena with sufficient backing from the stack. Only
-// the head is inspected: arenas in one pool are uniformly sized in
-// practice (one pool per workload), so a deeper search is not
-// needed; an unsuitable head is left in place and nil returned.
-func (p *ArenaPool) pop(maxBytes uint64) *arena {
+// pop removes the link of an arena with sufficient backing from the
+// stack. Only the head is inspected: arenas in one pool are uniformly
+// sized in practice (one pool per workload), so a deeper search is
+// not needed; an unsuitable head is left in place and nil returned.
+func (p *ArenaPool) pop(maxBytes uint64) *link {
 	slot := p.domain.Acquire()
 	defer slot.Release()
 	for {
-		a := hazard.Protect(slot, &p.head)
-		if a == nil {
+		l := hazard.Protect(slot, &p.head)
+		if l == nil {
 			return nil
 		}
-		if a.mapping.Backing() < maxBytes {
+		if l.a.mapping.Backing() < maxBytes {
 			return nil
 		}
-		next := a.next.Load()
-		if p.head.CompareAndSwap(a, next) {
+		if p.head.CompareAndSwap(l, l.next) {
 			slot.Clear()
-			a.pooled.Store(false)
-			return a
+			l.a.pooled.Store(false)
+			return l
 		}
 	}
 }
@@ -176,11 +191,10 @@ func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 		}
 	}
 	p.returned.Add(1)
-	a.obs.Emit(obs.EvArenaRecycle, int64(usedBytes), 0)
+	l := &link{a: a}
 	for {
-		old := p.head.Load()
-		a.next.Store(old)
-		if p.head.CompareAndSwap(old, a) {
+		l.next = p.head.Load()
+		if p.head.CompareAndSwap(l.next, l) {
 			return nil
 		}
 	}
@@ -193,16 +207,16 @@ func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 func (p *ArenaPool) Drain() {
 	var sp obs.Span
 	for {
-		a := p.pop(0)
-		if a == nil {
+		l := p.pop(0)
+		if l == nil {
 			break
 		}
 		if !sp.Ref().Valid() {
-			sp = a.obs.StartSpan(obs.SpanPoolDrain, obs.SpanRef{})
+			sp = l.a.obs.StartSpan(obs.SpanPoolDrain, obs.SpanRef{})
 		}
-		m := a.mapping
+		m := l.a.mapping
 		m.SetSpanParent(sp.Ref())
-		hazard.Retire(&p.domain, a, func() { _ = m.Munmap() })
+		hazard.Retire(&p.domain, l, func() { _ = m.Munmap() })
 	}
 	p.domain.Flush()
 	sp.End()

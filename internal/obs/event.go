@@ -2,101 +2,24 @@ package obs
 
 import "sync/atomic"
 
-// EventKind classifies trace events. The set covers every mechanism
-// the paper's analysis leans on: mmap-lock acquisition and
-// contention, fault handling per delivery path, TLB shootdowns,
-// arena recycling, tier-up recompilation, GC pauses, and harness
-// phase transitions.
-type EventKind uint8
-
-// Event kinds. The A/B payload convention is documented per kind.
+// A trace is spans and nothing else — every other fact a layer reports
+// is a counter, gauge or histogram in the registry — so a ring record
+// is one end of a span. SpanBegin and SpanEnd are the two values of
+// EventRecord.Kind.
 const (
-	// EvLockAcquired: mmap lock acquired. A = wait ns, B = 1 if the
-	// acquisition had to wait (contended), else 0.
-	EvLockAcquired EventKind = iota
-	// EvLockContended: mmap lock acquisition that blocked. A = wait
-	// ns. Emitted in addition to EvLockAcquired so contention can be
-	// traced without recording every uncontended acquisition.
-	EvLockContended
-	// EvShootdown: TLB shootdown broadcast. A = active threads.
-	EvShootdown
-	// EvFault: page fault handled. A = byte offset, B = fault kind
-	// (0 resolved, 1 segv/mprotect, 2 uffd, 3 minor/first-touch).
-	EvFault
-	// EvMmap: mmap call. A = backing bytes.
-	EvMmap
-	// EvMunmap: munmap call. A = backing bytes.
-	EvMunmap
-	// EvMprotect: mprotect call. A = length bytes.
-	EvMprotect
-	// EvGrow: wasm memory.grow. A = delta pages, B = strategy ordinal.
-	EvGrow
-	// EvArenaCreate: uffd arena freshly mmapped. A = backing bytes.
-	EvArenaCreate
-	// EvArenaReuse: pooled arena served to a new instance.
-	EvArenaReuse
-	// EvArenaRecycle: arena returned to the pool. A = bytes cleared.
-	EvArenaRecycle
-	// EvTierUp: optimizing tier swapped in. A = module ops.
-	EvTierUp
-	// EvGCPause: stop-the-world pause. A = pause ns.
-	EvGCPause
-	// EvTrap: invocation ended in a wasm trap. A = trap kind ordinal.
-	EvTrap
-	// EvPhase: harness phase transition. A = worker id, B = phase
-	// (see PhaseWarmup..PhaseDone).
-	EvPhase
-	// EvSample: host sampler reading. A = CPU utilization in
-	// hundredths of a percent, B = context switches/s.
-	EvSample
-	// EvInject: a fault-injection site fired. A = site ordinal,
-	// B = 1-based occurrence number of the site.
-	EvInject
-	// EvRecover: a degradation path (retry, fallback) absorbed an
-	// injected failure. A = site ordinal, B = injections at the site
-	// so far.
-	EvRecover
-	// EvSpanBegin: a causal span opened. A = spanID<<8 | SpanKind,
+	// SpanBegin: a causal span opened. A = spanID<<8 | SpanKind,
 	// B = parent span ID (0 = root). See span.go.
-	EvSpanBegin
-	// EvSpanEnd: a causal span closed. A = spanID<<8 | SpanKind.
-	EvSpanEnd
-	// EvProfSample: the guest-PC sampler observed a live instance.
-	// A = the cell's packed (function index << 24 | opcode class << 8
-	// | flags) word (see internal/prof).
-	EvProfSample
-	numEventKinds
+	SpanBegin = "span_begin"
+	// SpanEnd: a causal span closed. A = spanID<<8 | SpanKind.
+	SpanEnd = "span_end"
 )
-
-// Harness phase codes carried in EvPhase.B.
-const (
-	PhaseWarmup int64 = iota
-	PhaseMeasure
-	PhaseCooldown
-	PhaseDone
-)
-
-var eventKindNames = [numEventKinds]string{
-	"lock_acquired", "lock_contended", "shootdown", "fault",
-	"mmap", "munmap", "mprotect", "grow",
-	"arena_create", "arena_reuse", "arena_recycle",
-	"tier_up", "gc_pause", "trap", "phase", "sample",
-	"inject", "recover", "span_begin", "span_end", "prof_sample",
-}
-
-func (k EventKind) String() string {
-	if int(k) < len(eventKindNames) {
-		return eventKindNames[k]
-	}
-	return "event(?)"
-}
 
 // Event is one fixed-size trace record. It contains no pointers so
-// emission never allocates.
+// recording never allocates.
 type Event struct {
 	TimeNs int64
 	Scope  uint32
-	Kind   EventKind
+	End    bool // a SpanEnd record; otherwise a SpanBegin
 	A, B   int64
 }
 
@@ -105,7 +28,7 @@ type Event struct {
 // the enqueuer or ready for the dequeuer of a given lap. Producers
 // never block; when the ring is full the event is dropped and
 // counted, giving the bounded-loss guarantee the trace needs under
-// bursty emission.
+// bursty recording.
 type ring struct {
 	mask    uint64
 	slots   []ringSlot

@@ -1,6 +1,6 @@
 // Package obs is the process-wide observability spine: one registry
 // of allocation-free metrics (atomic counters, gauges, fixed-bucket
-// histograms) plus a lock-free ring buffer of typed trace events,
+// histograms) plus a lock-free ring buffer of causal spans,
 // shared by every layer of the simulator — the simulated kernel
 // (vmm), the linear-memory strategies (mem), the engines, the
 // benchmarking harness and the host sampler (sysmon).
@@ -13,9 +13,9 @@
 // summary for a person).
 //
 // Hot-path discipline: Counter.Add and Histogram.Observe are single
-// atomic RMWs on pre-resolved pointers; Scope.Emit writes one fixed-
-// size slot of a bounded MPMC ring and drops (counting the drop)
-// rather than blocking when the ring is full. Metric registration
+// atomic RMWs on pre-resolved pointers; a span writes two fixed-size
+// slots of a bounded MPMC ring and drops (counting the drop) rather
+// than blocking when the ring is full. Metric registration
 // (the map lookups) happens at setup time only. All metric and scope
 // methods are nil-receiver safe no-ops so uninstrumented paths cost
 // one predictable branch.
@@ -226,8 +226,8 @@ func NewRegistry() *Registry { return NewRegistrySized(defaultTraceCapacity) }
 
 // NewRegistrySized returns a registry whose trace ring holds
 // capacity events (rounded up to a power of two); capacity <= 0
-// disables event tracing entirely (Emit becomes a no-op), which is
-// the "obs disabled" configuration for overhead comparisons.
+// disables span tracing entirely (StartSpan returns the inert span),
+// which is the "obs disabled" configuration for overhead comparisons.
 func NewRegistrySized(capacity int) *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
@@ -268,13 +268,20 @@ func (r *Registry) scopeLocked(path string) *Scope {
 func (r *Registry) now() int64 { return int64(time.Since(r.start)) }
 
 // Scope is a named view into a registry. Metrics created through a
-// scope are registered under "<scope path>/<metric name>"; events
-// emitted through it carry the scope's interned id. A nil scope is a
+// scope are registered under "<scope path>/<metric name>"; spans
+// recorded through it carry the scope's interned id. A nil scope is a
 // valid no-op sink.
 type Scope struct {
 	reg  *Registry
 	path string
 	id   uint32
+
+	// Span time by kind (span.go): inclusive ns of the spans that ended
+	// in this scope, and the ns of those that had a parent, under the
+	// parent's kind. A snapshot lists the non-zero ones as the counters
+	// "<path>/span_ns/<kind>" and "<path>/span_child_ns/<kind>".
+	spanNs  [numSpanKinds]Counter
+	childNs [numSpanKinds]Counter
 }
 
 // Child returns the sub-scope "<path>/<name>".
@@ -366,26 +373,16 @@ func (s *Scope) Histogram(name string) *Histogram {
 	return h
 }
 
-// Emit appends a typed event to the registry's trace ring. It never
-// blocks: when the ring is full the event is dropped and counted.
-// No-op on a nil scope or a trace-disabled registry.
-func (s *Scope) Emit(kind EventKind, a, b int64) {
-	if s == nil || s.reg.ring == nil {
-		return
-	}
-	s.reg.ring.push(Event{TimeNs: s.reg.now(), Scope: s.id, Kind: kind, A: a, B: b})
-}
-
 // Snapshot is a consistent plain-value copy of a registry: every
 // counter, gauge and histogram by full name, plus (optionally) the
-// drained trace events.
+// drained span events.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Events     []EventRecord                `json:"events,omitempty"`
-	// DroppedEvents counts Emit calls lost to a full trace ring
-	// (bounded loss: Events plus drops equals emissions).
+	// DroppedEvents counts span events lost to a full trace ring
+	// (bounded loss: Events plus drops equals the events made).
 	DroppedEvents int64 `json:"dropped_events,omitempty"`
 }
 
@@ -421,6 +418,16 @@ func (r *Registry) Snapshot(drainEvents bool) *Snapshot {
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()
 	}
+	for path, sc := range r.scopes {
+		for k := range sc.spanNs {
+			if v := sc.spanNs[k].Load(); v != 0 {
+				s.Counters[path+spanNsInfix+SpanKind(k).String()] = v
+			}
+			if v := sc.childNs[k].Load(); v != 0 {
+				s.Counters[path+spanChildNsInfix+SpanKind(k).String()] = v
+			}
+		}
+	}
 	names := append([]string(nil), r.scopeNames...)
 	r.mu.Unlock()
 
@@ -445,10 +452,14 @@ func (r *Registry) drain(names []string) []EventRecord {
 		if int(ev.Scope) < len(names) {
 			scope = names[ev.Scope]
 		}
+		kind := SpanBegin
+		if ev.End {
+			kind = SpanEnd
+		}
 		dst = append(dst, EventRecord{
 			TimeNs: ev.TimeNs,
 			Scope:  scope,
-			Kind:   ev.Kind.String(),
+			Kind:   kind,
 			A:      ev.A,
 			B:      ev.B,
 		})

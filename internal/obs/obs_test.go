@@ -71,7 +71,7 @@ func TestNilSafety(t *testing.T) {
 	sc.Counter("x").Add(1)
 	sc.Gauge("y").Set(2)
 	sc.Histogram("z").Observe(3)
-	sc.Emit(EvFault, 1, 2)
+	sc.EndedSpan(SpanFault, SpanRef{}, 1)
 	if sc.Child("c") != nil {
 		t.Error("nil scope child must be nil")
 	}
@@ -142,14 +142,16 @@ func TestRingFIFOAndOverflow(t *testing.T) {
 
 // TestConcurrentRegistry hammers counters, histograms and the trace
 // ring from 8 goroutines (run under -race by scripts/verify.sh):
-// counter and histogram totals must be exact; the trace ring is
-// bounded-loss — delivered plus dropped equals emitted.
+// counter and histogram totals — the span-time counters among them —
+// must be exact; the trace ring is bounded-loss — delivered plus
+// dropped equals the span events made.
 func TestConcurrentRegistry(t *testing.T) {
 	const (
 		goroutines = 8
 		perG       = 10000
 	)
 	r := NewRegistrySized(1 << 10) // small ring: force drops
+	r.EnableTracing(true)
 	shared := r.Scope("shared")
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -165,7 +167,7 @@ func TestConcurrentRegistry(t *testing.T) {
 				c.Inc()
 				own.Counter("local").Add(2)
 				h.Observe(int64(i % 4096))
-				shared.Emit(EvFault, int64(g), int64(i))
+				shared.EndedSpan(SpanFault, SpanRef{}, int64(i))
 			}
 		}(g)
 	}
@@ -182,9 +184,12 @@ func TestConcurrentRegistry(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
 	}
 	delivered := int64(len(snap.Events))
-	if delivered+snap.DroppedEvents != goroutines*perG {
-		t.Errorf("events delivered %d + dropped %d != emitted %d",
-			delivered, snap.DroppedEvents, goroutines*perG)
+	if delivered+snap.DroppedEvents != 2*goroutines*perG {
+		t.Errorf("events delivered %d + dropped %d != made %d",
+			delivered, snap.DroppedEvents, 2*goroutines*perG)
+	}
+	if got, want := snap.Counters["shared/span_ns/fault"], int64(goroutines*perG*(perG-1)/2); got != want {
+		t.Errorf("fault span ns = %d, want %d whatever the ring dropped", got, want)
 	}
 	if delivered == 0 {
 		t.Error("no events delivered at all")
@@ -196,27 +201,28 @@ func TestConcurrentRegistry(t *testing.T) {
 
 func TestSnapshotDrainPartitionsTrace(t *testing.T) {
 	r := NewRegistry()
+	r.EnableTracing(true)
 	sc := r.Scope("s")
-	sc.Emit(EvTierUp, 1, 0)
-	sc.Emit(EvGCPause, 2, 0)
+	sc.EndedSpan(SpanTierUp, SpanRef{}, 1)
 	first := r.Snapshot(true)
 	if len(first.Events) != 2 {
 		t.Fatalf("first drain: %d events, want 2", len(first.Events))
 	}
-	sc.Emit(EvTrap, 3, 0)
+	open := sc.StartSpan(SpanGCPause, SpanRef{})
 	second := r.Snapshot(true)
-	if len(second.Events) != 1 || second.Events[0].Kind != "trap" {
+	if len(second.Events) != 1 || second.Events[0].Kind != "span_begin" || second.Events[0].A != open.Ref().Word {
 		t.Fatalf("second drain: %+v", second.Events)
 	}
 }
 
 func TestSinks(t *testing.T) {
 	r := NewRegistry()
+	r.EnableTracing(true)
 	sc := r.Scope("run").Child("vmm")
 	sc.Counter("lock_contended").Add(5)
 	sc.Histogram("lock_wait_ns").Observe(1500)
 	sc.Gauge("threads").Set(4)
-	sc.Emit(EvLockContended, 1500, 0)
+	sc.EndedSpan(SpanVMALockWait, SpanRef{}, 1500)
 
 	var buf bytes.Buffer
 	if err := (JSONSink{W: &buf}).Write(r.Snapshot(false)); err != nil {
@@ -232,20 +238,21 @@ func TestSinks(t *testing.T) {
 	}
 
 	buf.Reset()
-	sc.Emit(EvShootdown, 4, 0)
 	if err := (SummarySink{W: &buf}).Write(r.Snapshot(true)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "run/vmm/lock_contended") ||
-		!strings.Contains(buf.String(), "shootdown=1") {
-		t.Errorf("summary sink output:\n%s", buf.String())
+	for _, want := range []string{"run/vmm/lock_contended", "run/vmm/span_ns/vma_lock_wait", "spans: 2 recorded, 0 dropped"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("summary sink output lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 
 func TestTraceDisabledRegistry(t *testing.T) {
 	r := NewRegistrySized(0)
+	r.EnableTracing(true)
 	sc := r.Scope("s")
-	sc.Emit(EvFault, 1, 2) // must be a no-op, not a panic
+	sc.EndedSpan(SpanFault, SpanRef{}, 2) // must be a no-op, not a panic
 	sc.Counter("c").Inc()
 	snap := r.Snapshot(true)
 	if len(snap.Events) != 0 || snap.DroppedEvents != 0 {
@@ -262,16 +269,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()
-		}
-	})
-}
-
-func BenchmarkEmit(b *testing.B) {
-	r := NewRegistry()
-	sc := r.Scope("bench")
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			sc.Emit(EvFault, 1, 2)
 		}
 	})
 }

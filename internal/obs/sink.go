@@ -25,7 +25,8 @@ func (s JSONSink) Write(snap *Snapshot) error {
 }
 
 // SummarySink writes a short human-readable digest: every metric in
-// lexical order, histogram means, and a per-kind event tally.
+// lexical order, histogram means, and how much of the span timeline
+// the ring kept.
 type SummarySink struct{ W io.Writer }
 
 // Write implements Sink.
@@ -54,24 +55,8 @@ func (s SummarySink) Write(snap *Snapshot) error {
 			return err
 		}
 	}
-	if len(snap.Events) > 0 {
-		tally := make(map[string]int)
-		for _, ev := range snap.Events {
-			tally[ev.Kind]++
-		}
-		if _, err := fmt.Fprintf(s.W, "trace: %d events (%d dropped)", len(snap.Events), snap.DroppedEvents); err != nil {
-			return err
-		}
-		for _, kind := range sortedKeys(tally) {
-			if _, err := fmt.Fprintf(s.W, " %s=%d", kind, tally[kind]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(s.W); err != nil {
-			return err
-		}
-	} else if snap.DroppedEvents > 0 {
-		if _, err := fmt.Fprintf(s.W, "trace: 0 events (%d dropped)\n", snap.DroppedEvents); err != nil {
+	if len(snap.Events) > 0 || snap.DroppedEvents > 0 {
+		if _, err := fmt.Fprintf(s.W, "spans: %d recorded, %d dropped (events; two per span)\n", len(snap.Events), snap.DroppedEvents); err != nil {
 			return err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,11 +33,12 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // instead of swallowing them, at various truncation points.
 func TestSinkWriteFailures(t *testing.T) {
 	reg := NewRegistry()
+	reg.EnableTracing(true)
 	sc := reg.Scope("s")
 	sc.Counter("c").Add(1)
 	sc.Gauge("g").Set(2)
 	sc.Histogram("h").Observe(100)
-	sc.Emit(EvMmap, 1, 2)
+	sc.EndedSpan(SpanKernelMmap, SpanRef{}, 2)
 	snap := reg.Snapshot(true)
 
 	sinks := map[string]func(*failWriter) Sink{
@@ -98,22 +98,23 @@ func TestSummarySinkPercentilesAndDrops(t *testing.T) {
 		}
 	}
 
-	// Overflow the 4-slot ring: the drop count must appear even after
-	// the events themselves were lost... and with events present too.
+	// Overflow the 4-slot ring with five spans (ten events): the drop
+	// count must appear with the kept events present, and again after
+	// they were drained.
 	small := NewRegistrySized(4)
+	small.EnableTracing(true)
 	sc := small.Scope("s")
-	for i := 0; i < 10; i++ {
-		sc.Emit(EvMmap, int64(i), 0)
+	for i := 0; i < 5; i++ {
+		sc.EndedSpan(SpanKernelMmap, SpanRef{}, int64(i))
 	}
-	buf.Reset()
-	if err := (SummarySink{W: &buf}).Write(small.Snapshot(true)); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if !strings.Contains(buf.String(), "dropped") {
-		t.Fatalf("summary does not report drops:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), fmt.Sprintf("(%d dropped)", 6)) {
-		t.Fatalf("summary drop count wrong:\n%s", buf.String())
+	for _, want := range []string{"spans: 4 recorded, 6 dropped", "spans: 0 recorded, 6 dropped"} {
+		buf.Reset()
+		if err := (SummarySink{W: &buf}).Write(small.Snapshot(true)); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("summary lacks %q:\n%s", want, buf.String())
+		}
 	}
 }
 

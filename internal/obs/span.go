@@ -1,21 +1,28 @@
 package obs
 
 // Causal span tracing: begin/end pairs recorded into the registry's
-// existing lock-free event ring, with parent links so a drained trace
+// lock-free event ring, with parent links so a drained trace
 // reconstructs the tree of what happened inside a run — iteration →
 // invoke → fault → kernel.mprotect → vma_lock_wait. Spans are
-// allocation-free (a Span is a three-word value, events are the
+// allocation-free (a Span is a four-word value, events are the
 // fixed-size ring slots) and follow the ring's drop-don't-block
 // discipline. The whole layer is off by default: StartSpan costs a
 // nil check plus one atomic load when tracing is disabled, so
 // instrumented hot paths pay nothing measurable until someone calls
 // Registry.EnableTracing(true).
 //
-// Encoding: a span occupies two events, EvSpanBegin and EvSpanEnd.
+// The ring holds a timeline — the first events that fit; the rest are
+// counted as dropped. Span *time* does not depend on the ring: a span
+// that ends adds its duration to two monotone counters of its scope,
+// inclusive ns under its own kind and child ns under its parent's
+// kind, so "exclusive time per kind" is a subtraction of two counters
+// (Attribute, trace.go) that is exact however long the run was.
+//
+// Encoding: a span occupies two events, SpanBegin and SpanEnd.
 // Both carry A = spanID<<8 | kind (IDs are registry-unique, kinds fit
 // in a byte); the begin event's B is the parent span's ID (0 = root).
 // Lock waits, which are only known retroactively, use EndedSpan to
-// emit a completed pair whose begin timestamp is backdated by the
+// record a completed pair whose begin timestamp is backdated by the
 // measured duration.
 
 // SpanKind classifies spans. The set mirrors the layers the paper's
@@ -109,32 +116,35 @@ func (k SpanKind) String() string {
 	return "span(?)"
 }
 
-// SpanRef names a span for parent linkage. The zero value means "no
-// parent" (a root span). Refs are plain values, safe to copy across
-// goroutines and store in configs.
-type SpanRef struct{ ID int64 }
+// SpanRef names a span for parent linkage: Word is the span's event
+// payload, spanID<<8 | kind, so a ref stays one word (vmm.Mapping
+// holds one in an atomic) and a child can charge its time to its
+// parent's kind without looking the parent up. The zero value means
+// "no parent" (a root span). Refs are plain values, safe to copy
+// across goroutines and store in configs.
+type SpanRef struct{ Word int64 }
 
 // Valid reports whether the ref names a real span.
-func (r SpanRef) Valid() bool { return r.ID != 0 }
+func (r SpanRef) Valid() bool { return r.Word != 0 }
 
 // Span is one in-flight span. The zero value is an inert no-op (End
 // does nothing), which is what StartSpan returns when tracing is
 // disabled — callers never branch on the tracing state themselves.
 type Span struct {
-	sc   *Scope
-	id   int64
-	kind SpanKind
+	sc     *Scope
+	ref    SpanRef
+	parent SpanKind // 0 for a root span
+	start  int64
 }
 
 // Ref returns the span's ref for parenting children (zero for a
 // no-op span).
-func (s Span) Ref() SpanRef { return SpanRef{ID: s.id} }
+func (s Span) Ref() SpanRef { return s.ref }
 
 // EnableTracing turns span recording on or off (default off).
-// Metrics and plain events are unaffected. Safe to call
-// concurrently with emission; spans straddling the transition may
-// record only one endpoint, which trace consumers count as
-// incomplete rather than failing.
+// Metrics are unaffected. Safe to call concurrently with recording;
+// a span open across the transition to off still ends normally, one
+// opened before the transition to on was never a span.
 func (r *Registry) EnableTracing(on bool) {
 	if r != nil {
 		r.tracing.Store(on)
@@ -144,7 +154,7 @@ func (r *Registry) EnableTracing(on bool) {
 // TracingEnabled reports whether spans are being recorded.
 func (r *Registry) TracingEnabled() bool { return r != nil && r.tracing.Load() }
 
-// TracingEnabled reports whether spans emitted through this scope
+// TracingEnabled reports whether spans started through this scope
 // would be recorded: callers that must pay measurement cost *before*
 // a span can exist (retroactive waits need a clock read up front)
 // gate on this instead of measuring unconditionally. False for a nil
@@ -163,30 +173,27 @@ func (s *Scope) StartSpan(kind SpanKind, parent SpanRef) Span {
 	if r.ring == nil || !r.tracing.Load() {
 		return Span{}
 	}
-	id := r.spanIDs.Add(1)
-	r.ring.push(Event{
-		TimeNs: r.now(), Scope: s.id, Kind: EvSpanBegin,
-		A: id<<8 | int64(kind), B: parent.ID,
-	})
-	return Span{sc: s, id: id, kind: kind}
+	ref := SpanRef{Word: r.spanIDs.Add(1)<<8 | int64(kind)}
+	start := r.now()
+	r.ring.push(Event{TimeNs: start, Scope: s.id, A: ref.Word, B: SpanEventID(parent.Word)})
+	return Span{sc: s, ref: ref, parent: SpanEventKind(parent.Word), start: start}
 }
 
-// End records the span's end event. No-op on the zero Span. End at
-// most once; a second End would record a duplicate end event.
+// End records the span's end event and adds its duration to the
+// scope's span-time counters. No-op on the zero Span. End at most
+// once; a second End would count the span twice.
 func (s Span) End() {
 	if s.sc == nil {
 		return
 	}
-	r := s.sc.reg
-	r.ring.push(Event{
-		TimeNs: r.now(), Scope: s.sc.id, Kind: EvSpanEnd,
-		A: s.id<<8 | int64(s.kind),
-	})
+	end := s.sc.reg.now()
+	s.sc.reg.ring.push(Event{TimeNs: end, Scope: s.sc.id, End: true, A: s.ref.Word})
+	s.sc.addSpanTime(SpanEventKind(s.ref.Word), s.parent, end-s.start)
 }
 
 // EndedSpan records a completed span that ended now and lasted durNs,
 // backdating the begin event. This is the shape lock-wait attribution
-// needs: the wait duration is only known at acquisition, and emitting
+// needs: the wait duration is only known at acquisition, and recording
 // a begin event before blocking would put ring traffic on the
 // uncontended fast path.
 func (s *Scope) EndedSpan(kind SpanKind, parent SpanRef, durNs int64) {
@@ -200,12 +207,31 @@ func (s *Scope) EndedSpan(kind SpanKind, parent SpanRef, durNs int64) {
 	if durNs < 0 {
 		durNs = 0
 	}
-	id := r.spanIDs.Add(1)
 	end := r.now()
-	a := id<<8 | int64(kind)
-	r.ring.push(Event{TimeNs: end - durNs, Scope: s.id, Kind: EvSpanBegin, A: a, B: parent.ID})
-	r.ring.push(Event{TimeNs: end, Scope: s.id, Kind: EvSpanEnd, A: a})
+	a := r.spanIDs.Add(1)<<8 | int64(kind)
+	r.ring.push(Event{TimeNs: end - durNs, Scope: s.id, A: a, B: SpanEventID(parent.Word)})
+	r.ring.push(Event{TimeNs: end, Scope: s.id, End: true, A: a})
+	s.addSpanTime(kind, SpanEventKind(parent.Word), durNs)
 }
+
+// addSpanTime is the one place span time is summed: durNs goes to the
+// scope's inclusive-ns counter of the span's kind and, for a parented
+// span, to the child-ns counter of the parent's kind. Both live in the
+// span's own scope, so for any set of scopes Σ(inclusive − child) over
+// the kinds equals the inclusive ns of the set's parentless spans.
+func (s *Scope) addSpanTime(kind, parent SpanKind, durNs int64) {
+	s.spanNs[kind].Add(durNs)
+	if parent != 0 {
+		s.childNs[parent].Add(durNs)
+	}
+}
+
+// Counter-name infixes a snapshot lists a scope's span time under,
+// each followed by the span kind's name.
+const (
+	spanNsInfix      = "/span_ns/"
+	spanChildNsInfix = "/span_child_ns/"
+)
 
 // SpanEventID extracts the span ID from a span event's A payload.
 func SpanEventID(a int64) int64 { return a >> 8 }

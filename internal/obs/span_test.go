@@ -49,21 +49,22 @@ func TestSpanBasics(t *testing.T) {
 	if len(begins) != 2 || len(ends) != 2 {
 		t.Fatalf("got %d begins, %d ends, want 2 and 2", len(begins), len(ends))
 	}
-	cb, ok := begins[child.Ref().ID]
+	childID, rootID := SpanEventID(child.Ref().Word), SpanEventID(root.Ref().Word)
+	cb, ok := begins[childID]
 	if !ok {
 		t.Fatal("child begin missing")
 	}
-	if cb.B != root.Ref().ID {
-		t.Fatalf("child parent = %d, want %d", cb.B, root.Ref().ID)
+	if cb.B != rootID {
+		t.Fatalf("child parent = %d, want %d", cb.B, rootID)
 	}
 	if SpanEventKind(cb.A) != SpanIter {
 		t.Fatalf("child kind = %v, want iter", SpanEventKind(cb.A))
 	}
-	rb := begins[root.Ref().ID]
+	rb := begins[rootID]
 	if rb.B != 0 {
 		t.Fatalf("root parent = %d, want 0", rb.B)
 	}
-	if ce, ok := ends[child.Ref().ID]; !ok || ce.TimeNs < cb.TimeNs {
+	if ce, ok := ends[childID]; !ok || ce.TimeNs < cb.TimeNs {
 		t.Fatalf("child end missing or precedes begin (%v, %v)", ok, ce.TimeNs-cb.TimeNs)
 	}
 }
@@ -73,7 +74,7 @@ func TestEndedSpanBackdates(t *testing.T) {
 	r.EnableTracing(true)
 	sc := r.Scope("test")
 	const dur = int64(12345)
-	sc.EndedSpan(SpanVMALockWait, SpanRef{ID: 99}, dur)
+	sc.EndedSpan(SpanVMALockWait, SpanRef{Word: 99<<8 | int64(SpanKernelMprotect)}, dur)
 	begins, ends := drainSpans(r)
 	if len(begins) != 1 || len(ends) != 1 {
 		t.Fatalf("got %d begins, %d ends", len(begins), len(ends))
@@ -204,7 +205,8 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanEnabled measures the recording path (two ring pushes).
+// BenchmarkSpanEnabled measures the recording path (two ring pushes
+// and the span-time counter add).
 func BenchmarkSpanEnabled(b *testing.B) {
 	r := NewRegistry()
 	r.EnableTracing(true)

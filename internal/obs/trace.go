@@ -1,10 +1,13 @@
 package obs
 
-// Trace export: reconstructing the causal span tree from a drained
-// snapshot and rendering it two ways — Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing) and a critical-path
-// attribution report that aggregates per-strategy time into the
-// phase buckets the paper's analysis decomposes a run into.
+// Trace export, two readers of two records. The timeline: the causal
+// span tree reconstructed from a drained snapshot's events — whatever
+// prefix of the run fit in the ring — rendered as Chrome trace-event
+// JSON (loadable in Perfetto / chrome://tracing). The sums: a
+// critical-path attribution report that aggregates per-strategy time
+// into the phase buckets the paper's analysis decomposes a run into,
+// computed from the span-time counters and therefore exact for any
+// run length.
 
 import (
 	"encoding/json"
@@ -30,15 +33,12 @@ type spanNode struct {
 
 func (n *spanNode) complete() bool { return n.hasStart && n.hasEnd && n.end >= n.start }
 
-func (n *spanNode) dur() int64 { return n.end - n.start }
-
 // buildSpanTree reconstructs spans from a snapshot's events. Spans
 // missing either endpoint (begin dropped by the ring, or still open
 // at the drain) are counted as incomplete and excluded; children
 // whose parent is missing or incomplete are promoted to roots, so
 // partial traces still render.
 func buildSpanTree(events []EventRecord) (roots []*spanNode, incomplete int) {
-	beginName, endName := EvSpanBegin.String(), EvSpanEnd.String()
 	nodes := make(map[int64]*spanNode)
 	get := func(id int64) *spanNode {
 		n, ok := nodes[id]
@@ -50,14 +50,14 @@ func buildSpanTree(events []EventRecord) (roots []*spanNode, incomplete int) {
 	}
 	for _, ev := range events {
 		switch ev.Kind {
-		case beginName:
+		case SpanBegin:
 			n := get(SpanEventID(ev.A))
 			n.kind = SpanEventKind(ev.A)
 			n.scope = ev.Scope
 			n.parent = ev.B
 			n.start = ev.TimeNs
 			n.hasStart = true
-		case endName:
+		case SpanEnd:
 			n := get(SpanEventID(ev.A))
 			if !n.hasStart {
 				n.kind = SpanEventKind(ev.A)
@@ -198,8 +198,13 @@ type AttributionRow struct {
 	NsByBucket map[string]int64 `json:"ns_by_bucket"`
 	// TotalNs sums the buckets.
 	TotalNs int64 `json:"total_ns"`
-	// Spans counts complete spans attributed to the strategy.
-	Spans int `json:"spans"`
+	// OverlapNs is thread time beyond wall time. A kind whose spans'
+	// children ran concurrently — the run span over its T workers'
+	// iterations — has less inclusive time than its children together;
+	// such a kind puts nothing in its bucket and its deficit goes
+	// here, so TotalNs − OverlapNs is the inclusive time of the
+	// strategy's parentless spans, exactly.
+	OverlapNs int64 `json:"overlap_ns"`
 	// BoundsCheckOps is the cycle-model count of executed software
 	// bounds checks (engine/cycles/checktrap + checkclamp counters).
 	// Inlined per-access checks are nanoseconds each and execute
@@ -221,8 +226,6 @@ func (r AttributionRow) Share(bucket string) float64 {
 // AttributionReport is the per-strategy critical-path decomposition.
 type AttributionReport struct {
 	Rows []AttributionRow `json:"rows"`
-	// IncompleteSpans counts spans excluded for missing an endpoint.
-	IncompleteSpans int `json:"incomplete_spans,omitempty"`
 }
 
 // Row returns the row for a strategy (zero row when absent).
@@ -249,77 +252,86 @@ func scopeStrategy(scope string) string {
 	return rest
 }
 
+// spanKindNamed inverts SpanKind.String, for reading span-time
+// counters back out of a snapshot.
+func spanKindNamed(name string) SpanKind {
+	for k, n := range spanKindNames {
+		if n == name {
+			return SpanKind(k)
+		}
+	}
+	return 0
+}
+
 // Attribute computes the per-strategy attribution report from a
-// drained snapshot: every complete span contributes its exclusive
-// time (duration minus complete children) to the bucket of its kind,
-// under the strategy parsed from its scope label.
+// snapshot's span-time counters: every span kind contributes its
+// exclusive time — inclusive ns minus the ns of the spans parented
+// under that kind — to its bucket, under the strategy parsed from the
+// scope label. The counters cover every span that ended, so the
+// report does not depend on what the trace ring kept. A span still
+// open at the snapshot has added nothing yet; its ended children
+// have, under its kind.
 func Attribute(snap *Snapshot) AttributionReport {
-	roots, incomplete := buildSpanTree(snap.Events)
-	rows := make(map[string]*AttributionRow)
-	row := func(strategy string) *AttributionRow {
-		r, ok := rows[strategy]
+	// One accumulator per strategy: the row being built and the
+	// exclusive ns of each span kind, which only become bucket time
+	// once every counter has been seen.
+	type acc struct {
+		row       AttributionRow
+		exclusive [numSpanKinds]int64
+	}
+	accs := make(map[string]*acc)
+	of := func(scope string) *acc {
+		strategy := scopeStrategy(scope)
+		a, ok := accs[strategy]
 		if !ok {
-			r = &AttributionRow{Strategy: strategy, NsByBucket: make(map[string]int64)}
-			rows[strategy] = r
+			a = &acc{row: AttributionRow{Strategy: strategy, NsByBucket: make(map[string]int64)}}
+			accs[strategy] = a
 		}
-		return r
+		return a
 	}
-	var walk func(n *spanNode)
-	walk = func(n *spanNode) {
-		excl := n.dur()
-		for _, c := range n.children {
-			excl -= c.dur()
-			walk(c)
-		}
-		if excl < 0 {
-			excl = 0
-		}
-		r := row(scopeStrategy(n.scope))
-		r.NsByBucket[bucketOf(n.kind)] += excl
-		r.TotalNs += excl
-		r.Spans++
-	}
-	for _, rt := range roots {
-		walk(rt)
-	}
-	// Software bounds checks execute inline; surface their cycle-model
-	// op counts from the engine counters.
 	for name, v := range snap.Counters {
-		if strings.HasSuffix(name, "/cycles/checktrap") || strings.HasSuffix(name, "/cycles/checkclamp") {
-			row(scopeStrategy(name)).BoundsCheckOps += v
+		if scope, kind, ok := strings.Cut(name, spanNsInfix); ok {
+			of(scope).exclusive[spanKindNamed(kind)] += v
+		} else if scope, kind, ok := strings.Cut(name, spanChildNsInfix); ok {
+			of(scope).exclusive[spanKindNamed(kind)] -= v
+		} else if strings.HasSuffix(name, "/cycles/checktrap") || strings.HasSuffix(name, "/cycles/checkclamp") {
+			// Software bounds checks execute inline; surface their
+			// cycle-model op counts from the engine counters.
+			of(name).row.BoundsCheckOps += v
 		}
 	}
-	rep := AttributionReport{IncompleteSpans: incomplete}
-	for _, k := range sortedKeys(rows) {
-		rep.Rows = append(rep.Rows, *rows[k])
+	var rep AttributionReport
+	for _, strategy := range sortedKeys(accs) {
+		a := accs[strategy]
+		for k, ns := range a.exclusive {
+			if ns < 0 {
+				a.row.OverlapNs -= ns
+				continue
+			}
+			a.row.NsByBucket[bucketOf(SpanKind(k))] += ns
+			a.row.TotalNs += ns
+		}
+		rep.Rows = append(rep.Rows, a.row)
 	}
 	return rep
 }
 
 // WriteAttribution renders the report as a human-readable table:
 // per-strategy exclusive nanoseconds and shares per bucket, plus the
-// software-check op count.
+// concurrency overlap and the software-check op count.
 func WriteAttribution(w io.Writer, rep AttributionReport) error {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "STRATEGY")
 	for _, b := range attributionBuckets {
 		fmt.Fprintf(tw, "\t%s", strings.ToUpper(b))
 	}
-	fmt.Fprint(tw, "\tCHECK OPS\tSPANS\n")
+	fmt.Fprint(tw, "\tOVERLAP\tCHECK OPS\n")
 	for _, r := range rep.Rows {
 		fmt.Fprintf(tw, "%s", r.Strategy)
 		for _, b := range attributionBuckets {
 			fmt.Fprintf(tw, "\t%d (%.1f%%)", r.NsByBucket[b], r.Share(b)*100)
 		}
-		fmt.Fprintf(tw, "\t%d\t%d\n", r.BoundsCheckOps, r.Spans)
+		fmt.Fprintf(tw, "\t%d\t%d\n", r.OverlapNs, r.BoundsCheckOps)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if rep.IncompleteSpans > 0 {
-		if _, err := fmt.Fprintf(w, "(%d incomplete spans excluded)\n", rep.IncompleteSpans); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tw.Flush()
 }

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"leapsandbounds/internal/isa"
-	"leapsandbounds/internal/obs"
 )
 
 // Publication flags carried in the low byte of a cell value.
@@ -103,8 +102,7 @@ type aggKey struct {
 // Create with New, Start before instantiating the modules to be
 // profiled, Stop before reading the final Snapshot.
 type Profiler struct {
-	hz    int
-	scope *obs.Scope
+	hz int
 
 	mu      sync.Mutex
 	running bool
@@ -122,15 +120,13 @@ type Profiler struct {
 const DefaultHz = 997
 
 // New builds a stopped profiler sampling at hz (DefaultHz when
-// hz <= 0). scope, when non-nil, receives one EvProfSample trace
-// event per non-idle cell per tick on the lock-free ring.
-func New(hz int, scope *obs.Scope) *Profiler {
+// hz <= 0).
+func New(hz int) *Profiler {
 	if hz <= 0 {
 		hz = DefaultHz
 	}
 	return &Profiler{
 		hz:    hz,
-		scope: scope,
 		cells: make(map[*Cell]struct{}),
 		agg:   make(map[aggKey]int64),
 	}
@@ -230,9 +226,6 @@ func (p *Profiler) tick() {
 		flags := uint8(v)
 		p.agg[aggKey{c.engine, c.strategy, c.fnName(fn), class, flags}]++
 		p.samples++
-		if p.scope != nil {
-			p.scope.Emit(obs.EvProfSample, int64(v&^cellActive), 0)
-		}
 	}
 }
 

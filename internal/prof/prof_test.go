@@ -42,7 +42,7 @@ func TestCellSetIdleNilSafe(t *testing.T) {
 }
 
 func TestRegisterStoppedReturnsNil(t *testing.T) {
-	p := New(0, nil)
+	p := New(0)
 	if p.hz != DefaultHz {
 		t.Errorf("hz %d, want %d", p.hz, DefaultHz)
 	}
@@ -59,7 +59,7 @@ func TestRegisterStoppedReturnsNil(t *testing.T) {
 }
 
 func TestSamplerAggregates(t *testing.T) {
-	p := New(4001, nil)
+	p := New(4001)
 	p.Start()
 	defer p.Stop()
 	c := p.Register("wavm", "trap", []string{"", "run"})

@@ -51,7 +51,7 @@ func profiledRun(t *testing.T, p *prof.Profiler, strategy mem.Strategy, cls work
 }
 
 func TestProfSmoke(t *testing.T) {
-	p := prof.New(4001, nil)
+	p := prof.New(4001)
 	p.Start()
 	defer p.Stop()
 
@@ -99,7 +99,7 @@ func TestTrapChecksDominateOverMprotect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-size paired runs")
 	}
-	p := prof.New(4001, nil)
+	p := prof.New(4001)
 	p.Start()
 	defer p.Stop()
 

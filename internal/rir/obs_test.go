@@ -102,9 +102,9 @@ func TestRecordLoweringSpansConcurrent(t *testing.T) {
 			t.Fatalf("unexpected event %+v", ev)
 		}
 		switch ev.Kind {
-		case obs.EvSpanBegin.String():
+		case obs.SpanBegin:
 			begins[obs.SpanEventID(ev.A)] = true
-		case obs.EvSpanEnd.String():
+		case obs.SpanEnd:
 			if !begins[obs.SpanEventID(ev.A)] {
 				t.Errorf("span %d ended before it began", obs.SpanEventID(ev.A))
 			}

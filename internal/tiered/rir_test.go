@@ -167,10 +167,10 @@ func TestRIRTierSpanNesting(t *testing.T) {
 	ends := map[int64]bool{}
 	for _, ev := range snap.Events {
 		switch ev.Kind {
-		case obs.EvSpanBegin.String():
+		case obs.SpanBegin:
 			begins[obs.SpanEventID(ev.A)] = obs.SpanEventKind(ev.A)
 			parents[obs.SpanEventID(ev.A)] = ev.B
-		case obs.EvSpanEnd.String():
+		case obs.SpanEnd:
 			ends[obs.SpanEventID(ev.A)] = true
 		}
 	}
@@ -186,7 +186,7 @@ func TestRIRTierSpanNesting(t *testing.T) {
 			}
 		case obs.SpanSafepointWait:
 			safepointSeen++
-			if ends[id] && parents[id] == run.Ref().ID {
+			if ends[id] && parents[id] == obs.SpanEventID(run.Ref().Word) {
 				safepointOK++
 			}
 		}

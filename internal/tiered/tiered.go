@@ -74,9 +74,10 @@ type Engine struct {
 	// when isolates are busy.
 	active atomic.Int64
 
-	// Stats.
-	gcPauses      atomic.Int64
-	tierUps       atomic.Int64
+	// Stats. gcPauses and tierUps are the engine's own counters;
+	// AttachObs registers these same objects in a registry.
+	gcPauses      obs.Counter
+	tierUps       obs.Counter
 	sweeps        atomic.Int64
 	warmStarts    atomic.Int64
 	tierFallbacks atomic.Int64
@@ -86,10 +87,15 @@ type Engine struct {
 	obsSc atomic.Pointer[obs.Scope]
 }
 
-// AttachObs routes the engine's runtime-service events (tier-up
-// recompiles, stop-the-world GC pauses) to sc. Safe to call at any
-// time; events before attachment are dropped.
-func (e *Engine) AttachObs(sc *obs.Scope) { e.obsSc.Store(sc) }
+// AttachObs records the engine's runtime-service spans (tier-up
+// recompiles, stop-the-world GC pauses) into sc and registers their
+// counters there. Safe to call at any time; spans before attachment
+// are not recorded, the counters cover the engine's whole life.
+func (e *Engine) AttachObs(sc *obs.Scope) {
+	e.obsSc.Store(sc)
+	sc.RegisterCounter("gc_pauses", &e.gcPauses)
+	sc.RegisterCounter("tier_ups", &e.tierUps)
+}
 
 // New creates the tiered engine with V8-like worker threads: the
 // paper observes V8 spawning workers for JIT compilation and GC that
@@ -193,9 +199,7 @@ func (e *Engine) gcLoop() {
 			// The reported pause includes the safepoint wait: that is
 			// what executor threads lose, which is the quantity the
 			// paper's V8 tail-latency discussion cares about.
-			sc := e.obsSc.Load()
-			sc.Emit(obs.EvGCPause, time.Since(t0).Nanoseconds(), 0)
-			sc.EndedSpan(obs.SpanGCPause, obs.SpanRef{}, time.Since(t0).Nanoseconds())
+			e.obsSc.Load().EndedSpan(obs.SpanGCPause, obs.SpanRef{}, time.Since(t0).Nanoseconds())
 		}
 	}
 }
@@ -264,13 +268,11 @@ func (e *Engine) Compile(m *wasm.Module) (core.CompiledModule, error) {
 		// for V8's multithreaded pathologies.
 		sp := e.obsSc.Load().StartSpan(obs.SpanTierUp, obs.SpanRef{})
 		defer sp.End()
-		t0 := time.Now()
 		busySpin(time.Duration(ops) * compileCostPerOp)
 		top, err := e.topTier.CompileModule(m)
 		if err == nil {
 			tm.top.Store(top)
 			e.tierUps.Add(1)
-			e.obsSc.Load().Emit(obs.EvTierUp, time.Since(t0).Nanoseconds(), int64(ops))
 		}
 	}
 	select {

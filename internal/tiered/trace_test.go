@@ -50,9 +50,9 @@ func drainCompleteSpans(reg *obs.Registry, got map[obs.SpanKind]int) {
 	ends := map[int64]bool{}
 	for _, ev := range reg.Snapshot(true).Events {
 		switch ev.Kind {
-		case obs.EvSpanBegin.String():
+		case obs.SpanBegin:
 			begins[obs.SpanEventID(ev.A)] = obs.SpanEventKind(ev.A)
-		case obs.EvSpanEnd.String():
+		case obs.SpanEnd:
 			ends[obs.SpanEventID(ev.A)] = true
 		}
 	}
@@ -141,7 +141,7 @@ func TestSpansSilentWhenUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range reg.Snapshot(true).Events {
-		if ev.Kind == obs.EvSpanBegin.String() || ev.Kind == obs.EvSpanEnd.String() {
+		if ev.Kind == obs.SpanBegin || ev.Kind == obs.SpanEnd {
 			t.Fatalf("span event %v recorded with tracing disabled", ev)
 		}
 	}

@@ -181,10 +181,10 @@ type StatsSnapshot struct {
 func New(cfg Config) *AddressSpace { return NewObserved(cfg, nil) }
 
 // NewObserved creates an address space whose counters, gauges and
-// trace events register under the given scope (one scope per
+// spans register under the given scope (one scope per
 // simulated process). A nil scope falls back to a private registry
 // so Snapshot always works; the fallback is created without a trace
-// ring (nobody drains a private ring, and event pushes would be pure
+// ring (nobody drains a private ring, and span pushes would be pure
 // overhead on every unobserved address space).
 func NewObserved(cfg Config, sc *obs.Scope) *AddressSpace {
 	if cfg.PageSize == 0 {
@@ -257,14 +257,10 @@ func (as *AddressSpace) lock(parent obs.SpanRef) (release func()) {
 	// A waiting acquisition implies the thread blocked and was
 	// rescheduled: the context-switch proxy used when host counters
 	// are unavailable.
-	contended := int64(0)
 	if wait > 500*time.Nanosecond {
-		contended = 1
 		as.stats.LockContended.Add(1)
-		as.obs.Emit(obs.EvLockContended, wait.Nanoseconds(), 0)
 		as.obs.EndedSpan(obs.SpanVMALockWait, parent, wait.Nanoseconds())
 	}
-	as.obs.Emit(obs.EvLockAcquired, wait.Nanoseconds(), contended)
 	return func() {
 		as.stats.LockHoldNs.Add(time.Since(t1).Nanoseconds())
 		as.mu.Unlock()
@@ -287,7 +283,6 @@ func spin(d time.Duration) {
 func (as *AddressSpace) shootdownLocked() {
 	as.stats.Shootdowns.Add(1)
 	threads := as.threads.Load()
-	as.obs.Emit(obs.EvShootdown, threads, 0)
 	spin(as.cfg.ShootdownBase + time.Duration(threads)*as.cfg.ShootdownPerThread)
 }
 
@@ -312,8 +307,8 @@ type Mapping struct {
 	// set/cleared across instance lifetimes while fault handlers read
 	// it lock-free.
 	src atomic.Pointer[PageSource]
-	// spanParent is the span ID kernel operations on this mapping
-	// parent under (see SetSpanParent). Atomic because fault handlers
+	// spanParent is the ref (one word) of the span kernel operations
+	// on this mapping parent under (see SetSpanParent). Atomic because fault handlers
 	// (the uffd poll goroutine) read it from a different thread than
 	// the invoker that set it.
 	spanParent atomic.Int64
@@ -324,10 +319,10 @@ type Mapping struct {
 // causal parent. Higher layers update it as context changes — the
 // memory layer points it at the current invoke or fault span. A zero
 // ref detaches (operations become root spans).
-func (m *Mapping) SetSpanParent(ref obs.SpanRef) { m.spanParent.Store(ref.ID) }
+func (m *Mapping) SetSpanParent(ref obs.SpanRef) { m.spanParent.Store(ref.Word) }
 
 // SpanParent returns the current causal parent for kernel operations.
-func (m *Mapping) SpanParent() obs.SpanRef { return obs.SpanRef{ID: m.spanParent.Load()} }
+func (m *Mapping) SpanParent() obs.SpanRef { return obs.SpanRef{Word: m.spanParent.Load()} }
 
 // Mmap reserves reserve bytes of address space with backing bytes of
 // accessible prefix at the given initial protection. prot applies to
@@ -369,7 +364,6 @@ func (as *AddressSpace) MmapTraced(reserve, backing uint64, prot Prot, parent ob
 
 	spin(as.cfg.MmapBase)
 	as.stats.MmapCalls.Add(1)
-	as.obs.Emit(obs.EvMmap, int64(backing), 0)
 
 	addr := as.tree.findGap(as.nextAddr, reserve)
 	m := &Mapping{
@@ -383,7 +377,7 @@ func (as *AddressSpace) MmapTraced(reserve, backing uint64, prot Prot, parent ob
 	if as.cfg.THPSize > 0 {
 		m.thp = make([]atomic.Uint32, (reserve+as.cfg.THPSize-1)/as.cfg.THPSize)
 	}
-	m.spanParent.Store(parent.ID)
+	m.spanParent.Store(parent.Word)
 	if err := as.tree.insert(&vma{start: addr, end: addr + backing, prot: prot, mapping: m}); err != nil {
 		return nil, err
 	}
@@ -432,7 +426,6 @@ func (as *AddressSpace) Munmap(m *Mapping) error {
 
 	spin(as.cfg.MmapBase)
 	as.stats.MunmapCalls.Add(1)
-	as.obs.Emit(obs.EvMunmap, int64(m.backing), 0)
 
 	// Remove every node of this mapping's reservation; mprotect may
 	// have split the original two into many. Only the reservation's own
@@ -521,7 +514,6 @@ func (m *Mapping) Mprotect(off, length uint64, prot Prot) error {
 	defer release()
 
 	as.stats.MprotectCalls.Add(1)
-	as.obs.Emit(obs.EvMprotect, int64(length), 0)
 	touched, err := as.tree.protRange(m.addr+off, m.addr+off+length, prot)
 	if err != nil {
 		return err
@@ -604,12 +596,10 @@ const (
 func (m *Mapping) Fault(off uint64, write bool) FaultKind {
 	if m.as.inj.Load().Should(faultinject.SiteFaultDrop) {
 		m.as.stats.DroppedFaults.Add(1)
-		m.as.obs.Emit(obs.EvFault, int64(off), int64(FaultDropped))
 		return FaultDropped
 	}
 	if m.dead.Load() || off >= m.backing {
 		m.as.stats.SegvFaults.Add(1)
-		m.as.obs.Emit(obs.EvFault, int64(off), int64(FaultSegv))
 		return FaultSegv
 	}
 	ps := m.as.cfg.PageSize
@@ -623,11 +613,9 @@ func (m *Mapping) Fault(off uint64, write bool) FaultKind {
 	}
 	if m.uffd.Load() {
 		m.as.stats.UffdFaults.Add(1)
-		m.as.obs.Emit(obs.EvFault, int64(off), int64(FaultUffd))
 		return FaultUffd
 	}
 	m.as.stats.SegvFaults.Add(1)
-	m.as.obs.Emit(obs.EvFault, int64(off), int64(FaultSegv))
 	return FaultSegv
 }
 
@@ -776,7 +764,6 @@ func (m *Mapping) Touch(off, length uint64) error {
 	if end < off || end > m.backing {
 		return fmt.Errorf("%w: touch [%d,%d) backing %d", errBadRange, off, end, m.backing)
 	}
-	var touched int64
 	for p := off / ps; p < end/ps; p++ {
 		for {
 			old := m.pages[p].Load()
@@ -789,17 +776,10 @@ func (m *Mapping) Touch(off, length uint64) error {
 			m.populateFromSource(p)
 			if m.pages[p].CompareAndSwap(old, old|pageCommitted) {
 				m.as.stats.MinorFaults.Add(1)
-				touched++
 				m.accountCommit(p)
 				break
 			}
 		}
-	}
-	if touched > 0 {
-		// One event per touched range; the per-page count is in the
-		// minor_faults counter (a per-page event would flood the ring
-		// on eager-commit strategies).
-		m.as.obs.Emit(obs.EvFault, int64(off), 3)
 	}
 	return nil
 }

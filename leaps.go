@@ -220,10 +220,11 @@ func (p *Process) Close() { p.pool.Drain() }
 
 // Metrics is a process-wide, allocation-free metrics registry:
 // atomic counters, gauges and fixed-bucket latency histograms, plus
-// a lock-free bounded ring of typed trace events (faults, mmap-lock
-// acquisitions, TLB shootdowns, tier-ups, GC pauses, arena
-// recycling, harness phases). Pass one registry to BenchOptions.Obs
-// and read it back with Snapshot when done.
+// a lock-free bounded ring of causal spans (run, iteration, invoke,
+// fault, kernel operations, lock waits) that records once
+// EnableTracing(true) is called, each span also summing its time into
+// per-kind counters. Pass one registry to BenchOptions.Obs and read
+// it back with Snapshot when done.
 type Metrics = obs.Registry
 
 // MetricsSnapshot is a point-in-time copy of a Metrics registry.

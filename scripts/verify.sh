@@ -23,6 +23,14 @@ echo "== no engine capability probes (type assertions to core interfaces) outsid
 probes=$(grep -rnE '\.\(core\.[A-Z][A-Za-z]*\)' --include='*.go' . | grep -v '_test.go' | grep -v '^./benchmark/' || true)
 test -z "$probes" || { echo "$probes"; exit 1; }
 
+# One trace vocabulary: the ring holds spans, and a fact that is not a
+# span is a counter, gauge or histogram its owner registers. Point
+# events (Scope.Emit, the obs.Ev* kinds) are gone; nothing outside the
+# obs package and tests names an event kind.
+echo "== no point events (.Emit( or obs.Ev*) outside internal/obs and tests"
+events=$(grep -rnE '\.Emit\(|obs\.Ev[A-Z]' --include='*.go' . | grep -v '_test.go' | grep -v '^./internal/obs/' | grep -v '^./benchmark/' || true)
+test -z "$events" || { echo "$events"; exit 1; }
+
 echo "== go test ./..."
 go test ./...
 
@@ -40,6 +48,11 @@ make race
 # and through the CLI's -profile/-perf flags (the make target).
 echo "== prof-smoke (sampled gemm run: non-empty folded profile + pprof parse)"
 make prof-smoke
+
+# Trace smoke: a short traced run through the CLI prints its strategy's
+# attribution row and the timeline line, and writes a JSON file.
+echo "== trace-smoke (traced uffd gemm run: attribution row, timeline line, JSON parses)"
+make trace-smoke
 
 # The benchmark is a Go module of its own (it imports internal/...),
 # so the root module's go test ./... does not reach its tests.
