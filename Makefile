@@ -77,8 +77,8 @@ check: verify
 
 # Layer benchmarks (go test -bench): per-strategy checked-load micro
 # timings, sparse mmap/munmap, per-strategy isolate lifecycle, the
-# many-function cold compile, the wavm run loop on the steady kernels,
-# and the gemm/atax elide × rir macro benches.
+# many-function cold compile, the wavm and interpreter run loops on
+# the steady kernels, and the gemm/atax elide × rir macro benches.
 bench-hot:
 	./scripts/bench_hot.sh
 

@@ -59,12 +59,16 @@ type Func struct {
 }
 
 // Internal pseudo-opcodes for resolved control flow, placed in the
-// unused opcode space.
+// unused opcode space. Flatten never emits OpAccount: the interpreter
+// puts one in front of every instruction of the streams it runs with
+// cycle counting or a profiler cell, to charge the Class of the
+// instruction that follows.
 const (
 	OpIfFalse   wasm.Opcode = 0x06 // jump to Tgt when popped value is zero
 	OpJump      wasm.Opcode = 0x07 // unconditional jump carrying Arity values
 	OpBranchIf  wasm.Opcode = 0x08 // jump when popped value is non-zero
 	OpReturnEnd wasm.Opcode = 0x09 // function epilogue
+	OpAccount   wasm.Opcode = 0x0A // account for the next instruction
 )
 
 // A patch site is either a plain instruction index (the instr's Tgt

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/fanout"
@@ -80,6 +81,11 @@ type Module struct {
 	// imported is wasm.NumImportedFuncs(), counted once: every guest
 	// call splits the function space on it.
 	imported uint32
+	// accounted is funcs with an OpAccount in front of every
+	// instruction, built by the first instance that counts cycles or
+	// publishes to a profiler cell; plain instances never build it.
+	accountOnce sync.Once
+	accounted   []*flatten.Func
 }
 
 // Compile implements core.Engine. It routes through the engine's
@@ -114,6 +120,33 @@ func (e *Engine) compileInterp(m *wasm.Module) (core.CompiledModule, error) {
 	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
 }
 
+// accountedFuncs returns the module's instrumented streams, building
+// them on first use. Each instruction is preceded by an OpAccount
+// carrying its class, and every branch target moves to the OpAccount
+// in front of its old target, so the instrumented stream runs the
+// same instructions in the same order as the plain one.
+func (cm *Module) accountedFuncs() []*flatten.Func {
+	cm.accountOnce.Do(func() {
+		cm.accounted = make([]*flatten.Func, len(cm.funcs))
+		for i, pf := range cm.funcs {
+			af := *pf
+			af.Code = make([]flatten.Instr, 0, 2*len(pf.Code))
+			for _, in := range pf.Code {
+				in.Tgt *= 2
+				if in.Table != nil {
+					in.Table = append([]flatten.BranchTarget(nil), in.Table...)
+					for k := range in.Table {
+						in.Table[k].Tgt *= 2
+					}
+				}
+				af.Code = append(af.Code, flatten.Instr{Op: flatten.OpAccount, Class: in.Class}, in)
+			}
+			cm.accounted[i] = &af
+		}
+	})
+	return cm.accounted
+}
+
 // Instantiate implements core.CompiledModule.
 func (cm *Module) Instantiate(cfg core.Config, imports core.Imports) (core.Instance, error) {
 	return cm.instantiate(cfg, imports, nil)
@@ -127,7 +160,8 @@ func (cm *Module) InstantiateSnapshot(cfg core.Config, imports core.Imports, sna
 // instantiate creates one isolate, fresh (snap nil: the start function
 // runs) or from a template's frozen state. The wasm3 analog's forced
 // trap checking applies to forks exactly as it does to fresh
-// instances.
+// instances. An instance that counts cycles or has a profiler cell
+// runs the instrumented streams; every other one runs the plain ones.
 func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
 	if cm.engine.forceTrap {
 		cfg.Strategy = mem.Trap
@@ -142,8 +176,11 @@ func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.
 	inst := &Instance{
 		base:  base,
 		mod:   cm,
+		funcs: cm.funcs,
 		stack: make([]uint64, 4096),
-		count: cfg.CountCycles,
+	}
+	if cfg.CountCycles || base.ProfCell != nil {
+		inst.funcs = cm.accountedFuncs()
 	}
 	if snap == nil && cm.wasm.Start != nil {
 		if _, err := inst.invokeIndex(*cm.wasm.Start, nil); err != nil {
@@ -158,8 +195,8 @@ func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.
 type Instance struct {
 	base  *core.InstanceBase
 	mod   *Module
+	funcs []*flatten.Func // the module's plain or instrumented streams
 	stack []uint64
-	count bool
 }
 
 // Memory implements core.Instance.
@@ -203,7 +240,7 @@ func (inst *Instance) invokeIndex(idx uint32, args []uint64) (res []uint64, err 
 		}
 		return nil, nil
 	}
-	pf := inst.mod.funcs[idx-imported]
+	pf := inst.funcs[idx-imported]
 	if len(args) != pf.NumParams {
 		return nil, fmt.Errorf("interp: %d args for function with %d params", len(args), pf.NumParams)
 	}
@@ -230,14 +267,15 @@ func (inst *Instance) ensureStack(base int, pf *flatten.Func) {
 }
 
 // call dispatches a call to function-space index fi with arguments
-// already placed at stack[argBase:]; results end up at argBase.
+// already placed at stack[argBase:]; results end up at argBase. It may
+// reallocate inst.stack.
 func (inst *Instance) call(fi uint32, argBase int) {
 	imported := inst.mod.imported
 	if fi < imported {
 		inst.base.CallImport(fi, inst.stack, argBase)
 		return
 	}
-	pf := inst.mod.funcs[fi-imported]
+	pf := inst.funcs[fi-imported]
 	inst.base.EnterCall()
 	inst.ensureStack(argBase, pf)
 	for i := argBase + pf.NumParams; i < argBase+pf.NumLocals; i++ {
@@ -250,61 +288,74 @@ func (inst *Instance) call(fi uint32, argBase int) {
 // exec runs a pre-decoded function with its locals at stack[base:].
 // The operand stack occupies stack[base+numLocals:]. On return, the
 // function's results (if any) are at stack[base:].
+//
+// Every opcode the stream can hold is a case of one switch, which Go
+// compiles to a single jump table: one indirect jump per instruction.
+// The stack lives in s, re-read from inst.stack after the two ops
+// whose callee can grow it.
 func (inst *Instance) exec(pf *flatten.Func, base int) {
 	code := pf.Code
-	locals := base
 	opBase := base + pf.NumLocals
 	sp := opBase // next free slot
+	s := inst.stack
 	memory := inst.base.Mem
-	counting := inst.count
-	counts := &inst.base.CycleCounts
+	// Read by the OpAccount arm only, which plain streams never reach.
+	var counts *isa.Counts
+	if inst.base.Cfg.CountCycles {
+		counts = &inst.base.CycleCounts
+	}
 	ckClass, ckOn := inst.base.CheckClass()
 	cell := inst.base.ProfCell
-	fnIndex := pf.Index
 
 	for pc := 0; ; pc++ {
 		in := &code[pc]
-		if counting {
-			counts[in.Class]++
-			counts[isa.ClassDispatch]++
-			if ckOn && (in.Class == isa.ClassLoad || in.Class == isa.ClassStore) {
-				counts[ckClass]++
+		switch in.Op {
+		case flatten.OpAccount: // charge and publish the next instruction
+			checked := ckOn && (in.Class == isa.ClassLoad || in.Class == isa.ClassStore)
+			if counts != nil {
+				counts[in.Class]++
+				counts[isa.ClassDispatch]++
+				if checked {
+					counts[ckClass]++
+				}
 			}
-		}
-		if cell != nil {
 			var fl uint8
-			if ckOn && (in.Class == isa.ClassLoad || in.Class == isa.ClassStore) {
+			if checked {
 				fl = prof.FlagChecked
 			}
-			cell.Set(fnIndex, in.Class, fl)
-		}
-		switch in.Op {
-		case flatten.OpJump:
-			sp = inst.unwind(opBase, sp, in.PopTo, in.Arity)
-			pc = int(in.Tgt) - 1
+			cell.Set(pf.Index, in.Class, fl) // a no-op on a nil cell
 		case flatten.OpIfFalse:
 			sp--
-			if uint32(inst.stack[sp]) == 0 {
+			if uint32(s[sp]) == 0 {
 				pc = int(in.Tgt) - 1
 			}
 		case flatten.OpBranchIf:
 			sp--
-			if uint32(inst.stack[sp]) != 0 {
-				sp = inst.unwind(opBase, sp, in.PopTo, in.Arity)
-				pc = int(in.Tgt) - 1
+			if uint32(s[sp]) == 0 {
+				break
 			}
+			fallthrough
+		case flatten.OpJump:
+			dst := opBase + int(in.PopTo)
+			if in.Arity > 0 {
+				s[dst] = s[sp-1]
+				dst++
+			}
+			sp = dst
+			pc = int(in.Tgt) - 1
 		case wasm.OpBrTable:
 			sp--
-			i := int(uint32(inst.stack[sp]))
-			if i >= len(in.Table)-1 {
-				i = len(in.Table) - 1 // default entry
+			bt := &in.Table[min(uint(uint32(s[sp])), uint(len(in.Table)-1))] // default entry last
+			dst := opBase + int(bt.PopTo)
+			if bt.Arity > 0 {
+				s[dst] = s[sp-1]
+				dst++
 			}
-			bt := in.Table[i]
-			sp = inst.unwind(opBase, sp, bt.PopTo, bt.Arity)
+			sp = dst
 			pc = int(bt.Tgt) - 1
 		case flatten.OpReturnEnd:
 			if in.Arity > 0 {
-				inst.stack[base] = inst.stack[sp-1]
+				s[base] = s[sp-1]
 			}
 			return
 		case wasm.OpUnreachable:
@@ -312,72 +363,416 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 		case wasm.OpCall:
 			argBase := opBase + int(in.PopTo)
 			inst.call(uint32(in.A), argBase)
+			s = inst.stack
 			sp = argBase + int(in.Arity)
 		case wasm.OpCallIndirect:
 			sp--
-			slot := uint32(inst.stack[sp])
-			fi := inst.base.ResolveIndirect(slot, uint32(in.A))
+			fi := inst.base.ResolveIndirect(uint32(s[sp]), uint32(in.A))
 			argBase := opBase + int(in.PopTo)
 			inst.call(fi, argBase)
+			s = inst.stack
 			sp = argBase + int(in.Arity)
 		case wasm.OpDrop:
 			sp--
 		case wasm.OpSelect:
 			sp -= 2
-			if uint32(inst.stack[sp+1]) == 0 {
-				inst.stack[sp-1] = inst.stack[sp]
+			if uint32(s[sp+1]) == 0 {
+				s[sp-1] = s[sp]
 			}
 		case wasm.OpLocalGet:
-			inst.stack[sp] = inst.stack[locals+int(in.A)]
+			s[sp] = s[base+int(in.A)]
 			sp++
 		case wasm.OpLocalSet:
 			sp--
-			inst.stack[locals+int(in.A)] = inst.stack[sp]
+			s[base+int(in.A)] = s[sp]
 		case wasm.OpLocalTee:
-			inst.stack[locals+int(in.A)] = inst.stack[sp-1]
+			s[base+int(in.A)] = s[sp-1]
 		case wasm.OpGlobalGet:
-			inst.stack[sp] = inst.base.Globals[in.A]
+			s[sp] = inst.base.Globals[in.A]
 			sp++
 		case wasm.OpGlobalSet:
 			sp--
-			inst.base.Globals[in.A] = inst.stack[sp]
+			inst.base.Globals[in.A] = s[sp]
 		case wasm.OpMemorySize:
-			inst.stack[sp] = uint64(memory.SizePages())
+			s[sp] = uint64(memory.SizePages())
 			sp++
 		case wasm.OpMemoryGrow:
-			delta := uint32(inst.stack[sp-1])
-			inst.stack[sp-1] = uint64(uint32(memory.Grow(delta)))
+			s[sp-1] = uint64(uint32(memory.Grow(uint32(s[sp-1]))))
 		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
-			inst.stack[sp] = in.A
+			s[sp] = in.A
 			sp++
 		case wasm.OpPrefix:
 			sp = inst.execPrefix(in, sp)
+		// loads and stores: base + static offset, in 64 bits, cannot wrap
+		case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
+			s[sp-1] = uint64(memory.LoadU32(uint64(uint32(s[sp-1])) + in.B))
+		case wasm.OpI64Load, wasm.OpF64Load:
+			s[sp-1] = memory.LoadU64(uint64(uint32(s[sp-1])) + in.B)
+		case wasm.OpI32Load8S:
+			s[sp-1] = uint64(uint32(int32(int8(memory.LoadU8(uint64(uint32(s[sp-1])) + in.B)))))
+		case wasm.OpI32Load8U, wasm.OpI64Load8U:
+			s[sp-1] = uint64(memory.LoadU8(uint64(uint32(s[sp-1])) + in.B))
+		case wasm.OpI32Load16S:
+			s[sp-1] = uint64(uint32(int32(int16(memory.LoadU16(uint64(uint32(s[sp-1])) + in.B)))))
+		case wasm.OpI32Load16U, wasm.OpI64Load16U:
+			s[sp-1] = uint64(memory.LoadU16(uint64(uint32(s[sp-1])) + in.B))
+		case wasm.OpI64Load8S:
+			s[sp-1] = uint64(int64(int8(memory.LoadU8(uint64(uint32(s[sp-1])) + in.B))))
+		case wasm.OpI64Load16S:
+			s[sp-1] = uint64(int64(int16(memory.LoadU16(uint64(uint32(s[sp-1])) + in.B))))
+		case wasm.OpI64Load32S:
+			s[sp-1] = uint64(int64(int32(memory.LoadU32(uint64(uint32(s[sp-1])) + in.B))))
+		case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
+			sp -= 2
+			memory.StoreU32(uint64(uint32(s[sp]))+in.B, uint32(s[sp+1]))
+		case wasm.OpI64Store, wasm.OpF64Store:
+			sp -= 2
+			memory.StoreU64(uint64(uint32(s[sp]))+in.B, s[sp+1])
+		case wasm.OpI32Store8, wasm.OpI64Store8:
+			sp -= 2
+			memory.StoreU8(uint64(uint32(s[sp]))+in.B, byte(s[sp+1]))
+		case wasm.OpI32Store16, wasm.OpI64Store16:
+			sp -= 2
+			memory.StoreU16(uint64(uint32(s[sp]))+in.B, uint16(s[sp+1]))
+		// i32 comparisons
+		case wasm.OpI32Eqz:
+			s[sp-1] = b2u(uint32(s[sp-1]) == 0)
+		case wasm.OpI32Eq:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) == uint32(s[sp]))
+		case wasm.OpI32Ne:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) != uint32(s[sp]))
+		case wasm.OpI32LtS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) < int32(s[sp]))
+		case wasm.OpI32LtU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) < uint32(s[sp]))
+		case wasm.OpI32GtS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) > int32(s[sp]))
+		case wasm.OpI32GtU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) > uint32(s[sp]))
+		case wasm.OpI32LeS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) <= int32(s[sp]))
+		case wasm.OpI32LeU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) <= uint32(s[sp]))
+		case wasm.OpI32GeS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) >= int32(s[sp]))
+		case wasm.OpI32GeU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) >= uint32(s[sp]))
+		// i64 comparisons
+		case wasm.OpI64Eqz:
+			s[sp-1] = b2u(s[sp-1] == 0)
+		case wasm.OpI64Eq:
+			sp--
+			s[sp-1] = b2u(s[sp-1] == s[sp])
+		case wasm.OpI64Ne:
+			sp--
+			s[sp-1] = b2u(s[sp-1] != s[sp])
+		case wasm.OpI64LtS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) < int64(s[sp]))
+		case wasm.OpI64LtU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] < s[sp])
+		case wasm.OpI64GtS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) > int64(s[sp]))
+		case wasm.OpI64GtU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] > s[sp])
+		case wasm.OpI64LeS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) <= int64(s[sp]))
+		case wasm.OpI64LeU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] <= s[sp])
+		case wasm.OpI64GeS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) >= int64(s[sp]))
+		case wasm.OpI64GeU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] >= s[sp])
+		// f32 comparisons
+		case wasm.OpF32Eq:
+			sp--
+			s[sp-1] = b2u(f32(s[sp-1]) == f32(s[sp]))
+		case wasm.OpF32Ne:
+			sp--
+			s[sp-1] = b2u(f32(s[sp-1]) != f32(s[sp]))
+		case wasm.OpF32Lt:
+			sp--
+			s[sp-1] = b2u(f32(s[sp-1]) < f32(s[sp]))
+		case wasm.OpF32Gt:
+			sp--
+			s[sp-1] = b2u(f32(s[sp-1]) > f32(s[sp]))
+		case wasm.OpF32Le:
+			sp--
+			s[sp-1] = b2u(f32(s[sp-1]) <= f32(s[sp]))
+		case wasm.OpF32Ge:
+			sp--
+			s[sp-1] = b2u(f32(s[sp-1]) >= f32(s[sp]))
+		// f64 comparisons
+		case wasm.OpF64Eq:
+			sp--
+			s[sp-1] = b2u(f64(s[sp-1]) == f64(s[sp]))
+		case wasm.OpF64Ne:
+			sp--
+			s[sp-1] = b2u(f64(s[sp-1]) != f64(s[sp]))
+		case wasm.OpF64Lt:
+			sp--
+			s[sp-1] = b2u(f64(s[sp-1]) < f64(s[sp]))
+		case wasm.OpF64Gt:
+			sp--
+			s[sp-1] = b2u(f64(s[sp-1]) > f64(s[sp]))
+		case wasm.OpF64Le:
+			sp--
+			s[sp-1] = b2u(f64(s[sp-1]) <= f64(s[sp]))
+		case wasm.OpF64Ge:
+			sp--
+			s[sp-1] = b2u(f64(s[sp-1]) >= f64(s[sp]))
+		// i32 arithmetic
+		case wasm.OpI32Clz:
+			s[sp-1] = uint64(bits.LeadingZeros32(uint32(s[sp-1])))
+		case wasm.OpI32Ctz:
+			s[sp-1] = uint64(bits.TrailingZeros32(uint32(s[sp-1])))
+		case wasm.OpI32Popcnt:
+			s[sp-1] = uint64(bits.OnesCount32(uint32(s[sp-1])))
+		case wasm.OpI32Add:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) + uint32(s[sp]))
+		case wasm.OpI32Sub:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) - uint32(s[sp]))
+		case wasm.OpI32Mul:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) * uint32(s[sp]))
+		case wasm.OpI32DivS:
+			sp--
+			s[sp-1] = uint64(uint32(numeric.DivS32(int32(s[sp-1]), int32(s[sp]))))
+		case wasm.OpI32DivU:
+			sp--
+			s[sp-1] = uint64(numeric.DivU32(uint32(s[sp-1]), uint32(s[sp])))
+		case wasm.OpI32RemS:
+			sp--
+			s[sp-1] = uint64(uint32(numeric.RemS32(int32(s[sp-1]), int32(s[sp]))))
+		case wasm.OpI32RemU:
+			sp--
+			s[sp-1] = uint64(numeric.RemU32(uint32(s[sp-1]), uint32(s[sp])))
+		case wasm.OpI32And:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) & uint32(s[sp]))
+		case wasm.OpI32Or:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) | uint32(s[sp]))
+		case wasm.OpI32Xor:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) ^ uint32(s[sp]))
+		case wasm.OpI32Shl:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) << (uint32(s[sp]) & 31))
+		case wasm.OpI32ShrS:
+			sp--
+			s[sp-1] = uint64(uint32(int32(s[sp-1]) >> (uint32(s[sp]) & 31)))
+		case wasm.OpI32ShrU:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) >> (uint32(s[sp]) & 31))
+		case wasm.OpI32Rotl:
+			sp--
+			s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), int(uint32(s[sp])&31)))
+		case wasm.OpI32Rotr:
+			sp--
+			s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), -int(uint32(s[sp])&31)))
+		// i64 arithmetic
+		case wasm.OpI64Clz:
+			s[sp-1] = uint64(bits.LeadingZeros64(s[sp-1]))
+		case wasm.OpI64Ctz:
+			s[sp-1] = uint64(bits.TrailingZeros64(s[sp-1]))
+		case wasm.OpI64Popcnt:
+			s[sp-1] = uint64(bits.OnesCount64(s[sp-1]))
+		case wasm.OpI64Add:
+			sp--
+			s[sp-1] += s[sp]
+		case wasm.OpI64Sub:
+			sp--
+			s[sp-1] -= s[sp]
+		case wasm.OpI64Mul:
+			sp--
+			s[sp-1] *= s[sp]
+		case wasm.OpI64DivS:
+			sp--
+			s[sp-1] = uint64(numeric.DivS64(int64(s[sp-1]), int64(s[sp])))
+		case wasm.OpI64DivU:
+			sp--
+			s[sp-1] = numeric.DivU64(s[sp-1], s[sp])
+		case wasm.OpI64RemS:
+			sp--
+			s[sp-1] = uint64(numeric.RemS64(int64(s[sp-1]), int64(s[sp])))
+		case wasm.OpI64RemU:
+			sp--
+			s[sp-1] = numeric.RemU64(s[sp-1], s[sp])
+		case wasm.OpI64And:
+			sp--
+			s[sp-1] &= s[sp]
+		case wasm.OpI64Or:
+			sp--
+			s[sp-1] |= s[sp]
+		case wasm.OpI64Xor:
+			sp--
+			s[sp-1] ^= s[sp]
+		case wasm.OpI64Shl:
+			sp--
+			s[sp-1] <<= s[sp] & 63
+		case wasm.OpI64ShrS:
+			sp--
+			s[sp-1] = uint64(int64(s[sp-1]) >> (s[sp] & 63))
+		case wasm.OpI64ShrU:
+			sp--
+			s[sp-1] >>= s[sp] & 63
+		case wasm.OpI64Rotl:
+			sp--
+			s[sp-1] = bits.RotateLeft64(s[sp-1], int(s[sp]&63))
+		case wasm.OpI64Rotr:
+			sp--
+			s[sp-1] = bits.RotateLeft64(s[sp-1], -int(s[sp]&63))
+		// f32 arithmetic
+		case wasm.OpF32Abs:
+			s[sp-1] = u32f(float32(math.Abs(float64(f32(s[sp-1])))))
+		case wasm.OpF32Neg:
+			s[sp-1] = u32f(-f32(s[sp-1]))
+		case wasm.OpF32Ceil:
+			s[sp-1] = u32f(float32(math.Ceil(float64(f32(s[sp-1])))))
+		case wasm.OpF32Floor:
+			s[sp-1] = u32f(float32(math.Floor(float64(f32(s[sp-1])))))
+		case wasm.OpF32Trunc:
+			s[sp-1] = u32f(float32(math.Trunc(float64(f32(s[sp-1])))))
+		case wasm.OpF32Nearest:
+			s[sp-1] = u32f(numeric.Nearest32(f32(s[sp-1])))
+		case wasm.OpF32Sqrt:
+			s[sp-1] = u32f(float32(math.Sqrt(float64(f32(s[sp-1])))))
+		case wasm.OpF32Add:
+			sp--
+			s[sp-1] = u32f(f32(s[sp-1]) + f32(s[sp]))
+		case wasm.OpF32Sub:
+			sp--
+			s[sp-1] = u32f(f32(s[sp-1]) - f32(s[sp]))
+		case wasm.OpF32Mul:
+			sp--
+			s[sp-1] = u32f(f32(s[sp-1]) * f32(s[sp]))
+		case wasm.OpF32Div:
+			sp--
+			s[sp-1] = u32f(f32(s[sp-1]) / f32(s[sp]))
+		case wasm.OpF32Min:
+			sp--
+			s[sp-1] = u32f(numeric.Fmin32(f32(s[sp-1]), f32(s[sp])))
+		case wasm.OpF32Max:
+			sp--
+			s[sp-1] = u32f(numeric.Fmax32(f32(s[sp-1]), f32(s[sp])))
+		case wasm.OpF32Copysign:
+			sp--
+			s[sp-1] = u32f(float32(math.Copysign(float64(f32(s[sp-1])), float64(f32(s[sp])))))
+		// f64 arithmetic
+		case wasm.OpF64Abs:
+			s[sp-1] = uf(math.Abs(f64(s[sp-1])))
+		case wasm.OpF64Neg:
+			s[sp-1] = uf(-f64(s[sp-1]))
+		case wasm.OpF64Ceil:
+			s[sp-1] = uf(math.Ceil(f64(s[sp-1])))
+		case wasm.OpF64Floor:
+			s[sp-1] = uf(math.Floor(f64(s[sp-1])))
+		case wasm.OpF64Trunc:
+			s[sp-1] = uf(math.Trunc(f64(s[sp-1])))
+		case wasm.OpF64Nearest:
+			s[sp-1] = uf(numeric.Nearest(f64(s[sp-1])))
+		case wasm.OpF64Sqrt:
+			s[sp-1] = uf(math.Sqrt(f64(s[sp-1])))
+		case wasm.OpF64Add:
+			sp--
+			s[sp-1] = uf(f64(s[sp-1]) + f64(s[sp]))
+		case wasm.OpF64Sub:
+			sp--
+			s[sp-1] = uf(f64(s[sp-1]) - f64(s[sp]))
+		case wasm.OpF64Mul:
+			sp--
+			s[sp-1] = uf(f64(s[sp-1]) * f64(s[sp]))
+		case wasm.OpF64Div:
+			sp--
+			s[sp-1] = uf(f64(s[sp-1]) / f64(s[sp]))
+		case wasm.OpF64Min:
+			sp--
+			s[sp-1] = uf(numeric.Fmin(f64(s[sp-1]), f64(s[sp])))
+		case wasm.OpF64Max:
+			sp--
+			s[sp-1] = uf(numeric.Fmax(f64(s[sp-1]), f64(s[sp])))
+		case wasm.OpF64Copysign:
+			sp--
+			s[sp-1] = uf(math.Copysign(f64(s[sp-1]), f64(s[sp])))
+		// conversions
+		case wasm.OpI32WrapI64, wasm.OpI64ExtendI32U:
+			s[sp-1] = uint64(uint32(s[sp-1]))
+		case wasm.OpI32TruncF32S:
+			s[sp-1] = uint64(uint32(numeric.TruncF32ToI32(f32(s[sp-1]))))
+		case wasm.OpI32TruncF32U:
+			s[sp-1] = uint64(numeric.TruncF32ToU32(f32(s[sp-1])))
+		case wasm.OpI32TruncF64S:
+			s[sp-1] = uint64(uint32(numeric.TruncF64ToI32(f64(s[sp-1]))))
+		case wasm.OpI32TruncF64U:
+			s[sp-1] = uint64(numeric.TruncF64ToU32(f64(s[sp-1])))
+		case wasm.OpI64ExtendI32S, wasm.OpI64Extend32S:
+			s[sp-1] = uint64(int64(int32(s[sp-1])))
+		case wasm.OpI64TruncF32S:
+			s[sp-1] = uint64(numeric.TruncF32ToI64(f32(s[sp-1])))
+		case wasm.OpI64TruncF32U:
+			s[sp-1] = numeric.TruncF32ToU64(f32(s[sp-1]))
+		case wasm.OpI64TruncF64S:
+			s[sp-1] = uint64(numeric.TruncF64ToI64(f64(s[sp-1])))
+		case wasm.OpI64TruncF64U:
+			s[sp-1] = numeric.TruncF64ToU64(f64(s[sp-1]))
+		case wasm.OpF32ConvertI32S:
+			s[sp-1] = u32f(float32(int32(s[sp-1])))
+		case wasm.OpF32ConvertI32U:
+			s[sp-1] = u32f(float32(uint32(s[sp-1])))
+		case wasm.OpF32ConvertI64S:
+			s[sp-1] = u32f(float32(int64(s[sp-1])))
+		case wasm.OpF32ConvertI64U:
+			s[sp-1] = u32f(float32(s[sp-1]))
+		case wasm.OpF32DemoteF64:
+			s[sp-1] = u32f(float32(f64(s[sp-1])))
+		case wasm.OpF64ConvertI32S:
+			s[sp-1] = uf(float64(int32(s[sp-1])))
+		case wasm.OpF64ConvertI32U:
+			s[sp-1] = uf(float64(uint32(s[sp-1])))
+		case wasm.OpF64ConvertI64S:
+			s[sp-1] = uf(float64(int64(s[sp-1])))
+		case wasm.OpF64ConvertI64U:
+			s[sp-1] = uf(float64(s[sp-1]))
+		case wasm.OpF64PromoteF32:
+			s[sp-1] = uf(float64(f32(s[sp-1])))
+		case wasm.OpI32ReinterpretF32, wasm.OpI64ReinterpretF64,
+			wasm.OpF32ReinterpretI32, wasm.OpF64ReinterpretI64:
+			// bit patterns are already shared
+		case wasm.OpI32Extend8S:
+			s[sp-1] = uint64(uint32(int32(int8(s[sp-1]))))
+		case wasm.OpI32Extend16S:
+			s[sp-1] = uint64(uint32(int32(int16(s[sp-1]))))
+		case wasm.OpI64Extend8S:
+			s[sp-1] = uint64(int64(int8(s[sp-1])))
+		case wasm.OpI64Extend16S:
+			s[sp-1] = uint64(int64(int16(s[sp-1])))
 		default:
-			if in.Op.IsLoad() {
-				addr := uint64(uint32(inst.stack[sp-1])) + in.B
-				inst.stack[sp-1] = execLoad(memory, in.Op, addr)
-			} else if in.Op.IsStore() {
-				sp -= 2
-				addr := uint64(uint32(inst.stack[sp])) + in.B
-				execStore(memory, in.Op, addr, inst.stack[sp+1])
-			} else {
-				sp = execNumeric(inst.stack, sp, in.Op)
-			}
+			trap.Throwf(trap.HostError, "unimplemented opcode %v", in.Op)
 		}
 	}
 }
 
-// unwind moves arity carried values down to popTo and returns the
-// new stack pointer.
-func (inst *Instance) unwind(opBase, sp int, popTo int32, arity int8) int {
-	dst := opBase + int(popTo)
-	if arity > 0 {
-		inst.stack[dst] = inst.stack[sp-1]
-		return dst + 1
-	}
-	return dst
-}
-
+// execPrefix runs the 0xFC-prefixed ops, exec's one cold arm.
 func (inst *Instance) execPrefix(in *flatten.Instr, sp int) int {
 	memory := inst.base.Mem
 	s := inst.stack
@@ -406,401 +801,6 @@ func (inst *Instance) execPrefix(in *flatten.Instr, sp int) int {
 		s[sp-1] = numeric.TruncSatF64ToU64(math.Float64frombits(s[sp-1]))
 	default:
 		trap.Throwf(trap.HostError, "unsupported prefixed op %v", in.Sub)
-	}
-	return sp
-}
-
-func execLoad(m *mem.Memory, op wasm.Opcode, addr uint64) uint64 {
-	switch op {
-	case wasm.OpI32Load, wasm.OpF32Load:
-		return uint64(m.LoadU32(addr))
-	case wasm.OpI64Load, wasm.OpF64Load:
-		return m.LoadU64(addr)
-	case wasm.OpI32Load8S:
-		return uint64(uint32(int32(int8(m.LoadU8(addr)))))
-	case wasm.OpI32Load8U:
-		return uint64(m.LoadU8(addr))
-	case wasm.OpI32Load16S:
-		return uint64(uint32(int32(int16(m.LoadU16(addr)))))
-	case wasm.OpI32Load16U:
-		return uint64(m.LoadU16(addr))
-	case wasm.OpI64Load8S:
-		return uint64(int64(int8(m.LoadU8(addr))))
-	case wasm.OpI64Load8U:
-		return uint64(m.LoadU8(addr))
-	case wasm.OpI64Load16S:
-		return uint64(int64(int16(m.LoadU16(addr))))
-	case wasm.OpI64Load16U:
-		return uint64(m.LoadU16(addr))
-	case wasm.OpI64Load32S:
-		return uint64(int64(int32(m.LoadU32(addr))))
-	case wasm.OpI64Load32U:
-		return uint64(m.LoadU32(addr))
-	default:
-		trap.Throwf(trap.HostError, "bad load opcode %v", op)
-		return 0
-	}
-}
-
-func execStore(m *mem.Memory, op wasm.Opcode, addr uint64, v uint64) {
-	switch op {
-	case wasm.OpI32Store, wasm.OpF32Store:
-		m.StoreU32(addr, uint32(v))
-	case wasm.OpI64Store, wasm.OpF64Store:
-		m.StoreU64(addr, v)
-	case wasm.OpI32Store8, wasm.OpI64Store8:
-		m.StoreU8(addr, byte(v))
-	case wasm.OpI32Store16, wasm.OpI64Store16:
-		m.StoreU16(addr, uint16(v))
-	case wasm.OpI64Store32:
-		m.StoreU32(addr, uint32(v))
-	default:
-		trap.Throwf(trap.HostError, "bad store opcode %v", op)
-	}
-}
-
-// execNumeric executes a pure numeric opcode on the operand stack
-// and returns the new stack pointer.
-func execNumeric(s []uint64, sp int, op wasm.Opcode) int {
-	switch op {
-	// i32 comparisons
-	case wasm.OpI32Eqz:
-		s[sp-1] = b2u(uint32(s[sp-1]) == 0)
-	case wasm.OpI32Eq:
-		sp--
-		s[sp-1] = b2u(uint32(s[sp-1]) == uint32(s[sp]))
-	case wasm.OpI32Ne:
-		sp--
-		s[sp-1] = b2u(uint32(s[sp-1]) != uint32(s[sp]))
-	case wasm.OpI32LtS:
-		sp--
-		s[sp-1] = b2u(int32(s[sp-1]) < int32(s[sp]))
-	case wasm.OpI32LtU:
-		sp--
-		s[sp-1] = b2u(uint32(s[sp-1]) < uint32(s[sp]))
-	case wasm.OpI32GtS:
-		sp--
-		s[sp-1] = b2u(int32(s[sp-1]) > int32(s[sp]))
-	case wasm.OpI32GtU:
-		sp--
-		s[sp-1] = b2u(uint32(s[sp-1]) > uint32(s[sp]))
-	case wasm.OpI32LeS:
-		sp--
-		s[sp-1] = b2u(int32(s[sp-1]) <= int32(s[sp]))
-	case wasm.OpI32LeU:
-		sp--
-		s[sp-1] = b2u(uint32(s[sp-1]) <= uint32(s[sp]))
-	case wasm.OpI32GeS:
-		sp--
-		s[sp-1] = b2u(int32(s[sp-1]) >= int32(s[sp]))
-	case wasm.OpI32GeU:
-		sp--
-		s[sp-1] = b2u(uint32(s[sp-1]) >= uint32(s[sp]))
-	// i64 comparisons
-	case wasm.OpI64Eqz:
-		s[sp-1] = b2u(s[sp-1] == 0)
-	case wasm.OpI64Eq:
-		sp--
-		s[sp-1] = b2u(s[sp-1] == s[sp])
-	case wasm.OpI64Ne:
-		sp--
-		s[sp-1] = b2u(s[sp-1] != s[sp])
-	case wasm.OpI64LtS:
-		sp--
-		s[sp-1] = b2u(int64(s[sp-1]) < int64(s[sp]))
-	case wasm.OpI64LtU:
-		sp--
-		s[sp-1] = b2u(s[sp-1] < s[sp])
-	case wasm.OpI64GtS:
-		sp--
-		s[sp-1] = b2u(int64(s[sp-1]) > int64(s[sp]))
-	case wasm.OpI64GtU:
-		sp--
-		s[sp-1] = b2u(s[sp-1] > s[sp])
-	case wasm.OpI64LeS:
-		sp--
-		s[sp-1] = b2u(int64(s[sp-1]) <= int64(s[sp]))
-	case wasm.OpI64LeU:
-		sp--
-		s[sp-1] = b2u(s[sp-1] <= s[sp])
-	case wasm.OpI64GeS:
-		sp--
-		s[sp-1] = b2u(int64(s[sp-1]) >= int64(s[sp]))
-	case wasm.OpI64GeU:
-		sp--
-		s[sp-1] = b2u(s[sp-1] >= s[sp])
-	// f32 comparisons
-	case wasm.OpF32Eq:
-		sp--
-		s[sp-1] = b2u(f32(s[sp-1]) == f32(s[sp]))
-	case wasm.OpF32Ne:
-		sp--
-		s[sp-1] = b2u(f32(s[sp-1]) != f32(s[sp]))
-	case wasm.OpF32Lt:
-		sp--
-		s[sp-1] = b2u(f32(s[sp-1]) < f32(s[sp]))
-	case wasm.OpF32Gt:
-		sp--
-		s[sp-1] = b2u(f32(s[sp-1]) > f32(s[sp]))
-	case wasm.OpF32Le:
-		sp--
-		s[sp-1] = b2u(f32(s[sp-1]) <= f32(s[sp]))
-	case wasm.OpF32Ge:
-		sp--
-		s[sp-1] = b2u(f32(s[sp-1]) >= f32(s[sp]))
-	// f64 comparisons
-	case wasm.OpF64Eq:
-		sp--
-		s[sp-1] = b2u(f64(s[sp-1]) == f64(s[sp]))
-	case wasm.OpF64Ne:
-		sp--
-		s[sp-1] = b2u(f64(s[sp-1]) != f64(s[sp]))
-	case wasm.OpF64Lt:
-		sp--
-		s[sp-1] = b2u(f64(s[sp-1]) < f64(s[sp]))
-	case wasm.OpF64Gt:
-		sp--
-		s[sp-1] = b2u(f64(s[sp-1]) > f64(s[sp]))
-	case wasm.OpF64Le:
-		sp--
-		s[sp-1] = b2u(f64(s[sp-1]) <= f64(s[sp]))
-	case wasm.OpF64Ge:
-		sp--
-		s[sp-1] = b2u(f64(s[sp-1]) >= f64(s[sp]))
-	// i32 arithmetic
-	case wasm.OpI32Clz:
-		s[sp-1] = uint64(bits.LeadingZeros32(uint32(s[sp-1])))
-	case wasm.OpI32Ctz:
-		s[sp-1] = uint64(bits.TrailingZeros32(uint32(s[sp-1])))
-	case wasm.OpI32Popcnt:
-		s[sp-1] = uint64(bits.OnesCount32(uint32(s[sp-1])))
-	case wasm.OpI32Add:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) + uint32(s[sp]))
-	case wasm.OpI32Sub:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) - uint32(s[sp]))
-	case wasm.OpI32Mul:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) * uint32(s[sp]))
-	case wasm.OpI32DivS:
-		sp--
-		s[sp-1] = uint64(uint32(numeric.DivS32(int32(s[sp-1]), int32(s[sp]))))
-	case wasm.OpI32DivU:
-		sp--
-		s[sp-1] = uint64(numeric.DivU32(uint32(s[sp-1]), uint32(s[sp])))
-	case wasm.OpI32RemS:
-		sp--
-		s[sp-1] = uint64(uint32(numeric.RemS32(int32(s[sp-1]), int32(s[sp]))))
-	case wasm.OpI32RemU:
-		sp--
-		s[sp-1] = uint64(numeric.RemU32(uint32(s[sp-1]), uint32(s[sp])))
-	case wasm.OpI32And:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) & uint32(s[sp]))
-	case wasm.OpI32Or:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) | uint32(s[sp]))
-	case wasm.OpI32Xor:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) ^ uint32(s[sp]))
-	case wasm.OpI32Shl:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) << (uint32(s[sp]) & 31))
-	case wasm.OpI32ShrS:
-		sp--
-		s[sp-1] = uint64(uint32(int32(s[sp-1]) >> (uint32(s[sp]) & 31)))
-	case wasm.OpI32ShrU:
-		sp--
-		s[sp-1] = uint64(uint32(s[sp-1]) >> (uint32(s[sp]) & 31))
-	case wasm.OpI32Rotl:
-		sp--
-		s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), int(uint32(s[sp])&31)))
-	case wasm.OpI32Rotr:
-		sp--
-		s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), -int(uint32(s[sp])&31)))
-	// i64 arithmetic
-	case wasm.OpI64Clz:
-		s[sp-1] = uint64(bits.LeadingZeros64(s[sp-1]))
-	case wasm.OpI64Ctz:
-		s[sp-1] = uint64(bits.TrailingZeros64(s[sp-1]))
-	case wasm.OpI64Popcnt:
-		s[sp-1] = uint64(bits.OnesCount64(s[sp-1]))
-	case wasm.OpI64Add:
-		sp--
-		s[sp-1] += s[sp]
-	case wasm.OpI64Sub:
-		sp--
-		s[sp-1] -= s[sp]
-	case wasm.OpI64Mul:
-		sp--
-		s[sp-1] *= s[sp]
-	case wasm.OpI64DivS:
-		sp--
-		s[sp-1] = uint64(numeric.DivS64(int64(s[sp-1]), int64(s[sp])))
-	case wasm.OpI64DivU:
-		sp--
-		s[sp-1] = numeric.DivU64(s[sp-1], s[sp])
-	case wasm.OpI64RemS:
-		sp--
-		s[sp-1] = uint64(numeric.RemS64(int64(s[sp-1]), int64(s[sp])))
-	case wasm.OpI64RemU:
-		sp--
-		s[sp-1] = numeric.RemU64(s[sp-1], s[sp])
-	case wasm.OpI64And:
-		sp--
-		s[sp-1] &= s[sp]
-	case wasm.OpI64Or:
-		sp--
-		s[sp-1] |= s[sp]
-	case wasm.OpI64Xor:
-		sp--
-		s[sp-1] ^= s[sp]
-	case wasm.OpI64Shl:
-		sp--
-		s[sp-1] <<= s[sp] & 63
-	case wasm.OpI64ShrS:
-		sp--
-		s[sp-1] = uint64(int64(s[sp-1]) >> (s[sp] & 63))
-	case wasm.OpI64ShrU:
-		sp--
-		s[sp-1] >>= s[sp] & 63
-	case wasm.OpI64Rotl:
-		sp--
-		s[sp-1] = bits.RotateLeft64(s[sp-1], int(s[sp]&63))
-	case wasm.OpI64Rotr:
-		sp--
-		s[sp-1] = bits.RotateLeft64(s[sp-1], -int(s[sp]&63))
-	// f32 arithmetic
-	case wasm.OpF32Abs:
-		s[sp-1] = u32f(float32(math.Abs(float64(f32(s[sp-1])))))
-	case wasm.OpF32Neg:
-		s[sp-1] = u32f(-f32(s[sp-1]))
-	case wasm.OpF32Ceil:
-		s[sp-1] = u32f(float32(math.Ceil(float64(f32(s[sp-1])))))
-	case wasm.OpF32Floor:
-		s[sp-1] = u32f(float32(math.Floor(float64(f32(s[sp-1])))))
-	case wasm.OpF32Trunc:
-		s[sp-1] = u32f(float32(math.Trunc(float64(f32(s[sp-1])))))
-	case wasm.OpF32Nearest:
-		s[sp-1] = u32f(numeric.Nearest32(f32(s[sp-1])))
-	case wasm.OpF32Sqrt:
-		s[sp-1] = u32f(float32(math.Sqrt(float64(f32(s[sp-1])))))
-	case wasm.OpF32Add:
-		sp--
-		s[sp-1] = u32f(f32(s[sp-1]) + f32(s[sp]))
-	case wasm.OpF32Sub:
-		sp--
-		s[sp-1] = u32f(f32(s[sp-1]) - f32(s[sp]))
-	case wasm.OpF32Mul:
-		sp--
-		s[sp-1] = u32f(f32(s[sp-1]) * f32(s[sp]))
-	case wasm.OpF32Div:
-		sp--
-		s[sp-1] = u32f(f32(s[sp-1]) / f32(s[sp]))
-	case wasm.OpF32Min:
-		sp--
-		s[sp-1] = u32f(numeric.Fmin32(f32(s[sp-1]), f32(s[sp])))
-	case wasm.OpF32Max:
-		sp--
-		s[sp-1] = u32f(numeric.Fmax32(f32(s[sp-1]), f32(s[sp])))
-	case wasm.OpF32Copysign:
-		sp--
-		s[sp-1] = u32f(float32(math.Copysign(float64(f32(s[sp-1])), float64(f32(s[sp])))))
-	// f64 arithmetic
-	case wasm.OpF64Abs:
-		s[sp-1] = uf(math.Abs(f64(s[sp-1])))
-	case wasm.OpF64Neg:
-		s[sp-1] = uf(-f64(s[sp-1]))
-	case wasm.OpF64Ceil:
-		s[sp-1] = uf(math.Ceil(f64(s[sp-1])))
-	case wasm.OpF64Floor:
-		s[sp-1] = uf(math.Floor(f64(s[sp-1])))
-	case wasm.OpF64Trunc:
-		s[sp-1] = uf(math.Trunc(f64(s[sp-1])))
-	case wasm.OpF64Nearest:
-		s[sp-1] = uf(numeric.Nearest(f64(s[sp-1])))
-	case wasm.OpF64Sqrt:
-		s[sp-1] = uf(math.Sqrt(f64(s[sp-1])))
-	case wasm.OpF64Add:
-		sp--
-		s[sp-1] = uf(f64(s[sp-1]) + f64(s[sp]))
-	case wasm.OpF64Sub:
-		sp--
-		s[sp-1] = uf(f64(s[sp-1]) - f64(s[sp]))
-	case wasm.OpF64Mul:
-		sp--
-		s[sp-1] = uf(f64(s[sp-1]) * f64(s[sp]))
-	case wasm.OpF64Div:
-		sp--
-		s[sp-1] = uf(f64(s[sp-1]) / f64(s[sp]))
-	case wasm.OpF64Min:
-		sp--
-		s[sp-1] = uf(numeric.Fmin(f64(s[sp-1]), f64(s[sp])))
-	case wasm.OpF64Max:
-		sp--
-		s[sp-1] = uf(numeric.Fmax(f64(s[sp-1]), f64(s[sp])))
-	case wasm.OpF64Copysign:
-		sp--
-		s[sp-1] = uf(math.Copysign(f64(s[sp-1]), f64(s[sp])))
-	// conversions
-	case wasm.OpI32WrapI64:
-		s[sp-1] = uint64(uint32(s[sp-1]))
-	case wasm.OpI32TruncF32S:
-		s[sp-1] = uint64(uint32(numeric.TruncF32ToI32(f32(s[sp-1]))))
-	case wasm.OpI32TruncF32U:
-		s[sp-1] = uint64(numeric.TruncF32ToU32(f32(s[sp-1])))
-	case wasm.OpI32TruncF64S:
-		s[sp-1] = uint64(uint32(numeric.TruncF64ToI32(f64(s[sp-1]))))
-	case wasm.OpI32TruncF64U:
-		s[sp-1] = uint64(numeric.TruncF64ToU32(f64(s[sp-1])))
-	case wasm.OpI64ExtendI32S:
-		s[sp-1] = uint64(int64(int32(s[sp-1])))
-	case wasm.OpI64ExtendI32U:
-		s[sp-1] = uint64(uint32(s[sp-1]))
-	case wasm.OpI64TruncF32S:
-		s[sp-1] = uint64(numeric.TruncF32ToI64(f32(s[sp-1])))
-	case wasm.OpI64TruncF32U:
-		s[sp-1] = numeric.TruncF32ToU64(f32(s[sp-1]))
-	case wasm.OpI64TruncF64S:
-		s[sp-1] = uint64(numeric.TruncF64ToI64(f64(s[sp-1])))
-	case wasm.OpI64TruncF64U:
-		s[sp-1] = numeric.TruncF64ToU64(f64(s[sp-1]))
-	case wasm.OpF32ConvertI32S:
-		s[sp-1] = u32f(float32(int32(s[sp-1])))
-	case wasm.OpF32ConvertI32U:
-		s[sp-1] = u32f(float32(uint32(s[sp-1])))
-	case wasm.OpF32ConvertI64S:
-		s[sp-1] = u32f(float32(int64(s[sp-1])))
-	case wasm.OpF32ConvertI64U:
-		s[sp-1] = u32f(float32(s[sp-1]))
-	case wasm.OpF32DemoteF64:
-		s[sp-1] = u32f(float32(f64(s[sp-1])))
-	case wasm.OpF64ConvertI32S:
-		s[sp-1] = uf(float64(int32(s[sp-1])))
-	case wasm.OpF64ConvertI32U:
-		s[sp-1] = uf(float64(uint32(s[sp-1])))
-	case wasm.OpF64ConvertI64S:
-		s[sp-1] = uf(float64(int64(s[sp-1])))
-	case wasm.OpF64ConvertI64U:
-		s[sp-1] = uf(float64(s[sp-1]))
-	case wasm.OpF64PromoteF32:
-		s[sp-1] = uf(float64(f32(s[sp-1])))
-	case wasm.OpI32ReinterpretF32, wasm.OpI64ReinterpretF64,
-		wasm.OpF32ReinterpretI32, wasm.OpF64ReinterpretI64:
-		// bit patterns are already shared
-	case wasm.OpI32Extend8S:
-		s[sp-1] = uint64(uint32(int32(int8(s[sp-1]))))
-	case wasm.OpI32Extend16S:
-		s[sp-1] = uint64(uint32(int32(int16(s[sp-1]))))
-	case wasm.OpI64Extend8S:
-		s[sp-1] = uint64(int64(int8(s[sp-1])))
-	case wasm.OpI64Extend16S:
-		s[sp-1] = uint64(int64(int16(s[sp-1])))
-	case wasm.OpI64Extend32S:
-		s[sp-1] = uint64(int64(int32(s[sp-1])))
-	default:
-		trap.Throwf(trap.HostError, "unimplemented opcode %v", op)
 	}
 	return sp
 }

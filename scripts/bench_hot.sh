@@ -3,7 +3,8 @@
 # per-strategy checked-load micro timings, the sparse mmap/munmap,
 # isolate-lifecycle and many-function cold-start (decode + validate,
 # then compile per engine) timings (ns/op and B/op), the wavm run loop's dispatches/op and ns/dispatch on the five
-# steady kernels, and the gemm/atax elide × rir macro benches (which
+# steady kernels, the interpreter's guest-ops/op and ns/guest-op on the
+# same kernels, and the gemm/atax elide × rir macro benches (which
 # assert equal results across the matrix). The numbers that are
 # published come from benchmark/run.sh, not from here.
 #
@@ -26,6 +27,9 @@ go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem 
 
 echo "== wavm run loop on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
 go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x ./internal/compiled
+
+echo "== interpreter run loop on the same kernels (wasm3, class Bench; guest-ops/op is exact, ns/guest-op is the cost of one interpreted instruction)"
+go test -run '^$' -bench 'BenchmarkSteadyInterp' -benchtime 10x ./internal/interp
 
 echo "== codegen macro benchmarks (gemm, atax; trap strategy; elide x rir matrix)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .
