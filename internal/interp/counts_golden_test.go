@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"leapsandbounds/internal/core"
@@ -67,5 +68,48 @@ func TestInterpCountsGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("interpreter counts differ from testdata/counts.golden; for a change meant to alter them, the file is now:\n%s", got.String())
+	}
+}
+
+// TestCountedInstancesAtOnce instantiates counting instances of one
+// compiled module from several goroutines at once, so the first use
+// of its instrumented streams races (under -race) with the others;
+// every instance must count the same.
+func TestCountedInstancesAtOnce(t *testing.T) {
+	spec, err := workloads.ByName("atax")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := spec.Build(workloads.Test)
+	eng := interp.NewWasm3()
+	eng.SetCache(nil)
+	cm, err := eng.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]isa.Counts, 4)
+	var wg sync.WaitGroup
+	for i := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), CountCycles: true}, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer inst.Close()
+			if _, err := inst.Invoke(workloads.Entry); err != nil {
+				t.Error(err)
+				return
+			}
+			counts[i] = *inst.Counts()
+		}()
+	}
+	wg.Wait()
+	for i := range counts {
+		if counts[i] != counts[0] || counts[i][isa.ClassDispatch] == 0 {
+			t.Errorf("instance %d counted %v, instance 0 %v", i, counts[i], counts[0])
+		}
 	}
 }
