@@ -8,10 +8,10 @@ import (
 )
 
 // WriteEmitted writes everything e's uncached compile of m emits, for
-// the golden test: per function, every op emit receives as its String
-// line and emit's per-pc class, second class, memory-access and elided
-// entries; then the module's artifact bytes.
-func (e *Engine) WriteEmitted(w io.Writer, m *wasm.Module) error {
+// the golden test: to w, per function, every op emit receives as its
+// String line and emit's per-pc class, second class, memory-access and
+// elided entries; to art, the module's artifact bytes.
+func (e *Engine) WriteEmitted(w, art io.Writer, m *wasm.Module) error {
 	imported := uint32(m.NumImportedFuncs())
 	for i := range m.Code {
 		cf, f, err := e.lowerFunc(m, imported, i)
@@ -31,10 +31,10 @@ func (e *Engine) WriteEmitted(w io.Writer, m *wasm.Module) error {
 	if err != nil {
 		return err
 	}
-	art, err := e.EncodeArtifact(cm)
+	data, err := e.EncodeArtifact(cm)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(art)
+	_, err = art.Write(data)
 	return err
 }

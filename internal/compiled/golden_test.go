@@ -19,12 +19,14 @@ import (
 // emits: for every registered workload module, the 256-function
 // cold-start module and goldenExtras, under each codegen configuration of the two
 // engine families (tiered's top tier is wasmtime with the register IR),
-// one sha256 over every emitted op's String line, emit's per-pc class
-// and check tables and the artifact bytes must match
+// one sha256 over every emitted op's String line and emit's per-pc
+// class and check tables (the line named after the configuration), and
+// one over the artifact bytes (its "-artifact" line), must match
 // testdata/emitted.golden. A refactor of the IR or its passes that is
 // meant to change nothing leaves this file as it is; a change that
 // means to alter emitted code replaces it with what the failure prints,
-// and says why.
+// and says why. A change to the artifact format alone moves only the
+// "-artifact" lines.
 func TestEmittedCodeGolden(t *testing.T) {
 	var modules []namedModule
 	for _, s := range workloads.All() {
@@ -50,14 +52,15 @@ func TestEmittedCodeGolden(t *testing.T) {
 		if c.cg != nil {
 			c.eng.SetCodegen(*c.cg)
 		}
-		h := sha256.New()
+		h, art := sha256.New(), sha256.New()
 		for _, m := range modules {
 			fmt.Fprintf(h, "module %s\n", m.name)
-			if err := c.eng.WriteEmitted(h, m.m); err != nil {
+			fmt.Fprintf(art, "module %s\n", m.name)
+			if err := c.eng.WriteEmitted(h, art, m.m); err != nil {
 				t.Fatalf("%s: %s: %v", c.name, m.name, err)
 			}
 		}
-		fmt.Fprintf(&got, "%s %x\n", c.name, h.Sum(nil))
+		fmt.Fprintf(&got, "%s %x\n%s-artifact %x\n", c.name, h.Sum(nil), c.name, art.Sum(nil))
 	}
 	want, err := os.ReadFile("testdata/emitted.golden")
 	if err != nil {
