@@ -1,274 +1,146 @@
-// Serializable compiled-module artifacts for the disk cache tier.
+// Compiled-module artifacts for the disk cache tier.
 //
 // The compiled engine's final form is a closure graph (cops), which
-// cannot round-trip through bytes. What can is the stage immediately
-// before closures appear: the register-IR function after rir.Lower (or
-// after rir.Compact for the non-lowering engine) and before the
-// elision pass, when every op and cold payload is plain data. An
-// artifact is therefore that per-function IR plus frame metadata;
-// decoding replays only the cheap back half of the pipeline (elide →
-// FuseMem → emit), never validation, flattening, building,
-// optimization, or lowering — the passes that dominate compile time.
+// cannot round-trip through bytes. What can is the IR a cfunc retains
+// as preIR: the function after rir.Lower (after rir.Compact for the
+// non-lowering engine) and before elision, when every op and cold
+// payload is plain data. An artifact is that IR in rir's own flat form
+// (rir.Func.AppendFlat) plus each function's frame size; decoding
+// (rir.ReadFlat) replays only the back half of the pipeline (backHalf →
+// emit), never validation, flattening, building, optimization or
+// lowering. A function's name, type and local count are not stored: the
+// module the artifact was compiled from gives them, as it gives them to
+// flatten.
 //
-// The artifact does not encode rir.Func itself. Its ainst mirror is
-// the on-disk format and predates the compact in-memory op: one wide
-// record per op with every payload inline, where rir keeps a 48-byte
-// op whose flags share a byte and whose rarer payloads (calls, carries,
-// branch tables, a select's condition, a second immediate) sit in
-// unexported cold tables the op reaches through an index. Mirroring
-// keeps the file format — and artifactVersion — independent of that
-// layout, which is the compile pipeline's to change; encoding refuses
-// any op carrying post-elision state (a range check, a folded address,
-// a fused pair, a threaded jump, the unchecked flag), which pins the
-// clone point at compile time.
+// Payload layout (little-endian):
+//
+//	size  field
+//	4     artifactVersion
+//	1     codegen flags (artifactFlags)
+//	4     function count = N
+//	N ×   4: frame size, then the function's flat stream (rir.ReadFlat)
 package compiled
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/fanout"
-	"leapsandbounds/internal/flatten"
-	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/wasm"
 )
 
-// artifactVersion guards the gob payload: its shape (ainst, afunc,
-// artifact) and what the front half puts in it. Bump on any change to
-// either; a version mismatch decodes as corruption and the disk tier
-// recompiles. Version 2: Optimize forwards every retargetable producer
-// into its local.set and folds eqz into compare+branch, so the IR a
-// version-1 file holds is no longer what compileFunc would retain.
-const artifactVersion = 2
+// artifactVersion guards the payload: its layout, rir's flat records
+// and what the front half puts in them. Bump on any change to either; a
+// version mismatch decodes as corruption and the disk tier recompiles.
+// Version 3: the payload is rir's flat stream, no longer a gob of a
+// mirror of the op.
+const artifactVersion = 3
 
-// ainst is one pre-elision op with its cold payload inline (everything
-// the pre-elision pipeline writes). Post-elision state (Unchecked,
-// range-check plans, folded addresses, pairs, HasElse/Else) is
-// deliberately absent: the decode-side elide/FuseMem replay
-// reconstructs it. CarrySrc is -1 on an op that carries nothing.
-type ainst struct {
-	Op       wasm.Opcode
-	Sub      wasm.SubOpcode
-	Shape    rir.Shape
-	Dst      int
-	A, B, C  int
-	AImm     bool
-	BImm     bool
-	ImmA     uint64
-	ImmB     uint64
-	Off      uint64
-	Tgt      int32
-	CarrySrc int
-	CarryDst int
-	Table    []flatten.BranchTarget
-	Fidx     uint32
-	ArgBase  int
-	NArgs    int8
-	Results  int8
-	CmpOp    wasm.Opcode
-	BrOnTrue bool
-	Class    isa.OpClass
-	MemAcc   bool
-	Dead     bool
-	Pure     bool
-}
+// artifactHeader is the payload's fixed prefix: version, flags, count.
+const artifactHeader = 4 + 1 + 4
 
-// afunc is one function's artifact.
-type afunc struct {
-	Name      string
-	Type      wasm.FuncType
-	NumParams int
-	NumLocals int
-	FrameSize int
-	IR        []ainst
-}
-
-// artifact is the gob payload: the module's functions plus the
-// codegen flags they were built under (checked at decode so a
-// mis-keyed file can never silently produce differently-shaped code).
-type artifact struct {
-	Version  int
-	Optimize bool
-	Elision  bool
-	Lowered  bool
-	Funcs    []afunc
-}
-
-// toArtifactIR converts pre-elision IR, refusing ops that carry
-// post-elision state (a range check, a folded address, a fused pair, a
-// threaded jump or the unchecked flag means the caller cloned after the
-// wrong pass).
-func toArtifactIR(f *rir.Func) ([]ainst, error) {
-	out := make([]ainst, len(f.Code))
-	for i := range f.Code {
-		s := &f.Code[i]
-		switch {
-		case s.Has(rir.Unchecked) || s.Has(rir.HasElse),
-			s.Shape == rir.ShRangeCheck || s.Shape >= rir.ShLoadOp,
-			(s.Shape == rir.ShLoad || s.Shape == rir.ShStore) && s.Side != 0:
-			return nil, fmt.Errorf("compiled: instruction %d carries post-elision state", i)
-		}
-		a := ainst{
-			Op: s.Op, Sub: wasm.SubOpcode(s.Sub), Shape: s.Shape,
-			Dst: int(s.Dst), A: int(s.A), B: int(s.B),
-			AImm: s.Has(rir.AImm), BImm: s.Has(rir.BImm),
-			Off: s.Off, Tgt: s.Tgt,
-			CarrySrc: -1,
-			CmpOp:    s.CmpOp, BrOnTrue: s.Has(rir.BrOnTrue),
-			Class: isa.OpClass(s.Class), MemAcc: s.Has(rir.MemAcc), Dead: s.Has(rir.Dead), Pure: s.Has(rir.Pure),
-		}
-		switch s.Shape {
-		case rir.ShConst:
-			a.ImmA = s.Imm
-		case rir.ShBin, rir.ShCmpBranch, rir.ShStore:
-			if a.AImm && s.Shape != rir.ShStore {
-				a.ImmA = s.Imm
-			}
-			if a.BImm {
-				a.ImmB = f.ImmB(s)
-			}
-		case rir.ShGlobalGet, rir.ShGlobalSet:
-			a.Fidx = uint32(s.Imm)
-		case rir.ShJump, rir.ShBranchIf, rir.ShReturn:
-			a.CarrySrc, a.CarryDst = f.Carry(s)
-		case rir.ShBrTable:
-			t := f.Table(s)
-			a.Table, a.CarrySrc = t.Targets, int(t.CarrySrc)
-		case rir.ShCall, rir.ShCallInd:
-			c := f.Call(s)
-			a.Fidx, a.ArgBase, a.NArgs, a.Results = c.Fidx, int(c.ArgBase), c.NArgs, c.Results
-		case rir.ShSelect, rir.ShMemCopy, rir.ShMemFill:
-			a.C = f.C(s)
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
-// fromArtifactIR rebuilds the rir function.
-func fromArtifactIR(in []ainst, numLocals int) *rir.Func {
-	f := &rir.Func{Code: make([]rir.Inst, len(in)), NumLocals: numLocals}
-	for i := range in {
-		a := &in[i]
-		s := &f.Code[i]
-		*s = rir.Inst{
-			Op: a.Op, Sub: uint8(a.Sub), Shape: a.Shape,
-			Dst: int32(a.Dst), A: int32(a.A), B: int32(a.B),
-			Off: a.Off, Tgt: a.Tgt,
-			CmpOp: a.CmpOp, Class: uint8(a.Class),
-		}
-		for _, fl := range []struct {
-			on bool
-			f  rir.Flags
-		}{{a.AImm, rir.AImm}, {a.BImm, rir.BImm}, {a.BrOnTrue, rir.BrOnTrue}, {a.MemAcc, rir.MemAcc}, {a.Dead, rir.Dead}, {a.Pure, rir.Pure}} {
-			if fl.on {
-				s.Flags |= fl.f
-			}
-		}
-		switch s.Shape {
-		case rir.ShConst:
-			s.Imm = a.ImmA
-		case rir.ShBin, rir.ShCmpBranch, rir.ShStore:
-			f.SetImms(s, a.ImmA, a.ImmB)
-		case rir.ShGlobalGet, rir.ShGlobalSet:
-			s.Imm = uint64(a.Fidx)
-		case rir.ShJump, rir.ShBranchIf, rir.ShReturn:
-			if a.CarrySrc >= 0 {
-				f.SetCarry(s, int32(a.CarrySrc), int32(a.CarryDst))
-			}
-		case rir.ShBrTable:
-			f.SetTable(s, rir.BrTable{Targets: a.Table, CarrySrc: int32(a.CarrySrc)})
-		case rir.ShCall, rir.ShCallInd:
-			f.SetCall(s, rir.Call{Fidx: a.Fidx, ArgBase: int32(a.ArgBase), NArgs: a.NArgs, Results: a.Results})
-		case rir.ShSelect, rir.ShMemCopy, rir.ShMemFill:
-			f.SetC(s, int32(a.C))
+// artifactFlags packs the codegen flags an artifact is built under —
+// bit 0 optimize, bit 1 elision, bit 2 register IR — which decode
+// checks, so a mis-keyed file can never silently produce
+// differently-shaped code.
+func (e *Engine) artifactFlags() byte {
+	var fl byte
+	for i, on := range []bool{e.optimize, e.elision(), e.registerIR()} {
+		if on {
+			fl |= 1 << i
 		}
 	}
-	return f
+	return fl
 }
 
 // EncodeArtifact implements core.ArtifactCodec. It serializes the
 // retained pre-elision IR of a module this engine family compiled;
-// foreign module types (or modules from before IR retention) return
-// core.ErrNoArtifact.
+// foreign module types return core.ErrNoArtifact.
 func (e *Engine) EncodeArtifact(cm core.CompiledModule) ([]byte, error) {
 	tm, ok := cm.(*Module)
 	if !ok {
 		return nil, core.ErrNoArtifact
 	}
-	art := artifact{
-		Version:  artifactVersion,
-		Optimize: e.optimize,
-		Elision:  e.elision(),
-		Lowered:  e.registerIR(),
-	}
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, artifactVersion)
+	b = append(b, e.artifactFlags())
+	b = le.AppendUint32(b, uint32(len(tm.funcs)))
 	for _, cf := range tm.funcs {
-		if cf.preIR == nil {
-			return nil, core.ErrNoArtifact
-		}
-		ir, err := toArtifactIR(cf.preIR)
-		if err != nil {
-			return nil, err
-		}
-		art.Funcs = append(art.Funcs, afunc{
-			Name:      cf.name,
-			Type:      cf.typ,
-			NumParams: cf.numParams,
-			NumLocals: cf.numLocals,
-			FrameSize: cf.frameSize,
-			IR:        ir,
-		})
+		b = le.AppendUint32(b, uint32(cf.frameSize))
+		b = cf.preIR.AppendFlat(b)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&art); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeArtifact implements core.ArtifactCodec: it rebuilds a Module
 // from EncodeArtifact bytes by replaying only the post-retention
 // pipeline (backHalf → emit) per function, on the same fan-out as a
 // fresh compile. The source module m must be the one the artifact was
-// encoded from (the cache keys by content hash); decode validates
+// encoded from (the cache keys by content hash); decode checks
 // structural agreement and errors — treated as corruption upstream —
 // on any mismatch.
 func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModule, error) {
-	var art artifact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&art); err != nil {
-		return nil, fmt.Errorf("compiled: artifact decode: %w", err)
+	le := binary.LittleEndian
+	if len(data) < artifactHeader {
+		return nil, fmt.Errorf("compiled: artifact of %d bytes", len(data))
 	}
-	if art.Version != artifactVersion {
-		return nil, fmt.Errorf("compiled: artifact version %d, want %d", art.Version, artifactVersion)
+	if v := le.Uint32(data); v != artifactVersion {
+		return nil, fmt.Errorf("compiled: artifact version %d, want %d", v, artifactVersion)
 	}
-	if art.Optimize != e.optimize || art.Elision != e.elision() || art.Lowered != e.registerIR() {
-		return nil, fmt.Errorf("compiled: artifact codegen flags (opt=%v elide=%v rir=%v) do not match engine (opt=%v elide=%v rir=%v)",
-			art.Optimize, art.Elision, art.Lowered, e.optimize, e.elision(), e.registerIR())
+	if fl := data[4]; fl != e.artifactFlags() {
+		return nil, fmt.Errorf("compiled: artifact codegen flags %03b (rir, elide, opt) do not match engine's %03b", fl, e.artifactFlags())
 	}
-	if len(art.Funcs) != len(m.Code) {
-		return nil, fmt.Errorf("compiled: artifact has %d functions, module has %d", len(art.Funcs), len(m.Code))
+	if n := le.Uint32(data[5:]); n != uint32(len(m.Code)) {
+		return nil, fmt.Errorf("compiled: artifact has %d functions, module has %d", n, len(m.Code))
 	}
+	data = data[artifactHeader:]
 	imported := uint32(m.NumImportedFuncs())
-	funcs, i, err := fanout.Map(len(art.Funcs), func(i int) (*cfunc, error) {
-		af := &art.Funcs[i]
-		cf := &cfunc{
-			name:      af.Name,
-			typ:       af.Type,
-			numParams: af.NumParams,
-			numLocals: af.NumLocals,
-			frameSize: af.FrameSize,
-			index:     imported + uint32(i),
-			preIR:     fromArtifactIR(af.IR, af.NumLocals),
+	funcs := make([]*cfunc, len(m.Code))
+	for i := range funcs {
+		cf, rest, err := readFunc(m, imported, i, data)
+		if err != nil {
+			return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
 		}
-		return cf, cf.emit(e.backHalf(cf))
+		funcs[i], data = cf, rest
+	}
+	if len(data) > 0 {
+		return nil, fmt.Errorf("compiled: %d bytes past the artifact's last function", len(data))
+	}
+	i, err := fanout.Each(len(funcs), func() func(int) error {
+		return func(i int) error { return funcs[i].emit(e.backHalf(funcs[i])) }
 	})
 	if err != nil {
 		return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
 	}
 	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
+}
+
+// readFunc reads m.Code[i]'s function — its frame size and flat stream
+// — from the start of data and returns the bytes after it.
+func readFunc(m *wasm.Module, imported uint32, i int, data []byte) (*cfunc, []byte, error) {
+	index := imported + uint32(i)
+	typ, err := m.FuncTypeAt(index)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(data) < 4 {
+		return nil, nil, fmt.Errorf("no frame size")
+	}
+	cf := &cfunc{
+		name:      m.FuncNames[index],
+		typ:       typ,
+		numParams: len(typ.Params),
+		numLocals: len(typ.Params) + len(m.Code[i].Locals),
+		frameSize: int(binary.LittleEndian.Uint32(data)),
+		index:     index,
+	}
+	if cf.preIR, data, err = rir.ReadFlat(data[4:], cf.frameSize); err != nil {
+		return nil, nil, err
+	}
+	cf.preIR.NumLocals = cf.numLocals
+	return cf, data, nil
 }
 
 // Interface conformance.

@@ -3,6 +3,7 @@ package compiled_test
 import (
 	"bytes"
 	"errors"
+	"runtime/debug"
 	"testing"
 
 	"leapsandbounds/internal/compiled"
@@ -144,6 +145,49 @@ func TestArtifactRejectsMismatchedEngine(t *testing.T) {
 	garbled[0] ^= 0xff
 	if _, err := eng.DecodeArtifact(m, garbled); err == nil {
 		t.Fatal("garbled payload decoded")
+	}
+}
+
+// TestArtifactCorruptionDoesNotPanic: a payload is checked only by the
+// disk tier's footer before the codec sees it, so the codec must stand
+// any bytes. Every truncation of an artifact decodes to an error, and
+// every single-byte flip of it to an error or to a module, never to a
+// panic, under every engine configuration.
+func TestArtifactCorruptionDoesNotPanic(t *testing.T) {
+	m := artifactModule(t)
+	for name, mk := range compiledEngines() {
+		eng := mk()
+		eng.SetCache(nil)
+		cm, err := eng.CompileModule(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := eng.EncodeArtifact(cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func(b []byte) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: DecodeArtifact panicked: %v\n%s", name, r, debug.Stack())
+				}
+			}()
+			_, err = eng.DecodeArtifact(m, b)
+			return err
+		}
+		for n := range len(data) {
+			if decode(data[:n]) == nil {
+				t.Fatalf("%s: an artifact cut to %d of %d bytes decoded", name, n, len(data))
+			}
+		}
+		b := bytes.Clone(data)
+		for i := range b {
+			for _, x := range []byte{0x01, 0x80, 0xff} {
+				b[i] ^= x
+				decode(b)
+				b[i] ^= x
+			}
+		}
 	}
 }
 

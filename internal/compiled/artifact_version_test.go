@@ -2,7 +2,7 @@ package compiled
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,17 +23,11 @@ func (c staleCodec) EncodeArtifact(cm core.CompiledModule) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var art artifact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&art); err != nil {
-		return nil, err
-	}
-	art.Version = c.version
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(&art)
-	return buf.Bytes(), err
+	binary.LittleEndian.PutUint32(data, uint32(c.version))
+	return data, nil
 }
 
-// TestStaleArtifactVersionRecompiles: a version-1 .lbc left in the
+// TestStaleArtifactVersionRecompiles: an older version's .lbc left in the
 // cache directory by an older binary is corruption to this one — the
 // file is deleted, the module compiled and a current artifact
 // published in its place, which the next process then loads.

@@ -1,6 +1,7 @@
 package compiled
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -10,7 +11,8 @@ import (
 // WriteEmitted writes everything e's uncached compile of m emits, for
 // the golden test: to w, per function, every op emit receives as its
 // String line and emit's per-pc class, second class, memory-access and
-// elided entries; to art, the module's artifact bytes.
+// elided entries; to art, the module's artifact bytes, after checking
+// that they decode and re-encode to themselves.
 func (e *Engine) WriteEmitted(w, art io.Writer, m *wasm.Module) error {
 	imported := uint32(m.NumImportedFuncs())
 	for i := range m.Code {
@@ -34,6 +36,13 @@ func (e *Engine) WriteEmitted(w, art io.Writer, m *wasm.Module) error {
 	data, err := e.EncodeArtifact(cm)
 	if err != nil {
 		return err
+	}
+	dm, err := e.DecodeArtifact(m, data)
+	if err != nil {
+		return fmt.Errorf("artifact decode: %w", err)
+	}
+	if re, err := e.EncodeArtifact(dm); err != nil || !bytes.Equal(re, data) {
+		return fmt.Errorf("the decoded artifact re-encodes differently (%v)", err)
 	}
 	_, err = art.Write(data)
 	return err

@@ -98,7 +98,9 @@ func coldEngines() map[string]core.Engine {
 // was a walk whose outcome was known) — they are flatten → rir → elide
 // → emit, per engine. The front row is what comes before an engine
 // sees the module: wasm.Decode + validate.Module from bytes, every op
-// on a fresh module. Run it with -cpu 1,2: B/op is the passes' copying,
+// on a fresh module. The wavm-encode and wavm-decode rows are the disk
+// tier's artifact codec over the wavm compile of the same module. Run
+// it with -cpu 1,2: B/op is the passes' copying,
 // and the 1-vs-2 ratio of ns/op is what the per-function fan-out buys
 // on this host. The collector is parked as the benchmark's coldstart
 // workload parks it (parked), so ns/op is the compile, not the GC
@@ -127,6 +129,32 @@ func BenchmarkCompileManyFuncs(b *testing.B) {
 			})
 		})
 	}
+	// The disk tier's codec on the same module: wavm-decode is what a
+	// disk hit costs past the read, to set against the wavm row.
+	wavm := compiled.NewWAVM()
+	wavm.SetCache(nil)
+	cm, err := wavm.CompileModule(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := wavm.EncodeArtifact(cm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("wavm-encode", func(b *testing.B) {
+		b.SetBytes(int64(len(art)))
+		parked(b, func() error {
+			_, err := wavm.EncodeArtifact(cm)
+			return err
+		})
+	})
+	b.Run("wavm-decode", func(b *testing.B) {
+		b.SetBytes(int64(len(art)))
+		parked(b, func() error {
+			_, err := wavm.DecodeArtifact(m, art)
+			return err
+		})
+	})
 }
 
 // parked runs op b.N times with the collector switched off and a

@@ -13,9 +13,8 @@
 //     a crashed sibling, bit rot, a colliding name from a different
 //     layout version) counts as corruption, deletes the file, and
 //     falls back to a fresh compile;
-//   - loads are mmap-backed (with a plain read fallback), so a large
-//     artifact costs page-cache references, not a copy, until the
-//     decoder touches it.
+//   - a load is one plain read of the file; the payload the codec
+//     decodes is a window of that buffer, not a second copy.
 //
 // File layout (little-endian):
 //
@@ -27,7 +26,8 @@
 //	12+E    O     codegen options bytes
 //	12+E+O  32    module content hash (sha256)
 //	44+E+O  8     len(payload) = P
-//	52+E+O  P     artifact payload (engine-defined, e.g. gob IR)
+//	52+E+O  P     artifact payload (engine-defined: the compiled
+//	              engines' is their register IR in rir's flat form)
 //	52+E+O+P 8    fnv64a over bytes [0, 52+E+O+P)
 package modcache
 
@@ -37,7 +37,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"syscall"
 
 	"leapsandbounds/internal/obs"
 )
@@ -112,11 +111,11 @@ func (d *DiskTier) path(k Key) string {
 
 // load returns the artifact payload for k, or ok=false on miss or
 // corruption (corrupt files are deleted so the slot heals on the next
-// store). The returned slice is a copy — safe after the backing file
-// is unmapped, replaced, or deleted.
+// store). The payload is a window of the one buffer the file was read
+// into, so it stays valid after the file is replaced or deleted.
 func (d *DiskTier) load(k Key) ([]byte, bool) {
 	path := d.path(k)
-	data, unmap, err := mmapFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			d.errors.Inc()
@@ -124,7 +123,6 @@ func (d *DiskTier) load(k Key) ([]byte, bool) {
 		d.misses.Inc()
 		return nil, false
 	}
-	defer unmap()
 	payload, ok := d.verify(k, data)
 	if !ok {
 		d.corrupt.Inc()
@@ -132,10 +130,8 @@ func (d *DiskTier) load(k Key) ([]byte, bool) {
 		d.misses.Inc()
 		return nil, false
 	}
-	out := make([]byte, len(payload))
-	copy(out, payload)
 	d.hits.Inc()
-	return out, true
+	return payload, true
 }
 
 // verify checks the file structure, key echo, and footer, returning
@@ -239,31 +235,4 @@ func (d *DiskTier) storeErr(k Key, payload []byte) error {
 		return err
 	}
 	return nil
-}
-
-// mmapFile maps path read-only, returning the bytes and an unmap
-// function. Empty files and mmap failures fall back to a plain read
-// (unmap is then a no-op).
-func mmapFile(path string) ([]byte, func(), error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	size := st.Size()
-	if size > 0 {
-		data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
-		if err == nil {
-			return data, func() { _ = syscall.Munmap(data) }, nil
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, func() {}, nil
 }

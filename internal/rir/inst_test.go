@@ -109,7 +109,7 @@ func TestFlatEntryPointsMatchFunc(t *testing.T) {
 		ir = Compact(Optimize(ir, ff.NumLocals))
 		ir, flatRegs := Lower(ir, ff.NumLocals)
 		ir, flatFused := FuseMem(ir)
-		got := unflat(ir)
+		got := must(unflat(ir))
 		got.NumLocals = ff.NumLocals
 
 		if flatRegs != regs || flatFused != fused || !reflect.DeepEqual(got, f) {
