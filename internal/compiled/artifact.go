@@ -34,8 +34,7 @@ import (
 // artifactVersion guards the payload: its layout, rir's flat records
 // and what the front half puts in them. Bump on any change to either; a
 // version mismatch decodes as corruption and the disk tier recompiles.
-// Version 3: the payload is rir's flat stream, no longer a gob of a
-// mirror of the op.
+// Version 3: the payload is rir's flat stream.
 const artifactVersion = 3
 
 // artifactHeader is the payload's fixed prefix: version, flags, count.

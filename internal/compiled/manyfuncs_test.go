@@ -91,7 +91,7 @@ func coldEngines() map[string]core.Engine {
 }
 
 // BenchmarkCompileManyFuncs is the layer benchmark of the cold start of
-// a 256-function module, in two layers. The engine rows compile one
+// a 256-function module, layer by layer. The engine rows compile one
 // *wasm.Module over and over: it carries wasmgen's validated mark, so
 // they contain no validation (they did before validate.Module kept the
 // mark: about a third of the wavm row and over half of the wasm3 row
@@ -99,7 +99,9 @@ func coldEngines() map[string]core.Engine {
 // → emit, per engine. The front row is what comes before an engine
 // sees the module: wasm.Decode + validate.Module from bytes, every op
 // on a fresh module. The wavm-encode and wavm-decode rows are the disk
-// tier's artifact codec over the wavm compile of the same module. Run
+// tier's artifact codec over the wavm compile of the same module:
+// wavm-decode is what a disk hit costs past the read, against the wavm
+// row. Run
 // it with -cpu 1,2: B/op is the passes' copying,
 // and the 1-vs-2 ratio of ns/op is what the per-function fan-out buys
 // on this host. The collector is parked as the benchmark's coldstart
@@ -129,8 +131,6 @@ func BenchmarkCompileManyFuncs(b *testing.B) {
 			})
 		})
 	}
-	// The disk tier's codec on the same module: wavm-decode is what a
-	// disk hit costs past the read, to set against the wavm row.
 	wavm := compiled.NewWAVM()
 	wavm.SetCache(nil)
 	cm, err := wavm.CompileModule(m)

@@ -273,30 +273,24 @@ func (f *Func) checkPreElision(s *Inst, frame int) error {
 	if s.Side < lo || int(s.Side) > hi {
 		return fmt.Errorf("shape %d: cold index %d outside [%d, %d]", s.Shape, s.Side, lo, hi)
 	}
-	outside := 0
-	f.visitSlots(s, func(p *int32) {
-		if *p < 0 || int(*p) >= frame {
-			outside++
-		}
-	})
-	if (s.Shape == ShCall || s.Shape == ShCallInd) && (f.Call(s).ArgBase < 0 || int(f.Call(s).ArgBase) >= frame) {
-		outside++
-	}
-	if outside > 0 {
-		return fmt.Errorf("shape %d: a slot outside the frame of %d", s.Shape, frame)
-	}
-	inside := func(tgt int32) bool { return tgt >= 0 && int(tgt) < len(f.Code) }
+	below := func(v int32, n int) bool { return v >= 0 && int(v) < n }
+	slots, tgts := true, true
+	f.visitSlots(s, func(p *int32) { slots = slots && below(*p, frame) })
 	switch s.Shape {
+	case ShCall, ShCallInd:
+		slots = slots && below(f.Call(s).ArgBase, frame)
 	case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch:
-		if !inside(s.Tgt) {
-			return fmt.Errorf("branch target %d outside the function", s.Tgt)
-		}
+		tgts = below(s.Tgt, len(f.Code))
 	case ShBrTable:
 		for _, bt := range f.Table(s).Targets {
-			if !inside(bt.Tgt) {
-				return fmt.Errorf("br_table target %d outside the function", bt.Tgt)
-			}
+			tgts = tgts && below(bt.Tgt, len(f.Code))
 		}
+	}
+	if !slots {
+		return fmt.Errorf("shape %d: a slot outside the frame of %d", s.Shape, frame)
+	}
+	if !tgts {
+		return fmt.Errorf("shape %d: a branch target outside the function", s.Shape)
 	}
 	return nil
 }

@@ -74,26 +74,17 @@ func TestReadFlatRoundTripsTheFrontHalf(t *testing.T) {
 			t.Errorf("function %d: read back\n%swrote\n%s", i, dump(got), dump(f))
 		}
 
-		mem := -1
-		for pc := range f.Code {
-			if f.Code[pc].Shape == ShLoad || f.Code[pc].Shape == ShStore {
-				mem = pc
-			}
-		}
 		if g := f.With(append([]Inst(nil), f.Code...)); g.FuseMem() > 0 {
 			if _, _, err := ReadFlat(g.AppendFlat(nil), frame); err == nil {
 				t.Errorf("function %d: ReadFlat read a stream with fused pairs", i)
 			}
 		}
-		post := map[string]func(g *Func){
-			"two-target":  func(g *Func) { g.Code[0].Flags |= HasElse },
-			"range check": func(g *Func) { g.Code[0].Shape = ShRangeCheck },
-		}
-		if mem >= 0 {
-			post["unchecked"] = func(g *Func) { g.Code[mem].Flags |= Unchecked }
-			post["folded address"] = func(g *Func) { g.SetAddr(&g.Code[mem], Lin{X: 1, CX: 8}) }
-		}
-		for name, mutate := range post {
+		for name, mutate := range map[string]func(g *Func){
+			"two-target":     func(g *Func) { g.Code[0].Flags |= HasElse },
+			"range check":    func(g *Func) { g.Code[0].Shape = ShRangeCheck },
+			"unchecked":      func(g *Func) { g.Code[0].Flags |= Unchecked },
+			"folded address": func(g *Func) { g.SetAddr(&g.Code[0], Lin{X: 1, CX: 8}) },
+		} {
 			g := f.With(append([]Inst(nil), f.Code...))
 			mutate(g)
 			if _, _, err := ReadFlat(g.AppendFlat(nil), frame); err == nil {
