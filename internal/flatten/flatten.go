@@ -36,6 +36,10 @@ type Instr struct {
 	// grouping accesses under one range check (DESIGN.md §11). The
 	// static offset part of the provenance is B, as before.
 	PureAddr bool
+	// Target is true when some branch, if or loop lands on this
+	// instruction. The interpreter's operand folding never reaches
+	// across one: a target starts a fold window or stands alone.
+	Target bool
 }
 
 // BranchTarget is one br_table entry.
@@ -59,10 +63,12 @@ type Func struct {
 }
 
 // Internal pseudo-opcodes for resolved control flow, placed in the
-// unused opcode space. Flatten never emits OpAccount: the interpreter
-// puts one in front of every instruction of the streams it runs with
-// cycle counting or a profiler cell, to charge the Class of the
-// instruction that follows.
+// unused opcode space 0x06–0x0A. Flatten never emits OpAccount: the
+// interpreter puts one in front of every instruction of the streams it
+// runs with cycle counting or a profiler cell, to charge the Class of
+// the instruction that follows. The interpreter's fused operand forms
+// take their private opcodes from 0xC5 up (internal/interp/fold.go);
+// neither range holds an opcode the validator accepts.
 const (
 	OpIfFalse   wasm.Opcode = 0x06 // jump to Tgt when popped value is zero
 	OpJump      wasm.Opcode = 0x07 // unconditional jump carrying Arity values
@@ -127,6 +133,9 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 		// provenance for Instr.PureAddr). Conservative: control-flow
 		// joins and anything memory- or call-derived clear it.
 		pure []bool
+		// joined is set where a forward branch or an if is patched to
+		// land on the next instruction emitted, which becomes a Target.
+		joined bool
 	)
 	push := func(n int32) {
 		height += n
@@ -149,8 +158,24 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 		}
 	}
 	emit := func(in Instr) int {
+		in.Target, joined = joined, false
 		out = append(out, in)
 		return len(out) - 1
+	}
+	// land patches the branches in fixes to the next instruction.
+	land := func(fixes []int) {
+		if len(fixes) > 0 {
+			applyPatches(out, fixes, int32(len(out)))
+			joined = true
+		}
+	}
+	// landElse patches an if's conditional jump to the next instruction.
+	landElse := func(c *ctrl) {
+		if c.elseFix >= 0 {
+			out[c.elseFix].Tgt = int32(len(out))
+			c.elseFix = -1
+			joined = true
+		}
 	}
 	blockArity := func(bt byte) int8 {
 		if bt == wasm.BlockEmpty {
@@ -161,14 +186,16 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 	branchTo := func(depth int, addPatch func(c *ctrl)) BranchTarget {
 		c := &stack[len(stack)-1-depth]
 		if c.op == wasm.OpLoop {
+			// The branch itself is emitted, so the loop's first
+			// instruction is too.
+			out[c.loopPC].Target = true
 			return BranchTarget{Tgt: c.loopPC, PopTo: c.height, Arity: 0}
 		}
 		addPatch(c)
 		return BranchTarget{PopTo: c.height, Arity: c.arity}
 	}
 	finishFunc := func(c ctrl) *Func {
-		target := int32(len(out))
-		applyPatches(out, c.brs, target)
+		land(c.brs)
 		// The function-end join reads the result from the canonical
 		// slot: live fallthrough arrives with height == arity
 		// (validation guarantees it), and every branch to the end
@@ -199,10 +226,7 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 				}
 				height = c.height
 				dead = false
-				if c.elseFix >= 0 {
-					out[c.elseFix].Tgt = int32(len(out))
-					c.elseFix = -1
-				}
+				landElse(c)
 				c.op = wasm.OpElse
 			case wasm.OpEnd:
 				c := stack[len(stack)-1]
@@ -212,10 +236,8 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 				}
 				if !c.wasDead {
 					if len(c.brs) > 0 || c.elseFix >= 0 {
-						applyPatches(out, c.brs, int32(len(out)))
-						if c.elseFix >= 0 {
-							out[c.elseFix].Tgt = int32(len(out))
-						}
+						land(c.brs)
+						landElse(&c)
 						height = c.height + int32(c.arity)
 						if height > maxH {
 							maxH = height
@@ -249,8 +271,7 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			c := &stack[len(stack)-1]
 			j := emit(Instr{Op: OpJump, PopTo: c.height, Arity: c.arity, H: height, Class: isa.ClassBranch})
 			c.brs = append(c.brs, j)
-			out[c.elseFix].Tgt = int32(len(out))
-			c.elseFix = -1
+			landElse(c)
 			height = c.height
 			c.op = wasm.OpElse
 		case wasm.OpEnd:
@@ -259,10 +280,8 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			if len(stack) == 0 {
 				return finishFunc(c), nil
 			}
-			applyPatches(out, c.brs, int32(len(out)))
-			if c.elseFix >= 0 {
-				out[c.elseFix].Tgt = int32(len(out))
-			}
+			land(c.brs)
+			landElse(&c)
 			height = c.height + int32(c.arity)
 			if height > maxH {
 				maxH = height

@@ -10,7 +10,6 @@ import (
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
-	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/workloads"
 )
 
@@ -24,15 +23,7 @@ import (
 // is; a change that means to alter them replaces it with what the
 // failure prints, and says why.
 func TestInterpCountsGolden(t *testing.T) {
-	type config struct {
-		name     string
-		eng      *interp.Engine
-		strategy mem.Strategy
-	}
-	configs := []config{{"wasm3", interp.NewWasm3(), mem.Trap}}
-	for _, s := range mem.Strategies() {
-		configs = append(configs, config{"interp-" + s.String(), interp.NewConfigurable(), s})
-	}
+	configs := interpConfigs()
 	var got strings.Builder
 	for _, spec := range workloads.All() {
 		m, _ := spec.Build(workloads.Test)

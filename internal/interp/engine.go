@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/fanout"
@@ -77,15 +78,17 @@ func (e *Engine) Name() string { return e.name }
 type Module struct {
 	engine *Engine
 	wasm   *wasm.Module
-	funcs  []*flatten.Func // module-defined functions, in code order
+	funcs  []*flatten.Func // module-defined functions, in code order, fused
 	// imported is wasm.NumImportedFuncs(), counted once: every guest
 	// call splits the function space on it.
 	imported uint32
-	// accounted is funcs with an OpAccount in front of every
-	// instruction, built by the first instance that counts cycles or
-	// publishes to a profiler cell; plain instances never build it.
+	// accounted is the unfused streams with an OpAccount in front of
+	// every instruction, built by the first instance that counts
+	// cycles or publishes to a profiler cell; plain instances never
+	// build it.
 	accountOnce sync.Once
 	accounted   []*flatten.Func
+	accountErr  error
 }
 
 // Compile implements core.Engine. It routes through the engine's
@@ -111,40 +114,57 @@ func (e *Engine) compileInterp(m *wasm.Module) (core.CompiledModule, error) {
 		return nil, err
 	}
 	imported := uint32(m.NumImportedFuncs())
-	funcs, i, err := fanout.Map(len(m.Code), func(i int) (*flatten.Func, error) {
-		return flatten.Flatten(m, imported+uint32(i), &m.Code[i])
-	})
+	funcs, err := flattenAll(m, imported, true)
 	if err != nil {
-		return nil, fmt.Errorf("interp: function %d: %w", i, err)
+		return nil, err
 	}
 	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
 }
 
+// flattenAll flattens every function of m on fanout's workers and runs
+// fold on each, fusing operands when fuse is set.
+func flattenAll(m *wasm.Module, imported uint32, fuse bool) ([]*flatten.Func, error) {
+	funcs, i, err := fanout.Map(len(m.Code), func(i int) (*flatten.Func, error) {
+		pf, err := flatten.Flatten(m, imported+uint32(i), &m.Code[i])
+		if err == nil {
+			err = fold(pf, fuse)
+		}
+		return pf, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("interp: function %d: %w", i, err)
+	}
+	return funcs, nil
+}
+
 // accountedFuncs returns the module's instrumented streams, building
-// them on first use. Each instruction is preceded by an OpAccount
-// carrying its class, and every branch target moves to the OpAccount
-// in front of its old target, so the instrumented stream runs the
-// same instructions in the same order as the plain one.
-func (cm *Module) accountedFuncs() []*flatten.Func {
+// them on first use. They are flattened again from the module, proved
+// and left unfused, so they run one dispatch per wasm instruction
+// where the plain streams run one per fused window. Each instruction
+// is preceded by an OpAccount carrying its class and its proved height,
+// and every branch target moves to the OpAccount in front of its old
+// target.
+func (cm *Module) accountedFuncs() ([]*flatten.Func, error) {
 	cm.accountOnce.Do(func() {
-		cm.accounted = make([]*flatten.Func, len(cm.funcs))
-		for i, pf := range cm.funcs {
-			af := *pf
-			af.Code = make([]flatten.Instr, 0, 2*len(pf.Code))
+		funcs, err := flattenAll(cm.wasm, cm.imported, false)
+		if err != nil {
+			cm.accountErr = err
+			return
+		}
+		for _, pf := range funcs {
+			code := make([]flatten.Instr, 0, 2*len(pf.Code))
 			for _, in := range pf.Code {
 				in.Tgt *= 2
-				if in.Table != nil {
-					in.Table = append([]flatten.BranchTarget(nil), in.Table...)
-					for k := range in.Table {
-						in.Table[k].Tgt *= 2
-					}
+				for k := range in.Table {
+					in.Table[k].Tgt *= 2
 				}
-				af.Code = append(af.Code, flatten.Instr{Op: flatten.OpAccount, Class: in.Class}, in)
+				code = append(code, flatten.Instr{Op: flatten.OpAccount, Class: in.Class, H: in.H}, in)
 			}
-			cm.accounted[i] = &af
+			pf.Code = code
 		}
+		cm.accounted = funcs
 	})
-	return cm.accounted
+	return cm.accounted, cm.accountErr
 }
 
 // Instantiate implements core.CompiledModule.
@@ -180,7 +200,10 @@ func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.
 		stack: make([]uint64, 4096),
 	}
 	if cfg.CountCycles || base.ProfCell != nil {
-		inst.funcs = cm.accountedFuncs()
+		if inst.funcs, err = cm.accountedFuncs(); err != nil {
+			_ = base.Close()
+			return nil, err
+		}
 	}
 	if snap == nil && cm.wasm.Start != nil {
 		if _, err := inst.invokeIndex(*cm.wasm.Start, nil); err != nil {
@@ -285,19 +308,35 @@ func (inst *Instance) call(fi uint32, argBase int) {
 	inst.base.LeaveCall()
 }
 
+// frame addresses one activation's slots in inst.stack's backing
+// array: the locals from 0, the operand stack from NumLocals. fold
+// proves that every slot exec addresses for a function lies below
+// NumLocals+MaxStack, and ensureStack makes that many slots follow the
+// frame's base, so exec reads and writes them without Go's bounds
+// checks.
+type frame struct{ p unsafe.Pointer }
+
+func frameAt(stack []uint64, base int) frame { return frame{unsafe.Pointer(&stack[base])} }
+
+// at returns slot i of the frame.
+func (f frame) at(i int) *uint64 { return (*uint64)(unsafe.Add(f.p, i*8)) }
+
 // exec runs a pre-decoded function with its locals at stack[base:].
 // The operand stack occupies stack[base+numLocals:]. On return, the
 // function's results (if any) are at stack[base:].
 //
-// Every opcode the stream can hold is a case of one switch, which Go
-// compiles to a single jump table: one indirect jump per instruction.
-// The stack lives in s, re-read from inst.stack after the two ops
-// whose callee can grow it.
+// Every opcode the stream can hold (wasm's, flatten's pseudo-ops and
+// fold's private ones) is a case of one switch, which Go compiles to a
+// single jump table: one indirect jump per instruction, which in a
+// plain stream stands for up to four wasm instructions.
+// Slots are addressed through fr, re-read from inst.stack after the
+// two ops whose callee can grow it; sp counts slots from the frame's
+// base.
 func (inst *Instance) exec(pf *flatten.Func, base int) {
 	code := pf.Code
-	opBase := base + pf.NumLocals
+	opBase := pf.NumLocals
 	sp := opBase // next free slot
-	s := inst.stack
+	fr := frameAt(inst.stack, base)
 	memory := inst.base.Mem
 	// Read by the OpAccount arm only, which plain streams never reach.
 	var counts *isa.Counts
@@ -311,6 +350,9 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 		in := &code[pc]
 		switch in.Op {
 		case flatten.OpAccount: // charge and publish the next instruction
+			if sp != opBase+int(in.H) {
+				trap.Throwf(trap.HostError, "interp: %s at pc %d runs at height %d, proved %d", code[pc+1].Op, pc+1, sp-opBase, in.H)
+			}
 			checked := ckOn && (in.Class == isa.ClassLoad || in.Class == isa.ClassStore)
 			if counts != nil {
 				counts[in.Class]++
@@ -326,446 +368,617 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 			cell.Set(pf.Index, in.Class, fl) // a no-op on a nil cell
 		case flatten.OpIfFalse:
 			sp--
-			if uint32(s[sp]) == 0 {
+			if uint32(*fr.at(sp)) == 0 {
 				pc = int(in.Tgt) - 1
 			}
 		case flatten.OpBranchIf:
 			sp--
-			if uint32(s[sp]) == 0 {
+			if uint32(*fr.at(sp)) == 0 {
 				break
 			}
 			fallthrough
 		case flatten.OpJump:
 			dst := opBase + int(in.PopTo)
 			if in.Arity > 0 {
-				s[dst] = s[sp-1]
+				*fr.at(dst) = *fr.at(sp - 1)
 				dst++
 			}
 			sp = dst
 			pc = int(in.Tgt) - 1
 		case wasm.OpBrTable:
 			sp--
-			bt := &in.Table[min(uint(uint32(s[sp])), uint(len(in.Table)-1))] // default entry last
+			bt := &in.Table[min(uint(uint32(*fr.at(sp))), uint(len(in.Table)-1))] // default entry last
 			dst := opBase + int(bt.PopTo)
 			if bt.Arity > 0 {
-				s[dst] = s[sp-1]
+				*fr.at(dst) = *fr.at(sp - 1)
 				dst++
 			}
 			sp = dst
 			pc = int(bt.Tgt) - 1
 		case flatten.OpReturnEnd:
 			if in.Arity > 0 {
-				s[base] = s[sp-1]
+				*fr.at(0) = *fr.at(sp - 1)
 			}
 			return
 		case wasm.OpUnreachable:
 			trap.Throw(trap.Unreachable)
 		case wasm.OpCall:
 			argBase := opBase + int(in.PopTo)
-			inst.call(uint32(in.A), argBase)
-			s = inst.stack
+			inst.call(uint32(in.A), base+argBase)
+			fr = frameAt(inst.stack, base)
 			sp = argBase + int(in.Arity)
 		case wasm.OpCallIndirect:
 			sp--
-			fi := inst.base.ResolveIndirect(uint32(s[sp]), uint32(in.A))
+			fi := inst.base.ResolveIndirect(uint32(*fr.at(sp)), uint32(in.A))
 			argBase := opBase + int(in.PopTo)
-			inst.call(fi, argBase)
-			s = inst.stack
+			inst.call(fi, base+argBase)
+			fr = frameAt(inst.stack, base)
 			sp = argBase + int(in.Arity)
 		case wasm.OpDrop:
 			sp--
 		case wasm.OpSelect:
 			sp -= 2
-			if uint32(s[sp+1]) == 0 {
-				s[sp-1] = s[sp]
+			if uint32(*fr.at(sp + 1)) == 0 {
+				*fr.at(sp - 1) = *fr.at(sp)
 			}
 		case wasm.OpLocalGet:
-			s[sp] = s[base+int(in.A)]
+			*fr.at(sp) = *fr.at(int(in.A))
 			sp++
 		case wasm.OpLocalSet:
 			sp--
-			s[base+int(in.A)] = s[sp]
+			*fr.at(int(in.A)) = *fr.at(sp)
 		case wasm.OpLocalTee:
-			s[base+int(in.A)] = s[sp-1]
+			*fr.at(int(in.A)) = *fr.at(sp - 1)
 		case wasm.OpGlobalGet:
-			s[sp] = inst.base.Globals[in.A]
+			*fr.at(sp) = inst.base.Globals[in.A]
 			sp++
 		case wasm.OpGlobalSet:
 			sp--
-			inst.base.Globals[in.A] = s[sp]
+			inst.base.Globals[in.A] = *fr.at(sp)
 		case wasm.OpMemorySize:
-			s[sp] = uint64(memory.SizePages())
+			*fr.at(sp) = uint64(memory.SizePages())
 			sp++
 		case wasm.OpMemoryGrow:
-			s[sp-1] = uint64(uint32(memory.Grow(uint32(s[sp-1]))))
+			*fr.at(sp - 1) = uint64(uint32(memory.Grow(uint32(*fr.at(sp - 1)))))
 		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
-			s[sp] = in.A
+			*fr.at(sp) = in.A
 			sp++
 		case wasm.OpPrefix:
-			sp = inst.execPrefix(in, sp)
+			sp = inst.execPrefix(in, fr, sp)
 		// loads and stores: base + static offset, in 64 bits, cannot wrap
 		case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
-			s[sp-1] = uint64(memory.LoadU32(uint64(uint32(s[sp-1])) + in.B))
+			*fr.at(sp - 1) = uint64(memory.LoadU32(uint64(uint32(*fr.at(sp - 1))) + in.B))
 		case wasm.OpI64Load, wasm.OpF64Load:
-			s[sp-1] = memory.LoadU64(uint64(uint32(s[sp-1])) + in.B)
+			*fr.at(sp - 1) = memory.LoadU64(uint64(uint32(*fr.at(sp - 1))) + in.B)
 		case wasm.OpI32Load8S:
-			s[sp-1] = uint64(uint32(int32(int8(memory.LoadU8(uint64(uint32(s[sp-1])) + in.B)))))
+			*fr.at(sp - 1) = uint64(uint32(int32(int8(memory.LoadU8(uint64(uint32(*fr.at(sp - 1))) + in.B)))))
 		case wasm.OpI32Load8U, wasm.OpI64Load8U:
-			s[sp-1] = uint64(memory.LoadU8(uint64(uint32(s[sp-1])) + in.B))
+			*fr.at(sp - 1) = uint64(memory.LoadU8(uint64(uint32(*fr.at(sp - 1))) + in.B))
 		case wasm.OpI32Load16S:
-			s[sp-1] = uint64(uint32(int32(int16(memory.LoadU16(uint64(uint32(s[sp-1])) + in.B)))))
+			*fr.at(sp - 1) = uint64(uint32(int32(int16(memory.LoadU16(uint64(uint32(*fr.at(sp - 1))) + in.B)))))
 		case wasm.OpI32Load16U, wasm.OpI64Load16U:
-			s[sp-1] = uint64(memory.LoadU16(uint64(uint32(s[sp-1])) + in.B))
+			*fr.at(sp - 1) = uint64(memory.LoadU16(uint64(uint32(*fr.at(sp - 1))) + in.B))
 		case wasm.OpI64Load8S:
-			s[sp-1] = uint64(int64(int8(memory.LoadU8(uint64(uint32(s[sp-1])) + in.B))))
+			*fr.at(sp - 1) = uint64(int64(int8(memory.LoadU8(uint64(uint32(*fr.at(sp - 1))) + in.B))))
 		case wasm.OpI64Load16S:
-			s[sp-1] = uint64(int64(int16(memory.LoadU16(uint64(uint32(s[sp-1])) + in.B))))
+			*fr.at(sp - 1) = uint64(int64(int16(memory.LoadU16(uint64(uint32(*fr.at(sp - 1))) + in.B))))
 		case wasm.OpI64Load32S:
-			s[sp-1] = uint64(int64(int32(memory.LoadU32(uint64(uint32(s[sp-1])) + in.B))))
+			*fr.at(sp - 1) = uint64(int64(int32(memory.LoadU32(uint64(uint32(*fr.at(sp - 1))) + in.B))))
 		case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
 			sp -= 2
-			memory.StoreU32(uint64(uint32(s[sp]))+in.B, uint32(s[sp+1]))
+			memory.StoreU32(uint64(uint32(*fr.at(sp)))+in.B, uint32(*fr.at(sp + 1)))
 		case wasm.OpI64Store, wasm.OpF64Store:
 			sp -= 2
-			memory.StoreU64(uint64(uint32(s[sp]))+in.B, s[sp+1])
+			memory.StoreU64(uint64(uint32(*fr.at(sp)))+in.B, *fr.at(sp + 1))
 		case wasm.OpI32Store8, wasm.OpI64Store8:
 			sp -= 2
-			memory.StoreU8(uint64(uint32(s[sp]))+in.B, byte(s[sp+1]))
+			memory.StoreU8(uint64(uint32(*fr.at(sp)))+in.B, byte(*fr.at(sp + 1)))
 		case wasm.OpI32Store16, wasm.OpI64Store16:
 			sp -= 2
-			memory.StoreU16(uint64(uint32(s[sp]))+in.B, uint16(s[sp+1]))
+			memory.StoreU16(uint64(uint32(*fr.at(sp)))+in.B, uint16(*fr.at(sp + 1)))
 		// i32 comparisons
 		case wasm.OpI32Eqz:
-			s[sp-1] = b2u(uint32(s[sp-1]) == 0)
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) == 0)
 		case wasm.OpI32Eq:
 			sp--
-			s[sp-1] = b2u(uint32(s[sp-1]) == uint32(s[sp]))
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) == uint32(*fr.at(sp)))
 		case wasm.OpI32Ne:
 			sp--
-			s[sp-1] = b2u(uint32(s[sp-1]) != uint32(s[sp]))
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) != uint32(*fr.at(sp)))
 		case wasm.OpI32LtS:
 			sp--
-			s[sp-1] = b2u(int32(s[sp-1]) < int32(s[sp]))
+			*fr.at(sp - 1) = b2u(int32(*fr.at(sp - 1)) < int32(*fr.at(sp)))
 		case wasm.OpI32LtU:
 			sp--
-			s[sp-1] = b2u(uint32(s[sp-1]) < uint32(s[sp]))
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) < uint32(*fr.at(sp)))
 		case wasm.OpI32GtS:
 			sp--
-			s[sp-1] = b2u(int32(s[sp-1]) > int32(s[sp]))
+			*fr.at(sp - 1) = b2u(int32(*fr.at(sp - 1)) > int32(*fr.at(sp)))
 		case wasm.OpI32GtU:
 			sp--
-			s[sp-1] = b2u(uint32(s[sp-1]) > uint32(s[sp]))
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) > uint32(*fr.at(sp)))
 		case wasm.OpI32LeS:
 			sp--
-			s[sp-1] = b2u(int32(s[sp-1]) <= int32(s[sp]))
+			*fr.at(sp - 1) = b2u(int32(*fr.at(sp - 1)) <= int32(*fr.at(sp)))
 		case wasm.OpI32LeU:
 			sp--
-			s[sp-1] = b2u(uint32(s[sp-1]) <= uint32(s[sp]))
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) <= uint32(*fr.at(sp)))
 		case wasm.OpI32GeS:
 			sp--
-			s[sp-1] = b2u(int32(s[sp-1]) >= int32(s[sp]))
+			*fr.at(sp - 1) = b2u(int32(*fr.at(sp - 1)) >= int32(*fr.at(sp)))
 		case wasm.OpI32GeU:
 			sp--
-			s[sp-1] = b2u(uint32(s[sp-1]) >= uint32(s[sp]))
+			*fr.at(sp - 1) = b2u(uint32(*fr.at(sp - 1)) >= uint32(*fr.at(sp)))
 		// i64 comparisons
 		case wasm.OpI64Eqz:
-			s[sp-1] = b2u(s[sp-1] == 0)
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) == 0)
 		case wasm.OpI64Eq:
 			sp--
-			s[sp-1] = b2u(s[sp-1] == s[sp])
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) == *fr.at(sp))
 		case wasm.OpI64Ne:
 			sp--
-			s[sp-1] = b2u(s[sp-1] != s[sp])
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) != *fr.at(sp))
 		case wasm.OpI64LtS:
 			sp--
-			s[sp-1] = b2u(int64(s[sp-1]) < int64(s[sp]))
+			*fr.at(sp - 1) = b2u(int64(*fr.at(sp - 1)) < int64(*fr.at(sp)))
 		case wasm.OpI64LtU:
 			sp--
-			s[sp-1] = b2u(s[sp-1] < s[sp])
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) < *fr.at(sp))
 		case wasm.OpI64GtS:
 			sp--
-			s[sp-1] = b2u(int64(s[sp-1]) > int64(s[sp]))
+			*fr.at(sp - 1) = b2u(int64(*fr.at(sp - 1)) > int64(*fr.at(sp)))
 		case wasm.OpI64GtU:
 			sp--
-			s[sp-1] = b2u(s[sp-1] > s[sp])
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) > *fr.at(sp))
 		case wasm.OpI64LeS:
 			sp--
-			s[sp-1] = b2u(int64(s[sp-1]) <= int64(s[sp]))
+			*fr.at(sp - 1) = b2u(int64(*fr.at(sp - 1)) <= int64(*fr.at(sp)))
 		case wasm.OpI64LeU:
 			sp--
-			s[sp-1] = b2u(s[sp-1] <= s[sp])
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) <= *fr.at(sp))
 		case wasm.OpI64GeS:
 			sp--
-			s[sp-1] = b2u(int64(s[sp-1]) >= int64(s[sp]))
+			*fr.at(sp - 1) = b2u(int64(*fr.at(sp - 1)) >= int64(*fr.at(sp)))
 		case wasm.OpI64GeU:
 			sp--
-			s[sp-1] = b2u(s[sp-1] >= s[sp])
+			*fr.at(sp - 1) = b2u(*fr.at(sp - 1) >= *fr.at(sp))
 		// f32 comparisons
 		case wasm.OpF32Eq:
 			sp--
-			s[sp-1] = b2u(f32(s[sp-1]) == f32(s[sp]))
+			*fr.at(sp - 1) = b2u(f32(*fr.at(sp - 1)) == f32(*fr.at(sp)))
 		case wasm.OpF32Ne:
 			sp--
-			s[sp-1] = b2u(f32(s[sp-1]) != f32(s[sp]))
+			*fr.at(sp - 1) = b2u(f32(*fr.at(sp - 1)) != f32(*fr.at(sp)))
 		case wasm.OpF32Lt:
 			sp--
-			s[sp-1] = b2u(f32(s[sp-1]) < f32(s[sp]))
+			*fr.at(sp - 1) = b2u(f32(*fr.at(sp - 1)) < f32(*fr.at(sp)))
 		case wasm.OpF32Gt:
 			sp--
-			s[sp-1] = b2u(f32(s[sp-1]) > f32(s[sp]))
+			*fr.at(sp - 1) = b2u(f32(*fr.at(sp - 1)) > f32(*fr.at(sp)))
 		case wasm.OpF32Le:
 			sp--
-			s[sp-1] = b2u(f32(s[sp-1]) <= f32(s[sp]))
+			*fr.at(sp - 1) = b2u(f32(*fr.at(sp - 1)) <= f32(*fr.at(sp)))
 		case wasm.OpF32Ge:
 			sp--
-			s[sp-1] = b2u(f32(s[sp-1]) >= f32(s[sp]))
+			*fr.at(sp - 1) = b2u(f32(*fr.at(sp - 1)) >= f32(*fr.at(sp)))
 		// f64 comparisons
 		case wasm.OpF64Eq:
 			sp--
-			s[sp-1] = b2u(f64(s[sp-1]) == f64(s[sp]))
+			*fr.at(sp - 1) = b2u(f64(*fr.at(sp - 1)) == f64(*fr.at(sp)))
 		case wasm.OpF64Ne:
 			sp--
-			s[sp-1] = b2u(f64(s[sp-1]) != f64(s[sp]))
+			*fr.at(sp - 1) = b2u(f64(*fr.at(sp - 1)) != f64(*fr.at(sp)))
 		case wasm.OpF64Lt:
 			sp--
-			s[sp-1] = b2u(f64(s[sp-1]) < f64(s[sp]))
+			*fr.at(sp - 1) = b2u(f64(*fr.at(sp - 1)) < f64(*fr.at(sp)))
 		case wasm.OpF64Gt:
 			sp--
-			s[sp-1] = b2u(f64(s[sp-1]) > f64(s[sp]))
+			*fr.at(sp - 1) = b2u(f64(*fr.at(sp - 1)) > f64(*fr.at(sp)))
 		case wasm.OpF64Le:
 			sp--
-			s[sp-1] = b2u(f64(s[sp-1]) <= f64(s[sp]))
+			*fr.at(sp - 1) = b2u(f64(*fr.at(sp - 1)) <= f64(*fr.at(sp)))
 		case wasm.OpF64Ge:
 			sp--
-			s[sp-1] = b2u(f64(s[sp-1]) >= f64(s[sp]))
+			*fr.at(sp - 1) = b2u(f64(*fr.at(sp - 1)) >= f64(*fr.at(sp)))
 		// i32 arithmetic
 		case wasm.OpI32Clz:
-			s[sp-1] = uint64(bits.LeadingZeros32(uint32(s[sp-1])))
+			*fr.at(sp - 1) = uint64(bits.LeadingZeros32(uint32(*fr.at(sp - 1))))
 		case wasm.OpI32Ctz:
-			s[sp-1] = uint64(bits.TrailingZeros32(uint32(s[sp-1])))
+			*fr.at(sp - 1) = uint64(bits.TrailingZeros32(uint32(*fr.at(sp - 1))))
 		case wasm.OpI32Popcnt:
-			s[sp-1] = uint64(bits.OnesCount32(uint32(s[sp-1])))
+			*fr.at(sp - 1) = uint64(bits.OnesCount32(uint32(*fr.at(sp - 1))))
 		case wasm.OpI32Add:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) + uint32(s[sp]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) + uint32(*fr.at(sp)))
 		case wasm.OpI32Sub:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) - uint32(s[sp]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) - uint32(*fr.at(sp)))
 		case wasm.OpI32Mul:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) * uint32(s[sp]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) * uint32(*fr.at(sp)))
 		case wasm.OpI32DivS:
 			sp--
-			s[sp-1] = uint64(uint32(numeric.DivS32(int32(s[sp-1]), int32(s[sp]))))
+			*fr.at(sp - 1) = uint64(uint32(numeric.DivS32(int32(*fr.at(sp - 1)), int32(*fr.at(sp)))))
 		case wasm.OpI32DivU:
 			sp--
-			s[sp-1] = uint64(numeric.DivU32(uint32(s[sp-1]), uint32(s[sp])))
+			*fr.at(sp - 1) = uint64(numeric.DivU32(uint32(*fr.at(sp - 1)), uint32(*fr.at(sp))))
 		case wasm.OpI32RemS:
 			sp--
-			s[sp-1] = uint64(uint32(numeric.RemS32(int32(s[sp-1]), int32(s[sp]))))
+			*fr.at(sp - 1) = uint64(uint32(numeric.RemS32(int32(*fr.at(sp - 1)), int32(*fr.at(sp)))))
 		case wasm.OpI32RemU:
 			sp--
-			s[sp-1] = uint64(numeric.RemU32(uint32(s[sp-1]), uint32(s[sp])))
+			*fr.at(sp - 1) = uint64(numeric.RemU32(uint32(*fr.at(sp - 1)), uint32(*fr.at(sp))))
 		case wasm.OpI32And:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) & uint32(s[sp]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) & uint32(*fr.at(sp)))
 		case wasm.OpI32Or:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) | uint32(s[sp]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) | uint32(*fr.at(sp)))
 		case wasm.OpI32Xor:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) ^ uint32(s[sp]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) ^ uint32(*fr.at(sp)))
 		case wasm.OpI32Shl:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) << (uint32(s[sp]) & 31))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) << (uint32(*fr.at(sp)) & 31))
 		case wasm.OpI32ShrS:
 			sp--
-			s[sp-1] = uint64(uint32(int32(s[sp-1]) >> (uint32(s[sp]) & 31)))
+			*fr.at(sp - 1) = uint64(uint32(int32(*fr.at(sp - 1)) >> (uint32(*fr.at(sp)) & 31)))
 		case wasm.OpI32ShrU:
 			sp--
-			s[sp-1] = uint64(uint32(s[sp-1]) >> (uint32(s[sp]) & 31))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) >> (uint32(*fr.at(sp)) & 31))
 		case wasm.OpI32Rotl:
 			sp--
-			s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), int(uint32(s[sp])&31)))
+			*fr.at(sp - 1) = uint64(bits.RotateLeft32(uint32(*fr.at(sp - 1)), int(uint32(*fr.at(sp))&31)))
 		case wasm.OpI32Rotr:
 			sp--
-			s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), -int(uint32(s[sp])&31)))
+			*fr.at(sp - 1) = uint64(bits.RotateLeft32(uint32(*fr.at(sp - 1)), -int(uint32(*fr.at(sp))&31)))
 		// i64 arithmetic
 		case wasm.OpI64Clz:
-			s[sp-1] = uint64(bits.LeadingZeros64(s[sp-1]))
+			*fr.at(sp - 1) = uint64(bits.LeadingZeros64(*fr.at(sp - 1)))
 		case wasm.OpI64Ctz:
-			s[sp-1] = uint64(bits.TrailingZeros64(s[sp-1]))
+			*fr.at(sp - 1) = uint64(bits.TrailingZeros64(*fr.at(sp - 1)))
 		case wasm.OpI64Popcnt:
-			s[sp-1] = uint64(bits.OnesCount64(s[sp-1]))
+			*fr.at(sp - 1) = uint64(bits.OnesCount64(*fr.at(sp - 1)))
 		case wasm.OpI64Add:
 			sp--
-			s[sp-1] += s[sp]
+			*fr.at(sp - 1) += *fr.at(sp)
 		case wasm.OpI64Sub:
 			sp--
-			s[sp-1] -= s[sp]
+			*fr.at(sp - 1) -= *fr.at(sp)
 		case wasm.OpI64Mul:
 			sp--
-			s[sp-1] *= s[sp]
+			*fr.at(sp - 1) *= *fr.at(sp)
 		case wasm.OpI64DivS:
 			sp--
-			s[sp-1] = uint64(numeric.DivS64(int64(s[sp-1]), int64(s[sp])))
+			*fr.at(sp - 1) = uint64(numeric.DivS64(int64(*fr.at(sp - 1)), int64(*fr.at(sp))))
 		case wasm.OpI64DivU:
 			sp--
-			s[sp-1] = numeric.DivU64(s[sp-1], s[sp])
+			*fr.at(sp - 1) = numeric.DivU64(*fr.at(sp - 1), *fr.at(sp))
 		case wasm.OpI64RemS:
 			sp--
-			s[sp-1] = uint64(numeric.RemS64(int64(s[sp-1]), int64(s[sp])))
+			*fr.at(sp - 1) = uint64(numeric.RemS64(int64(*fr.at(sp - 1)), int64(*fr.at(sp))))
 		case wasm.OpI64RemU:
 			sp--
-			s[sp-1] = numeric.RemU64(s[sp-1], s[sp])
+			*fr.at(sp - 1) = numeric.RemU64(*fr.at(sp - 1), *fr.at(sp))
 		case wasm.OpI64And:
 			sp--
-			s[sp-1] &= s[sp]
+			*fr.at(sp - 1) &= *fr.at(sp)
 		case wasm.OpI64Or:
 			sp--
-			s[sp-1] |= s[sp]
+			*fr.at(sp - 1) |= *fr.at(sp)
 		case wasm.OpI64Xor:
 			sp--
-			s[sp-1] ^= s[sp]
+			*fr.at(sp - 1) ^= *fr.at(sp)
 		case wasm.OpI64Shl:
 			sp--
-			s[sp-1] <<= s[sp] & 63
+			*fr.at(sp - 1) <<= *fr.at(sp) & 63
 		case wasm.OpI64ShrS:
 			sp--
-			s[sp-1] = uint64(int64(s[sp-1]) >> (s[sp] & 63))
+			*fr.at(sp - 1) = uint64(int64(*fr.at(sp - 1)) >> (*fr.at(sp) & 63))
 		case wasm.OpI64ShrU:
 			sp--
-			s[sp-1] >>= s[sp] & 63
+			*fr.at(sp - 1) >>= *fr.at(sp) & 63
 		case wasm.OpI64Rotl:
 			sp--
-			s[sp-1] = bits.RotateLeft64(s[sp-1], int(s[sp]&63))
+			*fr.at(sp - 1) = bits.RotateLeft64(*fr.at(sp - 1), int(*fr.at(sp)&63))
 		case wasm.OpI64Rotr:
 			sp--
-			s[sp-1] = bits.RotateLeft64(s[sp-1], -int(s[sp]&63))
+			*fr.at(sp - 1) = bits.RotateLeft64(*fr.at(sp - 1), -int(*fr.at(sp)&63))
 		// f32 arithmetic
 		case wasm.OpF32Abs:
-			s[sp-1] = u32f(float32(math.Abs(float64(f32(s[sp-1])))))
+			*fr.at(sp - 1) = u32f(float32(math.Abs(float64(f32(*fr.at(sp - 1))))))
 		case wasm.OpF32Neg:
-			s[sp-1] = u32f(-f32(s[sp-1]))
+			*fr.at(sp - 1) = u32f(-f32(*fr.at(sp - 1)))
 		case wasm.OpF32Ceil:
-			s[sp-1] = u32f(float32(math.Ceil(float64(f32(s[sp-1])))))
+			*fr.at(sp - 1) = u32f(float32(math.Ceil(float64(f32(*fr.at(sp - 1))))))
 		case wasm.OpF32Floor:
-			s[sp-1] = u32f(float32(math.Floor(float64(f32(s[sp-1])))))
+			*fr.at(sp - 1) = u32f(float32(math.Floor(float64(f32(*fr.at(sp - 1))))))
 		case wasm.OpF32Trunc:
-			s[sp-1] = u32f(float32(math.Trunc(float64(f32(s[sp-1])))))
+			*fr.at(sp - 1) = u32f(float32(math.Trunc(float64(f32(*fr.at(sp - 1))))))
 		case wasm.OpF32Nearest:
-			s[sp-1] = u32f(numeric.Nearest32(f32(s[sp-1])))
+			*fr.at(sp - 1) = u32f(numeric.Nearest32(f32(*fr.at(sp - 1))))
 		case wasm.OpF32Sqrt:
-			s[sp-1] = u32f(float32(math.Sqrt(float64(f32(s[sp-1])))))
+			*fr.at(sp - 1) = u32f(float32(math.Sqrt(float64(f32(*fr.at(sp - 1))))))
 		case wasm.OpF32Add:
 			sp--
-			s[sp-1] = u32f(f32(s[sp-1]) + f32(s[sp]))
+			*fr.at(sp - 1) = u32f(f32(*fr.at(sp - 1)) + f32(*fr.at(sp)))
 		case wasm.OpF32Sub:
 			sp--
-			s[sp-1] = u32f(f32(s[sp-1]) - f32(s[sp]))
+			*fr.at(sp - 1) = u32f(f32(*fr.at(sp - 1)) - f32(*fr.at(sp)))
 		case wasm.OpF32Mul:
 			sp--
-			s[sp-1] = u32f(f32(s[sp-1]) * f32(s[sp]))
+			*fr.at(sp - 1) = u32f(f32(*fr.at(sp - 1)) * f32(*fr.at(sp)))
 		case wasm.OpF32Div:
 			sp--
-			s[sp-1] = u32f(f32(s[sp-1]) / f32(s[sp]))
+			*fr.at(sp - 1) = u32f(f32(*fr.at(sp - 1)) / f32(*fr.at(sp)))
 		case wasm.OpF32Min:
 			sp--
-			s[sp-1] = u32f(numeric.Fmin32(f32(s[sp-1]), f32(s[sp])))
+			*fr.at(sp - 1) = u32f(numeric.Fmin32(f32(*fr.at(sp - 1)), f32(*fr.at(sp))))
 		case wasm.OpF32Max:
 			sp--
-			s[sp-1] = u32f(numeric.Fmax32(f32(s[sp-1]), f32(s[sp])))
+			*fr.at(sp - 1) = u32f(numeric.Fmax32(f32(*fr.at(sp - 1)), f32(*fr.at(sp))))
 		case wasm.OpF32Copysign:
 			sp--
-			s[sp-1] = u32f(float32(math.Copysign(float64(f32(s[sp-1])), float64(f32(s[sp])))))
+			*fr.at(sp - 1) = u32f(float32(math.Copysign(float64(f32(*fr.at(sp - 1))), float64(f32(*fr.at(sp))))))
 		// f64 arithmetic
 		case wasm.OpF64Abs:
-			s[sp-1] = uf(math.Abs(f64(s[sp-1])))
+			*fr.at(sp - 1) = uf(math.Abs(f64(*fr.at(sp - 1))))
 		case wasm.OpF64Neg:
-			s[sp-1] = uf(-f64(s[sp-1]))
+			*fr.at(sp - 1) = uf(-f64(*fr.at(sp - 1)))
 		case wasm.OpF64Ceil:
-			s[sp-1] = uf(math.Ceil(f64(s[sp-1])))
+			*fr.at(sp - 1) = uf(math.Ceil(f64(*fr.at(sp - 1))))
 		case wasm.OpF64Floor:
-			s[sp-1] = uf(math.Floor(f64(s[sp-1])))
+			*fr.at(sp - 1) = uf(math.Floor(f64(*fr.at(sp - 1))))
 		case wasm.OpF64Trunc:
-			s[sp-1] = uf(math.Trunc(f64(s[sp-1])))
+			*fr.at(sp - 1) = uf(math.Trunc(f64(*fr.at(sp - 1))))
 		case wasm.OpF64Nearest:
-			s[sp-1] = uf(numeric.Nearest(f64(s[sp-1])))
+			*fr.at(sp - 1) = uf(numeric.Nearest(f64(*fr.at(sp - 1))))
 		case wasm.OpF64Sqrt:
-			s[sp-1] = uf(math.Sqrt(f64(s[sp-1])))
+			*fr.at(sp - 1) = uf(math.Sqrt(f64(*fr.at(sp - 1))))
 		case wasm.OpF64Add:
 			sp--
-			s[sp-1] = uf(f64(s[sp-1]) + f64(s[sp]))
+			*fr.at(sp - 1) = uf(f64(*fr.at(sp - 1)) + f64(*fr.at(sp)))
 		case wasm.OpF64Sub:
 			sp--
-			s[sp-1] = uf(f64(s[sp-1]) - f64(s[sp]))
+			*fr.at(sp - 1) = uf(f64(*fr.at(sp - 1)) - f64(*fr.at(sp)))
 		case wasm.OpF64Mul:
 			sp--
-			s[sp-1] = uf(f64(s[sp-1]) * f64(s[sp]))
+			*fr.at(sp - 1) = uf(f64(*fr.at(sp - 1)) * f64(*fr.at(sp)))
 		case wasm.OpF64Div:
 			sp--
-			s[sp-1] = uf(f64(s[sp-1]) / f64(s[sp]))
+			*fr.at(sp - 1) = uf(f64(*fr.at(sp - 1)) / f64(*fr.at(sp)))
 		case wasm.OpF64Min:
 			sp--
-			s[sp-1] = uf(numeric.Fmin(f64(s[sp-1]), f64(s[sp])))
+			*fr.at(sp - 1) = uf(numeric.Fmin(f64(*fr.at(sp - 1)), f64(*fr.at(sp))))
 		case wasm.OpF64Max:
 			sp--
-			s[sp-1] = uf(numeric.Fmax(f64(s[sp-1]), f64(s[sp])))
+			*fr.at(sp - 1) = uf(numeric.Fmax(f64(*fr.at(sp - 1)), f64(*fr.at(sp))))
 		case wasm.OpF64Copysign:
 			sp--
-			s[sp-1] = uf(math.Copysign(f64(s[sp-1]), f64(s[sp])))
+			*fr.at(sp - 1) = uf(math.Copysign(f64(*fr.at(sp - 1)), f64(*fr.at(sp))))
 		// conversions
 		case wasm.OpI32WrapI64, wasm.OpI64ExtendI32U:
-			s[sp-1] = uint64(uint32(s[sp-1]))
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)))
 		case wasm.OpI32TruncF32S:
-			s[sp-1] = uint64(uint32(numeric.TruncF32ToI32(f32(s[sp-1]))))
+			*fr.at(sp - 1) = uint64(uint32(numeric.TruncF32ToI32(f32(*fr.at(sp - 1)))))
 		case wasm.OpI32TruncF32U:
-			s[sp-1] = uint64(numeric.TruncF32ToU32(f32(s[sp-1])))
+			*fr.at(sp - 1) = uint64(numeric.TruncF32ToU32(f32(*fr.at(sp - 1))))
 		case wasm.OpI32TruncF64S:
-			s[sp-1] = uint64(uint32(numeric.TruncF64ToI32(f64(s[sp-1]))))
+			*fr.at(sp - 1) = uint64(uint32(numeric.TruncF64ToI32(f64(*fr.at(sp - 1)))))
 		case wasm.OpI32TruncF64U:
-			s[sp-1] = uint64(numeric.TruncF64ToU32(f64(s[sp-1])))
+			*fr.at(sp - 1) = uint64(numeric.TruncF64ToU32(f64(*fr.at(sp - 1))))
 		case wasm.OpI64ExtendI32S, wasm.OpI64Extend32S:
-			s[sp-1] = uint64(int64(int32(s[sp-1])))
+			*fr.at(sp - 1) = uint64(int64(int32(*fr.at(sp - 1))))
 		case wasm.OpI64TruncF32S:
-			s[sp-1] = uint64(numeric.TruncF32ToI64(f32(s[sp-1])))
+			*fr.at(sp - 1) = uint64(numeric.TruncF32ToI64(f32(*fr.at(sp - 1))))
 		case wasm.OpI64TruncF32U:
-			s[sp-1] = numeric.TruncF32ToU64(f32(s[sp-1]))
+			*fr.at(sp - 1) = numeric.TruncF32ToU64(f32(*fr.at(sp - 1)))
 		case wasm.OpI64TruncF64S:
-			s[sp-1] = uint64(numeric.TruncF64ToI64(f64(s[sp-1])))
+			*fr.at(sp - 1) = uint64(numeric.TruncF64ToI64(f64(*fr.at(sp - 1))))
 		case wasm.OpI64TruncF64U:
-			s[sp-1] = numeric.TruncF64ToU64(f64(s[sp-1]))
+			*fr.at(sp - 1) = numeric.TruncF64ToU64(f64(*fr.at(sp - 1)))
 		case wasm.OpF32ConvertI32S:
-			s[sp-1] = u32f(float32(int32(s[sp-1])))
+			*fr.at(sp - 1) = u32f(float32(int32(*fr.at(sp - 1))))
 		case wasm.OpF32ConvertI32U:
-			s[sp-1] = u32f(float32(uint32(s[sp-1])))
+			*fr.at(sp - 1) = u32f(float32(uint32(*fr.at(sp - 1))))
 		case wasm.OpF32ConvertI64S:
-			s[sp-1] = u32f(float32(int64(s[sp-1])))
+			*fr.at(sp - 1) = u32f(float32(int64(*fr.at(sp - 1))))
 		case wasm.OpF32ConvertI64U:
-			s[sp-1] = u32f(float32(s[sp-1]))
+			*fr.at(sp - 1) = u32f(float32(*fr.at(sp - 1)))
 		case wasm.OpF32DemoteF64:
-			s[sp-1] = u32f(float32(f64(s[sp-1])))
+			*fr.at(sp - 1) = u32f(float32(f64(*fr.at(sp - 1))))
 		case wasm.OpF64ConvertI32S:
-			s[sp-1] = uf(float64(int32(s[sp-1])))
+			*fr.at(sp - 1) = uf(float64(int32(*fr.at(sp - 1))))
 		case wasm.OpF64ConvertI32U:
-			s[sp-1] = uf(float64(uint32(s[sp-1])))
+			*fr.at(sp - 1) = uf(float64(uint32(*fr.at(sp - 1))))
 		case wasm.OpF64ConvertI64S:
-			s[sp-1] = uf(float64(int64(s[sp-1])))
+			*fr.at(sp - 1) = uf(float64(int64(*fr.at(sp - 1))))
 		case wasm.OpF64ConvertI64U:
-			s[sp-1] = uf(float64(s[sp-1]))
+			*fr.at(sp - 1) = uf(float64(*fr.at(sp - 1)))
 		case wasm.OpF64PromoteF32:
-			s[sp-1] = uf(float64(f32(s[sp-1])))
+			*fr.at(sp - 1) = uf(float64(f32(*fr.at(sp - 1))))
 		case wasm.OpI32ReinterpretF32, wasm.OpI64ReinterpretF64,
 			wasm.OpF32ReinterpretI32, wasm.OpF64ReinterpretI64:
 			// bit patterns are already shared
 		case wasm.OpI32Extend8S:
-			s[sp-1] = uint64(uint32(int32(int8(s[sp-1]))))
+			*fr.at(sp - 1) = uint64(uint32(int32(int8(*fr.at(sp - 1)))))
 		case wasm.OpI32Extend16S:
-			s[sp-1] = uint64(uint32(int32(int16(s[sp-1]))))
+			*fr.at(sp - 1) = uint64(uint32(int32(int16(*fr.at(sp - 1)))))
 		case wasm.OpI64Extend8S:
-			s[sp-1] = uint64(int64(int8(s[sp-1])))
+			*fr.at(sp - 1) = uint64(int64(int8(*fr.at(sp - 1))))
 		case wasm.OpI64Extend16S:
-			s[sp-1] = uint64(int64(int16(s[sp-1])))
+			*fr.at(sp - 1) = uint64(int64(int16(*fr.at(sp - 1))))
+		// fused operand forms (fold.go)
+		case opI32AddI:
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) + uint32(in.A))
+		case opI32SubI:
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) - uint32(in.A))
+		case opI32MulI:
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) * uint32(in.A))
+		case opI32ShlI:
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) << (uint32(in.A) & 31))
+		case opI32AndI:
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) & uint32(in.A))
+		case opI64AddI:
+			*fr.at(sp - 1) += in.A
+		case opI64MulI:
+			*fr.at(sp - 1) *= in.A
+		case opI32AddLI:
+			*fr.at(sp) = uint64(uint32(*fr.at(int(in.A))) + uint32(in.B))
+			sp++
+		case opI32SubLI:
+			*fr.at(sp) = uint64(uint32(*fr.at(int(in.A))) - uint32(in.B))
+			sp++
+		case opI32MulLI:
+			*fr.at(sp) = uint64(uint32(*fr.at(int(in.A))) * uint32(in.B))
+			sp++
+		case opI32ShlLI:
+			*fr.at(sp) = uint64(uint32(*fr.at(int(in.A))) << (uint32(in.B) & 31))
+			sp++
+		case opI32AndLI:
+			*fr.at(sp) = uint64(uint32(*fr.at(int(in.A))) & uint32(in.B))
+			sp++
+		case opI64AddLI:
+			*fr.at(sp) = *fr.at(int(in.A)) + in.B
+			sp++
+		case opI64MulLI:
+			*fr.at(sp) = *fr.at(int(in.A)) * in.B
+			sp++
+		case opI32AddL:
+			*fr.at(sp - 1) = uint64(uint32(*fr.at(sp - 1)) + uint32(*fr.at(int(in.A))))
+		case opI64AddL:
+			*fr.at(sp - 1) += *fr.at(int(in.A))
+		case opI32AddToL:
+			sp -= 2
+			*fr.at(int(in.A)) = uint64(uint32(*fr.at(sp)) + uint32(*fr.at(sp + 1)))
+		case opI64AddToL:
+			sp -= 2
+			*fr.at(int(in.A)) = *fr.at(sp) + *fr.at(sp + 1)
+		case opI32IncL:
+			l := fr.at(int(in.A))
+			*l = uint64(uint32(*l) + uint32(in.B))
+		case opI64IncL:
+			*fr.at(int(in.A)) += in.B
+		case opGetGet:
+			*fr.at(sp) = *fr.at(int(in.A))
+			*fr.at(sp + 1) = *fr.at(int(in.B))
+			sp += 2
+		case opGetConst:
+			*fr.at(sp) = *fr.at(int(in.A))
+			*fr.at(sp + 1) = in.B
+			sp += 2
+		case opSetGet:
+			*fr.at(int(in.A)) = *fr.at(sp - 1)
+			*fr.at(sp - 1) = *fr.at(int(in.B))
+		// fused compare and branch (fold.go)
+		case opBrEq:
+			sp -= 2
+			if uint32(*fr.at(sp)) == uint32(*fr.at(sp + 1)) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrNe:
+			sp -= 2
+			if uint32(*fr.at(sp)) != uint32(*fr.at(sp + 1)) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtS:
+			sp -= 2
+			if int32(*fr.at(sp)) < int32(*fr.at(sp + 1)) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeS:
+			sp -= 2
+			if int32(*fr.at(sp)) >= int32(*fr.at(sp + 1)) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtU:
+			sp -= 2
+			if uint32(*fr.at(sp)) < uint32(*fr.at(sp + 1)) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeU:
+			sp -= 2
+			if uint32(*fr.at(sp)) >= uint32(*fr.at(sp + 1)) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrEqI:
+			sp--
+			if uint32(*fr.at(sp)) == uint32(in.A) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrNeI:
+			sp--
+			if uint32(*fr.at(sp)) != uint32(in.A) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtSI:
+			sp--
+			if int32(*fr.at(sp)) < int32(in.A) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeSI:
+			sp--
+			if int32(*fr.at(sp)) >= int32(in.A) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtUI:
+			sp--
+			if uint32(*fr.at(sp)) < uint32(in.A) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeUI:
+			sp--
+			if uint32(*fr.at(sp)) >= uint32(in.A) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrEqLI:
+			if uint32(*fr.at(int(in.A))) == uint32(in.B) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrNeLI:
+			if uint32(*fr.at(int(in.A))) != uint32(in.B) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtSLI:
+			if int32(*fr.at(int(in.A))) < int32(in.B) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeSLI:
+			if int32(*fr.at(int(in.A))) >= int32(in.B) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtULI:
+			if uint32(*fr.at(int(in.A))) < uint32(in.B) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeULI:
+			if uint32(*fr.at(int(in.A))) >= uint32(in.B) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrEqLL:
+			if uint32(*fr.at(int(in.A))) == uint32(*fr.at(int(in.B))) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrNeLL:
+			if uint32(*fr.at(int(in.A))) != uint32(*fr.at(int(in.B))) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtSLL:
+			if int32(*fr.at(int(in.A))) < int32(*fr.at(int(in.B))) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeSLL:
+			if int32(*fr.at(int(in.A))) >= int32(*fr.at(int(in.B))) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrLtULL:
+			if uint32(*fr.at(int(in.A))) < uint32(*fr.at(int(in.B))) {
+				pc = int(in.Tgt) - 1
+			}
+		case opBrGeULL:
+			if uint32(*fr.at(int(in.A))) >= uint32(*fr.at(int(in.B))) {
+				pc = int(in.Tgt) - 1
+			}
 		default:
 			trap.Throwf(trap.HostError, "unimplemented opcode %v", in.Op)
 		}
@@ -773,32 +986,31 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 }
 
 // execPrefix runs the 0xFC-prefixed ops, exec's one cold arm.
-func (inst *Instance) execPrefix(in *flatten.Instr, sp int) int {
+func (inst *Instance) execPrefix(in *flatten.Instr, fr frame, sp int) int {
 	memory := inst.base.Mem
-	s := inst.stack
 	switch in.Sub {
 	case wasm.SubMemoryCopy:
 		sp -= 3
-		memory.Copy(uint64(uint32(s[sp])), uint64(uint32(s[sp+1])), uint64(uint32(s[sp+2])))
+		memory.Copy(uint64(uint32(*fr.at(sp))), uint64(uint32(*fr.at(sp + 1))), uint64(uint32(*fr.at(sp + 2))))
 	case wasm.SubMemoryFill:
 		sp -= 3
-		memory.Fill(uint64(uint32(s[sp])), uint64(s[sp+1]&0xff), uint64(uint32(s[sp+2])))
+		memory.Fill(uint64(uint32(*fr.at(sp))), uint64(*fr.at(sp + 1)&0xff), uint64(uint32(*fr.at(sp + 2))))
 	case wasm.SubI32TruncSatF32S:
-		s[sp-1] = uint64(uint32(numeric.TruncSatF32ToI32(math.Float32frombits(uint32(s[sp-1])))))
+		*fr.at(sp - 1) = uint64(uint32(numeric.TruncSatF32ToI32(math.Float32frombits(uint32(*fr.at(sp - 1))))))
 	case wasm.SubI32TruncSatF32U:
-		s[sp-1] = uint64(numeric.TruncSatF32ToU32(math.Float32frombits(uint32(s[sp-1]))))
+		*fr.at(sp - 1) = uint64(numeric.TruncSatF32ToU32(math.Float32frombits(uint32(*fr.at(sp - 1)))))
 	case wasm.SubI32TruncSatF64S:
-		s[sp-1] = uint64(uint32(numeric.TruncSatF64ToI32(math.Float64frombits(s[sp-1]))))
+		*fr.at(sp - 1) = uint64(uint32(numeric.TruncSatF64ToI32(math.Float64frombits(*fr.at(sp - 1)))))
 	case wasm.SubI32TruncSatF64U:
-		s[sp-1] = uint64(numeric.TruncSatF64ToU32(math.Float64frombits(s[sp-1])))
+		*fr.at(sp - 1) = uint64(numeric.TruncSatF64ToU32(math.Float64frombits(*fr.at(sp - 1))))
 	case wasm.SubI64TruncSatF32S:
-		s[sp-1] = uint64(numeric.TruncSatF32ToI64(math.Float32frombits(uint32(s[sp-1]))))
+		*fr.at(sp - 1) = uint64(numeric.TruncSatF32ToI64(math.Float32frombits(uint32(*fr.at(sp - 1)))))
 	case wasm.SubI64TruncSatF32U:
-		s[sp-1] = numeric.TruncSatF32ToU64(math.Float32frombits(uint32(s[sp-1])))
+		*fr.at(sp - 1) = numeric.TruncSatF32ToU64(math.Float32frombits(uint32(*fr.at(sp - 1))))
 	case wasm.SubI64TruncSatF64S:
-		s[sp-1] = uint64(numeric.TruncSatF64ToI64(math.Float64frombits(s[sp-1])))
+		*fr.at(sp - 1) = uint64(numeric.TruncSatF64ToI64(math.Float64frombits(*fr.at(sp - 1))))
 	case wasm.SubI64TruncSatF64U:
-		s[sp-1] = numeric.TruncSatF64ToU64(math.Float64frombits(s[sp-1]))
+		*fr.at(sp - 1) = numeric.TruncSatF64ToU64(math.Float64frombits(*fr.at(sp - 1)))
 	default:
 		trap.Throwf(trap.HostError, "unsupported prefixed op %v", in.Sub)
 	}

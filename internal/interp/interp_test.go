@@ -48,6 +48,18 @@ func call1(t *testing.T, inst core.Instance, name string, args ...uint64) uint64
 }
 
 func TestArithLoop(t *testing.T) {
+	mb := sumsqModule()
+	inst := instantiate(t, compile(t, mb))
+	got := call1(t, inst, "sumsq", 10)
+	if got != 285 {
+		t.Errorf("sumsq(10) = %d, want 285", got)
+	}
+	if got := call1(t, inst, "sumsq", 0); got != 0 {
+		t.Errorf("sumsq(0) = %d, want 0", got)
+	}
+}
+
+func sumsqModule() *g.ModuleBuilder {
 	// sum of i*i for i in [0,n)
 	mb := g.NewModule()
 	f := mb.Func("sumsq", wasm.I32)
@@ -61,17 +73,18 @@ func TestArithLoop(t *testing.T) {
 		g.Return(g.Get(acc)),
 	)
 	mb.Export("sumsq", f)
-	inst := instantiate(t, compile(t, mb))
-	got := call1(t, inst, "sumsq", 10)
-	if got != 285 {
-		t.Errorf("sumsq(10) = %d, want 285", got)
-	}
-	if got := call1(t, inst, "sumsq", 0); got != 0 {
-		t.Errorf("sumsq(0) = %d, want 0", got)
-	}
+	return mb
 }
 
 func TestRecursiveCalls(t *testing.T) {
+	mb := fibModule()
+	inst := instantiate(t, compile(t, mb))
+	if got := call1(t, inst, "fib", 20); got != 6765 {
+		t.Errorf("fib(20) = %d, want 6765", got)
+	}
+}
+
+func fibModule() *g.ModuleBuilder {
 	mb := g.NewModule()
 	fib := mb.Func("fib", wasm.I32)
 	n := fib.ParamI32("n")
@@ -83,16 +96,22 @@ func TestRecursiveCalls(t *testing.T) {
 		)),
 	)
 	mb.Export("fib", fib)
-	inst := instantiate(t, compile(t, mb))
-	if got := call1(t, inst, "fib", 20); got != 6765 {
-		t.Errorf("fib(20) = %d, want 6765", got)
-	}
+	return mb
 }
 
 // If re-exported for brevity in tests.
 func If(cond g.Expr, body ...g.Stmt) g.Stmt { return g.If(cond, body...) }
 
 func TestMemoryKernel(t *testing.T) {
+	mb := kernelModule()
+	inst := instantiate(t, compile(t, mb))
+	// sum 3*i for i<100 = 3*4950
+	if got := call1(t, inst, "kernel", 100); got != 14850 {
+		t.Errorf("kernel(100) = %d, want 14850", got)
+	}
+}
+
+func kernelModule() *g.ModuleBuilder {
 	// Write i*3 into an i32 array, then sum it back.
 	mb := g.NewModule()
 	mb.Memory(1, 4)
@@ -113,14 +132,24 @@ func TestMemoryKernel(t *testing.T) {
 		g.Return(g.Get(acc)),
 	)
 	mb.Export("kernel", f)
-	inst := instantiate(t, compile(t, mb))
-	// sum 3*i for i<100 = 3*4950
-	if got := call1(t, inst, "kernel", 100); got != 14850 {
-		t.Errorf("kernel(100) = %d, want 14850", got)
-	}
+	return mb
 }
 
 func TestFloatKernel(t *testing.T) {
+	mb := dotModule()
+	inst := instantiate(t, compile(t, mb))
+	got := math.Float64frombits(call1(t, inst, "dot", 10))
+	want := 0.0
+	for i := 0; i < 10; i++ {
+		v := float64(i) * 0.5
+		want += v * v
+	}
+	if math.Abs(got-want) > 1e-9 {
+		t.Errorf("dot = %v, want %v", got, want)
+	}
+}
+
+func dotModule() *g.ModuleBuilder {
 	mb := g.NewModule()
 	mb.Memory(1, 4)
 	lay := g.NewLayout(0)
@@ -140,19 +169,22 @@ func TestFloatKernel(t *testing.T) {
 		g.Return(g.Get(acc)),
 	)
 	mb.Export("dot", f)
-	inst := instantiate(t, compile(t, mb))
-	got := math.Float64frombits(call1(t, inst, "dot", 10))
-	want := 0.0
-	for i := 0; i < 10; i++ {
-		v := float64(i) * 0.5
-		want += v * v
-	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("dot = %v, want %v", got, want)
-	}
+	return mb
 }
 
 func TestWhileBreakContinue(t *testing.T) {
+	mb := countModule()
+	inst := instantiate(t, compile(t, mb))
+	// odds in 1..24 = 12
+	if got := call1(t, inst, "count", 1000); got != 12 {
+		t.Errorf("count = %d, want 12", got)
+	}
+	if got := call1(t, inst, "count", 10); got != 5 {
+		t.Errorf("count(10) = %d, want 5", got)
+	}
+}
+
+func countModule() *g.ModuleBuilder {
 	// Count odd numbers below n, stopping at the first multiple of 25.
 	mb := g.NewModule()
 	f := mb.Func("count", wasm.I32)
@@ -173,32 +205,11 @@ func TestWhileBreakContinue(t *testing.T) {
 		g.Return(g.Get(cnt)),
 	)
 	mb.Export("count", f)
-	inst := instantiate(t, compile(t, mb))
-	// odds in 1..24 = 12
-	if got := call1(t, inst, "count", 1000); got != 12 {
-		t.Errorf("count = %d, want 12", got)
-	}
-	if got := call1(t, inst, "count", 10); got != 5 {
-		t.Errorf("count(10) = %d, want 5", got)
-	}
+	return mb
 }
 
 func TestForDown(t *testing.T) {
-	// Collect digits of n in most-significant-last order by counting
-	// down, verifying the descending loop includes both endpoints.
-	mb := g.NewModule()
-	f := mb.Func("sumdown", wasm.I32)
-	from := f.ParamI32("from")
-	downTo := f.ParamI32("downTo")
-	i := f.LocalI32("i")
-	acc := f.LocalI32("acc")
-	f.Body(
-		g.ForDown(i, g.Get(from), g.Get(downTo),
-			g.Set(acc, g.Add(g.Mul(g.Get(acc), g.I32(10)), g.Get(i))),
-		),
-		g.Return(g.Get(acc)),
-	)
-	mb.Export("sumdown", f)
+	mb := sumdownModule()
 	inst := instantiate(t, compile(t, mb))
 	// 5,4,3 → 543
 	if got := call1(t, inst, "sumdown", 5, 3); got != 543 {
@@ -214,16 +225,27 @@ func TestForDown(t *testing.T) {
 	}
 }
 
-func TestGlobalsAndSelect(t *testing.T) {
+func sumdownModule() *g.ModuleBuilder {
+	// Collect digits of n in most-significant-last order by counting
+	// down, verifying the descending loop includes both endpoints.
 	mb := g.NewModule()
-	gv := mb.GlobalI32(7)
-	f := mb.Func("maxg", wasm.I32)
-	x := f.ParamI32("x")
+	f := mb.Func("sumdown", wasm.I32)
+	from := f.ParamI32("from")
+	downTo := f.ParamI32("downTo")
+	i := f.LocalI32("i")
+	acc := f.LocalI32("acc")
 	f.Body(
-		g.SetG(gv, g.Sel(g.Gt(g.Get(x), g.GetG(gv)), g.Get(x), g.GetG(gv))),
-		g.Return(g.GetG(gv)),
+		g.ForDown(i, g.Get(from), g.Get(downTo),
+			g.Set(acc, g.Add(g.Mul(g.Get(acc), g.I32(10)), g.Get(i))),
+		),
+		g.Return(g.Get(acc)),
 	)
-	mb.Export("maxg", f)
+	mb.Export("sumdown", f)
+	return mb
+}
+
+func TestGlobalsAndSelect(t *testing.T) {
+	mb := maxgModule()
 	inst := instantiate(t, compile(t, mb))
 	if got := call1(t, inst, "maxg", 3); got != 7 {
 		t.Errorf("maxg(3) = %d", got)
@@ -236,7 +258,35 @@ func TestGlobalsAndSelect(t *testing.T) {
 	}
 }
 
+func maxgModule() *g.ModuleBuilder {
+	mb := g.NewModule()
+	gv := mb.GlobalI32(7)
+	f := mb.Func("maxg", wasm.I32)
+	x := f.ParamI32("x")
+	f.Body(
+		g.SetG(gv, g.Sel(g.Gt(g.Get(x), g.GetG(gv)), g.Get(x), g.GetG(gv))),
+		g.Return(g.GetG(gv)),
+	)
+	mb.Export("maxg", f)
+	return mb
+}
+
 func TestCallIndirect(t *testing.T) {
+	mb := dispatchModule()
+	inst := instantiate(t, compile(t, mb))
+	if got := call1(t, inst, "dispatch", 0, 30, 12); got != 42 {
+		t.Errorf("dispatch add = %d", got)
+	}
+	if got := call1(t, inst, "dispatch", 1, 30, 12); got != 18 {
+		t.Errorf("dispatch sub = %d", got)
+	}
+	// Out-of-table dispatch traps.
+	if _, err := inst.Invoke("dispatch", 9, 1, 1); err == nil {
+		t.Error("expected table trap")
+	}
+}
+
+func dispatchModule() *g.ModuleBuilder {
 	mb := g.NewModule()
 	add := mb.Func("add", wasm.I32)
 	a1, b1 := add.ParamI32("a"), add.ParamI32("b")
@@ -252,30 +302,11 @@ func TestCallIndirect(t *testing.T) {
 	y := disp.ParamI32("y")
 	disp.Body(g.Return(g.CallIndirect(add, g.Get(which), g.Get(x), g.Get(y))))
 	mb.Export("dispatch", disp)
-
-	inst := instantiate(t, compile(t, mb))
-	if got := call1(t, inst, "dispatch", 0, 30, 12); got != 42 {
-		t.Errorf("dispatch add = %d", got)
-	}
-	if got := call1(t, inst, "dispatch", 1, 30, 12); got != 18 {
-		t.Errorf("dispatch sub = %d", got)
-	}
-	// Out-of-table dispatch traps.
-	if _, err := inst.Invoke("dispatch", 9, 1, 1); err == nil {
-		t.Error("expected table trap")
-	}
+	return mb
 }
 
 func TestMemoryGrowAndSize(t *testing.T) {
-	mb := g.NewModule()
-	mb.Memory(1, 4)
-	f := mb.Func("grow", wasm.I32)
-	pages := f.ParamI32("pages")
-	f.Body(
-		g.Drop(g.MemGrow(g.Get(pages))),
-		g.Return(g.MemSize()),
-	)
-	mb.Export("grow", f)
+	mb := growModule()
 	inst := instantiate(t, compile(t, mb))
 	if got := call1(t, inst, "grow", 2); got != 3 {
 		t.Errorf("after grow(2): size %d, want 3", got)
@@ -285,7 +316,37 @@ func TestMemoryGrowAndSize(t *testing.T) {
 	}
 }
 
+func growModule() *g.ModuleBuilder {
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	f := mb.Func("grow", wasm.I32)
+	pages := f.ParamI32("pages")
+	f.Body(
+		g.Drop(g.MemGrow(g.Get(pages))),
+		g.Return(g.MemSize()),
+	)
+	mb.Export("grow", f)
+	return mb
+}
+
 func TestDataSegmentsAndBulkMemory(t *testing.T) {
+	mb := bulkModule()
+	inst := instantiate(t, compile(t, mb))
+	if got := call1(t, inst, "get", 0); got != 'h' {
+		t.Errorf("data[0] = %c", rune(got))
+	}
+	if got := call1(t, inst, "get", 10); got != 'd' {
+		t.Errorf("data[10] = %c", rune(got))
+	}
+	if got := call1(t, inst, "copyout"); got != 'h' {
+		t.Errorf("copy = %c", rune(got))
+	}
+	if got := call1(t, inst, "fill"); got != 0x5a {
+		t.Errorf("fill = %#x", got)
+	}
+}
+
+func bulkModule() *g.ModuleBuilder {
 	mb := g.NewModule()
 	mb.Memory(1, 2)
 	mb.Data(16, []byte("hello world"))
@@ -307,34 +368,11 @@ func TestDataSegmentsAndBulkMemory(t *testing.T) {
 		g.Return(g.LoadU8(g.I32(207), 0)),
 	)
 	mb.Export("fill", fill)
-
-	inst := instantiate(t, compile(t, mb))
-	if got := call1(t, inst, "get", 0); got != 'h' {
-		t.Errorf("data[0] = %c", rune(got))
-	}
-	if got := call1(t, inst, "get", 10); got != 'd' {
-		t.Errorf("data[10] = %c", rune(got))
-	}
-	if got := call1(t, inst, "copyout"); got != 'h' {
-		t.Errorf("copy = %c", rune(got))
-	}
-	if got := call1(t, inst, "fill"); got != 0x5a {
-		t.Errorf("fill = %#x", got)
-	}
+	return mb
 }
 
 func TestTrapsSurfaceAsErrors(t *testing.T) {
-	mb := g.NewModule()
-	f := mb.Func("div", wasm.I32)
-	a := f.ParamI32("a")
-	b := f.ParamI32("b")
-	f.Body(g.Return(g.Div(g.Get(a), g.Get(b))))
-	mb.Export("div", f)
-
-	boom := mb.Func("boom", wasm.I32)
-	boom.Body(g.Unreachable(), g.Return(g.I32(0)))
-	mb.Export("boom", boom)
-
+	mb := trapsModule()
 	inst := instantiate(t, compile(t, mb))
 	if got := call1(t, inst, "div", 84, 2); got != 42 {
 		t.Errorf("div = %d", got)
@@ -351,38 +389,40 @@ func TestTrapsSurfaceAsErrors(t *testing.T) {
 	}
 }
 
-func TestStackOverflowTrap(t *testing.T) {
+func trapsModule() *g.ModuleBuilder {
 	mb := g.NewModule()
-	f := mb.Func("inf", wasm.I32)
-	n := f.ParamI32("n")
-	f.Body(g.Return(g.Call(f, g.Add(g.Get(n), g.I32(1)))))
-	mb.Export("inf", f)
+	f := mb.Func("div", wasm.I32)
+	a := f.ParamI32("a")
+	b := f.ParamI32("b")
+	f.Body(g.Return(g.Div(g.Get(a), g.Get(b))))
+	mb.Export("div", f)
+
+	boom := mb.Func("boom", wasm.I32)
+	boom.Body(g.Unreachable(), g.Return(g.I32(0)))
+	mb.Export("boom", boom)
+	return mb
+}
+
+func TestStackOverflowTrap(t *testing.T) {
+	mb := infModule()
 	inst := instantiate(t, compile(t, mb))
 	if _, err := inst.Invoke("inf", 0); err == nil {
 		t.Error("infinite recursion did not trap")
 	}
 }
 
-func TestHostImport(t *testing.T) {
+func infModule() *g.ModuleBuilder {
 	mb := g.NewModule()
-	host := mb.ImportFunc("env", "mul2", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
-	f := mb.Func("go", wasm.I32)
-	x := f.ParamI32("x")
-	f.Body(g.Return(g.Call(host, g.Get(x))))
-	mb.Export("go", f)
+	f := mb.Func("inf", wasm.I32)
+	n := f.ParamI32("n")
+	f.Body(g.Return(g.Call(f, g.Add(g.Get(n), g.I32(1)))))
+	mb.Export("inf", f)
+	return mb
+}
 
-	cm := compile(t, mb)
-	imports := core.Imports{
-		"env": {
-			"mul2": core.HostFunc{
-				Type: wasm.FuncType{Params: []wasm.ValueType{wasm.I32}, Results: []wasm.ValueType{wasm.I32}},
-				Fn: func(hc *core.HostContext, args []uint64) (uint64, error) {
-					return uint64(uint32(args[0]) * 2), nil
-				},
-			},
-		},
-	}
-	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64()}, imports)
+func TestHostImport(t *testing.T) {
+	cm := compile(t, hostModule())
+	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64()}, hostImports())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,16 +436,31 @@ func TestHostImport(t *testing.T) {
 	}
 }
 
-func TestCycleCounting(t *testing.T) {
+func hostModule() *g.ModuleBuilder {
 	mb := g.NewModule()
-	f := mb.Func("loop", wasm.I32)
-	n := f.ParamI32("n")
-	i := f.LocalI32("i")
-	f.Body(
-		g.For(i, g.I32(0), g.Get(n), g.Seq()),
-		g.Return(g.Get(i)),
-	)
-	mb.Export("loop", f)
+	host := mb.ImportFunc("env", "mul2", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
+	f := mb.Func("go", wasm.I32)
+	x := f.ParamI32("x")
+	f.Body(g.Return(g.Call(host, g.Get(x))))
+	mb.Export("go", f)
+	return mb
+}
+
+func hostImports() core.Imports {
+	return core.Imports{
+		"env": {
+			"mul2": core.HostFunc{
+				Type: wasm.FuncType{Params: []wasm.ValueType{wasm.I32}, Results: []wasm.ValueType{wasm.I32}},
+				Fn: func(hc *core.HostContext, args []uint64) (uint64, error) {
+					return uint64(uint32(args[0]) * 2), nil
+				},
+			},
+		},
+	}
+}
+
+func TestCycleCounting(t *testing.T) {
+	mb := loopModule()
 	m, err := mb.Module()
 	if err != nil {
 		t.Fatal(err)
@@ -437,14 +492,21 @@ func TestCycleCounting(t *testing.T) {
 	}
 }
 
-func TestWasm3ForcesTrapStrategy(t *testing.T) {
+func loopModule() *g.ModuleBuilder {
 	mb := g.NewModule()
-	mb.Memory(1, 2)
-	f := mb.Func("peek", wasm.I32)
-	a := f.ParamI32("a")
-	f.Body(g.Return(g.LoadI32(g.Get(a), 0)))
-	mb.Export("peek", f)
+	f := mb.Func("loop", wasm.I32)
+	n := f.ParamI32("n")
+	i := f.LocalI32("i")
+	f.Body(
+		g.For(i, g.I32(0), g.Get(n), g.Seq()),
+		g.Return(g.Get(i)),
+	)
+	mb.Export("loop", f)
+	return mb
+}
 
+func TestWasm3ForcesTrapStrategy(t *testing.T) {
+	mb := peekModule()
 	cm := compile(t, mb)
 	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: mem.None}, nil)
 	if err != nil {
@@ -457,27 +519,18 @@ func TestWasm3ForcesTrapStrategy(t *testing.T) {
 	}
 }
 
-func TestAllStrategiesExecuteIdentically(t *testing.T) {
+func peekModule() *g.ModuleBuilder {
 	mb := g.NewModule()
-	mb.Memory(1, 8)
-	lay := g.NewLayout(0)
-	arr := lay.I64(4096)
-	f := mb.Func("churn", wasm.I64)
-	n := f.ParamI32("n")
-	i := f.LocalI32("i")
-	acc := f.LocalI64("acc")
-	f.Body(
-		g.Drop(g.MemGrow(g.I32(2))),
-		g.For(i, g.I32(0), g.Get(n),
-			arr.Store(g.Get(i), g.Mul(g.I64FromI32(g.Get(i)), g.I64(2654435761))),
-		),
-		g.For(i, g.I32(0), g.Get(n),
-			g.Set(acc, g.Xor(g.Get(acc), arr.Load(g.Get(i)))),
-		),
-		g.Return(g.Get(acc)),
-	)
-	mb.Export("churn", f)
+	mb.Memory(1, 2)
+	f := mb.Func("peek", wasm.I32)
+	a := f.ParamI32("a")
+	f.Body(g.Return(g.LoadI32(g.Get(a), 0)))
+	mb.Export("peek", f)
+	return mb
+}
 
+func TestAllStrategiesExecuteIdentically(t *testing.T) {
+	mb := churnModule()
 	m, err := mb.Module()
 	if err != nil {
 		t.Fatal(err)
@@ -506,4 +559,27 @@ func TestAllStrategiesExecuteIdentically(t *testing.T) {
 	if want == 0 {
 		t.Error("suspicious zero checksum")
 	}
+}
+
+func churnModule() *g.ModuleBuilder {
+	mb := g.NewModule()
+	mb.Memory(1, 8)
+	lay := g.NewLayout(0)
+	arr := lay.I64(4096)
+	f := mb.Func("churn", wasm.I64)
+	n := f.ParamI32("n")
+	i := f.LocalI32("i")
+	acc := f.LocalI64("acc")
+	f.Body(
+		g.Drop(g.MemGrow(g.I32(2))),
+		g.For(i, g.I32(0), g.Get(n),
+			arr.Store(g.Get(i), g.Mul(g.I64FromI32(g.Get(i)), g.I64(2654435761))),
+		),
+		g.For(i, g.I32(0), g.Get(n),
+			g.Set(acc, g.Xor(g.Get(acc), arr.Load(g.Get(i)))),
+		),
+		g.Return(g.Get(acc)),
+	)
+	mb.Export("churn", f)
+	return mb
 }
