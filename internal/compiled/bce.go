@@ -38,6 +38,11 @@ import (
 // checking (and, under mprotect/uffd, committing) a superset of the
 // addresses a partially-executed region would touch is invisible:
 // committed pages read as zero either way.
+//
+// Address-mode fusion (fuseAddrs, at the end of this file) is not part
+// of elision: it is codegen, and the engine runs it after elide on
+// every compile that optimizes, folding i32 address chains into
+// checked and unchecked accesses alike.
 
 // The rir.CheckPlan/rir.LoopRange/rir.EvalFn types that carry the
 // pass's output live in internal/rir, in the cold table of the Func
@@ -53,7 +58,7 @@ var (
 	bceRangesCoalesced obs.Counter // EBB groups replaced by one range check
 	bceHoisted         obs.Counter // per-access checks hoisted to loop preheaders
 	bceRevalidations   obs.Counter // runtime re-checks after call/grow in fast loop copies
-	bceAddrFused       obs.Counter // address-mode ops folded into unchecked accesses
+	bceAddrFused       obs.Counter // address-mode ops folded into accesses, checked or not
 )
 
 // BCEStats is a snapshot of the elision counters.
@@ -93,15 +98,10 @@ func AttachBCEObs(sc *obs.Scope) {
 // elide is the pass entry point, run after optimize+rir.Compact. It
 // does not write the Func it is handed (the engine retains that one
 // for the artifact tier): the two versioning passes build a new,
-// longer stream or return their input untouched, and address fusion,
-// which rewrites in place, only has unchecked accesses to work on —
-// and only runs — once one of them has.
+// longer stream or return their input untouched.
 func elide(pre *rir.Func) *rir.Func {
 	f, slow := hoistLoops(pre)
 	f = coalesceEBB(f, slow)
-	if f != pre {
-		fuseAddrs(f)
-	}
 	checked := int64(0)
 	for i := range f.Code {
 		s := &f.Code[i]
@@ -978,28 +978,30 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 // Address-mode fusion
 // ---------------------------------------------------------------------------
 
-// fuseAddrs folds short address-computation chains into the unchecked
-// accesses that consume them. Once the bounds check on an access is
-// gone, the i32 mul/add/shl run that builds its effective address is
-// pure addressing arithmetic, and the dispatch loop would spend more
-// cycles stepping through those closures than computing anything — the
-// closure-level analog of folding the sequence into a native
-// instruction's addressing mode (scale, index, base, displacement).
-// The chain becomes one linear form over at most two slots (rir.Lin,
-// the access's Addr), which the access closure evaluates inline from
-// the same source slots; a chain that is not linear stays as ops. Since
-// it is re-evaluated at the access, it may also be *sunk*: a chain
-// separated from its access by ops that touch neither the address slot
-// nor the chain's sources (typically the value computation of a store,
-// or loads whose own chains were folded first) fuses the same way. A
+// fuseAddrs folds short address-computation chains into the accesses
+// that consume them, checked or unchecked. The i32 mul/add/shl run
+// that builds an access's effective address is pure addressing
+// arithmetic, and the dispatch loop would spend more cycles stepping
+// through those closures than computing anything — the closure-level
+// analog of folding the sequence into a native instruction's
+// addressing mode (scale, index, base, displacement), which native
+// compilers do under every bounds-check strategy. The chain becomes
+// one linear form over at most two slots (rir.Lin, the access's Addr),
+// which the access closure evaluates inline from the same source
+// slots; a chain that is not linear stays as ops. Since it is
+// re-evaluated at the access, it may also be *sunk*: a chain separated
+// from its access by ops that touch neither the address slot nor the
+// chain's sources (typically the value computation of a store, or
+// loads whose own chains were folded first) fuses the same way. A
 // branch to the head of a chain can land on the next remaining
 // rir.Inst; a branch anywhere between head and access (which would rely
 // on a partially computed address slot or skip the sources' defs)
 // disables fusion.
 //
-// Only unchecked accesses fuse: a checked access keeps its original
-// rir.Inst sequence so check failures, trap pcs and clamp redirects stay
-// byte-identical to the unelided build.
+// A folded chain is linear i32 arithmetic that cannot trap and yields
+// the same effective address, so a checked access keeps its trap kind,
+// its trap address and clamp's redirect. The pass rewrites f in place;
+// the engine hands it a working copy, never preIR.
 func fuseAddrs(f *rir.Func) {
 	ir, isTgt := f.Code, f.FindLabels()
 	// transparent reports whether a rir.Inst between chain and access can
@@ -1018,7 +1020,7 @@ func fuseAddrs(f *rir.Func) {
 	fusedOps := int64(0)
 	for pc := range ir {
 		s := &ir[pc]
-		if (s.Shape != rir.ShLoad && s.Shape != rir.ShStore) || !s.Has(rir.Unchecked) || s.Has(rir.AImm) {
+		if (s.Shape != rir.ShLoad && s.Shape != rir.ShStore) || s.Has(rir.AImm) {
 			continue
 		}
 		a := int(s.A)

@@ -135,7 +135,7 @@ func TestCoalesceEBBChecks(t *testing.T) {
 
 // TestGemmElisionStats compiles the real gemm workload and requires
 // the full pipeline to engage on it: checks elided, and address-mode
-// chains fused into the unchecked accesses (the closure-level analog
+// chains fused into the accesses (the closure-level analog
 // of folding the scale/index/base arithmetic into the memory
 // operand). It then runs the kernel under the trap strategy, the one
 // BenchmarkGemmCompiled's elide × rir matrix runs under.

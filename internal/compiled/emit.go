@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"leapsandbounds/internal/isa"
+	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/wasm"
@@ -102,14 +103,8 @@ func emitOne(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 			return pc + 1
 		}, nil
 	case rir.ShLoad:
-		if s.Has(rir.Unchecked) {
-			return emitLoadUnchecked(f, s)
-		}
-		return emitLoad(s)
+		return emitLoad(f, s)
 	case rir.ShStore:
-		if s.Has(rir.Unchecked) {
-			return emitStoreUnchecked(f, s)
-		}
 		return emitStore(f, s)
 	case rir.ShRangeCheck:
 		return emitRangeCheck(f, s)
@@ -593,32 +588,20 @@ func (l *linop) fwd(st []uint64, base int, v uint64) {
 	st[base+l.d] = uint64(l.EvalFwd(st, base, v))
 }
 
-// uload is an unchecked raw load, any address form.
-type uload struct {
+// load is a raw load half: the register it writes and its access.
+type load struct {
 	reg
-	a amode
+	amode
 }
 
-func uloadOf(f *rir.Func, s *rir.Inst) *uload { return &uload{reg{int(s.Dst)}, *amodeOf(f, s)} }
+func loadOf(f *rir.Func, s *rir.Inst) *load { return &load{reg{int(s.Dst)}, *amodeOf(f, s)} }
 
-// uloadFwd is uloadOf for a second half whose address reads slot fwd.
-func uloadFwd(f *rir.Func, s *rir.Inst, fwd int) *uload {
-	l := uloadOf(f, s)
-	l.a.Lin = l.a.Forward(fwd)
+// loadFwd is loadOf for a second half whose address reads slot fwd.
+func loadFwd(f *rir.Func, s *rir.Inst, fwd int) *load {
+	l := loadOf(f, s)
+	l.Lin = l.Forward(fwd)
 	return l
 }
-
-// cload is a checked raw load from slot+offset; the accessor is a
-// call, so the closure spells it out.
-type cload struct {
-	reg
-	a   int
-	off uint64
-}
-
-func cloadOf(s *rir.Inst) *cload { return &cload{reg{int(s.Dst)}, int(s.A), s.Off} }
-
-func (l *cload) at(st []uint64, base int) uint64 { return uint64(uint32(st[base+l.a])) + l.off }
 
 // branch is an integer compare+branch with both edges captured. For
 // the less-than family (cmpLess) it goes to t when less(x, y) and to f
@@ -713,11 +696,11 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 			st := inst.stack
 			return b.lt(st, base, a.run(st, base))
 		}, nil
-	case rir.HLoad64C<<8 | rir.HBrLt:
-		a, b := cloadOf(p0), brLtOf(f, p1, fwd, int(s.Tgt), els)
+	case rir.HLoad64<<8 | rir.HBrLt:
+		a, b := loadOf(f, p0), brLtOf(f, p1, fwd, int(s.Tgt), els)
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			return b.lt(st, base, a.put(st, base, inst.base.Mem.LoadU64(a.at(st, base))))
+			return b.lt(st, base, a.put(st, base, ld64(inst.base.Mem, a.at(st, base), a.unchecked)))
 		}, nil
 	case rir.HI32And<<8 | rir.HBrEq:
 		a, b := binopOf(f, p0), brEqOf(f, p1, fwd, int(s.Tgt), els)
@@ -733,54 +716,40 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 			return pc + 1
 		}, nil
 	case rir.HLin<<8 | rir.HLoad64:
-		a, b := linopOf(p0), uloadFwd(f, p1, fwd)
+		a, b := linopOf(p0), loadFwd(f, p1, fwd)
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			b.put(st, base, inst.base.Mem.LoadU64Unchecked(b.a.fwd(st, base, a.run(st, base))))
-			return pc + 1
-		}, nil
-	case rir.HLin<<8 | rir.HLoad64C:
-		a, b := linopOf(p0), cloadOf(p1)
-		return func(inst *Instance, base, pc int) int {
-			st := inst.stack
-			b.put(st, base, inst.base.Mem.LoadU64(a.run(st, base)+b.off))
-			return pc + 1
-		}, nil
-	case rir.HLin<<8 | rir.HLoad8C:
-		a, b := linopOf(p0), cloadOf(p1)
-		return func(inst *Instance, base, pc int) int {
-			st := inst.stack
-			b.put(st, base, uint64(inst.base.Mem.LoadU8(a.run(st, base)+b.off)))
+			b.put(st, base, ld64(inst.base.Mem, b.fwd(st, base, a.run(st, base)), b.unchecked))
 			return pc + 1
 		}, nil
 	case rir.HLoad32<<8 | rir.HLin:
-		a, b := uloadOf(f, p0), linopFwd(p1, fwd)
+		a, b := loadOf(f, p0), linopFwd(p1, fwd)
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			b.fwd(st, base, a.put(st, base, uint64(inst.base.Mem.LoadU32Unchecked(a.a.at(st, base)))))
+			b.fwd(st, base, a.put(st, base, uint64(ld32(inst.base.Mem, a.at(st, base), a.unchecked))))
 			return pc + 1
 		}, nil
 	case rir.HLoad64<<8 | rir.HF64Add:
-		a, b := uloadOf(f, p0), binopFwd(f, p1, fwd)
+		a, b := loadOf(f, p0), binopFwd(f, p1, fwd)
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			v := a.put(st, base, inst.base.Mem.LoadU64Unchecked(a.a.at(st, base)))
+			v := a.put(st, base, ld64(inst.base.Mem, a.at(st, base), a.unchecked))
 			b.put(st, base, f64add(v, b.y.fwd(st, base, v)))
 			return pc + 1
 		}, nil
 	case rir.HLoad64<<8 | rir.HF64Mul:
-		a, b := uloadOf(f, p0), binopFwd(f, p1, fwd)
+		a, b := loadOf(f, p0), binopFwd(f, p1, fwd)
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			v := a.put(st, base, inst.base.Mem.LoadU64Unchecked(a.a.at(st, base)))
+			v := a.put(st, base, ld64(inst.base.Mem, a.at(st, base), a.unchecked))
 			b.put(st, base, f64mul(v, b.y.fwd(st, base, v)))
 			return pc + 1
 		}, nil
 	case rir.HLoad64<<8 | rir.HF64Sub:
-		a, b := uloadOf(f, p0), binopFwd(f, p1, fwd)
+		a, b := loadOf(f, p0), binopFwd(f, p1, fwd)
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			v := a.put(st, base, inst.base.Mem.LoadU64Unchecked(a.a.at(st, base)))
+			v := a.put(st, base, ld64(inst.base.Mem, a.at(st, base), a.unchecked))
 			b.put(st, base, f64sub(b.fwd(st, base, v)))
 			return pc + 1
 		}, nil
@@ -789,7 +758,7 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
 			v := a.put(st, base, f64add(a.args(st, base)))
-			inst.base.Mem.StoreU64Unchecked(b.at(st, base), v)
+			st64(inst.base.Mem, b.at(st, base), v, b.unchecked)
 			return pc + 1
 		}, nil
 	case rir.HF64Sub<<8 | rir.HStore64:
@@ -797,7 +766,7 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
 			v := a.put(st, base, f64sub(a.args(st, base)))
-			inst.base.Mem.StoreU64Unchecked(b.at(st, base), v)
+			st64(inst.base.Mem, b.at(st, base), v, b.unchecked)
 			return pc + 1
 		}, nil
 	case rir.HF64Mul<<8 | rir.HStore64:
@@ -805,7 +774,7 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
 			v := a.put(st, base, f64mul(a.args(st, base)))
-			inst.base.Mem.StoreU64Unchecked(b.at(st, base), v)
+			st64(inst.base.Mem, b.at(st, base), v, b.unchecked)
 			return pc + 1
 		}, nil
 	case rir.HF64Div<<8 | rir.HStore64:
@@ -813,7 +782,7 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
 			v := a.put(st, base, f64div(a.args(st, base)))
-			inst.base.Mem.StoreU64Unchecked(b.at(st, base), v)
+			st64(inst.base.Mem, b.at(st, base), v, b.unchecked)
 			return pc + 1
 		}, nil
 	case rir.HF64Mul<<8 | rir.HF64Add:
@@ -900,107 +869,17 @@ func emitPair(f *rir.Func, s *rir.Inst, pc int) (cop, error) {
 	return nil, fmt.Errorf("no flat closure for pair %s ; %s", p0.Op, p1.Op)
 }
 
-// emitLoad compiles a memory load; the effective address is
-// uint64(uint32(base operand)) + offset, computed in 64 bits.
-func emitLoad(s *rir.Inst) (cop, error) {
-	off := s.Off
-	dst := int(s.Dst)
-	aSlot := int(s.A)
-	aImm := s.Has(rir.AImm)
-	ea := func(inst *Instance, base int) uint64 {
-		if aImm {
-			return off
-		}
-		return uint64(uint32(inst.stack[base+aSlot])) + off
-	}
-	switch s.Op {
-	case wasm.OpI32Load, wasm.OpF32Load:
-		if !aImm {
-			return func(inst *Instance, base, pc int) int {
-				addr := uint64(uint32(inst.stack[base+aSlot])) + off
-				inst.stack[base+dst] = uint64(inst.base.Mem.LoadU32(addr))
-				return pc + 1
-			}, nil
-		}
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(inst.base.Mem.LoadU32(ea(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load, wasm.OpF64Load:
-		if !aImm {
-			return func(inst *Instance, base, pc int) int {
-				addr := uint64(uint32(inst.stack[base+aSlot])) + off
-				inst.stack[base+dst] = inst.base.Mem.LoadU64(addr)
-				return pc + 1
-			}, nil
-		}
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = inst.base.Mem.LoadU64(ea(inst, base))
-			return pc + 1
-		}, nil
-	case wasm.OpI32Load8S:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(uint32(int32(int8(inst.base.Mem.LoadU8(ea(inst, base))))))
-			return pc + 1
-		}, nil
-	case wasm.OpI32Load8U:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(inst.base.Mem.LoadU8(ea(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI32Load16S:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(uint32(int32(int16(inst.base.Mem.LoadU16(ea(inst, base))))))
-			return pc + 1
-		}, nil
-	case wasm.OpI32Load16U:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(inst.base.Mem.LoadU16(ea(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load8S:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(int64(int8(inst.base.Mem.LoadU8(ea(inst, base)))))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load8U:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(inst.base.Mem.LoadU8(ea(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load16S:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(int64(int16(inst.base.Mem.LoadU16(ea(inst, base)))))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load16U:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(inst.base.Mem.LoadU16(ea(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load32S:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(int64(int32(inst.base.Mem.LoadU32(ea(inst, base)))))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Load32U:
-		return func(inst *Instance, base, pc int) int {
-			inst.stack[base+dst] = uint64(inst.base.Mem.LoadU32(ea(inst, base)))
-			return pc + 1
-		}, nil
-	default:
-		return nil, fmt.Errorf("bad load opcode")
-	}
-}
-
-// amode is an unchecked access's effective address as captured data:
-// the linear form of its folded address chain (rir.Func.Addr), of its
+// amode is an access as captured data: its effective address — the
+// linear form of its folded address chain (rir.Func.Addr), of its
 // address slot, or of nothing (a constant address), plus the static
-// offset. at evaluates it inline and branch-free, so an access with
-// row-major indexing folded in is one closure with no nested call.
+// offset — and its accessor: mem's checked one, or the unchecked one
+// when a range check proved the access in bounds. at evaluates the
+// address inline and branch-free, so an access with row-major indexing
+// folded in is one closure with no nested call, checked or not.
 type amode struct {
 	rir.Lin
-	off uint64
+	off       uint64
+	unchecked bool
 }
 
 func amodeOf(f *rir.Func, s *rir.Inst) *amode {
@@ -1011,93 +890,158 @@ func amodeOf(f *rir.Func, s *rir.Inst) *amode {
 	case !s.Has(rir.AImm):
 		l = rir.LinSlot(int(s.A))
 	}
-	return &amode{l, s.Off}
+	return &amode{l, s.Off, s.Has(rir.Unchecked)}
 }
 
 func (a *amode) at(st []uint64, base int) uint64 { return uint64(a.Eval(st, base)) + a.off }
 
-// fwd is at with the X term's frame read replaced by v (uloadFwd).
+// fwd is at with the X term's frame read replaced by v (loadFwd).
 func (a *amode) fwd(st []uint64, base int, v uint64) uint64 {
 	return uint64(a.EvalFwd(st, base, v)) + a.off
 }
 
-// emitLoadUnchecked compiles a load whose address range was proven
-// accessible by a dominating rir.ShRangeCheck: no watermark compare, no
-// slice bounds check (mem's unsafe accessors), with the plain
-// slot+offset form of the hottest widths specialized like emitLoad.
-func emitLoadUnchecked(f *rir.Func, s *rir.Inst) (cop, error) {
-	off, dst, aSlot := s.Off, int(s.Dst), int(s.A)
-	plain := f.Addr(s) == nil && !s.Has(rir.AImm)
-	am := amodeOf(f, s)
-	switch s.Op {
-	case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
-		if plain {
+// slot reports whether the address is one slot plus the offset, the
+// form the hottest widths specialize: no second frame read, no multiply.
+func (a *amode) slot() (int, bool) { return a.X, a.CX == 1 && a.CY == 0 && a.K == 0 }
+
+// The accessors by width: mem's checked call, or its unchecked read or
+// write, which inlines. The captured flag is tested per access, a
+// branch that always goes the same way.
+func ld8(m *mem.Memory, addr uint64, unchecked bool) byte {
+	if unchecked {
+		return m.LoadU8Unchecked(addr)
+	}
+	return m.LoadU8(addr)
+}
+
+func ld16(m *mem.Memory, addr uint64, unchecked bool) uint16 {
+	if unchecked {
+		return m.LoadU16Unchecked(addr)
+	}
+	return m.LoadU16(addr)
+}
+
+func ld32(m *mem.Memory, addr uint64, unchecked bool) uint32 {
+	if unchecked {
+		return m.LoadU32Unchecked(addr)
+	}
+	return m.LoadU32(addr)
+}
+
+func ld64(m *mem.Memory, addr uint64, unchecked bool) uint64 {
+	if unchecked {
+		return m.LoadU64Unchecked(addr)
+	}
+	return m.LoadU64(addr)
+}
+
+func st8(m *mem.Memory, addr uint64, v byte, unchecked bool) {
+	if unchecked {
+		m.StoreU8Unchecked(addr, v)
+		return
+	}
+	m.StoreU8(addr, v)
+}
+
+func st16(m *mem.Memory, addr uint64, v uint16, unchecked bool) {
+	if unchecked {
+		m.StoreU16Unchecked(addr, v)
+		return
+	}
+	m.StoreU16(addr, v)
+}
+
+func st32(m *mem.Memory, addr uint64, v uint32, unchecked bool) {
+	if unchecked {
+		m.StoreU32Unchecked(addr, v)
+		return
+	}
+	m.StoreU32(addr, v)
+}
+
+func st64(m *mem.Memory, addr uint64, v uint64, unchecked bool) {
+	if unchecked {
+		m.StoreU64Unchecked(addr, v)
+		return
+	}
+	m.StoreU64(addr, v)
+}
+
+// emitLoad compiles a load at its amode. A 4- or 8-byte load from a
+// slot plus offset, the commonest access, reads its slot directly.
+func emitLoad(f *rir.Func, s *rir.Inst) (cop, error) {
+	dst, a := int(s.Dst), amodeOf(f, s)
+	u := a.unchecked
+	if x, ok := a.slot(); ok {
+		off := a.off
+		switch s.Op {
+		case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
 			return func(inst *Instance, base, pc int) int {
 				st := inst.stack
-				addr := uint64(uint32(st[base+aSlot])) + off
-				st[base+dst] = uint64(inst.base.Mem.LoadU32Unchecked(addr))
+				st[base+dst] = uint64(ld32(inst.base.Mem, uint64(uint32(st[base+x]))+off, u))
+				return pc + 1
+			}, nil
+		case wasm.OpI64Load, wasm.OpF64Load:
+			return func(inst *Instance, base, pc int) int {
+				st := inst.stack
+				st[base+dst] = ld64(inst.base.Mem, uint64(uint32(st[base+x]))+off, u)
 				return pc + 1
 			}, nil
 		}
+	}
+	switch s.Op {
+	case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(inst.base.Mem.LoadU32Unchecked(am.at(st, base)))
+			st[base+dst] = uint64(ld32(inst.base.Mem, a.at(st, base), u))
 			return pc + 1
 		}, nil
 	case wasm.OpI64Load, wasm.OpF64Load:
-		if plain {
-			return func(inst *Instance, base, pc int) int {
-				st := inst.stack
-				addr := uint64(uint32(st[base+aSlot])) + off
-				st[base+dst] = inst.base.Mem.LoadU64Unchecked(addr)
-				return pc + 1
-			}, nil
-		}
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = inst.base.Mem.LoadU64Unchecked(am.at(st, base))
+			st[base+dst] = ld64(inst.base.Mem, a.at(st, base), u)
 			return pc + 1
 		}, nil
 	case wasm.OpI32Load8S:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(uint32(int32(int8(inst.base.Mem.LoadU8Unchecked(am.at(st, base))))))
+			st[base+dst] = uint64(uint32(int32(int8(ld8(inst.base.Mem, a.at(st, base), u)))))
 			return pc + 1
 		}, nil
 	case wasm.OpI32Load8U, wasm.OpI64Load8U:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(inst.base.Mem.LoadU8Unchecked(am.at(st, base)))
+			st[base+dst] = uint64(ld8(inst.base.Mem, a.at(st, base), u))
 			return pc + 1
 		}, nil
 	case wasm.OpI32Load16S:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(uint32(int32(int16(inst.base.Mem.LoadU16Unchecked(am.at(st, base))))))
+			st[base+dst] = uint64(uint32(int32(int16(ld16(inst.base.Mem, a.at(st, base), u)))))
 			return pc + 1
 		}, nil
 	case wasm.OpI32Load16U, wasm.OpI64Load16U:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(inst.base.Mem.LoadU16Unchecked(am.at(st, base)))
+			st[base+dst] = uint64(ld16(inst.base.Mem, a.at(st, base), u))
 			return pc + 1
 		}, nil
 	case wasm.OpI64Load8S:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(int64(int8(inst.base.Mem.LoadU8Unchecked(am.at(st, base)))))
+			st[base+dst] = uint64(int64(int8(ld8(inst.base.Mem, a.at(st, base), u))))
 			return pc + 1
 		}, nil
 	case wasm.OpI64Load16S:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(int64(int16(inst.base.Mem.LoadU16Unchecked(am.at(st, base)))))
+			st[base+dst] = uint64(int64(int16(ld16(inst.base.Mem, a.at(st, base), u))))
 			return pc + 1
 		}, nil
 	case wasm.OpI64Load32S:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			st[base+dst] = uint64(int64(int32(inst.base.Mem.LoadU32Unchecked(am.at(st, base)))))
+			st[base+dst] = uint64(int64(int32(ld32(inst.base.Mem, a.at(st, base), u))))
 			return pc + 1
 		}, nil
 	default:
@@ -1105,115 +1049,50 @@ func emitLoadUnchecked(f *rir.Func, s *rir.Inst) (cop, error) {
 	}
 }
 
-// emitStoreUnchecked is emitStore through the unsafe accessors; see
-// emitLoadUnchecked.
-func emitStoreUnchecked(f *rir.Func, s *rir.Inst) (cop, error) {
-	off, aSlot, bSlot := s.Off, int(s.A), int(s.B)
-	plain := f.Addr(s) == nil && !s.Has(rir.AImm) && !s.Has(rir.BImm)
-	am, val := amodeOf(f, s), operandOf(bSlot, s.Has(rir.BImm), s.Imm, -1)
+// emitStore compiles a store at its amode; see emitLoad.
+func emitStore(f *rir.Func, s *rir.Inst) (cop, error) {
+	a, v := amodeOf(f, s), operandOf(int(s.B), s.Has(rir.BImm), f.ImmB(s), -1)
+	u := a.unchecked
+	if x, ok := a.slot(); ok && !s.Has(rir.BImm) {
+		off, y := a.off, int(s.B)
+		switch s.Op {
+		case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
+			return func(inst *Instance, base, pc int) int {
+				st := inst.stack
+				st32(inst.base.Mem, uint64(uint32(st[base+x]))+off, uint32(st[base+y]), u)
+				return pc + 1
+			}, nil
+		case wasm.OpI64Store, wasm.OpF64Store:
+			return func(inst *Instance, base, pc int) int {
+				st := inst.stack
+				st64(inst.base.Mem, uint64(uint32(st[base+x]))+off, st[base+y], u)
+				return pc + 1
+			}, nil
+		}
+	}
 	switch s.Op {
 	case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
-		if plain {
-			return func(inst *Instance, base, pc int) int {
-				st := inst.stack
-				addr := uint64(uint32(st[base+aSlot])) + off
-				inst.base.Mem.StoreU32Unchecked(addr, uint32(st[base+bSlot]))
-				return pc + 1
-			}, nil
-		}
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			inst.base.Mem.StoreU32Unchecked(am.at(st, base), uint32(val.get(st, base)))
+			st32(inst.base.Mem, a.at(st, base), uint32(v.get(st, base)), u)
 			return pc + 1
 		}, nil
 	case wasm.OpI64Store, wasm.OpF64Store:
-		if plain {
-			return func(inst *Instance, base, pc int) int {
-				st := inst.stack
-				addr := uint64(uint32(st[base+aSlot])) + off
-				inst.base.Mem.StoreU64Unchecked(addr, st[base+bSlot])
-				return pc + 1
-			}, nil
-		}
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			inst.base.Mem.StoreU64Unchecked(am.at(st, base), val.get(st, base))
+			st64(inst.base.Mem, a.at(st, base), v.get(st, base), u)
 			return pc + 1
 		}, nil
 	case wasm.OpI32Store8, wasm.OpI64Store8:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			inst.base.Mem.StoreU8Unchecked(am.at(st, base), byte(val.get(st, base)))
+			st8(inst.base.Mem, a.at(st, base), byte(v.get(st, base)), u)
 			return pc + 1
 		}, nil
 	case wasm.OpI32Store16, wasm.OpI64Store16:
 		return func(inst *Instance, base, pc int) int {
 			st := inst.stack
-			inst.base.Mem.StoreU16Unchecked(am.at(st, base), uint16(val.get(st, base)))
-			return pc + 1
-		}, nil
-	default:
-		return nil, fmt.Errorf("bad store opcode")
-	}
-}
-
-// emitStore compiles a memory store.
-func emitStore(f *rir.Func, s *rir.Inst) (cop, error) {
-	off := s.Off
-	aSlot, aImm := int(s.A), s.Has(rir.AImm)
-	bSlot, bImm, ibv := int(s.B), s.Has(rir.BImm), f.ImmB(s)
-	ea := func(inst *Instance, base int) uint64 {
-		if aImm {
-			return off
-		}
-		return uint64(uint32(inst.stack[base+aSlot])) + off
-	}
-	val := func(inst *Instance, base int) uint64 {
-		if bImm {
-			return ibv
-		}
-		return inst.stack[base+bSlot]
-	}
-	switch s.Op {
-	case wasm.OpI32Store, wasm.OpF32Store:
-		if !aImm && !bImm {
-			return func(inst *Instance, base, pc int) int {
-				st := inst.stack
-				addr := uint64(uint32(st[base+aSlot])) + off
-				inst.base.Mem.StoreU32(addr, uint32(st[base+bSlot]))
-				return pc + 1
-			}, nil
-		}
-		return func(inst *Instance, base, pc int) int {
-			inst.base.Mem.StoreU32(ea(inst, base), uint32(val(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Store, wasm.OpF64Store:
-		if !aImm && !bImm {
-			return func(inst *Instance, base, pc int) int {
-				st := inst.stack
-				addr := uint64(uint32(st[base+aSlot])) + off
-				inst.base.Mem.StoreU64(addr, st[base+bSlot])
-				return pc + 1
-			}, nil
-		}
-		return func(inst *Instance, base, pc int) int {
-			inst.base.Mem.StoreU64(ea(inst, base), val(inst, base))
-			return pc + 1
-		}, nil
-	case wasm.OpI32Store8, wasm.OpI64Store8:
-		return func(inst *Instance, base, pc int) int {
-			inst.base.Mem.StoreU8(ea(inst, base), byte(val(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI32Store16, wasm.OpI64Store16:
-		return func(inst *Instance, base, pc int) int {
-			inst.base.Mem.StoreU16(ea(inst, base), uint16(val(inst, base)))
-			return pc + 1
-		}, nil
-	case wasm.OpI64Store32:
-		return func(inst *Instance, base, pc int) int {
-			inst.base.Mem.StoreU32(ea(inst, base), uint32(val(inst, base)))
+			st16(inst.base.Mem, a.at(st, base), uint16(v.get(st, base)), u)
 			return pc + 1
 		}, nil
 	default:

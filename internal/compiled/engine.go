@@ -87,6 +87,10 @@ func (e *Engine) elision() bool { return e.optimize && e.codegen.BoundsElision }
 // register IR.
 func (e *Engine) registerIR() bool { return e.codegen.RegisterIR }
 
+// optimizes reports whether a compile runs the optimizer and address
+// folding: every compile but the single-pass engine's stream.
+func (e *Engine) optimizes() bool { return e.optimize || e.registerIR() }
+
 // cacheOpts fingerprints the engine's codegen-affecting options for
 // the cache key. The codegen half goes through Codegen.CacheKey so
 // every knob — present and future — is hashed by one canonical
@@ -187,6 +191,7 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 //	flatten → rir.Build → rir.Optimize → rir.Compact
 //	        → rir.Lower (register tier)
 //	        → elide (bounds-check elision)
+//	        → fuseAddrs (address-mode folding)
 //	        → rir.FuseMem (jump threading, pair superinstructions) → emit
 //
 // Functions compile independently — they share only the read-only
@@ -224,9 +229,9 @@ func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, er
 // receives. The front half ends at the last all-plain-data stage, which
 // the cfunc retains as preIR; backHalf does the rest.
 //
-// Lower must precede elide — the elision passes capture raw register
+// Lower must precede elide and fuseAddrs — they capture raw register
 // indices inside CheckPlan closures and folded addresses — and FuseMem
-// runs last so it can fuse the unchecked accesses elision produced.
+// runs last so it pairs accesses with their addresses already folded.
 // When the register tier is on the frame shrinks from locals+maxStack
 // to locals+registers (plus the same scratch pad flatten reserves
 // above MaxStack).
@@ -243,7 +248,7 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 	}
 	opsIn := len(f.Code)
 	lowering := e.registerIR()
-	if e.optimize || lowering {
+	if e.optimizes() {
 		f.Optimize()
 	}
 	f.Compact()
@@ -291,22 +296,29 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 }
 
 // backHalf runs the passes whose output is not plain data, elide →
-// FuseMem, and returns the IR to emit; a fresh compile and an artifact
-// decode share it. cf.preIR stays as it was, so the module can still be
-// encoded: elide does not write the Func it is handed (it returns that
-// Func when it finds nothing to elide, a new one otherwise), and
-// FuseMem, which rewrites in place, gets a copy whenever its input would
-// still be preIR. The copy shares the cold tables (rir.Func.With): the
-// passes give an op a new cold entry rather than write through one.
+// fuseAddrs → FuseMem, and returns the IR to emit; a fresh compile and
+// an artifact decode share it. Address folding is codegen, not
+// elision: it runs on every compile that optimizes, whatever the
+// elision knob, and only the single-pass stream goes without it.
+// cf.preIR stays as it was, so the module can still be encoded: elide
+// does not write the Func it is handed (it returns that Func when it
+// finds nothing to elide, a new one otherwise), and the passes that
+// rewrite in place get a copy whenever their input would still be
+// preIR. The copy shares the cold tables (rir.Func.With): the passes
+// give an op a new cold entry rather than write through one.
 func (e *Engine) backHalf(cf *cfunc) *rir.Func {
 	f := cf.preIR
 	if e.elision() {
 		f = elide(f)
 	}
+	if !e.optimizes() {
+		return f
+	}
+	if f == cf.preIR {
+		f = f.With(slices.Clone(f.Code))
+	}
+	fuseAddrs(f)
 	if e.registerIR() {
-		if f == cf.preIR {
-			f = f.With(slices.Clone(f.Code))
-		}
 		f.FuseMem()
 	}
 	return f

@@ -312,6 +312,32 @@ func buildOOBProgram(seed int64) (*wasm.Module, error) {
 	return mb.Module()
 }
 
+// buildFoldOOBProgram reaches out-of-bounds accesses through a
+// foldable (i*N + j) << 3 chain: a row-major pass over an 8-byte matrix
+// whose last rows lie past the end of its one page, reading, adding to
+// and writing back every element. The folded, checked accesses of the
+// loop's slow copy are what trap under trap, mprotect and uffd and what
+// clamp redirects.
+func buildFoldOOBProgram() (*wasm.Module, error) {
+	const n = 96 // 96*96*8 bytes: rows from 85 on are past the page
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	f := mb.Func("run", wasm.I64)
+	i, j, digest := f.LocalI32("i"), f.LocalI32("j"), f.LocalI64("digest")
+	at := func() g.Expr { return g.Shl(g.Add(g.Mul(g.Get(i), g.I32(n)), g.Get(j)), g.I32(3)) }
+	f.Body(
+		g.For(i, g.I32(0), g.I32(n),
+			g.For(j, g.I32(0), g.I32(n),
+				g.StoreI64(at(), 0, g.Add(g.LoadI64(at(), 0), g.I64FromI32U(g.Add(g.Get(i), g.Get(j))))),
+				g.Set(digest, g.Add(g.Mul(g.Get(digest), g.I64(1099511628211)), g.LoadI64(at(), 0))),
+			),
+		),
+		g.Return(g.Get(digest)),
+	)
+	mb.Export("run", f)
+	return mb.Module()
+}
+
 // oobOutcome is one (engine, strategy) execution result.
 type oobOutcome struct {
 	trapped bool
@@ -331,11 +357,20 @@ func TestDifferentialOOBTrapEquivalence(t *testing.T) {
 	if testing.Short() {
 		seeds = 6
 	}
+	rows := []struct {
+		name  string
+		build func() (*wasm.Module, error)
+	}{{"fold", buildFoldOOBProgram}}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+		rows = append(rows, struct {
+			name  string
+			build func() (*wasm.Module, error)
+		}{fmt.Sprintf("seed=%d", seed), func() (*wasm.Module, error) { return buildOOBProgram(seed) }})
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			m, err := buildOOBProgram(seed)
+			m, err := row.build()
 			if err != nil {
 				t.Fatalf("generator produced invalid module: %v", err)
 			}

@@ -91,21 +91,22 @@ func (h halfGen) lin(src int, small bool) rir.Inst {
 	}
 }
 
-// access draws a load or store of op. An unchecked one gets every
-// address form; a checked one slot+offset, in bounds or (trap) just
-// past the end of memory. src >= 0 is the address register.
-func (h halfGen) access(shape rir.Shape, op wasm.Opcode, unchecked bool, src int, trap bool) rir.Inst {
+// access draws a load or store of op, checked or unchecked, with every
+// address form: a slot, a constant (when no register feeds it) and a
+// folded chain. A trap draw is a checked access just past the end of
+// memory. src >= 0 is the address register.
+func (h halfGen) access(shape rir.Shape, op wasm.Opcode, src int, trap bool) rir.Inst {
 	s := rir.Inst{Shape: shape, Op: op, Dst: int32(h.dst()), A: int32(h.idx()), Off: uint64(8 * h.r.Intn(64)), Flags: rir.MemAcc}
-	if unchecked {
+	if !trap && h.r.Intn(2) == 0 {
 		s.Flags = rir.Unchecked
 	}
 	if src >= 0 {
 		s.A = int32(src)
 	}
-	switch {
-	case trap:
+	if trap {
 		s.Off = pairPage - 4
-	case !unchecked:
+	}
+	switch {
 	case h.r.Intn(3) == 0 && src < 0:
 		s.Flags |= rir.AImm
 	case h.r.Intn(2) == 0:
@@ -116,6 +117,25 @@ func (h halfGen) access(shape rir.Shape, op wasm.Opcode, unchecked bool, src int
 		h.f.SetAddr(&s, l)
 	}
 	return s
+}
+
+// accessForm names a memory half's address form and check, or "" for
+// another half.
+func accessForm(f *rir.Func, s *rir.Inst) string {
+	if s.Shape != rir.ShLoad && s.Shape != rir.ShStore {
+		return ""
+	}
+	form := "slot"
+	switch {
+	case s.Has(rir.AImm):
+		form = "constant"
+	case f.Addr(s) != nil:
+		form = "folded"
+	}
+	if s.Has(rir.Unchecked) {
+		return form + " unchecked"
+	}
+	return form + " checked"
 }
 
 // first draws a producer of the given half.
@@ -152,11 +172,9 @@ func (h halfGen) first(k rir.Half, trap bool) rir.Inst {
 	case rir.HI64ExtendI32S:
 		return rir.Inst{Shape: rir.ShUn, Op: wasm.OpI64ExtendI32S, Dst: int32(h.dst()), A: int32(h.any())}
 	case rir.HLoad64:
-		return h.access(rir.ShLoad, wasm.OpF64Load, true, -1, false)
+		return h.access(rir.ShLoad, wasm.OpF64Load, -1, trap)
 	case rir.HLoad32:
-		return h.access(rir.ShLoad, wasm.OpI32Load, true, -1, false)
-	case rir.HLoad64C:
-		return h.access(rir.ShLoad, wasm.OpI64Load, false, -1, trap)
+		return h.access(rir.ShLoad, wasm.OpI32Load, -1, trap)
 	}
 	panic(fmt.Sprintf("no producer generator for half %d", k))
 }
@@ -193,17 +211,9 @@ func (h halfGen) second(k rir.Half, src int, trap bool) rir.Inst {
 		h.f.SetC(&s, c)
 		return s
 	case rir.HLoad64:
-		s := h.access(rir.ShLoad, wasm.OpI64Load, true, src, false)
-		if a := h.f.Addr(&s); a != nil && a.X != src && a.Y != src {
-			a.X = src // the draw swapped it away with a zero coefficient
-		}
-		return s
-	case rir.HLoad64C:
-		return h.access(rir.ShLoad, wasm.OpI64Load, false, src, trap)
-	case rir.HLoad8C:
-		return h.access(rir.ShLoad, wasm.OpI32Load8U, false, src, trap)
+		return h.access(rir.ShLoad, wasm.OpI64Load, src, trap)
 	case rir.HStore64:
-		s := h.access(rir.ShStore, wasm.OpF64Store, true, -1, false)
+		s := h.access(rir.ShStore, wasm.OpF64Store, -1, trap)
 		s.B = int32(src)
 		return s
 	case rir.HBrLt, rir.HBrEq:
@@ -283,13 +293,19 @@ func runOps(inst *Instance, cf *cfunc, n int) (pc int, err error) {
 	return pc, nil
 }
 
+// memHalf marks the halves that access memory.
+var memHalf = map[rir.Half]bool{rir.HLoad64: true, rir.HLoad32: true, rir.HStore64: true}
+
 // TestFlatPairsMatchUnfused runs every flat template against the two
 // closures it replaces, on seeded frames and memory: same registers
 // (the first half's included — when the second half traps, too), same
 // memory, same next pc, same trap kind and address. It draws pairs
 // until FuseMem has fused each template a few hundred times, so the
 // pass's own conditions (what consumes what) are under test with the
-// closures, and a key in rir's table without a closure here fails.
+// closures, and a key in rir's table without a closure here fails. A
+// template with a memory half must have run it checked and unchecked,
+// from a slot and through a folded address, and trapped, first half
+// or second.
 func TestFlatPairsMatchUnfused(t *testing.T) {
 	unfused, fused := pairInstance(t), pairInstance(t)
 	h := halfGen{r: rand.New(rand.NewSource(42))}
@@ -301,13 +317,14 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 	for _, key := range keys {
 		k0, k1 := key>>8, key&0xff
 		name := fmt.Sprintf("H%d;H%d", k0, k1)
+		memory := memHalf[k0] || memHalf[k1]
 		const want = 300
-		formed, traps, taken := 0, 0, map[int]int{}
+		formed, traps, taken, forms := 0, 0, map[int]int{}, map[string]int{}
 		for draw := 0; formed < want; draw++ {
 			if draw > 50*want {
 				t.Fatalf("%s: FuseMem fused %d of %d drawn pairs", name, formed, draw)
 			}
-			trap := draw%8 == 0 && (k0 == rir.HLoad64C || k1 == rir.HLoad64C || k1 == rir.HLoad8C)
+			trap := draw%8 == 0 && memory
 			h.f = &rir.Func{NumLocals: 12}
 			p0 := h.first(k0, trap)
 			p1 := h.second(k1, int(p0.Dst), trap)
@@ -319,6 +336,7 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 				continue
 			}
 			formed++
+			forms[accessForm(stream, &p0)+accessForm(stream, &p1)]++
 			var cu, cf cfunc
 			if err := cu.emit(stream); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -359,11 +377,17 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 		if !bytes.Equal(unfused.base.Mem.Bytes(0, pairPage, false), fused.base.Mem.Bytes(0, pairPage, false)) {
 			t.Fatalf("%s: memories differ", name)
 		}
-		switch k1 {
-		case rir.HLoad64C, rir.HLoad8C:
+		if memory {
 			if traps == 0 {
-				t.Errorf("%s: no case trapped in the second half", name)
+				t.Errorf("%s: no checked access trapped", name)
 			}
+			for _, form := range []string{"slot checked", "slot unchecked", "folded checked", "folded unchecked"} {
+				if forms[form] == 0 {
+					t.Errorf("%s: no %s access among %v", name, form, forms)
+				}
+			}
+		}
+		switch k1 {
 		case rir.HBrLt, rir.HBrEq:
 			if len(taken) < 3 {
 				t.Errorf("%s: branches left to %v only", name, taken)

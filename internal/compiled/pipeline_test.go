@@ -3,6 +3,7 @@ package compiled
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"leapsandbounds/internal/core"
@@ -99,11 +100,13 @@ func TestBackHalfLeavesPreIR(t *testing.T) {
 			if !reflect.DeepEqual(cf.preIR, want) {
 				t.Errorf("%s: function %d: the back half changed preIR", name, i)
 			}
-			if len(out.Code) != len(pre.Code) {
-				rewrote = true
+			// The fold can leave a stream as long as it found it, so a
+			// rewrite is told by its ops, not by their number.
+			if out != cf.preIR {
 				if &out.Code[0] == &pre.Code[0] {
 					t.Errorf("%s: function %d: rewritten IR shares preIR's ops", name, i)
 				}
+				rewrote = rewrote || !slices.Equal(out.Code, pre.Code)
 			}
 			if err := cf.emit(out); err != nil {
 				t.Errorf("%s: function %d: %v", name, i, err)

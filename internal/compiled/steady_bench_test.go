@@ -17,7 +17,7 @@ import (
 // is timed. dispatches/op is exact (one counted run); ns/dispatch is
 // what a closure costs on this host, and ns/op is their product.
 func BenchmarkSteadyKernels(b *testing.B) {
-	for _, name := range []string{"gemm", "atax", "505.mcf", "557.xz", "531.deepsjeng"} {
+	for _, name := range steadyKernels {
 		b.Run(name, func(b *testing.B) {
 			wl, err := workloads.ByName(name)
 			if err != nil {

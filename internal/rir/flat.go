@@ -208,9 +208,9 @@ func (f *Func) AppendFlat(b []byte) []byte {
 // ReadFlat reads the function AppendFlat wrote at the start of b, whose
 // slots lie in a frame of frame slots, and returns it with the bytes
 // after it; the Func's NumLocals is the caller's to set. It reads the
-// IR as the front half of a compile leaves it, before elision: a folded
-// address, a range check, a fused pair, a two-target branch or an
-// unchecked access is an error. So is any index the bytes give that
+// IR as the front half of a compile leaves it, before elision and
+// address folding: a folded address, a range check, a fused pair, a
+// two-target branch or an unchecked access is an error. So is any index the bytes give that
 // does not land: a count past the bytes there are, a Side outside the
 // table its op's Shape names, a branch target outside the function, a
 // slot outside the frame.

@@ -168,7 +168,7 @@ func (f *Func) SetImms(s *Inst, a, b uint64) {
 	}
 }
 
-// Addr returns the address chain folded into an unchecked access —
+// Addr returns the address chain folded into an access —
 // the linear form of its address slot's value — or nil when it has
 // none.
 func (f *Func) Addr(s *Inst) *Lin {

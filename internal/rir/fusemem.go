@@ -150,13 +150,11 @@ const (
 	HF64ConvertI32S
 	HMove
 	HSelect
-	// Raw loads by width: unchecked with any address form (folded
-	// chain, slot, constant), checked from a slot plus offset.
+	// Raw loads and the 8-byte store, by width alone: checked or
+	// unchecked, with any address form (folded chain, slot, constant).
+	// The emitter picks the accessor.
 	HLoad64
 	HLoad32
-	HLoad64C
-	HLoad8C
-	// HStore64: an unchecked raw 8-byte store, any address form.
 	HStore64
 	// Integer compare+branches, one target or two: the less-than family
 	// (lt/le/gt/ge, signed or unsigned, i32 or i64) and eq/ne.
@@ -212,26 +210,14 @@ func (f *Func) HalfOf(s *Inst) Half {
 	case ShSelect:
 		return HSelect
 	case ShLoad:
-		unchecked := s.Has(Unchecked)
-		plain := !unchecked && !s.Has(AImm)
 		switch s.Op {
 		case wasm.OpI64Load, wasm.OpF64Load:
-			if unchecked {
-				return HLoad64
-			} else if plain {
-				return HLoad64C
-			}
+			return HLoad64
 		case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
-			if unchecked {
-				return HLoad32
-			}
-		case wasm.OpI32Load8U, wasm.OpI64Load8U:
-			if plain {
-				return HLoad8C
-			}
+			return HLoad32
 		}
 	case ShStore:
-		if s.Has(Unchecked) && (s.Op == wasm.OpI64Store || s.Op == wasm.OpF64Store) {
+		if s.Op == wasm.OpI64Store || s.Op == wasm.OpF64Store {
 			return HStore64
 		}
 	case ShCmpBranch:
@@ -257,14 +243,11 @@ func (f *Func) HalfOf(s *Inst) Half {
 var fusablePairs = []Half{
 	// An induction update, a loaded value or a mask into a branch.
 	HLin<<8 | HBrLt,
-	HLoad64C<<8 | HBrLt,
+	HLoad64<<8 | HBrLt,
 	HI32And<<8 | HBrEq,
-	// Index arithmetic: (i*N + j) << 3 is two of these when the access
-	// it feeds is checked (an unchecked one absorbs the chain).
+	// Index arithmetic the access could not absorb.
 	HLin<<8 | HLin,
 	HLin<<8 | HLoad64,
-	HLin<<8 | HLoad64C,
-	HLin<<8 | HLoad8C,
 	HLoad32<<8 | HLin,
 	// A loaded value into f64 arithmetic, f64 arithmetic into the
 	// stored value, and f64 expression trees.

@@ -127,7 +127,7 @@ func TestFuseNeedsConsumer(t *testing.T) {
 		{"stored value", store, ShOpStore},
 		{"store of another register", func() Inst { s := store; s.B = 6; return s }(), ShBin},
 		{"store addressed by the result", func() Inst { s := store; s.A, s.B = 5, 6; return s }(), ShBin},
-		{"checked store", func() Inst { s := store; s.Flags = 0; return s }(), ShBin},
+		{"checked store", func() Inst { s := store; s.Flags = MemAcc; return s }(), ShOpStore},
 		{"no closure for f64.add ; f64.div", Inst{Shape: ShBin, Op: wasm.OpF64Div, Dst: 6, A: 5, B: 2}, ShBin},
 	} {
 		f := &Func{NumLocals: 4, Code: []Inst{add, tc.second, {Shape: ShReturn}}}

@@ -20,10 +20,11 @@
 //     producer→consumer pairs fused into one dispatch, wherever the
 //     emitter has a flat closure for the pair.
 //
-// The bounds-check elision passes (internal/compiled/bce.go) run
-// between Lower and FuseMem, over the same Func — their range-check
-// guards and folded addresses are part of this IR (ShRangeCheck,
-// Func.Addr), so elision and fusion compose.
+// The bounds-check elision passes and address folding
+// (internal/compiled/bce.go) run between Lower and FuseMem, over the
+// same Func — their range-check guards and folded addresses are part
+// of this IR (ShRangeCheck, Func.Addr), so elision, folding and fusion
+// compose.
 //
 // A function's IR is a Func: a stream of hot ops (Inst, 48 bytes, no
 // pointers) and cold tables for what most ops never carry, which an op
