@@ -12,8 +12,8 @@ test:
 	$(GO) test ./...
 
 # Race pass over the packages with goroutines or unsynchronised fast
-# paths; this is also where the differential suites (elide, rir, fork,
-# hostcall, shared memory) run in full, without -short.
+# paths; this is also where the differential suites (compiled
+# pipelines, fork, hostcall, shared memory) run in full, without -short.
 #   fanout, wasm, validate, compiled, interp, flatten, rir: a cold
 #     start runs on fanout's workers from the code section on — decode
 #     and validate per body, then flatten → rir → elide → emit per
@@ -48,8 +48,8 @@ trace-smoke:
 	$(GO) test -count=1 -run 'TestTraceSmoke' -v ./cmd/leapsbench/
 
 # Short coverage-guided fuzz pass over the binary decoder, the
-# validator, the elide on/off differential, the register-IR on/off
-# differential, the WASI host-boundary cross-strategy differential,
+# validator, the compiled-pipeline differentials (wavm against wavm
+# without elision, and against wasmtime), the WASI host-boundary cross-strategy differential,
 # and the shared-memory grow-under-traffic differential (~10s each);
 # regressions land in testdata/fuzz/.
 fuzz-smoke:
@@ -78,7 +78,7 @@ check: verify
 # Layer benchmarks (go test -bench): per-strategy checked-load micro
 # timings, sparse mmap/munmap, per-strategy isolate lifecycle, the
 # many-function cold compile, the wavm and interpreter run loops on
-# the steady kernels, and the gemm/atax elide × rir macro benches.
+# the steady kernels, and the gemm/atax elide on/off macro benches.
 bench-hot:
 	./scripts/bench_hot.sh
 

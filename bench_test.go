@@ -1,6 +1,6 @@
-// Root-package benchmarks: the codegen passes' elide × rir matrix on
-// two kernels (make bench-hot runs it; it also asserts equal results
-// across the matrix) and the cost of the observability plumbing. The
+// Root-package benchmarks: wavm with elision on and off on two kernels
+// (make bench-hot runs it; it also asserts equal results across the
+// two) and the cost of the observability plumbing. The
 // paper's figures come from cmd/leapsbench, published numbers from
 // benchmark/run.sh.
 package leaps_test
@@ -17,13 +17,12 @@ import (
 	"leapsandbounds/internal/vmm"
 )
 
-// benchCodegenKernel measures the optimizing engine's codegen passes
-// on one kernel under the trap strategy (the paper's expensive
-// software check): baseline, elision alone, and elision plus the
-// register-IR recompile tier. The engine is detached from the module
-// cache so each variant pays — and demonstrates — its own compile,
-// and every variant's result must agree with the baseline, so the
-// benchmark doubles as an equivalence check.
+// benchCodegenKernel measures the bounds-check elision pass on one
+// kernel under the trap strategy (the paper's expensive software
+// check): wavm with elision off and on. The engine is detached from
+// the module cache so each variant pays — and demonstrates — its own
+// compile, and both results must agree, so the benchmark doubles as an
+// equivalence check.
 func benchCodegenKernel(b *testing.B, workload string) {
 	wl, err := leaps.WorkloadByName(workload)
 	if err != nil {
@@ -31,20 +30,20 @@ func benchCodegenKernel(b *testing.B, workload string) {
 	}
 	module, _ := wl.Build(leaps.SizeTest)
 	variants := []struct {
-		name string
-		cg   core.Codegen
+		name  string
+		elide bool
 	}{
-		{"elide=off/rir=off", core.Codegen{}},
-		{"elide=on/rir=off", core.Codegen{BoundsElision: true}},
-		{"elide=off/rir=on", core.Codegen{RegisterIR: true}},
-		{"elide=on/rir=on", core.Codegen{BoundsElision: true, RegisterIR: true}},
+		{"elide=off", false},
+		{"elide=on", true},
 	}
 	sums := make([][]uint64, len(variants))
 	for i, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			eng := compiled.NewWAVM()
 			eng.SetCache(nil)
-			eng.SetCodegen(v.cg)
+			if err := eng.SetElision(v.elide); err != nil {
+				b.Fatal(err)
+			}
 			cm, err := eng.CompileModule(module)
 			if err != nil {
 				b.Fatal(err)
@@ -73,8 +72,8 @@ func benchCodegenKernel(b *testing.B, workload string) {
 }
 
 // BenchmarkGemmCompiled and BenchmarkAtaxCompiled are the headline
-// hot-path benches of the codegen passes: the elide × rir matrix under
-// trap, failing if any variant changes the result. The benchmark's
+// hot-path benches of the elision pass: elide on/off under trap,
+// failing if elision changes the result. The benchmark's
 // steady workload times the same kernels end to end.
 func BenchmarkGemmCompiled(b *testing.B) { benchCodegenKernel(b, "gemm") }
 func BenchmarkAtaxCompiled(b *testing.B) { benchCodegenKernel(b, "atax") }

@@ -61,8 +61,7 @@ func run() error {
 		metrics  = flag.String("metrics", "", "write run metrics (with -trace, the recorded span events too) to this file (.json, or a .txt summary; \"-\" for the summary on stdout)")
 		trace    = flag.String("trace", "", "record causal spans and write a Chrome/Perfetto trace-event JSON to this file; also prints the critical-path attribution table")
 		nocache  = flag.Bool("nocache", false, "disable the compiled-module cache (every run pays the full compile)")
-		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision in engines that support it (wavm); -elide=false compiles with per-access checks")
-		rirOn    = flag.Bool("rir", true, "single-run mode: register-IR lowering in engines that support it (wavm, v8 top tier); -rir=false keeps the stack-machine emit")
+		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision (wavm, the only engine with the pass); -elide=false compiles with per-access checks and is an error on any other engine")
 		dumpIR   = flag.Bool("dump-ir", false, "single-run mode: print the workload entry function's stack ops next to its lowered register IR instead of running it")
 		diskdir  = flag.String("diskcache", "", "attach an on-disk compiled-artifact tier at this directory (cross-process cache; artifacts are content-addressed and corruption-checked)")
 		chaos    = flag.Int64("chaos", 0, "run the deterministic fault-injection sweep with this seed (twice, verifying the replay reproduces it exactly)")
@@ -180,7 +179,6 @@ func run() error {
 		Warmup:      *warmup,
 		CountCycles: *cycles || *ops, // the histogram is the cycle model's op counts
 		NoElide:     !*elide,
-		NoRIR:       !*rirOn,
 		Obs:         reg,
 		Prof:        sampler,
 		HWCounters:  *perfHW,

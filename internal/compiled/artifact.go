@@ -3,7 +3,7 @@
 // The compiled engine's final form is a closure graph (cops), which
 // cannot round-trip through bytes. What can is the IR a cfunc retains
 // as preIR: the function after rir.Lower (after rir.Compact for the
-// non-lowering engine) and before elision, when every op and cold
+// single-pass engine) and before elision, when every op and cold
 // payload is plain data. An artifact is that IR in rir's own flat form
 // (rir.Func.AppendFlat) plus each function's frame size; decoding
 // (rir.ReadFlat) replays only the back half of the pipeline (backHalf →
@@ -16,7 +16,7 @@
 //
 //	size  field
 //	4     artifactVersion
-//	1     codegen flags (artifactFlags)
+//	1     codegen flags (Engine.codegenFlags)
 //	4     function count = N
 //	N ×   4: frame size, then the function's flat stream (rir.ReadFlat)
 package compiled
@@ -34,25 +34,12 @@ import (
 // artifactVersion guards the payload: its layout, rir's flat records
 // and what the front half puts in them. Bump on any change to either; a
 // version mismatch decodes as corruption and the disk tier recompiles.
-// Version 3: the payload is rir's flat stream.
-const artifactVersion = 3
+// Version 3: the payload is rir's flat stream. Version 4: the flags byte
+// holds optimize and elision only (lowering is part of optimizing).
+const artifactVersion = 4
 
 // artifactHeader is the payload's fixed prefix: version, flags, count.
 const artifactHeader = 4 + 1 + 4
-
-// artifactFlags packs the codegen flags an artifact is built under —
-// bit 0 optimize, bit 1 elision, bit 2 register IR — which decode
-// checks, so a mis-keyed file can never silently produce
-// differently-shaped code.
-func (e *Engine) artifactFlags() byte {
-	var fl byte
-	for i, on := range []bool{e.optimize, e.elision(), e.registerIR()} {
-		if on {
-			fl |= 1 << i
-		}
-	}
-	return fl
-}
 
 // EncodeArtifact implements core.ArtifactCodec. It serializes the
 // retained pre-elision IR of a module this engine family compiled;
@@ -64,7 +51,7 @@ func (e *Engine) EncodeArtifact(cm core.CompiledModule) ([]byte, error) {
 	}
 	le := binary.LittleEndian
 	b := le.AppendUint32(nil, artifactVersion)
-	b = append(b, e.artifactFlags())
+	b = append(b, e.codegenFlags())
 	b = le.AppendUint32(b, uint32(len(tm.funcs)))
 	for _, cf := range tm.funcs {
 		b = le.AppendUint32(b, uint32(cf.frameSize))
@@ -88,8 +75,10 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 	if v := le.Uint32(data); v != artifactVersion {
 		return nil, fmt.Errorf("compiled: artifact version %d, want %d", v, artifactVersion)
 	}
-	if fl := data[4]; fl != e.artifactFlags() {
-		return nil, fmt.Errorf("compiled: artifact codegen flags %03b (rir, elide, opt) do not match engine's %03b", fl, e.artifactFlags())
+	// Decode checks the flags, so a mis-keyed file can never silently
+	// produce differently-shaped code.
+	if fl := data[4]; fl != e.codegenFlags() {
+		return nil, fmt.Errorf("compiled: artifact codegen flags %02b (elide, opt) do not match engine's %02b", fl, e.codegenFlags())
 	}
 	if n := le.Uint32(data[5:]); n != uint32(len(m.Code)) {
 		return nil, fmt.Errorf("compiled: artifact has %d functions, module has %d", n, len(m.Code))

@@ -47,24 +47,22 @@ func artifactModule(t *testing.T) *wasm.Module {
 	return m
 }
 
-// compiledEngines are the engine configurations whose artifacts must
-// round-trip: both constructors plus the ablated codegen corners.
-func compiledEngines() map[string]func() *compiled.Engine {
-	return map[string]func() *compiled.Engine{
-		"wavm":     compiled.NewWAVM,
-		"wasmtime": compiled.NewWasmtime,
-		"wavm-noelide": func() *compiled.Engine {
-			e := compiled.NewWAVM()
-			e.SetCodegen(core.Codegen{RegisterIR: true})
-			return e
-		},
-		"wavm-stackir": func() *compiled.Engine {
-			e := compiled.NewWAVM()
-			e.SetCodegen(core.Codegen{BoundsElision: true})
-			return e
-		},
-		"wavm-baseline": func() *compiled.Engine { e := compiled.NewWAVM(); e.SetCodegen(core.Codegen{}); return e },
-	}
+// compiledEngines are the compiled pipelines, one per configuration
+// that ships: wavm, wavm with elision off (the tiered engine's top tier
+// and the elision ablation) and wasmtime's single-pass stream.
+var compiledEngines = []struct {
+	name string
+	mk   func() *compiled.Engine
+}{
+	{"wavm", compiled.NewWAVM},
+	{"wavm-noelide", func() *compiled.Engine {
+		e := compiled.NewWAVM()
+		if err := e.SetElision(false); err != nil {
+			panic(err)
+		}
+		return e
+	}},
+	{"wasmtime", compiled.NewWasmtime},
 }
 
 // TestArtifactRoundTrip pins the disk-tier contract for every engine
@@ -74,9 +72,9 @@ func compiledEngines() map[string]func() *compiled.Engine {
 // IR, so a process that loaded from disk can still publish).
 func TestArtifactRoundTrip(t *testing.T) {
 	m := artifactModule(t)
-	for name, mk := range compiledEngines() {
-		t.Run(name, func(t *testing.T) {
-			eng := mk()
+	for _, c := range compiledEngines {
+		t.Run(c.name, func(t *testing.T) {
+			eng := c.mk()
 			eng.SetCache(nil)
 			cm, err := eng.CompileModule(m)
 			if err != nil {
@@ -155,8 +153,8 @@ func TestArtifactRejectsMismatchedEngine(t *testing.T) {
 // panic, under every engine configuration.
 func TestArtifactCorruptionDoesNotPanic(t *testing.T) {
 	m := artifactModule(t)
-	for name, mk := range compiledEngines() {
-		eng := mk()
+	for _, c := range compiledEngines {
+		name, eng := c.name, c.mk()
 		eng.SetCache(nil)
 		cm, err := eng.CompileModule(m)
 		if err != nil {

@@ -138,7 +138,7 @@ func TestCoalesceEBBChecks(t *testing.T) {
 // chains fused into the accesses (the closure-level analog
 // of folding the scale/index/base arithmetic into the memory
 // operand). It then runs the kernel under the trap strategy, the one
-// BenchmarkGemmCompiled's elide × rir matrix runs under.
+// BenchmarkGemmCompiled runs under.
 func TestGemmElisionStats(t *testing.T) {
 	wl, err := workloads.ByName("gemm")
 	if err != nil {

@@ -37,9 +37,7 @@ func countDispatches(t *testing.T, kernel string, s mem.Strategy, elide bool) ma
 	module, native := wl.Build(workloads.Bench)
 	eng := NewWAVM()
 	eng.SetCache(nil)
-	if !elide {
-		eng.SetCodegen(core.Codegen{RegisterIR: true})
-	}
+	eng.elide = elide
 	cm, err := eng.compileModule(module)
 	if err != nil {
 		t.Fatal(err)

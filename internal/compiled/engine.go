@@ -26,26 +26,29 @@ var (
 )
 
 // Engine is a closure-compiling AOT engine. Engines are immutable
-// configuration (name + optimization flag) with no lifecycle, which
-// is what makes their compiled modules safely shareable through the
-// process-wide module cache.
+// configuration (name, optimization and elision flags) with no
+// lifecycle, which is what makes their compiled modules safely
+// shareable through the process-wide module cache. Each constructor
+// fixes one pipeline: wavm optimizes, lowers to register IR and elides
+// bounds checks; wasmtime emits flatten's stack stream as it is.
 type Engine struct {
 	name     string
 	optimize bool
-	codegen  core.Codegen
+	elide    bool
 	cache    core.ModuleCache
 }
 
 // NewWAVM returns the WAVM analog: ahead-of-time compilation with
 // the optimizer enabled (the closure-level stand-in for LLVM's
-// optimizing backend). Bounds-check elision and the register-IR
-// tier are on by default, as their analogs are in the real engine's
-// LLVM pipeline; SetCodegen turns them off for ablations.
+// optimizing backend), register-IR lowering and bounds-check elision,
+// as their analogs are in the real engine's LLVM pipeline.
+// SetElision turns elision off for the ablation and the tiered
+// engine's top tier.
 func NewWAVM() *Engine {
 	return &Engine{
 		name:     "wavm",
 		optimize: true,
-		codegen:  core.Codegen{BoundsElision: true, RegisterIR: true},
+		elide:    true,
 		cache:    modcache.Shared(),
 	}
 }
@@ -65,50 +68,36 @@ func NewWasmtime() *Engine {
 // the first Compile.
 func (e *Engine) SetCache(c core.ModuleCache) { e.cache = c }
 
-// SetCodegen implements core.Engine. Call before the first Compile;
-// the knobs fold into the module-cache key, so modules compiled under
-// different codegen never alias.
-func (e *Engine) SetCodegen(cg core.Codegen) { e.codegen = cg }
-
-// Codegen implements core.Engine.
-func (e *Engine) Codegen() core.Codegen { return e.codegen }
-
-// elision reports whether the elision pass runs: it rewrites the
-// optimizer's canonical IR shapes, so the single-pass engine (which
-// models a baseline with no mid-end) never elides.
-func (e *Engine) elision() bool { return e.optimize && e.codegen.BoundsElision }
-
-// registerIR reports whether the register-IR tier runs. Unlike
-// elision it is not gated on the constructor's optimize flag: the
-// stack-discipline optimizer is a prerequisite of lowering (deleting
-// push/pop traffic is what frees the slots to renumber), so turning
-// the tier on pulls the optimizer in with it. That is what lets the
-// tiered engine keep its single-pass top tier and still recompile to
-// register IR.
-func (e *Engine) registerIR() bool { return e.codegen.RegisterIR }
-
-// optimizes reports whether a compile runs the optimizer and address
-// folding: every compile but the single-pass engine's stream.
-func (e *Engine) optimizes() bool { return e.optimize || e.registerIR() }
-
-// cacheOpts fingerprints the engine's codegen-affecting options for
-// the cache key. The codegen half goes through Codegen.CacheKey so
-// every knob — present and future — is hashed by one canonical
-// encoding; only the engine-constructor optimize flag is appended
-// separately, since it is not a Codegen field. Knobs that cannot take
-// effect (elision under the single-pass engine) are canonicalized to
-// false so equivalent artifacts share a cache entry.
-func (e *Engine) cacheOpts() string {
-	effective := core.Codegen{
-		BoundsElision: e.elision(),
-		RegisterIR:    e.registerIR(),
+// SetElision turns the bounds-check elision pass on or off. Call
+// before the first Compile; the flag folds into the module-cache key,
+// so modules compiled with and without it never alias. Elision
+// rewrites the optimizer's canonical IR shapes, so the single-pass
+// engine, which models a baseline with no mid-end, has no pass to
+// turn: SetElision is an error there.
+func (e *Engine) SetElision(on bool) error {
+	if !e.optimize {
+		return fmt.Errorf("compiled: %s has no bounds-check elision pass", e.name)
 	}
-	opt := 0
-	if e.optimize {
-		opt = 1
-	}
-	return fmt.Sprintf("optimize=%d %s", opt, effective.CacheKey())
+	e.elide = on
+	return nil
 }
+
+// codegenFlags packs everything that shapes the emitted code — bit 0
+// optimize, bit 1 elision — for the module-cache key and the artifact
+// header alike, so the two cannot disagree about what a compile is.
+func (e *Engine) codegenFlags() byte {
+	var fl byte
+	if e.optimize {
+		fl |= 1
+	}
+	if e.elide {
+		fl |= 2
+	}
+	return fl
+}
+
+// cacheOpts fingerprints the engine's codegen for the cache key.
+func (e *Engine) cacheOpts() string { return fmt.Sprintf("codegen=%02b", e.codegenFlags()) }
 
 // CachedModule returns the already-compiled artifact for m from the
 // engine's cache, without compiling. The tiered engine uses it to
@@ -188,12 +177,12 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 // compileModule is the uncached compile pipeline: validate, then per
 // function
 //
-//	flatten → rir.Build → rir.Optimize → rir.Compact
-//	        → rir.Lower (register tier)
+//	flatten → rir.Build → rir.Optimize → rir.Compact → rir.Lower
 //	        → elide (bounds-check elision)
 //	        → fuseAddrs (address-mode folding)
 //	        → rir.FuseMem (jump threading, pair superinstructions) → emit
 //
+// on wavm, and flatten → rir.Build → rir.Compact → emit on wasmtime.
 // Functions compile independently — they share only the read-only
 // *wasm.Module and the atomic rir/bce counters — so the chain runs on
 // fanout's workers. validate.Module returns at once for a module that
@@ -232,9 +221,8 @@ func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, er
 // Lower must precede elide and fuseAddrs — they capture raw register
 // indices inside CheckPlan closures and folded addresses — and FuseMem
 // runs last so it pairs accesses with their addresses already folded.
-// When the register tier is on the frame shrinks from locals+maxStack
-// to locals+registers (plus the same scratch pad flatten reserves
-// above MaxStack).
+// Lowering shrinks the frame from locals+maxStack to locals+registers
+// (plus the same scratch pad flatten reserves above MaxStack).
 func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir.Func, error) {
 	start := time.Now()
 	index := imported + uint32(i)
@@ -247,14 +235,13 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 		return nil, nil, err
 	}
 	opsIn := len(f.Code)
-	lowering := e.registerIR()
-	if e.optimizes() {
+	if e.optimize {
 		f.Optimize()
 	}
 	f.Compact()
 	frameSize := ff.NumLocals + ff.MaxStack
 	regs := 0
-	if lowering {
+	if e.optimize {
 		regs = f.Lower()
 		// Mirror flatten's MaxStack = maxH+8 scratch margin.
 		frameSize = ff.NumLocals + regs + 8
@@ -269,7 +256,7 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 		preIR:     f,
 	}
 	f = e.backHalf(cf)
-	if lowering {
+	if e.optimize {
 		rir.RecordLowering(opsIn, len(f.Code), regs, time.Since(start).Nanoseconds())
 	}
 	return cf, f, nil
@@ -277,8 +264,8 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 
 // EmittedIR returns what the dump tools print side by side for
 // m.Code[i]: the stack-shaped IR rir.BuildFunc makes of the body and
-// the register IR exactly as emit receives it under e's codegen
-// (optimized, lowered, elided, jumps threaded, pairs fused).
+// the IR exactly as emit receives it from e's pipeline (on wavm:
+// optimized, lowered, elided, jumps threaded, pairs fused).
 func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err error) {
 	imported := uint32(m.NumImportedFuncs())
 	ff, err := flatten.Flatten(m, imported+uint32(i), &m.Code[i])
@@ -298,8 +285,8 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 // backHalf runs the passes whose output is not plain data, elide →
 // fuseAddrs → FuseMem, and returns the IR to emit; a fresh compile and
 // an artifact decode share it. Address folding is codegen, not
-// elision: it runs on every compile that optimizes, whatever the
-// elision knob, and only the single-pass stream goes without it.
+// elision: it runs on every compile that optimizes, with elision on or
+// off, and only the single-pass stream goes without the back half.
 // cf.preIR stays as it was, so the module can still be encoded: elide
 // does not write the Func it is handed (it returns that Func when it
 // finds nothing to elide, a new one otherwise), and the passes that
@@ -308,19 +295,17 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 // give an op a new cold entry rather than write through one.
 func (e *Engine) backHalf(cf *cfunc) *rir.Func {
 	f := cf.preIR
-	if e.elision() {
-		f = elide(f)
-	}
-	if !e.optimizes() {
+	if !e.optimize {
 		return f
+	}
+	if e.elide {
+		f = elide(f)
 	}
 	if f == cf.preIR {
 		f = f.With(slices.Clone(f.Code))
 	}
 	fuseAddrs(f)
-	if e.registerIR() {
-		f.FuseMem()
-	}
+	f.FuseMem()
 	return f
 }
 

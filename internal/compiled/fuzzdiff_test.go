@@ -444,113 +444,6 @@ func TestDifferentialOOBTrapEquivalence(t *testing.T) {
 	}
 }
 
-// elideOutcome captures everything the elision pass must preserve:
-// whether the run trapped, the exact trap cause (kind plus the
-// detail string, which carries the faulting address and access
-// size), and the result digest.
-type elideOutcome struct {
-	trapped bool
-	kind    trap.Kind
-	detail  string
-	digest  uint64
-}
-
-// runElided compiles m on a fresh cache-detached wavm engine with
-// the elision pass on or off and executes run() under s.
-func runElided(tb testing.TB, m *wasm.Module, s mem.Strategy, elide bool) elideOutcome {
-	tb.Helper()
-	eng := compiled.NewWAVM()
-	eng.SetCache(nil)
-	eng.SetCodegen(core.Codegen{BoundsElision: elide})
-	cm, err := eng.Compile(m)
-	if err != nil {
-		tb.Fatalf("elide=%v: %v", elide, err)
-	}
-	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
-	if err != nil {
-		tb.Fatalf("elide=%v/%v: %v", elide, s, err)
-	}
-	res, ierr := inst.Invoke("run")
-	inst.Close()
-	if ierr != nil {
-		var tr *trap.Trap
-		if !errors.As(ierr, &tr) {
-			tb.Fatalf("elide=%v/%v: non-trap failure: %v", elide, s, ierr)
-		}
-		return elideOutcome{trapped: true, kind: tr.Kind, detail: tr.Detail}
-	}
-	return elideOutcome{digest: res[0]}
-}
-
-// checkElideEquivalence runs m with elision off and on under all
-// five strategies and requires bit-identical outcomes: same digest
-// when the run completes, and the same trap kind and trap detail
-// (faulting address + access size) when it doesn't. The detail
-// comparison is what pins trap *sites*: an over-eager hoist or
-// coalesce that widened a check would fault at a different address
-// or earlier than the per-access schedule.
-func checkElideEquivalence(tb testing.TB, m *wasm.Module) {
-	tb.Helper()
-	for _, s := range mem.Strategies() {
-		off := runElided(tb, m, s, false)
-		on := runElided(tb, m, s, true)
-		if off != on {
-			tb.Errorf("%v: elide=off %+v, elide=on %+v", s, off, on)
-		}
-	}
-}
-
-// TestDifferentialElide is the elision pass's equivalence net: every
-// generated program — the in-bounds random kernels and the boundary-
-// straddling OOB variants — must behave identically with the pass on
-// and off under all five strategies.
-func TestDifferentialElide(t *testing.T) {
-	seeds := 25
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("random/seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			m, err := buildRandomProgram(seed)
-			if err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
-			checkElideEquivalence(t, m)
-		})
-		t.Run(fmt.Sprintf("oob/seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			m, err := buildOOBProgram(seed)
-			if err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
-			checkElideEquivalence(t, m)
-		})
-	}
-}
-
-// FuzzElideDiff drives the same equivalence check from the fuzzer:
-// the seed picks the generated program, the flag picks the in-bounds
-// or boundary-straddling generator.
-func FuzzElideDiff(f *testing.F) {
-	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(seed, false)
-		f.Add(seed, true)
-	}
-	f.Fuzz(func(t *testing.T, seed int64, oob bool) {
-		build := buildRandomProgram
-		if oob {
-			build = buildOOBProgram
-		}
-		m, err := build(seed)
-		if err != nil {
-			t.Skip() // generator rejects some degenerate seeds
-		}
-		checkElideEquivalence(t, m)
-	})
-}
-
 // TestClampRedirectSemantics pins clamp's defined behaviour exactly:
 // an out-of-bounds n-byte access is redirected to sizeBytes-n, for
 // stores and loads alike, on every engine.

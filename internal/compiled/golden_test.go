@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"leapsandbounds/internal/compiled"
-	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 	"leapsandbounds/internal/workloads"
@@ -17,10 +15,10 @@ import (
 
 // TestEmittedCodeGolden holds the compile pipeline to the code it
 // emits: for every registered workload module, the 256-function
-// cold-start module and goldenExtras, under each codegen configuration of the two
-// engine families (tiered's top tier is wasmtime with the register IR),
-// one sha256 over every emitted op's String line and emit's per-pc
-// class and check tables (the line named after the configuration), and
+// cold-start module and goldenExtras, under each compiled pipeline
+// (compiledEngines; tiered's top tier is wavm-noelide), one sha256 over
+// every emitted op's String line and emit's per-pc class and check
+// tables (the line named after the configuration), and
 // one over the artifact bytes (its "-artifact" line), must match
 // testdata/emitted.golden. A refactor of the IR or its passes that is
 // meant to change nothing leaves this file as it is; a change that
@@ -36,27 +34,14 @@ func TestEmittedCodeGolden(t *testing.T) {
 	modules = append(modules, namedModule{"manyfuncs256", manyFuncsModule(t, 256)})
 	modules = append(modules, goldenExtras(t)...)
 
-	configs := []struct {
-		name string
-		eng  *compiled.Engine
-		cg   *core.Codegen // nil: the engine's default
-	}{
-		{"wavm", compiled.NewWAVM(), nil},
-		{"wavm-noelide", compiled.NewWAVM(), &core.Codegen{RegisterIR: true}},
-		{"wavm-norir", compiled.NewWAVM(), &core.Codegen{BoundsElision: true}},
-		{"wasmtime", compiled.NewWasmtime(), nil},
-		{"wasmtime-rir", compiled.NewWasmtime(), &core.Codegen{RegisterIR: true}},
-	}
 	var got strings.Builder
-	for _, c := range configs {
-		if c.cg != nil {
-			c.eng.SetCodegen(*c.cg)
-		}
+	for _, c := range compiledEngines {
+		eng := c.mk()
 		h, art := sha256.New(), sha256.New()
 		for _, m := range modules {
 			fmt.Fprintf(h, "module %s\n", m.name)
 			fmt.Fprintf(art, "module %s\n", m.name)
-			if err := c.eng.WriteEmitted(h, art, m.m); err != nil {
+			if err := eng.WriteEmitted(h, art, m.m); err != nil {
 				t.Fatalf("%s: %s: %v", c.name, m.name, err)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/validate"
@@ -76,7 +75,7 @@ func pipelineModule(t *testing.T) *wasm.Module {
 func TestBackHalfLeavesPreIR(t *testing.T) {
 	m := pipelineModule(t)
 	noElide := NewWAVM()
-	noElide.SetCodegen(core.Codegen{RegisterIR: true})
+	noElide.elide = false
 	for name, e := range map[string]*Engine{"wavm": NewWAVM(), "wavm-noelide": noElide} {
 		rewrote := false
 		for i := range m.Code {

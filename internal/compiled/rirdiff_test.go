@@ -3,6 +3,7 @@ package compiled_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"leapsandbounds/internal/compiled"
@@ -14,59 +15,96 @@ import (
 	"leapsandbounds/internal/wasm"
 )
 
-// runRIR compiles m on a fresh cache-detached wavm engine with the
-// register-IR tier on or off (elision stays on, its default, so the
-// comparison covers the lowered-then-elided pipeline) and executes
-// run() under s.
-func runRIR(tb testing.TB, m *wasm.Module, s mem.Strategy, rirOn bool) elideOutcome {
+// outcome captures everything a compile pipeline must preserve:
+// whether the run trapped, the exact trap cause (kind plus the detail
+// string, which carries the faulting address and access size), and the
+// result digest.
+type outcome struct {
+	trapped bool
+	kind    trap.Kind
+	detail  string
+	digest  uint64
+}
+
+// runOutcome instantiates cm under s and executes run().
+func runOutcome(tb testing.TB, cm core.CompiledModule, s mem.Strategy) outcome {
 	tb.Helper()
-	eng := compiled.NewWAVM()
-	eng.SetCache(nil)
-	eng.SetCodegen(core.Codegen{BoundsElision: true, RegisterIR: rirOn})
-	cm, err := eng.Compile(m)
-	if err != nil {
-		tb.Fatalf("rir=%v: %v", rirOn, err)
-	}
 	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
 	if err != nil {
-		tb.Fatalf("rir=%v/%v: %v", rirOn, s, err)
+		tb.Fatalf("%v: %v", s, err)
 	}
 	res, ierr := inst.Invoke("run")
 	inst.Close()
 	if ierr != nil {
 		var tr *trap.Trap
 		if !errors.As(ierr, &tr) {
-			tb.Fatalf("rir=%v/%v: non-trap failure: %v", rirOn, s, ierr)
+			tb.Fatalf("%v: non-trap failure: %v", s, ierr)
 		}
-		return elideOutcome{trapped: true, kind: tr.Kind, detail: tr.Detail}
+		return outcome{trapped: true, kind: tr.Kind, detail: tr.Detail}
 	}
-	return elideOutcome{digest: res[0]}
+	return outcome{digest: res[0]}
 }
 
-// checkRIREquivalence runs m with the register tier off and on under
-// all five strategies and requires bit-identical outcomes: the same
-// digest when the run completes, and the same trap kind and detail
-// (faulting address + access size) when it doesn't. The detail
-// comparison pins trap sites: a lowering bug that renumbered an
-// address operand, or a fusion that skipped the intermediate register
-// write, would fault at a different address or produce a different
-// digest.
-func checkRIREquivalence(tb testing.TB, m *wasm.Module) {
+// checkPipelines compiles m on the named pipelines of compiledEngines
+// (cache-detached) and requires bit-identical outcomes from all of them
+// under all five strategies: the same digest when the run completes,
+// and the same trap kind and detail (faulting address + access size)
+// when it doesn't.
+func checkPipelines(tb testing.TB, m *wasm.Module, names ...string) {
 	tb.Helper()
+	mods := make([]core.CompiledModule, len(names))
+	for i, name := range names {
+		for _, c := range compiledEngines {
+			if c.name != name {
+				continue
+			}
+			eng := c.mk()
+			eng.SetCache(nil)
+			cm, err := eng.Compile(m)
+			if err != nil {
+				tb.Fatalf("%s: %v", name, err)
+			}
+			mods[i] = cm
+		}
+		if mods[i] == nil {
+			tb.Fatalf("no compiled pipeline named %q", name)
+		}
+	}
 	for _, s := range mem.Strategies() {
-		off := runRIR(tb, m, s, false)
-		on := runRIR(tb, m, s, true)
-		if off != on {
-			tb.Errorf("%v: rir=off %+v, rir=on %+v", s, off, on)
+		outs := make([]outcome, len(mods))
+		same := true
+		for i, cm := range mods {
+			outs[i] = runOutcome(tb, cm, s)
+			same = same && outs[i] == outs[0]
+		}
+		if !same {
+			var b strings.Builder
+			for i, name := range names {
+				fmt.Fprintf(&b, " %s %+v", name, outs[i])
+			}
+			tb.Errorf("%v: pipelines disagree:%s", s, b.String())
 		}
 	}
 }
 
-// TestDifferentialRIR is the register tier's equivalence net: every
-// generated program — the in-bounds random kernels and the boundary-
-// straddling OOB variants — must behave identically with lowering on
-// and off under all five strategies.
-func TestDifferentialRIR(t *testing.T) {
+// The compiled pipelines' equivalence net is two pairs over the three
+// pipelines that ship, and so holds all three to one outcome.
+// rirPair checks wavm against wasmtime's single-pass stream, the
+// reference: no optimizer, no Lower, no elision, no folding. It catches
+// a lowering or pairing bug (a renumbered address operand, a fused pair
+// that skips its intermediate register write). elidePair checks wavm
+// against wavm-noelide, elision on the pipeline that ships: an
+// over-eager hoist or coalesce that widened a check would fault at a
+// different address or earlier than the per-access schedule.
+var (
+	rirPair   = []string{"wasmtime", "wavm"}
+	elidePair = []string{"wavm-noelide", "wavm"}
+)
+
+// differential runs checkPipelines over every generated program: the
+// in-bounds random kernels and the boundary-straddling OOB variants,
+// seeds 1..25 (1..5 under -short).
+func differential(t *testing.T, names ...string) {
 	seeds := 25
 	if testing.Short() {
 		seeds = 5
@@ -79,7 +117,7 @@ func TestDifferentialRIR(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generator produced invalid module: %v", err)
 			}
-			checkRIREquivalence(t, m)
+			checkPipelines(t, m, names...)
 		})
 		t.Run(fmt.Sprintf("oob/seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -87,15 +125,15 @@ func TestDifferentialRIR(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generator produced invalid module: %v", err)
 			}
-			checkRIREquivalence(t, m)
+			checkPipelines(t, m, names...)
 		})
 	}
 }
 
-// FuzzRIRDiff drives the same equivalence check from the fuzzer: the
-// seed picks the generated program, the flag picks the in-bounds or
+// fuzzDifferential drives checkPipelines from the fuzzer: the seed
+// picks the generated program, the flag picks the in-bounds or
 // boundary-straddling generator.
-func FuzzRIRDiff(f *testing.F) {
+func fuzzDifferential(f *testing.F, names ...string) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed, false)
 		f.Add(seed, true)
@@ -113,9 +151,14 @@ func FuzzRIRDiff(f *testing.F) {
 		if err != nil {
 			t.Skip() // generator rejects some degenerate seeds
 		}
-		checkRIREquivalence(t, m)
+		checkPipelines(t, m, names...)
 	})
 }
+
+func TestDifferentialRIR(t *testing.T)   { differential(t, rirPair...) }
+func TestDifferentialElide(t *testing.T) { differential(t, elidePair...) }
+func FuzzRIRDiff(f *testing.F)           { fuzzDifferential(f, rirPair...) }
+func FuzzElideDiff(f *testing.F)         { fuzzDifferential(f, elidePair...) }
 
 // latchSeeds generate programs with nested counted loops that elision
 // versions, so their back-edges become two-target latches whose exit is

@@ -13,9 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"slices"
-	"strings"
 
 	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/isa"
@@ -115,48 +113,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Codegen carries per-engine code-generation knobs. Unlike Config it
-// is compile-time state: it shapes the emitted artifact, so engines
-// fold it into their module-cache options string — artifacts built
-// under different knobs must never alias in the cache.
-type Codegen struct {
-	// BoundsElision enables the bounds-check elision pass in engines
-	// that support it (the optimizing compiled engine): per-access
-	// watermark checks are coalesced into per-region range checks and
-	// hoisted out of affine loops, with a checked fallback copy that
-	// preserves exact trap sites and clamp redirect semantics. The
-	// emitted code stays strategy-agnostic — elision is a codegen
-	// property, the strategy remains instantiation-time.
-	BoundsElision bool
-
-	// RegisterIR enables the register-IR recompile tier in engines
-	// that support it: after the stack-discipline optimizer deletes
-	// push/pop traffic, surviving operand slots are renumbered into a
-	// dense virtual-register file and adjacent dependent pairs
-	// (compare+branch, load+op, op+store) fuse into superinstructions
-	// dispatched once. Like BoundsElision it changes only dispatch
-	// count and frame size, never observable behavior.
-	RegisterIR bool
-}
-
-// CacheKey renders the codegen knobs as a canonical options string
-// for module-cache keys. It iterates every field reflectively so a
-// knob added to Codegen can never be silently dropped from the key —
-// artifacts built under different knobs must never alias. All engines
-// must build their cache-options strings through this one function.
-func (cg Codegen) CacheKey() string {
-	var sb strings.Builder
-	v := reflect.ValueOf(cg)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s=%v", t.Field(i).Name, v.Field(i).Interface())
-	}
-	return sb.String()
-}
-
 // ModuleCache is a process-wide cache of compiled modules, keyed by
 // module content hash, engine name and codegen-affecting options
 // (implemented by internal/modcache). Engines route Compile through
@@ -182,9 +138,9 @@ type ModuleCache interface {
 	Peek(m *wasm.Module, engine, opts string) (CompiledModule, bool)
 }
 
-// Engine compiles modules for one runtime design point. The three
-// configuration methods are not synchronized against Compile: call
-// them before the engine's first Compile.
+// Engine compiles modules for one runtime design point. SetCache is
+// not synchronized against Compile: call it before the engine's first
+// Compile.
 type Engine interface {
 	// Name is the short identifier used in figures (e.g. "wavm").
 	Name() string
@@ -196,13 +152,6 @@ type Engine interface {
 	// detaches it from caching with a nil cache (benchmarks that measure
 	// compile cost need every Compile to do the work).
 	SetCache(ModuleCache)
-	// Codegen returns the engine's code-generation knobs, so a caller
-	// that wants to flip one (the harness's ablation switches) can read,
-	// modify and SetCodegen the result instead of clobbering the other
-	// defaults. An engine with no code generator reports the zero value
-	// and ignores SetCodegen.
-	Codegen() Codegen
-	SetCodegen(Codegen)
 }
 
 // CompiledModule is a compiled, instantiable module.

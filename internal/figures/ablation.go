@@ -45,9 +45,6 @@ func Ablation(c *Config) error {
 	if err := ablateElision(c); err != nil {
 		return err
 	}
-	if err := ablateRegisterIR(c); err != nil {
-		return err
-	}
 	return ablateHostcall(c)
 }
 
@@ -58,7 +55,7 @@ func Ablation(c *Config) error {
 // strategies pay per-view copies and the virtual-memory strategies
 // fault pages in under the view's bulk check).
 func ablateHostcall(c *Config) error {
-	fmt.Fprintf(c.Out, "\nAblation 9: hostcall boundary (wasi workloads, wavm, 1 thread)\n")
+	fmt.Fprintf(c.Out, "\nAblation 8: hostcall boundary (wasi workloads, wavm, 1 thread)\n")
 	fmt.Fprintf(c.Out, "%-10s %-10s %12s %10s %18s\n",
 		"benchmark", "strategy", "median", "hostcalls", "checksum")
 	for _, wl := range workloads.Suite("wasi") {
@@ -73,43 +70,6 @@ func ablateHostcall(c *Config) error {
 			fmt.Fprintf(c.Out, "%-10s %-10s %12v %10d %#18x\n",
 				wl.Name, s, res.MedianWall.Round(time.Microsecond),
 				res.VM.Hostcalls, res.Checksum)
-		}
-	}
-	return nil
-}
-
-// ablateRegisterIR measures the stack→register lowering on the
-// optimizing engine: the same kernels with the recompile tier's
-// register IR off and on, per strategy, with elision at the engine
-// default in both arms so only the lowering moves. The win is
-// dispatch-count driven — dead push/pop elimination and compare+
-// branch / load+op fusion shrink the op stream — so unlike elision
-// it shows up under every strategy.
-func ablateRegisterIR(c *Config) error {
-	fmt.Fprintf(c.Out, "\nAblation 8: register-IR lowering (wavm, 1 thread)\n")
-	fmt.Fprintf(c.Out, "%-10s %-10s %12s %12s %9s\n",
-		"benchmark", "strategy", "rir=off", "rir=on", "speedup")
-	for _, name := range []string{"gemm", "atax"} {
-		wl, err := workloads.ByName(name)
-		if err != nil {
-			return err
-		}
-		for _, s := range []mem.Strategy{mem.Trap, mem.Mprotect} {
-			var wall [2]time.Duration
-			for i, noRIR := range []bool{true, false} {
-				res, err := c.run(harness.Options{
-					Engine: harness.EngineWAVM, Workload: wl,
-					Strategy: s, Profile: isa.X86_64(), NoRIR: noRIR,
-				})
-				if err != nil {
-					return err
-				}
-				wall[i] = res.MedianWall
-			}
-			fmt.Fprintf(c.Out, "%-10s %-10s %12v %12v %8.2fx\n",
-				name, s,
-				wall[0].Round(time.Microsecond), wall[1].Round(time.Microsecond),
-				float64(wall[0])/float64(wall[1]))
 		}
 	}
 	return nil

@@ -88,16 +88,11 @@ type Options struct {
 	// cache, so every Run pays the full compile (the cold-start
 	// baseline for cache benchmarks).
 	NoCache bool
-	// NoElide disables bounds-check elision in engines that support
-	// it (the wavm analog), for the elision ablation. The flag folds
-	// into the module-cache key, so elided and unelided compiles of
-	// the same module never alias.
+	// NoElide disables bounds-check elision, for the elision ablation.
+	// Only wavm has the pass; NoElide on any other engine is an error.
+	// The flag folds into the module-cache key, so elided and unelided
+	// compiles of the same module never alias.
 	NoElide bool
-	// NoRIR disables the register-IR recompile tier in engines that
-	// support it (wavm and the tiered engine's top tier), for the
-	// lowering ablation. Like NoElide it folds into the module-cache
-	// key.
-	NoRIR bool
 	// Processes splits the workers across this many simulated
 	// processes (separate address spaces, separate mmap locks) —
 	// the paper's §4.2.1 alternative mitigation: "limit the number
@@ -167,9 +162,6 @@ func (o Options) RunLabel() string {
 	}
 	if o.NoElide {
 		flags += " elide=off"
-	}
-	if o.NoRIR {
-		flags += " rir=off"
 	}
 	return fmt.Sprintf("run[engine=%s workload=%s strategy=%s threads=%d%s]",
 		o.Engine, o.Workload.Name, o.Strategy, threads, flags)
@@ -251,6 +243,13 @@ func NewEngine(name string) (core.Engine, func(), error) {
 	}
 }
 
+// errNoElision refuses Options.NoElide on an engine with no elision
+// pass, which would otherwise run the same code under an elide=off
+// label.
+func errNoElision(engine string) error {
+	return fmt.Errorf("harness: NoElide: engine %s has no bounds-check elision pass", engine)
+}
+
 // Run executes one configuration and returns its measurements.
 func Run(opts Options) (*Result, error) {
 	if opts.Profile == nil {
@@ -322,6 +321,9 @@ func Run(opts Options) (*Result, error) {
 	iterators := make([]func(parent obs.SpanRef) (time.Duration, uint64, *isa.Counts, error), numProcs)
 
 	if opts.Engine == EngineNative {
+		if opts.NoElide {
+			return nil, errNoElision(opts.Engine)
+		}
 		for p := range iterators {
 			iterators[p] = func(obs.SpanRef) (time.Duration, uint64, *isa.Counts, error) {
 				t0 := time.Now()
@@ -338,17 +340,11 @@ func Run(opts Options) (*Result, error) {
 		if opts.NoCache {
 			eng.SetCache(nil)
 		}
-		if opts.NoElide || opts.NoRIR {
-			// Read the engine's current defaults and clear only the
-			// ablated knobs, so one ablation never resets the other.
-			cg := eng.Codegen()
-			if opts.NoElide {
-				cg.BoundsElision = false
+		if opts.NoElide {
+			ce, ok := eng.(*compiled.Engine)
+			if !ok || ce.SetElision(false) != nil {
+				return nil, errNoElision(opts.Engine)
 			}
-			if opts.NoRIR {
-				cg.RegisterIR = false
-			}
-			eng.SetCodegen(cg)
 		}
 		if te, ok := eng.(*tiered.Engine); ok {
 			te.AttachObs(runScope.Child("v8"))

@@ -199,6 +199,22 @@ func TestRunUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestRunNoElideNeedsTheElisionPass: NoElide is an error on every
+// engine but wavm, the only one with an elision pass, instead of a run
+// of unchanged code under an elide=off label.
+func TestRunNoElideNeedsTheElisionPass(t *testing.T) {
+	for _, engine := range []string{harness.EngineWAVM, harness.EngineWasmtime, harness.EngineWasm3, harness.EngineV8, harness.EngineNative} {
+		_, err := harness.Run(harness.Options{
+			Engine: engine, Workload: spec(t, "atax"), Class: workloads.Test,
+			Strategy: mem.Trap, Profile: isa.X86_64(), Warmup: 1, Measure: 1,
+			NoElide: true,
+		})
+		if (err == nil) != (engine == harness.EngineWAVM) {
+			t.Errorf("%s: NoElide gave error %v", engine, err)
+		}
+	}
+}
+
 // TestRunLabelTellsConfigurationsApart: two runs that differ only in
 // an ablation knob register under two scopes of one registry, so
 // neither's gauges overwrite — nor its counters add to — the other's.

@@ -64,13 +64,6 @@ func NewConfigurable() *Engine {
 // from caching. Call before the first Compile.
 func (e *Engine) SetCache(c core.ModuleCache) { e.cache = c }
 
-// Codegen implements core.Engine: the interpreter generates no code,
-// so it has no knobs to report and ignores SetCodegen.
-func (e *Engine) Codegen() core.Codegen { return core.Codegen{} }
-
-// SetCodegen implements core.Engine as a no-op.
-func (e *Engine) SetCodegen(core.Codegen) {}
-
 // Name implements core.Engine.
 func (e *Engine) Name() string { return e.name }
 

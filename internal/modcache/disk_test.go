@@ -381,7 +381,9 @@ func TestDiskTierKeySeparation(t *testing.T) {
 
 	configure := func(eng *compiled.Engine, bare bool) {
 		if bare {
-			eng.SetCodegen(core.Codegen{}) // elision + register tier off
+			if err := eng.SetElision(false); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	want := make(map[bool]uint64)

@@ -2,9 +2,12 @@ package tiered
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/modcache"
@@ -12,6 +15,7 @@ import (
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
+	"leapsandbounds/internal/workloads"
 )
 
 // rirKernelModule is kernelModule with a distinct multiplier: the
@@ -57,9 +61,6 @@ func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 	e := New()
 	e.SetCache(modcache.New(0)) // a live tier-up, whatever the shared cache holds from an earlier run
 	defer e.Close()
-	if !e.Codegen().RegisterIR {
-		t.Fatal("tiered top tier does not default to RegisterIR")
-	}
 	before := rir.Stats()
 
 	cm, err := e.Compile(rirKernelModule(t, 104729))
@@ -120,6 +121,62 @@ func TestTierUpToRegisterIRMidExecution(t *testing.T) {
 		t.Errorf("tier-up lowering did not shrink ops: in=%d out=%d",
 			after.OpsIn-before.OpsIn, after.OpsOut-before.OpsOut)
 	}
+}
+
+// TestTopTierIsWAVMWithoutElision pins what the top tier compiles to:
+// exactly wavm's pipeline with bounds-check elision off — the same ops
+// out of every function, and the same artifact bytes, whose flags byte
+// names the pipeline — and not wavm's own code, which elides.
+func TestTopTierIsWAVMWithoutElision(t *testing.T) {
+	e := New()
+	defer e.Close()
+	noElide := compiled.NewWAVM()
+	if err := noElide.SetElision(false); err != nil {
+		t.Fatal(err)
+	}
+	gemm, err := workloads.ByName("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm, _ := gemm.Build(workloads.Test)
+	differs := false
+	for _, m := range []*wasm.Module{rirKernelModule(t, 7), gm} {
+		top := emitted(t, e.topTier, m)
+		if want := emitted(t, noElide, m); top != want {
+			t.Errorf("top tier emits\n%s\nwavm with elision off emits\n%s", top, want)
+		}
+		differs = differs || top != emitted(t, compiled.NewWAVM(), m)
+	}
+	if !differs {
+		t.Error("the top tier emits what wavm emits with elision on: the modules check nothing")
+	}
+}
+
+// emitted is what e's pipeline makes of m: every op emit receives, one
+// String line each, and the module's artifact bytes.
+func emitted(t *testing.T, e *compiled.Engine, m *wasm.Module) string {
+	t.Helper()
+	var b strings.Builder
+	for i := range m.Code {
+		_, f, err := e.EmittedIR(m, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "func %d\n", i)
+		for pc := range f.Code {
+			fmt.Fprintf(&b, "%d %s\n", pc, f.Code[pc].String(f))
+		}
+	}
+	cm, err := e.CompileModule(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := e.EncodeArtifact(cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "artifact %x\n", art)
+	return b.String()
 }
 
 // TestRIRTierSpanNesting checks that the runtime-service spans keep

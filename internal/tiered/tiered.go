@@ -103,15 +103,15 @@ func (e *Engine) AttachObs(sc *obs.Scope) {
 func New() *Engine {
 	e := &Engine{
 		baseline: interp.NewConfigurable(),
-		topTier:  compiled.NewWasmtime(), // single-pass base; V8 trails WAVM in the paper
+		topTier:  compiled.NewWAVM(),
 		jobs:     make(chan func(), 64),
 		stop:     make(chan struct{}),
 	}
-	// The top tier recompiles to register IR (TurboFan's sea-of-nodes
-	// analog): lowering pulls the stack-discipline optimizer in with
-	// it, but bounds-check elision stays off, so the tier still trails
-	// WAVM as the paper observes.
-	e.topTier.SetCodegen(core.Codegen{RegisterIR: true})
+	// The top tier is wavm's pipeline, optimized and lowered to
+	// register IR (TurboFan's sea-of-nodes analog), with bounds-check
+	// elision off, so the tier still trails WAVM as the paper observes.
+	// wavm has an elision pass, so turning it off cannot fail.
+	_ = e.topTier.SetElision(false)
 	workers := max(2, runtime.NumCPU()/4)
 	for i := 0; i < workers; i++ {
 		e.wg.Add(1)
@@ -219,14 +219,6 @@ func (e *Engine) SetCache(c core.ModuleCache) {
 	e.baseline.SetCache(c)
 	e.topTier.SetCache(c)
 }
-
-// SetCodegen implements core.Engine by forwarding to the top tier (the
-// baseline interpreter has no codegen). The harness uses it to ablate
-// the register tier.
-func (e *Engine) SetCodegen(cg core.Codegen) { e.topTier.SetCodegen(cg) }
-
-// Codegen implements core.Engine.
-func (e *Engine) Codegen() core.Codegen { return e.topTier.Codegen() }
 
 // Compile implements core.Engine: the baseline tier compiles
 // synchronously (fast, like Liftoff); the optimizing tier is

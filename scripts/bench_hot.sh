@@ -4,8 +4,8 @@
 # isolate-lifecycle and many-function cold-start (decode + validate,
 # then compile per engine) timings (ns/op and B/op), the wavm run loop's dispatches/op and ns/dispatch on the five
 # steady kernels, the interpreter's guest-ops/op and ns/guest-op on the
-# same kernels, and the gemm/atax elide × rir macro benches (which
-# assert equal results across the matrix). The numbers that are
+# same kernels, and the gemm/atax elide on/off macro benches (which
+# assert equal results with and without elision). The numbers that are
 # published come from benchmark/run.sh, not from here.
 #
 #     ./scripts/bench_hot.sh        # or: make bench-hot
@@ -31,8 +31,5 @@ go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x ./internal/comp
 echo "== interpreter run loop on the same kernels (wasm3, class Bench; guest-ops/op is exact, ns/guest-op is the cost of one interpreted instruction)"
 go test -run '^$' -bench 'BenchmarkSteadyInterp' -benchtime 10x ./internal/interp
 
-echo "== codegen macro benchmarks (gemm, atax; trap strategy; elide x rir matrix)"
+echo "== codegen macro benchmarks (gemm, atax; trap strategy; wavm elide off and on)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .
-
-echo "== register-IR on/off (gemm; trap strategy)"
-go test -run '^$' -bench 'BenchmarkGemmCompiled/elide=on' -benchtime 1s .

@@ -67,8 +67,9 @@ echo "== internal/tiered twice in one process (no compile state may leak into a 
 go test -count=2 ./internal/tiered/
 
 # The race pass (package list and reasons: the Makefile's race target)
-# is also where the elide, rir, fork, hostcall and shared-memory
-# differentials run, in full and under the race detector.
+# is also where the compiled-pipeline (wavm, wavm without elision,
+# wasmtime), fork, hostcall and shared-memory differentials run, in
+# full and under the race detector.
 echo "== make race"
 make race
 
