@@ -338,6 +338,53 @@ func buildFoldOOBProgram() (*wasm.Module, error) {
 	return mb.Module()
 }
 
+// edgeLen is the trip count of buildEdgeLoopProgram's loop and
+// three times the member count of buildEdgeGroupProgram's group.
+const edgeLen = 64
+
+// buildEdgeLoopProgram returns a counted loop over an i64 array whose
+// last element ends past bytes past the end of the one page: the load
+// is affine in the counter, so elision versions the loop, and its range
+// check must cover the last iteration. With past = 1 that iteration's load
+// covers the first byte past memory, so a span one iteration short
+// runs it unchecked; with past = 0 the loop ends exactly on the last
+// byte and the check passes.
+func buildEdgeLoopProgram(past uint32) (*wasm.Module, error) {
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	arr := g.ArrI64(65536 - edgeLen*8 + past)
+	f := mb.Func("run", wasm.I64)
+	i, digest := f.LocalI32("i"), f.LocalI64("digest")
+	f.Body(
+		g.For(i, g.I32(0), g.I32(edgeLen),
+			g.Set(digest, g.Add(g.Mul(g.Get(digest), g.I64(1099511628211)), arr.Load(g.Get(i)))),
+		),
+		g.Return(g.Get(digest)),
+	)
+	mb.Export("run", f)
+	return mb.Module()
+}
+
+// buildEdgeGroupProgram returns straight-line loads off one base whose
+// last member straddles the end of memory by one byte: elision
+// coalesces them onto one range check, which must cover that byte.
+func buildEdgeGroupProgram() (*wasm.Module, error) {
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	f := mb.Func("run", wasm.I64)
+	p, digest := f.LocalI32("p"), f.LocalI64("digest")
+	mix := func(off uint32) g.Stmt {
+		return g.Set(digest, g.Add(g.Mul(g.Get(digest), g.I64(1099511628211)), g.LoadI64(g.Get(p), off)))
+	}
+	f.Body(
+		g.Set(p, g.I32(65536-24+1)),
+		mix(0), mix(8), mix(16),
+		g.Return(g.Get(digest)),
+	)
+	mb.Export("run", f)
+	return mb.Module()
+}
+
 // oobOutcome is one (engine, strategy) execution result.
 type oobOutcome struct {
 	trapped bool
@@ -352,20 +399,27 @@ type oobOutcome struct {
 // trap, mprotect and uffd are exactly equivalent (they all detect the
 // violation), clamp never traps (accesses are redirected to the end
 // of memory), and none never traps for accesses inside the backing.
+// The edge rows put elision's range checks on the last byte of memory:
+// whether trap traps there is fixed, and a check one byte or one
+// iteration short makes wavm miss the trap the others take.
 func TestDifferentialOOBTrapEquivalence(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 6
 	}
-	rows := []struct {
+	type row struct {
 		name  string
 		build func() (*wasm.Module, error)
-	}{{"fold", buildFoldOOBProgram}}
+		traps string // "yes" or "no" when the row fixes it
+	}
+	rows := []row{
+		{"fold", buildFoldOOBProgram, ""},
+		{"edge-loop", func() (*wasm.Module, error) { return buildEdgeLoopProgram(1) }, "yes"},
+		{"edge-loop-inbounds", func() (*wasm.Module, error) { return buildEdgeLoopProgram(0) }, "no"},
+		{"edge-group", buildEdgeGroupProgram, "yes"},
+	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		rows = append(rows, struct {
-			name  string
-			build func() (*wasm.Module, error)
-		}{fmt.Sprintf("seed=%d", seed), func() (*wasm.Module, error) { return buildOOBProgram(seed) }})
+		rows = append(rows, row{fmt.Sprintf("seed=%d", seed), func() (*wasm.Module, error) { return buildOOBProgram(seed) }, ""})
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -417,6 +471,9 @@ func TestDifferentialOOBTrapEquivalence(t *testing.T) {
 				}
 			}
 			t.Logf("trapping strategies trapped=%v", outcomes[mem.Trap].trapped)
+			if row.traps != "" && outcomes[mem.Trap].trapped != (row.traps == "yes") {
+				t.Errorf("trap trapped=%v, the program fixes %s", outcomes[mem.Trap].trapped, row.traps)
+			}
 			// Trap, mprotect and uffd are exactly equivalent.
 			vmGroup := []mem.Strategy{mem.Trap, mem.Mprotect, mem.Uffd}
 			for _, s := range vmGroup[1:] {
