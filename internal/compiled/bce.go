@@ -15,10 +15,10 @@ import (
 // check. Two transforms run in sequence:
 //
 //  1. Loop versioning: an innermost counted loop whose accesses have
-//     addresses affine in the induction local is cloned. A preheader
-//     rir.ShRangeCheck evaluates each access's address at the first and
-//     last iteration, proves the whole sequence in bounds via
-//     mem.CheckRange, and dispatches to a fast copy (accesses
+//     addresses linear in the induction local and loop-invariant slots
+//     is cloned. A preheader rir.ShRangeCheck computes each access's
+//     first address and stride, proves the whole sequence in bounds
+//     via mem.CheckRange, and dispatches to a fast copy (accesses
 //     unchecked) or the untouched slow copy. Calls and memory.grow in
 //     the body get a revalidation check after them in the fast copy,
 //     failing over to the slow copy mid-loop.
@@ -28,6 +28,10 @@ import (
 //     by one range check over [base+minOff, base+maxOff+width) plus a
 //     fast clone with unchecked members; on check failure the
 //     original checked clone runs.
+//
+// Both hand their regions to one versioner (version), and both plans
+// are one shape of plain data, rir.CheckPlan: ranges in the linear
+// form rir.Lin that address folding uses too.
 //
 // Soundness leans entirely on the mem.CheckRange contract: the check
 // never traps, a success is never invalidated (memory only grows and
@@ -44,10 +48,10 @@ import (
 // every compile that optimizes, folding i32 address chains into
 // checked and unchecked accesses alike.
 
-// The rir.CheckPlan/rir.LoopRange/rir.EvalFn types that carry the
-// pass's output live in internal/rir, in the cold table of the Func
-// they decorate; the passes themselves stay here because the emitters
-// below consume their plans directly.
+// The rir.CheckPlan/rir.LoopRange types that carry the pass's output
+// live in internal/rir, in the cold table of the Func they decorate;
+// the passes themselves stay here because the emitters below consume
+// their plans directly.
 
 // Process-wide elision statistics: obs counters the package owns,
 // like modcache's. Stats() reads them and AttachBCEObs registers these
@@ -130,24 +134,18 @@ func accWidth(op wasm.Opcode) uint64 {
 	}
 }
 
-// trappingBin lists binary ops that may trap and therefore must not
-// be evaluated speculatively at a loop preheader.
-var trappingBin = [256]bool{
-	wasm.OpI32DivS: true, wasm.OpI32DivU: true,
-	wasm.OpI32RemS: true, wasm.OpI32RemU: true,
-	wasm.OpI64DivS: true, wasm.OpI64DivU: true,
-	wasm.OpI64RemS: true, wasm.OpI64RemU: true,
-}
-
 // ---------------------------------------------------------------------------
-// Loop versioning
+// Versioning
 // ---------------------------------------------------------------------------
 
-type loopVer struct {
-	L, E    int
-	plan    *rir.CheckPlan
-	planned map[int]bool // rel offsets of accesses lowered to unchecked
-	revals  []int        // rel offsets of calls/grows needing revalidation
+// region is a run first..last of ops that version clones behind one
+// range check.
+type region struct {
+	first, last int
+	plan        rir.CheckPlan
+	unchecked   []bool // by pc - first: the accesses plan proves
+	revals      []int  // by pc - first, ascending: calls and grows the check re-runs after
+	loop        bool   // first is a loop header: a branch to it stays in its copy
 }
 
 // rangeCheck returns a range-check guard that branches to tgt on
@@ -158,143 +156,136 @@ func rangeCheck(f *rir.Func, tgt int32, p rir.CheckPlan) rir.Inst {
 	return s
 }
 
-// hoistLoops finds analyzable innermost counted loops and versions
-// them: [check][fast copy (+revalidations)][slow copy]. It also returns
-// which pcs of its output are slow copies (nil when it versioned
-// nothing).
-func hoistLoops(f *rir.Func) (*rir.Func, []bool) {
+// version lays each region, in program order and disjoint, out as
+//
+//	[check][fast copy (+revalidations)][jump to merge][slow copy]
+//
+// The fast copy runs the accesses its plan proves unchecked, and a
+// revalidation after a call or grow fails over to the same point of
+// the slow copy. The jump is there only when the fast copy can fall
+// through (a loop's copy ends in its backedge). The slow copy is the region
+// verbatim, where the check fails to. A branch from outside enters a
+// region at its check: regions are label-free past first, so a branch
+// targets no other op of one. It also returns which pcs of its output
+// are slow copies.
+func version(f *rir.Func, regions []region) (*rir.Func, []bool) {
 	ir := f.Code
-	labels := f.FindLabels()
-	loops := map[int]*loopVer{}
-	claimed := -1 // highest pc already inside a chosen loop
-	for E := 0; E < len(ir); E++ {
-		s := &ir[E]
-		if s.Shape != rir.ShJump || int(s.Tgt) > E {
-			continue
-		}
-		L := int(s.Tgt)
-		if L <= claimed {
-			continue
-		}
-		if lv := analyzeLoop(f, labels, L, E); lv != nil {
-			loops[L] = lv
-			claimed = E
-		}
-	}
-	if len(loops) == 0 {
-		return f, nil
-	}
-
-	// Phase A: layout. remap carries old→new positions for branch
-	// targets from outside a cloned region; positions inside a loop
-	// default to the slow copy (no outside branch can reach them —
-	// the body is label-free — but the backedge target L maps to the
-	// check so every loop entry is guarded).
+	// Layout: remap carries old positions to new ones for targets from
+	// outside a region.
 	remap := make([]int32, len(ir)+1)
-	type placedLoop struct {
-		lv               *loopVer
-		check, fastStart int
-		slowStart        int
-		fastPos          []int32
-	}
-	var places []placedLoop
-	newPC := int32(0)
+	slowAt := make([]int32, len(regions))
+	newPC, ri := int32(0), 0
 	for i := 0; i < len(ir); {
-		lv, ok := loops[i]
-		if !ok {
+		if ri == len(regions) || regions[ri].first != i {
 			remap[i] = newPC
 			newPC++
 			i++
 			continue
 		}
-		n := lv.E - lv.L + 1
-		p := placedLoop{lv: lv, check: int(newPC)}
+		r := &regions[ri]
+		n := int32(r.last - r.first + 1)
 		remap[i] = newPC
-		newPC++ // the range check
-		p.fastStart = int(newPC)
-		p.fastPos = make([]int32, n)
-		ri := 0
-		for k := 0; k < n; k++ {
-			p.fastPos[k] = newPC
-			newPC++
-			if ri < len(lv.revals) && lv.revals[ri] == k {
-				newPC++ // revalidation after this call/grow
-				ri++
-			}
+		slowAt[ri] = newPC + 1 + n + int32(len(r.revals))
+		if ir[r.last].Shape != rir.ShJump {
+			slowAt[ri]++
 		}
-		p.slowStart = int(newPC)
-		for k := 1; k < n; k++ {
-			remap[i+k] = newPC + int32(k)
+		for k := int32(1); k < n; k++ {
+			remap[i+int(k)] = slowAt[ri] + k
 		}
-		newPC += int32(n)
-		places = append(places, p)
-		i = lv.E + 1
+		newPC = slowAt[ri] + n
+		i = r.last + 1
+		ri++
 	}
 	remap[len(ir)] = newPC
 
-	// Phase B: emit.
 	out := f.With(make([]rir.Inst, 0, newPC))
 	slow := make([]bool, newPC)
-	pi := 0
-	hoisted, elided := int64(0), int64(0)
+	elided := int64(0)
+	outside := func(t int32) int32 { return remap[t] }
+	ri = 0
 	for i := 0; i < len(ir); {
-		lv, ok := loops[i]
-		if !ok {
+		if ri == len(regions) || regions[ri].first != i {
 			s := ir[i]
-			out.RewriteTargets(&s, func(t int32) int32 { return remap[t] })
+			out.RewriteTargets(&s, outside)
 			out.Code = append(out.Code, s)
 			i++
 			continue
 		}
-		p := places[pi]
-		pi++
-		n := lv.E - lv.L + 1
-		plan := *lv.plan
-		out.Code = append(out.Code, rangeCheck(out, int32(p.slowStart), plan))
-		mapLoopTgt := func(hdr int32) func(int32) int32 {
-			return func(t int32) int32 {
-				if int(t) == lv.L {
-					return hdr
+		r, slowStart := &regions[ri], slowAt[ri]
+		ri++
+		n := r.last - r.first + 1
+		copyAt := func(k int, start int32) rir.Inst {
+			s := ir[r.first+k]
+			out.RewriteTargets(&s, func(t int32) int32 {
+				if r.loop && int(t) == r.first {
+					return start
 				}
 				return remap[t]
-			}
+			})
+			return s
 		}
-		// Fast copy: planned accesses unchecked, revalidations after
-		// calls/grows failing over to the slow copy at the same point.
-		ri := 0
+		out.Code = append(out.Code, rangeCheck(out, slowStart, r.plan))
+		fastStart, revals := int32(len(out.Code)), r.revals
 		for k := 0; k < n; k++ {
-			s := ir[lv.L+k]
-			out.RewriteTargets(&s, mapLoopTgt(p.fastPos[0]))
-			if lv.planned[k] {
+			s := copyAt(k, fastStart)
+			if r.unchecked[k] {
 				s.Flags = s.Flags&^rir.MemAcc | rir.Unchecked
 				elided++
 			}
 			out.Code = append(out.Code, s)
-			if ri < len(lv.revals) && lv.revals[ri] == k {
-				rp := plan
+			if len(revals) > 0 && revals[0] == k {
+				rp := r.plan
 				rp.Reval = true
-				out.Code = append(out.Code, rangeCheck(out, int32(p.slowStart+k+1), rp))
-				ri++
+				out.Code = append(out.Code, rangeCheck(out, slowStart+int32(k)+1, rp))
+				revals = revals[1:]
 			}
 		}
-		// Slow copy: the original loop, verbatim.
-		for k := 0; k < n; k++ {
-			s := ir[lv.L+k]
-			out.RewriteTargets(&s, mapLoopTgt(int32(p.slowStart)))
-			slow[len(out.Code)] = true
-			out.Code = append(out.Code, s)
+		if ir[r.last].Shape != rir.ShJump {
+			out.Code = append(out.Code, rir.Inst{Shape: rir.ShJump, Tgt: remap[r.last+1], Class: uint8(isa.ClassBranch)})
 		}
-		hoisted += int64(len(lv.plan.Ranges))
-		i = lv.E + 1
+		for k := 0; k < n; k++ {
+			slow[len(out.Code)] = true
+			out.Code = append(out.Code, copyAt(k, slowStart))
+		}
+		i = r.last + 1
 	}
-	bceHoisted.Add(hoisted)
 	bceChecksElided.Add(elided)
 	return out, slow
 }
 
+// ---------------------------------------------------------------------------
+// Loop versioning
+// ---------------------------------------------------------------------------
+
+// hoistLoops finds analyzable innermost counted loops and versions
+// them. It also returns which pcs of its output are slow copies (nil
+// when it versioned nothing).
+func hoistLoops(f *rir.Func) (*rir.Func, []bool) {
+	labels := f.FindLabels()
+	var regions []region
+	hoisted := int64(0)
+	claimed := -1 // highest pc already inside a chosen loop
+	for E := range f.Code {
+		s := &f.Code[E]
+		if s.Shape != rir.ShJump || int(s.Tgt) > E || int(s.Tgt) <= claimed {
+			continue
+		}
+		if r := analyzeLoop(f, labels, int(s.Tgt), E); r != nil {
+			regions = append(regions, *r)
+			hoisted += int64(len(r.plan.Ranges))
+			claimed = E
+		}
+	}
+	if len(regions) == 0 {
+		return f, nil
+	}
+	bceHoisted.Add(hoisted)
+	return version(f, regions)
+}
+
 // analyzeLoop decides whether [L..E] is a versionable counted loop
-// and builds its preheader plan.
-func analyzeLoop(f *rir.Func, labels []bool, L, E int) *loopVer {
+// and builds its region and preheader plan.
+func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
 	ir := f.Code
 	// Innermost and single-entry: no labels past the header.
 	for pc := L + 1; pc <= E; pc++ {
@@ -393,68 +384,56 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int) *loopVer {
 		return nil
 	}
 
-	lv := &loopVer{L: L, E: E, planned: map[int]bool{}}
-	plan := &rir.CheckPlan{
-		BaseSlot:   -1,
-		IndSlot:    c,
-		LimitSlot:  int(hdr.B),
-		LimitIsImm: limitIsImm,
-		Step:       step,
-	}
+	r := &region{first: L, last: E, unchecked: make([]bool, E-L+1), loop: true}
+	r.plan = rir.CheckPlan{IndSlot: c, Limit: rir.LinSlot(int(hdr.B)), Step: step}
 	if limitIsImm {
-		plan.LimitImm = f.ImmB(hdr)
+		r.plan.Limit = rir.Lin{K: uint32(f.ImmB(hdr))}
 	}
 	an := &affineAnalyzer{f: f, L: L, C: c, incPC: incPC, Step: step, invariant: invariant}
 	for pc := L + 1; pc < E; pc++ {
 		s := &ir[pc]
 		switch s.Shape {
 		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
-			lv.revals = append(lv.revals, pc-L)
+			r.revals = append(r.revals, pc-L)
 		case rir.ShLoad, rir.ShStore:
 			if s.Has(rir.Unchecked) || (!s.Has(rir.Pure) && !s.Has(rir.AImm)) {
 				continue
 			}
-			var ex *aexpr
-			if s.Has(rir.AImm) {
-				ex = constExpr(0)
-			} else {
-				ex = an.build(int(s.A), pc, 0)
+			var ex affine
+			if !s.Has(rir.AImm) {
+				var ok bool
+				if ex, ok = an.build(int(s.A), pc, 0); !ok {
+					continue
+				}
 			}
-			if ex == nil || !ex.affine {
-				continue
-			}
-			plan.Ranges = append(plan.Ranges, rir.LoopRange{
-				Expr:  ex.eval,
+			r.plan.Ranges = append(r.plan.Ranges, rir.LoopRange{
+				Addr:  ex.l,
+				Ind:   ex.ind,
 				Off:   s.Off,
 				Width: accWidth(s.Op),
 				Write: s.Shape == rir.ShStore,
 			})
-			lv.planned[pc-L] = true
+			r.unchecked[pc-L] = true
 		}
 	}
-	if len(plan.Ranges) == 0 {
+	if len(r.plan.Ranges) == 0 {
 		return nil
 	}
-	lv.plan = plan
-	return lv
+	return r
 }
 
-// aexpr is a pure address expression rebuilt from the IR def chain:
-// evaluable at the preheader, with affinity in the induction tracked
-// so only arithmetic sequences are hoisted. Invariant expressions are
-// trivially affine (coefficient zero).
-type aexpr struct {
-	eval   rir.EvalFn
-	depC   bool
-	affine bool
+// affine is an address as a loop's analyzer rebuilds it from the IR
+// def chain: at iteration value v it is l + ind*v (mod 2^32), l linear
+// in loop-invariant slots, so the preheader can evaluate it and the
+// addresses it takes over the loop are an arithmetic sequence.
+type affine struct {
+	l   rir.Lin
+	ind uint32
 }
 
-func constExpr(k uint64) *aexpr {
-	return &aexpr{
-		eval:   func(st []uint64, base int, cv uint64) uint64 { return k },
-		affine: true,
-	}
-}
+func (a affine) isConst() bool { return a.ind == 0 && a.l.IsConst() }
+
+func (a affine) scale(c uint32) affine { return affine{a.l.Scale(c), a.ind * c} }
 
 type affineAnalyzer struct {
 	f         *rir.Func
@@ -467,10 +446,12 @@ type affineAnalyzer struct {
 
 const maxExprDepth = 32
 
-// build reconstructs the value of slot as read at pc.
-func (an *affineAnalyzer) build(slot, pc, depth int) *aexpr {
+// build reconstructs the value of slot as read at pc. It admits only
+// what stays linear: i32 add and sub, and mul and shl by a constant,
+// of the induction, loop-invariant slots (two at most) and constants.
+func (an *affineAnalyzer) build(slot, pc, depth int) (affine, bool) {
 	if depth > maxExprDepth {
-		return nil
+		return affine{}, false
 	}
 	// Find the def reaching this read inside the straight-line body.
 	def := -1
@@ -492,108 +473,57 @@ func (an *affineAnalyzer) build(slot, pc, depth int) *aexpr {
 		// invariant so the preheader sees the same value every
 		// iteration.
 		if slot == an.C {
-			return &aexpr{
-				eval:   func(st []uint64, base int, cv uint64) uint64 { return cv },
-				depC:   true,
-				affine: true,
-			}
+			return affine{ind: 1}, true
 		}
-		if !an.invariant(slot) {
-			return nil
-		}
-		s := slot
-		return &aexpr{
-			eval:   func(st []uint64, base int, cv uint64) uint64 { return st[base+s] },
-			affine: true,
-		}
+		return affine{l: rir.LinSlot(slot)}, an.invariant(slot)
 	}
 	if def == an.incPC && slot == an.C {
 		// c read after its increment: iteration value + step.
-		step := uint32(an.Step)
-		return &aexpr{
-			eval: func(st []uint64, base int, cv uint64) uint64 {
-				return uint64(uint32(cv) + step)
-			},
-			depC:   true,
-			affine: true,
-		}
+		return affine{l: rir.Lin{K: uint32(an.Step)}, ind: 1}, true
 	}
 	d := &an.f.Code[def]
 	switch d.Shape {
 	case rir.ShConst:
-		return constExpr(d.Imm)
+		return affine{l: rir.Lin{K: uint32(d.Imm)}}, true
 	case rir.ShMove:
 		// Reading through a copy: the source's value at the def site.
 		return an.build(int(d.A), def, depth+1)
 	case rir.ShBin:
-		if trappingBin[d.Op] {
-			return nil
+		operand := func(slot int32, isImm bool, imm uint64) (affine, bool) {
+			if isImm {
+				return affine{l: rir.Lin{K: uint32(imm)}}, true
+			}
+			return an.build(int(slot), def, depth+1)
 		}
-		fn := rir.BinOps[d.Op]
-		if fn == nil {
-			return nil
+		a, ok := operand(d.A, d.Has(rir.AImm), d.Imm)
+		if !ok {
+			return affine{}, false
 		}
-		var ea, eb *aexpr
-		if d.Has(rir.AImm) {
-			ea = constExpr(d.Imm)
-		} else {
-			ea = an.build(int(d.A), def, depth+1)
+		b, ok := operand(d.B, d.Has(rir.BImm), an.f.ImmB(d))
+		if !ok {
+			return affine{}, false
 		}
-		if ea == nil {
-			return nil
+		switch d.Op {
+		case wasm.OpI32Add:
+			l, ok := a.l.Add(b.l, 1)
+			return affine{l, a.ind + b.ind}, ok
+		case wasm.OpI32Sub:
+			l, ok := a.l.Add(b.l, ^uint32(0))
+			return affine{l, a.ind - b.ind}, ok
+		case wasm.OpI32Mul:
+			switch {
+			case b.isConst():
+				return a.scale(b.l.K), true
+			case a.isConst():
+				return b.scale(a.l.K), true
+			}
+		case wasm.OpI32Shl:
+			if b.isConst() {
+				return a.scale(1 << (b.l.K & 31)), true
+			}
 		}
-		if d.Has(rir.BImm) {
-			eb = constExpr(an.f.ImmB(d))
-		} else {
-			eb = an.build(int(d.B), def, depth+1)
-		}
-		if eb == nil {
-			return nil
-		}
-		r := &aexpr{depC: ea.depC || eb.depC}
-		switch {
-		case !r.depC:
-			r.affine = true
-		case d.Op == wasm.OpI32Add || d.Op == wasm.OpI32Sub:
-			r.affine = ea.affine && eb.affine
-		case d.Op == wasm.OpI32Mul:
-			// k*x is linear mod 2^32 when one side is invariant.
-			r.affine = ea.affine && eb.affine && !(ea.depC && eb.depC)
-		case d.Op == wasm.OpI32Shl:
-			// x<<k multiplies by a power of two; the shift amount
-			// itself must not vary with the induction.
-			r.affine = ea.affine && !eb.depC
-		default:
-			r.affine = false
-		}
-		if !r.affine {
-			return nil
-		}
-		fa, fb := ea.eval, eb.eval
-		r.eval = func(st []uint64, base int, cv uint64) uint64 {
-			return fn(fa(st, base, cv), fb(st, base, cv))
-		}
-		return r
-	case rir.ShUn:
-		// Pure non-trapping unary ops are evaluable but not linear:
-		// only invariant subtrees pass.
-		if rir.UnOps[d.Op] == nil || !rir.SafeUnFold(d.Op) {
-			return nil
-		}
-		ea := an.build(int(d.A), def, depth+1)
-		if ea == nil || ea.depC {
-			return nil
-		}
-		fn, fa := rir.UnOps[d.Op], ea.eval
-		return &aexpr{
-			eval: func(st []uint64, base int, cv uint64) uint64 {
-				return fn(fa(st, base, cv))
-			},
-			affine: true,
-		}
-	default:
-		return nil
 	}
+	return affine{}, false
 }
 
 // ---------------------------------------------------------------------------
@@ -608,124 +538,45 @@ type ebbMember struct {
 }
 
 type ebbGroup struct {
-	BaseSlot int // -1 for constant-address members
-	members  []ebbMember
+	base    rir.Lin // the members' base slot, or the constant 0
+	members []ebbMember
 }
 
 // coalesceEBB groups same-base accesses inside straight-line runs and
-// versions each group region on one range check. The slow copy of a
-// versioned loop (slow[pc]) is left as it is: it runs when the loop's
-// own check has failed — every iteration under clamp, where no range
-// check can pass — so a second check there is a dispatch per iteration
-// spent on the path that exists to be the plain checked one.
+// versions the run from each group's first member to its last on one
+// range check. The slow copy of a versioned loop (slow[pc]) is left as
+// it is: it runs when the loop's own check has failed — every
+// iteration under clamp, where no range check can pass — so a second
+// check there is a dispatch per iteration spent on the path that exists
+// to be the plain checked one.
 func coalesceEBB(f *rir.Func, slow []bool) *rir.Func {
-	ir := f.Code
-	groups := collectGroups(f, slow)
-	if len(groups) == 0 {
-		return f
-	}
-
-	// Greedy non-overlapping regions, in program order.
-	type region struct {
-		first, last int
-		g           *ebbGroup
-	}
 	var regions []region
 	end := -1
-	for gi := range groups {
-		g := &groups[gi]
-		first := g.members[0].pc
-		last := g.members[len(g.members)-1].pc
+	// Greedy non-overlapping regions, in program order.
+	for _, g := range collectGroups(f, slow) {
+		first, last := g.members[0].pc, g.members[len(g.members)-1].pc
 		if first <= end {
 			continue
 		}
-		regions = append(regions, region{first, last, g})
+		r := region{first: first, last: last, unchecked: make([]bool, last-first+1)}
+		rg := rir.LoopRange{Addr: g.base, Off: math.MaxUint64}
+		hi := uint64(0)
+		for _, m := range g.members {
+			r.unchecked[m.pc-first] = true
+			rg.Off = min(rg.Off, m.Off)
+			hi = max(hi, m.Off+m.Width)
+			rg.Write = rg.Write || m.Write
+		}
+		rg.Width = hi - rg.Off
+		r.plan.Ranges = []rir.LoopRange{rg}
+		regions = append(regions, r)
 		end = last
 	}
-
-	// Phase A: layout. Region at [first..last] becomes
-	// [check][fast first..last][jump merge][slow first..last].
-	remap := make([]int32, len(ir)+1)
-	newPC := int32(0)
-	ri := 0
-	for i := 0; i < len(ir); {
-		if ri < len(regions) && regions[ri].first == i {
-			r := regions[ri]
-			n := int32(r.last - r.first + 1)
-			remap[i] = newPC // entry lands on the check
-			for k := int32(1); k < n; k++ {
-				remap[i+int(k)] = newPC + 1 + k // unused: region is label-free past first
-			}
-			newPC += 1 + n + 1 + n
-			i = r.last + 1
-			ri++
-			continue
-		}
-		remap[i] = newPC
-		newPC++
-		i++
+	if len(regions) == 0 {
+		return f
 	}
-	remap[len(ir)] = newPC
-
-	// Phase B: emit.
-	out := f.With(make([]rir.Inst, 0, newPC))
-	rewrite := func(t int32) int32 { return remap[t] }
-	ri = 0
-	coalesced, elided := int64(0), int64(0)
-	var member []bool
-	for i := 0; i < len(ir); {
-		if ri >= len(regions) || regions[ri].first != i {
-			s := ir[i]
-			out.RewriteTargets(&s, rewrite)
-			out.Code = append(out.Code, s)
-			i++
-			continue
-		}
-		r := regions[ri]
-		ri++
-		n := r.last - r.first + 1
-		lo, hi := uint64(math.MaxUint64), uint64(0)
-		write := false
-		member = append(member[:0], make([]bool, n)...) // by pc - r.first
-		for _, m := range r.g.members {
-			member[m.pc-r.first] = true
-			if m.Off < lo {
-				lo = m.Off
-			}
-			if m.Off+m.Width > hi {
-				hi = m.Off + m.Width
-			}
-			write = write || m.Write
-		}
-		checkPos := remap[i]
-		slowStart := checkPos + 1 + int32(n) + 1
-		merge := remap[r.last+1]
-		out.Code = append(out.Code, rangeCheck(out, slowStart, rir.CheckPlan{
-			BaseSlot: r.g.BaseSlot,
-			Lo:       lo,
-			N:        hi - lo,
-			Write:    write,
-		}))
-		for k := 0; k < n; k++ {
-			s := ir[r.first+k]
-			out.RewriteTargets(&s, rewrite)
-			if member[k] {
-				s.Flags = s.Flags&^rir.MemAcc | rir.Unchecked
-				elided++
-			}
-			out.Code = append(out.Code, s)
-		}
-		out.Code = append(out.Code, rir.Inst{Shape: rir.ShJump, Tgt: merge, Class: uint8(isa.ClassBranch)})
-		for k := 0; k < n; k++ {
-			s := ir[r.first+k]
-			out.RewriteTargets(&s, rewrite)
-			out.Code = append(out.Code, s)
-		}
-		coalesced++
-		i = r.last + 1
-	}
-	bceRangesCoalesced.Add(coalesced)
-	bceChecksElided.Add(elided)
+	bceRangesCoalesced.Add(int64(len(regions)))
+	out, _ := version(f, regions)
 	return out
 }
 
@@ -736,8 +587,8 @@ func collectGroups(f *rir.Func, slow []bool) []ebbGroup {
 	var groups []ebbGroup
 
 	type bucket struct {
-		BaseSlot int
-		members  []ebbMember
+		base    rir.Lin
+		members []ebbMember
 	}
 	// The tables are the function's and indexed, not hashed by a map; a
 	// new run empties them by number, since an entry holds only in the
@@ -771,7 +622,7 @@ func collectGroups(f *rir.Func, slow []bool) []ebbGroup {
 	flush := func() {
 		for _, b := range buckets {
 			if len(b.members) >= 2 {
-				groups = append(groups, ebbGroup{BaseSlot: b.BaseSlot, members: b.members})
+				groups = append(groups, ebbGroup(b))
 			}
 		}
 		reset()
@@ -855,15 +706,13 @@ func collectGroups(f *rir.Func, slow []bool) []ebbGroup {
 			continue
 		case rir.ShLoad, rir.ShStore:
 			if !s.Has(rir.Unchecked) && (slow == nil || !slow[pc]) {
-				vn := uint32(vnImmBase)
-				baseSlot := -1
+				vn, base := uint32(vnImmBase), rir.Lin{}
 				if !s.Has(rir.AImm) {
-					vn = vnGet(int(s.A))
-					baseSlot = int(s.A)
+					vn, base = vnGet(int(s.A)), rir.LinSlot(int(s.A))
 				}
 				bi := at(&bucketOf, int(vn))
 				if bi.run != run {
-					buckets = append(buckets, bucket{BaseSlot: baseSlot})
+					buckets = append(buckets, bucket{base: base})
 					*bi = stamp{uint32(len(buckets)), run}
 				}
 				b := &buckets[bi.v-1]
@@ -892,27 +741,18 @@ func collectGroups(f *rir.Func, slow []bool) []ebbGroup {
 func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 	p := f.Check(s)
 	tgt := int(s.Tgt)
-	if p.Ranges == nil {
-		baseSlot, lo, n, write := p.BaseSlot, p.Lo, p.N, p.Write
-		if baseSlot < 0 {
-			return func(inst *Instance, base, pc int) int {
-				if _, ok := inst.base.Mem.CheckRange(lo, n, write); ok {
-					return pc + 1
-				}
-				return tgt
-			}, nil
-		}
+	if p.Step == 0 {
+		// An EBB group: one range, no induction. Clamp fails it in
+		// CheckRange.
+		r := p.Ranges[0]
 		return func(inst *Instance, base, pc int) int {
-			v := uint64(uint32(inst.stack[base+baseSlot]))
-			if _, ok := inst.base.Mem.CheckRange(v+lo, n, write); ok {
+			if _, ok := inst.base.Mem.CheckRange(uint64(r.Addr.Eval(inst.stack, base))+r.Off, r.Width, r.Write); ok {
 				return pc + 1
 			}
 			return tgt
 		}, nil
 	}
-	ind := p.IndSlot
-	step := int64(p.Step)
-	limitSlot, limitImm, limitIsImm := p.LimitSlot, p.LimitImm, p.LimitIsImm
+	ind, bound, step := p.IndSlot, p.Limit, int64(p.Step)
 	reval := p.Reval
 	ranges := p.Ranges
 	return func(inst *Instance, base, pc int) int {
@@ -927,12 +767,7 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 		}
 		st := inst.stack
 		lo := int64(int32(uint32(st[base+ind])))
-		var limit int64
-		if limitIsImm {
-			limit = int64(int32(uint32(limitImm)))
-		} else {
-			limit = int64(int32(uint32(st[base+limitSlot])))
-		}
+		limit := int64(int32(bound.Eval(st, base)))
 		if lo < 0 || lo >= limit {
 			return tgt
 		}
@@ -951,13 +786,13 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 		}
 		for i := range ranges {
 			r := &ranges[i]
-			a0 := uint32(r.Expr(st, base, uint64(lo)))
-			stride := uint32(r.Expr(st, base, uint64(lo+step))) - a0
-			// The analyzer only admits expressions affine in the
+			// The analyzer only admits addresses linear in the
 			// induction value mod 2^32, so the visited addresses are
 			// exactly a0 + k*stride (mod 2^32) for k in [0, iters); a
 			// bounded total span pins every interior address inside
 			// [a0, a0+total] with no wraparound.
+			a0 := r.Addr.Eval(st, base) + r.Ind*uint32(lo)
+			stride := r.Ind * uint32(step)
 			total := uint64(stride) * uint64(iters-1)
 			if total >= 1<<32 {
 				return tgt

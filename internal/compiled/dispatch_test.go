@@ -51,7 +51,7 @@ func countDispatches(t *testing.T, kernel string, s mem.Strategy, elide bool) ma
 		for pc := range f.Code {
 			cause := causeOther
 			switch s := &f.Code[pc]; {
-			case s.Shape == rir.ShRangeCheck && f.Check(s).Ranges != nil:
+			case s.Shape == rir.ShRangeCheck && f.Check(s).Step != 0:
 				cause = causeLoopGuard
 			case s.Shape == rir.ShRangeCheck:
 				cause = causeEBBGuard

@@ -219,7 +219,7 @@ func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, er
 // the cfunc retains as preIR; backHalf does the rest.
 //
 // Lower must precede elide and fuseAddrs — they capture raw register
-// indices inside CheckPlan closures and folded addresses — and FuseMem
+// indices in CheckPlan ranges and folded addresses — and FuseMem
 // runs last so it pairs accesses with their addresses already folded.
 // Lowering shrinks the frame from locals+maxStack to locals+registers
 // (plus the same scratch pad flatten reserves above MaxStack).

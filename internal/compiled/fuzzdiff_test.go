@@ -30,9 +30,21 @@ type progGen struct {
 	arrI64 g.Arr
 	arrF64 g.Arr
 	depth  int
+
+	// linear makes most indexes inside a loop linear in its counters
+	// (genProgram): off is a local no statement writes after the
+	// prologue, loops the counters of the enclosing loops.
+	linear bool
+	off    *g.Local
+	loops  []*g.Local
 }
 
-const fuzzArrLen = 512 // elements per array; indexes are masked into range
+const (
+	fuzzArrLen = 512 // elements per array; indexes are masked into range
+	maxTrip    = 20  // a generated loop runs at most this many times
+	maxStride  = 16  // the largest counter multiplier of a linear index
+	maxOff     = 63  // the largest value of progGen.off
+)
 
 func (p *progGen) expr32(depth int) g.Expr {
 	if depth <= 0 || p.r.Intn(4) == 0 {
@@ -137,8 +149,18 @@ func (p *progGen) exprF64(depth int) g.Expr {
 	}
 }
 
-// index returns an in-bounds array index expression.
+// index returns an in-bounds array index expression. A linear one is
+// a counter times a constant stride plus off, or row-major
+// outer*maxTrip + inner + off, in bounds since a counter stays below
+// maxTrip; the masked one is not linear, so elision cannot hoist it.
 func (p *progGen) index() g.Expr {
+	if n := len(p.loops); p.linear && n > 0 && p.r.Intn(4) != 0 {
+		inner := g.Get(p.loops[n-1])
+		if n >= 2 && p.r.Intn(2) == 0 {
+			return g.Add(g.Add(g.Mul(g.Get(p.loops[n-2]), g.I32(maxTrip)), inner), g.Get(p.off))
+		}
+		return g.Add(g.Mul(inner, g.I32(int32(p.r.Intn(maxStride)+1))), g.Get(p.off))
+	}
 	return g.And(p.expr32(1), g.I32(fuzzArrLen-1))
 }
 
@@ -179,8 +201,10 @@ func (p *progGen) stmt(depth int) g.Stmt {
 			// A bounded counted loop over a fresh counter.
 			ctr := p.f.LocalI32(fmt.Sprintf("c%d", p.depth))
 			p.depth++
+			p.loops = append(p.loops, ctr)
 			body := []g.Stmt{p.stmt(depth - 1), p.stmt(depth - 1)}
-			return g.For(ctr, g.I32(0), g.I32(int32(p.r.Intn(20)+1)), body...)
+			p.loops = p.loops[:len(p.loops)-1]
+			return g.For(ctr, g.I32(0), g.I32(int32(p.r.Intn(maxTrip)+1)), body...)
 		}
 		return g.Set(p.i32s[0], p.expr32(0))
 	}
@@ -188,16 +212,47 @@ func (p *progGen) stmt(depth int) g.Stmt {
 
 // buildRandomProgram returns a module whose run() executes a random
 // statement list and returns a digest of all state.
-func buildRandomProgram(seed int64) (*wasm.Module, error) {
+func buildRandomProgram(seed int64) (*wasm.Module, error) { return genProgram(seed, false, false) }
+
+// buildOOBProgram is buildRandomProgram with the i64 array straddling
+// the memory-size boundary: masked indices land on either side, so
+// runs make a data-dependent mix of in-bounds and out-of-bounds
+// accesses.
+func buildOOBProgram(seed int64) (*wasm.Module, error) { return genProgram(seed, true, false) }
+
+// oobArrBase positions the straddling array for the out-of-bounds
+// differential test: with Memory(1,4) the wasm-visible size is
+// 64 KiB and the backing 256 KiB, so an i64 array of fuzzArrLen
+// elements starting here has its first half below the size boundary
+// and its second half beyond it — but never beyond the backing, so
+// the none strategy's "MMU window" stays silent, exactly as real
+// hardware inside the 8 GiB reservation would be.
+const oobArrBase = 65536 - fuzzArrLen*8/2
+
+// genProgram returns a module whose run() executes a random statement
+// list and returns a digest of all state. With oob the i64 array
+// straddles the memory-size boundary (oobArrBase) and the digest reads
+// only its in-bounds half (reading the rest would force a trap on
+// every strategy that traps, flattening the per-seed variety the OOB
+// tests exist to exercise). With linear, indexes inside loops are
+// mostly linear (progGen.index).
+func genProgram(seed int64, oob, linear bool) (*wasm.Module, error) {
 	r := rand.New(rand.NewSource(seed))
 	mb := g.NewModule()
 	mb.Memory(1, 4)
-	lay := g.NewLayout(0)
 
 	f := mb.Func("run", wasm.I64)
-	p := &progGen{r: r, f: f}
-	p.arrI64 = lay.I64(fuzzArrLen)
-	p.arrF64 = lay.F64(fuzzArrLen)
+	p := &progGen{r: r, f: f, linear: linear}
+	digestLen := int32(fuzzArrLen)
+	if oob {
+		p.arrI64 = g.NewLayout(oobArrBase).I64(fuzzArrLen)
+		p.arrF64 = g.NewLayout(0).F64(fuzzArrLen)
+		digestLen /= 2
+	} else {
+		lay := g.NewLayout(0)
+		p.arrI64 = lay.I64(fuzzArrLen)
+		p.arrF64 = lay.F64(fuzzArrLen)
+	}
 	for i := 0; i < 4; i++ {
 		p.i32s = append(p.i32s, f.LocalI32(fmt.Sprintf("a%d", i)))
 		p.i64s = append(p.i64s, f.LocalI64(fmt.Sprintf("b%d", i)))
@@ -213,6 +268,10 @@ func buildRandomProgram(seed int64) (*wasm.Module, error) {
 	}
 	for i, l := range p.f64s {
 		stmts = append(stmts, g.Set(l, g.F64(float64(i)+0.5)))
+	}
+	if linear {
+		p.off = f.LocalI32("off")
+		stmts = append(stmts, g.Set(p.off, g.I32(int32(r.Intn(maxOff+1)))))
 	}
 	for i := 0; i < 12; i++ {
 		stmts = append(stmts, p.stmt(3))
@@ -233,75 +292,7 @@ func buildRandomProgram(seed int64) (*wasm.Module, error) {
 		stmts = append(stmts, mix(g.I64ReinterpretF64(g.Get(l))))
 	}
 	stmts = append(stmts,
-		g.For(idx, g.I32(0), g.I32(fuzzArrLen),
-			mix(p.arrI64.Load(g.Get(idx))),
-			mix(g.I64ReinterpretF64(p.arrF64.Load(g.Get(idx)))),
-		),
-		g.Return(g.Get(digest)),
-	)
-	f.Body(stmts...)
-	mb.Export("run", f)
-	return mb.Module()
-}
-
-// oobArrBase positions the straddling array for the out-of-bounds
-// differential test: with Memory(1,4) the wasm-visible size is
-// 64 KiB and the backing 256 KiB, so an i64 array of fuzzArrLen
-// elements starting here has its first half below the size boundary
-// and its second half beyond it — but never beyond the backing, so
-// the none strategy's "MMU window" stays silent, exactly as real
-// hardware inside the 8 GiB reservation would be.
-const oobArrBase = 65536 - fuzzArrLen*8/2
-
-// buildOOBProgram is buildRandomProgram with the i64 array straddling
-// the memory-size boundary: masked indices land on either side, so
-// runs make a data-dependent mix of in-bounds and out-of-bounds
-// accesses. The digest only reads the in-bounds half (reading the
-// rest would force a trap on every strategy that traps, flattening
-// the per-seed variety this test exists to exercise).
-func buildOOBProgram(seed int64) (*wasm.Module, error) {
-	r := rand.New(rand.NewSource(seed))
-	mb := g.NewModule()
-	mb.Memory(1, 4)
-
-	f := mb.Func("run", wasm.I64)
-	p := &progGen{r: r, f: f}
-	p.arrI64 = g.NewLayout(oobArrBase).I64(fuzzArrLen)
-	p.arrF64 = g.NewLayout(0).F64(fuzzArrLen)
-	for i := 0; i < 4; i++ {
-		p.i32s = append(p.i32s, f.LocalI32(fmt.Sprintf("a%d", i)))
-		p.i64s = append(p.i64s, f.LocalI64(fmt.Sprintf("b%d", i)))
-		p.f64s = append(p.f64s, f.LocalF64(fmt.Sprintf("d%d", i)))
-	}
-	var stmts []g.Stmt
-	for i, l := range p.i32s {
-		stmts = append(stmts, g.Set(l, g.I32(int32(seed)+int32(i*7+1))))
-	}
-	for i, l := range p.i64s {
-		stmts = append(stmts, g.Set(l, g.I64(seed*31+int64(i))))
-	}
-	for i, l := range p.f64s {
-		stmts = append(stmts, g.Set(l, g.F64(float64(i)+0.5)))
-	}
-	for i := 0; i < 12; i++ {
-		stmts = append(stmts, p.stmt(3))
-	}
-	digest := f.LocalI64("digest")
-	idx := f.LocalI32("idx")
-	mix := func(v g.Expr) g.Stmt {
-		return g.Set(digest, g.Add(g.Mul(g.Get(digest), g.I64(1099511628211)), v))
-	}
-	for _, l := range p.i32s {
-		stmts = append(stmts, mix(g.I64FromI32U(g.Get(l))))
-	}
-	for _, l := range p.i64s {
-		stmts = append(stmts, mix(g.Get(l)))
-	}
-	for _, l := range p.f64s {
-		stmts = append(stmts, mix(g.I64ReinterpretF64(g.Get(l))))
-	}
-	stmts = append(stmts,
-		g.For(idx, g.I32(0), g.I32(fuzzArrLen/2),
+		g.For(idx, g.I32(0), g.I32(digestLen),
 			mix(p.arrI64.Load(g.Get(idx))),
 			mix(g.I64ReinterpretF64(p.arrF64.Load(g.Get(idx)))),
 		),

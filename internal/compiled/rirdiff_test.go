@@ -101,53 +101,53 @@ var (
 	elidePair = []string{"wavm-noelide", "wavm"}
 )
 
-// differential runs checkPipelines over every generated program: the
-// in-bounds random kernels and the boundary-straddling OOB variants,
-// seeds 1..25 (1..5 under -short).
+// generators are the program families the differentials draw from,
+// as genProgram's arguments: the in-bounds random kernels, the
+// boundary-straddling OOB variants, and both again with linear indexes
+// in loops, which elision versions.
+var generators = []struct {
+	name        string
+	oob, linear bool
+}{{"random", false, false}, {"oob", true, false}, {"linear", false, true}, {"linear-oob", true, true}}
+
+// differential runs checkPipelines over every generated program, seeds
+// 1..25 (1..5 under -short) of each generator.
 func differential(t *testing.T, names ...string) {
 	seeds := 25
 	if testing.Short() {
 		seeds = 5
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("random/seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			m, err := buildRandomProgram(seed)
-			if err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
-			checkPipelines(t, m, names...)
-		})
-		t.Run(fmt.Sprintf("oob/seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			m, err := buildOOBProgram(seed)
-			if err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
-			checkPipelines(t, m, names...)
-		})
+		for _, gen := range generators {
+			t.Run(fmt.Sprintf("%s/seed=%d", gen.name, seed), func(t *testing.T) {
+				t.Parallel()
+				m, err := genProgram(seed, gen.oob, gen.linear)
+				if err != nil {
+					t.Fatalf("generator produced invalid module: %v", err)
+				}
+				checkPipelines(t, m, names...)
+			})
+		}
 	}
 }
 
 // fuzzDifferential drives checkPipelines from the fuzzer: the seed
-// picks the generated program, the flag picks the in-bounds or
-// boundary-straddling generator.
+// picks the generated program, the flags genProgram's generator.
 func fuzzDifferential(f *testing.F, names ...string) {
 	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(seed, false)
-		f.Add(seed, true)
+		f.Add(seed, false, false)
+		f.Add(seed, true, false)
 	}
 	for _, seed := range latchSeeds {
-		f.Add(seed, false)
-		f.Add(seed, true)
+		f.Add(seed, false, true)
+		f.Add(seed, true, true)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, oob bool) {
-		build := buildRandomProgram
-		if oob {
-			build = buildOOBProgram
-		}
-		m, err := build(seed)
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed, false, true)
+		f.Add(seed, true, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, oob, linear bool) {
+		m, err := genProgram(seed, oob, linear)
 		if err != nil {
 			t.Skip() // generator rejects some degenerate seeds
 		}
@@ -160,18 +160,19 @@ func TestDifferentialElide(t *testing.T) { differential(t, elidePair...) }
 func FuzzRIRDiff(f *testing.F)           { fuzzDifferential(f, rirPair...) }
 func FuzzElideDiff(f *testing.F)         { fuzzDifferential(f, elidePair...) }
 
-// latchSeeds generate programs with nested counted loops that elision
-// versions, so their back-edges become two-target latches whose exit is
-// not the next pc (the slow clone sits in between), inside an outer
-// loop that has a latch of its own: the shape the late pass's jump threading and
-// the second branch target exist for.
-var latchSeeds = []int64{29, 62}
+// latchSeeds generate, with linear indexes, programs with nested
+// counted loops that elision versions, so their back-edges become
+// two-target latches whose exit is not the next pc (the slow clone sits
+// in between), inside an outer loop that has a latch of its own: the
+// shape the late pass's jump threading and the second branch target
+// exist for.
+var latchSeeds = []int64{5, 10}
 
 // TestLatchSeedsNestFarExits keeps latchSeeds honest against drift in
 // the program generator.
 func TestLatchSeedsNestFarExits(t *testing.T) {
 	for _, seed := range latchSeeds {
-		m, err := buildRandomProgram(seed)
+		m, err := genProgram(seed, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}

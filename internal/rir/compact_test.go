@@ -51,7 +51,7 @@ func TestCompactInPlace(t *testing.T) {
 	c[entry] = Inst{Shape: ShCmpBranch, Tgt: deadB}
 	c[deadA] = Inst{Shape: ShNop, Flags: Dead}
 	c[check] = Inst{Shape: ShRangeCheck, Tgt: jump}
-	retained.SetCheck(&c[check], CheckPlan{BaseSlot: 3})
+	retained.SetCheck(&c[check], CheckPlan{Ranges: []LoopRange{{Addr: LinSlot(3), Width: 8}}})
 	c[table] = Inst{Shape: ShBrTable}
 	retained.SetTable(&c[table], BrTable{Targets: []flatten.BranchTarget{
 		{Tgt: body, PopTo: 5, Arity: 1}, {Tgt: ret}, {Tgt: n}, {Tgt: entry}}})

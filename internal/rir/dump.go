@@ -150,35 +150,43 @@ func (s *Inst) body(f *Func) string {
 	}
 }
 
-// checkStr renders a range check's plan: the EBB form's one range, or
-// the loop form's induction, bound, step and hoisted ranges (+offset/
-// width, w for a write). A range's address expression is a closure and
-// prints as its position only.
+// checkStr renders a range check's plan: a loop plan's induction,
+// bound and step, then every range as its address form, the
+// induction's coefficient, +offset/width, and w for a write. The plan
+// is data, so this is all of it.
 func checkStr(p *CheckPlan, numLocals int) string {
-	reval := ""
+	var b strings.Builder
+	b.WriteString("range_check")
 	if p.Reval {
-		reval = " reval"
+		b.WriteString(" reval")
 	}
-	if p.Ranges == nil {
-		return fmt.Sprintf("range_check%s base=%s +%d len=%d write=%v",
-			reval, reg(p.BaseSlot, numLocals), p.Lo, p.N, p.Write)
+	if p.Step != 0 {
+		limit := linStr(&p.Limit, numLocals)
+		if p.Limit.IsConst() {
+			limit = fmt.Sprintf("#%d", p.Limit.K)
+		}
+		fmt.Fprintf(&b, " loop(ind=%s limit=%s step=%d)", reg(p.IndSlot, numLocals), limit, p.Step)
 	}
 	rs := make([]string, len(p.Ranges))
-	for i, lr := range p.Ranges {
-		rs[i] = fmt.Sprintf("+%d/%d", lr.Off, lr.Width)
-		if lr.Write {
+	for i, r := range p.Ranges {
+		rs[i] = fmt.Sprintf("%s +ind*%d +%d/%d", linStr(&r.Addr, numLocals), r.Ind, r.Off, r.Width)
+		if r.Write {
 			rs[i] += "w"
 		}
 	}
-	return fmt.Sprintf("range_check%s loop(ind=%s limit=%s step=%d) [%s]", reval,
-		reg(p.IndSlot, numLocals), operand(p.LimitSlot, p.LimitIsImm, p.LimitImm, numLocals), p.Step,
-		strings.Join(rs, ", "))
+	fmt.Fprintf(&b, " [%s]", strings.Join(rs, ", "))
+	return b.String()
+}
+
+// linStr renders a linear form, every term shown.
+func linStr(l *Lin, numLocals int) string {
+	return fmt.Sprintf("%s*%d+%s*%d+%d", reg(l.X, numLocals), l.CX, reg(l.Y, numLocals), l.CY, l.K)
 }
 
 func addrStr(f *Func, s *Inst) string {
 	switch l := f.Addr(s); {
 	case l != nil:
-		return fmt.Sprintf("mem[%s*%d+%s*%d+%d +%d]", reg(l.X, f.NumLocals), l.CX, reg(l.Y, f.NumLocals), l.CY, l.K, s.Off)
+		return fmt.Sprintf("mem[%s +%d]", linStr(l, f.NumLocals), s.Off)
 	case s.Has(AImm):
 		return fmt.Sprintf("mem[abs+%d]", s.Off)
 	default:

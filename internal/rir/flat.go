@@ -84,8 +84,10 @@ func must(f *Func, err error) *Func {
 // flat lays f out as one stream: in place behind f's ops when they are
 // the start of from and the records fit in its capacity (what unflat
 // read from from is in f's tables by then), in a new array otherwise.
-// A range check's plan holds closures and has no flat form; the passes
-// that have one (Build to FuseMem) make none.
+// A range check has no flat form, though its plan is plain data: the
+// artifact is pre-elision on purpose, so an unchecked access comes from
+// the elision pass and never from a file (ReadFlat refuses one). The
+// passes that have one (Build to FuseMem) make none.
 func (f *Func) flat(from []Inst) []Inst {
 	if len(f.checks) > 0 {
 		panic("rir: a range check's plan has no flat form")

@@ -62,38 +62,32 @@ type BrTable struct {
 }
 
 // CheckPlan is the payload of a ShRangeCheck guard emitted by the
-// bounds-check elision passes.
+// bounds-check elision passes: the ranges that must all lie in bounds
+// for the guard to fall through. A loop plan (Step > 0) guards a
+// counted loop whose induction, in slot IndSlot, starts at its value
+// at the guard and steps by Step while it stays below Limit; its
+// ranges advance with the induction. An induction-free plan (Step = 0)
+// guards one EBB group: one range, with Ind = 0.
 type CheckPlan struct {
-	Reval bool // revalidation copy of a loop check (obs accounting)
-
-	// EBB plan: one range relative to a base slot (-1 = absolute).
-	BaseSlot int
-	Lo       uint64
-	N        uint64
-	Write    bool
-
-	// Loop plan (Ranges non-nil): induction and bound description
-	// plus one evaluated range per hoisted access.
-	IndSlot    int
-	LimitSlot  int
-	LimitImm   uint64
-	LimitIsImm bool
-	Step       int32
-	Ranges     []LoopRange
+	Ranges  []LoopRange
+	IndSlot int
+	Limit   Lin
+	Step    int32
+	Reval   bool // revalidation copy of a loop check (obs accounting)
 }
 
-// LoopRange is one hoisted access: Expr evaluates the access's
-// address-slot value as a function of the induction value.
+// LoopRange is one range a guard proves: at induction value v the
+// access reads or writes Width bytes from uint32(Addr + Ind*v) + Off.
+// Addr is linear in loop-invariant slots only; the
+// induction's term is Ind, so a range is the induction plus at most
+// two invariant slots, and over a loop's iterations its addresses are
+// the arithmetic sequence a0 + k*Ind*Step.
 type LoopRange struct {
-	Expr  EvalFn
-	Off   uint64
-	Width uint64
-	Write bool
+	Addr       Lin
+	Ind        uint32
+	Off, Width uint64
+	Write      bool
 }
-
-// EvalFn evaluates a pure address expression against the frame,
-// substituting cv for the induction local.
-type EvalFn func(st []uint64, base int, cv uint64) uint64
 
 // add appends v to a cold table and returns its Side index.
 func add[T any](t *[]T, v T) int32 {

@@ -8,11 +8,14 @@ import "leapsandbounds/internal/wasm"
 //
 // which is what i32.add, i32.sub, i32.mul by a constant and i32.shl by
 // a constant compute, alone or in a chain: every index expression of
-// the kernels (row-major (i*N + j) << 3 included) is one. The form is
-// data, so a closure evaluates it inline, branch-free, from captured
-// fields — no per-opcode body and no nested call. A slot whose
-// coefficient is zero is still read, so it must name a valid frame
-// slot: unused terms alias X, and a constant form reads slot 0.
+// the kernels (row-major (i*N + j) << 3 included) is one. It is the one
+// address form of the IR: a folded access's address (Func.Addr), and
+// a range check's ranges and loop bound (CheckPlan), which elision
+// composes through Add and Scale. The form is data, so a closure
+// evaluates it inline, branch-free, from captured fields — no
+// per-opcode body and no nested call. A slot whose coefficient is zero
+// is still read, so it must name a valid frame slot: unused terms alias
+// X, and a constant form reads slot 0.
 type Lin struct {
 	X, Y   int
 	CX, CY uint32
@@ -22,8 +25,9 @@ type Lin struct {
 // LinSlot is the form of a plain i32 read of a slot.
 func LinSlot(slot int) Lin { return Lin{X: slot, Y: slot, CX: 1} }
 
-// add returns p + sign*q, or false when the sum has three slots.
-func (p Lin) add(q Lin, sign uint32) (Lin, bool) {
+// Add returns p + sign*q (sign 1 adds, ^0 subtracts), or false when
+// the sum has three slots.
+func (p Lin) Add(q Lin, sign uint32) (Lin, bool) {
 	r := Lin{K: p.K + sign*q.K}
 	slots, coefs := [4]int{p.X, p.Y, q.X, q.Y}, [4]uint32{p.CX, p.CY, sign * q.CX, sign * q.CY}
 	var xs [2]int
@@ -53,12 +57,13 @@ next:
 	return r, true
 }
 
-// scale returns p*c.
-func (p Lin) scale(c uint32) Lin {
+// Scale returns p*c.
+func (p Lin) Scale(c uint32) Lin {
 	return Lin{X: p.X, Y: p.Y, CX: p.CX * c, CY: p.CY * c, K: p.K * c}
 }
 
-func (p Lin) isConst() bool { return p.CX == 0 && p.CY == 0 }
+// IsConst reports whether p reads no slot.
+func (p Lin) IsConst() bool { return p.CX == 0 && p.CY == 0 }
 
 // Then returns the value of d when its operands are read as linear
 // forms: reads of slot self see p (the running value of an address
@@ -86,19 +91,19 @@ func (p Lin) Then(d *Inst, self int) (Lin, bool) {
 	a, b := operand(d.A, d.Has(AImm)), operand(d.B, d.Has(BImm))
 	switch d.Op {
 	case wasm.OpI32Add:
-		return a.add(b, 1)
+		return a.Add(b, 1)
 	case wasm.OpI32Sub:
-		return a.add(b, ^uint32(0))
+		return a.Add(b, ^uint32(0))
 	case wasm.OpI32Mul:
 		switch {
-		case b.isConst():
-			return a.scale(b.K), true
-		case a.isConst():
-			return b.scale(a.K), true
+		case b.IsConst():
+			return a.Scale(b.K), true
+		case a.IsConst():
+			return b.Scale(a.K), true
 		}
 	case wasm.OpI32Shl:
-		if b.isConst() {
-			return a.scale(1 << (b.K & 31)), true
+		if b.IsConst() {
+			return a.Scale(1 << (b.K & 31)), true
 		}
 	}
 	return Lin{}, false

@@ -183,8 +183,8 @@ func (f *Func) visitSlots(s *Inst, fn func(p *int32)) {
 // ArgBase, out of the callee frame's way. Locals are untouched.
 //
 // Lower must run before bounds-check elision: the elision passes
-// capture raw register indices inside CheckPlan closures and
-// address-mode chains, which a later renumbering could not reach.
+// capture raw register indices in CheckPlan ranges and address-mode
+// chains, which a later renumbering could not reach.
 func (f *Func) Lower() int {
 	numLocals := int32(f.NumLocals)
 	// reg is indexed by operand slot less numLocals, grown as slots

@@ -141,7 +141,7 @@ func (f *Func) Optimize() {
 			}
 		case ShUn, ShTruncSat:
 			r := use(s.A)
-			if r.isImm && s.Shape == ShUn && UnOps[s.Op] != nil && SafeUnFold(s.Op) {
+			if r.isImm && s.Shape == ShUn && UnOps[s.Op] != nil && safeUnFold(s.Op) {
 				s.Shape = ShConst
 				s.Imm = UnOps[s.Op](r.imm)
 				markDead(ir, r.def)
@@ -333,8 +333,8 @@ func retargetable(sh Shape) bool {
 	}
 }
 
-// SafeUnFold lists unary ops safe to constant-fold (no traps).
-func SafeUnFold(op wasm.Opcode) bool {
+// safeUnFold lists unary ops safe to constant-fold (no traps).
+func safeUnFold(op wasm.Opcode) bool {
 	switch op {
 	case wasm.OpI32TruncF32S, wasm.OpI32TruncF32U, wasm.OpI32TruncF64S,
 		wasm.OpI32TruncF64U, wasm.OpI64TruncF32S, wasm.OpI64TruncF32U,
