@@ -40,7 +40,7 @@ type progGen struct {
 }
 
 const (
-	fuzzArrLen = 512 // elements per array; indexes are masked into range
+	fuzzArrLen = 512 // elements per array; every index is in range
 	maxTrip    = 20  // a generated loop runs at most this many times
 	maxStride  = 16  // the largest counter multiplier of a linear index
 	maxOff     = 63  // the largest value of progGen.off
