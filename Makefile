@@ -49,7 +49,7 @@ trace-smoke:
 
 # Short coverage-guided fuzz pass over the binary decoder, the
 # validator, the compiled-pipeline differentials (wavm against wavm
-# without elision, and against wasmtime), the WASI host-boundary cross-strategy differential,
+# without elision, and wavm and wasmtime against the interpreter), the WASI host-boundary cross-strategy differential,
 # and the shared-memory grow-under-traffic differential (~10s each);
 # regressions land in testdata/fuzz/.
 fuzz-smoke:
@@ -77,7 +77,7 @@ check: verify
 
 # Layer benchmarks (go test -bench): per-strategy checked-load micro
 # timings, sparse mmap/munmap, per-strategy isolate lifecycle, the
-# many-function cold compile, the wavm and interpreter run loops on
+# many-function cold compile, the wavm, wasmtime and interpreter run loops on
 # the steady kernels, and the gemm/atax elide on/off macro benches.
 bench-hot:
 	./scripts/bench_hot.sh

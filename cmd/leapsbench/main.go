@@ -394,7 +394,7 @@ func listAll() {
 	descs := map[string]string{
 		harness.EngineNative:   "native Go twins (the paper's native-Clang baseline)",
 		harness.EngineWAVM:     "optimizing closure AOT (WAVM/LLVM)",
-		harness.EngineWasmtime: "single-pass closure AOT (Wasmtime/Cranelift)",
+		harness.EngineWasmtime: "one-pass optimizing closure AOT, no lowering (Wasmtime/Cranelift)",
 		harness.EngineV8:       "tiered + GC + worker threads (V8 TurboFan)",
 		harness.EngineWasm3:    "threaded interpreter (Wasm3), trap-only",
 	}

@@ -2,9 +2,9 @@
 //
 // The compiled engine's final form is a closure graph (cops), which
 // cannot round-trip through bytes. What can is the IR a cfunc retains
-// as preIR: the function after rir.Lower (after rir.Compact for the
-// single-pass engine) and before elision, when every op and cold
-// payload is plain data. An artifact is that IR in rir's own flat form
+// as preIR: the function after rir.Lower (after rir.Optimize and
+// rir.Compact for the single-pass engine) and before elision, when
+// every op and cold payload is plain data. An artifact is that IR in rir's own flat form
 // (rir.Func.AppendFlat) plus each function's frame size; decoding
 // (rir.ReadFlat) replays only the back half of the pipeline (backHalf →
 // emit), never validation, flattening, building, optimization or
@@ -36,7 +36,11 @@ import (
 // version mismatch decodes as corruption and the disk tier recompiles.
 // Version 3: the payload is rir's flat stream. Version 4: the flags byte
 // holds optimize and elision only (lowering is part of optimizing).
-const artifactVersion = 4
+// Version 5: every engine optimizes, so a wasmtime artifact carries an
+// optimized preIR and the flags byte's bit 0 means lower; a version 4
+// wasmtime file holds the unoptimized stream and must miss rather than
+// replay slower code.
+const artifactVersion = 5
 
 // artifactHeader is the payload's fixed prefix: version, flags, count.
 const artifactHeader = 4 + 1 + 4
@@ -78,7 +82,7 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 	// Decode checks the flags, so a mis-keyed file can never silently
 	// produce differently-shaped code.
 	if fl := data[4]; fl != e.codegenFlags() {
-		return nil, fmt.Errorf("compiled: artifact codegen flags %02b (elide, opt) do not match engine's %02b", fl, e.codegenFlags())
+		return nil, fmt.Errorf("compiled: artifact codegen flags %02b (elide, lower) do not match engine's %02b", fl, e.codegenFlags())
 	}
 	if n := le.Uint32(data[5:]); n != uint32(len(m.Code)) {
 		return nil, fmt.Errorf("compiled: artifact has %d functions, module has %d", n, len(m.Code))

@@ -49,7 +49,7 @@ func artifactModule(t *testing.T) *wasm.Module {
 
 // compiledEngines are the compiled pipelines, one per configuration
 // that ships: wavm, wavm with elision off (the tiered engine's top tier
-// and the elision ablation) and wasmtime's single-pass stream.
+// and the elision ablation) and wasmtime's optimized stack stream.
 var compiledEngines = []struct {
 	name string
 	mk   func() *compiled.Engine

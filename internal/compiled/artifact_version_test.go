@@ -85,3 +85,30 @@ func TestStaleArtifactVersionRecompiles(t *testing.T) {
 		t.Errorf("after healing: disk %+v, %d compiles; want 1 hit and no compile", st, c.Compiles)
 	}
 }
+
+// TestPreviousArtifactVersionFailsToDecode: an artifact stamped with
+// the version before this one does not decode, on either engine. A
+// version 4 wasmtime artifact holds the unoptimized single-pass stream,
+// so replaying it would run slower code than a compile does.
+func TestPreviousArtifactVersionFailsToDecode(t *testing.T) {
+	m := pipelineModule(t)
+	for _, mk := range []func() *Engine{NewWAVM, NewWasmtime} {
+		e := mk()
+		e.SetCache(nil)
+		cm, err := e.compileModule(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := staleCodec{e, artifactVersion - 1}.EncodeArtifact(cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.DecodeArtifact(m, data); err == nil {
+			t.Errorf("%s decoded an artifact of version %d", e.name, artifactVersion-1)
+		}
+		binary.LittleEndian.PutUint32(data, artifactVersion)
+		if _, err := e.DecodeArtifact(m, data); err != nil {
+			t.Errorf("%s: the same artifact at version %d: %v", e.name, artifactVersion, err)
+		}
+	}
+}

@@ -133,3 +133,25 @@ func TestDispatchesAcrossStrategies(t *testing.T) {
 		}
 	}
 }
+
+// TestWasmtimeDispatches pins what the single-pass engine's optimizer
+// buys: wasmtime's exact dispatch count on each steady kernel at class
+// Bench under trap may not exceed its ceiling. Before wasmtime ran
+// rir.Func.Optimize it emitted flatten's stack stream one closure per
+// op, and dispatched the counts in the comments.
+func TestWasmtimeDispatches(t *testing.T) {
+	ceiling := map[string]int64{
+		"gemm":          9972622,  // 20 504 034 unoptimized
+		"atax":          6716514,  // 14 240 594
+		"505.mcf":       13137610, // 29 658 095
+		"557.xz":        7267113,  // 15 410 260
+		"531.deepsjeng": 3640410,  // 8 852 009
+	}
+	for _, kernel := range steadyKernels {
+		n := steadyRunner(t, NewWasmtime, kernel)(true).dispatches
+		t.Logf("%s: %d dispatches", kernel, n)
+		if n > ceiling[kernel] {
+			t.Errorf("%s: wasmtime dispatches %d, more than the %d ceiling", kernel, n, ceiling[kernel])
+		}
+	}
+}

@@ -26,40 +26,45 @@ var (
 )
 
 // Engine is a closure-compiling AOT engine. Engines are immutable
-// configuration (name, optimization and elision flags) with no
-// lifecycle, which is what makes their compiled modules safely
-// shareable through the process-wide module cache. Each constructor
-// fixes one pipeline: wavm optimizes, lowers to register IR and elides
-// bounds checks; wasmtime emits flatten's stack stream as it is.
+// configuration (name, lowering and elision flags) with no lifecycle,
+// which is what makes their compiled modules safely shareable through
+// the process-wide module cache. Each constructor fixes one pipeline:
+// both optimize flatten's stack stream (rir.Func.Optimize); wavm then
+// lowers it to register IR and runs the back half (elision, address
+// folding, pair fusion), while wasmtime emits the optimized stream as
+// it is.
 type Engine struct {
-	name     string
-	optimize bool
-	elide    bool
-	cache    core.ModuleCache
+	name string
+	// lower selects rir.Func.Lower and the back half (backHalf) after
+	// the optimizer.
+	lower bool
+	elide bool
+	cache core.ModuleCache
 }
 
 // NewWAVM returns the WAVM analog: ahead-of-time compilation with
-// the optimizer enabled (the closure-level stand-in for LLVM's
-// optimizing backend), register-IR lowering and bounds-check elision,
-// as their analogs are in the real engine's LLVM pipeline.
-// SetElision turns elision off for the ablation and the tiered
-// engine's top tier.
+// the optimizer, register-IR lowering, bounds-check elision, address
+// folding and pair fusion (the closure-level stand-ins for LLVM's
+// optimizing pipeline). SetElision turns elision off for the ablation
+// and the tiered engine's top tier.
 func NewWAVM() *Engine {
 	return &Engine{
-		name:     "wavm",
-		optimize: true,
-		elide:    true,
-		cache:    modcache.Shared(),
+		name:  "wavm",
+		lower: true,
+		elide: true,
+		cache: modcache.Shared(),
 	}
 }
 
-// NewWasmtime returns the Wasmtime analog: single-pass compilation
-// with no optimization passes (the Cranelift-baseline stand-in).
+// NewWasmtime returns the Wasmtime analog: one forward optimizing pass
+// over flatten's stack stream — constant folding, copy propagation,
+// forwarding into local.set, compare+branch fusion — and emit, with no
+// lowering, elision or address folding (the Cranelift stand-in, folding
+// operands as it compiles the way even a baseline compiler does).
 func NewWasmtime() *Engine {
 	return &Engine{
-		name:     "wasmtime",
-		optimize: false,
-		cache:    modcache.Shared(),
+		name:  "wasmtime",
+		cache: modcache.Shared(),
 	}
 }
 
@@ -70,12 +75,11 @@ func (e *Engine) SetCache(c core.ModuleCache) { e.cache = c }
 
 // SetElision turns the bounds-check elision pass on or off. Call
 // before the first Compile; the flag folds into the module-cache key,
-// so modules compiled with and without it never alias. Elision
-// rewrites the optimizer's canonical IR shapes, so the single-pass
-// engine, which models a baseline with no mid-end, has no pass to
-// turn: SetElision is an error there.
+// so modules compiled with and without it never alias. Elision reads
+// register-lowered IR and is part of the back half, which the
+// single-pass engine does not run: SetElision is an error there.
 func (e *Engine) SetElision(on bool) error {
-	if !e.optimize {
+	if !e.lower {
 		return fmt.Errorf("compiled: %s has no bounds-check elision pass", e.name)
 	}
 	e.elide = on
@@ -83,11 +87,12 @@ func (e *Engine) SetElision(on bool) error {
 }
 
 // codegenFlags packs everything that shapes the emitted code — bit 0
-// optimize, bit 1 elision — for the module-cache key and the artifact
-// header alike, so the two cannot disagree about what a compile is.
+// lower (and the back half), bit 1 elision — for the module-cache key
+// and the artifact header alike, so the two cannot disagree about what
+// a compile is.
 func (e *Engine) codegenFlags() byte {
 	var fl byte
-	if e.optimize {
+	if e.lower {
 		fl |= 1
 	}
 	if e.elide {
@@ -182,7 +187,8 @@ func (e *Engine) CompileModule(m *wasm.Module) (*Module, error) {
 //	        → fuseAddrs (address-mode folding)
 //	        → rir.FuseMem (jump threading, pair superinstructions) → emit
 //
-// on wavm, and flatten → rir.Build → rir.Compact → emit on wasmtime.
+// on wavm, and flatten → rir.Build → rir.Optimize → rir.Compact → emit
+// on wasmtime.
 // Functions compile independently — they share only the read-only
 // *wasm.Module and the atomic rir/bce counters — so the chain runs on
 // fanout's workers. validate.Module returns at once for a module that
@@ -215,8 +221,9 @@ func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, er
 }
 
 // lowerFunc runs the chain for m.Code[i] up to the stream emit
-// receives. The front half ends at the last all-plain-data stage, which
-// the cfunc retains as preIR; backHalf does the rest.
+// receives. The front half — flatten, build, Optimize, Compact, and on
+// wavm Lower — ends at the last all-plain-data stage, which the cfunc
+// retains as preIR; backHalf does the rest (nothing, on wasmtime).
 //
 // Lower must precede elide and fuseAddrs — they capture raw register
 // indices in CheckPlan ranges and folded addresses — and FuseMem
@@ -235,13 +242,11 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 		return nil, nil, err
 	}
 	opsIn := len(f.Code)
-	if e.optimize {
-		f.Optimize()
-	}
+	f.Optimize()
 	f.Compact()
 	frameSize := ff.NumLocals + ff.MaxStack
 	regs := 0
-	if e.optimize {
+	if e.lower {
 		regs = f.Lower()
 		// Mirror flatten's MaxStack = maxH+8 scratch margin.
 		frameSize = ff.NumLocals + regs + 8
@@ -256,7 +261,7 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 		preIR:     f,
 	}
 	f = e.backHalf(cf)
-	if e.optimize {
+	if e.lower {
 		rir.RecordLowering(opsIn, len(f.Code), regs, time.Since(start).Nanoseconds())
 	}
 	return cf, f, nil
@@ -285,7 +290,7 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 // backHalf runs the passes whose output is not plain data, elide →
 // fuseAddrs → FuseMem, and returns the IR to emit; a fresh compile and
 // an artifact decode share it. Address folding is codegen, not
-// elision: it runs on every compile that optimizes, with elision on or
+// elision: it runs on every compile that lowers, with elision on or
 // off, and only the single-pass stream goes without the back half.
 // cf.preIR stays as it was, so the module can still be encoded: elide
 // does not write the Func it is handed (it returns that Func when it
@@ -295,7 +300,7 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 // give an op a new cold entry rather than write through one.
 func (e *Engine) backHalf(cf *cfunc) *rir.Func {
 	f := cf.preIR
-	if !e.optimize {
+	if !e.lower {
 		return f
 	}
 	if e.elide {

@@ -3,11 +3,13 @@ package compiled_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/rir"
@@ -45,30 +47,40 @@ func runOutcome(tb testing.TB, cm core.CompiledModule, s mem.Strategy) outcome {
 	return outcome{digest: res[0]}
 }
 
-// checkPipelines compiles m on the named pipelines of compiledEngines
-// (cache-detached) and requires bit-identical outcomes from all of them
-// under all five strategies: the same digest when the run completes,
-// and the same trap kind and detail (faulting address + access size)
-// when it doesn't.
+// pipelineEngine returns a fresh engine for a pipeline name: one of
+// compiledEngines, or "interp", the interpreter that honours every
+// strategy and runs no rir pass.
+func pipelineEngine(name string) core.Engine {
+	if name == "interp" {
+		return interp.NewConfigurable()
+	}
+	for _, c := range compiledEngines {
+		if c.name == name {
+			return c.mk()
+		}
+	}
+	return nil
+}
+
+// checkPipelines compiles m on the named pipelines (cache-detached)
+// and requires bit-identical outcomes from all of them under all five
+// strategies: the same digest when the run completes, and the same
+// trap kind and detail (faulting address + access size) when it
+// doesn't.
 func checkPipelines(tb testing.TB, m *wasm.Module, names ...string) {
 	tb.Helper()
 	mods := make([]core.CompiledModule, len(names))
 	for i, name := range names {
-		for _, c := range compiledEngines {
-			if c.name != name {
-				continue
-			}
-			eng := c.mk()
-			eng.SetCache(nil)
-			cm, err := eng.Compile(m)
-			if err != nil {
-				tb.Fatalf("%s: %v", name, err)
-			}
-			mods[i] = cm
+		eng := pipelineEngine(name)
+		if eng == nil {
+			tb.Fatalf("no pipeline named %q", name)
 		}
-		if mods[i] == nil {
-			tb.Fatalf("no compiled pipeline named %q", name)
+		eng.SetCache(nil)
+		cm, err := eng.Compile(m)
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
 		}
+		mods[i] = cm
 	}
 	for _, s := range mem.Strategies() {
 		outs := make([]outcome, len(mods))
@@ -87,28 +99,82 @@ func checkPipelines(tb testing.TB, m *wasm.Module, names ...string) {
 	}
 }
 
-// The compiled pipelines' equivalence net is two pairs over the three
-// pipelines that ship, and so holds all three to one outcome.
-// rirPair checks wavm against wasmtime's single-pass stream, the
-// reference: no optimizer, no Lower, no elision, no folding. It catches
-// a lowering or pairing bug (a renumbered address operand, a fused pair
-// that skips its intermediate register write). elidePair checks wavm
-// against wavm-noelide, elision on the pipeline that ships: an
-// over-eager hoist or coalesce that widened a check would fault at a
-// different address or earlier than the per-access schedule.
+// The compiled pipelines' equivalence net is two sets over the three
+// pipelines that ship and the interpreter, and so holds all four to one
+// outcome.
+// rirSet checks wasmtime and wavm against the interpreter, the
+// reference that runs no rir pass at all: it catches an optimizer bug
+// (a stale local copy, a wrongly forwarded producer), which both
+// compiled engines share, and wavm against wasmtime catches a lowering
+// or pairing bug (a renumbered address operand, a fused pair that skips
+// its intermediate register write). elidePair checks wavm against
+// wavm-noelide, elision on the pipeline that ships: an over-eager hoist
+// or coalesce that widened a check would fault at a different address
+// or earlier than the per-access schedule.
 var (
-	rirPair   = []string{"wasmtime", "wavm"}
+	rirSet    = []string{"interp", "wasmtime", "wavm"}
 	elidePair = []string{"wavm-noelide", "wavm"}
 )
 
-// generators are the program families the differentials draw from,
-// as genProgram's arguments: the in-bounds random kernels, the
-// boundary-straddling OOB variants, and both again with linear indexes
-// in loops, which elision versions.
+// generators are the program families the differentials draw from:
+// the in-bounds random kernels, the boundary-straddling OOB variants,
+// both again with linear indexes in loops, which elision versions, and
+// the stale local copies of genCopyProgram.
 var generators = []struct {
-	name        string
-	oob, linear bool
-}{{"random", false, false}, {"oob", true, false}, {"linear", false, true}, {"linear-oob", true, true}}
+	name  string
+	build func(seed int64) (*wasm.Module, error)
+}{
+	{"random", buildRandomProgram},
+	{"oob", buildOOBProgram},
+	{"linear", func(seed int64) (*wasm.Module, error) { return genProgram(seed, false, true) }},
+	{"linear-oob", func(seed int64) (*wasm.Module, error) { return genProgram(seed, true, true) }},
+	{"copies", genCopyProgram},
+}
+
+// genCopyProgram returns a straight-line run() over four i32 locals
+// that leaves a local's old value on the stack while it writes the
+// local, which the DSL's expression trees never do: by local.tee, by
+// local.set of another local, and by local.set of an ALU result (which
+// the optimizer forwards into the producer). The old value is then
+// combined with the new one. An optimizer that kept treating the stale
+// copy as the local would read the new value twice; the digest of the
+// locals, mixed after every snippet, tells.
+func genCopyProgram(seed int64) (*wasm.Module, error) {
+	r := rand.New(rand.NewSource(seed))
+	const n, digest = 4, 4 // i32 locals 0..3, the i64 digest in local 4
+	ops := []wasm.Opcode{wasm.OpI32Add, wasm.OpI32Sub, wasm.OpI32Xor, wasm.OpI32Mul}
+	local := func() uint64 { return uint64(r.Intn(n)) }
+	k := func() wasm.Instr { return ri(wasm.OpI32Const, uint64(r.Int31())|1) }
+	op := func() wasm.Instr { return ri(ops[r.Intn(len(ops))]) }
+	var body []wasm.Instr
+	for i := range uint64(n) {
+		body = append(body, k(), ri(wasm.OpLocalSet, i))
+	}
+	for range 24 {
+		x, z := local(), local()
+		body = append(body, ri(wasm.OpLocalGet, x))
+		switch r.Intn(3) {
+		case 0: // old x, then x = k by tee
+			body = append(body, k(), ri(wasm.OpLocalTee, x))
+		case 1: // old x, then x = y, then k
+			body = append(body, ri(wasm.OpLocalGet, local()), ri(wasm.OpLocalSet, x), k())
+		default: // old x, then x = y op k, then x
+			body = append(body, ri(wasm.OpLocalGet, local()), k(), op(), ri(wasm.OpLocalSet, x), ri(wasm.OpLocalGet, x))
+		}
+		body = append(body, op(), ri(wasm.OpLocalSet, z))
+		for i := range uint64(n) {
+			body = append(body,
+				ri(wasm.OpLocalGet, digest), ri(wasm.OpI64Const, 1099511628211), ri(wasm.OpI64Mul),
+				ri(wasm.OpLocalGet, i), ri(wasm.OpI64ExtendI32U), ri(wasm.OpI64Add),
+				ri(wasm.OpLocalSet, digest))
+		}
+	}
+	body = append(body, ri(wasm.OpLocalGet, digest))
+	m := rawModule(nil, []wasm.ValueType{wasm.I64},
+		[]wasm.ValueType{wasm.I32, wasm.I32, wasm.I32, wasm.I32, wasm.I64}, body...)
+	m.Exports[0].Name = "run"
+	return m, nil
+}
 
 // differential runs checkPipelines over every generated program, seeds
 // 1..25 (1..5 under -short) of each generator.
@@ -121,7 +187,7 @@ func differential(t *testing.T, names ...string) {
 		for _, gen := range generators {
 			t.Run(fmt.Sprintf("%s/seed=%d", gen.name, seed), func(t *testing.T) {
 				t.Parallel()
-				m, err := genProgram(seed, gen.oob, gen.linear)
+				m, err := gen.build(seed)
 				if err != nil {
 					t.Fatalf("generator produced invalid module: %v", err)
 				}
@@ -155,9 +221,9 @@ func fuzzDifferential(f *testing.F, names ...string) {
 	})
 }
 
-func TestDifferentialRIR(t *testing.T)   { differential(t, rirPair...) }
+func TestDifferentialRIR(t *testing.T)   { differential(t, rirSet...) }
 func TestDifferentialElide(t *testing.T) { differential(t, elidePair...) }
-func FuzzRIRDiff(f *testing.F)           { fuzzDifferential(f, rirPair...) }
+func FuzzRIRDiff(f *testing.F)           { fuzzDifferential(f, rirSet...) }
 func FuzzElideDiff(f *testing.F)         { fuzzDifferential(f, elidePair...) }
 
 // latchSeeds generate, with linear indexes, programs with nested

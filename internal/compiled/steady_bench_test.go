@@ -9,56 +9,72 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// BenchmarkSteadyKernels is the layer bench of the wavm run loop: the
-// benchmark's five steady kernels at class Bench under trap, one
-// isolate per op as the benchmark runs them, recompiled for every op
-// because closure and heap placement moves run time by tens of percent
-// from one compile to the next (benchmark/README.md). Only the invoke
-// is timed. dispatches/op is exact (one counted run); ns/dispatch is
-// what a closure costs on this host, and ns/op is their product.
-func BenchmarkSteadyKernels(b *testing.B) {
-	for _, name := range steadyKernels {
-		b.Run(name, func(b *testing.B) {
-			wl, err := workloads.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			module, native := wl.Build(workloads.Bench)
-			want := native()
-			cfg := core.Config{Profile: isa.X86_64(), Strategy: mem.Trap}
-			compile := func() *Module {
-				eng := NewWAVM()
-				eng.SetCache(nil)
-				cm, err := eng.CompileModule(module)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return cm
-			}
-			invoke := func(cm *Module, cfg core.Config) *Instance {
-				inst, err := cm.instantiate(cfg, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := inst.Invoke("run")
-				b.StopTimer()
-				if err != nil || res[0] != want {
-					b.Fatalf("run() = %v, %v; native twin %#x", res, err, want)
-				}
-				inst.Close()
-				return inst
-			}
-			counted := cfg
-			counted.CountCycles = true
-			dispatches := invoke(compile(), counted).dispatches
-			b.ResetTimer()
+// steadyRunner builds kernel at class Bench and returns a function
+// that compiles it afresh on mk's engine (cache-detached), runs it once
+// under trap, with cycle counting or without, checks the result against
+// the native twin and returns the closed instance. Under a benchmark
+// only the invoke is timed.
+func steadyRunner(tb testing.TB, mk func() *Engine, kernel string) func(countCycles bool) *Instance {
+	tb.Helper()
+	wl, err := workloads.ByName(kernel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	module, native := wl.Build(workloads.Bench)
+	want := native()
+	b, timed := tb.(*testing.B)
+	return func(countCycles bool) *Instance {
+		eng := mk()
+		eng.SetCache(nil)
+		cm, err := eng.CompileModule(module)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg := core.Config{Profile: isa.X86_64(), Strategy: mem.Trap, CountCycles: countCycles}
+		inst, err := cm.instantiate(cfg, nil, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if timed {
+			b.StartTimer()
+		}
+		res, err := inst.Invoke("run")
+		if timed {
 			b.StopTimer()
-			for i := 0; i < b.N; i++ {
-				invoke(compile(), cfg)
-			}
-			b.ReportMetric(float64(dispatches), "dispatches/op")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dispatches), "ns/dispatch")
-		})
+		}
+		if err != nil || res[0] != want {
+			tb.Fatalf("%s on %s: run() = %v, %v; native twin %#x", kernel, eng.name, res, err, want)
+		}
+		inst.Close()
+		return inst
+	}
+}
+
+// BenchmarkSteadyKernels is the layer bench of the compiled engines'
+// run loop: the benchmark's five steady kernels at class Bench under
+// trap, on wavm and on wasmtime, one isolate per op as the benchmark
+// runs them, recompiled for every op because closure and heap
+// placement moves run time by tens of percent from one compile to the
+// next (benchmark/README.md). Only the invoke is timed. dispatches/op
+// is exact (one counted run); ns/dispatch is what a closure costs on
+// this host, and ns/op is their product.
+func BenchmarkSteadyKernels(b *testing.B) {
+	for _, e := range []struct {
+		name string
+		mk   func() *Engine
+	}{{"wavm", NewWAVM}, {"wasmtime", NewWasmtime}} {
+		for _, kernel := range steadyKernels {
+			b.Run(e.name+"/"+kernel, func(b *testing.B) {
+				run := steadyRunner(b, e.mk, kernel)
+				dispatches := run(true).dispatches
+				b.ResetTimer()
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					run(false)
+				}
+				b.ReportMetric(float64(dispatches), "dispatches/op")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dispatches), "ns/dispatch")
+			})
+		}
 	}
 }

@@ -115,8 +115,8 @@ func TestCompactInPlace(t *testing.T) {
 	}
 }
 
-// TestCompactNothingDead: the common case on the single-pass engine's
-// short functions is a no-op that keeps the ops.
+// TestCompactNothingDead: the common case on short functions with
+// nothing to fold is a no-op that keeps the ops.
 func TestCompactNothingDead(t *testing.T) {
 	f := &Func{Code: []Inst{{Shape: ShJump, Tgt: 1}, {Shape: ShReturn}}}
 	ops := f.Code

@@ -5,8 +5,8 @@ import (
 	"leapsandbounds/internal/wasm"
 )
 
-// Optimize runs the WAVM-analog optimization passes over the slot
-// IR: constant folding, copy propagation of locals/constants into
+// Optimize runs the optimization passes both compiled engines share
+// over the slot IR, in one forward pass: constant folding, copy propagation of locals/constants into
 // consumers, forwarding of every retargetable producer (ALU op, load,
 // select, global.get, memory.size) into the local.set that follows it,
 // and compare+branch fusion (an eqz counts as a compare with zero).
@@ -355,7 +355,7 @@ func markDead(ir []Inst, def int) {
 
 // Compact removes dead instructions in place, remapping branch
 // targets: f.Code becomes the shortened prefix of its own array. Both
-// engines run it (the baseline engine only accumulates dead drops).
+// engines run it after Optimize.
 func (f *Func) Compact() {
 	ir := f.Code
 	remap := make([]int32, len(ir)+1)

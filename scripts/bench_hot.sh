@@ -2,7 +2,7 @@
 # bench_hot.sh — the go test -bench layer benchmarks, for humans:
 # per-strategy checked-load micro timings, the sparse mmap/munmap,
 # isolate-lifecycle and many-function cold-start (decode + validate,
-# then compile per engine) timings (ns/op and B/op), the wavm run loop's dispatches/op and ns/dispatch on the five
+# then compile per engine) timings (ns/op and B/op), the wavm and wasmtime run loops' dispatches/op and ns/dispatch on the five
 # steady kernels, the interpreter's guest-ops/op and ns/guest-op on the
 # same kernels, and the gemm/atax elide on/off macro benches (which
 # assert equal results with and without elision). The numbers that are
@@ -25,7 +25,7 @@ go test -run '^$' -bench 'BenchmarkLifecyclePerStrategy' -benchtime 200ms -bench
 echo "== cold start of a 256-function module (front: decode + validate from bytes; then compile per engine, of a module already validated; -cpu 1,2: B/op is the passes' copying, 1-vs-2 the fan-out)"
 go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem -cpu 1,2 ./internal/compiled
 
-echo "== wavm run loop on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
+echo "== wavm and wasmtime run loops on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
 go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x ./internal/compiled
 
 echo "== interpreter run loop on the same kernels (wasm3, class Bench; guest-ops/op is exact, ns/guest-op is the cost of one interpreted instruction)"

@@ -39,7 +39,11 @@ go test ./...
 echo "== BenchmarkCompileManyFuncs, one iteration"
 go test -run '^$' -bench CompileManyFuncs -benchtime 1x ./internal/compiled/
 
-# The same for the interpreter's run-loop layer bench.
+# The same for the compiled engines' run-loop layer bench (wavm and
+# wasmtime on the steady kernels) and the interpreter's.
+echo "== BenchmarkSteadyKernels, one iteration"
+go test -run '^$' -bench SteadyKernels -benchtime 1x ./internal/compiled/
+
 echo "== BenchmarkSteadyInterp, one iteration"
 go test -run '^$' -bench SteadyInterp -benchtime 1x ./internal/interp/
 
