@@ -101,7 +101,8 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 		return nil, fmt.Errorf("compiled: %d bytes past the artifact's last function", len(data))
 	}
 	i, err := fanout.Each(len(funcs), func() func(int) error {
-		return func(i int) error { return funcs[i].emit(e.backHalf(funcs[i])) }
+		sc := new(scratch)
+		return func(i int) error { return funcs[i].emit(e.backHalf(funcs[i], sc)) }
 	})
 	if err != nil {
 		return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)

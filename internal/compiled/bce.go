@@ -102,10 +102,11 @@ func AttachBCEObs(sc *obs.Scope) {
 // elide is the pass entry point, run after optimize+rir.Compact. It
 // does not write the Func it is handed (the engine retains that one
 // for the artifact tier): the two versioning passes build a new,
-// longer stream or return their input untouched.
-func elide(pre *rir.Func) *rir.Func {
-	f, slow := hoistLoops(pre)
-	f = coalesceEBB(f, slow)
+// longer stream in one of sc's working streams or return their input
+// untouched.
+func elide(pre *rir.Func, sc *scratch) *rir.Func {
+	f, slow := hoistLoops(pre, sc)
+	f = coalesceEBB(f, slow, sc)
 	checked := int64(0)
 	for i := range f.Code {
 		s := &f.Code[i]
@@ -146,6 +147,7 @@ type region struct {
 	unchecked   []bool // by pc - first: the accesses plan proves
 	revals      []int  // by pc - first, ascending: calls and grows the check re-runs after
 	loop        bool   // first is a loop header: a branch to it stays in its copy
+	slowAt      int32  // where version puts the slow copy
 }
 
 // rangeCheck returns a range-check guard that branches to tgt on
@@ -154,6 +156,40 @@ func rangeCheck(f *rir.Func, tgt int32, p rir.CheckPlan) rir.Inst {
 	s := rir.Inst{Shape: rir.ShRangeCheck, Tgt: tgt, Class: uint8(isa.ClassBranch), Flags: rir.MemAcc}
 	f.SetCheck(&s, p)
 	return s
+}
+
+// bceScratch is the back half's part of a worker's scratch: its two
+// working streams, version's layout tables, a loop's write set and
+// reaching definitions, collectGroups' value-numbering tables and
+// fuseAddrs' list of in-between writes. Stamped tables (gen, run) are
+// valid only under the stamp that wrote them, which never repeats on
+// one scratch, so an entry a previous function left is never read as
+// this one's.
+type bceScratch struct {
+	code    [2][]rir.Inst // [0]: hoistLoops' output or the copy of preIR, [1]: coalesceEBB's
+	remap   []int32
+	slow    []bool
+	lastDef []lastDef  // by slot: its last writer in the loop body scanned under gen
+	defs    [][2]int32 // by pc - L: the defs that reach operands A and B
+	clobs   []clobber
+	gen     uint32
+	vn      vnTables
+	between []int
+}
+
+// stream returns buf emptied, with room for n ops.
+func stream(buf *[]rir.Inst, n int) []rir.Inst {
+	if cap(*buf) < n {
+		*buf = make([]rir.Inst, 0, n)
+	}
+	return (*buf)[:0]
+}
+
+// zeroed returns buf's array holding n zero entries, grown when it is
+// short.
+func zeroed[T any](buf *[]T, n int) []T {
+	*buf = append((*buf)[:0], make([]T, n)...)
+	return *buf
 }
 
 // version lays each region, in program order and disjoint, out as
@@ -167,13 +203,13 @@ func rangeCheck(f *rir.Func, tgt int32, p rir.CheckPlan) rir.Inst {
 // verbatim, where the check fails to. A branch from outside enters a
 // region at its check: regions are label-free past first, so a branch
 // targets no other op of one. It also returns which pcs of its output
-// are slow copies.
-func version(f *rir.Func, regions []region) (*rir.Func, []bool) {
+// are slow copies. The stream is built in buf and the slow marks in
+// sc.
+func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*rir.Func, []bool) {
 	ir := f.Code
 	// Layout: remap carries old positions to new ones for targets from
 	// outside a region.
-	remap := make([]int32, len(ir)+1)
-	slowAt := make([]int32, len(regions))
+	remap := zeroed(&sc.remap, len(ir)+1)
 	newPC, ri := int32(0), 0
 	for i := 0; i < len(ir); {
 		if ri == len(regions) || regions[ri].first != i {
@@ -185,21 +221,21 @@ func version(f *rir.Func, regions []region) (*rir.Func, []bool) {
 		r := &regions[ri]
 		n := int32(r.last - r.first + 1)
 		remap[i] = newPC
-		slowAt[ri] = newPC + 1 + n + int32(len(r.revals))
+		r.slowAt = newPC + 1 + n + int32(len(r.revals))
 		if ir[r.last].Shape != rir.ShJump {
-			slowAt[ri]++
+			r.slowAt++
 		}
 		for k := int32(1); k < n; k++ {
-			remap[i+int(k)] = slowAt[ri] + k
+			remap[i+int(k)] = r.slowAt + k
 		}
-		newPC = slowAt[ri] + n
+		newPC = r.slowAt + n
 		i = r.last + 1
 		ri++
 	}
 	remap[len(ir)] = newPC
 
-	out := f.With(make([]rir.Inst, 0, newPC))
-	slow := make([]bool, newPC)
+	out := f.With(stream(buf, int(newPC)))
+	slow := zeroed(&sc.slow, int(newPC))
 	elided := int64(0)
 	outside := func(t int32) int32 { return remap[t] }
 	ri = 0
@@ -211,7 +247,8 @@ func version(f *rir.Func, regions []region) (*rir.Func, []bool) {
 			i++
 			continue
 		}
-		r, slowStart := &regions[ri], slowAt[ri]
+		r := &regions[ri]
+		slowStart := r.slowAt
 		ri++
 		n := r.last - r.first + 1
 		copyAt := func(k int, start int32) rir.Inst {
@@ -250,6 +287,7 @@ func version(f *rir.Func, regions []region) (*rir.Func, []bool) {
 		i = r.last + 1
 	}
 	bceChecksElided.Add(elided)
+	*buf = out.Code
 	return out, slow
 }
 
@@ -260,8 +298,8 @@ func version(f *rir.Func, regions []region) (*rir.Func, []bool) {
 // hoistLoops finds analyzable innermost counted loops and versions
 // them. It also returns which pcs of its output are slow copies (nil
 // when it versioned nothing).
-func hoistLoops(f *rir.Func) (*rir.Func, []bool) {
-	labels := f.FindLabels()
+func hoistLoops(f *rir.Func, sc *scratch) (*rir.Func, []bool) {
+	labels := f.FindLabels(&sc.ir)
 	var regions []region
 	hoisted := int64(0)
 	claimed := -1 // highest pc already inside a chosen loop
@@ -270,7 +308,7 @@ func hoistLoops(f *rir.Func) (*rir.Func, []bool) {
 		if s.Shape != rir.ShJump || int(s.Tgt) > E || int(s.Tgt) <= claimed {
 			continue
 		}
-		if r := analyzeLoop(f, labels, int(s.Tgt), E); r != nil {
+		if r := analyzeLoop(f, labels, int(s.Tgt), E, &sc.bce); r != nil {
 			regions = append(regions, *r)
 			hoisted += int64(len(r.plan.Ranges))
 			claimed = E
@@ -280,13 +318,35 @@ func hoistLoops(f *rir.Func) (*rir.Func, []bool) {
 		return f, nil
 	}
 	bceHoisted.Add(hoisted)
-	return version(f, regions)
+	return version(f, regions, &sc.bce.code[0], &sc.bce)
 }
 
 // analyzeLoop decides whether [L..E] is a versionable counted loop
-// and builds its region and preheader plan.
-func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
+// and builds its region and preheader plan. The tests run cheapest
+// first, and one forward scan of the body gives everything past them:
+// its write set, the induction's writers and the definition that
+// reaches each operand the address analysis reads.
+func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 	ir := f.Code
+	// Header: fused compare exiting the loop while the induction
+	// local stays below an invariant bound.
+	hdr := &ir[L]
+	if hdr.Shape != rir.ShCmpBranch || hdr.Has(rir.AImm) {
+		return nil
+	}
+	switch {
+	case hdr.CmpOp == wasm.OpI32GeS && hdr.Has(rir.BrOnTrue):
+	case hdr.CmpOp == wasm.OpI32LtS && !hdr.Has(rir.BrOnTrue):
+	default:
+		return nil
+	}
+	if t := int(hdr.Tgt); t >= L && t <= E {
+		return nil
+	}
+	c := int(hdr.A)
+	if c >= f.NumLocals {
+		return nil
+	}
 	// Innermost and single-entry: no labels past the header.
 	for pc := L + 1; pc <= E; pc++ {
 		if labels[pc] {
@@ -310,42 +370,65 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
 			}
 		}
 	}
-	// Header: fused compare exiting the loop while the induction
-	// local stays below an invariant bound.
-	hdr := &ir[L]
-	if hdr.Shape != rir.ShCmpBranch || hdr.Has(rir.AImm) {
-		return nil
-	}
-	switch {
-	case hdr.CmpOp == wasm.OpI32GeS && hdr.Has(rir.BrOnTrue):
-	case hdr.CmpOp == wasm.OpI32LtS && !hdr.Has(rir.BrOnTrue):
-	default:
-		return nil
-	}
-	if t := int(hdr.Tgt); t >= L && t <= E {
-		return nil
-	}
-	c := int(hdr.A)
-	if c >= f.NumLocals {
-		return nil
-	}
 
-	// Write set of the body; the induction must have exactly one
-	// writer, the canonical increment.
-	written := map[int]bool{}
+	// The body in one forward scan. Before an op's writes it records
+	// the definition reaching each operand it reads (the last op past
+	// the header to write the slot, a call's clobber counting), -1
+	// when the value flows in from the header; its writes then go into
+	// the write set. The induction must have exactly one writer, the
+	// canonical increment.
+	sc.gen++
+	gen := sc.gen
+	ld := sc.lastDef
+	defs := zeroed(&sc.defs, E-L+1)
+	clobs := sc.clobs[:0]
+	reaching := func(slot int) int32 {
+		// Copies of the tables the scan grows, so that Go's prover sees
+		// the length tests guard the reads.
+		d, ld, clobs := int32(-1), ld, clobs
+		if uint(slot) < uint(len(ld)) && ld[slot].gen == gen {
+			d = ld[slot].pc
+		}
+		for k := len(clobs) - 1; k >= 0; k-- {
+			if slot >= int(clobs[k].base) {
+				d = max(d, clobs[k].pc)
+				break
+			}
+		}
+		return d
+	}
 	cWrites := 0
-	incPC := -1
-	for pc := L; pc <= E; pc++ {
+	incPC, incSrc := -1, int32(-1) // the induction's writer, and the def its A reads
+	for k := range defs {
+		pc := L + k
 		s := &ir[pc]
-		clob := f.InstWrites(s, func(slot int) {
-			written[slot] = true
+		d := &defs[k]
+		*d = [2]int32{-1, -1}
+		switch s.Shape {
+		case rir.ShMove, rir.ShLoad, rir.ShStore, rir.ShBin:
+			if !s.Has(rir.AImm) {
+				d[0] = reaching(int(s.A))
+			}
+			if s.Shape == rir.ShBin && !s.Has(rir.BImm) {
+				d[1] = reaching(int(s.B))
+			}
+		}
+		// Calls clobber only callee frames (>= numLocals): they reach
+		// the reads above them but are not in the write set.
+		if clob := f.InstWrites(s, func(slot int) {
+			for slot >= len(ld) {
+				ld = append(ld, lastDef{})
+			}
+			ld[slot] = lastDef{int32(pc), gen}
 			if slot == c {
 				cWrites++
-				incPC = pc
+				incPC, incSrc = pc, d[0]
 			}
-		})
-		_ = clob // calls clobber only callee frames (>= numLocals)
+		}); clob >= 0 {
+			clobs = append(clobs, clobber{int32(pc), int32(clob)})
+		}
 	}
+	sc.lastDef, sc.clobs = ld, clobs
 	if cWrites != 1 {
 		return nil
 	}
@@ -353,23 +436,10 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
 	// directly, or the common local.set of a temp holding c + step.
 	inc := &ir[incPC]
 	if inc.Shape == rir.ShMove {
-		src := -1
-		for p := incPC - 1; p > L; p-- {
-			hit := false
-			clob := f.InstWrites(&ir[p], func(w int) {
-				if w == int(inc.A) {
-					hit = true
-				}
-			})
-			if hit || (clob >= 0 && int(inc.A) >= clob) {
-				src = p
-				break
-			}
-		}
-		if src < 0 {
+		if incSrc < 0 {
 			return nil
 		}
-		inc = &ir[src]
+		inc = &ir[incSrc]
 	}
 	if inc.Shape != rir.ShBin || inc.Op != wasm.OpI32Add || int(inc.A) != c || !inc.Has(rir.BImm) {
 		return nil
@@ -378,7 +448,8 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
 	if step <= 0 {
 		return nil
 	}
-	invariant := func(slot int) bool { return !written[slot] }
+	// The body's write set is the slots written under gen.
+	invariant := func(slot int) bool { return uint(slot) >= uint(len(ld)) || ld[slot].gen != gen }
 	limitIsImm := hdr.Has(rir.BImm)
 	if !limitIsImm && !invariant(int(hdr.B)) {
 		return nil
@@ -389,8 +460,9 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
 	if limitIsImm {
 		r.plan.Limit = rir.Lin{K: uint32(f.ImmB(hdr))}
 	}
-	an := &affineAnalyzer{f: f, L: L, C: c, incPC: incPC, Step: step, invariant: invariant}
-	for pc := L + 1; pc < E; pc++ {
+	an := &affineAnalyzer{f: f, L: L, C: c, incPC: incPC, Step: step, defs: defs, invariant: invariant}
+	for k := 1; k < len(defs)-1; k++ {
+		pc := L + k
 		s := &ir[pc]
 		switch s.Shape {
 		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
@@ -402,7 +474,7 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int) *region {
 			var ex affine
 			if !s.Has(rir.AImm) {
 				var ok bool
-				if ex, ok = an.build(int(s.A), pc, 0); !ok {
+				if ex, ok = an.build(int(s.A), int(defs[k][0]), 0); !ok {
 					continue
 				}
 			}
@@ -441,31 +513,31 @@ type affineAnalyzer struct {
 	C         int
 	incPC     int
 	Step      int32
+	defs      [][2]int32 // by pc - L: the defs that reach operands A and B
 	invariant func(int) bool
 }
 
+// lastDef is the last op of the loop body being scanned (stamp gen) to
+// write a slot.
+type lastDef struct {
+	pc  int32
+	gen uint32
+}
+
+// clobber is a call in the loop body: it writes every slot from base.
+type clobber struct{ pc, base int32 }
+
 const maxExprDepth = 32
 
-// build reconstructs the value of slot as read at pc. It admits only
-// what stays linear: i32 add and sub, and mul and shl by a constant,
-// of the induction, loop-invariant slots (two at most) and constants.
-func (an *affineAnalyzer) build(slot, pc, depth int) (affine, bool) {
+// build reconstructs the value of slot as def, the op that reaches the
+// read (-1: the header), leaves it; defs gives the defs that reach
+// def's own operands. It admits only what stays linear:
+// i32 add and sub, and mul and shl by a constant, of the induction,
+// loop-invariant slots (two at most) and constants. An op that is not
+// one of those four is rejected before its operands are looked at.
+func (an *affineAnalyzer) build(slot, def, depth int) (affine, bool) {
 	if depth > maxExprDepth {
 		return affine{}, false
-	}
-	// Find the def reaching this read inside the straight-line body.
-	def := -1
-	for p := pc - 1; p > an.L; p-- {
-		hit := false
-		clob := an.f.InstWrites(&an.f.Code[p], func(w int) {
-			if w == slot {
-				hit = true
-			}
-		})
-		if hit || (clob >= 0 && slot >= clob) {
-			def = p
-			break
-		}
 	}
 	if def < 0 {
 		// Value flows in from the loop header: the induction local
@@ -481,25 +553,28 @@ func (an *affineAnalyzer) build(slot, pc, depth int) (affine, bool) {
 		// c read after its increment: iteration value + step.
 		return affine{l: rir.Lin{K: uint32(an.Step)}, ind: 1}, true
 	}
-	d := &an.f.Code[def]
+	d, reach := &an.f.Code[def], &an.defs[def-an.L]
 	switch d.Shape {
 	case rir.ShConst:
 		return affine{l: rir.Lin{K: uint32(d.Imm)}}, true
 	case rir.ShMove:
 		// Reading through a copy: the source's value at the def site.
-		return an.build(int(d.A), def, depth+1)
+		return an.build(int(d.A), int(reach[0]), depth+1)
 	case rir.ShBin:
-		operand := func(slot int32, isImm bool, imm uint64) (affine, bool) {
+		if !rir.LinearOp(d.Op) {
+			return affine{}, false
+		}
+		operand := func(slot int32, isImm bool, imm uint64, def int32) (affine, bool) {
 			if isImm {
 				return affine{l: rir.Lin{K: uint32(imm)}}, true
 			}
-			return an.build(int(slot), def, depth+1)
+			return an.build(int(slot), int(def), depth+1)
 		}
-		a, ok := operand(d.A, d.Has(rir.AImm), d.Imm)
+		a, ok := operand(d.A, d.Has(rir.AImm), d.Imm, reach[0])
 		if !ok {
 			return affine{}, false
 		}
-		b, ok := operand(d.B, d.Has(rir.BImm), an.f.ImmB(d))
+		b, ok := operand(d.B, d.Has(rir.BImm), an.f.ImmB(d), reach[1])
 		if !ok {
 			return affine{}, false
 		}
@@ -549,11 +624,11 @@ type ebbGroup struct {
 // iteration under clamp, where no range check can pass — so a second
 // check there is a dispatch per iteration spent on the path that exists
 // to be the plain checked one.
-func coalesceEBB(f *rir.Func, slow []bool) *rir.Func {
+func coalesceEBB(f *rir.Func, slow []bool, sc *scratch) *rir.Func {
 	var regions []region
 	end := -1
 	// Greedy non-overlapping regions, in program order.
-	for _, g := range collectGroups(f, slow) {
+	for _, g := range collectGroups(f, slow, sc) {
 		first, last := g.members[0].pc, g.members[len(g.members)-1].pc
 		if first <= end {
 			continue
@@ -576,43 +651,59 @@ func coalesceEBB(f *rir.Func, slow []bool) *rir.Func {
 		return f
 	}
 	bceRangesCoalesced.Add(int64(len(regions)))
-	out, _ := version(f, regions)
+	out, _ := version(f, regions, &sc.bce.code[1], &sc.bce)
 	return out
+}
+
+// vnTables are collectGroups' tables, indexed, not hashed by a map,
+// and kept across runs and functions: a new run empties them by
+// number, since an entry holds only in the run that wrote it
+// (stamp.run), and run only grows. vnOf holds a slot's value number,
+// bucketOf a base value number's 1 + index into buckets (this run's
+// groups in order of first member); both are grown as indices appear.
+// vals is the value table: a constant's number by its bits (kind 1),
+// an ALU op's by 2 + its opcode and its operands' numbers,
+// open-addressed in a power-of-two slice that doubles when a run fills
+// three quarters of it.
+type vnTables struct {
+	vnOf     []stamp
+	bucketOf []stamp
+	buckets  []bucket
+	vals     []valEntry
+	run      uint32
+}
+
+type stamp struct{ v, run uint32 }
+
+type valEntry struct {
+	a, kb   uint64 // the key: a, then kind<<32 | b
+	vn, run uint32
+}
+
+type bucket struct {
+	base    rir.Lin
+	members []ebbMember
 }
 
 // collectGroups value-numbers each straight-line run and returns the
 // ≥2-member same-base access groups in program order of first member.
-func collectGroups(f *rir.Func, slow []bool) []ebbGroup {
-	ir, labels := f.Code, f.FindLabels()
+func collectGroups(f *rir.Func, slow []bool, sc *scratch) []ebbGroup {
+	ir, labels := f.Code, f.FindLabels(&sc.ir)
 	var groups []ebbGroup
 
-	type bucket struct {
-		base    rir.Lin
-		members []ebbMember
-	}
-	// The tables are the function's and indexed, not hashed by a map; a
-	// new run empties them by number, since an entry holds only in the
-	// run that wrote it (stamp.run). vnOf holds a slot's value number,
-	// bucketOf a base value number's 1 + index into buckets (this run's
-	// groups in order of first member); both are grown as indices
-	// appear. vals is the value table: a constant's number by its bits
-	// (kind 1), an ALU op's by 2 + its opcode and its operands' numbers,
-	// open-addressed in a power-of-two slice that doubles when a run
-	// fills three quarters of it.
-	type stamp struct{ v, run uint32 }
-	type valEntry struct {
-		a, kb   uint64 // the key: a, then kind<<32 | b
-		vn, run uint32
-	}
+	vt := &sc.bce.vn
 	var (
-		vnOf     []stamp
-		bucketOf []stamp
-		buckets  []bucket
-		vals     []valEntry
+		vnOf     = vt.vnOf
+		bucketOf = vt.bucketOf
+		buckets  = vt.buckets[:0]
+		vals     = vt.vals
 		inRun    int // entries of vals this run wrote
-		run      uint32
+		run      = vt.run
 		nextVN   uint32
 	)
+	defer func() {
+		vt.vnOf, vt.bucketOf, vt.buckets, vt.vals, vt.run = vnOf, bucketOf, buckets[:0], vals, run
+	}()
 	reset := func() {
 		run++
 		buckets = buckets[:0]
@@ -636,7 +727,7 @@ func collectGroups(f *rir.Func, slow []bool) []ebbGroup {
 	}
 	vnSet := func(slot int, vn uint32) { *at(&vnOf, slot) = stamp{vn, run} }
 	vnGet := func(slot int) uint32 {
-		if slot < len(vnOf) && vnOf[slot].run == run {
+		if vnOf := vnOf; uint(slot) < uint(len(vnOf)) && vnOf[slot].run == run { // a copy, for Go's prover
 			return vnOf[slot].v
 		}
 		v := fresh()
@@ -837,8 +928,8 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 // the same effective address, so a checked access keeps its trap kind,
 // its trap address and clamp's redirect. The pass rewrites f in place;
 // the engine hands it a working copy, never preIR.
-func fuseAddrs(f *rir.Func) {
-	ir, isTgt := f.Code, f.FindLabels()
+func fuseAddrs(f *rir.Func, sc *scratch) {
+	ir, isTgt := f.Code, f.FindLabels(&sc.ir)
 	// transparent reports whether a rir.Inst between chain and access can
 	// stay in place: straight-line, no calls (which clobber temps) and
 	// no control flow.
@@ -869,7 +960,7 @@ func fuseAddrs(f *rir.Func) {
 		// Walk back over transparent sops to the reaching def of the
 		// address slot, recording what the in-between region writes.
 		end := -1 // last chain op
-		var betweenWrites []int
+		betweenWrites := sc.bce.between[:0]
 		for q := pc - 1; q >= 0 && pc-q <= maxSink; q-- {
 			d := &ir[q]
 			if d.Has(rir.Dead) {
@@ -908,6 +999,7 @@ func fuseAddrs(f *rir.Func) {
 			}
 			f.InstWrites(d, func(w int) { betweenWrites = append(betweenWrites, w) })
 		}
+		sc.bce.between = betweenWrites
 		if end < 0 {
 			continue
 		}
@@ -915,9 +1007,16 @@ func fuseAddrs(f *rir.Func) {
 		// address slot and compose to one linear form. Slot discipline
 		// makes each intermediate dead once the next op (and finally the
 		// access) consumes it.
+		//
+		// The run also stops below an op that rir.Lin.Then rejects on
+		// sight: every chain through it would fail.
 		head := end + 1
-		for head > 0 && end-head+1 < maxChain && !ir[head-1].Has(rir.Dead) &&
-			ir[head-1].Shape == rir.ShBin && int(ir[head-1].Dst) == a {
+		for head > 0 && end-head+1 < maxChain {
+			d := &ir[head-1]
+			if d.Has(rir.Dead) || d.Shape != rir.ShBin || int(d.Dst) != a ||
+				d.Has(rir.AImm|rir.BImm) || !rir.LinearOp(d.Op) {
+				break
+			}
 			head--
 		}
 		var addr rir.Lin
@@ -955,7 +1054,7 @@ func fuseAddrs(f *rir.Func) {
 	if fusedOps == 0 {
 		return
 	}
-	f.Compact()
+	f.Compact(&sc.ir)
 	bceAddrFused.Add(fusedOps)
 }
 

@@ -43,8 +43,9 @@ func countDispatches(t *testing.T, kernel string, s mem.Strategy, elide bool) ma
 		t.Fatal(err)
 	}
 	counts := map[string]int64{}
+	sc := new(scratch)
 	for i, cf := range cm.funcs {
-		_, f, err := eng.lowerFunc(module, cm.imported, i)
+		_, f, err := eng.lowerFunc(module, cm.imported, i, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

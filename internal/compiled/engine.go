@@ -198,8 +198,13 @@ func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
 		return nil, err
 	}
 	imported := uint32(m.NumImportedFuncs())
-	funcs, i, err := fanout.Map(len(m.Code), func(i int) (*cfunc, error) {
-		return e.compileFunc(m, imported, i)
+	funcs := make([]*cfunc, len(m.Code))
+	i, err := fanout.Each(len(m.Code), func() func(int) error {
+		sc := new(scratch)
+		return func(i int) (err error) {
+			funcs[i], err = e.compileFunc(m, imported, i, sc)
+			return err
+		}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("compiled: function %d: %w", i, err)
@@ -207,10 +212,22 @@ func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
 	return &Module{engine: e, wasm: m, funcs: funcs, imported: imported}, nil
 }
 
+// scratch is one compile worker's memory, reused across the functions
+// the worker takes (DESIGN.md §13): flatten's output buffer, the rir
+// passes' tables and the back half's (bceScratch). Nothing a module
+// keeps points into it: lowerFunc copies preIR out at its exact
+// length, and emit's closures capture values and cold tables, never a
+// stream.
+type scratch struct {
+	flat flatten.Scratch
+	ir   rir.Scratch
+	bce  bceScratch
+}
+
 // compileFunc compiles m.Code[i], function imported+i of the function
-// space: lowerFunc, then emit.
-func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, error) {
-	cf, f, err := e.lowerFunc(m, imported, i)
+// space, on sc: lowerFunc, then emit.
+func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int, sc *scratch) (*cfunc, error) {
+	cf, f, err := e.lowerFunc(m, imported, i, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -230,24 +247,28 @@ func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int) (*cfunc, er
 // runs last so it pairs accesses with their addresses already folded.
 // Lowering shrinks the frame from locals+maxStack to locals+registers
 // (plus the same scratch pad flatten reserves above MaxStack).
-func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir.Func, error) {
+//
+// Every stage up to preIR runs in sc's buffers; preIR is copied out at
+// its exact length, and the stream returned is one of sc's, valid
+// until sc compiles the next function.
+func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int, sc *scratch) (*cfunc, *rir.Func, error) {
 	start := time.Now()
 	index := imported + uint32(i)
-	ff, err := flatten.Flatten(m, index, &m.Code[i])
+	ff, err := sc.flat.Flatten(m, index, &m.Code[i])
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := rir.BuildFunc(ff)
+	f, err := rir.BuildFunc(ff, &sc.ir)
 	if err != nil {
 		return nil, nil, err
 	}
 	opsIn := len(f.Code)
-	f.Optimize()
-	f.Compact()
+	f.Optimize(&sc.ir)
+	f.Compact(&sc.ir)
 	frameSize := ff.NumLocals + ff.MaxStack
 	regs := 0
 	if e.lower {
-		regs = f.Lower()
+		regs = f.Lower(&sc.ir)
 		// Mirror flatten's MaxStack = maxH+8 scratch margin.
 		frameSize = ff.NumLocals + regs + 8
 	}
@@ -258,9 +279,9 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int) (*cfunc, *rir
 		numLocals: ff.NumLocals,
 		frameSize: frameSize,
 		index:     index,
-		preIR:     f,
+		preIR:     f.With(slices.Clone(f.Code)),
 	}
-	f = e.backHalf(cf)
+	f = e.backHalf(cf, sc)
 	if e.lower {
 		rir.RecordLowering(opsIn, len(f.Code), regs, time.Since(start).Nanoseconds())
 	}
@@ -277,10 +298,10 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 	if err != nil {
 		return nil, nil, err
 	}
-	if built, err = rir.BuildFunc(ff); err != nil {
+	if built, err = rir.BuildFunc(ff, nil); err != nil {
 		return nil, nil, err
 	}
-	_, emitted, err = e.lowerFunc(m, imported, i)
+	_, emitted, err = e.lowerFunc(m, imported, i, new(scratch))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -297,20 +318,23 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 // finds nothing to elide, a new one otherwise), and the passes that
 // rewrite in place get a copy whenever their input would still be
 // preIR. The copy shares the cold tables (rir.Func.With): the passes
-// give an op a new cold entry rather than write through one.
-func (e *Engine) backHalf(cf *cfunc) *rir.Func {
+// give an op a new cold entry rather than write through one. The
+// working streams are sc's.
+func (e *Engine) backHalf(cf *cfunc, sc *scratch) *rir.Func {
 	f := cf.preIR
 	if !e.lower {
 		return f
 	}
 	if e.elide {
-		f = elide(f)
+		f = elide(f, sc)
 	}
 	if f == cf.preIR {
-		f = f.With(slices.Clone(f.Code))
+		buf := &sc.bce.code[0]
+		*buf = append(stream(buf, len(f.Code)), f.Code...)
+		f = f.With(*buf)
 	}
-	fuseAddrs(f)
-	f.FuseMem()
+	fuseAddrs(f, sc)
+	f.FuseMem(&sc.ir)
 	return f
 }
 

@@ -4,30 +4,31 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 
 	"leapsandbounds/internal/wasm"
 )
 
+// Scratch is a compile worker's scratch, for tests that compile
+// functions one at a time on one.
+type Scratch = scratch
+
+// NewScratch returns a fresh scratch.
+func NewScratch() *Scratch { return new(scratch) }
+
 // WriteEmitted writes everything e's uncached compile of m emits, for
-// the golden test: to w, per function, every op emit receives as its
-// String line and emit's per-pc class, second class, memory-access and
-// elided entries; to art, the module's artifact bytes, after checking
-// that they decode and re-encode to themselves.
+// the golden test: to w, per function, what EmittedFunc returns, with
+// one scratch for the whole module, as a compile worker has; to art,
+// the module's artifact bytes, after checking that they decode and
+// re-encode to themselves.
 func (e *Engine) WriteEmitted(w, art io.Writer, m *wasm.Module) error {
-	imported := uint32(m.NumImportedFuncs())
+	sc := NewScratch()
 	for i := range m.Code {
-		cf, f, err := e.lowerFunc(m, imported, i)
+		text, err := e.EmittedFunc(m, i, sc)
 		if err != nil {
 			return err
 		}
-		if err := cf.emit(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "func %d %q locals=%d frame=%d\n", i, cf.name, cf.numLocals, cf.frameSize)
-		for pc := range f.Code {
-			fmt.Fprintf(w, "%d %s\n", pc, f.Code[pc].String(f))
-		}
-		fmt.Fprintf(w, "classes %v\nclasses2 %v\nmemAcc %v\nelided %v\n", cf.classes, cf.classes2, cf.memAcc, cf.elided)
+		io.WriteString(w, text)
 	}
 	cm, err := e.compileModule(m)
 	if err != nil {
@@ -46,4 +47,24 @@ func (e *Engine) WriteEmitted(w, art io.Writer, m *wasm.Module) error {
 	}
 	_, err = art.Write(data)
 	return err
+}
+
+// EmittedFunc compiles m.Code[i] on sc and returns what emit received
+// and made of it: every op as its String line, then emit's per-pc
+// class, second class, memory-access and elided entries.
+func (e *Engine) EmittedFunc(m *wasm.Module, i int, sc *Scratch) (string, error) {
+	cf, f, err := e.lowerFunc(m, uint32(m.NumImportedFuncs()), i, sc)
+	if err != nil {
+		return "", err
+	}
+	if err := cf.emit(f); err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "func %d %q locals=%d frame=%d\n", i, cf.name, cf.numLocals, cf.frameSize)
+	for pc := range f.Code {
+		fmt.Fprintf(&b, "%d %s\n", pc, f.Code[pc].String(f))
+	}
+	fmt.Fprintf(&b, "classes %v\nclasses2 %v\nmemAcc %v\nelided %v\n", cf.classes, cf.classes2, cf.memAcc, cf.elided)
+	return b.String(), nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 	"leapsandbounds/internal/workloads"
@@ -26,14 +27,7 @@ import (
 // and says why. A change to the artifact format alone moves only the
 // "-artifact" lines.
 func TestEmittedCodeGolden(t *testing.T) {
-	var modules []namedModule
-	for _, s := range workloads.All() {
-		m, _ := s.Build(workloads.Test)
-		modules = append(modules, namedModule{s.Name, m})
-	}
-	modules = append(modules, namedModule{"manyfuncs256", manyFuncsModule(t, 256)})
-	modules = append(modules, goldenExtras(t)...)
-
+	modules := goldenModules(t)
 	var got strings.Builder
 	for _, c := range compiledEngines {
 		eng := c.mk()
@@ -55,6 +49,47 @@ func TestEmittedCodeGolden(t *testing.T) {
 		t.Errorf("emitted code differs from testdata/emitted.golden (%d modules); for a change meant to alter it, the file is now:\n%s",
 			len(modules), got.String())
 	}
+}
+
+// TestScratchReuse: a compile worker reuses one scratch across the
+// functions it takes, so no table may carry what one function left into
+// the next. Every golden module's functions, compiled in reverse order
+// through one shared scratch — which puts small functions after large
+// ones, where a stale entry shows — emit the IR and the class and check
+// tables a fresh scratch gives each, under every compiled pipeline.
+// (TestEmittedCodeGolden compiles in order, on one scratch per module.)
+func TestScratchReuse(t *testing.T) {
+	modules := goldenModules(t)
+	for _, c := range compiledEngines {
+		eng, shared := c.mk(), compiled.NewScratch()
+		for _, m := range modules {
+			for i := len(m.m.Code) - 1; i >= 0; i-- {
+				got, err := eng.EmittedFunc(m.m, i, shared)
+				if err != nil {
+					t.Fatalf("%s: %s: function %d: %v", c.name, m.name, i, err)
+				}
+				want, err := eng.EmittedFunc(m.m, i, compiled.NewScratch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s: %s: function %d compiles differently on a used scratch:\n%s\nfresh:\n%s", c.name, m.name, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// goldenModules returns the golden's modules: every registered
+// workload's, the 256-function cold-start module and goldenExtras.
+func goldenModules(t *testing.T) []namedModule {
+	var modules []namedModule
+	for _, s := range workloads.All() {
+		m, _ := s.Build(workloads.Test)
+		modules = append(modules, namedModule{s.Name, m})
+	}
+	modules = append(modules, namedModule{"manyfuncs256", manyFuncsModule(t, 256)})
+	return append(modules, goldenExtras(t)...)
 }
 
 type namedModule struct {

@@ -83,11 +83,15 @@ func manyFuncsModule(tb testing.TB, n int) *wasm.Module {
 // coldEngines returns fresh cache-detached engines, so every Compile
 // pays the whole pipeline.
 func coldEngines() map[string]core.Engine {
-	wavm, wasmtime, wasm3 := compiled.NewWAVM(), compiled.NewWasmtime(), interp.NewWasm3()
-	wavm.SetCache(nil)
-	wasmtime.SetCache(nil)
-	wasm3.SetCache(nil)
-	return map[string]core.Engine{"wavm": wavm, "wasmtime": wasmtime, "wasm3": wasm3}
+	wavm, noElide, wasmtime, wasm3 := compiled.NewWAVM(), compiled.NewWAVM(), compiled.NewWasmtime(), interp.NewWasm3()
+	if err := noElide.SetElision(false); err != nil {
+		panic(err)
+	}
+	engines := map[string]core.Engine{"wavm": wavm, "wavm-noelide": noElide, "wasmtime": wasmtime, "wasm3": wasm3}
+	for _, e := range engines {
+		e.SetCache(nil)
+	}
+	return engines
 }
 
 // BenchmarkCompileManyFuncs is the layer benchmark of the cold start of
@@ -98,7 +102,9 @@ func coldEngines() map[string]core.Engine {
 // was a walk whose outcome was known) — they are flatten → rir → elide
 // → emit, per engine. The front row is what comes before an engine
 // sees the module: wasm.Decode + validate.Module from bytes, every op
-// on a fresh module. The wavm-encode and wavm-decode rows are the disk
+// on a fresh module. The wavm-noelide row is wavm with bounds-check
+// elision off, so wavm − wavm-noelide is what elision costs a compile.
+// The wavm-encode and wavm-decode rows are the disk
 // tier's artifact codec over the wavm compile of the same module:
 // wavm-decode is what a disk hit costs past the read, against the wavm
 // row. Run
@@ -122,7 +128,7 @@ func BenchmarkCompileManyFuncs(b *testing.B) {
 			return err
 		})
 	})
-	for _, name := range []string{"wavm", "wasmtime", "wasm3"} {
+	for _, name := range []string{"wavm", "wavm-noelide", "wasmtime", "wasm3"} {
 		eng := coldEngines()[name]
 		b.Run(name, func(b *testing.B) {
 			parked(b, func() error {

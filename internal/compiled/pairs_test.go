@@ -332,7 +332,7 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 			stream := h.f
 			stream.Code = []rir.Inst{p0, p1, pad, pad, pad}
 			fusedIR := stream.With(slices.Clone(stream.Code))
-			if fusedIR.FuseMem() != 1 {
+			if fusedIR.FuseMem(nil) != 1 {
 				continue
 			}
 			formed++

@@ -78,24 +78,25 @@ func TestBackHalfLeavesPreIR(t *testing.T) {
 	noElide.elide = false
 	for name, e := range map[string]*Engine{"wavm": NewWAVM(), "wavm-noelide": noElide} {
 		rewrote := false
+		sc := new(scratch)
 		for i := range m.Code {
 			ff, err := flatten.Flatten(m, uint32(i), &m.Code[i])
 			if err != nil {
 				t.Fatal(err)
 			}
 			front := func() *rir.Func {
-				f, err := rir.BuildFunc(ff)
+				f, err := rir.BuildFunc(ff, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				f.Optimize()
-				f.Compact()
-				f.Lower()
+				f.Optimize(nil)
+				f.Compact(nil)
+				f.Lower(nil)
 				return f
 			}
 			pre, want := front(), front()
 			cf := &cfunc{numLocals: ff.NumLocals, preIR: pre}
-			out := e.backHalf(cf)
+			out := e.backHalf(cf, sc)
 			if !reflect.DeepEqual(cf.preIR, want) {
 				t.Errorf("%s: function %d: the back half changed preIR", name, i)
 			}

@@ -58,21 +58,3 @@ func Each(n int, newWorker func() func(i int) error) (int, error) {
 	wg.Wait()
 	return firstIdx, firstErr
 }
-
-// Map is Each for a job that needs no scratch and has a result: it
-// returns out with out[i] = f(i). Results land by index, never by
-// completion order: that is what makes a compiled module independent
-// of the worker count. On failure out is nil.
-func Map[T any](n int, f func(i int) (T, error)) ([]T, int, error) {
-	out := make([]T, n)
-	i, err := Each(n, func() func(int) error {
-		return func(i int) (err error) {
-			out[i], err = f(i)
-			return err
-		}
-	})
-	if err != nil {
-		return nil, i, err
-	}
-	return out, n, nil
-}

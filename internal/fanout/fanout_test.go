@@ -35,22 +35,24 @@ func TestLowestError(t *testing.T) {
 		// flag. (Without the wait two workers can run the whole range
 		// while the OS has the failing ones descheduled.)
 		loFailed := make(chan struct{})
-		out, at, err := Map(n, func(i int) (int, error) {
-			ran[i].Store(true)
-			switch {
-			case i == lo:
-				close(loFailed)
-				return 0, fmt.Errorf("broken body %d", i)
-			case i == hi:
-				return 0, fmt.Errorf("broken body %d", i)
-			case i > hi:
-				<-loFailed
-				time.Sleep(time.Millisecond)
+		at, err := Each(n, func() func(int) error {
+			return func(i int) error {
+				ran[i].Store(true)
+				switch {
+				case i == lo:
+					close(loFailed)
+					return fmt.Errorf("broken body %d", i)
+				case i == hi:
+					return fmt.Errorf("broken body %d", i)
+				case i > hi:
+					<-loFailed
+					time.Sleep(time.Millisecond)
+				}
+				return nil
 			}
-			return i, nil
 		})
-		if want := fmt.Sprintf("broken body %d", lo); out != nil || at != lo || err == nil || err.Error() != want {
-			t.Fatalf("round %d: got %d results, index %d and %v, want index %d and %q", round, len(out), at, err, lo, want)
+		if want := fmt.Sprintf("broken body %d", lo); at != lo || err == nil || err.Error() != want {
+			t.Fatalf("round %d: got index %d and %v, want index %d and %q", round, at, err, lo, want)
 		}
 		for i := 0; i < lo; i++ {
 			if !ran[i].Load() {
@@ -63,19 +65,22 @@ func TestLowestError(t *testing.T) {
 	}
 }
 
-// TestByIndex: every index runs once and its result lands at its own
-// position, with and without workers; and what newWorker makes belongs
-// to one worker — there are at most GOMAXPROCS of them, and a count
-// kept in one without synchronization (-race fails this if two workers
-// shared it) adds up to every index across them.
+// TestByIndex: every index runs once and a result stored at its own
+// position lands there, with and without workers; and what newWorker
+// makes belongs to one worker — there are at most GOMAXPROCS of them,
+// and a count kept in one without synchronization (-race fails this if
+// two workers shared it) adds up to every index across them.
 func TestByIndex(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var hits [1000]atomic.Int32
-			out, at, err := Map(len(hits), func(i int) (int, error) { hits[i].Add(1); return 3 * i, nil })
-			if err != nil || at != len(hits) || len(out) != len(hits) {
-				t.Fatalf("GOMAXPROCS=%d: %d results, err %v", procs, len(out), err)
+			var out [len(hits)]int
+			at, err := Each(len(hits), func() func(int) error {
+				return func(i int) error { hits[i].Add(1); out[i] = 3 * i; return nil }
+			})
+			if err != nil || at != len(hits) {
+				t.Fatalf("GOMAXPROCS=%d: stopped at %d, err %v", procs, at, err)
 			}
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 || out[i] != 3*i {
@@ -111,16 +116,19 @@ func TestInline(t *testing.T) {
 	for _, c := range []struct{ procs, n int }{{4, 0}, {4, 1}, {1, 64}} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
-			caller, calls := goid(), 0
-			out, _, err := Map(c.n, func(i int) (int, error) {
-				calls++ // unsynchronized on purpose: -race fails this if a worker ran it
-				if id := goid(); id != caller {
-					t.Errorf("GOMAXPROCS=%d n=%d: index %d ran on goroutine %s, caller is %s", c.procs, c.n, i, id, caller)
+			caller, calls, workers := goid(), 0, 0
+			at, err := Each(c.n, func() func(int) error {
+				workers++ // unsynchronized on purpose, as calls is
+				return func(i int) error {
+					calls++ // unsynchronized on purpose: -race fails this if a worker ran it
+					if id := goid(); id != caller {
+						t.Errorf("GOMAXPROCS=%d n=%d: index %d ran on goroutine %s, caller is %s", c.procs, c.n, i, id, caller)
+					}
+					return nil
 				}
-				return i, nil
 			})
-			if err != nil || calls != c.n || len(out) != c.n {
-				t.Errorf("GOMAXPROCS=%d n=%d: %d calls, %d results, err %v", c.procs, c.n, calls, len(out), err)
+			if err != nil || calls != c.n || at != c.n || workers != 1 {
+				t.Errorf("GOMAXPROCS=%d n=%d: %d workers, %d calls, stopped at %d, err %v", c.procs, c.n, workers, calls, at, err)
 			}
 		}()
 	}

@@ -104,8 +104,26 @@ type ctrl struct {
 	wasDead bool        // construct was entered inside dead code
 }
 
-// Flatten lowers a validated function body.
+// Scratch is one worker's reusable flatten memory: the output buffer a
+// Flatten call appends to and the flattener's control and provenance
+// stacks. The compile pipelines give each fan-out worker one, so a
+// module's flatten allocates per worker, not per function. What
+// Scratch.Flatten returns aliases the buffer: its Code is valid until
+// the next call on the same Scratch, and a caller that keeps a stream
+// copies it out (at its exact length). The zero value is ready to use.
+type Scratch struct {
+	out   []Instr
+	stack []ctrl
+	pure  []bool
+}
+
+// Flatten lowers a validated function body into a stream of its own.
 func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
+	return new(Scratch).Flatten(m, fnIndex, code)
+}
+
+// Flatten lowers a validated function body into sc's buffer.
+func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 	ft, err := m.FuncTypeAt(fnIndex)
 	if err != nil {
 		return nil, err
@@ -119,12 +137,15 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 	if m.FuncNames != nil {
 		p.Name = m.FuncNames[fnIndex]
 	}
+	// Every body instruction flattens to at most one Instr (block, loop,
+	// nop and inner end to none), so out never regrows.
+	if cap(sc.out) < len(code.Body) {
+		sc.out = make([]Instr, 0, len(code.Body))
+	}
 
 	var (
-		// Every body instruction flattens to at most one Instr (block,
-		// loop, nop and inner end to none), so out never regrows.
-		out    = make([]Instr, 0, len(code.Body))
-		stack  []ctrl
+		out    = sc.out[:0]
+		stack  = sc.stack[:0]
 		height int32
 		maxH   int32
 		dead   bool
@@ -132,7 +153,7 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 		// built purely from locals/constants/arithmetic (address
 		// provenance for Instr.PureAddr). Conservative: control-flow
 		// joins and anything memory- or call-derived clear it.
-		pure []bool
+		pure = sc.pure[:0]
 		// joined is set where a forward branch or an if is patched to
 		// land on the next instruction emitted, which becomes a Target.
 		joined bool
@@ -157,10 +178,15 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			setPure(h, false)
 		}
 	}
-	emit := func(in Instr) int {
-		in.Target, joined = joined, false
-		out = append(out, in)
-		return len(out) - 1
+	// emit appends an instruction with the fields every one has and
+	// returns it, for the caller to fill in the rest in place: an Instr
+	// is built where it lands, never copied by value.
+	emit := func(op wasm.Opcode, h int32, class isa.OpClass) *Instr {
+		out = append(out, Instr{})
+		in := &out[len(out)-1]
+		in.Op, in.H, in.Class, in.Target = op, h, class, joined
+		joined = false
+		return in
 	}
 	// land patches the branches in fixes to the next instruction.
 	land := func(fixes []int) {
@@ -183,7 +209,18 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 		}
 		return 1
 	}
-	branchTo := func(depth int, addPatch func(c *ctrl)) BranchTarget {
+	// open pushes a construct; its patch list reuses the capacity the
+	// last construct at that depth left behind.
+	open := func(c ctrl) {
+		if len(stack) < cap(stack) {
+			c.brs = stack[:len(stack)+1][len(stack)].brs[:0]
+		}
+		stack = append(stack, c)
+	}
+	// branchTo resolves a branch at pc to the construct depth levels
+	// out: a loop's header is known, anything else is patched when its
+	// end is reached, through the patch site fix.
+	branchTo := func(depth int, fix int) BranchTarget {
 		c := &stack[len(stack)-1-depth]
 		if c.op == wasm.OpLoop {
 			// The branch itself is emitted, so the loop's first
@@ -191,10 +228,10 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			out[c.loopPC].Target = true
 			return BranchTarget{Tgt: c.loopPC, PopTo: c.height, Arity: 0}
 		}
-		addPatch(c)
+		c.brs = append(c.brs, fix)
 		return BranchTarget{PopTo: c.height, Arity: c.arity}
 	}
-	finishFunc := func(c ctrl) *Func {
+	finishFunc := func(c *ctrl) *Func {
 		land(c.brs)
 		// The function-end join reads the result from the canonical
 		// slot: live fallthrough arrives with height == arity
@@ -202,22 +239,23 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 		// deposits its carried value at slots [0, arity). Using the
 		// flattener's current height here would be stale when the
 		// end is reachable only through branches.
-		emit(Instr{Op: OpReturnEnd, Arity: c.arity, H: int32(c.arity), Class: isa.ClassBranch})
+		emit(OpReturnEnd, int32(c.arity), isa.ClassBranch).Arity = c.arity
 		p.Code = out
 		p.MaxStack = int(maxH) + 8
+		sc.stack, sc.pure = stack[:0], pure[:0]
 		return p
 	}
 
-	stack = append(stack, ctrl{op: 0, arity: int8(len(ft.Results)), elseFix: -1})
+	open(ctrl{op: 0, arity: int8(len(ft.Results)), elseFix: -1})
 
-	for idx := 0; idx < len(code.Body); idx++ {
-		in := code.Body[idx]
+	for idx := range code.Body {
+		in := &code.Body[idx]
 		op := in.Op
 
 		if dead {
 			switch op {
 			case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-				stack = append(stack, ctrl{op: op, height: height,
+				open(ctrl{op: op, height: height,
 					arity: blockArity(in.BlockType()), elseFix: -1, wasDead: true})
 			case wasm.OpElse:
 				c := &stack[len(stack)-1]
@@ -229,7 +267,7 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 				landElse(c)
 				c.op = wasm.OpElse
 			case wasm.OpEnd:
-				c := stack[len(stack)-1]
+				c := &stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				if len(stack) == 0 {
 					return finishFunc(c), nil
@@ -237,7 +275,7 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 				if !c.wasDead {
 					if len(c.brs) > 0 || c.elseFix >= 0 {
 						land(c.brs)
-						landElse(&c)
+						landElse(c)
 						height = c.height + int32(c.arity)
 						if height > maxH {
 							maxH = height
@@ -254,34 +292,36 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 		case wasm.OpNop:
 			// elided
 		case wasm.OpUnreachable:
-			emit(Instr{Op: op, H: height, Class: isa.ClassBranch})
+			emit(op, height, isa.ClassBranch)
 			dead = true
 		case wasm.OpBlock:
-			stack = append(stack, ctrl{op: op, height: height,
+			open(ctrl{op: op, height: height,
 				arity: blockArity(in.BlockType()), elseFix: -1})
 		case wasm.OpLoop:
-			stack = append(stack, ctrl{op: op, height: height,
+			open(ctrl{op: op, height: height,
 				arity: blockArity(in.BlockType()), loopPC: int32(len(out)), elseFix: -1})
 		case wasm.OpIf:
 			push(-1)
-			fix := emit(Instr{Op: OpIfFalse, H: height + 1, Class: isa.ClassBranch})
-			stack = append(stack, ctrl{op: op, height: height,
+			fix := len(out)
+			emit(OpIfFalse, height+1, isa.ClassBranch)
+			open(ctrl{op: op, height: height,
 				arity: blockArity(in.BlockType()), elseFix: fix})
 		case wasm.OpElse:
 			c := &stack[len(stack)-1]
-			j := emit(Instr{Op: OpJump, PopTo: c.height, Arity: c.arity, H: height, Class: isa.ClassBranch})
-			c.brs = append(c.brs, j)
+			c.brs = append(c.brs, len(out))
+			j := emit(OpJump, height, isa.ClassBranch)
+			j.PopTo, j.Arity = c.height, c.arity
 			landElse(c)
 			height = c.height
 			c.op = wasm.OpElse
 		case wasm.OpEnd:
-			c := stack[len(stack)-1]
+			c := &stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if len(stack) == 0 {
 				return finishFunc(c), nil
 			}
 			land(c.brs)
-			landElse(&c)
+			landElse(c)
 			height = c.height + int32(c.arity)
 			if height > maxH {
 				maxH = height
@@ -289,35 +329,29 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			// Join point: the result may arrive from any branch.
 			clearPure(c.height, height)
 		case wasm.OpBr:
-			j := emit(Instr{Op: OpJump, H: height, Class: isa.ClassBranch})
-			bt := branchTo(int(in.A), func(c *ctrl) { c.brs = append(c.brs, j) })
-			out[j].Tgt, out[j].PopTo, out[j].Arity = bt.Tgt, bt.PopTo, bt.Arity
+			// The branch is emitted before it resolves: a loop whose
+			// first instruction it is marks it a target.
+			j := emit(OpJump, height, isa.ClassBranch)
+			bt := branchTo(int(in.A), len(out)-1)
+			j.Tgt, j.PopTo, j.Arity = bt.Tgt, bt.PopTo, bt.Arity
 			dead = true
 		case wasm.OpBrIf:
 			push(-1)
-			j := emit(Instr{Op: OpBranchIf, H: height + 1, Class: isa.ClassBranch})
-			bt := branchTo(int(in.A), func(c *ctrl) { c.brs = append(c.brs, j) })
-			out[j].Tgt, out[j].PopTo, out[j].Arity = bt.Tgt, bt.PopTo, bt.Arity
+			j := emit(OpBranchIf, height+1, isa.ClassBranch)
+			bt := branchTo(int(in.A), len(out)-1)
+			j.Tgt, j.PopTo, j.Arity = bt.Tgt, bt.PopTo, bt.Arity
 		case wasm.OpBrTable:
 			push(-1)
-			j := emit(Instr{Op: op, H: height + 1, Class: isa.ClassBranch})
-			table := make([]BranchTarget, 0, len(in.Targets)+1)
+			j := emit(op, height+1, isa.ClassBranch)
+			pc, n := len(out)-1, len(in.Targets)
+			j.Table = make([]BranchTarget, n+1)
 			for k, depth := range in.Targets {
-				k := k
-				bt := branchTo(int(depth), func(c *ctrl) {
-					c.brs = append(c.brs, encodeTablePatch(j, k))
-				})
-				table = append(table, bt)
+				j.Table[k] = branchTo(int(depth), encodeTablePatch(pc, k))
 			}
-			defIdx := len(table)
-			bt := branchTo(int(in.A), func(c *ctrl) {
-				c.brs = append(c.brs, encodeTablePatch(j, defIdx))
-			})
-			table = append(table, bt)
-			out[j].Table = table
+			j.Table[n] = branchTo(int(in.A), encodeTablePatch(pc, n))
 			dead = true
 		case wasm.OpReturn:
-			emit(Instr{Op: OpReturnEnd, Arity: int8(len(ft.Results)), H: height, Class: isa.ClassBranch})
+			emit(OpReturnEnd, height, isa.ClassBranch).Arity = int8(len(ft.Results))
 			dead = true
 		case wasm.OpCall:
 			callee, err := m.FuncTypeAt(uint32(in.A))
@@ -328,59 +362,59 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			h := height
 			push(int32(len(callee.Results) - len(callee.Params)))
 			clearPure(argBase, height)
-			emit(Instr{Op: op, A: in.A, PopTo: argBase, H: h,
-				Arity: int8(len(callee.Results)), Class: isa.ClassCall})
+			c := emit(op, h, isa.ClassCall)
+			c.A, c.PopTo, c.Arity = in.A, argBase, int8(len(callee.Results))
 		case wasm.OpCallIndirect:
-			callee := m.Types[in.A]
+			callee := &m.Types[in.A]
 			h := height
 			push(-1) // table index
 			argBase := height - int32(len(callee.Params))
 			push(int32(len(callee.Results) - len(callee.Params)))
 			clearPure(argBase, height)
-			emit(Instr{Op: op, A: in.A, PopTo: argBase, H: h,
-				Arity: int8(len(callee.Results)), Class: isa.ClassCallInd})
+			c := emit(op, h, isa.ClassCallInd)
+			c.A, c.PopTo, c.Arity = in.A, argBase, int8(len(callee.Results))
 		case wasm.OpDrop:
 			push(-1)
-			emit(Instr{Op: op, H: height + 1, Class: isa.ClassALU})
+			emit(op, height+1, isa.ClassALU)
 		case wasm.OpSelect:
 			selPure := isPure(height-3) && isPure(height-2)
 			push(-2)
-			emit(Instr{Op: op, H: height + 2, Class: isa.ClassSelect})
+			emit(op, height+2, isa.ClassSelect)
 			setPure(height-1, selPure)
 		case wasm.OpLocalGet:
 			push(1)
 			setPure(height-1, true)
-			emit(Instr{Op: op, A: in.A, H: height - 1, Class: isa.ClassALU})
+			emit(op, height-1, isa.ClassALU).A = in.A
 		case wasm.OpLocalSet:
 			push(-1)
-			emit(Instr{Op: op, A: in.A, H: height + 1, Class: isa.ClassALU})
+			emit(op, height+1, isa.ClassALU).A = in.A
 		case wasm.OpLocalTee:
-			emit(Instr{Op: op, A: in.A, H: height, Class: isa.ClassALU})
+			emit(op, height, isa.ClassALU).A = in.A
 		case wasm.OpGlobalGet:
 			push(1)
 			setPure(height-1, false)
-			emit(Instr{Op: op, A: in.A, H: height - 1, Class: isa.ClassGlobal})
+			emit(op, height-1, isa.ClassGlobal).A = in.A
 		case wasm.OpGlobalSet:
 			push(-1)
-			emit(Instr{Op: op, A: in.A, H: height + 1, Class: isa.ClassGlobal})
+			emit(op, height+1, isa.ClassGlobal).A = in.A
 		case wasm.OpMemorySize:
 			push(1)
 			setPure(height-1, false)
-			emit(Instr{Op: op, H: height - 1, Class: isa.ClassALU})
+			emit(op, height-1, isa.ClassALU)
 		case wasm.OpMemoryGrow:
 			setPure(height-1, false)
-			emit(Instr{Op: op, H: height, Class: isa.ClassCall})
+			emit(op, height, isa.ClassCall)
 		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
 			push(1)
 			setPure(height-1, true)
-			emit(Instr{Op: op, A: in.A, H: height - 1, Class: isa.ClassALU})
+			emit(op, height-1, isa.ClassALU).A = in.A
 		case wasm.OpPrefix:
 			switch in.Sub {
 			case wasm.SubMemoryCopy, wasm.SubMemoryFill:
 				push(-3)
-				emit(Instr{Op: op, Sub: in.Sub, H: height + 3, Class: isa.ClassCall})
+				emit(op, height+3, isa.ClassCall).Sub = in.Sub
 			default: // saturating truncations
-				emit(Instr{Op: op, Sub: in.Sub, H: height, Class: isa.ClassConv})
+				emit(op, height, isa.ClassConv).Sub = in.Sub
 			}
 		default:
 			class, delta, ok := Classify(op)
@@ -389,7 +423,8 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 			}
 			h := height
 			push(delta)
-			ni := Instr{Op: op, A: in.A, B: in.B, H: h, Class: class}
+			ni := emit(op, h, class)
+			ni.A, ni.B = in.A, in.B
 			switch {
 			case op.IsLoad():
 				// Address at h-1 is consumed; the loaded value is not
@@ -403,7 +438,6 @@ func Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Func, error) {
 				// Binary op: result pure iff both operands were.
 				setPure(h-2, isPure(h-2) && isPure(h-1))
 			}
-			emit(ni)
 		}
 	}
 	return nil, fmt.Errorf("flatten: function body missing final end")

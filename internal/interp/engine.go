@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -115,14 +116,29 @@ func (e *Engine) compileInterp(m *wasm.Module) (core.CompiledModule, error) {
 }
 
 // flattenAll flattens every function of m on fanout's workers and runs
-// fold on each, fusing operands when fuse is set.
+// fold on each, fusing operands when fuse is set. A worker flattens and
+// folds in buffers of its own, reused across the functions it takes,
+// and the module keeps each folded stream copied out at its exact
+// length.
 func flattenAll(m *wasm.Module, imported uint32, fuse bool) ([]*flatten.Func, error) {
-	funcs, i, err := fanout.Map(len(m.Code), func(i int) (*flatten.Func, error) {
-		pf, err := flatten.Flatten(m, imported+uint32(i), &m.Code[i])
-		if err == nil {
-			err = fold(pf, fuse)
+	funcs := make([]*flatten.Func, len(m.Code))
+	i, err := fanout.Each(len(m.Code), func() func(int) error {
+		var (
+			sc  flatten.Scratch
+			idx []int32
+		)
+		return func(i int) error {
+			pf, err := sc.Flatten(m, imported+uint32(i), &m.Code[i])
+			if err == nil {
+				err = fold(pf, fuse, &idx)
+			}
+			if err != nil {
+				return err
+			}
+			pf.Code = slices.Clone(pf.Code)
+			funcs[i] = pf
+			return nil
 		}
-		return pf, err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("interp: function %d: %w", i, err)

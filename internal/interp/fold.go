@@ -155,14 +155,17 @@ var (
 //
 // The instrumented streams are proved and not fused.
 //
-// fold allocates one index slice: the new position of every old
-// instruction, followed by the new positions of the branches (at most
-// one per instruction), which the last step, the only one that touches
-// a branch's target, remaps.
-func fold(pf *flatten.Func, fuse bool) error {
+// fold's one table is an index slice, in the caller's buffer buf: the
+// new position of every old instruction, followed by the new positions
+// of the branches (at most one per instruction), which the last step,
+// the only one that touches a branch's target, remaps.
+func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 	code := pf.Code
 	n := len(code)
-	idx := make([]int32, n, 2*n)
+	if cap(*buf) < 2*n {
+		*buf = make([]int32, 0, 2*n)
+	}
+	idx := append((*buf)[:0], make([]int32, n)...)
 	p := prover{numLocals: uint64(pf.NumLocals), maxStack: int32(pf.MaxStack), n: int32(n)}
 	j := 0
 	for i := 0; i < n; {

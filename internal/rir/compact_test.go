@@ -68,7 +68,7 @@ func TestCompactInPlace(t *testing.T) {
 
 	ops := slices.Clone(retained.Code)
 	work := retained.With(ops)
-	work.Compact()
+	work.Compact(nil)
 	out := work.Code
 
 	if len(out) != n-3 || &out[0] != &ops[0] {
@@ -104,7 +104,7 @@ func TestCompactInPlace(t *testing.T) {
 		t.Errorf("fused pair: @%d else @%d (half @%d else @%d), want @3 else @8 and the half untouched",
 			p.Tgt, p.Else, work.Pair(&p)[1].Tgt, work.Pair(&p)[1].Else)
 	}
-	labels := work.FindLabels()
+	labels := work.FindLabels(nil)
 	for pc, want := range []bool{true, true, false, true, true, false, false, true} {
 		if labels[pc] != want {
 			t.Errorf("FindLabels[%d] = %v, want %v", pc, labels[pc], want)
@@ -120,12 +120,12 @@ func TestCompactInPlace(t *testing.T) {
 func TestCompactNothingDead(t *testing.T) {
 	f := &Func{Code: []Inst{{Shape: ShJump, Tgt: 1}, {Shape: ShReturn}}}
 	ops := f.Code
-	f.Compact()
+	f.Compact(nil)
 	if len(f.Code) != 2 || &f.Code[0] != &ops[0] || f.Code[0].Tgt != 1 {
 		t.Errorf("got %+v", f.Code)
 	}
 	empty := &Func{}
-	if empty.Compact(); len(empty.Code) != 0 {
+	if empty.Compact(nil); len(empty.Code) != 0 {
 		t.Errorf("Compact of no ops = %+v", empty.Code)
 	}
 }

@@ -35,7 +35,7 @@ const (
 
 // Build is BuildFunc laid flat.
 func Build(ff *flatten.Func) ([]Inst, error) {
-	f, err := BuildFunc(ff)
+	f, err := BuildFunc(ff, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -46,14 +46,14 @@ func Build(ff *flatten.Func) ([]Inst, error) {
 func Optimize(ir []Inst, numLocals int) []Inst {
 	f := must(unflat(ir))
 	f.NumLocals = numLocals
-	f.Optimize()
+	f.Optimize(nil)
 	return f.flat(ir)
 }
 
 // Compact is Func.Compact over a flat stream, which it consumes.
 func Compact(ir []Inst) []Inst {
 	f := must(unflat(ir))
-	f.Compact()
+	f.Compact(nil)
 	return f.flat(ir)
 }
 
@@ -61,14 +61,14 @@ func Compact(ir []Inst) []Inst {
 func Lower(ir []Inst, numLocals int) ([]Inst, int) {
 	f := must(unflat(ir))
 	f.NumLocals = numLocals
-	regs := f.Lower()
+	regs := f.Lower(nil)
 	return f.flat(ir), regs
 }
 
 // FuseMem is Func.FuseMem over a flat stream, which it consumes.
 func FuseMem(ir []Inst) ([]Inst, int) {
 	f := must(unflat(ir))
-	n := f.FuseMem()
+	n := f.FuseMem(nil)
 	return f.flat(ir), n
 }
 

@@ -58,13 +58,13 @@ func TestReadFlatRoundTripsTheFrontHalf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := BuildFunc(ff)
+		f, err := BuildFunc(ff, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Optimize()
-		f.Compact()
-		frame := f.NumLocals + f.Lower()
+		f.Optimize(nil)
+		f.Compact(nil)
+		frame := f.NumLocals + f.Lower(nil)
 		got, rest, err := ReadFlat(f.AppendFlat(nil), frame)
 		if err != nil {
 			t.Fatalf("function %d: %v", i, err)
@@ -74,7 +74,7 @@ func TestReadFlatRoundTripsTheFrontHalf(t *testing.T) {
 			t.Errorf("function %d: read back\n%swrote\n%s", i, dump(got), dump(f))
 		}
 
-		if g := f.With(append([]Inst(nil), f.Code...)); g.FuseMem() > 0 {
+		if g := f.With(append([]Inst(nil), f.Code...)); g.FuseMem(nil) > 0 {
 			if _, _, err := ReadFlat(g.AppendFlat(nil), frame); err == nil {
 				t.Errorf("function %d: ReadFlat read a stream with fused pairs", i)
 			}

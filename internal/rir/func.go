@@ -188,13 +188,43 @@ func (f *Func) SetCheck(s *Inst, p CheckPlan) { s.Side = add(&f.checks, p) }
 // like any op's.
 func (f *Func) Pair(s *Inst) *[2]Inst { return &f.pairs[s.Side-1] }
 
-// FindLabels returns the set of pcs that are branch targets. Range
-// checks count: their failure edge enters the slow clone, so any pass
-// that requires label-free straight-line runs (EBB coalescing, late
-// pair fusion) must flush at a check's target exactly as it would at
-// a branch target.
-func (f *Func) FindLabels() []bool {
-	labels := make([]bool, len(f.Code)+1)
+// Scratch is one compile worker's transient tables for the passes over
+// a Func: the stream BuildFunc builds into, FindLabels' marks,
+// Compact's remap, Optimize's pending definitions and local versions,
+// and Lower's register map. A worker reuses one across the functions
+// it takes, so a pass allocates nothing per function once the tables
+// have grown to the largest. Two results alias it, each until the next
+// call of the same kind on the same Scratch: the Code of a Func
+// BuildFunc made (a caller that keeps the Func copies its ops out) and
+// FindLabels' set. Every other table is rebuilt by the pass that uses
+// it and means nothing between calls. A nil *Scratch stands for a
+// fresh one.
+type Scratch struct {
+	code     []Inst
+	labels   []bool
+	remap    []int32
+	pending  []pendingDef
+	localVer []int32
+	reg      []int32
+}
+
+// zeroed returns buf's array holding n zero entries, grown when it is
+// short.
+func zeroed[T any](buf *[]T, n int) []T {
+	*buf = append((*buf)[:0], make([]T, n)...)
+	return *buf
+}
+
+// FindLabels returns the set of pcs that are branch targets, in sc's
+// buffer. Range checks count: their failure edge enters the slow
+// clone, so any pass that requires label-free straight-line runs (EBB
+// coalescing, late pair fusion) must flush at a check's target exactly
+// as it would at a branch target.
+func (f *Func) FindLabels(sc *Scratch) []bool {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	labels := zeroed(&sc.labels, len(f.Code)+1)
 	for i := range f.Code {
 		s := &f.Code[i]
 		switch s.Shape {

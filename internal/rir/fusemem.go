@@ -33,14 +33,22 @@ import (
 // other pair (ShPair, ShPairBr) charges the classes of both halves, so
 // fusing it moves no modelled cycle. It compacts f and returns the
 // number of pairs fused.
-func (f *Func) FuseMem() int {
+func (f *Func) FuseMem(sc *Scratch) int {
 	ir := f.Code
-	labels := f.FindLabels()
+	labels := f.FindLabels(sc)
 	threadJumps(ir, labels)
 	fused := 0
+	// hs is the half of ir[i]: an op is classified once, as the second
+	// of one pair, and carried over as the first of the next.
+	var hs Half
+	if len(ir) > 0 {
+		hs = f.HalfOf(&ir[0])
+	}
 	for i := 0; i+1 < len(ir); i++ {
 		s, t := &ir[i], &ir[i+1]
-		if labels[i+1] || !fusable[f.HalfOf(s)][f.HalfOf(t)] || !f.consumes(t, s.Dst) {
+		ht := f.HalfOf(t)
+		if labels[i+1] || !fusable[hs][ht] || !f.consumes(t, s.Dst) {
+			hs = ht
 			continue
 		}
 		p := Inst{
@@ -71,12 +79,15 @@ func (f *Func) FuseMem() int {
 		t.Flags |= Dead
 		fused++
 		i++
+		if i+1 < len(ir) {
+			hs = f.HalfOf(&ir[i+1])
+		}
 	}
 	if fused == 0 {
 		return 0
 	}
 	rirFusedLdOp.Add(int64(fused))
-	f.Compact()
+	f.Compact(sc)
 	return fused
 }
 

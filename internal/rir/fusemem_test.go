@@ -42,7 +42,7 @@ func dump(f *Func) string {
 // dispatch; the targets follow the compaction.
 func TestLatch(t *testing.T) {
 	f := countedLoop()
-	fused := f.FuseMem()
+	fused := f.FuseMem(nil)
 	if out := f.Code; fused != 1 || len(out) != 5 {
 		t.Fatalf("fused %d pairs into %d ops, want 1 and 5:\n%s", fused, len(out), dump(f))
 	}
@@ -56,7 +56,7 @@ func TestLatch(t *testing.T) {
 	if want := "fused{l0 = i32.add l0, #1 {alu} ; br @4 if i32.ge_s l0, #10 else @2 {alu}} {alu}"; l.String(f) != want {
 		t.Errorf("String() = %q, want %q", l.String(f), want)
 	}
-	if labels := f.FindLabels(); !labels[2] || !labels[4] || labels[3] {
+	if labels := f.FindLabels(nil); !labels[2] || !labels[4] || labels[3] {
 		t.Errorf("labels after fusion: %v", labels)
 	}
 }
@@ -66,7 +66,7 @@ func TestLatchNotFormed(t *testing.T) {
 	t.Run("carried value", func(t *testing.T) {
 		f := countedLoop()
 		f.SetCarry(&f.Code[4], 5, 6)
-		f.FuseMem()
+		f.FuseMem(nil)
 		if got := &f.Code[4]; got.Shape != ShJump {
 			t.Errorf("a jump that carries a value was rewritten: %s", got.String(f))
 		} else if src, dst := f.Carry(got); src != 5 || dst != 6 {
@@ -76,7 +76,7 @@ func TestLatchNotFormed(t *testing.T) {
 	t.Run("header not a compare", func(t *testing.T) {
 		f := countedLoop()
 		f.Code[1] = Inst{Shape: ShIfFalse, A: 0, Tgt: 5}
-		if fused := f.FuseMem(); fused != 0 || f.Code[4].Shape != ShJump {
+		if fused := f.FuseMem(nil); fused != 0 || f.Code[4].Shape != ShJump {
 			t.Errorf("jump onto %s was threaded:\n%s", f.Code[1].String(f), dump(f))
 		}
 	})
@@ -86,7 +86,7 @@ func TestLatchNotFormed(t *testing.T) {
 		// before it must stay its own dispatch.
 		f := countedLoop()
 		f.Code[2] = Inst{Shape: ShCmpBranch, CmpOp: wasm.OpI32Eq, Flags: BrOnTrue | BImm, A: 1, Tgt: 4}
-		if fused := f.FuseMem(); fused != 0 || len(f.Code) != 6 {
+		if fused := f.FuseMem(nil); fused != 0 || len(f.Code) != 6 {
 			t.Fatalf("fused %d pairs across a label:\n%s", fused, dump(f))
 		}
 		if got := &f.Code[3]; got.Shape != ShBin || got.Op != wasm.OpI32Add {
@@ -107,7 +107,7 @@ func TestThreadedJumpOntoLatch(t *testing.T) {
 		{Shape: ShReturn},
 		{Shape: ShReturn},
 	}}
-	f.FuseMem()
+	f.FuseMem(nil)
 	if got := &f.Code[1]; got.Shape != ShCmpBranch || got.Tgt != 3 || got.Else != 2 {
 		t.Errorf("threaded jump = %s, want @3 else @2", got.String(f))
 	}
@@ -131,7 +131,7 @@ func TestFuseNeedsConsumer(t *testing.T) {
 		{"no closure for f64.add ; f64.div", Inst{Shape: ShBin, Op: wasm.OpF64Div, Dst: 6, A: 5, B: 2}, ShBin},
 	} {
 		f := &Func{NumLocals: 4, Code: []Inst{add, tc.second, {Shape: ShReturn}}}
-		if f.FuseMem(); f.Code[0].Shape != tc.want {
+		if f.FuseMem(nil); f.Code[0].Shape != tc.want {
 			t.Errorf("%s: first op became %s", tc.name, f.Code[0].String(f))
 		}
 	}

@@ -93,14 +93,14 @@ func TestFlatEntryPointsMatchFunc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := BuildFunc(ff)
+		f, err := BuildFunc(ff, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Optimize()
-		f.Compact()
-		regs := f.Lower()
-		fused := f.FuseMem()
+		f.Optimize(nil)
+		f.Compact(nil)
+		regs := f.Lower(nil)
+		fused := f.FuseMem(nil)
 
 		ir, err := Build(ff)
 		if err != nil {

@@ -75,7 +75,7 @@ func (p Lin) IsConst() bool { return p.CX == 0 && p.CY == 0 }
 // An op with two immediate operands is never linear here: Optimize
 // folds every such add, sub, mul and shl into a constant.
 func (p Lin) Then(d *Inst, self int) (Lin, bool) {
-	if d.Shape != ShBin || d.Has(AImm|BImm) {
+	if d.Shape != ShBin || d.Has(AImm|BImm) || !LinearOp(d.Op) {
 		return Lin{}, false
 	}
 	operand := func(slot int32, isImm bool) Lin {
@@ -107,6 +107,17 @@ func (p Lin) Then(d *Inst, self int) (Lin, bool) {
 		}
 	}
 	return Lin{}, false
+}
+
+// LinearOp reports whether op can be linear in its operands: an i32
+// add, sub, mul or shl. An analysis tests it before it evaluates an
+// operand, so an op that is never linear costs nothing.
+func LinearOp(op wasm.Opcode) bool {
+	switch op {
+	case wasm.OpI32Add, wasm.OpI32Sub, wasm.OpI32Mul, wasm.OpI32Shl:
+		return true
+	}
+	return false
 }
 
 // LinOf returns the linear form of a single i32 ALU op.

@@ -185,12 +185,17 @@ func (f *Func) visitSlots(s *Inst, fn func(p *int32)) {
 // Lower must run before bounds-check elision: the elision passes
 // capture raw register indices in CheckPlan ranges and address-mode
 // chains, which a later renumbering could not reach.
-func (f *Func) Lower() int {
+func (f *Func) Lower(sc *Scratch) int {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	numLocals := int32(f.NumLocals)
-	// reg is indexed by operand slot less numLocals, grown as slots
-	// appear: first 1 for a slot in use, then — a prefix sum over it,
-	// index order being slot order — the register that slot becomes.
-	var reg []int32
+	// reg is indexed by operand slot less numLocals, grown from empty as
+	// slots appear: first 1 for a slot in use, then — a prefix sum over
+	// it, index order being slot order — the register that slot
+	// becomes.
+	reg := sc.reg[:0]
+	defer func() { sc.reg = reg }()
 	mark := func(slot int32) {
 		if slot < numLocals {
 			return

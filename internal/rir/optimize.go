@@ -15,24 +15,26 @@ import (
 //
 // Windows are delimited by labels (branch targets): inside a window
 // execution is strictly linear, so a def always dominates its use.
-func (f *Func) Optimize() {
+func (f *Func) Optimize(sc *Scratch) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	ir, numLocals := f.Code, int32(f.NumLocals)
-	labels := f.FindLabels()
+	labels := f.FindLabels(sc)
 
 	// pending maps an operand slot to the Inst that defines it, when
-	// that Inst is a candidate for substitution or retargeting: def is
-	// the Inst's index plus one (0: not pending), ver the version its
-	// source local had there, for a local.get. It is indexed by slot —
-	// slots are small and dense — and grown as slots appear; hi bounds
-	// the entries that may be non-zero, so emptying it at a label costs
-	// what was put in since the last one.
-	type def struct{ def, ver int32 }
+	// that Inst is a candidate for substitution or retargeting. It is
+	// indexed by slot — slots are small and dense — and grown as slots
+	// appear, from empty; hi bounds the entries that may be non-zero,
+	// so emptying it at a label costs what was put in since the last
+	// one.
 	var (
-		pending []def
+		pending = sc.pending[:0]
 		hi      int32
 	)
+	defer func() { sc.pending = pending }()
 	// localVer invalidates local copies on reassignment.
-	localVer := make([]int32, numLocals)
+	localVer := zeroed(&sc.localVer, int(numLocals))
 
 	lookup := func(s int32) (int, bool) {
 		if s < 0 || s >= hi || pending[s].def == 0 {
@@ -42,15 +44,15 @@ func (f *Func) Optimize() {
 	}
 	set := func(s int32, di int, ver int32) {
 		for int(s) >= len(pending) {
-			pending = append(pending, def{})
+			pending = append(pending, pendingDef{})
 		}
-		pending[s] = def{int32(di) + 1, ver}
+		pending[s] = pendingDef{int32(di) + 1, ver}
 		hi = max(hi, s+1)
 	}
 	// forceKeep drops pending status without substitution.
 	forceKeep := func(s int32) {
 		if s >= 0 && s < hi {
-			pending[s] = def{}
+			pending[s] = pendingDef{}
 		}
 	}
 	// forceKeepFrom drops every slot at or above base.
@@ -77,7 +79,7 @@ func (f *Func) Optimize() {
 			return resolved{slot: s, def: -1}
 		}
 		ver := pending[s].ver
-		pending[s] = def{}
+		pending[s] = pendingDef{}
 		d := &ir[di]
 		switch {
 		case d.Shape == ShConst:
@@ -315,6 +317,11 @@ func (f *Func) Optimize() {
 	}
 }
 
+// pendingDef is Optimize's entry for an operand slot: def is the index
+// of the Inst that defines it plus one (0: not pending), ver the
+// version its source local had there, for a local.get.
+type pendingDef struct{ def, ver int32 }
+
 // eqzCompare maps the unary zero tests to the compare they are with a
 // zero right-hand side (0, which is no compare, for every other op).
 var eqzCompare = [256]wasm.Opcode{
@@ -356,9 +363,12 @@ func markDead(ir []Inst, def int) {
 // Compact removes dead instructions in place, remapping branch
 // targets: f.Code becomes the shortened prefix of its own array. Both
 // engines run it after Optimize.
-func (f *Func) Compact() {
+func (f *Func) Compact(sc *Scratch) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	ir := f.Code
-	remap := make([]int32, len(ir)+1)
+	remap := zeroed(&sc.remap, len(ir)+1)
 	n := int32(0)
 	for i := range ir {
 		remap[i] = n

@@ -144,22 +144,30 @@ func (s *Inst) immA() bool {
 }
 
 // BuildFunc lowers a flattened function to slot IR (one Inst per
-// flatten.Instr, same pc numbering so branch targets carry over).
-func BuildFunc(ff *flatten.Func) (*Func, error) {
+// flatten.Instr, same pc numbering so branch targets carry over). The
+// ops are built in sc's stream, in place.
+func BuildFunc(ff *flatten.Func, sc *Scratch) (*Func, error) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	if cap(sc.code) < len(ff.Code) {
+		sc.code = make([]Inst, 0, len(ff.Code))
+	}
 	nl := int32(ff.NumLocals)
 	slot := func(h int32) int32 { return nl + h }
-	f := &Func{Code: make([]Inst, 0, len(ff.Code)), NumLocals: ff.NumLocals}
+	f := &Func{Code: sc.code[:0], NumLocals: ff.NumLocals}
 
 	for pc := range ff.Code {
 		in := &ff.Code[pc]
-		s := Inst{Op: in.Op, Sub: uint8(in.Sub), Class: uint8(in.Class)}
+		f.Code = append(f.Code, Inst{Op: in.Op, Sub: uint8(in.Sub), Class: uint8(in.Class)})
+		s := &f.Code[pc]
 		h := in.H
 		switch in.Op {
 		case flatten.OpJump:
 			s.Shape = ShJump
 			s.Tgt = in.Tgt
 			if in.Arity > 0 {
-				f.SetCarry(&s, slot(h-1), slot(in.PopTo))
+				f.SetCarry(s, slot(h-1), slot(in.PopTo))
 			}
 		case flatten.OpIfFalse:
 			s.Shape = ShIfFalse
@@ -170,7 +178,7 @@ func BuildFunc(ff *flatten.Func) (*Func, error) {
 			s.A = slot(h - 1)
 			s.Tgt = in.Tgt
 			if in.Arity > 0 {
-				f.SetCarry(&s, slot(h-2), slot(in.PopTo))
+				f.SetCarry(s, slot(h-2), slot(in.PopTo))
 			}
 		case wasm.OpBrTable:
 			s.Shape = ShBrTable
@@ -186,17 +194,17 @@ func BuildFunc(ff *flatten.Func) (*Func, error) {
 					Arity: bt.Arity,
 				}
 			}
-			f.SetTable(&s, t)
+			f.SetTable(s, t)
 		case flatten.OpReturnEnd:
 			s.Shape = ShReturn
 			if in.Arity > 0 {
-				f.SetCarry(&s, slot(h-1), 0)
+				f.SetCarry(s, slot(h-1), 0)
 			}
 		case wasm.OpUnreachable:
 			s.Shape = ShUnreachable
 		case wasm.OpCall:
 			s.Shape = ShCall
-			f.SetCall(&s, Call{
+			f.SetCall(s, Call{
 				Fidx:    uint32(in.A),
 				ArgBase: slot(in.PopTo),
 				NArgs:   int8(h - in.PopTo), // H is the pre-call height
@@ -205,7 +213,7 @@ func BuildFunc(ff *flatten.Func) (*Func, error) {
 		case wasm.OpCallIndirect:
 			s.Shape = ShCallInd
 			s.A = slot(h - 1) // table index operand
-			f.SetCall(&s, Call{
+			f.SetCall(s, Call{
 				Fidx:    uint32(in.A), // type index
 				ArgBase: slot(in.PopTo),
 				NArgs:   int8(h - 1 - in.PopTo), // index operand sits above the args
@@ -216,7 +224,7 @@ func BuildFunc(ff *flatten.Func) (*Func, error) {
 			s.Flags |= Dead
 		case wasm.OpSelect:
 			s.Shape = ShSelect
-			f.SetC(&s, slot(h-1))
+			f.SetC(s, slot(h-1))
 			s.B = slot(h - 2)
 			s.A = slot(h - 3)
 			s.Dst = slot(h - 3)
@@ -257,12 +265,12 @@ func BuildFunc(ff *flatten.Func) (*Func, error) {
 				s.Shape = ShMemCopy
 				s.A = slot(h - 3)
 				s.B = slot(h - 2)
-				f.SetC(&s, slot(h-1))
+				f.SetC(s, slot(h-1))
 			case wasm.SubMemoryFill:
 				s.Shape = ShMemFill
 				s.A = slot(h - 3)
 				s.B = slot(h - 2)
-				f.SetC(&s, slot(h-1))
+				f.SetC(s, slot(h-1))
 			default:
 				s.Shape = ShTruncSat
 				s.A = slot(h - 1)
@@ -307,7 +315,6 @@ func BuildFunc(ff *flatten.Func) (*Func, error) {
 				}
 			}
 		}
-		f.Code = append(f.Code, s)
 	}
 	return f, nil
 }

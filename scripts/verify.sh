@@ -61,12 +61,12 @@ test "$bce" -le 39 || { echo "internal/interp: $bce Go-inserted bounds checks, c
 # The same ceiling for the compiled engines' closures, which index
 # their frame through Go's checks (ROADMAP item 8's emit half, open):
 # 382 before every access took one address form, 343 after, 334 since
-# range-check plans are linear forms. Lower it when a change removes
-# some.
-echo "== Go-inserted bounds checks in internal/compiled (ceiling 334)"
+# range-check plans are linear forms, 330 since the back half's tables
+# are a compile worker's scratch. Lower it when a change removes some.
+echo "== Go-inserted bounds checks in internal/compiled (ceiling 330)"
 bce=$(go build -gcflags=leapsandbounds/internal/compiled=-d=ssa/check_bce/debug=1 ./internal/compiled/ 2>&1 | grep -c 'Found Is')
 echo "$bce checks"
-test "$bce" -le 334 || { echo "internal/compiled: $bce Go-inserted bounds checks, ceiling 334"; exit 1; }
+test "$bce" -le 330 || { echo "internal/compiled: $bce Go-inserted bounds checks, ceiling 330"; exit 1; }
 
 echo "== internal/tiered twice in one process (no compile state may leak into a second pass)"
 go test -count=2 ./internal/tiered/
