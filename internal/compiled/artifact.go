@@ -39,8 +39,10 @@ import (
 // Version 5: every engine optimizes, so a wasmtime artifact carries an
 // optimized preIR and the flags byte's bit 0 means lower; a version 4
 // wasmtime file holds the unoptimized stream and must miss rather than
-// replay slower code.
-const artifactVersion = 5
+// replay slower code. Version 6: the flat records lose the Pure flag
+// bit, so Unchecked takes its place; a version 5 record's Pure bit must
+// not read as Unchecked.
+const artifactVersion = 6
 
 // artifactHeader is the payload's fixed prefix: version, flags, count.
 const artifactHeader = 4 + 1 + 4

@@ -9,29 +9,20 @@ import (
 	"leapsandbounds/internal/wasm"
 )
 
-// Bounds-check elision (DESIGN.md §11). The pass rewrites optimized,
-// compacted slot IR so that provably-grouped memory accesses execute
-// through check-free closures guarded by a single up-front range
-// check. Two transforms run in sequence:
+// Bounds-check elision (DESIGN.md §11) is loop versioning. The pass
+// rewrites optimized, compacted slot IR so that an innermost counted
+// loop whose accesses have addresses linear in the induction local and
+// loop-invariant slots runs them through check-free closures guarded
+// by a single up-front range check. The loop is cloned: a preheader
+// rir.ShRangeCheck computes each access's first address and stride,
+// proves the whole sequence in bounds via mem.CheckRange, and
+// dispatches to a fast copy (accesses unchecked) or the untouched slow
+// copy. Calls and memory.grow in the body get a revalidation check
+// after them in the fast copy, failing over to the slow copy mid-loop.
+// Accesses outside such a loop stay checked one by one.
 //
-//  1. Loop versioning: an innermost counted loop whose accesses have
-//     addresses linear in the induction local and loop-invariant slots
-//     is cloned. A preheader rir.ShRangeCheck computes each access's
-//     first address and stride, proves the whole sequence in bounds
-//     via mem.CheckRange, and dispatches to a fast copy (accesses
-//     unchecked) or the untouched slow copy. Calls and memory.grow in
-//     the body get a revalidation check after them in the fast copy,
-//     failing over to the slow copy mid-loop.
-//
-//  2. EBB coalescing: within a straight-line run (no labels, calls,
-//     or grows), accesses sharing a value-numbered base are replaced
-//     by one range check over [base+minOff, base+maxOff+width) plus a
-//     fast clone with unchecked members; on check failure the
-//     original checked clone runs.
-//
-// Both hand their regions to one versioner (version), and both plans
-// are one shape of plain data, rir.CheckPlan: ranges in the linear
-// form rir.Lin that address folding uses too.
+// A plan is plain data, rir.CheckPlan: ranges in the linear form
+// rir.Lin that address folding uses too.
 //
 // Soundness leans entirely on the mem.CheckRange contract: the check
 // never traps, a success is never invalidated (memory only grows and
@@ -57,33 +48,30 @@ import (
 // like modcache's. Stats() reads them and AttachBCEObs registers these
 // same objects in a run registry.
 var (
-	bceChecksEmitted   obs.Counter // accesses left per-access checked
-	bceChecksElided    obs.Counter // accesses lowered to unchecked closures
-	bceRangesCoalesced obs.Counter // EBB groups replaced by one range check
-	bceHoisted         obs.Counter // per-access checks hoisted to loop preheaders
-	bceRevalidations   obs.Counter // runtime re-checks after call/grow in fast loop copies
-	bceAddrFused       obs.Counter // address-mode ops folded into accesses, checked or not
+	bceChecksEmitted obs.Counter // accesses left per-access checked
+	bceChecksElided  obs.Counter // accesses lowered to unchecked closures
+	bceHoisted       obs.Counter // per-access checks hoisted to loop preheaders
+	bceRevalidations obs.Counter // runtime re-checks after call/grow in fast loop copies
+	bceAddrFused     obs.Counter // address-mode ops folded into accesses, checked or not
 )
 
 // BCEStats is a snapshot of the elision counters.
 type BCEStats struct {
-	ChecksEmitted   int64
-	ChecksElided    int64
-	RangesCoalesced int64
-	Hoisted         int64
-	Revalidations   int64
-	AddrFused       int64
+	ChecksEmitted int64
+	ChecksElided  int64
+	Hoisted       int64
+	Revalidations int64
+	AddrFused     int64
 }
 
 // Stats returns the process-wide elision counters.
 func Stats() BCEStats {
 	return BCEStats{
-		ChecksEmitted:   bceChecksEmitted.Load(),
-		ChecksElided:    bceChecksElided.Load(),
-		RangesCoalesced: bceRangesCoalesced.Load(),
-		Hoisted:         bceHoisted.Load(),
-		Revalidations:   bceRevalidations.Load(),
-		AddrFused:       bceAddrFused.Load(),
+		ChecksEmitted: bceChecksEmitted.Load(),
+		ChecksElided:  bceChecksElided.Load(),
+		Hoisted:       bceHoisted.Load(),
+		Revalidations: bceRevalidations.Load(),
+		AddrFused:     bceAddrFused.Load(),
 	}
 }
 
@@ -93,7 +81,6 @@ func Stats() BCEStats {
 func AttachBCEObs(sc *obs.Scope) {
 	sc.RegisterCounter("checks_emitted", &bceChecksEmitted)
 	sc.RegisterCounter("checks_elided", &bceChecksElided)
-	sc.RegisterCounter("ranges_coalesced", &bceRangesCoalesced)
 	sc.RegisterCounter("hoisted", &bceHoisted)
 	sc.RegisterCounter("revalidations", &bceRevalidations)
 	sc.RegisterCounter("addr_fused", &bceAddrFused)
@@ -101,12 +88,10 @@ func AttachBCEObs(sc *obs.Scope) {
 
 // elide is the pass entry point, run after optimize+rir.Compact. It
 // does not write the Func it is handed (the engine retains that one
-// for the artifact tier): the two versioning passes build a new,
-// longer stream in one of sc's working streams or return their input
-// untouched.
+// for the artifact tier): versioning builds a new, longer stream in
+// sc's working stream or returns its input untouched.
 func elide(pre *rir.Func, sc *scratch) *rir.Func {
-	f, slow := hoistLoops(pre, sc)
-	f = coalesceEBB(f, slow, sc)
+	f := hoistLoops(pre, sc)
 	checked := int64(0)
 	for i := range f.Code {
 		s := &f.Code[i]
@@ -139,14 +124,13 @@ func accWidth(op wasm.Opcode) uint64 {
 // Versioning
 // ---------------------------------------------------------------------------
 
-// region is a run first..last of ops that version clones behind one
-// range check.
+// region is a loop first..last, header to backedge, that version
+// clones behind one range check.
 type region struct {
 	first, last int
 	plan        rir.CheckPlan
 	unchecked   []bool // by pc - first: the accesses plan proves
 	revals      []int  // by pc - first, ascending: calls and grows the check re-runs after
-	loop        bool   // first is a loop header: a branch to it stays in its copy
 	slowAt      int32  // where version puts the slow copy
 }
 
@@ -158,22 +142,19 @@ func rangeCheck(f *rir.Func, tgt int32, p rir.CheckPlan) rir.Inst {
 	return s
 }
 
-// bceScratch is the back half's part of a worker's scratch: its two
-// working streams, version's layout tables, a loop's write set and
-// reaching definitions, collectGroups' value-numbering tables and
-// fuseAddrs' list of in-between writes. Stamped tables (gen, run) are
-// valid only under the stamp that wrote them, which never repeats on
-// one scratch, so an entry a previous function left is never read as
-// this one's.
+// bceScratch is the back half's part of a worker's scratch: its
+// working stream, version's layout table, a loop's write set and
+// reaching definitions and fuseAddrs' list of in-between writes. The
+// stamped table (gen) is valid only under the stamp that wrote it,
+// which never repeats on one scratch, so an entry a previous function
+// left is never read as this one's.
 type bceScratch struct {
-	code    [2][]rir.Inst // [0]: hoistLoops' output or the copy of preIR, [1]: coalesceEBB's
+	code    []rir.Inst // hoistLoops' output or the copy of preIR
 	remap   []int32
-	slow    []bool
 	lastDef []lastDef  // by slot: its last writer in the loop body scanned under gen
 	defs    [][2]int32 // by pc - L: the defs that reach operands A and B
 	clobs   []clobber
 	gen     uint32
-	vn      vnTables
 	between []int
 }
 
@@ -194,18 +175,16 @@ func zeroed[T any](buf *[]T, n int) []T {
 
 // version lays each region, in program order and disjoint, out as
 //
-//	[check][fast copy (+revalidations)][jump to merge][slow copy]
+//	[check][fast copy (+revalidations)][slow copy]
 //
 // The fast copy runs the accesses its plan proves unchecked, and a
 // revalidation after a call or grow fails over to the same point of
-// the slow copy. The jump is there only when the fast copy can fall
-// through (a loop's copy ends in its backedge). The slow copy is the region
-// verbatim, where the check fails to. A branch from outside enters a
-// region at its check: regions are label-free past first, so a branch
-// targets no other op of one. It also returns which pcs of its output
-// are slow copies. The stream is built in buf and the slow marks in
-// sc.
-func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*rir.Func, []bool) {
+// the slow copy. The slow copy is the loop verbatim, where the check
+// fails to. Each copy ends in its own backedge, so neither falls
+// through into what follows it. A branch from outside enters a region
+// at its check: regions are label-free past first, so a branch targets
+// no other op of one. The stream is built in sc.code.
+func version(f *rir.Func, regions []region, sc *bceScratch) *rir.Func {
 	ir := f.Code
 	// Layout: remap carries old positions to new ones for targets from
 	// outside a region.
@@ -222,9 +201,6 @@ func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*r
 		n := int32(r.last - r.first + 1)
 		remap[i] = newPC
 		r.slowAt = newPC + 1 + n + int32(len(r.revals))
-		if ir[r.last].Shape != rir.ShJump {
-			r.slowAt++
-		}
 		for k := int32(1); k < n; k++ {
 			remap[i+int(k)] = r.slowAt + k
 		}
@@ -234,8 +210,7 @@ func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*r
 	}
 	remap[len(ir)] = newPC
 
-	out := f.With(stream(buf, int(newPC)))
-	slow := zeroed(&sc.slow, int(newPC))
+	out := f.With(stream(&sc.code, int(newPC)))
 	elided := int64(0)
 	outside := func(t int32) int32 { return remap[t] }
 	ri = 0
@@ -251,10 +226,12 @@ func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*r
 		slowStart := r.slowAt
 		ri++
 		n := r.last - r.first + 1
+		// copyAt is op k of the copy whose header lands at start: the
+		// backedge stays in its copy.
 		copyAt := func(k int, start int32) rir.Inst {
 			s := ir[r.first+k]
 			out.RewriteTargets(&s, func(t int32) int32 {
-				if r.loop && int(t) == r.first {
+				if int(t) == r.first {
 					return start
 				}
 				return remap[t]
@@ -277,18 +254,14 @@ func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*r
 				revals = revals[1:]
 			}
 		}
-		if ir[r.last].Shape != rir.ShJump {
-			out.Code = append(out.Code, rir.Inst{Shape: rir.ShJump, Tgt: remap[r.last+1], Class: uint8(isa.ClassBranch)})
-		}
 		for k := 0; k < n; k++ {
-			slow[len(out.Code)] = true
 			out.Code = append(out.Code, copyAt(k, slowStart))
 		}
 		i = r.last + 1
 	}
 	bceChecksElided.Add(elided)
-	*buf = out.Code
-	return out, slow
+	sc.code = out.Code
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -296,9 +269,8 @@ func version(f *rir.Func, regions []region, buf *[]rir.Inst, sc *bceScratch) (*r
 // ---------------------------------------------------------------------------
 
 // hoistLoops finds analyzable innermost counted loops and versions
-// them. It also returns which pcs of its output are slow copies (nil
-// when it versioned nothing).
-func hoistLoops(f *rir.Func, sc *scratch) (*rir.Func, []bool) {
+// them.
+func hoistLoops(f *rir.Func, sc *scratch) *rir.Func {
 	labels := f.FindLabels(&sc.ir)
 	var regions []region
 	hoisted := int64(0)
@@ -315,10 +287,10 @@ func hoistLoops(f *rir.Func, sc *scratch) (*rir.Func, []bool) {
 		}
 	}
 	if len(regions) == 0 {
-		return f, nil
+		return f
 	}
 	bceHoisted.Add(hoisted)
-	return version(f, regions, &sc.bce.code[0], &sc.bce)
+	return version(f, regions, &sc.bce)
 }
 
 // analyzeLoop decides whether [L..E] is a versionable counted loop
@@ -455,7 +427,7 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 		return nil
 	}
 
-	r := &region{first: L, last: E, unchecked: make([]bool, E-L+1), loop: true}
+	r := &region{first: L, last: E, unchecked: make([]bool, E-L+1)}
 	r.plan = rir.CheckPlan{IndSlot: c, Limit: rir.LinSlot(int(hdr.B)), Step: step}
 	if limitIsImm {
 		r.plan.Limit = rir.Lin{K: uint32(f.ImmB(hdr))}
@@ -468,7 +440,7 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
 			r.revals = append(r.revals, pc-L)
 		case rir.ShLoad, rir.ShStore:
-			if s.Has(rir.Unchecked) || (!s.Has(rir.Pure) && !s.Has(rir.AImm)) {
+			if s.Has(rir.Unchecked) {
 				continue
 			}
 			var ex affine
@@ -601,248 +573,11 @@ func (an *affineAnalyzer) build(slot, def, depth int) (affine, bool) {
 	return affine{}, false
 }
 
-// ---------------------------------------------------------------------------
-// EBB coalescing
-// ---------------------------------------------------------------------------
-
-type ebbMember struct {
-	pc    int
-	Off   uint64
-	Width uint64
-	Write bool
-}
-
-type ebbGroup struct {
-	base    rir.Lin // the members' base slot, or the constant 0
-	members []ebbMember
-}
-
-// coalesceEBB groups same-base accesses inside straight-line runs and
-// versions the run from each group's first member to its last on one
-// range check. The slow copy of a versioned loop (slow[pc]) is left as
-// it is: it runs when the loop's own check has failed — every
-// iteration under clamp, where no range check can pass — so a second
-// check there is a dispatch per iteration spent on the path that exists
-// to be the plain checked one.
-func coalesceEBB(f *rir.Func, slow []bool, sc *scratch) *rir.Func {
-	var regions []region
-	end := -1
-	// Greedy non-overlapping regions, in program order.
-	for _, g := range collectGroups(f, slow, sc) {
-		first, last := g.members[0].pc, g.members[len(g.members)-1].pc
-		if first <= end {
-			continue
-		}
-		r := region{first: first, last: last, unchecked: make([]bool, last-first+1)}
-		rg := rir.LoopRange{Addr: g.base, Off: math.MaxUint64}
-		hi := uint64(0)
-		for _, m := range g.members {
-			r.unchecked[m.pc-first] = true
-			rg.Off = min(rg.Off, m.Off)
-			hi = max(hi, m.Off+m.Width)
-			rg.Write = rg.Write || m.Write
-		}
-		rg.Width = hi - rg.Off
-		r.plan.Ranges = []rir.LoopRange{rg}
-		regions = append(regions, r)
-		end = last
-	}
-	if len(regions) == 0 {
-		return f
-	}
-	bceRangesCoalesced.Add(int64(len(regions)))
-	out, _ := version(f, regions, &sc.bce.code[1], &sc.bce)
-	return out
-}
-
-// vnTables are collectGroups' tables, indexed, not hashed by a map,
-// and kept across runs and functions: a new run empties them by
-// number, since an entry holds only in the run that wrote it
-// (stamp.run), and run only grows. vnOf holds a slot's value number,
-// bucketOf a base value number's 1 + index into buckets (this run's
-// groups in order of first member); both are grown as indices appear.
-// vals is the value table: a constant's number by its bits (kind 1),
-// an ALU op's by 2 + its opcode and its operands' numbers,
-// open-addressed in a power-of-two slice that doubles when a run fills
-// three quarters of it.
-type vnTables struct {
-	vnOf     []stamp
-	bucketOf []stamp
-	buckets  []bucket
-	vals     []valEntry
-	run      uint32
-}
-
-type stamp struct{ v, run uint32 }
-
-type valEntry struct {
-	a, kb   uint64 // the key: a, then kind<<32 | b
-	vn, run uint32
-}
-
-type bucket struct {
-	base    rir.Lin
-	members []ebbMember
-}
-
-// collectGroups value-numbers each straight-line run and returns the
-// ≥2-member same-base access groups in program order of first member.
-func collectGroups(f *rir.Func, slow []bool, sc *scratch) []ebbGroup {
-	ir, labels := f.Code, f.FindLabels(&sc.ir)
-	var groups []ebbGroup
-
-	vt := &sc.bce.vn
-	var (
-		vnOf     = vt.vnOf
-		bucketOf = vt.bucketOf
-		buckets  = vt.buckets[:0]
-		vals     = vt.vals
-		inRun    int // entries of vals this run wrote
-		run      = vt.run
-		nextVN   uint32
-	)
-	defer func() {
-		vt.vnOf, vt.bucketOf, vt.buckets, vt.vals, vt.run = vnOf, bucketOf, buckets[:0], vals, run
-	}()
-	reset := func() {
-		run++
-		buckets = buckets[:0]
-		inRun = 0
-		nextVN = 1
-	}
-	flush := func() {
-		for _, b := range buckets {
-			if len(b.members) >= 2 {
-				groups = append(groups, ebbGroup(b))
-			}
-		}
-		reset()
-	}
-	fresh := func() uint32 { nextVN++; return nextVN }
-	at := func(t *[]stamp, i int) *stamp {
-		for i >= len(*t) {
-			*t = append(*t, stamp{})
-		}
-		return &(*t)[i]
-	}
-	vnSet := func(slot int, vn uint32) { *at(&vnOf, slot) = stamp{vn, run} }
-	vnGet := func(slot int) uint32 {
-		if vnOf := vnOf; uint(slot) < uint(len(vnOf)) && vnOf[slot].run == run { // a copy, for Go's prover
-			return vnOf[slot].v
-		}
-		v := fresh()
-		vnSet(slot, v)
-		return v
-	}
-	// slot returns where key (a, kb) is in t or goes.
-	slot := func(t []valEntry, a, kb uint64) *valEntry {
-		mask := uint64(len(t) - 1)
-		h := (a*0x9e3779b97f4a7c15 ^ kb) * 0xbf58476d1ce4e5b9
-		for i := (h ^ h>>31) & mask; ; i = (i + 1) & mask {
-			if e := &t[i]; e.run != run || e.a == a && e.kb == kb {
-				return e
-			}
-		}
-	}
-	hash := func(kind, a, b uint64) uint32 {
-		kb := kind<<32 | b
-		if 4*(inRun+1) > 3*len(vals) {
-			grown := make([]valEntry, max(8, 2*len(vals)))
-			for _, e := range vals {
-				if e.run == run {
-					*slot(grown, e.a, e.kb) = e
-				}
-			}
-			vals = grown
-		}
-		e := slot(vals, a, kb)
-		if e.run != run {
-			*e = valEntry{a, kb, fresh(), run}
-			inRun++
-		}
-		return e.vn
-	}
-	reset()
-
-	const vnImmBase = 0 // the bucket of constant-address accesses: fresh numbers start at 2
-
-	for pc := 0; pc < len(ir); pc++ {
-		if labels[pc] {
-			flush()
-		}
-		s := &ir[pc]
-		switch s.Shape {
-		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
-			flush() // what the instruction writes is unknown with everything else
-			continue
-		case rir.ShConst:
-			vnSet(int(s.Dst), hash(1, s.Imm, 0))
-			continue
-		case rir.ShMove:
-			vnSet(int(s.Dst), vnGet(int(s.A)))
-			continue
-		case rir.ShBin:
-			var va, vb uint32
-			if s.Has(rir.AImm) {
-				va = hash(1, s.Imm, 0)
-			} else {
-				va = vnGet(int(s.A))
-			}
-			if s.Has(rir.BImm) {
-				vb = hash(1, f.ImmB(s), 0)
-			} else {
-				vb = vnGet(int(s.B))
-			}
-			vnSet(int(s.Dst), hash(2+uint64(s.Op), uint64(va), uint64(vb)))
-			continue
-		case rir.ShLoad, rir.ShStore:
-			if !s.Has(rir.Unchecked) && (slow == nil || !slow[pc]) {
-				vn, base := uint32(vnImmBase), rir.Lin{}
-				if !s.Has(rir.AImm) {
-					vn, base = vnGet(int(s.A)), rir.LinSlot(int(s.A))
-				}
-				bi := at(&bucketOf, int(vn))
-				if bi.run != run {
-					buckets = append(buckets, bucket{base: base})
-					*bi = stamp{uint32(len(buckets)), run}
-				}
-				b := &buckets[bi.v-1]
-				b.members = append(b.members, ebbMember{
-					pc:    pc,
-					Off:   s.Off,
-					Width: accWidth(s.Op),
-					Write: s.Shape == rir.ShStore,
-				})
-			}
-			if s.Shape == rir.ShLoad {
-				vnSet(int(s.Dst), fresh())
-			}
-			continue
-		}
-		// Everything else: new values are opaque; branch carries and
-		// table pops invalidate their destinations.
-		f.InstWrites(s, func(slot int) { vnSet(slot, fresh()) })
-	}
-	flush()
-	return groups
-}
-
 // emitRangeCheck compiles a rir.ShRangeCheck rir.Inst: fall through on
 // success, branch to the checked clone on failure.
 func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 	p := f.Check(s)
 	tgt := int(s.Tgt)
-	if p.Step == 0 {
-		// An EBB group: one range, no induction. Clamp fails it in
-		// CheckRange.
-		r := p.Ranges[0]
-		return func(inst *Instance, base, pc int) int {
-			if _, ok := inst.base.Mem.CheckRange(uint64(r.Addr.Eval(inst.stack, base))+r.Off, r.Width, r.Write); ok {
-				return pc + 1
-			}
-			return tgt
-		}, nil
-	}
 	ind, bound, step := p.IndSlot, p.Limit, int64(p.Step)
 	reval := p.Reval
 	ranges := p.Ranges

@@ -329,7 +329,7 @@ func (e *Engine) backHalf(cf *cfunc, sc *scratch) *rir.Func {
 		f = elide(f, sc)
 	}
 	if f == cf.preIR {
-		buf := &sc.bce.code[0]
+		buf := &sc.bce.code
 		*buf = append(stream(buf, len(f.Code)), f.Code...)
 		f = f.With(*buf)
 	}

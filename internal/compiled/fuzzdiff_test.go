@@ -357,8 +357,9 @@ func buildEdgeLoopProgram(past uint32) (*wasm.Module, error) {
 }
 
 // buildEdgeGroupProgram returns straight-line loads off one base whose
-// last member straddles the end of memory by one byte: elision
-// coalesces them onto one range check, which must cover that byte.
+// last member straddles the end of memory by one byte: outside a loop
+// elision leaves each load checked, and the last one must trap on that
+// byte.
 func buildEdgeGroupProgram() (*wasm.Module, error) {
 	mb := g.NewModule()
 	mb.Memory(1, 4)
@@ -390,9 +391,10 @@ type oobOutcome struct {
 // trap, mprotect and uffd are exactly equivalent (they all detect the
 // violation), clamp never traps (accesses are redirected to the end
 // of memory), and none never traps for accesses inside the backing.
-// The edge rows put elision's range checks on the last byte of memory:
-// whether trap traps there is fixed, and a check one byte or one
-// iteration short makes wavm miss the trap the others take.
+// The edge rows put accesses on the last byte of memory, the loop rows
+// behind elision's range checks and the group row as straight-line
+// checked loads: whether trap traps there is fixed, and a check one
+// byte or one iteration short makes wavm miss the trap the others take.
 func TestDifferentialOOBTrapEquivalence(t *testing.T) {
 	seeds := 30
 	if testing.Short() {

@@ -109,8 +109,8 @@ func checkPipelines(tb testing.TB, m *wasm.Module, names ...string) {
 // or pairing bug (a renumbered address operand, a fused pair that skips
 // its intermediate register write). elidePair checks wavm against
 // wavm-noelide, elision on the pipeline that ships: an over-eager hoist
-// or coalesce that widened a check would fault at a different address
-// or earlier than the per-access schedule.
+// that widened a check would fault at a different address or earlier
+// than the per-access schedule.
 var (
 	rirSet    = []string{"interp", "wasmtime", "wavm"}
 	elidePair = []string{"wavm-noelide", "wavm"}

@@ -27,15 +27,6 @@ type Instr struct {
 	H     int32  // operand-stack height before this instruction
 	Class isa.OpClass
 	Table []BranchTarget // br_table entries (default entry last)
-	// PureAddr is base/offset provenance for memory accesses: true
-	// when the address operand of this load/store is built purely
-	// from local reads, constants and arithmetic — no loads, calls,
-	// globals or control-flow joins feed it. Such addresses cannot be
-	// changed by intervening memory writes, which is the precondition
-	// the compiled engines' bounds-check elision pass needs before
-	// grouping accesses under one range check (DESIGN.md §11). The
-	// static offset part of the provenance is B, as before.
-	PureAddr bool
 	// Target is true when some branch, if or loop lands on this
 	// instruction. The interpreter's operand folding never reaches
 	// across one: a target starts a fold window or stands alone.
@@ -114,7 +105,6 @@ type ctrl struct {
 type Scratch struct {
 	out   []Instr
 	stack []ctrl
-	pure  []bool
 }
 
 // Flatten lowers a validated function body into a stream of its own.
@@ -149,11 +139,6 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		height int32
 		maxH   int32
 		dead   bool
-		// pure tracks, per operand-stack slot, whether the value was
-		// built purely from locals/constants/arithmetic (address
-		// provenance for Instr.PureAddr). Conservative: control-flow
-		// joins and anything memory- or call-derived clear it.
-		pure = sc.pure[:0]
 		// joined is set where a forward branch or an if is patched to
 		// land on the next instruction emitted, which becomes a Target.
 		joined bool
@@ -162,20 +147,6 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		height += n
 		if height > maxH {
 			maxH = height
-		}
-	}
-	setPure := func(h int32, v bool) {
-		for int(h) >= len(pure) {
-			pure = append(pure, false)
-		}
-		pure[h] = v
-	}
-	isPure := func(h int32) bool { return h >= 0 && int(h) < len(pure) && pure[h] }
-	// clearPure marks [from, to) impure, for join points where a
-	// value may arrive from multiple predecessors.
-	clearPure := func(from, to int32) {
-		for h := from; h < to; h++ {
-			setPure(h, false)
 		}
 	}
 	// emit appends an instruction with the fields every one has and
@@ -242,7 +213,7 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		emit(OpReturnEnd, int32(c.arity), isa.ClassBranch).Arity = c.arity
 		p.Code = out
 		p.MaxStack = int(maxH) + 8
-		sc.stack, sc.pure = stack[:0], pure[:0]
+		sc.stack = stack[:0]
 		return p
 	}
 
@@ -280,7 +251,6 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 						if height > maxH {
 							maxH = height
 						}
-						clearPure(c.height, height)
 						dead = false
 					}
 				}
@@ -326,8 +296,6 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			if height > maxH {
 				maxH = height
 			}
-			// Join point: the result may arrive from any branch.
-			clearPure(c.height, height)
 		case wasm.OpBr:
 			// The branch is emitted before it resolves: a loop whose
 			// first instruction it is marks it a target.
@@ -361,7 +329,6 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			argBase := height - int32(len(callee.Params))
 			h := height
 			push(int32(len(callee.Results) - len(callee.Params)))
-			clearPure(argBase, height)
 			c := emit(op, h, isa.ClassCall)
 			c.A, c.PopTo, c.Arity = in.A, argBase, int8(len(callee.Results))
 		case wasm.OpCallIndirect:
@@ -370,20 +337,16 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			push(-1) // table index
 			argBase := height - int32(len(callee.Params))
 			push(int32(len(callee.Results) - len(callee.Params)))
-			clearPure(argBase, height)
 			c := emit(op, h, isa.ClassCallInd)
 			c.A, c.PopTo, c.Arity = in.A, argBase, int8(len(callee.Results))
 		case wasm.OpDrop:
 			push(-1)
 			emit(op, height+1, isa.ClassALU)
 		case wasm.OpSelect:
-			selPure := isPure(height-3) && isPure(height-2)
 			push(-2)
 			emit(op, height+2, isa.ClassSelect)
-			setPure(height-1, selPure)
 		case wasm.OpLocalGet:
 			push(1)
-			setPure(height-1, true)
 			emit(op, height-1, isa.ClassALU).A = in.A
 		case wasm.OpLocalSet:
 			push(-1)
@@ -392,21 +355,17 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			emit(op, height, isa.ClassALU).A = in.A
 		case wasm.OpGlobalGet:
 			push(1)
-			setPure(height-1, false)
 			emit(op, height-1, isa.ClassGlobal).A = in.A
 		case wasm.OpGlobalSet:
 			push(-1)
 			emit(op, height+1, isa.ClassGlobal).A = in.A
 		case wasm.OpMemorySize:
 			push(1)
-			setPure(height-1, false)
 			emit(op, height-1, isa.ClassALU)
 		case wasm.OpMemoryGrow:
-			setPure(height-1, false)
 			emit(op, height, isa.ClassCall)
 		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
 			push(1)
-			setPure(height-1, true)
 			emit(op, height-1, isa.ClassALU).A = in.A
 		case wasm.OpPrefix:
 			switch in.Sub {
@@ -425,19 +384,6 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			push(delta)
 			ni := emit(op, h, class)
 			ni.A, ni.B = in.A, in.B
-			switch {
-			case op.IsLoad():
-				// Address at h-1 is consumed; the loaded value is not
-				// derivable from locals and constants.
-				ni.PureAddr = isPure(h - 1)
-				setPure(h-1, false)
-			case op.IsStore():
-				// Address at h-2, value at h-1; both popped.
-				ni.PureAddr = isPure(h - 2)
-			case delta == -1:
-				// Binary op: result pure iff both operands were.
-				setPure(h-2, isPure(h-2) && isPure(h-1))
-			}
 		}
 	}
 	return nil, fmt.Errorf("flatten: function body missing final end")

@@ -30,9 +30,8 @@ func operand(slot int, isImm bool, imm uint64, numLocals int) string {
 // that shows every field the emitter reads, cold payloads included:
 // the operation, then in braces its cycle-model class and the flags
 // that decide how it is counted and checked (mem: charges the software
-// bounds check; pure: address derivable from locals and constants;
-// unchecked: proven in range). f.NumLocals fixes the local/register
-// split for operand names.
+// bounds check; unchecked: proven in range). f.NumLocals fixes the
+// local/register split for operand names.
 func (s *Inst) String(f *Func) string {
 	return s.body(f) + s.annotation()
 }
@@ -42,7 +41,7 @@ func (s *Inst) annotation() string {
 	for _, fl := range []struct {
 		on   Flags
 		name string
-	}{{MemAcc, "mem"}, {Pure, "pure"}, {Unchecked, "unchecked"}, {Dead, "dead"}} {
+	}{{MemAcc, "mem"}, {Unchecked, "unchecked"}, {Dead, "dead"}} {
 		if s.Has(fl.on) {
 			a += " " + fl.name
 		}
@@ -150,23 +149,21 @@ func (s *Inst) body(f *Func) string {
 	}
 }
 
-// checkStr renders a range check's plan: a loop plan's induction,
-// bound and step, then every range as its address form, the
-// induction's coefficient, +offset/width, and w for a write. The plan
-// is data, so this is all of it.
+// checkStr renders a range check's plan: its loop's induction, bound
+// and step, then every range as its address form, the induction's
+// coefficient, +offset/width, and w for a write. The plan is data, so
+// this is all of it.
 func checkStr(p *CheckPlan, numLocals int) string {
 	var b strings.Builder
 	b.WriteString("range_check")
 	if p.Reval {
 		b.WriteString(" reval")
 	}
-	if p.Step != 0 {
-		limit := linStr(&p.Limit, numLocals)
-		if p.Limit.IsConst() {
-			limit = fmt.Sprintf("#%d", p.Limit.K)
-		}
-		fmt.Fprintf(&b, " loop(ind=%s limit=%s step=%d)", reg(p.IndSlot, numLocals), limit, p.Step)
+	limit := linStr(&p.Limit, numLocals)
+	if p.Limit.IsConst() {
+		limit = fmt.Sprintf("#%d", p.Limit.K)
 	}
+	fmt.Fprintf(&b, " loop(ind=%s limit=%s step=%d)", reg(p.IndSlot, numLocals), limit, p.Step)
 	rs := make([]string, len(p.Ranges))
 	for i, r := range p.Ranges {
 		rs[i] = fmt.Sprintf("%s +ind*%d +%d/%d", linStr(&r.Addr, numLocals), r.Ind, r.Off, r.Width)

@@ -28,7 +28,7 @@ func TestFlatRecordHoldsEveryField(t *testing.T) {
 		}
 	}
 	s.Shape, s.Side, s.Tgt = ShCall, 1, 1
-	s.Flags = AImm | BImm | BrOnTrue | MemAcc | Dead | Pure
+	s.Flags = AImm | BImm | BrOnTrue | MemAcc | Dead
 	in := &Func{Code: []Inst{s, {Shape: ShReturn}}}
 	in.calls = []Call{{Fidx: 0x81828384, ArgBase: 0x71727374, NArgs: 0x61, Results: 0x51}}
 

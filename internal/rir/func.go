@@ -61,13 +61,12 @@ type BrTable struct {
 	CarrySrc int32
 }
 
-// CheckPlan is the payload of a ShRangeCheck guard emitted by the
-// bounds-check elision passes: the ranges that must all lie in bounds
-// for the guard to fall through. A loop plan (Step > 0) guards a
+// CheckPlan is the payload of a ShRangeCheck guard emitted by
+// bounds-check elision, which is loop versioning: the ranges that must
+// all lie in bounds for the guard to fall through. Every plan guards a
 // counted loop whose induction, in slot IndSlot, starts at its value
-// at the guard and steps by Step while it stays below Limit; its
-// ranges advance with the induction. An induction-free plan (Step = 0)
-// guards one EBB group: one range, with Ind = 0.
+// at the guard and steps by Step (> 0) while it stays below Limit; its
+// ranges advance with the induction.
 type CheckPlan struct {
 	Ranges  []LoopRange
 	IndSlot int
@@ -217,8 +216,8 @@ func zeroed[T any](buf *[]T, n int) []T {
 
 // FindLabels returns the set of pcs that are branch targets, in sc's
 // buffer. Range checks count: their failure edge enters the slow
-// clone, so any pass that requires label-free straight-line runs (EBB
-// coalescing, late pair fusion) must flush at a check's target exactly
+// clone, so any pass that requires label-free straight-line runs (late
+// pair fusion, address folding) must flush at a check's target exactly
 // as it would at a branch target.
 func (f *Func) FindLabels(sc *Scratch) []bool {
 	if sc == nil {

@@ -93,9 +93,6 @@ const (
 	MemAcc
 	// Dead: the op is deleted; Compact drops it.
 	Dead
-	// Pure: a load's or store's address is derivable from locals and
-	// constants (bounds-check elision, internal/compiled/bce.go).
-	Pure
 	// Unchecked: a load or store proven in range; emit the no-check
 	// variant.
 	Unchecked
@@ -283,18 +280,12 @@ func BuildFunc(ff *flatten.Func, sc *Scratch) (*Func, error) {
 				s.Dst = slot(h - 1)
 				s.Off = in.B
 				s.Flags |= MemAcc
-				if in.PureAddr {
-					s.Flags |= Pure
-				}
 			} else if in.Op.IsStore() {
 				s.Shape = ShStore
 				s.A = slot(h - 2) // address
 				s.B = slot(h - 1) // value
 				s.Off = in.B
 				s.Flags |= MemAcc
-				if in.PureAddr {
-					s.Flags |= Pure
-				}
 			} else {
 				_, delta, ok := flatten.Classify(in.Op)
 				if !ok {
