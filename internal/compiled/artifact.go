@@ -1,16 +1,18 @@
 // Compiled-module artifacts for the disk cache tier.
 //
 // The compiled engine's final form is a closure graph (cops), which
-// cannot round-trip through bytes. What can is the IR a cfunc retains
-// as preIR: the function after rir.Lower (after rir.Optimize and
-// rir.Compact for the single-pass engine) and before elision, when
-// every op and cold payload is plain data. An artifact is that IR in rir's own flat form
-// (rir.Func.AppendFlat) plus each function's frame size; decoding
-// (rir.ReadFlat) replays only the back half of the pipeline (backHalf →
-// emit), never validation, flattening, building, optimization or
-// lowering. A function's name, type and local count are not stored: the
-// module the artifact was compiled from gives them, as it gives them to
-// flatten.
+// cannot round-trip through bytes. What can is the front half's IR
+// (Engine.frontHalf): the function after rir.Lower (after rir.Optimize
+// and rir.Compact for the single-pass engine) and before elision, when
+// every op and cold payload is plain data. A compiled function keeps
+// none of it, so encoding re-derives each function's front half from
+// the module, on one scratch and without counting it as a compile. An
+// artifact is that IR in rir's own flat form (rir.Func.AppendFlat)
+// plus each function's frame size; decoding (rir.ReadFlat) replays only
+// the back half of the pipeline (backHalf → emit), never validation,
+// flattening, building, optimization or lowering. A function's name,
+// type and local count are not stored: the module the artifact was
+// compiled from gives them, as it gives them to flatten.
 //
 // Payload layout (little-endian):
 //
@@ -37,7 +39,7 @@ import (
 // Version 3: the payload is rir's flat stream. Version 4: the flags byte
 // holds optimize and elision only (lowering is part of optimizing).
 // Version 5: every engine optimizes, so a wasmtime artifact carries an
-// optimized preIR and the flags byte's bit 0 means lower; a version 4
+// optimized stream and the flags byte's bit 0 means lower; a version 4
 // wasmtime file holds the unoptimized stream and must miss rather than
 // replay slower code. Version 6: the flat records lose the Pure flag
 // bit, so Unchecked takes its place; a version 5 record's Pure bit must
@@ -48,8 +50,9 @@ const artifactVersion = 6
 const artifactHeader = 4 + 1 + 4
 
 // EncodeArtifact implements core.ArtifactCodec. It serializes the
-// retained pre-elision IR of a module this engine family compiled;
-// foreign module types return core.ErrNoArtifact.
+// front half of every function of a module this engine family
+// compiled, re-derived from the module's code; foreign module types
+// return core.ErrNoArtifact. It touches no compile counter.
 func (e *Engine) EncodeArtifact(cm core.CompiledModule) ([]byte, error) {
 	tm, ok := cm.(*Module)
 	if !ok {
@@ -59,9 +62,14 @@ func (e *Engine) EncodeArtifact(cm core.CompiledModule) ([]byte, error) {
 	b := le.AppendUint32(nil, artifactVersion)
 	b = append(b, e.codegenFlags())
 	b = le.AppendUint32(b, uint32(len(tm.funcs)))
-	for _, cf := range tm.funcs {
+	sc := new(scratch)
+	for i := range tm.funcs {
+		cf, f, _, err := e.frontHalf(tm.wasm, tm.imported, i, sc)
+		if err != nil {
+			return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
+		}
 		b = le.AppendUint32(b, uint32(cf.frameSize))
-		b = cf.preIR.AppendFlat(b)
+		b = f.AppendFlat(b)
 	}
 	return b, nil
 }
@@ -92,19 +100,20 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 	data = data[artifactHeader:]
 	imported := uint32(m.NumImportedFuncs())
 	funcs := make([]*cfunc, len(m.Code))
+	irs := make([]*rir.Func, len(m.Code))
 	for i := range funcs {
-		cf, rest, err := readFunc(m, imported, i, data)
+		cf, f, rest, err := readFunc(m, imported, i, data)
 		if err != nil {
 			return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
 		}
-		funcs[i], data = cf, rest
+		funcs[i], irs[i], data = cf, f, rest
 	}
 	if len(data) > 0 {
 		return nil, fmt.Errorf("compiled: %d bytes past the artifact's last function", len(data))
 	}
 	i, err := fanout.Each(len(funcs), func() func(int) error {
 		sc := new(scratch)
-		return func(i int) error { return funcs[i].emit(e.backHalf(funcs[i], sc)) }
+		return func(i int) error { return funcs[i].emit(e.backHalf(irs[i], sc)) }
 	})
 	if err != nil {
 		return nil, fmt.Errorf("compiled: artifact function %d: %w", i, err)
@@ -114,14 +123,14 @@ func (e *Engine) DecodeArtifact(m *wasm.Module, data []byte) (core.CompiledModul
 
 // readFunc reads m.Code[i]'s function — its frame size and flat stream
 // — from the start of data and returns the bytes after it.
-func readFunc(m *wasm.Module, imported uint32, i int, data []byte) (*cfunc, []byte, error) {
+func readFunc(m *wasm.Module, imported uint32, i int, data []byte) (*cfunc, *rir.Func, []byte, error) {
 	index := imported + uint32(i)
 	typ, err := m.FuncTypeAt(index)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("no frame size")
+		return nil, nil, nil, fmt.Errorf("no frame size")
 	}
 	cf := &cfunc{
 		name:      m.FuncNames[index],
@@ -131,11 +140,12 @@ func readFunc(m *wasm.Module, imported uint32, i int, data []byte) (*cfunc, []by
 		frameSize: int(binary.LittleEndian.Uint32(data)),
 		index:     index,
 	}
-	if cf.preIR, data, err = rir.ReadFlat(data[4:], cf.frameSize); err != nil {
-		return nil, nil, err
+	f, data, err := rir.ReadFlat(data[4:], cf.frameSize)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	cf.preIR.NumLocals = cf.numLocals
-	return cf, data, nil
+	f.NumLocals = cf.numLocals
+	return cf, f, data, nil
 }
 
 // Interface conformance.

@@ -1,8 +1,6 @@
 package compiled
 
 import (
-	"math"
-
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/rir"
@@ -10,16 +8,16 @@ import (
 )
 
 // Bounds-check elision (DESIGN.md §11) is loop versioning. The pass
-// rewrites optimized, compacted slot IR so that an innermost counted
-// loop whose accesses have addresses linear in the induction local and
-// loop-invariant slots runs them through check-free closures guarded
-// by a single up-front range check. The loop is cloned: a preheader
-// rir.ShRangeCheck computes each access's first address and stride,
-// proves the whole sequence in bounds via mem.CheckRange, and
-// dispatches to a fast copy (accesses unchecked) or the untouched slow
-// copy. Calls and memory.grow in the body get a revalidation check
-// after them in the fast copy, failing over to the slow copy mid-loop.
-// Accesses outside such a loop stay checked one by one.
+// rewrites lowered slot IR so that an innermost counted loop — step 1,
+// no call, call_indirect or memory.grow in its body — whose accesses
+// have addresses linear in the induction local and loop-invariant slots
+// runs them through check-free closures guarded by a single up-front
+// range check. The loop is cloned: a preheader rir.ShRangeCheck
+// computes each access's first address and stride, proves the whole
+// sequence in bounds via mem.CheckRange, and dispatches to a fast copy
+// (accesses unchecked) or the untouched slow copy. Those are the loops
+// the registered workloads have; accesses outside such a loop stay
+// checked one by one.
 //
 // A plan is plain data, rir.CheckPlan: ranges in the linear form
 // rir.Lin that address folding uses too.
@@ -51,7 +49,6 @@ var (
 	bceChecksEmitted obs.Counter // accesses left per-access checked
 	bceChecksElided  obs.Counter // accesses lowered to unchecked closures
 	bceHoisted       obs.Counter // per-access checks hoisted to loop preheaders
-	bceRevalidations obs.Counter // runtime re-checks after call/grow in fast loop copies
 	bceAddrFused     obs.Counter // address-mode ops folded into accesses, checked or not
 )
 
@@ -60,7 +57,6 @@ type BCEStats struct {
 	ChecksEmitted int64
 	ChecksElided  int64
 	Hoisted       int64
-	Revalidations int64
 	AddrFused     int64
 }
 
@@ -70,7 +66,6 @@ func Stats() BCEStats {
 		ChecksEmitted: bceChecksEmitted.Load(),
 		ChecksElided:  bceChecksElided.Load(),
 		Hoisted:       bceHoisted.Load(),
-		Revalidations: bceRevalidations.Load(),
 		AddrFused:     bceAddrFused.Load(),
 	}
 }
@@ -82,16 +77,13 @@ func AttachBCEObs(sc *obs.Scope) {
 	sc.RegisterCounter("checks_emitted", &bceChecksEmitted)
 	sc.RegisterCounter("checks_elided", &bceChecksElided)
 	sc.RegisterCounter("hoisted", &bceHoisted)
-	sc.RegisterCounter("revalidations", &bceRevalidations)
 	sc.RegisterCounter("addr_fused", &bceAddrFused)
 }
 
-// elide is the pass entry point, run after optimize+rir.Compact. It
-// does not write the Func it is handed (the engine retains that one
-// for the artifact tier): versioning builds a new, longer stream in
-// sc's working stream or returns its input untouched.
-func elide(pre *rir.Func, sc *scratch) *rir.Func {
-	f := hoistLoops(pre, sc)
+// elide is the pass entry point, run on the lowered stream: versioning
+// lays f's longer stream out in sc's working stream.
+func elide(f *rir.Func, sc *scratch) {
+	hoistLoops(f, sc)
 	checked := int64(0)
 	for i := range f.Code {
 		s := &f.Code[i]
@@ -100,7 +92,6 @@ func elide(pre *rir.Func, sc *scratch) *rir.Func {
 		}
 	}
 	bceChecksEmitted.Add(checked)
-	return f
 }
 
 // accWidth returns the byte width a load/store opcode touches.
@@ -130,8 +121,6 @@ type region struct {
 	first, last int
 	plan        rir.CheckPlan
 	unchecked   []bool // by pc - first: the accesses plan proves
-	revals      []int  // by pc - first, ascending: calls and grows the check re-runs after
-	slowAt      int32  // where version puts the slow copy
 }
 
 // rangeCheck returns a range-check guard that branches to tgt on
@@ -149,11 +138,10 @@ func rangeCheck(f *rir.Func, tgt int32, p rir.CheckPlan) rir.Inst {
 // which never repeats on one scratch, so an entry a previous function
 // left is never read as this one's.
 type bceScratch struct {
-	code    []rir.Inst // hoistLoops' output or the copy of preIR
+	code    []rir.Inst // version's output
 	remap   []int32
 	lastDef []lastDef  // by slot: its last writer in the loop body scanned under gen
 	defs    [][2]int32 // by pc - L: the defs that reach operands A and B
-	clobs   []clobber
 	gen     uint32
 	between []int
 }
@@ -175,16 +163,15 @@ func zeroed[T any](buf *[]T, n int) []T {
 
 // version lays each region, in program order and disjoint, out as
 //
-//	[check][fast copy (+revalidations)][slow copy]
+//	[check][fast copy][slow copy]
 //
-// The fast copy runs the accesses its plan proves unchecked, and a
-// revalidation after a call or grow fails over to the same point of
-// the slow copy. The slow copy is the loop verbatim, where the check
-// fails to. Each copy ends in its own backedge, so neither falls
-// through into what follows it. A branch from outside enters a region
-// at its check: regions are label-free past first, so a branch targets
-// no other op of one. The stream is built in sc.code.
-func version(f *rir.Func, regions []region, sc *bceScratch) *rir.Func {
+// The fast copy runs the accesses its plan proves unchecked; the slow
+// copy is the loop verbatim, where the check fails to. Each copy ends
+// in its own backedge, so neither falls through into what follows it.
+// A branch from outside enters a region at its check: regions are
+// label-free past first, so a branch targets no other op of one. The
+// stream is built in sc.code and becomes f's.
+func version(f *rir.Func, regions []region, sc *bceScratch) {
 	ir := f.Code
 	// Layout: remap carries old positions to new ones for targets from
 	// outside a region.
@@ -200,37 +187,36 @@ func version(f *rir.Func, regions []region, sc *bceScratch) *rir.Func {
 		r := &regions[ri]
 		n := int32(r.last - r.first + 1)
 		remap[i] = newPC
-		r.slowAt = newPC + 1 + n + int32(len(r.revals))
+		slowAt := newPC + 1 + n
 		for k := int32(1); k < n; k++ {
-			remap[i+int(k)] = r.slowAt + k
+			remap[i+int(k)] = slowAt + k
 		}
-		newPC = r.slowAt + n
+		newPC = slowAt + n
 		i = r.last + 1
 		ri++
 	}
 	remap[len(ir)] = newPC
 
-	out := f.With(stream(&sc.code, int(newPC)))
+	out := stream(&sc.code, int(newPC))
 	elided := int64(0)
 	outside := func(t int32) int32 { return remap[t] }
 	ri = 0
 	for i := 0; i < len(ir); {
 		if ri == len(regions) || regions[ri].first != i {
 			s := ir[i]
-			out.RewriteTargets(&s, outside)
-			out.Code = append(out.Code, s)
+			f.RewriteTargets(&s, outside)
+			out = append(out, s)
 			i++
 			continue
 		}
 		r := &regions[ri]
-		slowStart := r.slowAt
 		ri++
 		n := r.last - r.first + 1
 		// copyAt is op k of the copy whose header lands at start: the
 		// backedge stays in its copy.
 		copyAt := func(k int, start int32) rir.Inst {
 			s := ir[r.first+k]
-			out.RewriteTargets(&s, func(t int32) int32 {
+			f.RewriteTargets(&s, func(t int32) int32 {
 				if int(t) == r.first {
 					return start
 				}
@@ -238,30 +224,25 @@ func version(f *rir.Func, regions []region, sc *bceScratch) *rir.Func {
 			})
 			return s
 		}
-		out.Code = append(out.Code, rangeCheck(out, slowStart, r.plan))
-		fastStart, revals := int32(len(out.Code)), r.revals
+		fastStart := int32(len(out)) + 1
+		slowStart := fastStart + int32(n)
+		out = append(out, rangeCheck(f, slowStart, r.plan))
 		for k := 0; k < n; k++ {
 			s := copyAt(k, fastStart)
 			if r.unchecked[k] {
 				s.Flags = s.Flags&^rir.MemAcc | rir.Unchecked
 				elided++
 			}
-			out.Code = append(out.Code, s)
-			if len(revals) > 0 && revals[0] == k {
-				rp := r.plan
-				rp.Reval = true
-				out.Code = append(out.Code, rangeCheck(out, slowStart+int32(k)+1, rp))
-				revals = revals[1:]
-			}
+			out = append(out, s)
 		}
 		for k := 0; k < n; k++ {
-			out.Code = append(out.Code, copyAt(k, slowStart))
+			out = append(out, copyAt(k, slowStart))
 		}
 		i = r.last + 1
 	}
 	bceChecksElided.Add(elided)
-	sc.code = out.Code
-	return out
+	sc.code = out
+	f.Code = out
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +251,7 @@ func version(f *rir.Func, regions []region, sc *bceScratch) *rir.Func {
 
 // hoistLoops finds analyzable innermost counted loops and versions
 // them.
-func hoistLoops(f *rir.Func, sc *scratch) *rir.Func {
+func hoistLoops(f *rir.Func, sc *scratch) {
 	labels := f.FindLabels(&sc.ir)
 	var regions []region
 	hoisted := int64(0)
@@ -287,17 +268,19 @@ func hoistLoops(f *rir.Func, sc *scratch) *rir.Func {
 		}
 	}
 	if len(regions) == 0 {
-		return f
+		return
 	}
 	bceHoisted.Add(hoisted)
-	return version(f, regions, &sc.bce)
+	version(f, regions, &sc.bce)
 }
 
 // analyzeLoop decides whether [L..E] is a versionable counted loop
 // and builds its region and preheader plan. The tests run cheapest
 // first, and one forward scan of the body gives everything past them:
 // its write set, the induction's writers and the definition that
-// reaches each operand the address analysis reads.
+// reaches each operand the address analysis reads. A loop with a
+// call, call_indirect or memory.grow in its body, or a step other than
+// 1, is not versioned: no registered workload has one.
 func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 	ir := f.Code
 	// Header: fused compare exiting the loop while the induction
@@ -326,10 +309,12 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 		}
 	}
 	// Exactly one backedge (ours): a second branch to L could skip
-	// the increment.
+	// the increment. Nothing in the body calls or grows memory.
 	for pc := L; pc < E; pc++ {
 		s := &ir[pc]
 		switch s.Shape {
+		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
+			return nil
 		case rir.ShJump, rir.ShIfFalse, rir.ShBranchIf, rir.ShCmpBranch:
 			if int(s.Tgt) == L {
 				return nil
@@ -345,29 +330,20 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 
 	// The body in one forward scan. Before an op's writes it records
 	// the definition reaching each operand it reads (the last op past
-	// the header to write the slot, a call's clobber counting), -1
-	// when the value flows in from the header; its writes then go into
-	// the write set. The induction must have exactly one writer, the
-	// canonical increment.
+	// the header to write the slot), -1 when the value flows in from
+	// the header; its writes then go into the write set. The induction
+	// must have exactly one writer, the canonical increment.
 	sc.gen++
 	gen := sc.gen
 	ld := sc.lastDef
 	defs := zeroed(&sc.defs, E-L+1)
-	clobs := sc.clobs[:0]
 	reaching := func(slot int) int32 {
-		// Copies of the tables the scan grows, so that Go's prover sees
-		// the length tests guard the reads.
-		d, ld, clobs := int32(-1), ld, clobs
-		if uint(slot) < uint(len(ld)) && ld[slot].gen == gen {
-			d = ld[slot].pc
+		// A copy of the table the scan grows, so that Go's prover sees
+		// the length test guard the read.
+		if ld := ld; uint(slot) < uint(len(ld)) && ld[slot].gen == gen {
+			return ld[slot].pc
 		}
-		for k := len(clobs) - 1; k >= 0; k-- {
-			if slot >= int(clobs[k].base) {
-				d = max(d, clobs[k].pc)
-				break
-			}
-		}
-		return d
+		return -1
 	}
 	cWrites := 0
 	incPC, incSrc := -1, int32(-1) // the induction's writer, and the def its A reads
@@ -385,9 +361,7 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 				d[1] = reaching(int(s.B))
 			}
 		}
-		// Calls clobber only callee frames (>= numLocals): they reach
-		// the reads above them but are not in the write set.
-		if clob := f.InstWrites(s, func(slot int) {
+		f.InstWrites(s, func(slot int) {
 			for slot >= len(ld) {
 				ld = append(ld, lastDef{})
 			}
@@ -396,16 +370,14 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 				cWrites++
 				incPC, incSrc = pc, d[0]
 			}
-		}); clob >= 0 {
-			clobs = append(clobs, clobber{int32(pc), int32(clob)})
-		}
+		})
 	}
-	sc.lastDef, sc.clobs = ld, clobs
+	sc.lastDef = ld
 	if cWrites != 1 {
 		return nil
 	}
 	// The increment is either a retargeted binop writing the local
-	// directly, or the common local.set of a temp holding c + step.
+	// directly, or the common local.set of a temp holding c + 1.
 	inc := &ir[incPC]
 	if inc.Shape == rir.ShMove {
 		if incSrc < 0 {
@@ -413,11 +385,8 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 		}
 		inc = &ir[incSrc]
 	}
-	if inc.Shape != rir.ShBin || inc.Op != wasm.OpI32Add || int(inc.A) != c || !inc.Has(rir.BImm) {
-		return nil
-	}
-	step := int32(uint32(f.ImmB(inc)))
-	if step <= 0 {
+	if inc.Shape != rir.ShBin || inc.Op != wasm.OpI32Add || int(inc.A) != c || !inc.Has(rir.BImm) ||
+		uint32(f.ImmB(inc)) != 1 {
 		return nil
 	}
 	// The body's write set is the slots written under gen.
@@ -428,17 +397,15 @@ func analyzeLoop(f *rir.Func, labels []bool, L, E int, sc *bceScratch) *region {
 	}
 
 	r := &region{first: L, last: E, unchecked: make([]bool, E-L+1)}
-	r.plan = rir.CheckPlan{IndSlot: c, Limit: rir.LinSlot(int(hdr.B)), Step: step}
+	r.plan = rir.CheckPlan{IndSlot: c, Limit: rir.LinSlot(int(hdr.B))}
 	if limitIsImm {
 		r.plan.Limit = rir.Lin{K: uint32(f.ImmB(hdr))}
 	}
-	an := &affineAnalyzer{f: f, L: L, C: c, incPC: incPC, Step: step, defs: defs, invariant: invariant}
+	an := &affineAnalyzer{f: f, L: L, C: c, incPC: incPC, defs: defs, invariant: invariant}
 	for k := 1; k < len(defs)-1; k++ {
 		pc := L + k
 		s := &ir[pc]
 		switch s.Shape {
-		case rir.ShCall, rir.ShCallInd, rir.ShMemGrow:
-			r.revals = append(r.revals, pc-L)
 		case rir.ShLoad, rir.ShStore:
 			if s.Has(rir.Unchecked) {
 				continue
@@ -484,7 +451,6 @@ type affineAnalyzer struct {
 	L         int
 	C         int
 	incPC     int
-	Step      int32
 	defs      [][2]int32 // by pc - L: the defs that reach operands A and B
 	invariant func(int) bool
 }
@@ -495,9 +461,6 @@ type lastDef struct {
 	pc  int32
 	gen uint32
 }
-
-// clobber is a call in the loop body: it writes every slot from base.
-type clobber struct{ pc, base int32 }
 
 const maxExprDepth = 32
 
@@ -522,8 +485,8 @@ func (an *affineAnalyzer) build(slot, def, depth int) (affine, bool) {
 		return affine{l: rir.LinSlot(slot)}, an.invariant(slot)
 	}
 	if def == an.incPC && slot == an.C {
-		// c read after its increment: iteration value + step.
-		return affine{l: rir.Lin{K: uint32(an.Step)}, ind: 1}, true
+		// c read after its increment: iteration value + 1.
+		return affine{l: rir.Lin{K: 1}, ind: 1}, true
 	}
 	d, reach := &an.f.Code[def], &an.defs[def-an.L]
 	switch d.Shape {
@@ -578,8 +541,7 @@ func (an *affineAnalyzer) build(slot, def, depth int) (affine, bool) {
 func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 	p := f.Check(s)
 	tgt := int(s.Tgt)
-	ind, bound, step := p.IndSlot, p.Limit, int64(p.Step)
-	reval := p.Reval
+	ind, bound := p.IndSlot, p.Limit
 	ranges := p.Ranges
 	return func(inst *Instance, base, pc int) int {
 		m := inst.base.Mem
@@ -588,38 +550,24 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 			// evaluation and run the checked copy directly.
 			return tgt
 		}
-		if reval {
-			bceRevalidations.Inc()
-		}
 		st := inst.stack
 		lo := int64(int32(uint32(st[base+ind])))
 		limit := int64(int32(bound.Eval(st, base)))
 		if lo < 0 || lo >= limit {
 			return tgt
 		}
-		var iters int64
-		if step == 1 {
-			// The dominant shape: trip count needs no division and the
-			// induction cannot overflow int32 before reaching limit.
-			iters = limit - lo
-		} else {
-			iters = (limit - lo + step - 1) / step
-			if lo+iters*step > math.MaxInt32 {
-				// The original loop would wrap the induction rather
-				// than exit; only the checked copy reproduces that.
-				return tgt
-			}
-		}
+		// Step 1: the loop runs limit - lo times, and the induction
+		// reaches limit before it could overflow int32.
+		iters := limit - lo
 		for i := range ranges {
 			r := &ranges[i]
 			// The analyzer only admits addresses linear in the
 			// induction value mod 2^32, so the visited addresses are
-			// exactly a0 + k*stride (mod 2^32) for k in [0, iters); a
+			// exactly a0 + k*Ind (mod 2^32) for k in [0, iters); a
 			// bounded total span pins every interior address inside
 			// [a0, a0+total] with no wraparound.
 			a0 := r.Addr.Eval(st, base) + r.Ind*uint32(lo)
-			stride := r.Ind * uint32(step)
-			total := uint64(stride) * uint64(iters-1)
+			total := uint64(r.Ind) * uint64(iters-1)
 			if total >= 1<<32 {
 				return tgt
 			}
@@ -661,8 +609,7 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 //
 // A folded chain is linear i32 arithmetic that cannot trap and yields
 // the same effective address, so a checked access keeps its trap kind,
-// its trap address and clamp's redirect. The pass rewrites f in place;
-// the engine hands it a working copy, never preIR.
+// its trap address and clamp's redirect. The pass rewrites f in place.
 func fuseAddrs(f *rir.Func, sc *scratch) {
 	ir, isTgt := f.Code, f.FindLabels(&sc.ir)
 	// transparent reports whether a rir.Inst between chain and access can

@@ -97,10 +97,12 @@ func TestHoistLoopInvariantChecks(t *testing.T) {
 	runAllStrategies(t, cm)
 }
 
-// TestStraightLineAccessesStayChecked compiles straight-line same-base
-// traffic (two loads + two stores, no loop) and requires each access
-// to keep its own check: elision is loop versioning, and outside a
-// loop it has nothing to version.
+// TestStraightLineAccessesStayChecked compiles traffic that elision
+// leaves alone and requires each access to keep its own check:
+// straight-line same-base accesses (two loads + two stores, no loop:
+// outside a loop there is nothing to version), and the two counted
+// loops no registered workload has — one with a call in its body, one
+// stepping by 2 (uncheckedLoops).
 func TestStraightLineAccessesStayChecked(t *testing.T) {
 	mb := g.NewModule()
 	mb.Memory(1, 4)
@@ -116,25 +118,80 @@ func TestStraightLineAccessesStayChecked(t *testing.T) {
 		g.Return(g.Add(g.Get(a), g.Get(b))),
 	)
 	mb.Export("run", f)
-	m, err := mb.Module()
+	straight, err := mb.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := compiled.Stats()
-	eng := compiled.NewWAVM()
-	eng.SetCache(nil)
-	cm, err := eng.Compile(m)
+	rows := append([]namedModule{{"straight-line", straight}}, uncheckedLoops(t)...)
+	// Every access of each module, checked one by one.
+	accesses := map[string]int64{"straight-line": 4, "call-in-loop": 2, "step-2-loop": 3}
+	for _, row := range rows {
+		before := compiled.Stats()
+		eng := compiled.NewWAVM()
+		eng.SetCache(nil)
+		cm, err := eng.Compile(row.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := compiled.Stats()
+		if d := after.ChecksElided - before.ChecksElided; d != 0 {
+			t.Errorf("%s: %d checks elided, want 0", row.name, d)
+		}
+		if d := after.ChecksEmitted - before.ChecksEmitted; d != accesses[row.name] {
+			t.Errorf("%s: %d checks emitted, want its %d accesses", row.name, d, accesses[row.name])
+		}
+		runAllStrategies(t, cm)
+	}
+}
+
+// uncheckedLoops are counted loops of affine accesses that elision
+// does not version: "call-in-loop" calls a function in its body,
+// "step-2-loop" advances its induction by 2. Both are in the golden
+// set too (goldenExtras).
+func uncheckedLoops(t *testing.T) []namedModule {
+	t.Helper()
+	arr := g.NewLayout(0).I64(64)
+
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	id := mb.Func("id", wasm.I32)
+	x := id.ParamI32("x")
+	id.Body(g.Return(g.Get(x)))
+	f := mb.Func("run", wasm.I64)
+	i := f.LocalI32("i")
+	acc := f.LocalI64("acc")
+	f.Body(
+		g.For(i, g.I32(0), g.I32(32),
+			g.Set(acc, g.Add(g.Get(acc), arr.Load(g.Get(i)))),
+			arr.Store(g.Get(i), g.I64FromI32(g.Call(id, g.Get(i)))),
+		),
+		g.Return(g.Get(acc)),
+	)
+	mb.Export("run", f)
+	call, err := mb.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := compiled.Stats()
-	if d := after.ChecksElided - before.ChecksElided; d != 0 {
-		t.Errorf("%d checks elided on straight-line traffic, want 0", d)
+
+	mb = g.NewModule()
+	mb.Memory(1, 4)
+	f = mb.Func("run", wasm.I64)
+	i = f.LocalI32("i")
+	acc = f.LocalI64("acc")
+	f.Body(
+		g.ForStep(i, g.I32(0), g.I32(62), g.I32(2),
+			g.Set(acc, g.Add(g.Get(acc), arr.Load(g.Get(i)))),
+			g.Set(acc, g.Xor(g.Get(acc), arr.Load(g.Add(g.Get(i), g.I32(1))))),
+			arr.Store(g.Get(i), g.Get(acc)),
+		),
+		g.Return(g.Get(acc)),
+	)
+	mb.Export("run", f)
+	step2, err := mb.Module()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := after.ChecksEmitted - before.ChecksEmitted; d != 4 {
-		t.Errorf("%d checks emitted on straight-line traffic, want its 4 accesses", d)
-	}
-	runAllStrategies(t, cm)
+	return []namedModule{{"call-in-loop", call}, {"step-2-loop", step2}}
 }
 
 // TestGemmElisionStats compiles the real gemm workload and requires

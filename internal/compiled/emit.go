@@ -3,8 +3,8 @@ package compiled
 import (
 	"fmt"
 
-	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
+	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/wasm"
@@ -15,22 +15,30 @@ import (
 // (negative to return from the function).
 type cop func(inst *Instance, base int, pc int) int
 
-// noClass marks a dispatch that charges the cycle model one class only.
-const noClass isa.OpClass = -1
+// opMeta is one op's record for the instrumented loop: its cycle-model
+// class, the second half's class of a fused pair (noClass for one-class
+// ops), and its check flags in the profiler's terms — prof.FlagChecked
+// on an access that charges the software check, prof.FlagElided on one
+// a range check proved in bounds.
+type opMeta struct {
+	class, class2 uint8
+	flags         uint8
+}
 
-// emit compiles the slot IR to closures plus the parallel class,
-// memory-access and check-elided arrays used by cycle accounting and
-// the sampling profiler. A fused pair of the kinds that postdate the
-// cycle model (rir.ShPair, rir.ShPairBr) charges both halves' classes,
-// so fusing it moves no modelled cycle; load+op and op+store keep
-// counting as the one memory-class instruction they always have.
+// noClass is an opMeta's class2 when the dispatch charges the cycle
+// model one class only.
+const noClass = 0xff
+
+// emit compiles the slot IR to closures plus one opMeta per op, for
+// cycle accounting and the sampling profiler. A fused pair of the kinds
+// that postdate the cycle model (rir.ShPair, rir.ShPairBr) charges both
+// halves' classes, so fusing it moves no modelled cycle; load+op and
+// op+store keep counting as the one memory-class instruction they
+// always have.
 func (cf *cfunc) emit(f *rir.Func) error {
 	ir := f.Code
 	cf.code = make([]cop, len(ir))
-	cf.classes = make([]isa.OpClass, len(ir))
-	cf.classes2 = make([]isa.OpClass, len(ir))
-	cf.memAcc = make([]bool, len(ir))
-	cf.elided = make([]bool, len(ir))
+	cf.meta = make([]opMeta, len(ir))
 	for i := range ir {
 		s := &ir[i]
 		c, err := emitOne(f, s, i)
@@ -38,13 +46,17 @@ func (cf *cfunc) emit(f *rir.Func) error {
 			return fmt.Errorf("compiled: op %d (%s): %w", i, s.Op, err)
 		}
 		cf.code[i] = c
-		cf.classes[i] = isa.OpClass(s.Class)
-		cf.classes2[i] = noClass
+		m := opMeta{class: s.Class, class2: noClass}
 		if s.Shape == rir.ShPair || s.Shape == rir.ShPairBr {
-			cf.classes2[i] = isa.OpClass(f.Pair(s)[1].Class)
+			m.class2 = f.Pair(s)[1].Class
 		}
-		cf.memAcc[i] = s.Has(rir.MemAcc)
-		cf.elided[i] = s.Has(rir.MemAcc | rir.Unchecked)
+		if s.Has(rir.MemAcc) {
+			m.flags |= prof.FlagChecked
+		}
+		if s.Has(rir.Unchecked) {
+			m.flags |= prof.FlagElided
+		}
+		cf.meta[i] = m
 	}
 	return nil
 }

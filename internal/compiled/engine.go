@@ -2,7 +2,6 @@ package compiled
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"leapsandbounds/internal/core"
@@ -123,7 +122,9 @@ func (e *Engine) CachedModule(m *wasm.Module) (*Module, bool) {
 // Name implements core.Engine.
 func (e *Engine) Name() string { return e.name }
 
-// cfunc is one compiled function.
+// cfunc is one compiled function: what its execution needs, and no
+// more. The artifact tier re-derives the front half from the module
+// when it encodes (artifact.go), so nothing of the IR stays.
 type cfunc struct {
 	name      string
 	typ       wasm.FuncType
@@ -131,18 +132,8 @@ type cfunc struct {
 	numLocals int
 	frameSize int // locals + operand slots
 	code      []cop
-	classes   []isa.OpClass
-	classes2  []isa.OpClass // second half's class of a fused pair, or noClass
-	memAcc    []bool
-	// elided marks memory accesses whose bounds check the elision
-	// pass removed; index is the function-space index. Both feed the
-	// sampling profiler's per-op publication.
-	elided []bool
-	index  uint32
-	// preIR is the pre-elision IR retained for the disk artifact tier
-	// (artifact.go): the last all-plain-data pipeline stage, from which
-	// backHalf → emit reproduce this function exactly.
-	preIR *rir.Func
+	meta      []opMeta // by pc: what cycle accounting and the profiler read
+	index     uint32   // function-space index, the profiler's function
 }
 
 // Module is the compiled form; exported so the tiered engine can
@@ -215,9 +206,8 @@ func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
 // scratch is one compile worker's memory, reused across the functions
 // the worker takes (DESIGN.md §13): flatten's output buffer, the rir
 // passes' tables and the back half's (bceScratch). Nothing a module
-// keeps points into it: lowerFunc copies preIR out at its exact
-// length, and emit's closures capture values and cold tables, never a
-// stream.
+// keeps points into it: emit's closures capture values and cold
+// tables, never a stream.
 type scratch struct {
 	flat flatten.Scratch
 	ir   rir.Scratch
@@ -238,39 +228,57 @@ func (e *Engine) compileFunc(m *wasm.Module, imported uint32, i int, sc *scratch
 }
 
 // lowerFunc runs the chain for m.Code[i] up to the stream emit
-// receives. The front half — flatten, build, Optimize, Compact, and on
-// wavm Lower — ends at the last all-plain-data stage, which the cfunc
-// retains as preIR; backHalf does the rest (nothing, on wasmtime).
+// receives — frontHalf, then backHalf on the same stream — and counts
+// it in rir's counters. The stream returned is one of sc's, valid
+// until sc compiles the next function.
+func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int, sc *scratch) (*cfunc, *rir.Func, error) {
+	start := time.Now()
+	cf, f, n, err := e.frontHalf(m, imported, i, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	rir.RecordOptimize(n.fusedCmpBr)
+	f = e.backHalf(f, sc)
+	if e.lower {
+		rir.RecordLowering(n.opsIn, len(f.Code), n.regs, time.Since(start).Nanoseconds())
+	}
+	return cf, f, nil
+}
+
+// frontCounts is what the front half did to one function, for rir's
+// counters.
+type frontCounts struct{ opsIn, regs, fusedCmpBr int }
+
+// frontHalf runs flatten, build, Optimize, Compact and, on wavm, Lower
+// for m.Code[i] on sc: the last stage whose every op and cold payload
+// is plain data, which is what the disk artifact holds. It counts
+// nothing itself — EncodeArtifact re-derives a compiled module's front
+// halves, and an encode is no compile — and returns its stream in sc.
 //
 // Lower must precede elide and fuseAddrs — they capture raw register
 // indices in CheckPlan ranges and folded addresses — and FuseMem
 // runs last so it pairs accesses with their addresses already folded.
 // Lowering shrinks the frame from locals+maxStack to locals+registers
 // (plus the same scratch pad flatten reserves above MaxStack).
-//
-// Every stage up to preIR runs in sc's buffers; preIR is copied out at
-// its exact length, and the stream returned is one of sc's, valid
-// until sc compiles the next function.
-func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int, sc *scratch) (*cfunc, *rir.Func, error) {
-	start := time.Now()
+func (e *Engine) frontHalf(m *wasm.Module, imported uint32, i int, sc *scratch) (*cfunc, *rir.Func, frontCounts, error) {
+	var n frontCounts
 	index := imported + uint32(i)
 	ff, err := sc.flat.Flatten(m, index, &m.Code[i])
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, n, err
 	}
 	f, err := rir.BuildFunc(ff, &sc.ir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, n, err
 	}
-	opsIn := len(f.Code)
-	f.Optimize(&sc.ir)
+	n.opsIn = len(f.Code)
+	n.fusedCmpBr = f.Optimize(&sc.ir)
 	f.Compact(&sc.ir)
 	frameSize := ff.NumLocals + ff.MaxStack
-	regs := 0
 	if e.lower {
-		regs = f.Lower(&sc.ir)
+		n.regs = f.Lower(&sc.ir)
 		// Mirror flatten's MaxStack = maxH+8 scratch margin.
-		frameSize = ff.NumLocals + regs + 8
+		frameSize = ff.NumLocals + n.regs + 8
 	}
 	cf := &cfunc{
 		name:      ff.Name,
@@ -279,13 +287,8 @@ func (e *Engine) lowerFunc(m *wasm.Module, imported uint32, i int, sc *scratch) 
 		numLocals: ff.NumLocals,
 		frameSize: frameSize,
 		index:     index,
-		preIR:     f.With(slices.Clone(f.Code)),
 	}
-	f = e.backHalf(cf, sc)
-	if e.lower {
-		rir.RecordLowering(opsIn, len(f.Code), regs, time.Since(start).Nanoseconds())
-	}
-	return cf, f, nil
+	return cf, f, n, nil
 }
 
 // EmittedIR returns what the dump tools print side by side for
@@ -309,29 +312,18 @@ func (e *Engine) EmittedIR(m *wasm.Module, i int) (built, emitted *rir.Func, err
 }
 
 // backHalf runs the passes whose output is not plain data, elide →
-// fuseAddrs → FuseMem, and returns the IR to emit; a fresh compile and
-// an artifact decode share it. Address folding is codegen, not
-// elision: it runs on every compile that lowers, with elision on or
-// off, and only the single-pass stream goes without the back half.
-// cf.preIR stays as it was, so the module can still be encoded: elide
-// does not write the Func it is handed (it returns that Func when it
-// finds nothing to elide, a new one otherwise), and the passes that
-// rewrite in place get a copy whenever their input would still be
-// preIR. The copy shares the cold tables (rir.Func.With): the passes
-// give an op a new cold entry rather than write through one. The
-// working streams are sc's.
-func (e *Engine) backHalf(cf *cfunc, sc *scratch) *rir.Func {
-	f := cf.preIR
+// fuseAddrs → FuseMem, on the front half's stream f, and returns the IR
+// to emit; a fresh compile and an artifact decode share it. Address
+// folding is codegen, not elision: it runs on every compile that
+// lowers, with elision on or off, and only the single-pass stream goes
+// without the back half. The passes rewrite f in place, except that
+// versioning lays its longer stream out in sc.
+func (e *Engine) backHalf(f *rir.Func, sc *scratch) *rir.Func {
 	if !e.lower {
 		return f
 	}
 	if e.elide {
-		f = elide(f, sc)
-	}
-	if f == cf.preIR {
-		buf := &sc.bce.code
-		*buf = append(stream(buf, len(f.Code)), f.Code...)
-		f = f.With(*buf)
+		elide(f, sc)
 	}
 	fuseAddrs(f, sc)
 	f.FuseMem(&sc.ir)
@@ -476,21 +468,23 @@ func (inst *Instance) run(cf *cfunc, base int) {
 	}
 }
 
-// runInstrumented is the one instrumented dispatch loop. When the
-// instance is sampled, it publishes (function, opcode class, check
-// flags) into the instance's cell with one atomic store before every
-// closure; when cycle accounting is on, it charges the closure's
-// classes (both halves of a fused pair, plus the strategy's check on
-// accesses) and counts the dispatch.
+// runInstrumented is the one instrumented dispatch loop. It reads one
+// opMeta per dispatch. When the instance is sampled, it publishes
+// (function, opcode class, check flags) into the instance's cell with
+// one atomic store before every closure; when cycle accounting is on,
+// it charges the closure's classes (both halves of a fused pair, plus
+// the strategy's check on checked accesses) and counts the dispatch.
 // `-cycles -profile` gets both.
 func (inst *Instance) runInstrumented(cf *cfunc, base int) {
-	code := cf.code
-	classes, classes2 := cf.classes, cf.classes2
-	memAcc := cf.memAcc
-	elided := cf.elided
+	code, meta := cf.code, cf.meta
 	fn := cf.index
 	cell := inst.prof
-	ckSoft := inst.ckSoft
+	// pub masks an op's flags down to what the profiler is told: an
+	// elided access always, a checked one only under a software check.
+	pub := prof.FlagElided
+	if inst.ckSoft {
+		pub |= prof.FlagChecked
+	}
 	counting := inst.count
 	var counts *isa.Counts
 	var ck isa.OpClass
@@ -500,25 +494,17 @@ func (inst *Instance) runInstrumented(cf *cfunc, base int) {
 		ck, ckOn = inst.base.CheckClass()
 	}
 	for pc := 0; pc >= 0; {
+		m := &meta[pc]
 		if cell != nil {
-			var fl uint8
-			if memAcc[pc] {
-				switch {
-				case elided[pc]:
-					fl = prof.FlagElided
-				case ckSoft:
-					fl = prof.FlagChecked
-				}
-			}
-			cell.Set(fn, classes[pc], fl)
+			cell.Set(fn, isa.OpClass(m.class), m.flags&pub)
 		}
 		if counting {
 			inst.dispatches++
-			counts[classes[pc]]++
-			if c := classes2[pc]; c != noClass {
-				counts[c]++
+			counts[m.class]++
+			if m.class2 != noClass {
+				counts[m.class2]++
 			}
-			if ckOn && memAcc[pc] {
+			if ckOn && m.flags&prof.FlagChecked != 0 {
 				counts[ck]++
 			}
 		}

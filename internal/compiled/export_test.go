@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 
+	"leapsandbounds/internal/isa"
+	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/wasm"
 )
 
@@ -65,6 +67,19 @@ func (e *Engine) EmittedFunc(m *wasm.Module, i int, sc *Scratch) (string, error)
 	for pc := range f.Code {
 		fmt.Fprintf(&b, "%d %s\n", pc, f.Code[pc].String(f))
 	}
-	fmt.Fprintf(&b, "classes %v\nclasses2 %v\nmemAcc %v\nelided %v\n", cf.classes, cf.classes2, cf.memAcc, cf.elided)
+	// The opMeta table, as four lists: class, second class (-1: none),
+	// checked access, elided access.
+	n := len(cf.meta)
+	classes, classes2 := make([]isa.OpClass, n), make([]isa.OpClass, n)
+	memAcc, elided := make([]bool, n), make([]bool, n)
+	for pc, m := range cf.meta {
+		classes[pc], classes2[pc] = isa.OpClass(m.class), -1
+		if m.class2 != noClass {
+			classes2[pc] = isa.OpClass(m.class2)
+		}
+		memAcc[pc] = m.flags&prof.FlagChecked != 0
+		elided[pc] = m.flags&prof.FlagElided != 0
+	}
+	fmt.Fprintf(&b, "classes %v\nclasses2 %v\nmemAcc %v\nelided %v\n", classes, classes2, memAcc, elided)
 	return b.String(), nil
 }

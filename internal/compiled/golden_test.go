@@ -100,8 +100,9 @@ type namedModule struct {
 // goldenExtras are modules that reach what the workload kernels leave
 // out: a br_table, a br_if and a br carrying a value, trunc_sat,
 // call_indirect, globals, memory.copy and memory.fill, a select, an
-// ALU op with two immediate operands, unreachable, and random programs
-// whose nested loops elision versions.
+// ALU op with two immediate operands, unreachable, the counted loops
+// elision does not version (uncheckedLoops), and random programs whose
+// nested loops elision versions.
 func goldenExtras(t *testing.T) []namedModule {
 	t.Helper()
 	i32 := []wasm.ValueType{wasm.I32}
@@ -161,7 +162,7 @@ func goldenExtras(t *testing.T) []namedModule {
 		t.Fatal(err)
 	}
 
-	out := []namedModule{{"carry", carry}, {"misc", misc}}
+	out := append([]namedModule{{"carry", carry}, {"misc", misc}}, uncheckedLoops(t)...)
 	for _, seed := range []int64{7, 29, 62} {
 		m, err := buildRandomProgram(seed)
 		if err != nil {

@@ -224,8 +224,7 @@ func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome 
 		},
 		bce: compiled.BCEStats{
 			ChecksEmitted: b1.ChecksEmitted - b0.ChecksEmitted, ChecksElided: b1.ChecksElided - b0.ChecksElided,
-			Hoisted: b1.Hoisted - b0.Hoisted, Revalidations: b1.Revalidations - b0.Revalidations,
-			AddrFused: b1.AddrFused - b0.AddrFused,
+			Hoisted: b1.Hoisted - b0.Hoisted, AddrFused: b1.AddrFused - b0.AddrFused,
 		},
 	}
 	for _, ev := range reg.Snapshot(true).Events {
@@ -279,7 +278,7 @@ func TestStatsAndRegistryReadTheSameCounters(t *testing.T) {
 	}
 	want := map[string]int64{
 		"bce/checks_emitted": b.ChecksEmitted, "bce/checks_elided": b.ChecksElided,
-		"bce/hoisted": b.Hoisted, "bce/revalidations": b.Revalidations, "bce/addr_fused": b.AddrFused,
+		"bce/hoisted": b.Hoisted, "bce/addr_fused": b.AddrFused,
 		"rir/ops_in": r.OpsIn, "rir/ops_out": r.OpsOut, "rir/fused_cmpbr": r.FusedCmpBr,
 		"rir/fused_ldop": r.FusedLdOp, "rir/regs_allocated": r.RegsAllocated,
 	}

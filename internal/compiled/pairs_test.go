@@ -331,7 +331,8 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 			pad := rir.Inst{Shape: rir.ShReturn}
 			stream := h.f
 			stream.Code = []rir.Inst{p0, p1, pad, pad, pad}
-			fusedIR := stream.With(slices.Clone(stream.Code))
+			fusedIR := *stream // the same cold tables, its own ops
+			fusedIR.Code = slices.Clone(stream.Code)
 			if fusedIR.FuseMem(nil) != 1 {
 				continue
 			}
@@ -341,7 +342,7 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 			if err := cu.emit(stream); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := cf.emit(fusedIR); err != nil {
+			if err := cf.emit(&fusedIR); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for i := 0; i < pairFrame; i++ {

@@ -1,23 +1,25 @@
 package compiled
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/binary"
 	"runtime"
 	"slices"
 	"testing"
 
-	"leapsandbounds/internal/flatten"
+	"leapsandbounds/internal/prof"
 	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/validate"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
+	"leapsandbounds/internal/workloads"
 )
 
 // pipelineModule has one function per back-half path: f0 a br_table
 // around a counted loop of same-base loads and stores (elide versions
 // the loop, then address fusion and FuseMem rewrite the new stream in
 // place, every branch target included), f1 a load+op with nothing to
-// elide (FuseMem would rewrite preIR itself without the copy), f2
+// elide (FuseMem rewrites the front half's stream itself), f2
 // arithmetic only (nothing touches it).
 func pipelineModule(t *testing.T) *wasm.Module {
 	t.Helper()
@@ -66,54 +68,55 @@ func pipelineModule(t *testing.T) *wasm.Module {
 	return m
 }
 
-// TestBackHalfLeavesPreIR: elide, address fusion and FuseMem all run on
-// a working copy, so the IR a cfunc retains for the artifact tier is,
-// after the back half, exactly what the front half produced — cold
-// tables included, which the working copy shares: the range checks,
-// folded addresses and pairs it adds go to its own tables, and every
-// target rewrite gives it a fresh branch table.
-func TestBackHalfLeavesPreIR(t *testing.T) {
+// TestArtifactIsTheFrontHalf: a compiled function keeps no IR, so
+// EncodeArtifact re-derives every function's front half from the
+// module. Its bytes are the flat form of the stream lowerFunc hands
+// backHalf, function by function, and the re-derivation counts
+// nothing: rir.Stats() and Stats() read the same before and after an
+// encode (the benchmark reads them around compiles, and a compile may
+// store its artifact). The back half then rewrites some function's
+// stream on each pipeline that has one, or the test checks nothing.
+func TestArtifactIsTheFrontHalf(t *testing.T) {
 	m := pipelineModule(t)
 	noElide := NewWAVM()
 	noElide.elide = false
-	for name, e := range map[string]*Engine{"wavm": NewWAVM(), "wavm-noelide": noElide} {
+	le := binary.LittleEndian
+	for name, e := range map[string]*Engine{"wavm": NewWAVM(), "wavm-noelide": noElide, "wasmtime": NewWasmtime()} {
+		want := append(le.AppendUint32(nil, artifactVersion), e.codegenFlags())
+		want = le.AppendUint32(want, uint32(len(m.Code)))
 		rewrote := false
 		sc := new(scratch)
 		for i := range m.Code {
-			ff, err := flatten.Flatten(m, uint32(i), &m.Code[i])
+			cf, f, _, err := e.frontHalf(m, 0, i, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			front := func() *rir.Func {
-				f, err := rir.BuildFunc(ff, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Optimize(nil)
-				f.Compact(nil)
-				f.Lower(nil)
-				return f
-			}
-			pre, want := front(), front()
-			cf := &cfunc{numLocals: ff.NumLocals, preIR: pre}
-			out := e.backHalf(cf, sc)
-			if !reflect.DeepEqual(cf.preIR, want) {
-				t.Errorf("%s: function %d: the back half changed preIR", name, i)
-			}
-			// The fold can leave a stream as long as it found it, so a
-			// rewrite is told by its ops, not by their number.
-			if out != cf.preIR {
-				if &out.Code[0] == &pre.Code[0] {
-					t.Errorf("%s: function %d: rewritten IR shares preIR's ops", name, i)
-				}
-				rewrote = rewrote || !slices.Equal(out.Code, pre.Code)
-			}
+			want = le.AppendUint32(want, uint32(cf.frameSize))
+			want = f.AppendFlat(want)
+			front := slices.Clone(f.Code)
+			out := e.backHalf(f, sc)
+			rewrote = rewrote || !slices.Equal(out.Code, front)
 			if err := cf.emit(out); err != nil {
 				t.Errorf("%s: function %d: %v", name, i, err)
 			}
 		}
-		if !rewrote {
+		if e.lower && !rewrote {
 			t.Errorf("%s: no function was rewritten by the back half; the test checks nothing", name)
+		}
+		cm, err := e.compileModule(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r0, b0 := rir.Stats(), Stats()
+		got, err := e.EncodeArtifact(cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1, b1 := rir.Stats(), Stats(); r1 != r0 || b1 != b0 {
+			t.Errorf("%s: encoding moved the compile counters: rir %+v -> %+v, bce %+v -> %+v", name, r0, r1, b0, b1)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: artifact of %d bytes is not the front halves' flat form (%d bytes)", name, len(got), len(want))
 		}
 	}
 }
@@ -146,5 +149,48 @@ func TestCompileErrorIsLowestFunction(t *testing.T) {
 		if cm != nil || err == nil || err.Error() != want {
 			t.Fatalf("round %d: module %v, error %q, want %q", round, cm, err, want)
 		}
+	}
+}
+
+// TestUncheckedAccessesAreElided: every op the back half leaves
+// Unchecked — an access, alone or as a fused pair's half, that a range
+// check proved in bounds — is an elided entry of emit's opMeta table,
+// which is what the instrumented loop publishes as prof.FlagElided, and
+// no checked access is one. Versioning clears MemAcc where it sets
+// Unchecked, so an entry that needed both would never be elided.
+func TestUncheckedAccessesAreElided(t *testing.T) {
+	wl, err := workloads.ByName("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := wl.Build(workloads.Test)
+	e, sc := NewWAVM(), new(scratch)
+	unchecked, elided := 0, 0
+	for i := range m.Code {
+		cf, f, err := e.lowerFunc(m, uint32(m.NumImportedFuncs()), i, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cf.emit(f); err != nil {
+			t.Fatal(err)
+		}
+		for pc := range f.Code {
+			u, el := f.Code[pc].Has(rir.Unchecked), cf.meta[pc].flags&prof.FlagElided != 0
+			if u {
+				unchecked++
+			}
+			if el {
+				elided++
+			}
+			if el && cf.meta[pc].flags&prof.FlagChecked != 0 {
+				t.Errorf("function %d pc %d: elided and checked at once", i, pc)
+			}
+			if u != el {
+				t.Errorf("function %d pc %d: unchecked %v, elided %v: %s", i, pc, u, el, f.Code[pc].String(f))
+			}
+		}
+	}
+	if unchecked == 0 || elided != unchecked {
+		t.Errorf("gemm: %d elided entries for %d unchecked ops", elided, unchecked)
 	}
 }

@@ -8,10 +8,19 @@ import (
 	"leapsandbounds/internal/flatten"
 )
 
+// with returns a Func whose ops are code and whose cold tables are
+// f's: what it appends to a table lies past f's length, so f never
+// sees it.
+func with(f *Func, code []Inst) *Func {
+	c := *f
+	c.Code = code
+	return &c
+}
+
 // deepCopy copies f's ops and every cold table, branch tables' targets
 // included, so that nothing it returns shares memory with f.
 func deepCopy(f *Func) *Func {
-	c := f.With(slices.Clone(f.Code))
+	c := with(f, slices.Clone(f.Code))
 	c.cold = cold{
 		slices.Clone(f.carries), slices.Clone(f.calls), slices.Clone(f.tables), slices.Clone(f.cs),
 		slices.Clone(f.immBs), slices.Clone(f.addrs), slices.Clone(f.checks), slices.Clone(f.pairs),
@@ -27,10 +36,10 @@ func deepCopy(f *Func) *Func {
 // branch and of a fused pair that ends in one, range-check failure
 // edges, br_table entries, and a target that was itself dropped or is
 // the end of the stream — while a copy of the same function taken
-// beforehand (what the compiled engines retain as preIR: its own ops,
-// the same cold tables) keeps its ops and, above all, its branch
-// tables, which Compact gives the working copy fresh rather than
-// rewriting the shared ones.
+// beforehand (its own ops, the same cold tables, as versioning's fast
+// and slow copies of an op share its entry) keeps its ops and, above
+// all, its branch tables, which Compact gives the working copy fresh
+// rather than rewriting the shared ones.
 func TestCompactInPlace(t *testing.T) {
 	const (
 		entry = iota
@@ -67,7 +76,7 @@ func TestCompactInPlace(t *testing.T) {
 	want := deepCopy(retained)
 
 	ops := slices.Clone(retained.Code)
-	work := retained.With(ops)
+	work := with(retained, ops)
 	work.Compact(nil)
 	out := work.Code
 

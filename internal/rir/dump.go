@@ -149,21 +149,18 @@ func (s *Inst) body(f *Func) string {
 	}
 }
 
-// checkStr renders a range check's plan: its loop's induction, bound
-// and step, then every range as its address form, the induction's
+// checkStr renders a range check's plan: its loop's induction and
+// bound, then every range as its address form, the induction's
 // coefficient, +offset/width, and w for a write. The plan is data, so
 // this is all of it.
 func checkStr(p *CheckPlan, numLocals int) string {
 	var b strings.Builder
 	b.WriteString("range_check")
-	if p.Reval {
-		b.WriteString(" reval")
-	}
 	limit := linStr(&p.Limit, numLocals)
 	if p.Limit.IsConst() {
 		limit = fmt.Sprintf("#%d", p.Limit.K)
 	}
-	fmt.Fprintf(&b, " loop(ind=%s limit=%s step=%d)", reg(p.IndSlot, numLocals), limit, p.Step)
+	fmt.Fprintf(&b, " loop(ind=%s limit=%s)", reg(p.IndSlot, numLocals), limit)
 	rs := make([]string, len(p.Ranges))
 	for i, r := range p.Ranges {
 		rs[i] = fmt.Sprintf("%s +ind*%d +%d/%d", linStr(&r.Addr, numLocals), r.Ind, r.Off, r.Width)

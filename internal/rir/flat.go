@@ -42,11 +42,12 @@ func Build(ff *flatten.Func) ([]Inst, error) {
 	return f.flat(nil), nil
 }
 
-// Optimize is Func.Optimize over a flat stream, which it consumes.
+// Optimize is Func.Optimize over a flat stream, which it consumes; it
+// counts its fused compare+branch pairs (RecordOptimize).
 func Optimize(ir []Inst, numLocals int) []Inst {
 	f := must(unflat(ir))
 	f.NumLocals = numLocals
-	f.Optimize(nil)
+	RecordOptimize(f.Optimize(nil))
 	return f.flat(ir)
 }
 

@@ -74,7 +74,7 @@ func TestReadFlatRoundTripsTheFrontHalf(t *testing.T) {
 			t.Errorf("function %d: read back\n%swrote\n%s", i, dump(got), dump(f))
 		}
 
-		if g := f.With(append([]Inst(nil), f.Code...)); g.FuseMem(nil) > 0 {
+		if g := with(f, append([]Inst(nil), f.Code...)); g.FuseMem(nil) > 0 {
 			if _, _, err := ReadFlat(g.AppendFlat(nil), frame); err == nil {
 				t.Errorf("function %d: ReadFlat read a stream with fused pairs", i)
 			}
@@ -85,7 +85,7 @@ func TestReadFlatRoundTripsTheFrontHalf(t *testing.T) {
 			"unchecked":      func(g *Func) { g.Code[0].Flags |= Unchecked },
 			"folded address": func(g *Func) { g.SetAddr(&g.Code[0], Lin{X: 1, CX: 8}) },
 		} {
-			g := f.With(append([]Inst(nil), f.Code...))
+			g := with(f, append([]Inst(nil), f.Code...))
 			mutate(g)
 			if _, _, err := ReadFlat(g.AppendFlat(nil), frame); err == nil {
 				t.Errorf("function %d: ReadFlat read a stream with a %s op", i, name)

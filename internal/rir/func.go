@@ -1,10 +1,6 @@
 package rir
 
-import (
-	"slices"
-
-	"leapsandbounds/internal/flatten"
-)
+import "leapsandbounds/internal/flatten"
 
 // Func is one function's register IR: the stream of hot ops and the
 // cold tables its ops reach through Inst.Side, one table per kind of
@@ -19,11 +15,12 @@ import (
 //	checks   ShRangeCheck
 //	pairs    ShLoadOp, ShOpStore, ShPair, ShPairBr: the two halves
 //
-// A copy of the ops shares the tables (With), so a pass that changes
-// an op's cold payload after the front half gives the op a new entry
-// instead of writing the old one: Compact and every other target
-// rewrite get a fresh branch table (RewriteTargets). Only Optimize and
-// Lower, which run before any copy is taken, write entries in place.
+// Versioning copies a loop's ops, and the copies share their cold
+// entries, so a pass that changes an op's cold payload after the front
+// half gives the op a new entry instead of writing the old one: Compact
+// and every other target rewrite get a fresh branch table
+// (RewriteTargets). Only Optimize and Lower, which run before any copy
+// is taken, write entries in place.
 type Func struct {
 	Code      []Inst
 	NumLocals int
@@ -65,14 +62,12 @@ type BrTable struct {
 // bounds-check elision, which is loop versioning: the ranges that must
 // all lie in bounds for the guard to fall through. Every plan guards a
 // counted loop whose induction, in slot IndSlot, starts at its value
-// at the guard and steps by Step (> 0) while it stays below Limit; its
-// ranges advance with the induction.
+// at the guard and steps by 1 while it stays below Limit; its ranges
+// advance with the induction.
 type CheckPlan struct {
 	Ranges  []LoopRange
 	IndSlot int
 	Limit   Lin
-	Step    int32
-	Reval   bool // revalidation copy of a loop check (obs accounting)
 }
 
 // LoopRange is one range a guard proves: at induction value v the
@@ -80,7 +75,7 @@ type CheckPlan struct {
 // Addr is linear in loop-invariant slots only; the
 // induction's term is Ind, so a range is the induction plus at most
 // two invariant slots, and over a loop's iterations its addresses are
-// the arithmetic sequence a0 + k*Ind*Step.
+// the arithmetic sequence a0 + k*Ind.
 type LoopRange struct {
 	Addr       Lin
 	Ind        uint32
@@ -92,17 +87,6 @@ type LoopRange struct {
 func add[T any](t *[]T, v T) int32 {
 	*t = append(*t, v)
 	return int32(len(*t))
-}
-
-// With returns a Func whose ops are code and whose cold tables are
-// f's, capped at their length, so what the new Func adds to them
-// reallocates and f never sees it.
-func (f *Func) With(code []Inst) *Func {
-	c := f.cold
-	return &Func{Code: code, NumLocals: f.NumLocals, cold: cold{
-		slices.Clip(c.carries), slices.Clip(c.calls), slices.Clip(c.tables), slices.Clip(c.cs),
-		slices.Clip(c.immBs), slices.Clip(c.addrs), slices.Clip(c.checks), slices.Clip(c.pairs),
-	}}
 }
 
 // Carry returns the slot s, a jump, branch or return, carries and the
@@ -242,9 +226,10 @@ func (f *Func) FindLabels(sc *Scratch) []bool {
 }
 
 // RewriteTargets applies fn to every branch target of s. A br_table
-// gets a fresh target table rather than a rewritten one, because a
-// copy of the ops shares the cold tables (With) — the compiled engines
-// keep one for the artifact tier.
+// gets a fresh target table rather than a rewritten one, because the
+// copies of an op share its cold entry: bounds-check elision's
+// versioning puts each op of a loop in the stream twice, and each copy
+// branches to its own targets.
 func (f *Func) RewriteTargets(s *Inst, fn func(int32) int32) {
 	switch s.Shape {
 	case ShJump, ShIfFalse, ShBranchIf, ShCmpBranch, ShPairBr, ShRangeCheck:

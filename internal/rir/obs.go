@@ -53,6 +53,11 @@ func AttachObs(sc *obs.Scope) {
 	sc.RegisterCounter("regs_allocated", &rirRegsAllocated)
 }
 
+// RecordOptimize counts the compare+branch pairs one Optimize fused.
+// A re-derivation that is not a compile (the artifact encoder's) does
+// not call it.
+func RecordOptimize(fusedCmpBr int) { rirFusedCmpBr.Add(int64(fusedCmpBr)) }
+
 // RecordLowering records one function's trip through the register-IR
 // pipeline: stack ops in, register ops out, registers allocated, and
 // the wall time spent, emitted retroactively as a rir.lower span when

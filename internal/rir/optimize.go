@@ -15,7 +15,10 @@ import (
 //
 // Windows are delimited by labels (branch targets): inside a window
 // execution is strictly linear, so a def always dominates its use.
-func (f *Func) Optimize(sc *Scratch) {
+//
+// It returns the number of compare+branch pairs it fused and counts
+// nothing: the caller records a compile's with RecordOptimize.
+func (f *Func) Optimize(sc *Scratch) (fusedCmpBr int) {
 	if sc == nil {
 		sc = new(Scratch)
 	}
@@ -258,7 +261,7 @@ func (f *Func) Optimize(sc *Scratch) {
 						s.Flags = s.Flags&^AImm | BImm
 					}
 					markDead(ir, di)
-					rirFusedCmpBr.Inc()
+					fusedCmpBr++
 					lastAlive = i
 					continue
 				}
@@ -315,6 +318,7 @@ func (f *Func) Optimize(sc *Scratch) {
 			lastAlive = i
 		}
 	}
+	return fusedCmpBr
 }
 
 // pendingDef is Optimize's entry for an operand slot: def is the index
