@@ -4,6 +4,16 @@
 // engines build on it: the threaded interpreter dispatches over the
 // stream directly, and the closure compiler uses the static heights
 // to assign every operand a fixed register slot.
+//
+// An Instr is 32 bytes and holds no pointer, so two fit a cache line
+// and the collector never scans a stream: four single bytes (Op, Sub,
+// the Mark byte, Arity), three int32 fields (Tgt, PopTo, H) and two
+// 64-bit immediates (A, B). The Mark byte is the instruction's
+// isa.OpClass in its low seven bits and, in its top bit, whether some
+// branch lands on the instruction. A br_table's entries are not in the
+// stream: each function has one side table, Func.Targets, and a
+// br_table takes the B entries from index A on, its default entry
+// last.
 package flatten
 
 import (
@@ -15,23 +25,34 @@ import (
 
 // Instr is one flattened instruction. Branch-like instructions carry
 // an absolute target pc, the operand-stack height to unwind to, and
-// the number of carried values (0 or 1 in the MVP).
+// the number of carried values (0 or 1 in the MVP). A br_table carries
+// its entries' place in Func.Targets instead: the first in A, the
+// count in B.
 type Instr struct {
 	Op    wasm.Opcode
-	Sub   wasm.SubOpcode
-	A     uint64 // primary immediate (const bits, indices)
-	B     uint64 // secondary immediate (memory offset)
+	Sub   uint8 // a 0xFC op's wasm.SubOpcode (every one fits a byte)
+	Mark  Mark
+	Arity int8   // values carried across the branch / call results
 	Tgt   int32  // branch target pc
 	PopTo int32  // operand height to unwind to on branch / call arg base
-	Arity int8   // values carried across the branch / call results
 	H     int32  // operand-stack height before this instruction
-	Class isa.OpClass
-	Table []BranchTarget // br_table entries (default entry last)
-	// Target is true when some branch, if or loop lands on this
-	// instruction. The interpreter's operand folding never reaches
-	// across one: a target starts a fold window or stands alone.
-	Target bool
+	A     uint64 // primary immediate (const bits, indices)
+	B     uint64 // secondary immediate (memory offset, folded constant)
 }
+
+// Mark is an instruction's class byte: the isa.OpClass it is charged
+// as in the low seven bits, and the target flag in the top bit.
+type Mark uint8
+
+const targetBit Mark = 0x80
+
+// Class returns the instruction's cycle-model class.
+func (m Mark) Class() isa.OpClass { return isa.OpClass(m &^ targetBit) }
+
+// Target reports whether some branch, if or loop lands on the
+// instruction. The interpreter's operand folding never reaches across
+// one: a target starts a fold window or stands alone.
+func (m Mark) Target() bool { return m&targetBit != 0 }
 
 // BranchTarget is one br_table entry.
 type BranchTarget struct {
@@ -51,6 +72,9 @@ type Func struct {
 	NumLocals int // params + declared locals
 	MaxStack  int // operand stack slots needed
 	Code      []Instr
+	// Targets holds every br_table's entries, one table after another
+	// in stream order.
+	Targets []BranchTarget
 }
 
 // Internal pseudo-opcodes for resolved control flow, placed in the
@@ -69,18 +93,15 @@ const (
 )
 
 // A patch site is either a plain instruction index (the instr's Tgt
-// is patched) or an encoded br_table entry (that entry's Tgt is
-// patched). Table patches are encoded as -(instr<<16 + entry + 1).
-func encodeTablePatch(instrIdx, entry int) int { return -(instrIdx<<16 + entry + 1) }
-
-func applyPatches(out []Instr, fixes []int, target int32) {
+// is patched) or a side-table entry k, encoded as -(k+1) (that entry's
+// Tgt is patched).
+func applyPatches(out []Instr, targets []BranchTarget, fixes []int, target int32) {
 	for _, fix := range fixes {
 		if fix >= 0 {
 			out[fix].Tgt = target
-			continue
+		} else {
+			targets[-fix-1].Tgt = target
 		}
-		v := -fix - 1
-		out[v>>16].Table[v&0xffff].Tgt = target
 	}
 }
 
@@ -95,16 +116,18 @@ type ctrl struct {
 	wasDead bool        // construct was entered inside dead code
 }
 
-// Scratch is one worker's reusable flatten memory: the output buffer a
-// Flatten call appends to and the flattener's control and provenance
-// stacks. The compile pipelines give each fan-out worker one, so a
+// Scratch is one worker's reusable flatten memory: the output buffer
+// and side table a Flatten call appends to, and the flattener's control
+// stack. The compile pipelines give each fan-out worker one, so a
 // module's flatten allocates per worker, not per function. What
-// Scratch.Flatten returns aliases the buffer: its Code is valid until
-// the next call on the same Scratch, and a caller that keeps a stream
-// copies it out (at its exact length). The zero value is ready to use.
+// Scratch.Flatten returns aliases the buffers: its Code and Targets are
+// valid until the next call on the same Scratch, and a caller that
+// keeps a stream copies both out (at their exact length). The zero
+// value is ready to use.
 type Scratch struct {
-	out   []Instr
-	stack []ctrl
+	out     []Instr
+	targets []BranchTarget
+	stack   []ctrl
 }
 
 // Flatten lowers a validated function body into a stream of its own.
@@ -134,11 +157,12 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 	}
 
 	var (
-		out    = sc.out[:0]
-		stack  = sc.stack[:0]
-		height int32
-		maxH   int32
-		dead   bool
+		out     = sc.out[:0]
+		targets = sc.targets[:0]
+		stack   = sc.stack[:0]
+		height  int32
+		maxH    int32
+		dead    bool
 		// joined is set where a forward branch or an if is patched to
 		// land on the next instruction emitted, which becomes a Target.
 		joined bool
@@ -155,14 +179,17 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 	emit := func(op wasm.Opcode, h int32, class isa.OpClass) *Instr {
 		out = append(out, Instr{})
 		in := &out[len(out)-1]
-		in.Op, in.H, in.Class, in.Target = op, h, class, joined
+		in.Op, in.H, in.Mark = op, h, Mark(class)
+		if joined {
+			in.Mark |= targetBit
+		}
 		joined = false
 		return in
 	}
 	// land patches the branches in fixes to the next instruction.
 	land := func(fixes []int) {
 		if len(fixes) > 0 {
-			applyPatches(out, fixes, int32(len(out)))
+			applyPatches(out, targets, fixes, int32(len(out)))
 			joined = true
 		}
 	}
@@ -196,7 +223,7 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		if c.op == wasm.OpLoop {
 			// The branch itself is emitted, so the loop's first
 			// instruction is too.
-			out[c.loopPC].Target = true
+			out[c.loopPC].Mark |= targetBit
 			return BranchTarget{Tgt: c.loopPC, PopTo: c.height, Arity: 0}
 		}
 		c.brs = append(c.brs, fix)
@@ -211,9 +238,9 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		// flattener's current height here would be stale when the
 		// end is reachable only through branches.
 		emit(OpReturnEnd, int32(c.arity), isa.ClassBranch).Arity = c.arity
-		p.Code = out
+		p.Code, p.Targets = out, targets
 		p.MaxStack = int(maxH) + 8
-		sc.stack = stack[:0]
+		sc.targets, sc.stack = targets[:0], stack[:0]
 		return p
 	}
 
@@ -311,12 +338,11 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		case wasm.OpBrTable:
 			push(-1)
 			j := emit(op, height+1, isa.ClassBranch)
-			pc, n := len(out)-1, len(in.Targets)
-			j.Table = make([]BranchTarget, n+1)
-			for k, depth := range in.Targets {
-				j.Table[k] = branchTo(int(depth), encodeTablePatch(pc, k))
+			j.A, j.B = uint64(len(targets)), uint64(len(in.Targets)+1)
+			for _, depth := range in.Targets {
+				targets = append(targets, branchTo(int(depth), -len(targets)-1))
 			}
-			j.Table[n] = branchTo(int(in.A), encodeTablePatch(pc, n))
+			targets = append(targets, branchTo(int(in.A), -len(targets)-1))
 			dead = true
 		case wasm.OpReturn:
 			emit(OpReturnEnd, height, isa.ClassBranch).Arity = int8(len(ft.Results))
@@ -371,9 +397,9 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			switch in.Sub {
 			case wasm.SubMemoryCopy, wasm.SubMemoryFill:
 				push(-3)
-				emit(op, height+3, isa.ClassCall).Sub = in.Sub
+				emit(op, height+3, isa.ClassCall).Sub = uint8(in.Sub)
 			default: // saturating truncations
-				emit(op, height, isa.ClassConv).Sub = in.Sub
+				emit(op, height, isa.ClassConv).Sub = uint8(in.Sub)
 			}
 		default:
 			class, delta, ok := Classify(op)

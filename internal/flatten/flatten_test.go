@@ -1,7 +1,9 @@
 package flatten_test
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/wasm"
@@ -151,19 +153,53 @@ func TestBrTableDefaultLast(t *testing.T) {
 	if bt == nil {
 		t.Fatal("no br_table emitted")
 	}
-	if len(bt.Table) != 3 { // 2 targets + default
-		t.Fatalf("%d table entries", len(bt.Table))
+	if bt.A != 0 || bt.B != 3 || len(ff.Targets) != 3 { // 2 targets + default
+		t.Fatalf("entries [%d, %d+%d) of a %d-entry side table", bt.A, bt.A, bt.B, len(ff.Targets))
 	}
 	// Targets 0 and default (depth 1) resolve to ends at different
 	// depths; all must be within code bounds.
-	for k, e := range bt.Table {
+	for k, e := range ff.Targets {
 		if int(e.Tgt) < 0 || int(e.Tgt) >= len(ff.Code) {
 			t.Errorf("entry %d target %d out of bounds", k, e.Tgt)
 		}
 	}
-	if bt.Table[0].Tgt == bt.Table[1].Tgt {
+	if ff.Targets[0].Tgt == ff.Targets[1].Tgt {
 		t.Error("distinct depths resolved to the same target")
 	}
+}
+
+// TestInstrIsCompact pins the stream's layout: an Instr is 32 bytes,
+// and neither it nor a side-table entry holds a pointer, so a stream is
+// two instructions a cache line and the collector never scans one.
+func TestInstrIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(flatten.Instr{}); n != 32 {
+		t.Errorf("flatten.Instr is %d bytes, want 32", n)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[flatten.Instr](), reflect.TypeFor[flatten.BranchTarget]()} {
+		for k := range typ.NumField() {
+			if f := typ.Field(k); !pointerFree(f.Type) {
+				t.Errorf("%s.%s (%s) holds a pointer", typ, f.Name, f.Type)
+			}
+		}
+	}
+}
+
+// pointerFree reports whether no value of typ holds a pointer.
+func pointerFree(typ reflect.Type) bool {
+	switch k := typ.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128:
+		return true
+	case k == reflect.Array:
+		return pointerFree(typ.Elem())
+	case k == reflect.Struct:
+		for i := range typ.NumField() {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func TestMaxStackCoversNesting(t *testing.T) {

@@ -118,8 +118,8 @@ func (e *Engine) compileInterp(m *wasm.Module) (core.CompiledModule, error) {
 // flattenAll flattens every function of m on fanout's workers and runs
 // fold on each, fusing operands when fuse is set. A worker flattens and
 // folds in buffers of its own, reused across the functions it takes,
-// and the module keeps each folded stream copied out at its exact
-// length.
+// and the module keeps each folded stream and its side table copied out
+// at their exact length.
 func flattenAll(m *wasm.Module, imported uint32, fuse bool) ([]*flatten.Func, error) {
 	funcs := make([]*flatten.Func, len(m.Code))
 	i, err := fanout.Each(len(m.Code), func() func(int) error {
@@ -135,7 +135,7 @@ func flattenAll(m *wasm.Module, imported uint32, fuse bool) ([]*flatten.Func, er
 			if err != nil {
 				return err
 			}
-			pf.Code = slices.Clone(pf.Code)
+			pf.Code, pf.Targets = slices.Clone(pf.Code), slices.Clone(pf.Targets)
 			funcs[i] = pf
 			return nil
 		}
@@ -151,8 +151,8 @@ func flattenAll(m *wasm.Module, imported uint32, fuse bool) ([]*flatten.Func, er
 // and left unfused, so they run one dispatch per wasm instruction
 // where the plain streams run one per fused window. Each instruction
 // is preceded by an OpAccount carrying its class and its proved height,
-// and every branch target moves to the OpAccount in front of its old
-// target.
+// and every branch target, in the stream and in the side table, moves
+// to the OpAccount in front of its old target.
 func (cm *Module) accountedFuncs() ([]*flatten.Func, error) {
 	cm.accountOnce.Do(func() {
 		funcs, err := flattenAll(cm.wasm, cm.imported, false)
@@ -164,10 +164,10 @@ func (cm *Module) accountedFuncs() ([]*flatten.Func, error) {
 			code := make([]flatten.Instr, 0, 2*len(pf.Code))
 			for _, in := range pf.Code {
 				in.Tgt *= 2
-				for k := range in.Table {
-					in.Table[k].Tgt *= 2
-				}
-				code = append(code, flatten.Instr{Op: flatten.OpAccount, Class: in.Class, H: in.H}, in)
+				code = append(code, flatten.Instr{Op: flatten.OpAccount, Mark: in.Mark, H: in.H}, in)
+			}
+			for k := range pf.Targets {
+				pf.Targets[k].Tgt *= 2
 			}
 			pf.Code = code
 		}
@@ -330,6 +330,13 @@ func frameAt(stack []uint64, base int) frame { return frame{unsafe.Pointer(&stac
 // at returns slot i of the frame.
 func (f frame) at(i int) *uint64 { return (*uint64)(unsafe.Add(f.p, i*8)) }
 
+// brEntry returns entry k of pf's side table. fold proves that every
+// br_table's range [A, A+B) of the table is not empty and lies in it,
+// so exec reads the entry a br_table selects without Go's bounds check.
+func brEntry(pf *flatten.Func, k uint64) *flatten.BranchTarget {
+	return (*flatten.BranchTarget)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(pf.Targets)), k*uint64(unsafe.Sizeof(flatten.BranchTarget{}))))
+}
+
 // exec runs a pre-decoded function with its locals at stack[base:].
 // The operand stack occupies stack[base+numLocals:]. On return, the
 // function's results (if any) are at stack[base:].
@@ -362,9 +369,10 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 			if sp != opBase+int(in.H) {
 				trap.Throwf(trap.HostError, "interp: %s at pc %d runs at height %d, proved %d", code[pc+1].Op, pc+1, sp-opBase, in.H)
 			}
-			checked := ckOn && (in.Class == isa.ClassLoad || in.Class == isa.ClassStore)
+			class := in.Mark.Class()
+			checked := ckOn && (class == isa.ClassLoad || class == isa.ClassStore)
 			if counts != nil {
-				counts[in.Class]++
+				counts[class]++
 				counts[isa.ClassDispatch]++
 				if checked {
 					counts[ckClass]++
@@ -374,7 +382,7 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 			if checked {
 				fl = prof.FlagChecked
 			}
-			cell.Set(pf.Index, in.Class, fl) // a no-op on a nil cell
+			cell.Set(pf.Index, class, fl) // a no-op on a nil cell
 		case flatten.OpIfFalse:
 			sp--
 			if uint32(*fr.at(sp)) == 0 {
@@ -396,7 +404,7 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 			pc = int(in.Tgt) - 1
 		case wasm.OpBrTable:
 			sp--
-			bt := &in.Table[min(uint(uint32(*fr.at(sp))), uint(len(in.Table)-1))] // default entry last
+			bt := brEntry(pf, in.A+min(uint64(uint32(*fr.at(sp))), in.B-1)) // default entry last
 			dst := opBase + int(bt.PopTo)
 			if bt.Arity > 0 {
 				*fr.at(dst) = *fr.at(sp - 1)
@@ -997,7 +1005,7 @@ func (inst *Instance) exec(pf *flatten.Func, base int) {
 // execPrefix runs the 0xFC-prefixed ops, exec's one cold arm.
 func (inst *Instance) execPrefix(in *flatten.Instr, fr frame, sp int) int {
 	memory := inst.base.Mem
-	switch in.Sub {
+	switch wasm.SubOpcode(in.Sub) {
 	case wasm.SubMemoryCopy:
 		sp -= 3
 		memory.Copy(uint64(uint32(*fr.at(sp))), uint64(uint32(*fr.at(sp + 1))), uint64(uint32(*fr.at(sp + 2))))

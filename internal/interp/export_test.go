@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/wasm"
 )
 
@@ -36,4 +37,17 @@ func PlainOps(cm core.CompiledModule, fn int) []wasm.Opcode {
 		ops = append(ops, in.Op)
 	}
 	return ops
+}
+
+// Fold is fold, for the tests that hand it a stream of their own.
+func Fold(pf *flatten.Func, fuse bool, buf *[]int32) error { return fold(pf, fuse, buf) }
+
+// AccountedFunc returns the instrumented stream of the module-defined
+// function fn of cm, an interpreter module.
+func AccountedFunc(cm core.CompiledModule, fn int) (*flatten.Func, error) {
+	funcs, err := cm.(*Module).accountedFuncs()
+	if err != nil {
+		return nil, err
+	}
+	return funcs[fn], nil
 }

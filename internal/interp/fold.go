@@ -141,7 +141,9 @@ var (
 //     exec tracks equals opBase+H at every instruction, and every slot
 //     exec addresses lies in the NumLocals+MaxStack slots ensureStack
 //     gives a frame, which is what lets exec address them unchecked.
-//     A violation is a compile error.
+//     The br_tables' ranges of pf.Targets are not empty and tile it in
+//     stream order, so exec indexes the table unchecked too, and each
+//     entry is one br_table's. A violation is a compile error.
 //   - with fuse set, rewrites pf.Code in place, replacing each window
 //     of adjacent instructions that a private opcode covers with that
 //     opcode. A window is one or two pure producers (constants and
@@ -158,7 +160,8 @@ var (
 // fold's one table is an index slice, in the caller's buffer buf: the
 // new position of every old instruction, followed by the new positions
 // of the branches (at most one per instruction), which the last step,
-// the only one that touches a branch's target, remaps.
+// the only one that touches a branch's target, remaps, together with
+// every side-table entry.
 func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 	code := pf.Code
 	n := len(code)
@@ -166,7 +169,7 @@ func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 		*buf = make([]int32, 0, 2*n)
 	}
 	idx := append((*buf)[:0], make([]int32, n)...)
-	p := prover{numLocals: uint64(pf.NumLocals), maxStack: int32(pf.MaxStack), n: int32(n)}
+	p := prover{numLocals: uint64(pf.NumLocals), maxStack: int32(pf.MaxStack), n: int32(n), targets: pf.Targets}
 	j := 0
 	for i := 0; i < n; {
 		f := fusion{w: 1}
@@ -182,7 +185,7 @@ func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 		switch {
 		case f.w > 1:
 			first := &code[i]
-			in := flatten.Instr{Op: f.op, A: f.a, B: f.b, H: first.H, Class: first.Class, Target: first.Target}
+			in := flatten.Instr{Op: f.op, A: f.a, B: f.b, H: first.H, Mark: first.Mark}
 			if f.br != nil {
 				in.Tgt, in.PopTo = f.br.Tgt, f.br.H-1
 			}
@@ -190,7 +193,7 @@ func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 		case j < i:
 			code[j] = code[i]
 		}
-		if f.br != nil || f.w == 1 && p.kind >= kindIfFalse && p.kind <= kindBrTable {
+		if f.br != nil || f.w == 1 && p.kind >= kindIfFalse && p.kind < kindBrTable {
 			idx = append(idx, int32(j))
 		}
 		i += f.w
@@ -198,6 +201,9 @@ func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 	}
 	if p.falls {
 		return fmt.Errorf("the last instruction falls off the end")
+	}
+	if len(p.targets) > 0 {
+		return fmt.Errorf("%d br_table entries past the last br_table", len(p.targets))
 	}
 	remap := func(old, height int32) (int32, error) {
 		t := idx[old]
@@ -210,16 +216,16 @@ func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 		return t, nil
 	}
 	var err error
+	targets := pf.Targets
+	for k := range targets {
+		e := &targets[k]
+		if e.Tgt, err = remap(e.Tgt, e.PopTo+int32(e.Arity)); err != nil {
+			return fmt.Errorf("br_table entry %d: %w", k, err)
+		}
+	}
 	for _, b := range idx[n:] {
 		in := &code[b]
 		switch {
-		case in.Op == wasm.OpBrTable:
-			for k := range in.Table {
-				e := &in.Table[k]
-				if e.Tgt, err = remap(e.Tgt, e.PopTo+int32(e.Arity)); err != nil {
-					break
-				}
-			}
 		case in.Op == flatten.OpIfFalse:
 			in.Tgt, err = remap(in.Tgt, in.H-1)
 		case in.Op >= opBrEq: // a fused compare-and-branch
@@ -238,7 +244,7 @@ func fold(pf *flatten.Func, fuse bool, buf *[]int32) error {
 // peek returns code[i+k] when it exists and no branch lands on it, so
 // that it can join a window that starts at i.
 func peek(code []flatten.Instr, i, k int) *flatten.Instr {
-	if i+k < len(code) && !code[i+k].Target {
+	if i+k < len(code) && !code[i+k].Mark.Target() {
 		return &code[i+k]
 	}
 	return nil
@@ -345,10 +351,12 @@ func branchForm(cmp wasm.Opcode, br *flatten.Instr, form int) wasm.Opcode {
 type prover struct {
 	numLocals uint64
 	maxStack  int32
-	n         int32 // instructions in the function
-	next      int32 // the height fallthrough arrives at
-	falls     bool  // whether the previous instruction falls through
-	kind      uint8 // the previous instruction's kind
+	n         int32                  // instructions in the function
+	targets   []flatten.BranchTarget // the side table past the entries br_tables took
+	used      uint64                 // the entries br_tables took
+	next      int32                  // the height fallthrough arrives at
+	falls     bool                   // whether the previous instruction falls through
+	kind      uint8                  // the previous instruction's kind
 }
 
 // How check treats an unfused opcode, beyond its fixed pops and
@@ -426,7 +434,7 @@ func (p *prover) check(in *flatten.Instr) error {
 			return fmt.Errorf("local %d of %d", in.A, p.numLocals)
 		}
 	case kindPrefix:
-		if in.Sub == wasm.SubMemoryCopy || in.Sub == wasm.SubMemoryFill {
+		if sub := wasm.SubOpcode(in.Sub); sub == wasm.SubMemoryCopy || sub == wasm.SubMemoryFill {
 			pops, pushes = 3, 0
 		}
 	case kindCall, kindCallIndirect:
@@ -445,14 +453,17 @@ func (p *prover) check(in *flatten.Instr) error {
 			return err
 		}
 	case kindBrTable:
-		if len(in.Table) == 0 {
-			return fmt.Errorf("empty br_table")
+		// Its entries are the table's next B, at least one.
+		rest := p.targets
+		if in.B == 0 || in.A != p.used || in.B > uint64(len(rest)) {
+			return fmt.Errorf("br_table entries [%d, %d+%d) of %d, the next one %d", in.A, in.A, in.B, p.used+uint64(len(rest)), p.used)
 		}
-		for _, e := range in.Table {
+		for _, e := range rest[:in.B] {
 			if err := p.target(e.Tgt, e.PopTo, e.Arity, h-pops); err != nil {
 				return err
 			}
 		}
+		p.targets, p.used = rest[in.B:], p.used+in.B
 	case kindReturn:
 		if in.Arity < 0 || in.Arity > 1 || int32(in.Arity) > h {
 			return fmt.Errorf("returns %d results from height %d", in.Arity, h)

@@ -288,6 +288,50 @@ func TestFoldRules(t *testing.T) {
 	}
 }
 
+// TestFoldRejectsCorruptTables hands fold flattened streams whose side
+// table or br_table ranges are corrupt: each is a compile error, not a
+// table exec would index past.
+func TestFoldRejectsCorruptTables(t *testing.T) {
+	m := tablesModule(1)
+	rows := []struct {
+		name    string
+		corrupt func(pf *flatten.Func, tables []*flatten.Instr)
+		want    string
+	}{
+		{"empty range", func(_ *flatten.Func, tb []*flatten.Instr) { tb[0].B = 0 }, "br_table entries [0, 0+0)"},
+		{"range past the table", func(_ *flatten.Func, tb []*flatten.Instr) { tb[1].B++ }, "br_table entries [3, 3+2) of 4"},
+		{"range past the table, wrapping", func(_ *flatten.Func, tb []*flatten.Instr) { tb[1].B = 1<<64 - 1 }, "br_table entries"},
+		{"range overlapping the last", func(_ *flatten.Func, tb []*flatten.Instr) { tb[1].A = 2 }, "br_table entries [2, 2+1) of 4, the next one 3"},
+		{"entries no br_table takes", func(pf *flatten.Func, _ []*flatten.Instr) {
+			pf.Targets = append(pf.Targets, pf.Targets[3])
+		}, "1 br_table entries past the last br_table"},
+		{"entry past the code", func(pf *flatten.Func, _ []*flatten.Instr) { pf.Targets[1].Tgt = int32(len(pf.Code)) }, "branch target"},
+		{"entry unwinding past its stack", func(pf *flatten.Func, _ []*flatten.Instr) { pf.Targets[3].PopTo = 5 }, "branch keeps"},
+	}
+	for _, r := range rows {
+		for _, fuse := range []bool{false, true} {
+			pf, err := flatten.Flatten(m, 0, &m.Code[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tables []*flatten.Instr
+			for k := range pf.Code {
+				if pf.Code[k].Op == wasm.OpBrTable {
+					tables = append(tables, &pf.Code[k])
+				}
+			}
+			if len(tables) != 2 {
+				t.Fatalf("%d br_tables flattened, want 2", len(tables))
+			}
+			r.corrupt(pf, tables)
+			var buf []int32
+			if err := interp.Fold(pf, fuse, &buf); err == nil || !strings.Contains(err.Error(), r.want) {
+				t.Errorf("%s (fuse %v): fold says %v, want %q", r.name, fuse, err, r.want)
+			}
+		}
+	}
+}
+
 // TestPrivateOpcodesAreInvalid holds the interpreter's private opcodes
 // apart from wasm's and from flatten's pseudo-ops: none is a named
 // opcode or a pseudo-op, and the validator refuses a body carrying any

@@ -156,7 +156,7 @@ func BuildFunc(ff *flatten.Func, sc *Scratch) (*Func, error) {
 
 	for pc := range ff.Code {
 		in := &ff.Code[pc]
-		f.Code = append(f.Code, Inst{Op: in.Op, Sub: uint8(in.Sub), Class: uint8(in.Class)})
+		f.Code = append(f.Code, Inst{Op: in.Op, Sub: in.Sub, Class: uint8(in.Mark.Class())})
 		s := &f.Code[pc]
 		h := in.H
 		switch in.Op {
@@ -181,10 +181,10 @@ func BuildFunc(ff *flatten.Func, sc *Scratch) (*Func, error) {
 			s.Shape = ShBrTable
 			s.A = slot(h - 1)
 			t := BrTable{
-				Targets:  make([]flatten.BranchTarget, len(in.Table)),
+				Targets:  make([]flatten.BranchTarget, in.B),
 				CarrySrc: slot(h - 2), // value below the index, if carried
 			}
-			for i, bt := range in.Table {
+			for i, bt := range ff.Targets[in.A : in.A+in.B] {
 				t.Targets[i] = flatten.BranchTarget{
 					Tgt:   bt.Tgt,
 					PopTo: slot(bt.PopTo), // pre-translate to slots
@@ -257,7 +257,7 @@ func BuildFunc(ff *flatten.Func, sc *Scratch) (*Func, error) {
 			s.Imm = in.A
 			s.Dst = slot(h)
 		case wasm.OpPrefix:
-			switch in.Sub {
+			switch wasm.SubOpcode(in.Sub) {
 			case wasm.SubMemoryCopy:
 				s.Shape = ShMemCopy
 				s.A = slot(h - 3)

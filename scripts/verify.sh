@@ -51,12 +51,13 @@ go test -run '^$' -bench SteadyInterp -benchtime 1x ./internal/interp/
 # engine's own checks on its value stack, ROADMAP item 8), so that
 # they cannot creep back. The one-switch run loop had 268; since exec
 # addresses its frame through a pointer, over slots fold proves at
-# compile time, 39 remain, none of them on a slot exec addresses.
-# Lower the ceiling when a change removes some.
-echo "== Go-inserted bounds checks in internal/interp (ceiling 39)"
+# compile time, and it reads br_table's side table through the range
+# fold proves, 38 remain, none of them on a slot or a table entry exec
+# addresses. Lower the ceiling when a change removes some.
+echo "== Go-inserted bounds checks in internal/interp (ceiling 38)"
 bce=$(go build -gcflags=leapsandbounds/internal/interp=-d=ssa/check_bce/debug=1 ./internal/interp/ 2>&1 | grep -c 'Found Is')
 echo "$bce checks"
-test "$bce" -le 39 || { echo "internal/interp: $bce Go-inserted bounds checks, ceiling 39"; exit 1; }
+test "$bce" -le 38 || { echo "internal/interp: $bce Go-inserted bounds checks, ceiling 38"; exit 1; }
 
 # The same ceiling for the compiled engines' closures, which index
 # their frame through Go's checks (ROADMAP item 8's emit half, open):
