@@ -112,7 +112,7 @@ func goldenExtras(t *testing.T) []namedModule {
 		ri(wasm.OpBlock, uint64(wasm.I32)),
 		ri(wasm.OpI32Const, 10),
 		ri(wasm.OpLocalGet, 0),
-		wasm.Instr{Op: wasm.OpBrTable, Targets: []uint32{0, 1}, A: 2},
+		wasm.Instr{Op: wasm.OpBrTable, A: 0, B: 3},
 		ri(wasm.OpEnd),
 		ri(wasm.OpI32Const, 1),
 		ri(wasm.OpI32Add),
@@ -135,6 +135,7 @@ func goldenExtras(t *testing.T) []namedModule {
 		ri(wasm.OpEnd),
 		ri(wasm.OpI32Add),
 	)
+	carry.Code[0].Targets = []uint32{0, 1, 2}
 
 	mb := g.NewModule()
 	mb.Memory(1, 1)

@@ -119,6 +119,7 @@ func BenchmarkCompileManyFuncs(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("front", func(b *testing.B) {
+		b.SetBytes(int64(len(bin))) // MB/s, the unit of the benchmark's wasm.decode_mb_s
 		parked(b, func() error {
 			m, err := wasm.Decode(bin)
 			if err == nil {

@@ -74,7 +74,7 @@ func TestRawBrTableDispatch(t *testing.T) {
 		ri(wasm.OpBlock, wasm.BlockEmpty),
 		ri(wasm.OpBlock, wasm.BlockEmpty),
 		ri(wasm.OpLocalGet, 0),
-		wasm.Instr{Op: wasm.OpBrTable, Targets: []uint32{0, 1}, A: 2},
+		wasm.Instr{Op: wasm.OpBrTable, A: 0, B: 3},
 		ri(wasm.OpEnd),
 		ri(wasm.OpI32Const, 100),
 		ri(wasm.OpReturn),
@@ -84,6 +84,7 @@ func TestRawBrTableDispatch(t *testing.T) {
 		ri(wasm.OpEnd),
 		ri(wasm.OpI32Const, 999),
 	)
+	m.Code[0].Targets = []uint32{0, 1, 2}
 	cases := map[uint64]uint64{0: 100, 1: 200, 2: 999, 100: 999}
 	for arg, want := range cases {
 		if got := runRawAll(t, m, arg); got != want {

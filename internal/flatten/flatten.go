@@ -338,11 +338,12 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 		case wasm.OpBrTable:
 			push(-1)
 			j := emit(op, height+1, isa.ClassBranch)
-			j.A, j.B = uint64(len(targets)), uint64(len(in.Targets)+1)
-			for _, depth := range in.Targets {
+			// The wasm side table has flatten's layout: B depths from A,
+			// the default last.
+			j.A, j.B = uint64(len(targets)), uint64(in.B)
+			for _, depth := range code.Targets[in.A : in.A+uint64(in.B)] {
 				targets = append(targets, branchTo(int(depth), -len(targets)-1))
 			}
-			targets = append(targets, branchTo(int(in.A), -len(targets)-1))
 			dead = true
 		case wasm.OpReturn:
 			emit(OpReturnEnd, height, isa.ClassBranch).Arity = int8(len(ft.Results))
@@ -409,7 +410,7 @@ func (sc *Scratch) Flatten(m *wasm.Module, fnIndex uint32, code *wasm.Code) (*Fu
 			h := height
 			push(delta)
 			ni := emit(op, h, class)
-			ni.A, ni.B = in.A, in.B
+			ni.A, ni.B = in.A, uint64(in.B)
 		}
 	}
 	return nil, fmt.Errorf("flatten: function body missing final end")

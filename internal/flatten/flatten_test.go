@@ -11,11 +11,18 @@ import (
 
 func flat(t *testing.T, params, results []wasm.ValueType, body ...wasm.Instr) *flatten.Func {
 	t.Helper()
+	return flatTables(t, params, results, nil, body...)
+}
+
+// flatTables is flat for a body whose br_tables take their entries
+// from targets.
+func flatTables(t *testing.T, params, results []wasm.ValueType, targets []uint32, body ...wasm.Instr) *flatten.Func {
+	t.Helper()
 	body = append(body, wasm.Instr{Op: wasm.OpEnd})
 	m := &wasm.Module{
 		Types: []wasm.FuncType{{Params: params, Results: results}},
 		Funcs: []uint32{0},
-		Code:  []wasm.Code{{Body: body}},
+		Code:  []wasm.Code{{Body: body, Targets: targets}},
 	}
 	ff, err := flatten.Flatten(m, 0, &m.Code[0])
 	if err != nil {
@@ -133,11 +140,11 @@ func TestIfElseTargets(t *testing.T) {
 }
 
 func TestBrTableDefaultLast(t *testing.T) {
-	ff := flat(t, []wasm.ValueType{wasm.I32}, nil,
+	ff := flatTables(t, []wasm.ValueType{wasm.I32}, nil, []uint32{0, 1, 1},
 		i(wasm.OpBlock, wasm.BlockEmpty),
 		i(wasm.OpBlock, wasm.BlockEmpty),
 		i(wasm.OpLocalGet, 0),
-		wasm.Instr{Op: wasm.OpBrTable, Targets: []uint32{0, 1}, A: 1},
+		wasm.Instr{Op: wasm.OpBrTable, A: 0, B: 3},
 		i(wasm.OpEnd),
 		// Live code between the two ends so the depths resolve to
 		// distinct pcs.

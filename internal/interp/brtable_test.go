@@ -33,18 +33,18 @@ func tablesModule(n int) *wasm.Module {
 		body = append(body,
 			op(wasm.OpBlock, uint64(i32)), op(wasm.OpBlock, uint64(i32)), op(wasm.OpBlock, uint64(i32)),
 			op(wasm.OpI32Const, 10), op(wasm.OpLocalGet, 0),
-			wasm.Instr{Op: wasm.OpBrTable, Targets: []uint32{0, 1}, A: 2},
+			wasm.Instr{Op: wasm.OpBrTable, A: 0, B: 3},
 			op(wasm.OpEnd), op(wasm.OpI32Const, 1), op(wasm.OpI32Add),
 			op(wasm.OpEnd), op(wasm.OpI32Const, 3), op(wasm.OpI32Mul),
 			op(wasm.OpEnd), op(wasm.OpLocalSet, 1),
 			op(wasm.OpBlock, wasm.BlockEmpty),
 			op(wasm.OpLocalGet, 0),
-			wasm.Instr{Op: wasm.OpBrTable, A: 0},
+			wasm.Instr{Op: wasm.OpBrTable, A: 3, B: 1},
 			op(wasm.OpEnd),
 			op(wasm.OpLocalGet, 1), op(wasm.OpLocalGet, 0), op(wasm.OpI32Add),
 			op(wasm.OpEnd))
 		m.Funcs = append(m.Funcs, 0)
-		m.Code = append(m.Code, wasm.Code{Locals: []wasm.ValueType{i32}, Body: body})
+		m.Code = append(m.Code, wasm.Code{Locals: []wasm.ValueType{i32}, Body: body, Targets: []uint32{0, 1, 2, 0}})
 		m.Exports = append(m.Exports, wasm.Export{Name: fmt.Sprintf("f%d", k), Kind: wasm.ExternFunc, Index: uint32(k)})
 	}
 	return m
@@ -97,25 +97,27 @@ func TestBrTableSideTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The module has no memory, so closing an instance whose call
+		// hung (invokeBounded) frees nothing that call reads.
 		t.Cleanup(func() { inst.Close() })
 		return inst
 	}
-	call := func(inst core.Instance, name string, arg uint64) string {
-		res, err := inst.Invoke(name, arg)
+	call := func(inst core.Instance, stream, name string, arg uint64) string {
+		res, err := invokeBounded(t, inst, stream, name, arg)
 		return fmt.Sprint(res, err)
 	}
 	wavm := instance(compiled.NewWAVM(), cfg)
 	insts := map[string]core.Instance{
-		"plain":       instance(interp.NewWasm3(), cfg),
-		"CountCycles": instance(interp.NewWasm3(), counted),
-		"profiled":    instance(interp.NewWasm3(), profiled),
+		"plain":                     instance(interp.NewWasm3(), cfg),
+		"instrumented, CountCycles": instance(interp.NewWasm3(), counted),
+		"instrumented, profiled":    instance(interp.NewWasm3(), profiled),
 	}
 	for _, e := range m.Exports {
 		for _, a := range []uint64{0, 1, 2, 3, 0x7fffffff, 0xffffffff} {
-			want := call(wavm, e.Name, a)
-			for name, inst := range insts {
-				if got := call(inst, e.Name, a); got != want {
-					t.Errorf("%s(%d), %s: %s, wavm %s", e.Name, a, name, got, want)
+			want := call(wavm, "wavm", e.Name, a)
+			for stream, inst := range insts {
+				if got := call(inst, stream, e.Name, a); got != want {
+					t.Errorf("%s(%d), %s: %s, wavm %s", e.Name, a, stream, got, want)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
@@ -81,29 +82,68 @@ func interpConfigs() []interpConfig {
 	return out
 }
 
+// guestDeadline bounds one guest call in these tests. A call takes
+// milliseconds; a misplaced branch target instead loops for ever, and
+// go test would then fail only at its own timeout, naming no function.
+// It is a liveness bound, not a timing assertion.
+const guestDeadline = 2 * time.Minute
+
+// invokeBounded is inst.Invoke(name, args...), except that it fails t,
+// naming the function and the stream it runs on, if no result comes
+// within guestDeadline. The hung call's goroutine runs on, so an
+// instance whose memory it may touch must not be closed after such a
+// failure: close it only once invokeBounded has returned.
+func invokeBounded(t *testing.T, inst core.Instance, stream, name string, args ...uint64) ([]uint64, error) {
+	t.Helper()
+	type result struct {
+		res []uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := inst.Invoke(name, args...)
+		done <- result{res, err}
+	}()
+	timer := time.NewTimer(guestDeadline)
+	defer timer.Stop()
+	select {
+	case r := <-done:
+		return r.res, r.err
+	case <-timer.C:
+		t.Fatalf("%s%v on the %s stream: no result after %v, an endless guest loop", name, args, stream, guestDeadline)
+		return nil, nil
+	}
+}
+
 // outcome runs calls on a fresh instance of cm and returns every call's
 // results or error text (which carries the trap kind and the faulting
-// offset), then a digest of the final memory image.
+// offset), then a digest of the final memory image. The instance is
+// closed only after its last call returns (invokeBounded).
 func outcome(t *testing.T, cm core.CompiledModule, cfg core.Config, imports core.Imports, cs []progCall) string {
 	t.Helper()
 	inst, err := cm.Instantiate(cfg, imports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inst.Close()
+	stream := "plain"
+	if cfg.CountCycles {
+		stream = "instrumented"
+	}
 	var b strings.Builder
 	for _, c := range cs {
-		res, err := inst.Invoke(c.export, c.args...)
+		res, err := invokeBounded(t, inst, stream, c.export, c.args...)
 		fmt.Fprintf(&b, "%s%v = %v, %v\n", c.export, c.args, res, err)
 	}
 	if m := inst.Memory(); m != nil && m.SizeBytes() > 0 {
 		fmt.Fprintf(&b, "memory %d bytes %x\n", m.SizeBytes(), sha256.Sum256(m.Bytes(0, m.SizeBytes(), false)))
 	}
+	inst.Close()
 	return b.String()
 }
 
 // TestFoldedMatchesUnfolded runs every registered workload at class
-// Test, and every wasmgen program of interp_test.go, on the plain
+// Test, every wasmgen program of interp_test.go and tablesModule's
+// br_tables on the plain
 // (fused) streams and on the instrumented (unfused) ones, under wasm3
 // and the configurable interpreter with each strategy: results, trap
 // kinds and offsets, and the final memory image must agree.
@@ -130,6 +170,16 @@ func TestFoldedMatchesUnfolded(t *testing.T) {
 		}
 		subjects = append(subjects, subject{p.name, m, p.imports, p.calls})
 	}
+	// Neither holds a br_table, so a misplaced side-table entry in one
+	// stream shows only on tablesModule.
+	tables := tablesModule(4)
+	var tableCalls []progCall
+	for _, e := range tables.Exports {
+		for _, a := range []uint64{0, 1, 2, 3} {
+			tableCalls = append(tableCalls, progCall{e.Name, []uint64{a}})
+		}
+	}
+	subjects = append(subjects, subject{"br_tables", tables, nil, tableCalls})
 	for _, sub := range subjects {
 		for _, c := range interpConfigs() {
 			cm, err := c.eng.Compile(sub.m)

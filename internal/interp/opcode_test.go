@@ -93,7 +93,7 @@ func op(o wasm.Opcode, a ...uint64) wasm.Instr {
 	return in
 }
 
-func mem2(o wasm.Opcode, offset uint64) wasm.Instr { return wasm.Instr{Op: o, B: offset} }
+func mem2(o wasm.Opcode, offset uint32) wasm.Instr { return wasm.Instr{Op: o, B: offset} }
 
 func prefixed(sub wasm.SubOpcode) wasm.Instr { return wasm.Instr{Op: wasm.OpPrefix, Sub: sub} }
 
@@ -280,14 +280,16 @@ func opModules() []opModule {
 		op(wasm.OpEnd),
 	), tuples(i32))
 	// br_table carrying a value to each of three targets.
-	add("br_table", opFunc(vt(i32), i32, nil,
+	brTable := opFunc(vt(i32), i32, nil,
 		op(wasm.OpBlock, uint64(i32)), op(wasm.OpBlock, uint64(i32)), op(wasm.OpBlock, uint64(i32)),
 		op(wasm.OpI32Const, 10), op(wasm.OpLocalGet, 0),
-		wasm.Instr{Op: wasm.OpBrTable, Targets: []uint32{0, 1}, A: 2},
+		wasm.Instr{Op: wasm.OpBrTable, A: 0, B: 3},
 		op(wasm.OpEnd), op(wasm.OpI32Const, 1), op(wasm.OpI32Add),
 		op(wasm.OpEnd), op(wasm.OpI32Const, 3), op(wasm.OpI32Mul),
 		op(wasm.OpEnd),
-	), tuples(i32))
+	)
+	brTable.Code[0].Targets = []uint32{0, 1, 2}
+	add("br_table", brTable, tuples(i32))
 	// call and call_indirect: f(x) = table[x](30, 12) + g(x), with a
 	// slot of the wrong type, a null slot and slots past the table.
 	calls := opFunc(vt(i32), i32, nil,

@@ -65,7 +65,7 @@ func flatModule(t *testing.T) *wasm.Module {
 		{Op: wasm.OpBlock, A: uint64(wasm.I32)},
 		{Op: wasm.OpI32Const, A: 10},
 		{Op: wasm.OpLocalGet},
-		{Op: wasm.OpBrTable, Targets: []uint32{0}, A: 1},
+		{Op: wasm.OpBrTable, A: 0, B: 2},
 		{Op: wasm.OpEnd},
 		{Op: wasm.OpI32Const, A: 1},
 		{Op: wasm.OpI32Add},
@@ -77,7 +77,7 @@ func flatModule(t *testing.T) *wasm.Module {
 		{Op: wasm.OpEnd},
 	}
 	m.Funcs = append(m.Funcs, m.Funcs[0])
-	m.Code = append(m.Code, wasm.Code{Body: body})
+	m.Code = append(m.Code, wasm.Code{Body: body, Targets: []uint32{0, 1}})
 	return m
 }
 

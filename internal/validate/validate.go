@@ -256,6 +256,10 @@ type bodyChecker struct {
 	locals []wasm.ValueType
 	ops    []wasm.ValueType
 	ctrls  []ctrlFrame
+	// targets is the body's br_table side table past the entries
+	// br_tables have taken; used counts those.
+	targets []uint32
+	used    uint64
 }
 
 func (c *bodyChecker) pushOp(t wasm.ValueType) { c.ops = append(c.ops, t) }
@@ -333,6 +337,7 @@ func (c *bodyChecker) validateBody(ft wasm.FuncType, code *wasm.Code) error {
 	v := c.v
 	c.locals = append(append(c.locals[:0], ft.Params...), code.Locals...)
 	c.ops, c.ctrls = c.ops[:0], c.ctrls[:0]
+	c.targets, c.used = code.Targets, 0
 	c.pushCtrl(0, nil, ft.Results)
 
 	for pc, in := range code.Body {
@@ -342,6 +347,9 @@ func (c *bodyChecker) validateBody(ft wasm.FuncType, code *wasm.Code) error {
 		if len(c.ctrls) == 0 {
 			if pc != len(code.Body)-1 {
 				return fmt.Errorf("instr %d: code after function end", pc)
+			}
+			if len(c.targets) > 0 {
+				return fmt.Errorf("%d br_table entries past the last br_table", len(c.targets))
 			}
 			return nil
 		}
@@ -442,12 +450,20 @@ func (v *validator) checkInstr(c *bodyChecker, in wasm.Instr) error {
 		if _, err := c.popOp(wasm.I32); err != nil {
 			return err
 		}
-		def := int(in.A)
+		// Its entries are the side table's next B, at least one (a
+		// decoded module has that by construction, a built one may not).
+		rest := c.targets
+		if in.B == 0 || in.A != c.used || uint64(in.B) > uint64(len(rest)) {
+			return fmt.Errorf("br_table entries [%d, %d+%d) of %d, the next one %d", in.A, in.A, in.B, c.used+uint64(len(rest)), c.used)
+		}
+		c.targets, c.used = rest[in.B:], c.used+uint64(in.B)
+		tbl := rest[:in.B]
+		def := int(tbl[len(tbl)-1])
 		if def >= len(c.ctrls) {
 			return fmt.Errorf("br_table default depth %d exceeds control stack", def)
 		}
 		defTypes := c.ctrls[len(c.ctrls)-1-def].labelTypes()
-		for _, t := range in.Targets {
+		for _, t := range tbl[:len(tbl)-1] {
 			if int(t) >= len(c.ctrls) {
 				return fmt.Errorf("br_table depth %d exceeds control stack", t)
 			}

@@ -26,7 +26,7 @@ func i(op wasm.Opcode, a ...uint64) wasm.Instr {
 		in.A = a[0]
 	}
 	if len(a) > 1 {
-		in.B = a[1]
+		in.B = uint32(a[1])
 	}
 	return in
 }
@@ -208,13 +208,52 @@ func TestBrTableArityAgreement(t *testing.T) {
 		i(wasm.OpBlock, uint64(wasm.I32)),
 		i(wasm.OpBlock, wasm.BlockEmpty),
 		i(wasm.OpI32Const, 0),
-		wasm.Instr{Op: wasm.OpBrTable, Targets: []uint32{0}, A: 1},
+		wasm.Instr{Op: wasm.OpBrTable, A: 0, B: 2},
 		i(wasm.OpEnd),
 		i(wasm.OpI32Const, 1),
 		i(wasm.OpEnd),
 		i(wasm.OpDrop),
 	)
+	m.Code[0].Targets = []uint32{0, 1}
 	wantErr(t, m, "arities differ")
+}
+
+// TestBrTableSideTable: a built module reaches validation before
+// anything else reads it, so the validator holds its br_tables to the
+// side table's layout — each takes the table's next entries, at least
+// one, within the table, and together they take every entry — the
+// rules interp.fold's prover holds flatten's table to.
+func TestBrTableSideTable(t *testing.T) {
+	brTable := func(a uint64, b uint32) []wasm.Instr {
+		return []wasm.Instr{
+			i(wasm.OpBlock, wasm.BlockEmpty),
+			i(wasm.OpLocalGet, 0),
+			{Op: wasm.OpBrTable, A: a, B: b},
+			i(wasm.OpEnd),
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		body    []wasm.Instr
+		targets []uint32
+		want    string // "" if valid
+	}{
+		{"two tables in order", append(brTable(0, 2), brTable(2, 1)...), []uint32{0, 1, 0}, ""},
+		{"empty range", brTable(0, 0), []uint32{0}, "br_table entries [0, 0+0) of 1, the next one 0"},
+		{"not the next entries", append(brTable(0, 1), brTable(0, 1)...), []uint32{0, 0}, "br_table entries [0, 0+1) of 2, the next one 1"},
+		{"range past the table", brTable(0, 3), []uint32{0, 0}, "br_table entries [0, 0+3) of 2, the next one 0"},
+		{"entries past the last br_table", brTable(0, 1), []uint32{0, 0}, "1 br_table entries past the last br_table"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := fn([]wasm.ValueType{wasm.I32}, nil, nil, c.body...)
+			m.Code[0].Targets = c.targets
+			if c.want == "" {
+				wantOK(t, m)
+			} else {
+				wantErr(t, m, c.want)
+			}
+		})
+	}
 }
 
 func TestLoopBranchTakesNoValues(t *testing.T) {

@@ -56,6 +56,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		good     = []byte{0x02, 0x00, 0x0b}       // no locals; end
 		badOp    = []byte{0x02, 0x00, 0xff}       // no locals; an opcode that does not exist
 		trailing = []byte{0x03, 0x00, 0x0b, 0x0b} // a byte after the final end
+		// 0xFC sub-opcode 266, which a byte would hold as 10
+		// (memory.copy, whose two index bytes follow).
+		wideSub = []byte{0x07, 0x00, 0xfc, 0x8a, 0x02, 0x00, 0x00, 0x0b}
 	)
 	// bodies is 64 bodies, good but for the two given.
 	bodies := func(i int, bi []byte, j int, bj []byte) [][]byte {
@@ -95,6 +98,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			"function 5: wasm: malformed module: offset 2: unknown opcode 0xff"},
 		{"two bad bodies, the other way round", codeModule(64, bodies(5, trailing, 9, badOp)...),
 			"wasm: malformed module: offset 2: function 5: trailing bytes after body"},
+		{"sub-opcode past a byte", codeModule(64, bodies(5, wideSub, 0, good)...),
+			"function 5: wasm: malformed module: offset 4: unsupported prefixed opcode 266"},
 		{"bad body before a truncated size prefix", codeModule(64, append(bodies(5, badOp, 9, trailing)[:40], []byte{0x80})...),
 			"function 5: wasm: malformed module: offset 2: unknown opcode 0xff"},
 		{"truncated size prefix after good bodies", codeModule(64, append(bodies(0, good, 1, good)[:40], []byte{0x80})...),

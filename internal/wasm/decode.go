@@ -656,20 +656,15 @@ func decodeCode(d *decoder, m *Module) error {
 	}
 	code := make([]Code, len(bodies))
 	_, err = fanout.Each(len(bodies), func() func(int) error {
-		// One buffer per worker, reused, takes every body as it is
+		// One scratch per worker, reused, takes every body as it is
 		// decoded; each is then copied out at its exact length.
 		// Allocation follows the instructions actually decoded — never
 		// a declared size or count — and no body carries spare capacity
 		// for the module's lifetime.
-		var scratch []Instr
-		return func(i int) error {
-			locals, body, err := decodeBody(i, bodies[i], scratch[:0])
-			if err != nil {
-				return err
-			}
-			scratch = body
-			code[i] = Code{Locals: locals, Body: slices.Clone(body)}
-			return nil
+		var s bodyScratch
+		return func(i int) (err error) {
+			code[i], err = s.decodeBody(i, bodies[i])
+			return err
 		}
 	})
 	if err != nil {
@@ -682,51 +677,62 @@ func decodeCode(d *decoder, m *Module) error {
 	return nil
 }
 
+// bodyScratch is one decode worker's reusable buffers: a body's
+// instructions and its br_table side table.
+type bodyScratch struct {
+	code    []Instr
+	targets []uint32
+}
+
 // decodeBody decodes function body i: its local declarations, expanded,
-// and its instructions, appended to out.
-func decodeBody(i int, body []byte, out []Instr) ([]ValueType, []Instr, error) {
+// its instructions and its br_table side table, copied out of s.
+func (s *bodyScratch) decodeBody(i int, body []byte) (Code, error) {
 	bd := &decoder{buf: body}
 	nd, err := bd.u32()
 	if err != nil {
-		return nil, nil, err
+		return Code{}, err
 	}
 	var locals []ValueType
 	total := 0
 	for j := uint32(0); j < nd; j++ {
 		cnt, err := bd.u32()
 		if err != nil {
-			return nil, nil, err
+			return Code{}, err
 		}
 		t, err := bd.valueType()
 		if err != nil {
-			return nil, nil, err
+			return Code{}, err
 		}
 		total += int(cnt)
 		if total > 1<<20 {
-			return nil, nil, bd.failf("function %d declares too many locals", i)
+			return Code{}, bd.failf("function %d declares too many locals", i)
 		}
 		for k := uint32(0); k < cnt; k++ {
 			locals = append(locals, t)
 		}
 	}
-	out, err = decodeExpr(bd, out)
-	if err != nil {
-		return nil, nil, fmt.Errorf("function %d: %w", i, err)
+	if err := s.decodeExpr(bd); err != nil {
+		return Code{}, fmt.Errorf("function %d: %w", i, err)
 	}
 	if bd.remaining() != 0 {
-		return nil, nil, bd.failf("function %d: trailing bytes after body", i)
+		return Code{}, bd.failf("function %d: trailing bytes after body", i)
 	}
-	return locals, out, nil
+	c := Code{Locals: locals, Body: slices.Clone(s.code)}
+	if len(s.targets) > 0 { // else nil, as in a built body without br_table
+		c.Targets = slices.Clone(s.targets)
+	}
+	return c, nil
 }
 
 // decodeExpr decodes an instruction sequence up to and including the
-// matching final end, appending to out.
-func decodeExpr(d *decoder, out []Instr) ([]Instr, error) {
+// matching final end into s, which it empties first.
+func (s *bodyScratch) decodeExpr(d *decoder) error {
+	out, targets := s.code[:0], s.targets[:0]
 	depth := 0
 	for {
 		b, err := d.byteVal()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		op := Opcode(b)
 		in := Instr{Op: op}
@@ -762,10 +768,10 @@ func decodeExpr(d *decoder, out []Instr) ([]Instr, error) {
 		case OpBlock, OpLoop, OpIf:
 			bt, err := d.byteVal()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if bt != BlockEmpty && !ValueType(bt).Valid() {
-				return nil, d.failf("invalid block type 0x%02x", bt)
+				return d.failf("invalid block type 0x%02x", bt)
 			}
 			in.A = uint64(bt)
 			depth++
@@ -773,88 +779,86 @@ func decodeExpr(d *decoder, out []Instr) ([]Instr, error) {
 			// structure checked by the validator
 		case OpEnd:
 			if depth == 0 {
-				out = append(out, in)
-				return out, nil
+				s.code, s.targets = append(out, in), targets
+				return nil
 			}
 			depth--
 		case OpBr, OpBrIf, OpCall, OpLocalGet, OpLocalSet, OpLocalTee,
 			OpGlobalGet, OpGlobalSet:
 			v, err := d.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.A = uint64(v)
 		case OpBrTable:
 			cnt, room, err := d.vecLen()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if int(cnt) > room {
-				return nil, d.failf("br_table target count %d too large", cnt)
+				return d.failf("br_table target count %d too large", cnt)
 			}
-			targets := make([]uint32, 0, room)
-			for j := uint32(0); j < cnt; j++ {
+			in.A = uint64(len(targets))
+			for j := uint32(0); j <= cnt; j++ { // cnt entries, then the default
 				t, err := d.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				targets = append(targets, t)
 			}
-			def, err := d.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.Targets = targets
-			in.A = uint64(def)
+			in.B = cnt + 1
 		case OpCallIndirect:
 			ti, err := d.u32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tbl, err := d.byteVal()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if tbl != 0 {
-				return nil, d.failf("call_indirect reserved byte must be 0")
+				return d.failf("call_indirect reserved byte must be 0")
 			}
 			in.A = uint64(ti)
 		case OpMemorySize, OpMemoryGrow:
 			mi, err := d.byteVal()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if mi != 0 {
-				return nil, d.failf("memory index must be 0")
+				return d.failf("memory index must be 0")
 			}
 		case OpI32Const:
 			v, err := d.s32()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.A = uint64(uint32(v))
 		case OpI64Const:
 			v, err := d.s64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.A = uint64(v)
 		case OpF32Const:
 			v, err := d.f32bits()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.A = uint64(v)
 		case OpF64Const:
 			v, err := d.f64bits()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.A = v
 		case OpPrefix:
 			sub, err := d.u32()
 			if err != nil {
-				return nil, err
+				return err
+			}
+			if sub > 0xFF { // checked before the narrowing, which would alias it
+				return d.failf("unsupported prefixed opcode %d", sub)
 			}
 			in.Sub = SubOpcode(sub)
 			switch in.Sub {
@@ -865,40 +869,40 @@ func decodeExpr(d *decoder, out []Instr) ([]Instr, error) {
 			case SubMemoryCopy:
 				a, err := d.byteVal()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				b, err := d.byteVal()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if a != 0 || b != 0 {
-					return nil, d.failf("memory.copy indices must be 0")
+					return d.failf("memory.copy indices must be 0")
 				}
 			case SubMemoryFill:
 				a, err := d.byteVal()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if a != 0 {
-					return nil, d.failf("memory.fill index must be 0")
+					return d.failf("memory.fill index must be 0")
 				}
 			default:
-				return nil, d.failf("unsupported prefixed opcode %d", sub)
+				return d.failf("unsupported prefixed opcode %d", sub)
 			}
 		default:
 			if op.IsLoad() || op.IsStore() {
 				align, err := d.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				offset, err := d.u32()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				in.A = uint64(align)
-				in.B = uint64(offset)
+				in.B = offset
 			} else {
-				return nil, d.failf("unknown opcode 0x%02x", b)
+				return d.failf("unknown opcode 0x%02x", b)
 			}
 		}
 		out = append(out, in)

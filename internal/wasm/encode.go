@@ -270,7 +270,7 @@ func encodeBody(c Code) ([]byte, error) {
 	}
 	for _, in := range c.Body {
 		var err error
-		b, err = appendInstr(b, in)
+		b, err = appendInstr(b, in, c.Targets)
 		if err != nil {
 			return nil, err
 		}
@@ -278,8 +278,9 @@ func encodeBody(c Code) ([]byte, error) {
 	return b, nil
 }
 
-// appendInstr appends the binary encoding of a single instruction.
-func appendInstr(b []byte, in Instr) ([]byte, error) {
+// appendInstr appends the binary encoding of a single instruction; a
+// br_table's entries come from its function's side table, targets.
+func appendInstr(b []byte, in Instr, targets []uint32) ([]byte, error) {
 	b = append(b, byte(in.Op))
 	switch in.Op {
 	case OpBlock, OpLoop, OpIf:
@@ -288,11 +289,16 @@ func appendInstr(b []byte, in Instr) ([]byte, error) {
 		OpGlobalGet, OpGlobalSet:
 		b = AppendUleb128(b, in.A)
 	case OpBrTable:
-		b = AppendUleb128(b, uint64(len(in.Targets)))
-		for _, t := range in.Targets {
+		// An unvalidated module may hold any range (ContentHash encodes
+		// before validation), so a bad one is an error, not a panic.
+		if in.B == 0 || in.A > uint64(len(targets)) || uint64(in.B) > uint64(len(targets))-in.A {
+			return nil, fmt.Errorf("br_table entries [%d, %d+%d) outside a %d-entry side table", in.A, in.A, in.B, len(targets))
+		}
+		tbl := targets[in.A : in.A+uint64(in.B)]
+		b = AppendUleb128(b, uint64(len(tbl)-1)) // the default is not counted
+		for _, t := range tbl {
 			b = AppendUleb128(b, uint64(t))
 		}
-		b = AppendUleb128(b, in.A)
 	case OpCallIndirect:
 		b = AppendUleb128(b, in.A)
 		b = append(b, 0)
@@ -317,7 +323,7 @@ func appendInstr(b []byte, in Instr) ([]byte, error) {
 	default:
 		if in.Op.IsLoad() || in.Op.IsStore() {
 			b = AppendUleb128(b, in.A)
-			b = AppendUleb128(b, in.B)
+			b = AppendUleb128(b, uint64(in.B))
 		}
 	}
 	return b, nil

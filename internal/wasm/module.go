@@ -5,12 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Instr is one decoded instruction. Immediates are stored in a fixed
-// layout so the struct stays small and allocation-free to copy:
+// Instr is one decoded instruction: 16 bytes with no pointer, so a
+// body is one flat allocation the collector never scans. Immediates
+// sit in a fixed layout:
 //
 //	block/loop/if   BlockType in A (int64 of the encoded byte / type index)
 //	br/br_if        label depth in A
-//	br_table        Targets + default in A
+//	br_table        entries [A, A+B) of Code.Targets, default entry last
 //	call            function index in A
 //	call_indirect   type index in A
 //	local/global    index in A
@@ -18,11 +19,11 @@ import (
 //	const           raw bits in A (i32/f32 in low 32 bits)
 //	prefix          SubOpcode in Sub, extra operands in A/B
 type Instr struct {
-	Op      Opcode
-	Sub     SubOpcode
-	A       uint64
-	B       uint64
-	Targets []uint32 // br_table only; default target in A
+	Op  Opcode
+	Sub SubOpcode
+	_   [2]byte
+	B   uint32 // memarg offset (u32 in wasm32), or a br_table's entry count
+	A   uint64
 }
 
 // BlockEmpty is the BlockType value for an empty (no-result) block.
@@ -42,6 +43,8 @@ func (i Instr) String() string {
 		return fmt.Sprintf("i64.const %d", int64(i.A))
 	case OpCall, OpLocalGet, OpLocalSet, OpLocalTee, OpGlobalGet, OpGlobalSet, OpBr, OpBrIf:
 		return fmt.Sprintf("%s %d", i.Op, i.A)
+	case OpBrTable:
+		return fmt.Sprintf("%s targets[%d:%d]", i.Op, i.A, i.A+uint64(i.B))
 	default:
 		if i.Op.IsLoad() || i.Op.IsStore() {
 			return fmt.Sprintf("%s align=%d offset=%d", i.Op, i.A, i.B)
@@ -101,6 +104,10 @@ type DataSegment struct {
 type Code struct {
 	Locals []ValueType // expanded local declarations (excluding params)
 	Body   []Instr
+	// Targets holds every br_table's label depths, one table after
+	// another in body order; a br_table takes its B entries from A, the
+	// default depth last (the layout of flatten.Func.Targets).
+	Targets []uint32
 }
 
 // Module is a fully decoded WebAssembly module.

@@ -243,8 +243,10 @@ const (
 // SubOpcode.
 const OpPrefix Opcode = 0xfc
 
-// SubOpcode is the second byte of a 0xFC-prefixed instruction.
-type SubOpcode uint32
+// SubOpcode is the second byte of a 0xFC-prefixed instruction. The
+// binary format encodes it as a u32 LEB; every one defined fits a byte,
+// and the decoder rejects a larger one before narrowing it.
+type SubOpcode uint8
 
 // Prefixed (0xFC) operations.
 const (
@@ -352,7 +354,7 @@ func (s SubOpcode) String() string {
 	if n, ok := subNames[s]; ok {
 		return n
 	}
-	return fmt.Sprintf("subopcode(%d)", uint32(s))
+	return fmt.Sprintf("subopcode(%d)", uint8(s))
 }
 
 // IsLoad reports whether op is a memory load instruction.

@@ -375,5 +375,5 @@ func (e *emitter) sub(s wasm.SubOpcode) {
 }
 
 func (e *emitter) mem(op wasm.Opcode, align, offset uint32) {
-	e.code = append(e.code, wasm.Instr{Op: op, A: uint64(align), B: uint64(offset)})
+	e.code = append(e.code, wasm.Instr{Op: op, A: uint64(align), B: offset})
 }
