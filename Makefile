@@ -12,8 +12,10 @@ test:
 	$(GO) test ./...
 
 # Race pass over the packages with goroutines or unsynchronised fast
-# paths; this is also where the differential suites (compiled
-# pipelines, fork, hostcall, shared memory) run in full, without -short.
+# paths; this is also where the differential suites run in full,
+# without -short: every row over internal/difftest's Check (compiled
+# pipelines, OOB partition, fork and counted axes, hostcall) and the
+# shared-memory fixture.
 #   fanout, wasm, validate, compiled, interp, flatten, rir: a cold
 #     start runs on fanout's workers from the code section on — decode
 #     and validate per body, then flatten → rir → elide → emit per
@@ -22,11 +24,12 @@ test:
 #     seeds run here too. The compiled engines' unchecked fast paths
 #     only show a race here
 #   wasi: one Env serves hostcalls from every worker of a guest
+#   difftest: the harness held to catching a perturbed cell
 #   harness: the RunShared fixture, N workers and a grower on one
 #     shared memory
 #   prof: a sampler reading live state
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/core/ ./internal/wasi/ ./internal/prof/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/core/ ./internal/wasi/ ./internal/difftest/ ./internal/prof/
 
 # Profiler smoke: sample a short gemm run through the harness and
 # assert the profile is non-empty and its pprof export parses
@@ -48,16 +51,15 @@ trace-smoke:
 	$(GO) test -count=1 -run 'TestTraceSmoke' -v ./cmd/leapsbench/
 
 # Short coverage-guided fuzz pass over the binary decoder, the
-# validator, the compiled-pipeline differentials (wavm against wavm
-# without elision, and wavm and wasmtime against the interpreter), the WASI host-boundary cross-strategy differential,
-# and the shared-memory grow-under-traffic differential (~10s each);
-# regressions land in testdata/fuzz/.
+# validator, the one differential target (FuzzDiff: a program family
+# or a WASI iovec scenario on every engine and compiled pipeline,
+# through internal/difftest's Check), and the shared-memory
+# grow-under-traffic differential (~10s each); regressions land in
+# testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./internal/wasm/ -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/validate/ -run '^$$' -fuzz FuzzValidate -fuzztime 10s
-	$(GO) test ./internal/compiled/ -run '^$$' -fuzz FuzzElideDiff -fuzztime 10s
-	$(GO) test ./internal/compiled/ -run '^$$' -fuzz FuzzRIRDiff -fuzztime 10s
-	$(GO) test ./internal/wasi/ -run '^$$' -fuzz FuzzWASIDiff -fuzztime 10s
+	$(GO) test ./internal/compiled/ -run '^$$' -fuzz FuzzDiff -fuzztime 10s
 	$(GO) test ./internal/harness/ -run '^$$' -fuzz FuzzSharedGrowDiff -fuzztime 10s
 
 # The full tier-1 gate: build + vet + gofmt + tests (internal/tiered

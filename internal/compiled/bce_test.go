@@ -5,6 +5,7 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/wasm"
@@ -17,30 +18,6 @@ import (
 // of them is parallel, and this package's parallel subtests finish
 // before their parent test returns, so no other compile runs inside a
 // delta and the exact ones hold.
-
-// runAllStrategies executes run() under every strategy and requires
-// one agreed result (the kernels here make no OOB access).
-func runAllStrategies(t *testing.T, cm core.CompiledModule) uint64 {
-	t.Helper()
-	var want uint64
-	for i, s := range mem.Strategies() {
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		res, err := inst.Invoke("run")
-		inst.Close()
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if i == 0 {
-			want = res[0]
-		} else if res[0] != want {
-			t.Errorf("%v: result %#x, want %#x", s, res[0], want)
-		}
-	}
-	return want
-}
 
 // TestHoistLoopInvariantChecks compiles a gemm-shaped kernel — three
 // nested counted loops whose accesses are affine in the induction
@@ -83,8 +60,7 @@ func TestHoistLoopInvariantChecks(t *testing.T) {
 	before := compiled.Stats()
 	eng := compiled.NewWAVM()
 	eng.SetCache(nil)
-	cm, err := eng.Compile(m)
-	if err != nil {
+	if _, err := eng.Compile(m); err != nil {
 		t.Fatal(err)
 	}
 	after := compiled.Stats()
@@ -94,7 +70,7 @@ func TestHoistLoopInvariantChecks(t *testing.T) {
 	if after.ChecksElided == before.ChecksElided {
 		t.Errorf("no elided accesses on a gemm-shaped kernel")
 	}
-	runAllStrategies(t, cm)
+	difftest.Check(t, difftest.Row{Module: m, Engines: []difftest.Engine{wavm}, Rule: difftest.Same})
 }
 
 // TestStraightLineAccessesStayChecked compiles traffic that elision
@@ -129,8 +105,7 @@ func TestStraightLineAccessesStayChecked(t *testing.T) {
 		before := compiled.Stats()
 		eng := compiled.NewWAVM()
 		eng.SetCache(nil)
-		cm, err := eng.Compile(row.m)
-		if err != nil {
+		if _, err := eng.Compile(row.m); err != nil {
 			t.Fatal(err)
 		}
 		after := compiled.Stats()
@@ -140,7 +115,7 @@ func TestStraightLineAccessesStayChecked(t *testing.T) {
 		if d := after.ChecksEmitted - before.ChecksEmitted; d != accesses[row.name] {
 			t.Errorf("%s: %d checks emitted, want its %d accesses", row.name, d, accesses[row.name])
 		}
-		runAllStrategies(t, cm)
+		difftest.Check(t, difftest.Row{Module: row.m, Engines: []difftest.Engine{wavm}, Rule: difftest.Same})
 	}
 }
 

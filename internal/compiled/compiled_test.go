@@ -6,64 +6,45 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
-	"leapsandbounds/internal/interp"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
+	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
 
-// engines returns all three wasm engines for differential testing.
-func engines() map[string]core.Engine {
-	return map[string]core.Engine{
-		"wasm3":    interp.NewWasm3(),
-		"wasmtime": compiled.NewWasmtime(),
-		"wavm":     compiled.NewWAVM(),
-	}
+// agree runs calls on m on wasm3, wasmtime and wavm (Check, rule Same)
+// and returns the Outcome they agree on.
+func agree(t *testing.T, m *wasm.Module, calls ...difftest.Call) difftest.Outcome {
+	t.Helper()
+	engines := []difftest.Engine{wasm3, wasmtime, wavm}
+	return difftest.Check(t, difftest.Row{Module: m, Calls: calls, Engines: engines, Rule: difftest.Same})[mem.Trap]
 }
 
-// diffRun executes the same export with the same args on all engines
-// and requires identical results (or failure on all).
-func diffRun(t *testing.T, mb *g.ModuleBuilder, export string, args ...uint64) uint64 {
+// result is agree for calls that must not trap: the digest of their
+// results.
+func result(t *testing.T, m *wasm.Module, calls ...difftest.Call) uint64 {
+	t.Helper()
+	o := agree(t, m, calls...)
+	if o.Trapped {
+		t.Fatalf("every engine trapped: %v", o)
+	}
+	return o.Digest
+}
+
+// built is mb's module.
+func built(t *testing.T, mb *g.ModuleBuilder) *wasm.Module {
 	t.Helper()
 	m, err := mb.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref uint64
-	var refErr error
-	first := true
-	for name, e := range engines() {
-		cm, err := e.Compile(m)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64()}, nil)
-		if err != nil {
-			t.Fatalf("%s: instantiate: %v", name, err)
-		}
-		res, err := inst.Invoke(export, args...)
-		inst.Close()
-		var v uint64
-		if err == nil && len(res) > 0 {
-			v = res[0]
-		}
-		if first {
-			ref, refErr = v, err
-			first = false
-			continue
-		}
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%s: error mismatch: %v vs %v", name, err, refErr)
-		}
-		if v != ref {
-			t.Fatalf("%s: result %#x, want %#x", name, v, ref)
-		}
-	}
-	if refErr != nil {
-		t.Fatalf("all engines failed: %v", refErr)
-	}
-	return ref
+	return m
+}
+
+func call(export string, args ...uint64) difftest.Call {
+	return difftest.Call{Export: export, Args: args}
 }
 
 func TestDiffArith(t *testing.T) {
@@ -78,7 +59,7 @@ func TestDiffArith(t *testing.T) {
 		),
 	))
 	mb.Export("mix", f)
-	diffRun(t, mb, "mix", 0xdeadbeefcafe, 31337)
+	result(t, built(t, mb), call("mix", 0xdeadbeefcafe, 31337))
 }
 
 func TestDiffLoopsAndMemory(t *testing.T) {
@@ -109,7 +90,7 @@ func TestDiffLoopsAndMemory(t *testing.T) {
 		g.Return(g.Get(acc)),
 	)
 	mb.Export("stencil", f)
-	got := diffRun(t, mb, "stencil", 512, 20)
+	got := result(t, built(t, mb), call("stencil", 512, 20))
 	if math.IsNaN(math.Float64frombits(got)) {
 		t.Error("NaN checksum")
 	}
@@ -137,7 +118,7 @@ func TestDiffCallsAndIndirect(t *testing.T) {
 		g.Return(g.Add(g.Get(acc), g.Call(sq, g.Get(n)))),
 	)
 	mb.Export("apply", f)
-	diffRun(t, mb, "apply", 50)
+	result(t, built(t, mb), call("apply", 50))
 }
 
 func TestDiffBrTable(t *testing.T) {
@@ -159,9 +140,7 @@ func TestDiffBrTable(t *testing.T) {
 		g.Return(g.Get(r)),
 	)
 	mb.Export("sw", f)
-	for _, x := range []uint64{0, 1, 2, 9} {
-		diffRun(t, mb, "sw", x)
-	}
+	result(t, built(t, mb), call("sw", 0), call("sw", 1), call("sw", 2), call("sw", 9))
 }
 
 func TestDiffTrapping(t *testing.T) {
@@ -171,30 +150,16 @@ func TestDiffTrapping(t *testing.T) {
 	b := f.ParamI32("b")
 	f.Body(g.Return(g.Add(g.Div(g.Get(a), g.Get(b)), g.Rem(g.Get(a), g.Get(b)))))
 	mb.Export("divmod", f)
-	m, err := mb.Module()
-	if err != nil {
-		t.Fatal(err)
+	minInt32, minusOne := uint64(math.MaxUint32&0x80000000), ^uint64(0)&0xffffffff
+	// One instance takes both traps and then still divides.
+	if o := agree(t, built(t, mb), call("divmod", 10, 0), call("divmod", minInt32, minusOne), call("divmod", 17, 5)); o.Kind != trap.DivByZero {
+		t.Errorf("div by zero: %+v", o)
 	}
-	for name, e := range engines() {
-		cm, err := e.Compile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64()}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inst.Invoke("divmod", 10, 0); err == nil {
-			t.Errorf("%s: div by zero did not trap", name)
-		}
-		if _, err := inst.Invoke("divmod", math.MaxUint32&0x80000000, ^uint64(0)&0xffffffff); err == nil {
-			t.Errorf("%s: MinInt32 / -1 did not trap", name)
-		}
-		res, err := inst.Invoke("divmod", 17, 5)
-		if err != nil || res[0] != 3+2 {
-			t.Errorf("%s: divmod(17,5) = %v, %v", name, res, err)
-		}
-		inst.Close()
+	if o := agree(t, built(t, mb), call("divmod", minInt32, minusOne)); o.Kind != trap.IntOverflow {
+		t.Errorf("MinInt32 / -1: %+v", o)
+	}
+	if got := result(t, built(t, mb), call("divmod", 17, 5)); got != 3+2 {
+		t.Errorf("divmod(17,5) = %d", got)
 	}
 }
 
@@ -222,7 +187,7 @@ func TestOptimizerPreservesSemantics(t *testing.T) {
 		g.Return(g.Get(a)),
 	)
 	mb.Export("opt", f)
-	diffRun(t, mb, "opt", 200)
+	result(t, built(t, mb), call("opt", 200))
 }
 
 func TestWavmExecutesFewerOps(t *testing.T) {
@@ -294,31 +259,5 @@ func TestStrategiesAgreeOnCompiled(t *testing.T) {
 		g.Return(g.Get(acc)),
 	)
 	mb.Export("churn", f)
-	m, err := mb.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []core.Engine{compiled.NewWasmtime(), compiled.NewWAVM()} {
-		cm, err := eng.Compile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want uint64
-		for si, s := range mem.Strategies() {
-			inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", eng.Name(), s, err)
-			}
-			res, err := inst.Invoke("churn", 8000)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", eng.Name(), s, err)
-			}
-			inst.Close()
-			if si == 0 {
-				want = res[0]
-			} else if res[0] != want {
-				t.Errorf("%s/%v: %#x, want %#x", eng.Name(), s, res[0], want)
-			}
-		}
-	}
+	result(t, built(t, mb), call("churn", 8000))
 }

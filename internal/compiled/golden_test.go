@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"leapsandbounds/internal/compiled"
+	"leapsandbounds/internal/difftest/family"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 	"leapsandbounds/internal/workloads"
@@ -165,7 +166,7 @@ func goldenExtras(t *testing.T) []namedModule {
 
 	out := append([]namedModule{{"carry", carry}, {"misc", misc}}, uncheckedLoops(t)...)
 	for _, seed := range []int64{7, 29, 62} {
-		m, err := buildRandomProgram(seed)
+		m, err := family.Program(seed, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}

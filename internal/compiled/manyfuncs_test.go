@@ -180,10 +180,10 @@ func parked(b *testing.B, op func() error) {
 	}
 }
 
-// compileOutcome is everything a cold start of the many-function module
+// coldStart is everything a cold start of the many-function module
 // — decode, validate, compile — must reproduce whatever the worker
 // count.
-type compileOutcome struct {
+type coldStart struct {
 	module   *wasm.Module // as decoded and validated
 	artifact []byte       // compiled engines only
 	rir      rir.RIRStats
@@ -192,7 +192,7 @@ type compileOutcome struct {
 	digest   uint64
 }
 
-func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome {
+func compileAt(t *testing.T, procs int, name string, bin []byte) coldStart {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	m, err := wasm.Decode(bin)
@@ -216,7 +216,7 @@ func compileAt(t *testing.T, procs int, name string, bin []byte) compileOutcome 
 		t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
 	}
 	r1, b1 := rir.Stats(), compiled.Stats()
-	out := compileOutcome{
+	out := coldStart{
 		module: m,
 		rir: rir.RIRStats{
 			OpsIn: r1.OpsIn - r0.OpsIn, OpsOut: r1.OpsOut - r0.OpsOut,

@@ -35,35 +35,7 @@ func ri(op wasm.Opcode, a ...uint64) wasm.Instr {
 
 func runRawAll(t *testing.T, m *wasm.Module, arg uint64) uint64 {
 	t.Helper()
-	engines := map[string]core.Engine{
-		"wasm3":    interp.NewWasm3(),
-		"wasmtime": compiled.NewWasmtime(),
-		"wavm":     compiled.NewWAVM(),
-	}
-	var want uint64
-	first := true
-	for name, e := range engines {
-		cm, err := e.Compile(m)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64()}, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		res, err := inst.Invoke("f", arg)
-		inst.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if first {
-			want = res[0]
-			first = false
-		} else if res[0] != want {
-			t.Fatalf("%s: %#x, want %#x", name, res[0], want)
-		}
-	}
-	return want
+	return result(t, m, call("f", arg))
 }
 
 func TestRawBrTableDispatch(t *testing.T) {

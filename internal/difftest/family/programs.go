@@ -1,18 +1,9 @@
-package compiled_test
+package family
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"testing"
 
-	"leapsandbounds/internal/compiled"
-	"leapsandbounds/internal/core"
-	"leapsandbounds/internal/interp"
-	"leapsandbounds/internal/isa"
-	"leapsandbounds/internal/mem"
-	"leapsandbounds/internal/tiered"
-	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
@@ -32,7 +23,7 @@ type progGen struct {
 	depth  int
 
 	// linear makes most indexes inside a loop linear in its counters
-	// (genProgram): off is a local no statement writes after the
+	// (Program): off is a local no statement writes after the
 	// prologue, loops the counters of the enclosing loops.
 	linear bool
 	off    *g.Local
@@ -210,16 +201,6 @@ func (p *progGen) stmt(depth int) g.Stmt {
 	}
 }
 
-// buildRandomProgram returns a module whose run() executes a random
-// statement list and returns a digest of all state.
-func buildRandomProgram(seed int64) (*wasm.Module, error) { return genProgram(seed, false, false) }
-
-// buildOOBProgram is buildRandomProgram with the i64 array straddling
-// the memory-size boundary: masked indices land on either side, so
-// runs make a data-dependent mix of in-bounds and out-of-bounds
-// accesses.
-func buildOOBProgram(seed int64) (*wasm.Module, error) { return genProgram(seed, true, false) }
-
 // oobArrBase positions the straddling array for the out-of-bounds
 // differential test: with Memory(1,4) the wasm-visible size is
 // 64 KiB and the backing 256 KiB, so an i64 array of fuzzArrLen
@@ -229,14 +210,14 @@ func buildOOBProgram(seed int64) (*wasm.Module, error) { return genProgram(seed,
 // hardware inside the 8 GiB reservation would be.
 const oobArrBase = 65536 - fuzzArrLen*8/2
 
-// genProgram returns a module whose run() executes a random statement
+// Program returns a module whose run() executes a random statement
 // list and returns a digest of all state. With oob the i64 array
 // straddles the memory-size boundary (oobArrBase) and the digest reads
 // only its in-bounds half (reading the rest would force a trap on
 // every strategy that traps, flattening the per-seed variety the OOB
 // tests exist to exercise). With linear, indexes inside loops are
 // mostly linear (progGen.index).
-func genProgram(seed int64, oob, linear bool) (*wasm.Module, error) {
+func Program(seed int64, oob, linear bool) (*wasm.Module, error) {
 	r := rand.New(rand.NewSource(seed))
 	mb := g.NewModule()
 	mb.Memory(1, 4)
@@ -303,13 +284,13 @@ func genProgram(seed int64, oob, linear bool) (*wasm.Module, error) {
 	return mb.Module()
 }
 
-// buildFoldOOBProgram reaches out-of-bounds accesses through a
+// foldOOB reaches out-of-bounds accesses through a
 // foldable (i*N + j) << 3 chain: a row-major pass over an 8-byte matrix
 // whose last rows lie past the end of its one page, reading, adding to
 // and writing back every element. The folded, checked accesses of the
 // loop's slow copy are what trap under trap, mprotect and uffd and what
 // clamp redirects.
-func buildFoldOOBProgram() (*wasm.Module, error) {
+func foldOOB() (*wasm.Module, error) {
 	const n = 96 // 96*96*8 bytes: rows from 85 on are past the page
 	mb := g.NewModule()
 	mb.Memory(1, 4)
@@ -329,18 +310,18 @@ func buildFoldOOBProgram() (*wasm.Module, error) {
 	return mb.Module()
 }
 
-// edgeLen is the trip count of buildEdgeLoopProgram's loop and
-// three times the member count of buildEdgeGroupProgram's group.
+// edgeLen is the trip count of edgeLoop's loop and
+// three times the member count of edgeGroup's group.
 const edgeLen = 64
 
-// buildEdgeLoopProgram returns a counted loop over an i64 array whose
+// edgeLoop returns a counted loop over an i64 array whose
 // last element ends past bytes past the end of the one page: the load
 // is affine in the counter, so elision versions the loop, and its range
 // check must cover the last iteration. With past = 1 that iteration's load
 // covers the first byte past memory, so a span one iteration short
 // runs it unchecked; with past = 0 the loop ends exactly on the last
 // byte and the check passes.
-func buildEdgeLoopProgram(past uint32) (*wasm.Module, error) {
+func edgeLoop(past uint32) (*wasm.Module, error) {
 	mb := g.NewModule()
 	mb.Memory(1, 4)
 	arr := g.ArrI64(65536 - edgeLen*8 + past)
@@ -356,11 +337,11 @@ func buildEdgeLoopProgram(past uint32) (*wasm.Module, error) {
 	return mb.Module()
 }
 
-// buildEdgeGroupProgram returns straight-line loads off one base whose
+// edgeGroup returns straight-line loads off one base whose
 // last member straddles the end of memory by one byte: outside a loop
 // elision leaves each load checked, and the last one must trap on that
 // byte.
-func buildEdgeGroupProgram() (*wasm.Module, error) {
+func edgeGroup() (*wasm.Module, error) {
 	mb := g.NewModule()
 	mb.Memory(1, 4)
 	f := mb.Func("run", wasm.I64)
@@ -377,228 +358,65 @@ func buildEdgeGroupProgram() (*wasm.Module, error) {
 	return mb.Module()
 }
 
-// oobOutcome is one (engine, strategy) execution result.
-type oobOutcome struct {
-	trapped bool
-	digest  uint64
-}
-
-// TestDifferentialOOBTrapEquivalence generates programs whose memory
-// traffic straddles the bounds-check boundary and runs each on the
-// compiled, interpreted and tiered engines under all five strategies.
-// Within a strategy every engine must agree exactly (trap/no-trap and
-// digest); across strategies the paper's semantics partition them:
-// trap, mprotect and uffd are exactly equivalent (they all detect the
-// violation), clamp never traps (accesses are redirected to the end
-// of memory), and none never traps for accesses inside the backing.
-// The edge rows put accesses on the last byte of memory, the loop rows
-// behind elision's range checks and the group row as straight-line
-// checked loads: whether trap traps there is fixed, and a check one
-// byte or one iteration short makes wavm miss the trap the others take.
-func TestDifferentialOOBTrapEquivalence(t *testing.T) {
-	seeds := 30
-	if testing.Short() {
-		seeds = 6
+// copies returns a straight-line run() over four i32 locals
+// that leaves a local's old value on the stack while it writes the
+// local, which the DSL's expression trees never do: by local.tee, by
+// local.set of another local, and by local.set of an ALU result (which
+// the optimizer forwards into the producer). The old value is then
+// combined with the new one. An optimizer that kept treating the stale
+// copy as the local would read the new value twice; the digest of the
+// locals, mixed after every snippet, tells.
+func copies(seed int64) (*wasm.Module, error) {
+	r := rand.New(rand.NewSource(seed))
+	const n, digest = 4, 4 // i32 locals 0..3, the i64 digest in local 4
+	ops := []wasm.Opcode{wasm.OpI32Add, wasm.OpI32Sub, wasm.OpI32Xor, wasm.OpI32Mul}
+	local := func() uint64 { return uint64(r.Intn(n)) }
+	k := func() wasm.Instr { return ri(wasm.OpI32Const, uint64(r.Int31())|1) }
+	op := func() wasm.Instr { return ri(ops[r.Intn(len(ops))]) }
+	var body []wasm.Instr
+	for i := range uint64(n) {
+		body = append(body, k(), ri(wasm.OpLocalSet, i))
 	}
-	type row struct {
-		name  string
-		build func() (*wasm.Module, error)
-		traps string // "yes" or "no" when the row fixes it
-	}
-	rows := []row{
-		{"fold", buildFoldOOBProgram, ""},
-		{"edge-loop", func() (*wasm.Module, error) { return buildEdgeLoopProgram(1) }, "yes"},
-		{"edge-loop-inbounds", func() (*wasm.Module, error) { return buildEdgeLoopProgram(0) }, "no"},
-		{"edge-group", buildEdgeGroupProgram, "yes"},
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		rows = append(rows, row{fmt.Sprintf("seed=%d", seed), func() (*wasm.Module, error) { return buildOOBProgram(seed) }, ""})
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			t.Parallel()
-			m, err := row.build()
-			if err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
-			// The interpreter entry must be the configurable variant:
-			// NewWasm3 pins the Trap strategy (as real wasm3 has no
-			// others), which would defeat the strategy matrix.
-			v8 := tiered.New()
-			defer v8.Close()
-			engines := []struct {
-				name string
-				eng  core.Engine
-			}{
-				{"wavm", compiled.NewWAVM()},
-				{"interp", interp.NewConfigurable()},
-				{"v8", v8},
-			}
-			outcomes := make(map[mem.Strategy]oobOutcome)
-			for _, e := range engines {
-				cm, err := e.eng.Compile(m)
-				if err != nil {
-					t.Fatalf("%s: %v", e.name, err)
-				}
-				for _, s := range mem.Strategies() {
-					inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
-					if err != nil {
-						t.Fatalf("%s/%v: %v", e.name, s, err)
-					}
-					res, ierr := inst.Invoke("run")
-					inst.Close()
-					got := oobOutcome{trapped: ierr != nil}
-					if ierr != nil {
-						var tr *trap.Trap
-						if !errors.As(ierr, &tr) || tr.Kind != trap.OutOfBounds {
-							t.Fatalf("%s/%v: non-OOB failure: %v", e.name, s, ierr)
-						}
-					} else {
-						got.digest = res[0]
-					}
-					if prev, ok := outcomes[s]; !ok {
-						outcomes[s] = got
-					} else if prev != got {
-						t.Errorf("%s/%v: outcome %+v, other engines got %+v", e.name, s, got, prev)
-					}
-				}
-			}
-			t.Logf("trapping strategies trapped=%v", outcomes[mem.Trap].trapped)
-			if row.traps != "" && outcomes[mem.Trap].trapped != (row.traps == "yes") {
-				t.Errorf("trap trapped=%v, the program fixes %s", outcomes[mem.Trap].trapped, row.traps)
-			}
-			// Trap, mprotect and uffd are exactly equivalent.
-			vmGroup := []mem.Strategy{mem.Trap, mem.Mprotect, mem.Uffd}
-			for _, s := range vmGroup[1:] {
-				if outcomes[s] != outcomes[vmGroup[0]] {
-					t.Errorf("%v outcome %+v differs from %v outcome %+v",
-						s, outcomes[s], vmGroup[0], outcomes[vmGroup[0]])
-				}
-			}
-			// Clamp and none have defined non-trapping semantics here.
-			for _, s := range []mem.Strategy{mem.Clamp, mem.None} {
-				if outcomes[s].trapped {
-					t.Errorf("%v trapped; it must never trap on this program", s)
-				}
-			}
-			// A program that made no OOB access must agree everywhere.
-			if !outcomes[mem.Trap].trapped {
-				for _, s := range []mem.Strategy{mem.Clamp, mem.None} {
-					if outcomes[s].digest != outcomes[mem.Trap].digest {
-						t.Errorf("no OOB access, yet %v digest %#x != trap digest %#x",
-							s, outcomes[s].digest, outcomes[mem.Trap].digest)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestClampRedirectSemantics pins clamp's defined behaviour exactly:
-// an out-of-bounds n-byte access is redirected to sizeBytes-n, for
-// stores and loads alike, on every engine.
-func TestClampRedirectSemantics(t *testing.T) {
-	const marker = int64(0x5ca1ab1e)
-	mb := g.NewModule()
-	mb.Memory(1, 4)
-	arr := g.NewLayout(0).I64(1) // base 0, element size 8
-	f := mb.Func("run", wasm.I64)
-	// Store OOB at byte 160000 → redirected to 65528 (= 65536-8).
-	// Load in-bounds from 65528, then load OOB from 240000 (also
-	// redirected to 65528): both must observe the marker.
-	f.Body(
-		arr.Store(g.I32(20000), g.I64(marker)),
-		g.Return(g.Add(arr.Load(g.I32(65528/8)), g.Mul(arr.Load(g.I32(30000)), g.I64(31)))),
-	)
-	mb.Export("run", f)
-	m, err := mb.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(marker + marker*31)
-
-	v8 := tiered.New()
-	defer v8.Close()
-	engines := []struct {
-		name string
-		eng  core.Engine
-	}{
-		{"wavm", compiled.NewWAVM()},
-		{"wasmtime", compiled.NewWasmtime()},
-		{"interp", interp.NewConfigurable()},
-		{"v8", v8},
-	}
-	for _, e := range engines {
-		cm, err := e.eng.Compile(m)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+	for range 24 {
+		x, z := local(), local()
+		body = append(body, ri(wasm.OpLocalGet, x))
+		switch r.Intn(3) {
+		case 0: // old x, then x = k by tee
+			body = append(body, k(), ri(wasm.OpLocalTee, x))
+		case 1: // old x, then x = y, then k
+			body = append(body, ri(wasm.OpLocalGet, local()), ri(wasm.OpLocalSet, x), k())
+		default: // old x, then x = y op k, then x
+			body = append(body, ri(wasm.OpLocalGet, local()), k(), op(), ri(wasm.OpLocalSet, x), ri(wasm.OpLocalGet, x))
 		}
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: mem.Clamp}, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		res, err := inst.Invoke("run")
-		inst.Close()
-		if err != nil {
-			t.Fatalf("%s: clamp must not trap: %v", e.name, err)
-		}
-		if res[0] != want {
-			t.Errorf("%s: clamp redirect result %#x, want %#x", e.name, res[0], want)
+		body = append(body, op(), ri(wasm.OpLocalSet, z))
+		for i := range uint64(n) {
+			body = append(body,
+				ri(wasm.OpLocalGet, digest), ri(wasm.OpI64Const, 1099511628211), ri(wasm.OpI64Mul),
+				ri(wasm.OpLocalGet, i), ri(wasm.OpI64ExtendI32U), ri(wasm.OpI64Add),
+				ri(wasm.OpLocalSet, digest))
 		}
 	}
+	body = append(body, ri(wasm.OpLocalGet, digest), ri(wasm.OpEnd))
+	return &wasm.Module{
+		Types:   []wasm.FuncType{{Results: []wasm.ValueType{wasm.I64}}},
+		Funcs:   []uint32{0},
+		Code:    []wasm.Code{{Locals: []wasm.ValueType{wasm.I32, wasm.I32, wasm.I32, wasm.I32, wasm.I64}, Body: body}},
+		Exports: []wasm.Export{{Name: "run", Kind: wasm.ExternFunc}},
+	}, nil
 }
 
-// TestDifferentialRandomPrograms runs randomly generated programs on
-// every engine and strategy and requires exact agreement — the
-// broadest correctness net over the two execution backends and the
-// optimizer.
-func TestDifferentialRandomPrograms(t *testing.T) {
-	seeds := 40
-	if testing.Short() {
-		seeds = 8
+func ri(op wasm.Opcode, a ...uint64) wasm.Instr {
+	in := wasm.Instr{Op: op}
+	if len(a) > 0 {
+		in.A = a[0]
 	}
-	engines := map[string]core.Engine{
-		"wasm3":    interp.NewWasm3(),
-		"wasmtime": compiled.NewWasmtime(),
-		"wavm":     compiled.NewWAVM(),
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			m, err := buildRandomProgram(seed)
-			if err != nil {
-				t.Fatalf("generator produced invalid module: %v", err)
-			}
-			var want uint64
-			first := true
-			for name, e := range engines {
-				cm, err := e.Compile(m)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				strategies := []mem.Strategy{mem.None, mem.Mprotect}
-				if name == "wavm" {
-					strategies = mem.Strategies() // full matrix on one engine
-				}
-				for _, s := range strategies {
-					inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
-					if err != nil {
-						t.Fatalf("%s/%v: %v", name, s, err)
-					}
-					res, err := inst.Invoke("run")
-					inst.Close()
-					if err != nil {
-						t.Fatalf("%s/%v: %v", name, s, err)
-					}
-					if first {
-						want = res[0]
-						first = false
-					} else if res[0] != want {
-						t.Errorf("%s/%v: digest %#x, want %#x", name, s, res[0], want)
-					}
-				}
-			}
-		})
-	}
+	return in
 }
+
+// LatchSeeds generate, with linear indexes, programs with nested
+// counted loops that elision versions, so their back-edges become
+// two-target latches whose exit is not the next pc (the slow clone sits
+// in between), inside an outer loop that has a latch of its own: the
+// shape the late pass's jump threading and the second branch target
+// exist for.
+var LatchSeeds = []int64{5, 10}

@@ -13,22 +13,22 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// chaosOutcome is the deterministic portion of one chaos pass:
+// chaosPass is the deterministic portion of one chaos pass:
 // per-run checksums and failure causes, plus every injection/recovery
 // counter from the registry (timing counters are excluded — they are
 // legitimately nondeterministic).
-type chaosOutcome struct {
+type chaosPass struct {
 	Checksums []uint64
 	Failed    []map[string]int
 	Counters  map[string]int64
 }
 
-func runChaosSweep(t *testing.T, seed int64) chaosOutcome {
+func runChaosSweep(t *testing.T, seed int64) chaosPass {
 	t.Helper()
 	wl := spec(t, "gemm")
 	plan := faultinject.ChaosPlan(seed)
 	reg := obs.NewRegistry()
-	var out chaosOutcome
+	var out chaosPass
 	// One run at a time, single-threaded: the replay contract's
 	// deterministic regime (see the faultinject package documentation).
 	for _, s := range []mem.Strategy{mem.Mprotect, mem.Uffd} {

@@ -7,6 +7,7 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
@@ -98,13 +99,12 @@ func TestBrTableSideTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The module has no memory, so closing an instance whose call
-		// hung (invokeBounded) frees nothing that call reads.
+		// hung (past difftest.Run's bound) frees nothing that call reads.
 		t.Cleanup(func() { inst.Close() })
 		return inst
 	}
-	call := func(inst core.Instance, stream, name string, arg uint64) string {
-		res, err := invokeBounded(t, inst, stream, name, arg)
-		return fmt.Sprint(res, err)
+	call := func(inst core.Instance, stream, name string, arg uint64) difftest.Outcome {
+		return difftest.Run(t, inst, stream+" stream", difftest.Call{Export: name, Args: []uint64{arg}})
 	}
 	wavm := instance(compiled.NewWAVM(), cfg)
 	insts := map[string]core.Instance{
@@ -117,7 +117,7 @@ func TestBrTableSideTable(t *testing.T) {
 			want := call(wavm, "wavm", e.Name, a)
 			for stream, inst := range insts {
 				if got := call(inst, stream, e.Name, a); got != want {
-					t.Errorf("%s(%d), %s: %s, wavm %s", e.Name, a, stream, got, want)
+					t.Errorf("%s(%d), %s: %+v, wavm %+v", e.Name, a, stream, got, want)
 				}
 			}
 		}

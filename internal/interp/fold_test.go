@@ -1,15 +1,14 @@
 package interp_test
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/flatten"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
@@ -26,18 +25,13 @@ type program struct {
 	name    string
 	build   func() *g.ModuleBuilder
 	imports func() core.Imports
-	calls   []progCall
+	calls   []difftest.Call
 }
 
-type progCall struct {
-	export string
-	args   []uint64
-}
-
-func calls(export string, args ...[]uint64) []progCall {
-	var out []progCall
+func calls(export string, args ...[]uint64) []difftest.Call {
+	var out []difftest.Call
 	for _, a := range args {
-		out = append(out, progCall{export, a})
+		out = append(out, difftest.Call{Export: export, Args: a})
 	}
 	return out
 }
@@ -54,8 +48,8 @@ func programs() []program {
 		{"maxg", maxgModule, nil, calls("maxg", a(3), a(11), a(5))},
 		{"dispatch", dispatchModule, nil, calls("dispatch", a(0, 30, 12), a(1, 30, 12), a(9, 1, 1))},
 		{"grow", growModule, nil, calls("grow", a(2), a(100))},
-		{"bulk", bulkModule, nil, append(calls("get", a(0), a(10)), progCall{"copyout", nil}, progCall{"fill", nil})},
-		{"traps", trapsModule, nil, append(calls("div", a(84, 2), a(1, 0)), progCall{"boom", nil}, progCall{"div", a(10, 5)})},
+		{"bulk", bulkModule, nil, append(calls("get", a(0), a(10)), difftest.Call{Export: "copyout"}, difftest.Call{Export: "fill"})},
+		{"traps", trapsModule, nil, append(calls("div", a(84, 2), a(1, 0)), difftest.Call{Export: "boom"}, difftest.Call{Export: "div", Args: a(10, 5)})},
 		{"inf", infModule, nil, calls("inf", a(0))},
 		{"host", hostModule, hostImports, calls("go", a(21))},
 		{"loop", loopModule, nil, calls("loop", a(1000))},
@@ -82,65 +76,6 @@ func interpConfigs() []interpConfig {
 	return out
 }
 
-// guestDeadline bounds one guest call in these tests. A call takes
-// milliseconds; a misplaced branch target instead loops for ever, and
-// go test would then fail only at its own timeout, naming no function.
-// It is a liveness bound, not a timing assertion.
-const guestDeadline = 2 * time.Minute
-
-// invokeBounded is inst.Invoke(name, args...), except that it fails t,
-// naming the function and the stream it runs on, if no result comes
-// within guestDeadline. The hung call's goroutine runs on, so an
-// instance whose memory it may touch must not be closed after such a
-// failure: close it only once invokeBounded has returned.
-func invokeBounded(t *testing.T, inst core.Instance, stream, name string, args ...uint64) ([]uint64, error) {
-	t.Helper()
-	type result struct {
-		res []uint64
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		res, err := inst.Invoke(name, args...)
-		done <- result{res, err}
-	}()
-	timer := time.NewTimer(guestDeadline)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.res, r.err
-	case <-timer.C:
-		t.Fatalf("%s%v on the %s stream: no result after %v, an endless guest loop", name, args, stream, guestDeadline)
-		return nil, nil
-	}
-}
-
-// outcome runs calls on a fresh instance of cm and returns every call's
-// results or error text (which carries the trap kind and the faulting
-// offset), then a digest of the final memory image. The instance is
-// closed only after its last call returns (invokeBounded).
-func outcome(t *testing.T, cm core.CompiledModule, cfg core.Config, imports core.Imports, cs []progCall) string {
-	t.Helper()
-	inst, err := cm.Instantiate(cfg, imports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := "plain"
-	if cfg.CountCycles {
-		stream = "instrumented"
-	}
-	var b strings.Builder
-	for _, c := range cs {
-		res, err := invokeBounded(t, inst, stream, c.export, c.args...)
-		fmt.Fprintf(&b, "%s%v = %v, %v\n", c.export, c.args, res, err)
-	}
-	if m := inst.Memory(); m != nil && m.SizeBytes() > 0 {
-		fmt.Fprintf(&b, "memory %d bytes %x\n", m.SizeBytes(), sha256.Sum256(m.Bytes(0, m.SizeBytes(), false)))
-	}
-	inst.Close()
-	return b.String()
-}
-
 // TestFoldedMatchesUnfolded runs every registered workload at class
 // Test, every wasmgen program of interp_test.go and tablesModule's
 // br_tables on the plain
@@ -152,7 +87,7 @@ func TestFoldedMatchesUnfolded(t *testing.T) {
 		name    string
 		m       *wasm.Module
 		imports func() core.Imports
-		calls   []progCall
+		calls   []difftest.Call
 	}
 	var subjects []subject
 	for _, spec := range workloads.All() {
@@ -161,7 +96,7 @@ func TestFoldedMatchesUnfolded(t *testing.T) {
 		if spec.NewEnv != nil {
 			imports = func() core.Imports { return spec.NewEnv(workloads.Test).Imports() }
 		}
-		subjects = append(subjects, subject{spec.Name, m, imports, []progCall{{workloads.Entry, nil}}})
+		subjects = append(subjects, subject{spec.Name, m, imports, []difftest.Call{{Export: workloads.Entry}}})
 	}
 	for _, p := range programs() {
 		m, err := p.build().Module()
@@ -173,10 +108,10 @@ func TestFoldedMatchesUnfolded(t *testing.T) {
 	// Neither holds a br_table, so a misplaced side-table entry in one
 	// stream shows only on tablesModule.
 	tables := tablesModule(4)
-	var tableCalls []progCall
+	var tableCalls []difftest.Call
 	for _, e := range tables.Exports {
 		for _, a := range []uint64{0, 1, 2, 3} {
-			tableCalls = append(tableCalls, progCall{e.Name, []uint64{a}})
+			tableCalls = append(tableCalls, difftest.Call{Export: e.Name, Args: []uint64{a}})
 		}
 	}
 	subjects = append(subjects, subject{"br_tables", tables, nil, tableCalls})
@@ -186,17 +121,22 @@ func TestFoldedMatchesUnfolded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", sub.name, c.name, err)
 			}
-			var got [2]string
-			for i, count := range []bool{false, true} {
+			var got [2]difftest.Outcome
+			for i, stream := range []string{"plain", "instrumented"} {
 				var imports core.Imports
 				if sub.imports != nil {
 					imports = sub.imports()
 				}
-				cfg := core.Config{Profile: isa.X86_64(), Strategy: c.strategy, CountCycles: count}
-				got[i] = outcome(t, cm, cfg, imports, sub.calls)
+				cfg := core.Config{Profile: isa.X86_64(), Strategy: c.strategy, CountCycles: stream == "instrumented"}
+				inst, err := cm.Instantiate(cfg, imports)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = difftest.Run(t, inst, fmt.Sprintf("%s %s, %s stream", sub.name, c.name, stream), sub.calls...)
+				inst.Close()
 			}
 			if got[0] != got[1] {
-				t.Errorf("%s %s: plain stream\n%sinstrumented stream\n%s", sub.name, c.name, got[0], got[1])
+				t.Errorf("%s %s: plain stream %+v, instrumented stream %+v", sub.name, c.name, got[0], got[1])
 			}
 		}
 	}
@@ -323,9 +263,9 @@ func TestFoldRules(t *testing.T) {
 		plain := opInstance(t, interp.NewWasm3(), om, cfg)
 		instr := opInstance(t, interp.NewWasm3(), om, counted)
 		for _, a := range args {
-			want := opCall(wavm, a)
+			want := opCall(t, wavm, a)
 			for name, inst := range map[string]core.Instance{"plain": plain, "instrumented": instr} {
-				if got := opCall(inst, a); got != want {
+				if got := opCall(t, inst, a); got != want {
 					t.Errorf("%s%v, %s stream: %+v, wavm %+v", r.name, a, name, got, want)
 				}
 			}

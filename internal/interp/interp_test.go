@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -530,34 +531,15 @@ func peekModule() *g.ModuleBuilder {
 }
 
 func TestAllStrategiesExecuteIdentically(t *testing.T) {
-	mb := churnModule()
-	m, err := mb.Module()
+	m, err := churnModule().Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := interp.NewConfigurable().Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want uint64
-	for si, s := range mem.Strategies() {
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		res, err := inst.Invoke("churn", 4000)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		inst.Close()
-		if si == 0 {
-			want = res[0]
-		} else if res[0] != want {
-			t.Errorf("%v: result %#x, want %#x", s, res[0], want)
-		}
-	}
-	if want == 0 {
-		t.Error("suspicious zero checksum")
+	configurable := difftest.Engine{Name: "interp", New: func(testing.TB) core.Engine { return interp.NewConfigurable() }}
+	calls := []difftest.Call{{Export: "churn", Args: []uint64{4000}}}
+	o := difftest.Check(t, difftest.Row{Module: m, Calls: calls, Engines: []difftest.Engine{configurable}, Rule: difftest.Same})[mem.Trap]
+	if o.Trapped || o.Digest == 0 {
+		t.Errorf("suspicious outcome %+v", o)
 	}
 }
 

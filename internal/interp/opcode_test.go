@@ -6,6 +6,7 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -312,11 +313,6 @@ func opModules() []opModule {
 	return out
 }
 
-type opOutcome struct {
-	res uint64
-	err string
-}
-
 // TestInterpEveryOpcode runs every opcode the validator accepts in a
 // body through the interpreter's plain stream and its instrumented
 // stream (CountCycles), and holds each result, trap kind and trap text
@@ -355,9 +351,9 @@ func TestInterpEveryOpcode(t *testing.T) {
 		plain := opInstance(t, interp.NewWasm3(), om, cfg)
 		instr := opInstance(t, interp.NewWasm3(), om, counted)
 		for _, args := range om.args {
-			want := opCall(wavm, args)
+			want := opCall(t, wavm, args)
 			for name, inst := range map[string]core.Instance{"plain": plain, "instrumented": instr} {
-				if got := opCall(inst, args); got != want {
+				if got := opCall(t, inst, args); got != want {
 					t.Errorf("%s%v, %s stream: %+v, wavm %+v", om.name, args, name, got, want)
 				}
 			}
@@ -379,12 +375,8 @@ func opInstance(t *testing.T, e core.Engine, om opModule, cfg core.Config) core.
 	return inst
 }
 
-func opCall(inst core.Instance, args []uint64) opOutcome {
-	res, err := inst.Invoke("f", args...)
-	if err != nil {
-		return opOutcome{err: err.Error()}
-	}
-	return opOutcome{res: res[0]}
+func opCall(t *testing.T, inst core.Instance, args []uint64) difftest.Outcome {
+	return difftest.Run(t, inst, "f", difftest.Call{Export: "f", Args: args})
 }
 
 // TestInterpStackGrowsUnderCall recurses until the value stack is

@@ -290,7 +290,7 @@ func TestForkSnapshotClosedMemoryFails(t *testing.T) {
 // the whole lifecycle (every vmm counter but the two that count
 // copy-on-write itself and the three that time the mmap lock).
 func TestNewAndForkOfFreshAgree(t *testing.T) {
-	type outcome struct {
+	type lifecycleState struct {
 		size, committed      uint64
 		maxPages             uint32
 		strategy             Strategy
@@ -299,9 +299,9 @@ func TestNewAndForkOfFreshAgree(t *testing.T) {
 		grow                 int32
 		vm                   vmm.StatsSnapshot
 	}
-	lifecycle := func(t *testing.T, as *vmm.AddressSpace, m *Memory) outcome {
+	lifecycle := func(t *testing.T, as *vmm.AddressSpace, m *Memory) lifecycleState {
 		t.Helper()
-		o := outcome{
+		o := lifecycleState{
 			size:      m.SizeBytes(),
 			committed: m.mapping.CommittedBytes(),
 			maxPages:  m.maxPages(),

@@ -573,15 +573,22 @@ func (m *Memory) slow(addr, n uint64, write bool) uint64 {
 		// publishes sizeBytes after committing pages, so an access that
 		// fits the published length is in bounds even when the cached
 		// fastLimit said otherwise.
-		if size := m.sizeBytes.Load(); addr+n <= size && addr+n >= addr {
+		size := m.sizeBytes.Load()
+		if addr+n <= size && addr+n >= addr {
 			return addr
 		}
-		trap.Throwf(trap.OutOfBounds, "trap check failed at %#x+%d (size %d)", addr, n, m.sizeBytes.Load())
+		trap.Throwf(trap.OutOfBounds, oobDetail, addr, n, size)
 	case Mprotect, Uffd:
 		return m.fault(addr, n, write)
 	}
 	return addr
 }
+
+// oobDetail describes an out-of-bounds single access: its address,
+// width and the memory size. Trap's check and the vm strategies' fault
+// handler describe one fault in these words, so the three strategies
+// trap identically.
+const oobDetail = "access at %#x+%d beyond size %d"
 
 // fault is the simulated signal-handler path for the virtual-memory
 // strategies: SIGSEGV + mprotect for Mprotect, SIGBUS + lock-free
@@ -593,7 +600,7 @@ func (m *Memory) fault(addr, n uint64, write bool) uint64 {
 	// The runtime's handler knows the instance's true size; accesses
 	// beyond it are genuine bounds violations.
 	if size := m.sizeBytes.Load(); addr+n > size || addr+n < addr {
-		trap.Throwf(trap.OutOfBounds, "access at %#x+%d beyond size %d", addr, n, size)
+		trap.Throwf(trap.OutOfBounds, oobDetail, addr, n, size)
 	}
 	// Open the fault span under the mapping's current parent (the
 	// invoke that triggered the access) and make it the parent of the

@@ -1,317 +1,57 @@
 package wasi_test
 
 import (
-	"bytes"
-	"errors"
-	"hash/fnv"
 	"testing"
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
+	"leapsandbounds/internal/difftest/family"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
-	"leapsandbounds/internal/trap"
+	"leapsandbounds/internal/tiered"
 	"leapsandbounds/internal/wasi"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
 )
 
-// iovSpec is one guest iovec entry baked into a generated module.
-type iovSpec struct {
-	ptr uint32
-	len uint32
+// hostEngines are every engine: the compiled pipelines, the
+// interpreter under every strategy and pinned to trap (wasm3), and the
+// tiered engine.
+var hostEngines = []difftest.Engine{
+	{Name: "wavm", New: func(testing.TB) core.Engine { return compiled.NewWAVM() }},
+	{Name: "wasmtime", New: func(testing.TB) core.Engine { return compiled.NewWasmtime() }},
+	{Name: "wasm3", New: func(testing.TB) core.Engine { return interp.NewWasm3() }},
+	{Name: "interp", New: func(testing.TB) core.Engine { return interp.NewConfigurable() }},
+	{Name: "v8", New: func(tb testing.TB) core.Engine {
+		e := tiered.New()
+		tb.Cleanup(e.Close)
+		return e
+	}},
 }
 
-// hostCase is one host-boundary scenario: a set of iovecs, the iovec
-// array pointer actually passed to fd_write/fd_read (possibly
-// out-of-bounds), and whether the environment grows memory
-// mid-hostcall through the MidHostcall hook.
-type hostCase struct {
-	name string
-	// iovs are written into guest memory at iovsBase.
-	iovs []iovSpec
-	// iovsPtr is the array pointer the guest passes; usually
-	// iovsBase, out-of-bounds for the trap scenarios.
-	iovsPtr uint32
-	// iovCount is the entry count passed (may exceed len(iovs) to
-	// make the array range overrun memory).
-	iovCount uint32
-	// grow makes the env grow memory by one page inside the hostcall,
-	// after views are acquired and before they are used.
-	grow bool
-}
-
-const (
-	diffFDAddr   = 8   // opened fd
-	diffPathAddr = 16  // file name bytes
-	diffResAddr  = 40  // nwritten / nread / seek results
-	diffIovsBase = 96  // in-bounds iovec array
-	diffReadBuf  = 512 // read-back buffer
-	diffReadLen  = 256
-)
-
-// buildHostCase generates the scenario module: open "f", gather-write
-// the iovecs to it, seek back, read the file into an in-bounds buffer
-// (so the file content lands in guest memory and the memory hash pins
-// it), folding every errno and count into an i64 digest.
-func buildHostCase(c hostCase) (*wasm.Module, error) {
-	mb := g.NewModule()
-	pathOpen := mb.ImportFunc("wasi_snapshot_preview1", "path_open",
-		[]wasm.ValueType{wasm.I32, wasm.I32, wasm.I32, wasm.I32, wasm.I32, wasm.I64, wasm.I64, wasm.I32, wasm.I32},
-		[]wasm.ValueType{wasm.I32})
-	fdWrite := mb.ImportFunc("wasi_snapshot_preview1", "fd_write",
-		[]wasm.ValueType{wasm.I32, wasm.I32, wasm.I32, wasm.I32}, []wasm.ValueType{wasm.I32})
-	fdRead := mb.ImportFunc("wasi_snapshot_preview1", "fd_read",
-		[]wasm.ValueType{wasm.I32, wasm.I32, wasm.I32, wasm.I32}, []wasm.ValueType{wasm.I32})
-	fdSeek := mb.ImportFunc("wasi_snapshot_preview1", "fd_seek",
-		[]wasm.ValueType{wasm.I32, wasm.I64, wasm.I32, wasm.I32}, []wasm.ValueType{wasm.I32})
-	mb.Memory(1, 4)
-	mb.Data(diffPathAddr, []byte("f"))
-
-	f := mb.Func("run", wasm.I64)
-	fd := f.LocalI32("fd")
-	d := f.LocalI64("d")
-	var body []g.Stmt
-	// Seed a recognizable pattern so written bytes are non-zero even
-	// when an iovec points at untouched memory.
-	for i := 0; i < 64; i += 4 {
-		body = append(body, g.StoreI32(g.U32(uint32(diffIovsBase+256+i)), 0,
-			g.I32(int32(0x01010101*(i/4+1)))))
-	}
-	for i, iov := range c.iovs {
-		body = append(body,
-			g.StoreI32(g.U32(uint32(diffIovsBase+8*i)), 0, g.I32(int32(iov.ptr))),
-			g.StoreI32(g.U32(uint32(diffIovsBase+8*i+4)), 0, g.I32(int32(iov.len))),
-		)
-	}
-	fold := func(e g.Expr) g.Stmt {
-		return g.Set(d, g.Add(g.Mul(g.Get(d), g.I64(1000003)), e))
-	}
-	body = append(body,
-		// open "f" with O_CREAT.
-		fold(g.I64FromI32U(g.Call(pathOpen,
-			g.I32(3), g.I32(0), g.U32(diffPathAddr), g.I32(1),
-			g.I32(1), g.I64(0), g.I64(0), g.I32(0), g.U32(diffFDAddr)))),
-		g.Set(fd, g.LoadI32(g.U32(diffFDAddr), 0)),
-		// gather-write the iovecs.
-		fold(g.I64FromI32U(g.Call(fdWrite,
-			g.Get(fd), g.U32(c.iovsPtr), g.U32(c.iovCount), g.U32(diffResAddr)))),
-		fold(g.I64FromI32U(g.LoadI32(g.U32(diffResAddr), 0))), // nwritten
-		// rewind and read the file back into guest memory.
-		fold(g.I64FromI32U(g.Call(fdSeek,
-			g.Get(fd), g.I64(0), g.I32(0), g.U32(diffResAddr)))),
-		g.StoreI32(g.U32(diffIovsBase), 0, g.U32(diffReadBuf)),
-		g.StoreI32(g.U32(diffIovsBase+4), 0, g.U32(diffReadLen)),
-		fold(g.I64FromI32U(g.Call(fdRead,
-			g.Get(fd), g.U32(diffIovsBase), g.I32(1), g.U32(diffResAddr)))),
-		fold(g.I64FromI32U(g.LoadI32(g.U32(diffResAddr), 0))), // nread
-		g.Return(g.Get(d)),
-	)
-	f.Body(body...)
-	mb.Export("run", f)
-	return mb.Module()
-}
-
-// hostOutcome is everything the host boundary must keep identical
-// across strategies and engines: the digest of every errno and count,
-// the exact trap cause when a view faults, and hashes of the final
-// guest memory and of what the host observed (the file content).
-type hostOutcome struct {
-	trapped  bool
-	kind     trap.Kind
-	detail   string
-	digest   uint64
-	memHash  uint64
-	fileHash uint64
-	grown    bool
-}
-
-// runHostCase executes the scenario on one engine under one strategy.
-func runHostCase(tb testing.TB, eng core.Engine, m *wasm.Module, c hostCase, s mem.Strategy) hostOutcome {
-	tb.Helper()
-	cm, err := eng.Compile(m)
-	if err != nil {
-		tb.Fatalf("compile: %v", err)
-	}
-	env := wasi.NewEnv(nil, nil).WithFS(map[string][]byte{})
-	if c.grow {
-		env.MidHostcall = func(hc *core.HostContext) {
-			// One page, once: the grow invalidates every open view.
-			if hc.Mem.SizePages() < 2 {
-				hc.Mem.Grow(1)
-			}
-		}
-	}
-	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, env.Imports())
-	if err != nil {
-		tb.Fatalf("%v: instantiate: %v", s, err)
-	}
-	defer inst.Close()
-	res, err := inst.Invoke("run")
-	var o hostOutcome
-	if err != nil {
-		var tr *trap.Trap
-		if !errors.As(err, &tr) {
-			tb.Fatalf("%v: non-trap failure: %v", s, err)
-		}
-		o = hostOutcome{trapped: true, kind: tr.Kind, detail: tr.Detail}
-	} else {
-		o = hostOutcome{digest: res[0]}
-	}
-	if mm := inst.Memory(); mm != nil {
-		h := fnv.New64a()
-		h.Write(mm.Bytes(0, mm.SizeBytes(), false))
-		o.memHash = h.Sum64()
-		o.grown = mm.SizePages() > 1
-	}
-	if data, ok := env.FS.ReadFile("f"); ok {
-		h := fnv.New64a()
-		h.Write(data)
-		o.fileHash = h.Sum64()
-	}
-	return o
-}
-
-// checkHostEquivalence runs the scenario under every strategy on both
-// the optimizing and the interpreting engine and requires bit-for-bit
-// identical outcomes, anchored at wavm/none.
-func checkHostEquivalence(tb testing.TB, c hostCase) {
-	tb.Helper()
-	m, err := buildHostCase(c)
-	if err != nil {
-		tb.Fatalf("scenario module invalid: %v", err)
-	}
-	engines := []struct {
-		name string
-		eng  core.Engine
-	}{
-		{"wavm", compiled.NewWAVM()},
-		{"wasm3", interp.NewWasm3()},
-	}
-	var ref hostOutcome
-	first := true
-	for _, e := range engines {
-		for _, s := range mem.Strategies() {
-			got := runHostCase(tb, e.eng, m, c, s)
-			if first {
-				ref, first = got, false
-				continue
-			}
-			if got != ref {
-				tb.Errorf("%s/%v: %+v, want %+v (wavm/none)", e.name, s, got, ref)
-			}
-		}
-	}
-}
-
-// TestDifferentialHostcall pins the host-boundary semantics across
-// all five bounds strategies and both engines: in-bounds gathers,
-// data buffers clamped by the memory size (partial counts, no trap),
-// out-of-bounds iovec arrays (uniform trap kind and faulting range),
-// and a memory.grow landing mid-hostcall while views are open.
+// TestDifferentialHostcall pins the host-boundary semantics
+// (family.HostCases) across all five bounds strategies and every
+// engine: the digest of every errno and count, the exact trap cause
+// when a view faults, the final guest memory and the file the host
+// kept.
 func TestDifferentialHostcall(t *testing.T) {
-	const pageSize = 65536
-	cases := []hostCase{
-		{
-			name:     "in-bounds",
-			iovs:     []iovSpec{{diffIovsBase + 256, 24}, {diffIovsBase + 288, 9}},
-			iovsPtr:  diffIovsBase,
-			iovCount: 2,
-		},
-		{
-			name: "data-buffer-straddles-end",
-			// Second entry starts in bounds and overruns the page:
-			// clamped to the memory size, partial count, no trap.
-			iovs:     []iovSpec{{diffIovsBase + 256, 16}, {pageSize - 7, 64}},
-			iovsPtr:  diffIovsBase,
-			iovCount: 2,
-		},
-		{
-			name:     "data-buffer-fully-oob",
-			iovs:     []iovSpec{{pageSize + 100, 32}, {diffIovsBase + 256, 8}},
-			iovsPtr:  diffIovsBase,
-			iovCount: 2,
-		},
-		{
-			name: "iovec-array-oob",
-			// The array itself is outside memory: the bulk check on
-			// the array view must trap under every strategy.
-			iovsPtr:  pageSize - 4,
-			iovCount: 2,
-		},
-		{
-			name:     "iovec-array-far-oob",
-			iovsPtr:  0x7fffff00,
-			iovCount: 4,
-		},
-		{
-			name:     "grow-mid-hostcall",
-			iovs:     []iovSpec{{diffIovsBase + 256, 24}, {diffIovsBase + 288, 9}},
-			iovsPtr:  diffIovsBase,
-			iovCount: 2,
-			grow:     true,
-		},
-		{
-			name: "grow-with-clamped-buffer",
-			// The buffer clamps against the pre-grow size; the grow
-			// lands after planning, so the partial count must not
-			// change (the clamp is part of the call's semantics).
-			iovs:     []iovSpec{{pageSize - 12, 40}},
-			iovsPtr:  diffIovsBase,
-			iovCount: 1,
-			grow:     true,
-		},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
+	for _, h := range family.HostCases {
+		t.Run(h.Name, func(t *testing.T) {
 			t.Parallel()
-			checkHostEquivalence(t, c)
+			row, err := h.Row(hostEngines)
+			if err != nil {
+				t.Fatalf("scenario module invalid: %v", err)
+			}
+			difftest.Check(t, row)
 		})
 	}
 }
 
-// FuzzWASIDiff derives random iovec layouts and grow points from the
-// fuzz input and requires cross-strategy, cross-engine equivalence
-// for each (wired into make fuzz-smoke).
-func FuzzWASIDiff(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{0xff, 0xff, 0x80, 0x00, 0x10})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0xfe, 0x01, 0xff, 0xfe, 0x40, 0x00, 0x7f, 0x30, 0x21})
-	f.Fuzz(func(t *testing.T, seed []byte) {
-		if len(seed) == 0 {
-			t.Skip()
-		}
-		at := 0
-		next := func() uint32 {
-			if at >= len(seed) {
-				return 0
-			}
-			b := seed[at]
-			at++
-			return uint32(b)
-		}
-		const pageSize = 65536
-		c := hostCase{iovsPtr: diffIovsBase, grow: next()&1 == 1}
-		n := int(next()%3) + 1
-		for i := 0; i < n; i++ {
-			// Spread pointers across the page, including the last
-			// bytes so clamping paths get exercised.
-			ptr := (next()*257 + next()) % (pageSize + 512)
-			length := next() % 300
-			c.iovs = append(c.iovs, iovSpec{ptr: ptr, len: length})
-		}
-		c.iovCount = uint32(len(c.iovs))
-		if next()&7 == 0 {
-			// Occasionally pass an out-of-bounds array pointer.
-			c.iovsPtr = pageSize - next()%32
-			c.iovs = nil
-		}
-		checkHostEquivalence(t, c)
-	})
-}
+// FuzzWASIDiff keeps the host iovec seeds on every engine; FuzzDiff in
+// internal/compiled fuzzes the same scenarios (family.Fuzz).
+func FuzzWASIDiff(f *testing.F) { family.Fuzz(f, nil, hostEngines) }
 
 // TestRandConcurrent is the race regression for the shared PRNG: one
 // Env serves hostcalls from several instances at once (the
@@ -362,7 +102,7 @@ func TestRandConcurrent(t *testing.T) {
 
 // TestFSSurface exercises the fd surface end to end from the guest:
 // prestat discovery, path_open with create+trunc, filestat, seek
-// semantics, and partial reads at EOF.
+// semantics, and partial reads at EOF, on every engine and strategy.
 func TestFSSurface(t *testing.T) {
 	mb := g.NewModule()
 	prestatGet := mb.ImportFunc("wasi_snapshot_preview1", "fd_prestat_get",
@@ -456,27 +196,15 @@ func TestFSSurface(t *testing.T) {
 	foldN(0)                  // close
 	foldN(8)                  // double close: badf
 
-	var out bytes.Buffer
-	for _, s := range mem.Strategies() {
-		cm, err := compiled.NewWAVM().Compile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := wasi.NewEnv(&out, nil).WithFS(map[string][]byte{})
-		inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, env.Imports())
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		res, err := inst.Invoke("run")
-		inst.Close()
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if res[0] != want {
-			t.Errorf("%v: digest %#x, want %#x", s, res[0], want)
-		}
-		if data, ok := env.FS.ReadFile("out.bin"); !ok || string(data) != "0123456789abcdef" {
-			t.Errorf("%v: file content %q", s, data)
-		}
+	env := func() difftest.Env {
+		env := wasi.NewEnv(nil, nil).WithFS(map[string][]byte{})
+		return difftest.Env{Imports: env.Imports(), File: func() []byte {
+			data, _ := env.FS.ReadFile("out.bin")
+			return data
+		}}
+	}
+	o := difftest.Check(t, difftest.Row{Module: m, Env: env, Engines: hostEngines, Rule: difftest.Same})[mem.Trap]
+	if o.Trapped || o.Digest != want || o.FileHash != difftest.Hash([]byte("0123456789abcdef")) {
+		t.Errorf("%v, want digest %#x and the file 0123456789abcdef", o, want)
 	}
 }

@@ -6,8 +6,8 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
+	"leapsandbounds/internal/difftest"
 	"leapsandbounds/internal/interp"
-	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/workloads"
 )
@@ -23,80 +23,48 @@ func specImports(spec workloads.Spec) core.Imports {
 	return spec.NewEnv(workloads.Test).Imports()
 }
 
+// matchesNative runs spec's module on engines through the
+// differential harness (every strategy, fresh and forked, counted and
+// not, all agreeing) and holds the outcome to its native twin.
+func matchesNative(t *testing.T, spec workloads.Spec, engines ...difftest.Engine) {
+	t.Parallel()
+	m, native := spec.Build(workloads.Test)
+	want := native()
+	if math.IsNaN(math.Float64frombits(want)) {
+		t.Fatalf("native checksum is NaN")
+	}
+	env := func() difftest.Env { return difftest.Env{Imports: specImports(spec)} }
+	o := difftest.Check(t, difftest.Row{Module: m, Env: env, Engines: engines, Rule: difftest.Same})[mem.Trap]
+	if o.Trapped || o.Digest != want {
+		t.Errorf("%v (%v), native %#x (%v)", o, math.Float64frombits(o.Digest), want, math.Float64frombits(want))
+	}
+}
+
+var (
+	wasm3    = difftest.Engine{Name: "wasm3", New: func(testing.TB) core.Engine { return interp.NewWasm3() }}
+	wasmtime = difftest.Engine{Name: "wasmtime", New: func(testing.TB) core.Engine { return compiled.NewWasmtime() }}
+	wavm     = difftest.Engine{Name: "wavm", New: func(testing.TB) core.Engine { return compiled.NewWAVM() }}
+)
+
 // TestWasmMatchesNative is the central cross-validation: every
 // workload's wasm module must produce exactly the checksum its
 // native twin computes, on every engine.
 func TestWasmMatchesNative(t *testing.T) {
-	engines := map[string]core.Engine{
-		"wasm3":    interp.NewWasm3(),
-		"wasmtime": compiled.NewWasmtime(),
-		"wavm":     compiled.NewWAVM(),
-	}
 	for _, spec := range workloads.All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			m, native := spec.Build(workloads.Test)
-			want := native()
-			if f := math.Float64frombits(want); math.IsNaN(f) {
-				t.Fatalf("native checksum is NaN")
-			}
-			for name, e := range engines {
-				cm, err := e.Compile(m)
-				if err != nil {
-					t.Fatalf("%s: compile: %v", name, err)
-				}
-				inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64()}, specImports(spec))
-				if err != nil {
-					t.Fatalf("%s: instantiate: %v", name, err)
-				}
-				res, err := inst.Invoke(workloads.Entry)
-				inst.Close()
-				if err != nil {
-					t.Fatalf("%s: invoke: %v", name, err)
-				}
-				if res[0] != want {
-					t.Errorf("%s: checksum %#x (%v), native %#x (%v)",
-						name, res[0], math.Float64frombits(res[0]),
-						want, math.Float64frombits(want))
-				}
-			}
-		})
+		t.Run(spec.Name, func(t *testing.T) { matchesNative(t, spec, wasm3, wasmtime, wavm) })
 	}
 }
 
 // TestStrategiesMatchOnWorkloads runs a subset of workloads across
 // every bounds-checking strategy on the optimizing engine.
 func TestStrategiesMatchOnWorkloads(t *testing.T) {
-	names := []string{"gemm", "cholesky", "jacobi-2d", "atax", "logscan", "kvstore", "echo"}
-	for _, name := range names {
-		name := name
+	for _, name := range []string{"gemm", "cholesky", "jacobi-2d", "atax", "logscan", "kvstore", "echo"} {
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			spec, err := workloads.ByName(name)
 			if err != nil {
 				t.Skip(err)
 			}
-			m, native := spec.Build(workloads.Test)
-			want := native()
-			cm, err := compiled.NewWAVM().Compile(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range mem.Strategies() {
-				inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, specImports(spec))
-				if err != nil {
-					t.Fatalf("%v: %v", s, err)
-				}
-				res, err := inst.Invoke(workloads.Entry)
-				inst.Close()
-				if err != nil {
-					t.Fatalf("%v: %v", s, err)
-				}
-				if res[0] != want {
-					t.Errorf("%v: %#x, want %#x", s, res[0], want)
-				}
-			}
+			matchesNative(t, spec, wavm)
 		})
 	}
 }

@@ -75,9 +75,10 @@ echo "== internal/tiered twice in one process (no compile state may leak into a 
 go test -count=2 ./internal/tiered/
 
 # The race pass (package list and reasons: the Makefile's race target)
-# is also where the compiled-pipeline (wavm, wavm without elision,
-# wasmtime), fork, hostcall and shared-memory differentials run, in
-# full and under the race detector.
+# is also where the differentials run, in full and under the race
+# detector: every row over internal/difftest's Check (the compiled
+# pipelines, the OOB partition, the fork and counted axes, hostcalls)
+# and the shared-memory fixture.
 echo "== make race"
 make race
 
