@@ -21,7 +21,6 @@ import (
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/validate"
 	"leapsandbounds/internal/wasi"
-	"leapsandbounds/internal/wasm"
 )
 
 func main() {
@@ -52,11 +51,8 @@ func run(engineN, strategy, profileN, invoke, path string, args []string) error 
 	if err != nil {
 		return err
 	}
-	m, err := wasm.Decode(data)
+	m, err := validate.Decode(data)
 	if err != nil {
-		return err
-	}
-	if err := validate.Module(m); err != nil {
 		return err
 	}
 

@@ -100,8 +100,8 @@ func coldEngines() map[string]core.Engine {
 // mark: about a third of the wavm row and over half of the wasm3 row
 // was a walk whose outcome was known) — they are flatten → rir → elide
 // → emit, per engine. The front row is what comes before an engine
-// sees the module: wasm.Decode + validate.Module from bytes, every op
-// on a fresh module. The wavm-noelide row is wavm with bounds-check
+// sees the module: validate.Decode from bytes, what a cold start runs,
+// every op on a fresh module. The wavm-noelide row is wavm with bounds-check
 // elision off, so wavm − wavm-noelide is what elision costs a compile.
 // The wavm-encode and wavm-decode rows are the disk
 // tier's artifact codec over the wavm compile of the same module:
@@ -121,10 +121,7 @@ func BenchmarkCompileManyFuncs(b *testing.B) {
 	b.Run("front", func(b *testing.B) {
 		b.SetBytes(int64(len(bin))) // MB/s, the unit of the benchmark's wasm.decode_mb_s
 		parked(b, func() error {
-			m, err := wasm.Decode(bin)
-			if err == nil {
-				err = validate.Module(m)
-			}
+			_, err := validate.Decode(bin)
 			return err
 		})
 	})

@@ -1,7 +1,9 @@
 package family
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"leapsandbounds/internal/wasm"
@@ -281,7 +283,25 @@ func Program(seed int64, oob, linear bool) (*wasm.Module, error) {
 	)
 	f.Body(stmts...)
 	mb.Export("run", f)
+	for page := uint32(0); page < 2; page++ {
+		mb.Data(seededData(r, page))
+	}
 	return mb.Module()
+}
+
+// seededData is a data segment of seeded words inside the given 4 KiB
+// page of memory, so that a template fork has bytes to restore there
+// that the program reads: pages 0 and 1 hold the random kernels' two
+// arrays, and page 0 the OOB variants' f64 array. Each word is a
+// finite, non-negative f64, so it reads as an element of either type.
+func seededData(r *rand.Rand, page uint32) (offset uint32, data []byte) {
+	const words = 4096 / 8
+	n := 1 + r.Intn(64)
+	offset = page*4096 + uint32(8*r.Intn(words-n+1))
+	for range n {
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(float64(r.Intn(1<<20))/16))
+	}
+	return offset, data
 }
 
 // foldOOB reaches out-of-bounds accesses through a

@@ -1,6 +1,7 @@
 package validate_test
 
 import (
+	"reflect"
 	"testing"
 
 	"leapsandbounds/internal/validate"
@@ -8,12 +9,14 @@ import (
 	"leapsandbounds/internal/workloads"
 )
 
-// FuzzValidate drives the validator with whatever modules the binary
-// decoder accepts from arbitrary bytes. The property is purely
-// defensive: Module must return (an error or nil), never panic —
-// malformed-but-decodable modules (bad indices, type confusion,
-// truncated bodies) are exactly what the validator exists to reject
-// gracefully before an engine dereferences them.
+// FuzzValidate drives the validator with arbitrary bytes, through both
+// ways from bytes to a validated module. Module must return (an error
+// or nil), never panic — malformed-but-decodable modules (bad indices,
+// type confusion, truncated bodies) are exactly what the validator
+// exists to reject gracefully before an engine dereferences them. And
+// Decode, which type-checks each body as it is decoded, must agree with
+// wasm.Decode followed by Module: the same error text, or both accept a
+// structurally equal module that carries the validated mark.
 func FuzzValidate(f *testing.F) {
 	for _, spec := range workloads.All() {
 		m, _ := spec.Build(workloads.Test)
@@ -24,12 +27,20 @@ func FuzzValidate(f *testing.F) {
 			f.Add(c)
 		}
 	}
+	for _, c := range faultModules {
+		f.Add(c.in)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := wasm.Decode(data)
-		if err != nil {
-			return
+		fused, ferr := validate.Decode(data)
+		m, err := twoPass(data)
+		switch {
+		case err != nil || ferr != nil:
+			if err == nil || ferr == nil || err.Error() != ferr.Error() || fused != nil {
+				t.Fatalf("Decode: %v, error %v; wasm.Decode + Module: error %v", fused, ferr, err)
+			}
+		case !fused.Validated() || !reflect.DeepEqual(fused, m):
+			t.Fatalf("Decode accepted a module that is not marked valid (%v) or differs from wasm.Decode's", fused.Validated())
 		}
-		_ = validate.Module(m)
 	})
 }

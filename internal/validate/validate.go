@@ -7,6 +7,7 @@ package validate
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"leapsandbounds/internal/fanout"
@@ -26,8 +27,8 @@ var (
 	bodiesChecked  atomic.Int64
 )
 
-// Stats returns how many modules Module has walked and how many
-// function bodies it has type-checked, process-wide. A call that
+// Stats returns how many modules Module and Decode have walked and how
+// many function bodies they have type-checked, process-wide. A call that
 // returns at once for a module already marked valid counts nothing; a
 // walk that finds an invalid body counts the bodies up to and including
 // it — what a loop checks — whatever else the workers got to.
@@ -38,18 +39,95 @@ func Stats() (modules, bodies int64) {
 // Module validates m in full. It returns nil when the module is valid,
 // and marks a valid module (wasm.Module.Validated) so that the next
 // call — every engine's Compile makes one — returns at once. An
-// invalid module gets no mark: it is walked, and fails, again.
+// invalid module gets no mark: it is walked, and fails, again. Module
+// is the walk for a module built in memory; a binary is type-checked
+// as it is decoded, by Decode.
 func Module(m *wasm.Module) error {
 	if m.Validated() {
 		return nil
 	}
 	modulesChecked.Add(1)
 	v := &validator{m: m}
-	if err := v.run(); err != nil {
+	if err := v.indexSpaces(); err != nil {
+		return err
+	}
+	if err := v.moduleRules(); err != nil {
+		return err
+	}
+	if err := v.bodies(); err != nil {
 		return err
 	}
 	m.MarkValidated()
 	return nil
+}
+
+// Decode decodes a binary module and validates it in full in one
+// fan-out: each function body is type-checked on the decode worker that
+// has just decoded it. It returns what wasm.Decode followed by Module
+// returns, error text for error text: a decode error wins over every
+// type error, a module-level error over a body error, and of the body
+// errors the lowest function's, named from a name section that may
+// follow the code section. Stats counts what Module would have.
+func Decode(data []byte) (*wasm.Module, error) {
+	var (
+		v      *validator
+		spaces error // v.indexSpaces's, reported after the decode
+		bad    lowestBody
+	)
+	m, err := wasm.DecodeChecked(data, func(m *wasm.Module, bodies int) func() func(int, *wasm.Code) {
+		// Every section that feeds the index spaces precedes code. If
+		// they cannot be built, or the bodies are not the functions',
+		// the decode or the module-level rules report it: check none.
+		v = &validator{m: m}
+		if spaces = v.indexSpaces(); spaces != nil || bodies != len(m.Funcs) {
+			return nil
+		}
+		imported := len(v.funcs) - bodies
+		return func() func(int, *wasm.Code) {
+			c := &bodyChecker{v: v}
+			return func(i int, code *wasm.Code) {
+				if err := c.validateBody(v.funcs[imported+i], code); err != nil {
+					bad.fail(i, err)
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	modulesChecked.Add(1)
+	if v == nil { // no code section, so no functions
+		v = &validator{m: m}
+		spaces = v.indexSpaces()
+	}
+	if spaces != nil {
+		return nil, spaces
+	}
+	if err := v.moduleRules(); err != nil {
+		return nil, err
+	}
+	if bad.err != nil {
+		bodiesChecked.Add(int64(bad.idx + 1))
+		return nil, v.bodyError(bad.idx, bad.err)
+	}
+	bodiesChecked.Add(int64(len(m.Code)))
+	m.MarkValidated()
+	return m, nil
+}
+
+// lowestBody is the lowest body whose check failed, and its error.
+type lowestBody struct {
+	mu  sync.Mutex // guards idx and err
+	idx int
+	err error
+}
+
+func (b *lowestBody) fail(i int, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err == nil || i < b.idx {
+		b.idx, b.err = i, err
+	}
 }
 
 type validator struct {
@@ -69,10 +147,11 @@ func (v *validator) failf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
 }
 
-func (v *validator) run() error {
+// indexSpaces builds the function, global, memory and table index
+// spaces, imports first. Everything it reads precedes the code section
+// of a binary.
+func (v *validator) indexSpaces() error {
 	m := v.m
-
-	// Build index spaces.
 	for i, im := range m.Imports {
 		switch im.Kind {
 		case wasm.ExternFunc:
@@ -100,7 +179,13 @@ func (v *validator) run() error {
 	}
 	v.numMems += len(m.Mems)
 	v.numTabs += len(m.Tables)
+	return nil
+}
 
+// moduleRules checks everything but the function bodies, over the index
+// spaces indexSpaces built.
+func (v *validator) moduleRules() error {
+	m := v.m
 	if v.numMems > 1 {
 		return v.failf("at most one memory is allowed, found %d", v.numMems)
 	}
@@ -111,7 +196,6 @@ func (v *validator) run() error {
 	if len(m.Code) != len(m.Funcs) {
 		return v.failf("%d functions declared but %d bodies", len(m.Funcs), len(m.Code))
 	}
-
 	// Global initializers.
 	for i, g := range m.Globals {
 		t, err := v.constExprType(g.Init)
@@ -189,10 +273,15 @@ func (v *validator) run() error {
 		}
 	}
 
-	// Function bodies, on fanout's workers: the index spaces above are
-	// complete and only read from here on, and each worker checks with
-	// a bodyChecker of its own. The lowest invalid body is the one
-	// reported, as by a loop.
+	return nil
+}
+
+// bodies type-checks every function body on fanout's workers: the
+// index spaces are complete and only read from here on, and each worker
+// checks with a bodyChecker of its own. The lowest invalid body is the
+// one reported, as by a loop.
+func (v *validator) bodies() error {
+	m := v.m
 	imported := len(v.funcs) - len(m.Funcs)
 	i, err := fanout.Each(len(m.Code), func() func(int) error {
 		c := &bodyChecker{v: v}
@@ -200,13 +289,20 @@ func (v *validator) run() error {
 	})
 	bodiesChecked.Add(int64(min(i+1, len(m.Code))))
 	if err != nil {
-		name := fmt.Sprintf("function %d", imported+i)
-		if n, ok := m.FuncNames[uint32(imported+i)]; ok {
-			name = fmt.Sprintf("function %d (%s)", imported+i, n)
-		}
-		return v.failf("%s: %v", name, err)
+		return v.bodyError(i, err)
 	}
 	return nil
+}
+
+// bodyError puts the error of body i into the module's words, naming
+// its function as the name section does.
+func (v *validator) bodyError(i int, err error) error {
+	fi := len(v.funcs) - len(v.m.Funcs) + i
+	name := fmt.Sprintf("function %d", fi)
+	if n, ok := v.m.FuncNames[uint32(fi)]; ok {
+		name = fmt.Sprintf("function %d (%s)", fi, n)
+	}
+	return v.failf("%s: %v", name, err)
 }
 
 func (v *validator) constExprType(e wasm.ConstExpr) (wasm.ValueType, error) {
@@ -341,6 +437,9 @@ func (c *bodyChecker) validateBody(ft wasm.FuncType, code *wasm.Code) error {
 	c.pushCtrl(0, nil, ft.Results)
 
 	for pc, in := range code.Body {
+		if c.fast(in) {
+			continue
+		}
 		if err := v.checkInstr(c, in); err != nil {
 			return fmt.Errorf("instr %d (%s): %w", pc, in, err)
 		}
@@ -355,6 +454,25 @@ func (c *bodyChecker) validateBody(ft wasm.FuncType, code *wasm.Code) error {
 		}
 	}
 	return fmt.Errorf("function body not terminated by end")
+}
+
+// fast checks a fixed-signature numeric op inline when its operands are
+// exactly the top of the stack, above the current frame. Anything else —
+// a mismatch, an underflow, an unknown operand — it leaves to
+// checkInstr, which puts the error into words.
+func (c *bodyChecker) fast(in wasm.Instr) bool {
+	sig := &simpleSigs[in.Op]
+	top := len(c.ops) - len(sig.in)
+	if len(sig.in) == 0 || top < c.ctrls[len(c.ctrls)-1].height {
+		return false
+	}
+	for k, t := range sig.in {
+		if c.ops[top+k] != t {
+			return false
+		}
+	}
+	c.ops = append(c.ops[:top], sig.out...)
+	return true
 }
 
 func (v *validator) checkInstr(c *bodyChecker, in wasm.Instr) error {

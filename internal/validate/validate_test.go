@@ -2,6 +2,7 @@ package validate_test
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -278,10 +279,12 @@ func TestBodiesWithoutFunctions(t *testing.T) {
 
 // TestLowestInvalidBody: bodies are checked on fanout's workers, and
 // with two invalid ones the error is still the loop's — the lower
-// function, in the loop's words — whichever worker fails first. The
-// module is walked every round: a failed validation leaves no mark.
+// function, in the loop's words — whichever worker fails first, at one
+// worker and at four. It holds for the walk of the module (Module) and
+// for its bytes, type-checked as they are decoded (Decode), which names
+// the function from the name section that follows the code. The module
+// is walked every round: a failed validation leaves no mark.
 func TestLowestInvalidBody(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n, lo, hi = 64, 5, 9
 	m := fn(nil, []wasm.ValueType{wasm.I32}, nil, i(wasm.OpI32Const, 1))
 	m.Imports = []wasm.Import{{Module: "env", Name: "f", Kind: wasm.ExternFunc}}
@@ -293,20 +296,140 @@ func TestLowestInvalidBody(t *testing.T) {
 	}
 	m.Code[lo].Body = []wasm.Instr{i(wasm.OpI64Const, 1), i(wasm.OpEnd)}
 	m.Code[hi].Body = []wasm.Instr{i(wasm.OpEnd)}
-	const want = "validate: invalid module: function 6: instr 1 (end): type mismatch: got i64, want i32"
-	modules0, bodies0 := validate.Stats()
-	for round := 0; round < 100; round++ {
-		if err := validate.Module(m); err == nil || err.Error() != want {
-			t.Fatalf("round %d: error %q, want %q", round, err, want)
+	paths := func(m *wasm.Module) map[string]func() error {
+		bin, err := wasm.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]func() error{
+			"Module": func() error { return validate.Module(m) },
+			"Decode": func() error { _, err := validate.Decode(bin); return err },
 		}
 	}
-	modules1, bodies1 := validate.Stats()
-	if modules1-modules0 != 100 || bodies1-bodies0 != 100*(lo+1) || m.Validated() {
-		t.Errorf("%d walks and %d bodies counted in 100 calls (marked valid: %v); an invalid module must be walked every time, up to body %d",
-			modules1-modules0, bodies1-bodies0, m.Validated(), lo)
+	const want = "validate: invalid module: function 6: instr 1 (end): type mismatch: got i64, want i32"
+	for name, validate1 := range paths(m) {
+		for _, procs := range []int{1, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				modules0, bodies0 := validate.Stats()
+				for round := 0; round < 100; round++ {
+					if err := validate1(); err == nil || err.Error() != want {
+						t.Fatalf("%s, GOMAXPROCS=%d, round %d: error %q, want %q", name, procs, round, err, want)
+					}
+				}
+				modules1, bodies1 := validate.Stats()
+				if modules1-modules0 != 100 || bodies1-bodies0 != 100*(lo+1) || m.Validated() {
+					t.Errorf("%s, GOMAXPROCS=%d: %d walks and %d bodies counted in 100 calls (marked valid: %v); an invalid module must be walked every time, up to body %d",
+						name, procs, modules1-modules0, bodies1-bodies0, m.Validated(), lo)
+				}
+			}()
+		}
 	}
 	m.Code[lo] = good
-	wantErr(t, m, "function 10 (later): instr 0 (end): operand stack underflow")
+	for name, validate1 := range paths(m) {
+		const want = "validate: invalid module: function 10 (later): instr 0 (end): operand stack underflow"
+		if err := validate1(); err == nil || err.Error() != want {
+			t.Errorf("%s: error %q, want %q", name, err, want)
+		}
+	}
+}
+
+// Byte-level builders for modules a decoder sees, faults included.
+func section(id byte, body ...byte) []byte {
+	return append(wasm.AppendUleb128([]byte{id}, uint64(len(body))), body...)
+}
+
+func vec(items ...[]byte) []byte {
+	out := wasm.AppendUleb128(nil, uint64(len(items)))
+	for _, it := range items {
+		out = append(out, it...)
+	}
+	return out
+}
+
+func binary(sections ...[]byte) []byte {
+	return append(wasm.Magic[:4:4], append(wasm.Version[:4:4], slices.Concat(sections...)...)...)
+}
+
+// body is a code-section entry: its size, no locals, code.
+func body(code ...byte) []byte { return append([]byte{byte(len(code) + 1), 0x00}, code...) }
+
+var (
+	voidType = section(1, 0x01, 0x60, 0x00, 0x00) // type 0: () -> ()
+	goodBody = body(0x0b)                         // end
+	typeBad  = body(0x41, 0x00, 0x0b)             // i32.const 0; end: an extra operand
+	opBad    = body(0xff)                         // an opcode that does not exist
+)
+
+// funcs is a function section of n functions of type ti.
+func funcs(n int, ti byte) []byte {
+	return section(3, vec(slices.Repeat([][]byte{{ti}}, n)...)...)
+}
+
+// code is a code section of 16 good bodies, but for the ones given.
+func code(bad map[int][]byte) []byte {
+	bs := slices.Repeat([][]byte{goodBody}, 16)
+	for k, b := range bad {
+		bs[k] = b
+	}
+	return section(10, vec(bs...)...)
+}
+
+// faultModules have faults of two kinds at once, and the error
+// wasm.Decode followed by Module reports: a decode error wins over a
+// type error, a module-level error over a body error, and no body is
+// checked against index spaces that cannot be built.
+var faultModules = []struct {
+	name string
+	in   []byte
+	want string
+}{
+	{"decode error in a high body, type error in a low one",
+		binary(voidType, funcs(16, 0), code(map[int][]byte{2: typeBad, 13: opBad})),
+		"function 13: wasm: malformed module: offset 2: unknown opcode 0xff"},
+	{"decode error after the code section, type error in a body",
+		binary(voidType, funcs(16, 0), code(map[int][]byte{2: typeBad}), section(11, 0x01)),
+		"wasm: malformed module: offset 1: wasm: malformed LEB128 integer: truncated"},
+	{"module-level error and a body error",
+		binary(voidType, funcs(16, 0), section(7, 0x01, 0x01, 'f', 0x00, 0x10), code(map[int][]byte{2: typeBad})),
+		`validate: invalid module: export "f": function index 16 out of range`},
+	{"more bodies than functions",
+		binary(voidType, funcs(15, 0), code(map[int][]byte{0: typeBad})),
+		"wasm: malformed module: function section declares 15 functions but code section has 16 bodies"},
+	{"bad type index in the function section",
+		binary(voidType, funcs(16, 5), code(map[int][]byte{0: typeBad})),
+		"validate: invalid module: function 0: type index 5 out of range"},
+}
+
+// twoPass is what a binary got before Decode: wasm.Decode, then Module.
+func twoPass(data []byte) (*wasm.Module, error) {
+	m, err := wasm.Decode(data)
+	if err == nil {
+		err = validate.Module(m)
+	}
+	return m, err
+}
+
+// TestDecodeErrorOrder: with faults of two kinds in one binary, Decode
+// reports the error the two passes do, at one worker and at four.
+func TestDecodeErrorOrder(t *testing.T) {
+	for _, c := range faultModules {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := twoPass(c.in); err == nil || err.Error() != c.want {
+				t.Fatalf("wasm.Decode + Module: error %q, want %q", err, c.want)
+			}
+			for _, procs := range []int{1, 4} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					for round := 0; round < 100; round++ {
+						if m, err := validate.Decode(c.in); m != nil || err == nil || err.Error() != c.want {
+							t.Fatalf("GOMAXPROCS=%d round %d: %v, error %q, want %q", procs, round, m, err, c.want)
+						}
+					}
+				}()
+			}
+		})
+	}
 }
 
 // TestValidatedOnce: a valid module is walked once — every body of it

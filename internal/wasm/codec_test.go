@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"leapsandbounds/internal/validate"
 	"leapsandbounds/internal/wasm"
 	"leapsandbounds/internal/workloads"
 )
@@ -51,11 +52,15 @@ func normalize(m *wasm.Module) *wasm.Module { return m.Unmarked() }
 // one error a single loop over the module reports — bodies are decoded
 // on fanout's workers, and the text must not depend on which worker
 // fails first, so every case runs 100 times at one worker and at four.
+// validate.Decode, which type-checks each body on the worker that
+// decoded it, must refuse each with the same text: a decode error wins
+// over any type error, even one in a lower body.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	var (
-		good     = []byte{0x02, 0x00, 0x0b}       // no locals; end
-		badOp    = []byte{0x02, 0x00, 0xff}       // no locals; an opcode that does not exist
-		trailing = []byte{0x03, 0x00, 0x0b, 0x0b} // a byte after the final end
+		good     = []byte{0x02, 0x00, 0x0b}             // no locals; end
+		illTyped = []byte{0x04, 0x00, 0x41, 0x00, 0x0b} // no locals; i32.const 0; end
+		badOp    = []byte{0x02, 0x00, 0xff}             // no locals; an opcode that does not exist
+		trailing = []byte{0x03, 0x00, 0x0b, 0x0b}       // a byte after the final end
 		// 0xFC sub-opcode 266, which a byte would hold as 10
 		// (memory.copy, whose two index bytes follow).
 		wideSub = []byte{0x07, 0x00, 0xfc, 0x8a, 0x02, 0x00, 0x00, 0x0b}
@@ -108,18 +113,25 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			"wasm: malformed module: offset 122: need 16 bytes, have 1"},
 		{"fewer bodies than declared", codeModule(64, bodies(0, good, 1, good)[:40]...),
 			"wasm: malformed module: offset 121: wasm: malformed LEB128 integer: truncated"},
+		{"ill-typed body below a bad one", codeModule(64, bodies(2, illTyped, 9, badOp)...),
+			"function 9: wasm: malformed module: offset 2: unknown opcode 0xff"},
+		{"ill-typed body before a truncated size prefix", codeModule(64, append(bodies(2, illTyped, 1, good)[:40], []byte{0x80})...),
+			"wasm: malformed module: offset 123: wasm: malformed LEB128 integer: truncated"},
 	}
+	decoders := map[string]func([]byte) (*wasm.Module, error){"wasm.Decode": wasm.Decode, "validate.Decode": validate.Decode}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, procs := range []int{1, 4} {
-				func() {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					for round := 0; round < 100; round++ {
-						if _, err := wasm.Decode(c.in); err == nil || err.Error() != c.want {
-							t.Fatalf("GOMAXPROCS=%d round %d: error %q, want %q", procs, round, err, c.want)
+			for name, decode := range decoders {
+				for _, procs := range []int{1, 4} {
+					func() {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						for round := 0; round < 100; round++ {
+							if _, err := decode(c.in); err == nil || err.Error() != c.want {
+								t.Fatalf("%s, GOMAXPROCS=%d round %d: error %q, want %q", name, procs, round, err, c.want)
+							}
 						}
-					}
-				}()
+					}()
+				}
 			}
 		})
 	}

@@ -48,7 +48,14 @@ func (d *decoder) byteVal() (byte, error) {
 	return b, nil
 }
 
+// u32, s32 and s64 read a one-byte encoding — most indices, depths and
+// small constants — inline, and hand anything longer to the general
+// LEB128 loop. A one-byte signed value sign-extends from bit 6.
 func (d *decoder) u32() (uint32, error) {
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		d.pos++
+		return uint32(d.buf[d.pos-1]), nil
+	}
 	v, n, err := Uleb128(d.buf[d.pos:], 32)
 	if err != nil {
 		return 0, d.failf("%v", err)
@@ -58,6 +65,10 @@ func (d *decoder) u32() (uint32, error) {
 }
 
 func (d *decoder) s32() (int32, error) {
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		d.pos++
+		return int32(int8(d.buf[d.pos-1]<<1) >> 1), nil
+	}
 	v, n, err := Sleb128(d.buf[d.pos:], 32)
 	if err != nil {
 		return 0, d.failf("%v", err)
@@ -67,6 +78,10 @@ func (d *decoder) s32() (int32, error) {
 }
 
 func (d *decoder) s64() (int64, error) {
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		d.pos++
+		return int64(int8(d.buf[d.pos-1]<<1) >> 1), nil
+	}
 	v, n, err := Sleb128(d.buf[d.pos:], 64)
 	if err != nil {
 		return 0, d.failf("%v", err)
@@ -210,7 +225,21 @@ func (d *decoder) constExpr() (ConstExpr, error) {
 // Decode parses a WebAssembly binary module. It performs structural
 // (grammar-level) validation only; use the validate package for full
 // type checking.
-func Decode(data []byte) (*Module, error) {
+func Decode(data []byte) (*Module, error) { return DecodeChecked(data, nil) }
+
+// A BodyCheck looks at function bodies as they are decoded. The decoder
+// calls it once, on reaching the code section, with the module decoded
+// so far — every section that precedes code — and the number of bodies
+// the section declares. It returns nil to check no body, or a
+// constructor that each decode worker calls once for a check of its
+// own, which then sees every body that worker decodes, right after
+// decoding it. A check cannot stop the decode: it keeps what it finds
+// for its caller to report once Decode has returned.
+type BodyCheck func(m *Module, bodies int) (newWorker func() func(i int, c *Code))
+
+// DecodeChecked is Decode with check run on the bodies: Decode passes
+// nil. The module and the error are Decode's, whatever check does.
+func DecodeChecked(data []byte, check BodyCheck) (*Module, error) {
 	d := &decoder{buf: data}
 	magic, err := d.bytes(4)
 	if err != nil {
@@ -277,7 +306,7 @@ func Decode(data []byte) (*Module, error) {
 		case 9:
 			err = decodeElems(sd, m)
 		case 10:
-			err = decodeCode(sd, m)
+			err = decodeCode(sd, m, check)
 		case 11:
 			err = decodeData(sd, m)
 		default:
@@ -633,11 +662,16 @@ func decodeData(d *decoder, m *Module) error {
 // prefixes only — and decodes the bodies on fanout's workers. The error
 // is the one a single loop over the section reports, whatever the
 // worker count: the lowest body that does not decode, and a size prefix
-// that cannot be cut at body k only if bodies [0, k) all decode.
-func decodeCode(d *decoder, m *Module) error {
+// that cannot be cut at body k only if bodies [0, k) all decode. A
+// non-nil check sees each body on the worker that decoded it.
+func decodeCode(d *decoder, m *Module, check BodyCheck) error {
 	n, room, err := d.vecLen()
 	if err != nil {
 		return err
+	}
+	var newCheck func() func(int, *Code)
+	if check != nil {
+		newCheck = check(m, int(n))
 	}
 	bodies := make([][]byte, 0, room)
 	var cutErr error
@@ -662,8 +696,14 @@ func decodeCode(d *decoder, m *Module) error {
 		// a declared size or count — and no body carries spare capacity
 		// for the module's lifetime.
 		var s bodyScratch
+		var checkBody func(int, *Code)
+		if newCheck != nil {
+			checkBody = newCheck()
+		}
 		return func(i int) (err error) {
-			code[i], err = s.decodeBody(i, bodies[i])
+			if code[i], err = s.decodeBody(i, bodies[i]); err == nil && checkBody != nil {
+				checkBody(i, &code[i])
+			}
 			return err
 		}
 	})

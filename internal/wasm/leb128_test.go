@@ -118,3 +118,30 @@ func TestUleb128ConsumedPrefix(t *testing.T) {
 		t.Errorf("got v=%d n=%d err=%v", v, n, err)
 	}
 }
+
+// TestDecoderOneByte pins the decoder's one-byte fast path to what the
+// general loop returns: a signed value sign-extends from bit 6 of its
+// one byte, an unsigned one does not.
+func TestDecoderOneByte(t *testing.T) {
+	for _, c := range []struct {
+		b      byte
+		u32    uint32
+		signed int64
+	}{{0x00, 0, 0}, {0x3f, 63, 63}, {0x40, 64, -64}, {0x7f, 127, -1}} {
+		d := &decoder{buf: []byte{c.b, 0xff}}
+		if v, err := d.u32(); err != nil || v != c.u32 || d.pos != 1 {
+			t.Errorf("u32 of %#02x: %d, %v, pos %d; want %d", c.b, v, err, d.pos, c.u32)
+		}
+		d = &decoder{buf: []byte{c.b, 0xff}}
+		if v, err := d.s32(); err != nil || int64(v) != c.signed || d.pos != 1 {
+			t.Errorf("s32 of %#02x: %d, %v, pos %d; want %d", c.b, v, err, d.pos, c.signed)
+		}
+		d = &decoder{buf: []byte{c.b, 0xff}}
+		if v, err := d.s64(); err != nil || v != c.signed || d.pos != 1 {
+			t.Errorf("s64 of %#02x: %d, %v, pos %d; want %d", c.b, v, err, d.pos, c.signed)
+		}
+		if v, _, _ := Sleb128([]byte{c.b}, 32); v != c.signed {
+			t.Errorf("Sleb128 of %#02x: %d, the fast path %d", c.b, v, c.signed)
+		}
+	}
+}

@@ -141,17 +141,9 @@ func NewEngine(name string) (Engine, func(), error) { return harness.NewEngine(n
 // Module is a decoded WebAssembly module.
 type Module = wasm.Module
 
-// DecodeModule parses and validates a WebAssembly binary.
-func DecodeModule(data []byte) (*Module, error) {
-	m, err := wasm.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := validate.Module(m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+// DecodeModule parses and validates a WebAssembly binary, type-checking
+// each function body as it is decoded.
+func DecodeModule(data []byte) (*Module, error) { return validate.Decode(data) }
 
 // EncodeModule serializes a module back to the binary format.
 func EncodeModule(m *Module) ([]byte, error) { return wasm.Encode(m) }
