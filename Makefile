@@ -29,7 +29,7 @@ test:
 #     shared memory
 #   prof: a sampler reading live state
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/faultinject/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/core/ ./internal/wasi/ ./internal/difftest/ ./internal/prof/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/core/ ./internal/wasi/ ./internal/difftest/ ./internal/prof/
 
 # Profiler smoke: sample a short gemm run through the harness and
 # assert the profile is non-empty and its pprof export parses

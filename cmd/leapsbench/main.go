@@ -64,7 +64,6 @@ func run() error {
 		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision (wavm, the only engine with the pass); -elide=false compiles with per-access checks and is an error on any other engine")
 		dumpIR   = flag.Bool("dump-ir", false, "single-run mode: print the workload entry function's stack ops next to its lowered register IR instead of running it")
 		diskdir  = flag.String("diskcache", "", "attach an on-disk compiled-artifact tier at this directory (cross-process cache; artifacts are content-addressed and corruption-checked)")
-		chaos    = flag.Int64("chaos", 0, "run the deterministic fault-injection sweep with this seed (twice, verifying the replay reproduces it exactly)")
 		list     = flag.Bool("list", false, "list workloads and engines")
 		profOut  = flag.String("profile", "", "single-run mode: sample the guest while the run executes and write <prefix>.folded and <prefix>.pb.gz; also prints the self-time table and per-strategy check share")
 		profHz   = flag.Int("profhz", prof.DefaultHz, "guest sampling frequency in Hz")
@@ -107,9 +106,6 @@ func run() error {
 		modcache.Shared().SetDiskTier(tier)
 	}
 
-	if *chaos != 0 {
-		return runChaos(*chaos, *quick)
-	}
 	if *list {
 		listAll()
 		return nil

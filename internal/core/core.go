@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/obs"
@@ -245,12 +244,9 @@ type InstanceBase struct {
 
 	// obsInvokes/obsTraps are cached metric handles so the per-call
 	// cost is one atomic add; obsFlushed guards the one-time cycle
-	// flush in Close. obsInjected counts the subset of traps caused
-	// by injected faults that exhausted the retry budget.
-	// obsHostcalls counts guest→host boundary crossings.
+	// flush in Close. obsHostcalls counts guest→host boundary crossings.
 	obsInvokes   *obs.Counter
 	obsTraps     *obs.Counter
-	obsInjected  *obs.Counter
 	obsHostcalls *obs.Counter
 	obsFlushed   bool
 
@@ -305,7 +301,6 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports, snap *StateSna
 		Cfg:          cfg,
 		obsInvokes:   cfg.Obs.Counter("invokes"),
 		obsTraps:     cfg.Obs.Counter("traps"),
-		obsInjected:  cfg.Obs.Counter("injected_traps"),
 		obsHostcalls: cfg.Obs.Counter("hostcalls"),
 	}
 	kind := obs.SpanInstantiate
@@ -553,9 +548,6 @@ func (b *InstanceBase) obsInvoke(err error) {
 	var t *trap.Trap
 	if errors.As(err, &t) {
 		b.obsTraps.Inc()
-		if t.Kind == trap.Injected {
-			b.obsInjected.Inc()
-		}
 	}
 }
 
@@ -681,41 +673,3 @@ func (b *InstanceBase) ResolveIndirect(slot, typeIdx uint32) uint32 {
 
 // InvokeErr converts a recovered engine panic into an Invoke error.
 func InvokeErr(r any) error { return trap.Recover(r) }
-
-// instantiateMaxAttempts bounds InstantiateWithRetry.
-const instantiateMaxAttempts = 8
-
-// InstantiateWithRetry instantiates cm, retrying with backoff when
-// instantiation fails with an injected transient fault (an mmap or
-// eager-commit mprotect failure under chaos testing). Permanent
-// errors return immediately; a recovery after a transient failure is
-// counted against the address space's injector.
-func InstantiateWithRetry(cm CompiledModule, cfg Config, imports Imports) (Instance, error) {
-	return instantiateWithRetry(cm, cfg, imports, nil)
-}
-
-// instantiateWithRetry is the retry loop for fresh instances (snap nil)
-// and template forks alike.
-func instantiateWithRetry(cm CompiledModule, cfg Config, imports Imports, snap *StateSnapshot) (Instance, error) {
-	var lastErr error
-	for attempt := 0; attempt < instantiateMaxAttempts; attempt++ {
-		if attempt > 0 {
-			faultinject.Backoff(attempt)
-		}
-		inst, err := cm.InstantiateSnapshot(cfg, imports, snap)
-		if err == nil {
-			if lastErr != nil && cfg.AS != nil {
-				if site, ok := faultinject.IsTransient(lastErr); ok {
-					cfg.AS.Injector().Recovered(site)
-				}
-			}
-			return inst, nil
-		}
-		if _, ok := faultinject.IsTransient(err); !ok {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("core: instantiation failed after %d attempts: %w",
-		instantiateMaxAttempts, lastErr)
-}

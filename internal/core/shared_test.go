@@ -70,7 +70,7 @@ func TestSharedForkRefusal(t *testing.T) {
 				t.Fatalf("refusal does not name the cause: %v", err)
 			}
 			// The memory must still be usable after the refusal.
-			inst, err := core.InstantiateWithRetry(cm, cfg, nil)
+			inst, err := cm.Instantiate(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestSharedCrossInstanceVisibility(t *testing.T) {
 			const workers = 4
 			insts := make([]core.Instance, workers)
 			for i := range insts {
-				inst, err := core.InstantiateWithRetry(cm, cfg, nil)
+				inst, err := cm.Instantiate(cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

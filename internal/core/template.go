@@ -81,7 +81,7 @@ func NewTemplate(cm CompiledModule, cfg Config, imports Imports, warm func(Insta
 		// a meaningful isolate. Refuse before the donor attaches to it.
 		return nil, errors.New("core: cannot build a template from a shared-memory instance")
 	}
-	inst, err := InstantiateWithRetry(cm, cfg, imports)
+	inst, err := cm.Instantiate(cfg, imports)
 	if err != nil {
 		return nil, fmt.Errorf("core: template instantiation: %w", err)
 	}
@@ -106,8 +106,6 @@ func (t *Template) Fork() (Instance, error) { return t.ForkWith(t.cfg) }
 // typically repoint Config.Span per request, or fork into a different
 // strategy for ablations). A nil Profile or AS inherits the
 // template's, so forks land in the same simulated process by default.
-// Injected transient faults are retried exactly as the donor's
-// instantiation retried them.
 func (t *Template) ForkWith(cfg Config) (Instance, error) {
 	if cfg.Profile == nil {
 		cfg.Profile = t.cfg.Profile
@@ -115,5 +113,5 @@ func (t *Template) ForkWith(cfg Config) (Instance, error) {
 	if cfg.AS == nil {
 		cfg.AS = t.cfg.AS
 	}
-	return instantiateWithRetry(t.mod, cfg, t.imports, t.snap)
+	return t.mod.InstantiateSnapshot(cfg, t.imports, t.snap)
 }

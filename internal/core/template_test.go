@@ -8,7 +8,6 @@ import (
 	"leapsandbounds/gen"
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -171,56 +170,6 @@ func TestForkIsSampled(t *testing.T) {
 				if r.Engine != tc.label || r.Strategy != tc.strategy {
 					t.Errorf("row attributed to %s/%s, want %s/%s", r.Engine, r.Strategy, tc.label, tc.strategy)
 				}
-			}
-		})
-	}
-}
-
-// TestForkRetriesTransientFaults: Template.Fork absorbs injected mmap
-// failures with the same bounded retry as a fresh instantiation.
-func TestForkRetriesTransientFaults(t *testing.T) {
-	const salt = 17
-	eng := compiled.NewWAVM()
-	for _, s := range []mem.Strategy{mem.Trap, mem.Mprotect} {
-		t.Run(s.String(), func(t *testing.T) {
-			cm, err := eng.Compile(templateModule(t, salt))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The injector goes on the address space, where every chaos
-			// path installs it; its counters are read where it registered
-			// them.
-			as := vmm.New(isa.X86_64().VM)
-			fi := as.Obs().Child("faultinject")
-			as.SetInjector(faultinject.New(faultinject.Plan{
-				Seed: 1, Rate: 0.3, Sites: []faultinject.Site{faultinject.SiteMmap},
-			}, fi))
-			tpl, err := core.NewTemplate(cm, core.Config{Profile: isa.X86_64(), Strategy: s, AS: as}, nil, warmInit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			injected, recovered := fi.Counter("inject_mmap"), fi.Counter("recover_mmap")
-			injects0, recovered0 := injected.Load(), recovered.Load()
-			failed := 0
-			for i := 0; i < 100; i++ {
-				fork, err := tpl.Fork()
-				if err != nil {
-					failed++
-					continue
-				}
-				if res, err := fork.Invoke("get", uint64(5)); err != nil || res[0] != 5*salt+salt {
-					t.Fatalf("fork %d: get(5) = %v, %v", i, res, err)
-				}
-				if err := fork.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if failed > 0 {
-				t.Errorf("%d of 100 forks failed under injected mmap faults", failed)
-			}
-			injects := injected.Load() - injects0
-			if got := recovered.Load() - recovered0; injects == 0 || got == 0 {
-				t.Errorf("%d mmap faults injected into the forks, %d recovered: want both > 0", injects, got)
 			}
 		})
 	}

@@ -25,7 +25,6 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -34,7 +33,6 @@ import (
 	"leapsandbounds/internal/stats"
 	"leapsandbounds/internal/sysmon"
 	"leapsandbounds/internal/tiered"
-	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/vmm"
 	"leapsandbounds/internal/workloads"
 )
@@ -100,15 +98,8 @@ type Options struct {
 	// multiprocess runtime". Defaults to 1 (the paper's isolate-
 	// per-thread single process).
 	Processes int
-	// Fault, when non-nil, runs the benchmark under deterministic
-	// fault injection: each simulated process gets an injector seeded
-	// by Plan.Derive(process index), and iteration failures are
-	// recorded as failure causes in the result instead of aborting
-	// the run (partial results). With Fault nil any worker error
-	// aborts the run, as before.
-	Fault *faultinject.Plan
 	// Obs receives the run's telemetry. Each Run registers its
-	// metrics and spans under one labeled scope (RunLabel),
+	// metrics and spans under one labeled scope (runLabel),
 	// with one child scope per simulated process, so a single
 	// registry can hold every run of a figure and still attribute
 	// every mmap-lock wait to its configuration. Nil leaves the run
@@ -129,14 +120,14 @@ type Options struct {
 	HWCounters bool
 }
 
-// RunLabel is the scope name a run registers under in Options.Obs:
+// runLabel is the scope name a run registers under in Options.Obs:
 // "run[engine=E workload=W strategy=S threads=N]", followed by every
 // other field that tells two configurations apart, at its non-default
 // value only — two runs share a scope exactly when they measure the
 // same thing. Defaulted fields print their effective values (Threads 0
 // runs as 1). A profile whose parameters were edited needs a name of
 // its own to be told from its base (the ablations rename theirs).
-func (o Options) RunLabel() string {
+func (o Options) runLabel() string {
 	threads := o.Threads
 	if threads <= 0 {
 		threads = 1
@@ -217,12 +208,6 @@ type Result struct {
 	// across worker threads, rusage process-wide. Zero-valued with
 	// both Supported flags false when not requested or unavailable.
 	HW prof.HWStats
-
-	// FailureCauses counts failed iterations by cause (only populated
-	// under fault injection, where failures are tolerated rather than
-	// fatal); FailedIters is the total across causes.
-	FailureCauses map[string]int
-	FailedIters   int
 }
 
 // NewEngine constructs a wasm engine by name. The caller must invoke
@@ -287,7 +272,7 @@ func Run(opts Options) (*Result, error) {
 	if numProcs > opts.Threads {
 		numProcs = opts.Threads
 	}
-	runScope := opts.Obs.Scope(opts.RunLabel())
+	runScope := opts.Obs.Scope(opts.runLabel())
 	iterHist := runScope.Histogram("iter_wall_ns")
 	// Root of the run's causal span tree (inert unless the registry
 	// has tracing enabled); everything below — iterations, invokes,
@@ -304,12 +289,6 @@ func Run(opts Options) (*Result, error) {
 		engineScopes[p] = procScope.Child("engine")
 		if opts.Strategy == mem.Uffd && !opts.UffdNoPool {
 			pools[p] = mem.NewArenaPool()
-		}
-		if opts.Fault != nil {
-			// Each simulated process draws from its own derived seed so
-			// multi-process runs stay replayable per process.
-			procs[p].SetInjector(faultinject.New(
-				opts.Fault.Derive(int64(p)), procScope.Child("faultinject")))
 		}
 	}
 
@@ -377,7 +356,7 @@ func Run(opts Options) (*Result, error) {
 				if opts.Workload.NewEnv != nil {
 					im = opts.Workload.NewEnv(opts.Class).Imports()
 				}
-				inst, err := core.InstantiateWithRetry(cm, c, im)
+				inst, err := cm.Instantiate(c, im)
 				if err != nil {
 					return 0, 0, nil, err
 				}
@@ -414,26 +393,11 @@ func Run(opts Options) (*Result, error) {
 		sum     uint64
 		haveSum bool
 		err     error
-		causes  map[string]int
 		// hw is the worker's perf-group delta over its measure phase
 		// (OK=false when counters are off or unavailable).
 		hw prof.CounterSample
 	}
 	outs := make([]workerOut, opts.Threads)
-
-	// With fault injection active, iteration failures are recorded by
-	// cause and the run continues (partial results); without it any
-	// failure aborts, as before.
-	tolerate := opts.Fault != nil
-	failScope := runScope.Child("failures")
-	record := func(o *workerOut, err error) {
-		cause := failureCause(err)
-		if o.causes == nil {
-			o.causes = make(map[string]int)
-		}
-		o.causes[cause]++
-		failScope.Counter(cause).Inc()
-	}
 
 	var (
 		warmed    sync.WaitGroup
@@ -508,10 +472,6 @@ func Run(opts Options) (*Result, error) {
 			o := &outs[w]
 			for i := 0; i < opts.Warmup; i++ {
 				if _, _, _, err := iterate(); err != nil {
-					if tolerate {
-						record(o, err)
-						continue
-					}
 					o.err = err
 					warmed.Done()
 					return
@@ -527,10 +487,6 @@ func Run(opts Options) (*Result, error) {
 			for i := 0; i < opts.Measure; i++ {
 				dt, sum, counts, err := iterate()
 				if err != nil {
-					if tolerate {
-						record(o, err)
-						continue
-					}
 					o.err = err
 					measured.Add(1)
 					return
@@ -539,9 +495,6 @@ func Run(opts Options) (*Result, error) {
 					o.sum = sum
 					o.haveSum = true
 				} else if sum != o.sum {
-					// Checksum divergence is fatal even under injection:
-					// injected transient faults must never change results,
-					// only retry and fallback counters.
 					o.err = fmt.Errorf("harness: nondeterministic checksum: %#x vs %#x", sum, o.sum)
 					measured.Add(1)
 					return
@@ -562,10 +515,6 @@ func Run(opts Options) (*Result, error) {
 			// finished its measured runs (paper §3.5).
 			for measured.Load() < int64(threads) {
 				if _, _, _, err := iterate(); err != nil {
-					if tolerate {
-						record(o, err)
-						continue
-					}
 					o.err = err
 					return
 				}
@@ -612,13 +561,6 @@ func Run(opts Options) (*Result, error) {
 			res.Counts = outs[w].counts
 		}
 		res.HW.MergeCounters(outs[w].hw)
-		for cause, n := range outs[w].causes {
-			if res.FailureCauses == nil {
-				res.FailureCauses = make(map[string]int)
-			}
-			res.FailureCauses[cause] += n
-			res.FailedIters += n
-		}
 	}
 	res.Times = allTimes
 	res.MedianWall = stats.MedianDurations(allTimes)
@@ -669,9 +611,6 @@ func Run(opts Options) (*Result, error) {
 	runScope.Gauge("resident_peak_bytes").Set(res.ResidentPeak)
 	runScope.Gauge("throughput_x1000").Set(int64(res.Throughput * 1000))
 	runScope.Counter("iterations").Add(int64(len(allTimes)))
-	if res.FailedIters > 0 {
-		runScope.Counter("failed_iters").Add(int64(res.FailedIters))
-	}
 
 	for _, pool := range pools {
 		if pool != nil {
@@ -679,21 +618,6 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// failureCause classifies an iteration error for partial-result
-// accounting: injected transient faults name their site, traps name
-// their kind, anything else is generic. Strings are deterministic so
-// replayed chaos runs produce identical cause maps.
-func failureCause(err error) string {
-	if site, ok := faultinject.IsTransient(err); ok {
-		return "transient:" + site.String()
-	}
-	var t *trap.Trap
-	if errors.As(err, &t) {
-		return "trap:" + t.Kind.String()
-	}
-	return "error"
 }
 
 // sumSnapshots aggregates counters across simulated processes.

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,6 +10,9 @@ import (
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/obs"
+	"leapsandbounds/internal/trap"
+	"leapsandbounds/internal/wasm"
+	g "leapsandbounds/internal/wasmgen"
 	"leapsandbounds/internal/workloads"
 )
 
@@ -237,16 +241,61 @@ func TestRunLabelTellsConfigurationsApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scopes := 0
+	var scopes []string
 	for name, n := range reg.Snapshot(false).Counters {
 		if strings.HasPrefix(name, "run[") && strings.HasSuffix(name, "]/iterations") {
-			scopes++
+			scopes = append(scopes, name)
 			if n != 2 {
 				t.Errorf("%s = %d, want this run's 2 iterations alone", name, n)
 			}
 		}
 	}
-	if scopes != 2 {
-		t.Errorf("%d run scopes for two configurations (%s, %s)", scopes, opts.RunLabel(), noPool.RunLabel())
+	if len(scopes) != 2 {
+		t.Errorf("%d run scopes for two configurations, want 2: %v", len(scopes), scopes)
+	}
+}
+
+// TestRunAbortsOnGuestTrap: any iteration error ends the run. A guest
+// whose every call traps makes Run return no result and an error that
+// names the worker and the trap kind, under a software check and under
+// the fault handler alike.
+func TestRunAbortsOnGuestTrap(t *testing.T) {
+	oob := workloads.Spec{
+		Name:  "oob-load",
+		Suite: "test",
+		BuildFn: func(workloads.Class) (*wasm.Module, func() uint64) {
+			mb := g.NewModule()
+			mb.Memory(1, 1)
+			fn := mb.Func(workloads.Entry, wasm.I64)
+			fn.Body(g.Return(g.LoadI64(g.I32(wasm.PageSize), 0)))
+			mb.Export(workloads.Entry, fn)
+			m, err := mb.Module()
+			if err != nil {
+				panic(err)
+			}
+			return m, func() uint64 { return 0 }
+		},
+	}
+	for _, s := range []mem.Strategy{mem.Trap, mem.Mprotect} {
+		res, err := harness.Run(harness.Options{
+			Engine:   harness.EngineWAVM,
+			Workload: oob,
+			Class:    workloads.Test,
+			Strategy: s,
+			Profile:  isa.X86_64(),
+			Threads:  2,
+			Warmup:   1,
+			Measure:  2,
+		})
+		if res != nil {
+			t.Errorf("%v: a partial result %+v next to error %v", s, res, err)
+		}
+		var tr *trap.Trap
+		if !errors.As(err, &tr) || tr.Kind != trap.OutOfBounds {
+			t.Fatalf("%v: error %v, want an out-of-bounds trap", s, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "harness: worker 0: ") || !strings.Contains(msg, trap.OutOfBounds.String()) {
+			t.Errorf("%v: error %q does not name the worker and the trap kind", s, msg)
+		}
 	}
 }

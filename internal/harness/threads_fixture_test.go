@@ -150,7 +150,7 @@ func RunShared(opts ThreadsOptions) (*ThreadsResult, error) {
 	// (re)initializes data segments on the shared memory.
 	insts := make([]core.Instance, opts.Workers)
 	for w := range insts {
-		inst, err := core.InstantiateWithRetry(cm, cfg, nil)
+		inst, err := cm.Instantiate(cfg, nil)
 		if err != nil {
 			for _, prev := range insts[:w] {
 				prev.Close()

@@ -6,18 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/vmm"
 	"leapsandbounds/internal/wasm"
 )
-
-// injectedAS is testAS with a fault injector installed.
-func injectedAS(plan faultinject.Plan) *vmm.AddressSpace {
-	as := testAS()
-	as.SetInjector(faultinject.New(plan, as.Obs().Child("faultinject")))
-	return as
-}
 
 // TestGrowExactlyToMax grows each strategy to precisely MaxPages: the
 // boundary grow must succeed, the last byte must be addressable, and
@@ -81,83 +73,6 @@ func TestGrowPastMaxLeavesStateIntact(t *testing.T) {
 				t.Error("data lost on failed grow")
 			}
 		})
-	}
-}
-
-// TestUffdPoolExhaustionFallback: with every pool acquisition failing
-// (injected exhaustion), instantiation must degrade to the mprotect
-// strategy — same trap semantics — and count each recovery.
-func TestUffdPoolExhaustionFallback(t *testing.T) {
-	as := injectedAS(faultinject.Plan{
-		Seed: 1, Rate: 1, Sites: []faultinject.Site{faultinject.SitePoolGet},
-	})
-	pool := NewArenaPool()
-	defer pool.Drain()
-	const n = 5
-	for i := 0; i < n; i++ {
-		m, err := New(Config{Strategy: Uffd, AS: as, MinPages: 1, MaxPages: 4, Pool: pool})
-		if err != nil {
-			t.Fatalf("instantiation %d not absorbed: %v", i, err)
-		}
-		if m.Strategy() != Mprotect {
-			t.Fatalf("instantiation %d: strategy %v, want Mprotect fallback", i, m.Strategy())
-		}
-		m.StoreU64(100, uint64(i)+1)
-		if m.LoadU64(100) != uint64(i)+1 {
-			t.Error("fallback memory broken")
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := pool.stats(); st.Created != 0 || st.Reused != 0 {
-		t.Errorf("pool served arenas under total exhaustion: %+v", st)
-	}
-	if got := as.Obs().Child("faultinject").Counter("inject_pool_get").Load(); got != n {
-		t.Errorf("pool_get injections %d, want %d", got, n)
-	}
-}
-
-// TestPoolAcquireReleaseUnderIntermittentExhaustion hammers the
-// acquire/release cycle with the pool failing half the time: every
-// instantiation must succeed (uffd or fallback), the pool's books
-// must balance, and both paths must actually be taken.
-func TestPoolAcquireReleaseUnderIntermittentExhaustion(t *testing.T) {
-	as := injectedAS(faultinject.Plan{
-		Seed: 42, Rate: 0.5, Sites: []faultinject.Site{faultinject.SitePoolGet},
-	})
-	pool := NewArenaPool()
-	defer pool.Drain()
-	uffd, fellBack := 0, 0
-	for i := 0; i < 40; i++ {
-		m, err := New(Config{Strategy: Uffd, AS: as, MinPages: 1, MaxPages: 4, Pool: pool})
-		if err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-		m.StoreU64(uint64(i)*8, ^uint64(i))
-		if m.LoadU64(uint64(i)*8) != ^uint64(i) {
-			t.Fatalf("iteration %d: memory broken", i)
-		}
-		switch m.Strategy() {
-		case Uffd:
-			uffd++
-		case Mprotect:
-			fellBack++
-		}
-		if err := m.Close(); err != nil {
-			t.Fatalf("iteration %d close: %v", i, err)
-		}
-	}
-	if uffd == 0 || fellBack == 0 {
-		t.Errorf("both paths should fire at rate 0.5: uffd=%d fallback=%d", uffd, fellBack)
-	}
-	st := pool.stats()
-	if got := st.Created + st.Reused; got != int64(uffd) {
-		t.Errorf("pool served %d arenas (created %d + reused %d), want %d",
-			got, st.Created, st.Reused, uffd)
-	}
-	if st.Returned != int64(uffd) {
-		t.Errorf("returned %d arenas, want %d", st.Returned, uffd)
 	}
 }
 

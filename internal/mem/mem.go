@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/vmm"
@@ -205,17 +204,7 @@ type Memory struct {
 	// figures can report pages populated per fault invocation (bulk
 	// operations commit whole ranges with a single fault).
 	faultPages *obs.Counter
-
-	// inj is the process fault injector captured at instantiation
-	// (nil outside chaos runs); the fault path consults it to retry
-	// transient failures and count recoveries.
-	inj *faultinject.Injector
 }
-
-// faultMaxAttempts bounds the fault-path retry loop: a transient
-// commit failure or dropped fault delivery is retried with backoff up
-// to this many times before surfacing as a trap.Injected.
-const faultMaxAttempts = 8
 
 // New instantiates a zero-filled linear memory per the configuration:
 // a fork of the empty image.
@@ -263,45 +252,36 @@ func newMemory(cfg Config, from *Snapshot) (*Memory, error) {
 		growCalls:    sc.Counter("grows"),
 		faultCommits: sc.Counter("fault_commits"),
 		faultPages:   sc.Counter("fault_pages"),
-		inj:          cfg.AS.Injector(),
 	}
 	size := from.sizeBytes
 	m.sizeBytes.Store(size)
 	if from.src != nil {
 		sc.Counter("forks").Inc()
 	}
-	var degraded bool
-	var degradedAt faultinject.Site
 	if cfg.Strategy == Uffd && !cfg.DisablePool {
 		if cfg.Pool == nil {
 			return nil, fmt.Errorf("mem: the uffd strategy requires an arena pool")
 		}
 		a, err := cfg.Pool.get(cfg.AS, m.maxBytes, cfg.Span)
-		if err == nil {
-			if from.src != nil {
-				// The borrowed arena becomes a fork: its decommitted pages
-				// now populate from the template image. pool.put clears the
-				// source before the arena is parked, so recycling stays
-				// zero-fill for the next plain instance.
-				a.mapping.SetSource(from.src)
-			}
-			m.arena = a
-			m.pool = cfg.Pool
-			if cfg.UffdPoll {
-				// Pooled memories, forks included, share the pool's one
-				// handler thread; none spawns a second poller.
-				m.poll = cfg.Pool.pollServer
-			}
-			m.adopt(a.mapping)
-			return m, nil
-		}
-		// Pool exhausted (injected): degrade to a lazy mprotect mapping
-		// rather than failing the instantiation. Trap semantics are
-		// identical — both virtual-memory strategies fault and commit
-		// lazily — so the degradation is invisible to the guest.
-		if degradedAt, degraded = faultinject.IsTransient(err); !degraded {
+		if err != nil {
 			return nil, err
 		}
+		if from.src != nil {
+			// The borrowed arena becomes a fork: its decommitted pages
+			// now populate from the template image. pool.put clears the
+			// source before the arena is parked, so recycling stays
+			// zero-fill for the next plain instance.
+			a.mapping.SetSource(from.src)
+		}
+		m.arena = a
+		m.pool = cfg.Pool
+		if cfg.UffdPoll {
+			// Pooled memories, forks included, share the pool's one
+			// handler thread; none spawns a second poller.
+			m.poll = cfg.Pool.pollServer
+		}
+		m.adopt(a.mapping)
+		return m, nil
 	}
 	prot := vmm.ProtNone
 	if cfg.Strategy <= Trap {
@@ -312,10 +292,6 @@ func newMemory(cfg Config, from *Snapshot) (*Memory, error) {
 		return nil, err
 	}
 	switch {
-	case degraded:
-		m.strategy = Mprotect
-		sc.Counter("uffd_fallbacks").Inc()
-		m.inj.Recovered(degradedAt)
 	case cfg.Strategy <= Trap:
 		if size > 0 {
 			err = mp.Touch(0, size)
@@ -324,7 +300,7 @@ func newMemory(cfg Config, from *Snapshot) (*Memory, error) {
 	case cfg.Strategy == Mprotect:
 		m.eager = cfg.EagerCommit
 		if m.eager && size > 0 {
-			err = m.mprotectRetry(mp, 0, size)
+			err = mp.Mprotect(0, size, vmm.ProtRW)
 			m.fastLimit.Store(size)
 		}
 	default: // pool-less uffd
@@ -443,13 +419,6 @@ func (m *Memory) Grow(delta uint32) int32 {
 	if newBytes > m.maxBytes {
 		return -1
 	}
-	if m.inj.GrowFail(uint32(newBytes / wasm.PageSize)) {
-		// Injected commit pressure: grow fails even though the wasm
-		// limit allows it, exactly as a real allocator under memory
-		// pressure does. Spec-visible (grow returns -1), so only
-		// enabled by plans that opt into SiteGrow.
-		return -1
-	}
 	m.growCalls.Inc()
 	switch m.strategy {
 	case None, Clamp, Trap:
@@ -459,7 +428,7 @@ func (m *Memory) Grow(delta uint32) int32 {
 		storeMax(&m.fastLimit, newBytes)
 	case Mprotect:
 		if m.eager {
-			if err := m.mprotectRetry(m.mapping, prev, newBytes-prev); err != nil {
+			if err := m.mapping.Mprotect(prev, newBytes-prev, vmm.ProtRW); err != nil {
 				trap.Throwf(trap.MemoryLimit, "grow: %v", err)
 			}
 			storeMax(&m.fastLimit, newBytes)
@@ -592,10 +561,9 @@ const oobDetail = "access at %#x+%d beyond size %d"
 
 // fault is the simulated signal-handler path for the virtual-memory
 // strategies: SIGSEGV + mprotect for Mprotect, SIGBUS + lock-free
-// population for Uffd. Transient failures (injected commit errors,
-// dropped fault deliveries) are retried with backoff up to
-// faultMaxAttempts; a failure persisting past the budget surfaces as
-// trap.Injected, and every absorbed failure counts a recovery.
+// population for Uffd. One fault is one handler call: the kind the
+// simulated kernel reports is resolved once, and a handler error
+// surfaces as an out-of-bounds trap.
 func (m *Memory) fault(addr, n uint64, write bool) uint64 {
 	// The runtime's handler knows the instance's true size; accesses
 	// beyond it are genuine bounds violations.
@@ -618,90 +586,41 @@ func (m *Memory) fault(addr, n uint64, write bool) uint64 {
 	ps := m.mapping.PageSize()
 	start := addr / ps * ps
 	end := (addr + n + ps - 1) / ps * ps
-	var lastErr error
-	lastSite := faultinject.SiteFaultDrop
-	for attempt := 0; attempt < faultMaxAttempts; attempt++ {
-		if attempt > 0 {
-			faultinject.Backoff(attempt)
+	kind := m.mapping.Fault(addr, write)
+	var err error
+	switch kind {
+	case vmm.FaultSegv:
+		// SIGSEGV handler: commit the page range with mprotect(2),
+		// serialized on the process mmap lock.
+		err = m.mapping.Mprotect(start, end-start, vmm.ProtRW)
+	case vmm.FaultUffd:
+		// SIGBUS mode resolves on the faulting thread, lock-free;
+		// poll mode round-trips to the handler thread (the latency
+		// the paper's footnote 2 cites for preferring SIGBUS).
+		if m.poll != nil {
+			err = m.poll.resolve(m.mapping, start, end-start)
+		} else {
+			err = m.mapping.UffdZeroPages(start, end-start)
 		}
-		kind := m.mapping.Fault(addr, write)
-		if kind == vmm.FaultDropped {
-			// Delivery lost: the access re-faults after backoff, as a
-			// thread whose signal got lost would when it retries the
-			// instruction.
-			lastErr = &faultinject.Error{Site: faultinject.SiteFaultDrop}
-			lastSite = faultinject.SiteFaultDrop
-			continue
-		}
-		var err error
-		switch kind {
-		case vmm.FaultSegv:
-			// SIGSEGV handler: commit the page range with mprotect(2),
-			// serialized on the process mmap lock.
-			err = m.mapping.Mprotect(start, end-start, vmm.ProtRW)
-		case vmm.FaultUffd:
-			// SIGBUS mode resolves on the faulting thread, lock-free;
-			// poll mode round-trips to the handler thread (the latency
-			// the paper's footnote 2 cites for preferring SIGBUS).
-			if m.poll != nil {
-				err = m.poll.resolve(m.mapping, start, end-start)
-			} else {
-				err = m.mapping.UffdZeroPages(start, end-start)
-			}
-		case vmm.FaultResolved:
-			// Another thread (or a previous arena user) already
-			// populated the page; proceed.
-		default:
-			trap.Throwf(trap.OutOfBounds, "unexpected fault kind %v", kind)
-		}
-		if err != nil {
-			if site, ok := faultinject.IsTransient(err); ok {
-				lastErr, lastSite = err, site
-				continue
-			}
-			trap.Throwf(trap.OutOfBounds, "fault handler: %v", err)
-		}
-		if lastErr != nil {
-			m.inj.Recovered(lastSite)
-		}
-		storeMax(&m.committedEnd, end)
-		m.faultCommits.Inc()
-		if kind != vmm.FaultResolved {
-			// Pages spanned by this handler invocation's commit; a bulk
-			// range resolves in one invocation, so this is the
-			// pages-populated-per-fault figure.
-			m.faultPages.Add(int64((end - start) / ps))
-		}
-		m.advanceWatermark()
-		return addr
+	case vmm.FaultResolved:
+		// Another thread (or a previous arena user) already
+		// populated the page; proceed.
+	default:
+		trap.Throwf(trap.OutOfBounds, "unexpected fault kind %v", kind)
 	}
-	trap.ThrowWrap(trap.Injected, lastErr,
-		"fault at %#x+%d unresolved after %d attempts", addr, n, faultMaxAttempts)
-	return 0 // unreachable
-}
-
-// mprotectRetry commits [off, off+length) read-write, retrying
-// injected transient failures with backoff. Used by eager-commit
-// instantiation and grow; the lazy fault path has its own loop.
-func (m *Memory) mprotectRetry(mp *vmm.Mapping, off, length uint64) error {
-	var lastErr error
-	for attempt := 0; attempt < faultMaxAttempts; attempt++ {
-		if attempt > 0 {
-			faultinject.Backoff(attempt)
-		}
-		err := mp.Mprotect(off, length, vmm.ProtRW)
-		if err == nil {
-			if lastErr != nil {
-				m.inj.Recovered(faultinject.SiteMprotect)
-			}
-			return nil
-		}
-		if _, ok := faultinject.IsTransient(err); !ok {
-			return err
-		}
-		lastErr = err
+	if err != nil {
+		trap.Throwf(trap.OutOfBounds, "fault handler: %v", err)
 	}
-	return lastErr
+	storeMax(&m.committedEnd, end)
+	m.faultCommits.Inc()
+	if kind != vmm.FaultResolved {
+		// Pages spanned by this handler invocation's commit; a bulk
+		// range resolves in one invocation, so this is the
+		// pages-populated-per-fault figure.
+		m.faultPages.Add(int64((end - start) / ps))
+	}
+	m.advanceWatermark()
+	return addr
 }
 
 // touchRange is the none strategy's miss path: the whole backing is

@@ -414,6 +414,42 @@ func TestConcurrentInstances(t *testing.T) {
 			if err := as.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
+			// Every uffd instance took one arena and gave it back.
+			if st := pool.stats(); s == Uffd && (st.Created+st.Reused != 8*30 || st.Returned != 8*30) {
+				t.Errorf("pool stats %+v, want %d arenas handed out and returned", st, 8*30)
+			}
+		})
+	}
+}
+
+// TestOneFaultOneHandlerCall: on one goroutine, N first touches of
+// distinct pages are N faults the simulated kernel delivers (vmm's
+// segv_faults under mprotect, uffd_faults under uffd) and N commits of
+// the handler (mem/<strategy>/fault_commits): a fault is one handler
+// call, never a retry.
+func TestOneFaultOneHandlerCall(t *testing.T) {
+	const n = 16
+	for _, s := range []Strategy{Mprotect, Uffd} {
+		t.Run(s.String(), func(t *testing.T) {
+			as := testAS()
+			m, err := New(Config{Strategy: s, AS: as, MinPages: 4, MaxPages: 4, Pool: NewArenaPool()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			ps := m.mapping.PageSize()
+			for i := uint64(0); i < n; i++ {
+				m.StoreU32(3*i*ps, uint32(i)+1)
+			}
+			st := as.Snapshot()
+			delivered := st.SegvFaults
+			if s == Uffd {
+				delivered = st.UffdFaults
+			}
+			commits := as.Obs().Child("mem").Child(s.String()).Counter("fault_commits").Load()
+			if delivered != n || commits != n {
+				t.Errorf("%d first touches: %d faults delivered, %d handler commits, want %d each", n, delivered, commits, n)
+			}
 		})
 	}
 }

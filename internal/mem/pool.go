@@ -2,11 +2,9 @@ package mem
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/hazard"
 	"leapsandbounds/internal/obs"
 	"leapsandbounds/internal/vmm"
@@ -41,10 +39,9 @@ type ArenaPool struct {
 
 	// Statistics, the pool's own; obsOnce registers these same objects
 	// under the process scope's "pool" child.
-	created   obs.Counter
-	reused    obs.Counter
-	returned  obs.Counter
-	discarded obs.Counter
+	created  obs.Counter
+	reused   obs.Counter
+	returned obs.Counter
 }
 
 // link is one cell of the pool's stack. put pushes a fresh link per
@@ -76,11 +73,9 @@ func NewArenaPool() *ArenaPool {
 }
 
 // get pops a pooled arena of at least maxBytes backing, or creates
-// a fresh uffd-registered reservation. Injected pool exhaustion
-// surfaces as a transient error callers may absorb by falling back
-// to another strategy; injected registry contention stalls the call.
-// parent is the causal span the acquisition (and any mmap it causes)
-// reports under; the returned arena's mapping is re-parented to it.
+// a fresh uffd-registered reservation. parent is the causal span the
+// acquisition (and any mmap it causes) reports under; the returned
+// arena's mapping is re-parented to it.
 func (p *ArenaPool) get(as *vmm.AddressSpace, maxBytes uint64, parent obs.SpanRef) (*arena, error) {
 	p.obsOnce.Do(func() {
 		p.domain.AttachObs(as.Obs().Child("hazard"))
@@ -88,15 +83,9 @@ func (p *ArenaPool) get(as *vmm.AddressSpace, maxBytes uint64, parent obs.SpanRe
 		sc.RegisterCounter("created", &p.created)
 		sc.RegisterCounter("reused", &p.reused)
 		sc.RegisterCounter("returned", &p.returned)
-		sc.RegisterCounter("discarded", &p.discarded)
 	})
 	sp := as.Obs().StartSpan(obs.SpanPoolGet, parent)
 	defer sp.End()
-	inj := as.Injector()
-	inj.DelayIf(faultinject.SitePoolContention)
-	if err := inj.Fail(faultinject.SitePoolGet); err != nil {
-		return nil, fmt.Errorf("mem: arena pool exhausted: %w", err)
-	}
 	if l := p.pop(maxBytes); l != nil {
 		p.reused.Add(1)
 		l.a.mapping.SetSpanParent(parent)
@@ -141,10 +130,10 @@ func (p *ArenaPool) pop(maxBytes uint64) *link {
 // put recycles an arena after an instance closes. The used range is
 // decommitted lock-free — which scrubs it, MADV_DONTNEED-style — so
 // the next instance observes fresh zero-filled pages (kernel
-// semantics), then the arena is pushed back. Transient decommit
-// failures are retried; if one persists the arena is discarded
-// (unmapped) rather than recycled dirty. Releasing the same arena
-// twice is detected and rejected.
+// semantics), then the arena is pushed back. A decommit error (a bad
+// range or an unmapped arena: a lifetime bug) is returned and the
+// arena is not parked. Releasing the same arena twice is detected and
+// rejected.
 func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 	if a.pooled.Swap(true) {
 		return errArenaDoubleRelease
@@ -164,30 +153,9 @@ func (p *ArenaPool) put(a *arena, usedBytes uint64) error {
 		a.mapping.SetSpanParent(obs.SpanRef{})
 		sp.End()
 	}()
-	inj := a.mapping.AddressSpace().Injector()
-	inj.DelayIf(faultinject.SitePoolContention)
 	if usedBytes > 0 {
-		var err error
-		for attempt := 0; attempt < faultMaxAttempts; attempt++ {
-			if attempt > 0 {
-				faultinject.Backoff(attempt)
-			}
-			if err = a.mapping.UffdDecommitPages(0, usedBytes); err == nil {
-				if attempt > 0 {
-					inj.Recovered(faultinject.SiteUffdZero)
-				}
-				break
-			}
-			if _, ok := faultinject.IsTransient(err); !ok {
-				return err
-			}
-		}
-		if err != nil {
-			// Degradation: never recycle an arena whose pages could
-			// not be returned to missing state — discard it and let
-			// the next get mint a fresh one.
-			p.discarded.Add(1)
-			return a.mapping.Munmap()
+		if err := a.mapping.UffdDecommitPages(0, usedBytes); err != nil {
+			return err
 		}
 	}
 	p.returned.Add(1)
@@ -228,18 +196,14 @@ func (p *ArenaPool) Drain() {
 // poolStats reports pool activity.
 type poolStats struct {
 	Created, Reused, Returned int64
-	// Discarded counts arenas unmapped instead of recycled because
-	// their decommit failed persistently.
-	Discarded int64
 }
 
 // stats returns a snapshot of pool counters (read by the package's tests).
 func (p *ArenaPool) stats() poolStats {
 	return poolStats{
-		Created:   p.created.Load(),
-		Reused:    p.reused.Load(),
-		Returned:  p.returned.Load(),
-		Discarded: p.discarded.Load(),
+		Created:  p.created.Load(),
+		Reused:   p.reused.Load(),
+		Returned: p.returned.Load(),
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/wasm"
 )
@@ -149,10 +148,12 @@ func TestRecycledBackingIsZero(t *testing.T) {
 	}
 }
 
-// TestDiscardedArenaIsScrubbed: when an arena's decommit fails
-// persistently the pool unmaps it instead of recycling it, and that
-// munmap must scrub what the instance wrote — the backing goes to the
-// address space's freelist and serves the next arena.
+// TestDiscardedArenaIsScrubbed: an arena the pool discards — Drain
+// unmaps every parked arena — is scrubbed by that munmap: the backing
+// goes to the address space's freelist and serves the next arena, which
+// must read all zero. The arena is parked with the instance's pages
+// still committed (a zero used range skips put's decommit), so the
+// munmap is the only scrub.
 func TestDiscardedArenaIsScrubbed(t *testing.T) {
 	as := testAS()
 	pool := NewArenaPool()
@@ -164,19 +165,16 @@ func TestDiscardedArenaIsScrubbed(t *testing.T) {
 	}
 	dirtySparse(t, m)
 	dirty := &m.mapping.Data()[0]
-	// From here on every uffd page operation fails, decommit included.
-	as.SetInjector(faultinject.New(faultinject.Plan{
-		Seed: 1, Rate: 1, Sites: []faultinject.Site{faultinject.SiteUffdZero},
-	}, as.Obs().Child("faultinject")))
-	if err := m.Close(); err != nil {
+	if err := pool.put(m.arena, 0); err != nil {
 		t.Fatal(err)
 	}
-	as.SetInjector(nil)
-	if st := pool.stats(); st.Discarded != 1 || st.Returned != 0 {
-		t.Fatalf("pool stats %+v, want the arena discarded, not returned", st)
+	m.closed = true // the arena is parked; Close must not return it twice
+	pool.Drain()
+	if got := as.Snapshot().MunmapCalls; got != 1 {
+		t.Fatalf("munmap calls %d after drain, want 1", got)
 	}
 	if got := as.ResidentBytes(); got != 0 {
-		t.Errorf("resident %d after discard, want 0", got)
+		t.Errorf("resident %d after drain, want 0", got)
 	}
 	m2, err := New(cfg)
 	if err != nil {
@@ -185,10 +183,10 @@ func TestDiscardedArenaIsScrubbed(t *testing.T) {
 	defer m2.Close()
 	data := m2.mapping.Data()
 	if &data[0] != dirty {
-		t.Fatal("new arena did not recycle the discarded backing; the test checks nothing")
+		t.Fatal("new arena did not recycle the drained backing; the test checks nothing")
 	}
 	if i := firstNonZero(data); i >= 0 {
-		t.Errorf("backing of a discarded arena: byte %#x = %#x, want all zero", i, data[i])
+		t.Errorf("backing of a drained arena: byte %#x = %#x, want all zero", i, data[i])
 	}
 }
 

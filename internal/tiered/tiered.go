@@ -16,7 +16,6 @@ import (
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/interp"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
@@ -76,11 +75,10 @@ type Engine struct {
 
 	// Stats. gcPauses and tierUps are the engine's own counters;
 	// AttachObs registers these same objects in a registry.
-	gcPauses      obs.Counter
-	tierUps       obs.Counter
-	sweeps        atomic.Int64
-	warmStarts    atomic.Int64
-	tierFallbacks atomic.Int64
+	gcPauses   obs.Counter
+	tierUps    obs.Counter
+	sweeps     atomic.Int64
+	warmStarts atomic.Int64
 
 	// obsSc is the attached trace scope; read by background workers
 	// and the GC loop, hence an atomic pointer (nil scope is a no-op).
@@ -138,19 +136,15 @@ type stats struct {
 	// WarmStarts counts modules whose optimized tier was adopted
 	// from the compile cache instead of recompiled.
 	WarmStarts int64
-	// TierFallbacks counts instantiations that fell back to the
-	// baseline tier after an injected transient top-tier failure.
-	TierFallbacks int64
 }
 
 // stats returns a snapshot of runtime-service counters.
 func (e *Engine) stats() stats {
 	return stats{
-		GCPauses:      e.gcPauses.Load(),
-		TierUps:       e.tierUps.Load(),
-		Sweeps:        e.sweeps.Load(),
-		WarmStarts:    e.warmStarts.Load(),
-		TierFallbacks: e.tierFallbacks.Load(),
+		GCPauses:   e.gcPauses.Load(),
+		TierUps:    e.tierUps.Load(),
+		Sweeps:     e.sweeps.Load(),
+		WarmStarts: e.warmStarts.Load(),
 	}
 }
 
@@ -322,24 +316,12 @@ func (m *module) InstantiateSnapshot(cfg core.Config, imports core.Imports, snap
 }
 
 // instantiate creates one isolate, fresh or (snap non-nil) forked, on
-// the best available tier. Under fault injection a transient top-tier
-// instantiation failure degrades to the baseline tier (semantically
-// identical, slower) rather than failing the request, and the absorbed
-// failure is counted as a recovery.
+// the best available tier.
 func (m *module) instantiate(cfg core.Config, imports core.Imports, snap *core.StateSnapshot) (core.Instance, error) {
 	var inner core.Instance
 	var err error
 	if top := m.top.Load(); top != nil {
 		inner, err = top.InstantiateSnapshot(tierCfg(cfg, "tiered-top"), imports, snap)
-		if err != nil && cfg.AS != nil {
-			if site, ok := faultinject.IsTransient(err); ok {
-				inner, err = m.baseline.InstantiateSnapshot(tierCfg(cfg, "tiered-baseline"), imports, snap)
-				if err == nil {
-					m.engine.tierFallbacks.Add(1)
-					cfg.AS.Injector().Recovered(site)
-				}
-			}
-		}
 	} else {
 		inner, err = m.baseline.InstantiateSnapshot(tierCfg(cfg, "tiered-baseline"), imports, snap)
 	}

@@ -23,10 +23,6 @@ const (
 	StackOverflow
 	MemoryLimit // memory.grow beyond max (not a trap in wasm; grow returns -1; used for internal errors)
 	HostError
-	// Injected: an injected transient fault persisted past the
-	// bounded retry/fallback budget (chaos testing only; never raised
-	// outside fault-injection runs).
-	Injected
 )
 
 var kindNames = map[Kind]string{
@@ -41,7 +37,6 @@ var kindNames = map[Kind]string{
 	StackOverflow:     "call stack exhausted",
 	MemoryLimit:       "memory limit exceeded",
 	HostError:         "host error",
-	Injected:          "injected fault persisted",
 }
 
 // String returns the specification-style description of the kind.
@@ -89,12 +84,6 @@ func Throw(kind Kind) {
 // Throwf panics with a trap carrying detail text.
 func Throwf(kind Kind, format string, args ...any) {
 	panic(&Trap{Kind: kind, Detail: fmt.Sprintf(format, args...)})
-}
-
-// ThrowWrap panics with a trap that wraps err (exposed through
-// errors.Unwrap/As at the Invoke boundary) plus detail text.
-func ThrowWrap(kind Kind, err error, format string, args ...any) {
-	panic(&Trap{Kind: kind, Detail: fmt.Sprintf(format, args...), Err: err})
 }
 
 // Recover converts a recovered panic value into a *Trap error,

@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"leapsandbounds/internal/faultinject"
 	"leapsandbounds/internal/obs"
 )
 
@@ -101,10 +100,6 @@ type AddressSpace struct {
 	// vmm cannot import (e.g. the mem package's shared arena pool).
 	auxMu sync.Mutex
 	aux   map[string]any
-
-	// inj is the process's fault injector (nil: no injection). Set
-	// once before workers start; read lock-free on fault paths.
-	inj atomic.Pointer[faultinject.Injector]
 }
 
 // Stats aggregates syscall and fault counters, registry-backed:
@@ -118,7 +113,6 @@ type Stats struct {
 	MinorFaults   *obs.Counter // first-touch anonymous faults
 	UffdFaults    *obs.Counter // faults resolved through userfaultfd
 	SegvFaults    *obs.Counter // faults delivered as SIGSEGV
-	DroppedFaults *obs.Counter // fault deliveries lost (injected)
 	Shootdowns    *obs.Counter
 	VMAsTouched   *obs.Counter
 	THPPromotions *obs.Counter
@@ -147,7 +141,6 @@ func newStats(sc *obs.Scope) Stats {
 		MinorFaults:    sc.Counter("minor_faults"),
 		UffdFaults:     sc.Counter("uffd_faults"),
 		SegvFaults:     sc.Counter("segv_faults"),
-		DroppedFaults:  sc.Counter("dropped_faults"),
 		Shootdowns:     sc.Counter("shootdowns"),
 		VMAsTouched:    sc.Counter("vmas_touched"),
 		THPPromotions:  sc.Counter("thp_promotions"),
@@ -165,7 +158,6 @@ func newStats(sc *obs.Scope) Stats {
 type StatsSnapshot struct {
 	MmapCalls, MunmapCalls, MprotectCalls int64
 	MinorFaults, UffdFaults, SegvFaults   int64
-	DroppedFaults                         int64
 	Shootdowns, VMAsTouched               int64
 	THPPromotions                         int64
 	LockWaitNs, LockHoldNs, LockContended int64
@@ -203,14 +195,6 @@ func NewObserved(cfg Config, sc *obs.Scope) *AddressSpace {
 		stats:    newStats(sc),
 	}
 }
-
-// SetInjector installs the fault injector evaluated on this address
-// space's syscall and fault paths. Passing nil disables injection.
-// Install before workers start; the pointer is read lock-free.
-func (as *AddressSpace) SetInjector(in *faultinject.Injector) { as.inj.Store(in) }
-
-// Injector returns the installed fault injector (nil when none).
-func (as *AddressSpace) Injector() *faultinject.Injector { return as.inj.Load() }
 
 // Obs returns the address space's observation scope; higher layers
 // (mem, core) hang their per-process metrics off it.
@@ -338,9 +322,6 @@ func (as *AddressSpace) Mmap(reserve, backing uint64, prot Prot) (*Mapping, erro
 func (as *AddressSpace) MmapTraced(reserve, backing uint64, prot Prot, parent obs.SpanRef) (*Mapping, error) {
 	if backing > reserve || backing == 0 {
 		return nil, fmt.Errorf("vmm: bad mmap sizes: reserve=%d backing=%d", reserve, backing)
-	}
-	if err := as.inj.Load().Fail(faultinject.SiteMmap); err != nil {
-		return nil, err
 	}
 	ps := as.cfg.PageSize
 	reserve = roundUp(reserve, ps)
@@ -504,9 +485,6 @@ func (m *Mapping) Mprotect(off, length uint64, prot Prot) error {
 	if off+length > m.backing {
 		return fmt.Errorf("%w: mprotect [%d,%d) backing %d", errBadRange, off, off+length, m.backing)
 	}
-	if err := as.inj.Load().Fail(faultinject.SiteMprotect); err != nil {
-		return err
-	}
 
 	sp := as.obs.StartSpan(obs.SpanKernelMprotect, m.SpanParent())
 	defer sp.End()
@@ -585,19 +563,12 @@ const (
 	// FaultUffd: missing page in a userfaultfd-registered region —
 	// delivered to the registered handler (SIGBUS mode).
 	FaultUffd
-	// FaultDropped: the simulated kernel lost the fault delivery
-	// (injected only); the accessing thread must re-fault.
-	FaultDropped
 )
 
 // Fault simulates the MMU/kernel fault path for an access at byte
 // offset off. It is lock-free: it reads the page state and the
 // mapping's uffd registration only.
 func (m *Mapping) Fault(off uint64, write bool) FaultKind {
-	if m.as.inj.Load().Should(faultinject.SiteFaultDrop) {
-		m.as.stats.DroppedFaults.Add(1)
-		return FaultDropped
-	}
 	if m.dead.Load() || off >= m.backing {
 		m.as.stats.SegvFaults.Add(1)
 		return FaultSegv
@@ -650,11 +621,6 @@ func (m *Mapping) UffdZeroPages(off, length uint64) error {
 	if off+length > m.backing {
 		return fmt.Errorf("%w: uffd zero [%d,%d) backing %d", errBadRange, off, off+length, m.backing)
 	}
-	inj := m.as.inj.Load()
-	inj.DelayIf(faultinject.SiteUffdDelay)
-	if err := inj.Fail(faultinject.SiteUffdZero); err != nil {
-		return err
-	}
 	sp := m.as.obs.StartSpan(obs.SpanUffdCopy, m.SpanParent())
 	defer sp.End()
 	first := off / ps
@@ -698,9 +664,6 @@ func (m *Mapping) UffdDecommitPages(off, length uint64) error {
 	length = roundUp(length, ps)
 	if off+length > m.backing {
 		return fmt.Errorf("%w: uffd decommit [%d,%d) backing %d", errBadRange, off, off+length, m.backing)
-	}
-	if err := m.as.inj.Load().Fail(faultinject.SiteUffdZero); err != nil {
-		return err
 	}
 	sp := m.as.obs.StartSpan(obs.SpanUffdDecommit, m.SpanParent())
 	defer sp.End()
@@ -811,9 +774,6 @@ func (m *Mapping) CheckAccess(off, n uint64, write bool) error {
 // Munmap removes this mapping from its address space.
 func (m *Mapping) Munmap() error { return m.as.Munmap(m) }
 
-// AddressSpace returns the owning address space.
-func (m *Mapping) AddressSpace() *AddressSpace { return m.as }
-
 // PageSize returns the base page size of the owning address space.
 func (m *Mapping) PageSize() uint64 { return m.as.cfg.PageSize }
 
@@ -871,7 +831,6 @@ func (as *AddressSpace) Snapshot() StatsSnapshot {
 		MinorFaults:    as.stats.MinorFaults.Load(),
 		UffdFaults:     as.stats.UffdFaults.Load(),
 		SegvFaults:     as.stats.SegvFaults.Load(),
-		DroppedFaults:  as.stats.DroppedFaults.Load(),
 		Shootdowns:     as.stats.Shootdowns.Load(),
 		VMAsTouched:    as.stats.VMAsTouched.Load(),
 		THPPromotions:  as.stats.THPPromotions.Load(),
@@ -891,7 +850,7 @@ func (as *AddressSpace) Snapshot() StatsSnapshot {
 func (s *StatsSnapshot) counters() []*int64 {
 	return []*int64{
 		&s.MmapCalls, &s.MunmapCalls, &s.MprotectCalls,
-		&s.MinorFaults, &s.UffdFaults, &s.SegvFaults, &s.DroppedFaults,
+		&s.MinorFaults, &s.UffdFaults, &s.SegvFaults,
 		&s.Shootdowns, &s.VMAsTouched, &s.THPPromotions,
 		&s.LockWaitNs, &s.LockHoldNs, &s.LockContended,
 		&s.CowForks, &s.CowPagesCopied, &s.Hostcalls,

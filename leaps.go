@@ -114,8 +114,7 @@ type StateSnapshot = core.StateSnapshot
 // mappings: no recompile (the compiled artifact is shared), no
 // re-init, page duplication deferred to first write. Every engine
 // snapshots and restores (it is part of the CompiledModule and
-// Instance contract), and a fork retries injected transient faults
-// exactly as a fresh instantiation does.
+// Instance contract).
 func NewTemplate(cm CompiledModule, cfg Config, imports Imports, warm func(Instance) error) (*Template, error) {
 	return core.NewTemplate(cm, cfg, imports, warm)
 }

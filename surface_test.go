@@ -30,7 +30,6 @@ var surfaceAllow = map[string]string{
 	"internal/difftest/family.Fuzz":               harness,
 	"internal/difftest/family.(Host).Row":         harness,
 	"internal/core.NewSharedMemory":               "shared memory stays (ISSUE 21c): harness's shared differential, fuzzer and trace test build theirs with it",
-	"internal/faultinject.SiteGrow":               "a member of the Site enum: a plan names it to opt into grow failures, which ChaosPlan leaves off on purpose",
 	"internal/obs.(AttributionReport).Row":        "harness's and obs's attribution tests look one strategy's row up",
 	"internal/rir.Pairs":                          "compiled's TestFlatPairsMatchUnfused walks every fusable pair the pass knows",
 	"internal/validate.ErrInvalid":                "tiered's cold-start test matches an ill-typed module's error with errors.Is",
