@@ -24,12 +24,15 @@ test:
 #     seeds run here too. The compiled engines' unchecked fast paths
 #     only show a race here
 #   wasi: one Env serves hostcalls from every worker of a guest
+#   workloads: the wasi file images are built once and shared by every
+#     env (TestWASINewEnvConcurrent builds them from eight goroutines);
+#     every workload's differential against its native twin runs here
 #   difftest: the harness held to catching a perturbed cell
 #   harness: the RunShared fixture, N workers and a grower on one
 #     shared memory
 #   prof: a sampler reading live state
 race:
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/core/ ./internal/wasi/ ./internal/difftest/ ./internal/prof/
+	$(GO) test -race -count=1 ./internal/obs/ ./internal/vmm/ ./internal/mem/ ./internal/hazard/ ./internal/modcache/ ./internal/harness/ ./internal/fanout/ ./internal/wasm/ ./internal/validate/ ./internal/compiled/ ./internal/interp/ ./internal/flatten/ ./internal/rir/ ./internal/tiered/ ./internal/core/ ./internal/wasi/ ./internal/workloads/ ./internal/difftest/ ./internal/prof/
 
 # Profiler smoke: sample a short gemm run through the harness and
 # assert the profile is non-empty and its pprof export parses

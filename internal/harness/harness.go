@@ -291,6 +291,16 @@ func Run(opts Options) (*Result, error) {
 			pools[p] = mem.NewArenaPool()
 		}
 	}
+	// Drain on every exit, an aborted run's too: an undrained pool
+	// keeps its mappings and, under UffdPoll, its poll server's
+	// goroutine. Deferred here, it runs after the engine's cleanup.
+	defer func() {
+		for _, pool := range pools {
+			if pool != nil {
+				pool.Drain()
+			}
+		}
+	}()
 
 	// iterators[p] runs one isolate lifecycle in process p and
 	// returns the timed execution duration, the checksum, and the
@@ -611,12 +621,6 @@ func Run(opts Options) (*Result, error) {
 	runScope.Gauge("resident_peak_bytes").Set(res.ResidentPeak)
 	runScope.Gauge("throughput_x1000").Set(int64(res.Throughput * 1000))
 	runScope.Counter("iterations").Add(int64(len(allTimes)))
-
-	for _, pool := range pools {
-		if pool != nil {
-			pool.Drain()
-		}
-	}
 	return res, nil
 }
 

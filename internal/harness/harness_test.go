@@ -299,3 +299,50 @@ func TestRunAbortsOnGuestTrap(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDrainsPoolsOnError: an aborted uffd run drains its arena
+// pools like a finished one. Each pool's poll server is a goroutine
+// that a drain joins, so five failed runs that each fault a page in
+// before trapping must not raise the goroutine count (one that an
+// earlier test left winding down may lower it).
+func TestRunDrainsPoolsOnError(t *testing.T) {
+	oob := workloads.Spec{
+		Name:  "store-then-oob-load",
+		Suite: "test",
+		BuildFn: func(workloads.Class) (*wasm.Module, func() uint64) {
+			mb := g.NewModule()
+			mb.Memory(1, 1)
+			fn := mb.Func(workloads.Entry, wasm.I64)
+			fn.Body(
+				g.StoreI64(g.I32(0), 0, g.I64(1)),
+				g.Return(g.LoadI64(g.I32(wasm.PageSize), 0)),
+			)
+			mb.Export(workloads.Entry, fn)
+			m, err := mb.Module()
+			if err != nil {
+				panic(err)
+			}
+			return m, func() uint64 { return 0 }
+		},
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		_, err := harness.Run(harness.Options{
+			Engine:   harness.EngineWAVM,
+			Workload: oob,
+			Class:    workloads.Test,
+			Strategy: mem.Uffd,
+			UffdPoll: true,
+			Profile:  isa.X86_64(),
+			Warmup:   1,
+			Measure:  1,
+		})
+		var tr *trap.Trap
+		if !errors.As(err, &tr) || tr.Kind != trap.OutOfBounds {
+			t.Fatalf("run %d: error %v, want an out-of-bounds trap", i, err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d before five failed uffd runs, %d after: a pool was not drained", before, after)
+	}
+}

@@ -86,19 +86,24 @@ func (f *memFile) readAt(dst []byte, off int64) int {
 }
 
 // writeAt stores src at off, zero-extending the file when the write
-// lands past the current end.
+// lands past the current end. What runs past the end is appended, so a
+// run of appending writes grows the slice geometrically instead of
+// copying the whole file each time; append zeroes what it extends, so a
+// gap past the old end reads as zeros even where a truncate left stale
+// bytes in the capacity.
 func (f *memFile) writeAt(src []byte, off int64) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if off < 0 {
 		return 0
 	}
-	if need := off + int64(len(src)); need > int64(len(f.data)) {
-		grown := make([]byte, need)
-		copy(grown, f.data)
-		f.data = grown
+	if end := int64(len(f.data)); off > end {
+		f.data = append(f.data, make([]byte, off-end)...)
 	}
-	return copy(f.data[off:], src)
+	if n := copy(f.data[off:], src); n < len(src) {
+		f.data = append(f.data, src[n:]...)
+	}
+	return len(src)
 }
 
 // openFile is one fd-table entry: a file plus a seek position. The

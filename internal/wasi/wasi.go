@@ -74,9 +74,11 @@ type Env struct {
 	// Now returns the wall-clock time; defaults to time.Now. Tests
 	// substitute a deterministic clock.
 	Now func() time.Time
-	// Rand is the random_get source; defaults to a fixed-seed PRNG
-	// so runs are reproducible. Guarded by mu — math/rand.Rand is
-	// not safe for concurrent use.
+	// Rand is the random_get source. Left nil, the first random_get
+	// seeds a fixed-seed PRNG (randSeed), so runs are reproducible and
+	// an Env that never draws pays nothing for it; one set before the
+	// first call is used as is. Guarded by mu — math/rand.Rand is not
+	// safe for concurrent use.
 	Rand *rand.Rand
 	// FS is the in-memory filesystem preopened at fd 3 (nil leaves
 	// the environment console-only: path_open reports badf).
@@ -98,6 +100,9 @@ type Env struct {
 	nextFD uint32
 }
 
+// randSeed seeds the PRNG random_get creates when Env.Rand is nil.
+const randSeed = 0x1eaf5
+
 // NewEnv returns an Env with deterministic defaults writing to the
 // given stdout/stderr.
 func NewEnv(stdout, stderr io.Writer) *Env {
@@ -111,7 +116,6 @@ func NewEnv(stdout, stderr io.Writer) *Env {
 		Stdout:     stdout,
 		Stderr:     stderr,
 		Now:        time.Now,
-		Rand:       rand.New(rand.NewSource(0x1eaf5)),
 		PreopenDir: "/",
 		start:      time.Now(),
 		fds:        make(map[uint32]*openFile),
@@ -585,6 +589,9 @@ func (e *Env) randomGet(hc *core.HostContext, args []uint64) (uint64, error) {
 	buf := vw.Data()
 	var scratch [8]byte
 	e.mu.Lock()
+	if e.Rand == nil {
+		e.Rand = rand.New(rand.NewSource(randSeed))
+	}
 	for i := 0; i < len(buf); i += 8 {
 		binary.LittleEndian.PutUint64(scratch[:], e.Rand.Uint64())
 		copy(buf[i:], scratch[:])

@@ -12,14 +12,18 @@
 // driving fd_read/fd_write/fd_seek/path_open against a preopened
 // in-memory filesystem, and as a native Go twin folding the same
 // bytes with the same arithmetic — so checksum equality is enforced
-// across all engines and all five strategies. The twins regenerate
-// the file content on every call (the Env holding the filesystem is
-// fresh per instantiation for the same reason: the kvstore and echo
-// workloads mutate their files).
+// across all engines and all five strategies. Each file image is built
+// once per size class and shared read-only: wasi.NewFS copies it into
+// every fresh filesystem (the Env holding the filesystem is fresh per
+// instantiation because the kvstore and echo workloads mutate their
+// files), and the one twin that writes, kvstore's, folds over a clone.
+// An op then costs its hostcalls, not the rendering of its input.
 package workloads
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"leapsandbounds/internal/wasi"
 	"leapsandbounds/internal/wasm"
@@ -37,6 +41,27 @@ const (
 	wasiAddrIov  = 96   // iovec
 	wasiAddrBuf  = 1024 // primary data buffer
 	wasiAddrBuf2 = 4096 // secondary data buffer (echo transform)
+)
+
+// sharedImage memoizes a file-image builder: build runs at most once
+// per class, and every caller gets the same slice, which nobody may
+// write.
+func sharedImage(build func(Class) []byte) func(Class) []byte {
+	test := sync.OnceValue(func() []byte { return build(Test) })
+	bench := sync.OnceValue(func() []byte { return build(Bench) })
+	return func(c Class) []byte {
+		if c == Test {
+			return test()
+		}
+		return bench()
+	}
+}
+
+// The shared, read-only file images of the three workloads.
+var (
+	logImage  = sharedImage(logContent)
+	kvImage   = sharedImage(kvContent)
+	echoImage = sharedImage(echoContent)
 )
 
 // wasiMix steps the content generator (the 64-bit LCG the kvstore
@@ -133,7 +158,6 @@ func openStmt(im wasiImports, pathAddr, pathLen, oflags uint32, fdAddr uint32) g
 // chunk with a short scan between calls.
 func buildLogscan(c Class) (*wasm.Module, func() uint64) {
 	const chunk = 192
-	content := func() []byte { return logContent(c) }
 
 	mb := g.NewModule()
 	im := declareWASIImports(mb)
@@ -174,7 +198,7 @@ func buildLogscan(c Class) (*wasm.Module, func() uint64) {
 	}
 	native := func() uint64 {
 		var sum, lines uint64
-		for _, by := range content() {
+		for _, by := range logImage(c) {
 			sum = sum*31 + uint64(by)
 			if by == '\n' {
 				lines++
@@ -192,7 +216,6 @@ func buildLogscan(c Class) (*wasm.Module, func() uint64) {
 func buildKvstore(c Class) (*wasm.Module, func() uint64) {
 	records := kvRecords(c)
 	ops := kvOps(c)
-	content := func() []byte { return kvContent(c) }
 
 	mb := g.NewModule()
 	im := declareWASIImports(mb)
@@ -241,7 +264,7 @@ func buildKvstore(c Class) (*wasm.Module, func() uint64) {
 		panic(err)
 	}
 	native := func() uint64 {
-		data := content()
+		data := slices.Clone(kvImage(c))
 		k := uint64(0x6b76)
 		var sum uint64
 		for i := 0; i < ops; i++ {
@@ -267,8 +290,6 @@ func buildKvstore(c Class) (*wasm.Module, func() uint64) {
 // back to the start and re-read everything (4 hostcalls per frame
 // plus the verification pass).
 func buildEcho(c Class) (*wasm.Module, func() uint64) {
-	content := func() []byte { return echoContent(c) }
-
 	mb := g.NewModule()
 	im := declareWASIImports(mb)
 	mb.Memory(1, 4)
@@ -328,7 +349,7 @@ func buildEcho(c Class) (*wasm.Module, func() uint64) {
 		panic(err)
 	}
 	native := func() uint64 {
-		in := content()
+		in := echoImage(c)
 		var sum, sum2 uint64
 		transformed := make([]byte, len(in))
 		for i, by := range in {
@@ -351,7 +372,7 @@ func init() {
 		Desc:    "chunked fd_read scan of an access log (hostcall per chunk)",
 		BuildFn: buildLogscan,
 		NewEnv: func(c Class) *wasi.Env {
-			return wasi.NewEnv(nil, nil).WithFS(map[string][]byte{"access.log": logContent(c)})
+			return wasi.NewEnv(nil, nil).WithFS(map[string][]byte{"access.log": logImage(c)})
 		},
 	})
 	register(Spec{
@@ -360,7 +381,7 @@ func init() {
 		Desc:    "seek+read/write record ops against a preopened db file",
 		BuildFn: buildKvstore,
 		NewEnv: func(c Class) *wasi.Env {
-			return wasi.NewEnv(nil, nil).WithFS(map[string][]byte{"db": kvContent(c)})
+			return wasi.NewEnv(nil, nil).WithFS(map[string][]byte{"db": kvImage(c)})
 		},
 	})
 	register(Spec{
@@ -369,7 +390,7 @@ func init() {
 		Desc:    "request/response echo: read, transform, write, re-read",
 		BuildFn: buildEcho,
 		NewEnv: func(c Class) *wasi.Env {
-			return wasi.NewEnv(nil, nil).WithFS(map[string][]byte{"in.bin": echoContent(c)})
+			return wasi.NewEnv(nil, nil).WithFS(map[string][]byte{"in.bin": echoImage(c)})
 		},
 	})
 }

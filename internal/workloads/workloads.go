@@ -60,7 +60,10 @@ type Spec struct {
 	// instantiated with the imports of a fresh environment (the env
 	// owns the in-memory filesystem the workload reads and mutates,
 	// so reuse across iterations would change checksums). Harness and
-	// tests call NewEnv(class).Imports() per instantiation.
+	// tests call NewEnv(class).Imports() per instantiation. The file
+	// images behind it are built once per class and shared read-only;
+	// wasi.NewFS copies them, so each env's files are its own to write
+	// and a NewEnv call renders nothing.
 	NewEnv func(c Class) *wasi.Env
 }
 

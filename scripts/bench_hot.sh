@@ -4,8 +4,10 @@
 # isolate-lifecycle and many-function cold-start (decode + validate,
 # then compile per engine) timings (ns/op and B/op), the wavm and wasmtime run loops' dispatches/op and ns/dispatch on the five
 # steady kernels, the interpreter's guest-ops/op and ns/guest-op on the
-# same kernels, and the gemm/atax elide on/off macro benches (which
-# assert equal results with and without elision). The numbers that are
+# same kernels, one hostcall op per wasi workload (the guest/host
+# boundary's layer number: ns/op and B/op), and the gemm/atax elide
+# on/off macro benches (which assert equal results with and without
+# elision). The numbers that are
 # published come from benchmark/run.sh, not from here.
 #
 #     ./scripts/bench_hot.sh        # or: make bench-hot
@@ -30,6 +32,9 @@ go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x ./internal/comp
 
 echo "== interpreter run loop on the same kernels (wasm3, class Bench; guest-ops/op is exact, ns/guest-op is the cost of one interpreted instruction)"
 go test -run '^$' -bench 'BenchmarkSteadyInterp' -benchtime 10x ./internal/interp
+
+echo "== hostcall op per wasi workload (NewEnv + Instantiate + Invoke + Close; wavm, class Bench; trap copies across the boundary, mprotect hands the host a live window)"
+go test -run '^$' -bench 'BenchmarkHostcallOp' -benchtime 200ms -benchmem ./internal/workloads
 
 echo "== codegen macro benchmarks (gemm, atax; trap strategy; wavm elide off and on)"
 go test -run '^$' -bench 'Benchmark(Gemm|Atax)Compiled' -benchtime 1s .

@@ -47,6 +47,11 @@ go test -run '^$' -bench SteadyKernels -benchtime 1x ./internal/compiled/
 echo "== BenchmarkSteadyInterp, one iteration"
 go test -run '^$' -bench SteadyInterp -benchtime 1x ./internal/interp/
 
+# And for the guest/host boundary's layer bench (one hostcall op per
+# wasi workload, which also holds each op's digest to its native twin).
+echo "== BenchmarkHostcallOp, one iteration"
+go test -run '^$' -bench HostcallOp -benchtime 1x ./internal/workloads/
+
 # A ceiling on the bounds checks Go inserts in the interpreter (the
 # engine's own checks on its value stack, ROADMAP item 8), so that
 # they cannot creep back. The one-switch run loop had 268; since exec
