@@ -185,12 +185,6 @@ type Instance interface {
 // HostContext is passed to host functions.
 type HostContext struct {
 	Mem *mem.Memory
-
-	// views/revals count HostMemView acquisitions and post-grow
-	// revalidations (cached metric handles; nil in hand-built
-	// contexts, which View tolerates).
-	views  *obs.Counter
-	revals *obs.Counter
 }
 
 // HostFunc is a function provided by the embedder.
@@ -363,11 +357,7 @@ func NewInstanceBase(m *wasm.Module, cfg Config, imports Imports, snap *StateSna
 			return nil, err
 		}
 	}
-	b.HostCtx = HostContext{
-		Mem:    b.Mem,
-		views:  cfg.Obs.Counter("hostview_acquires"),
-		revals: cfg.Obs.Counter("hostview_revalidations"),
-	}
+	b.HostCtx = HostContext{Mem: b.Mem}
 	if snap != nil {
 		b.Globals = slices.Clone(snap.Globals)
 		b.Table = slices.Clone(snap.Table)

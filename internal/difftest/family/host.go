@@ -1,8 +1,13 @@
 package family
 
 import (
+	"bytes"
+	"testing"
+
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/difftest"
+	"leapsandbounds/internal/isa"
+	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/wasi"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
@@ -26,9 +31,9 @@ type Host struct {
 	// make the array range overrun memory).
 	IovCount uint32
 	// Grow names the hostcall that grows memory by one page after its
-	// views are acquired and before they are used: 1 is fd_write,
-	// whose views read guest memory, 2 is fd_read, whose views write
-	// it; 0 grows nothing.
+	// guest-memory slices are taken and before they are used: 1 is
+	// fd_write, whose slices are read, 2 is fd_read, whose slices are
+	// written; 0 grows nothing.
 	Grow int
 }
 
@@ -46,7 +51,8 @@ const pageSize = 65536
 // HostCases pin the host-boundary semantics: in-bounds gathers, data
 // buffers clamped by the memory size (partial counts, no trap),
 // out-of-bounds iovec arrays (uniform trap kind and faulting range),
-// and a memory.grow landing mid-hostcall while views are open.
+// and a memory.grow landing mid-hostcall while the host holds slices
+// of guest memory.
 var HostCases = []Host{
 	{
 		Name:     "in-bounds",
@@ -71,7 +77,7 @@ var HostCases = []Host{
 	{
 		Name: "iovec-array-oob",
 		// The array itself is outside memory: the bulk check on
-		// the array view must trap under every strategy.
+		// the array's range check must trap under every strategy.
 		IovsPtr:  pageSize - 4,
 		IovCount: 2,
 	},
@@ -90,8 +96,8 @@ var HostCases = []Host{
 	{
 		Name: "grow-mid-read",
 		// The grow lands between fd_read's planning and its writes:
-		// the write views, re-taken after the grow, must still be
-		// guest memory.
+		// the slices, taken before the grow, must still be guest
+		// memory after it.
 		Iovs:     []Iov{{diffIovsBase + 256, 24}, {diffIovsBase + 288, 9}},
 		IovsPtr:  diffIovsBase,
 		IovCount: 2,
@@ -147,9 +153,39 @@ func (h Host) Row(engines []difftest.Engine) (difftest.Row, error) {
 	return difftest.Row{Module: m, Env: h.env, Engines: engines, Rule: difftest.Same}, err
 }
 
+// ReadBack runs h's module once on e under the trap strategy and
+// returns what fd_read left in the guest's read-back buffer and the
+// file it read from, both cut to the bytes the read delivered; they
+// must be equal. Check holds the strategies to one another, so a read
+// that misses guest memory under all five alike passes it: this holds
+// fd_read to the file.
+func (h Host) ReadBack(tb testing.TB, e difftest.Engine) (got, want []byte) {
+	tb.Helper()
+	m, err := h.module()
+	if err != nil {
+		tb.Fatalf("scenario module invalid: %v", err)
+	}
+	eng := e.New(tb)
+	eng.SetCache(nil)
+	cm, err := eng.Compile(m)
+	if err != nil {
+		tb.Fatalf("%s: compile: %v", e.Name, err)
+	}
+	env := h.env()
+	inst, err := cm.Instantiate(core.Config{Profile: isa.X86_64(), Strategy: mem.Trap}, env.Imports)
+	if err != nil {
+		tb.Fatalf("%s: instantiate: %v", e.Name, err)
+	}
+	defer inst.Close()
+	difftest.Run(tb, inst, e.Name+"/trap/read-back", difftest.Call{Export: "run"})
+	want = env.File()
+	want = want[:min(len(want), diffReadLen)]
+	return bytes.Clone(inst.Memory().Bytes(diffReadBuf, uint64(len(want)), false)), want
+}
+
 // env is one instance's WASI environment. With Grow it grows memory
-// by one page inside that hostcall: the grow invalidates every open
-// view.
+// by one page inside that hostcall, while the host holds its slices
+// of guest memory.
 func (h Host) env() difftest.Env {
 	env := wasi.NewEnv(nil, nil).WithFS(map[string][]byte{})
 	calls := 0

@@ -51,9 +51,8 @@ func Ablation(c *Config) error {
 // ablateHostcall measures the host boundary: the syscall-heavy wasi
 // workloads per strategy, with the hostcall count from the simulated
 // process's counters. The checksum column proves the boundary is
-// strategy-transparent (identical results while the eager-copy
-// strategies pay per-view copies and the virtual-memory strategies
-// fault pages in under the view's bulk check).
+// strategy-transparent (identical results while the virtual-memory
+// strategies fault pages in under each range's bulk check).
 func ablateHostcall(c *Config) error {
 	fmt.Fprintf(c.Out, "\nAblation 8: hostcall boundary (wasi workloads, wavm, 1 thread)\n")
 	fmt.Fprintf(c.Out, "%-10s %-10s %12s %10s %18s\n",

@@ -168,18 +168,12 @@ type Memory struct {
 	committedEnd atomic.Uint64
 	maxBytes     uint64
 	minBytes     uint64
-	// gen counts grows. A HostMemView handed to the embedder records
-	// the generation it was validated against; a mismatch after a
-	// mid-hostcall memory.grow tells the view its window may be stale
-	// (the backing array can move or extend) and it must revalidate
-	// before further use.
-	gen     atomic.Uint64
-	mapping *vmm.Mapping
-	pool    *ArenaPool
-	arena   *arena // non-nil when pooled (uffd)
-	poll    *uffdServer
-	eager   bool // mprotect strategy: commit at grow time
-	closed  bool
+	mapping      *vmm.Mapping
+	pool         *ArenaPool
+	arena        *arena // non-nil when pooled (uffd)
+	poll         *uffdServer
+	eager        bool // mprotect strategy: commit at grow time
+	closed       bool
 	// shared marks a wasm-threads-style shared memory (Config.Shared):
 	// growMu serializes Grow against concurrent growers, and Grow
 	// orders page commits before the length publication so a sibling
@@ -367,12 +361,6 @@ func (m *Memory) SizeBytes() uint64 { return m.sizeBytes.Load() }
 // SizePages returns the current size in wasm pages.
 func (m *Memory) SizePages() uint32 { return uint32(m.sizeBytes.Load() / wasm.PageSize) }
 
-// Generation returns the grow generation: it advances on every
-// successful Grow. Host-boundary code captures it when validating a
-// memory window and compares on re-entry — an unchanged generation
-// proves the window's range check still holds.
-func (m *Memory) Generation() uint64 { return m.gen.Load() }
-
 // storeMax raises a to at least v (CAS loop; concurrent raisers are
 // all monotone, so the maximum wins).
 func storeMax(a *atomic.Uint64, v uint64) {
@@ -439,7 +427,6 @@ func (m *Memory) Grow(delta uint32) int32 {
 	case Uffd:
 		// Lazy: pages commit on first fault.
 	}
-	m.gen.Add(1)
 	m.sizeBytes.Store(newBytes)
 	return int32(old)
 }
@@ -652,10 +639,14 @@ func (m *Memory) advanceWatermark() {
 
 // Bytes returns a slice over [addr, addr+n) after ensuring the range
 // is accessible, for bulk operations (memory.copy/fill, segment
-// initialization, WASI I/O). Traps on out-of-bounds. The whole range
-// is validated (and, for the virtual-memory strategies, committed)
-// through one CheckRange call — bulk operations pay one check, not
-// one per page or per element.
+// initialization) and for every WASI host function, which reads and
+// writes guest memory through it in place. Traps on out-of-bounds
+// under every strategy. The whole range is validated (and, for the
+// virtual-memory strategies, committed) through one CheckRange call —
+// bulk operations pay one check, not one per page or per element. The
+// slice stays guest memory for the memory's lifetime: Grow never moves
+// the backing, so a slice taken before a grow still aliases the same
+// bytes after it.
 func (m *Memory) Bytes(addr, n uint64, write bool) []byte {
 	size := m.sizeBytes.Load()
 	if n == 0 {

@@ -82,6 +82,9 @@ func TestSharedGrowUnderTraffic(t *testing.T) {
 				if old < 0 {
 					t.Fatalf("grow refused at %d pages (max %d)", m.SizePages(), m.maxPages())
 				}
+				if old != int32(1+grows) {
+					t.Fatalf("grow %d returned old size %d, want %d", grows, old, 1+grows)
+				}
 				grows++
 				// Probe the freshly published page immediately.
 				probe := uint64(old)*wasm.PageSize + 16
@@ -102,11 +105,8 @@ func TestSharedGrowUnderTraffic(t *testing.T) {
 			if got := rounds.Load(); got != workers*spins {
 				t.Errorf("rounds completed: %d, want %d", got, workers*spins)
 			}
-			if got := m.Generation(); got != uint64(grows) {
-				t.Errorf("generation %d after %d grows", got, grows)
-			}
-			if m.SizePages() != m.maxPages() {
-				t.Errorf("final size %d pages, want max %d", m.SizePages(), m.maxPages())
+			if m.SizePages() != uint32(1+grows) || m.SizePages() != m.maxPages() {
+				t.Errorf("final size %d pages after %d grows from 1, want max %d", m.SizePages(), grows, m.maxPages())
 			}
 		})
 	}

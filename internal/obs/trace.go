@@ -172,8 +172,8 @@ func bucketOf(k SpanKind) string {
 	case SpanInvoke:
 		return "exec"
 	case SpanHostcall:
-		// Exclusive time only: faults taken while the host holds a
-		// memory view open span-nest under the hostcall and keep
+		// Exclusive time only: faults taken while the host checks a
+		// guest-memory range span-nest under the hostcall and keep
 		// their own buckets, so "hostcall" is pure boundary cost.
 		return "hostcall"
 	case SpanFault:

@@ -4,8 +4,8 @@
 // fd_prestat_dir_name, path_open resolving names against it into a
 // per-environment fd table, and fd_read/fd_write/fd_seek operating on
 // byte-backed files. Everything lives in host memory — the point is
-// the boundary crossing and the guest-memory views it takes, not disk
-// I/O.
+// the boundary crossing and the guest-memory ranges it checks, not
+// disk I/O.
 package wasi
 
 import (

@@ -1,7 +1,9 @@
 package wasi_test
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
 	"leapsandbounds/internal/compiled"
 	"leapsandbounds/internal/core"
@@ -11,6 +13,7 @@ import (
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
 	"leapsandbounds/internal/tiered"
+	"leapsandbounds/internal/trap"
 	"leapsandbounds/internal/wasi"
 	"leapsandbounds/internal/wasm"
 	g "leapsandbounds/internal/wasmgen"
@@ -34,8 +37,10 @@ var hostEngines = []difftest.Engine{
 // TestDifferentialHostcall pins the host-boundary semantics
 // (family.HostCases) across all five bounds strategies and every
 // engine: the digest of every errno and count, the exact trap cause
-// when a view faults, the final guest memory and the file the host
-// kept.
+// when a range check fails, the final guest memory and the file the
+// host kept. It also holds fd_read to the file on one cell, since a
+// read that misses guest memory under every strategy alike keeps the
+// strategies equal.
 func TestDifferentialHostcall(t *testing.T) {
 	for _, h := range family.HostCases {
 		t.Run(h.Name, func(t *testing.T) {
@@ -45,6 +50,70 @@ func TestDifferentialHostcall(t *testing.T) {
 				t.Fatalf("scenario module invalid: %v", err)
 			}
 			difftest.Check(t, row)
+			if got, want := h.ReadBack(t, hostEngines[0]); !bytes.Equal(got, want) {
+				t.Errorf("fd_read left %x in guest memory, the file holds %x", got, want)
+			}
+		})
+	}
+}
+
+// TestDifferentialResultPointers holds the scalar result pointers of
+// clock_time_get, {args,environ}_sizes_get and {args,environ}_get to
+// one outcome across strategies and engines: a pointer past the end of
+// memory, or one whose range straddles it, traps out of bounds under
+// all five strategies, and the memory image holds what the call wrote
+// before the trap. A scalar store there would clamp-redirect under
+// clamp and write past the wasm size under none.
+func TestDifferentialResultPointers(t *testing.T) {
+	const page = 65536
+	i32, i64 := wasm.I32, wasm.I64
+	rows := []struct {
+		name   string
+		fn     string
+		params []wasm.ValueType
+		args   []g.Expr
+	}{
+		// clock_time_get(realtime, precision, resultPtr): 8 bytes.
+		{"clock_time_get/oob", "clock_time_get", []wasm.ValueType{i32, i64, i32}, []g.Expr{g.I32(0), g.I64(0), g.U32(page + 16)}},
+		{"clock_time_get/straddle", "clock_time_get", []wasm.ValueType{i32, i64, i32}, []g.Expr{g.I32(0), g.I64(0), g.U32(page - 4)}},
+		// *_sizes_get(countPtr, bufSizePtr): the count lands, the
+		// buffer size's pointer is the bad one.
+		{"args_sizes_get/oob", "args_sizes_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(64), g.U32(page + 16)}},
+		{"args_sizes_get/straddle", "args_sizes_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(64), g.U32(page - 2)}},
+		{"environ_sizes_get/oob", "environ_sizes_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(64), g.U32(page + 16)}},
+		{"environ_sizes_get/straddle", "environ_sizes_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(64), g.U32(page - 2)}},
+		// *_get(ptrsPtr, bufPtr): the pointer array is the bad one;
+		// straddling, its first entry fits and its last does not.
+		{"args_get/oob", "args_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(page + 16), g.U32(128)}},
+		{"args_get/straddle", "args_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(page - 4), g.U32(128)}},
+		{"environ_get/oob", "environ_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(page + 16), g.U32(128)}},
+		{"environ_get/straddle", "environ_get", []wasm.ValueType{i32, i32}, []g.Expr{g.U32(page - 2), g.U32(128)}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			mb := g.NewModule()
+			fn := mb.ImportFunc("wasi_snapshot_preview1", r.fn, r.params, []wasm.ValueType{i32})
+			mb.Memory(1, 4)
+			f := mb.Func("run", wasm.I64)
+			f.Body(g.Return(g.I64FromI32U(g.Call(fn, r.args...))))
+			mb.Export("run", f)
+			m, err := mb.Module()
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := func() difftest.Env {
+				env := wasi.NewEnv(nil, nil)
+				env.Args = []string{"prog", "x"}
+				env.Environ = []string{"K=V"}
+				fixed := time.Unix(1_700_000_000, 42)
+				env.Now = func() time.Time { return fixed }
+				return difftest.Env{Imports: env.Imports()}
+			}
+			o := difftest.Check(t, difftest.Row{Module: m, Env: env, Engines: hostEngines, Rule: difftest.Same})[mem.Trap]
+			if !o.Trapped || o.Kind != trap.OutOfBounds {
+				t.Errorf("%v, want an out-of-bounds trap", o)
+			}
 		})
 	}
 }

@@ -7,16 +7,16 @@
 // shape of wazero's wasi_snapshot_preview1 module). The paper's
 // runtimes all target WASI rather than browser APIs (§3.2).
 //
-// Guest memory is only touched through core.HostMemView windows, so
-// every strategy pays its host-boundary cost the way the real
-// runtimes do: the flat strategies copy across the boundary, the
-// virtual-memory strategies fault pages in under the view's bulk
-// check, and a memory.grow landing mid-hostcall invalidates open
-// views, which revalidate before further use. Out-of-bounds iovec
-// arrays and result pointers trap identically under all five
-// strategies (bulk-operation semantics); out-of-bounds data buffers
-// clamp to the memory size and surface as WASI partial-read/write
-// counts instead of traps.
+// Guest memory is only touched through mem.Memory.Bytes: one bulk
+// bounds check per range, which traps out of bounds under every
+// strategy and, under mprotect/uffd, commits the range through the
+// fault path. The host then reads and writes the live slice in place.
+// A grow never moves the backing, so a slice taken before a
+// memory.grow landing mid-hostcall is still guest memory after it.
+// Out-of-bounds iovec arrays and result pointers trap identically
+// under all five strategies (bulk-operation semantics); out-of-bounds
+// data buffers clamp to the memory size and surface as WASI
+// partial-read/write counts instead of traps.
 package wasi
 
 import (
@@ -87,9 +87,10 @@ type Env struct {
 	// for fd 3; defaults to "/".
 	PreopenDir string
 	// MidHostcall, when non-nil, runs inside fd_read/fd_write after
-	// the guest-memory views are acquired and before they are used.
-	// Differential tests force a memory.grow here to pin the view
-	// invalidate/revalidate path across strategies.
+	// the guest-memory slices are taken and before they are used.
+	// Differential tests force a memory.grow here to pin that a slice
+	// taken before a grow is still guest memory after it, under every
+	// strategy.
 	MidHostcall func(hc *core.HostContext)
 
 	start time.Time
@@ -145,19 +146,16 @@ func (e *Env) lookupFD(fd uint32) (*openFile, bool) {
 	return of, ok
 }
 
-// storeU32/storeU64 write a result value through a bounds-checked
-// view, so an out-of-bounds result pointer traps identically under
-// every strategy (a scalar store would clamp-redirect under clamp).
+// storeU32/storeU64 write a result value through a checked range, so
+// an out-of-bounds result pointer traps identically under every
+// strategy (a scalar store would clamp-redirect under clamp and write
+// past the wasm size under none).
 func storeU32(hc *core.HostContext, addr uint64, v uint32) {
-	vw := hc.View(addr, 4, true)
-	binary.LittleEndian.PutUint32(vw.Data(), v)
-	vw.Commit()
+	binary.LittleEndian.PutUint32(hc.Mem.Bytes(addr, 4, true), v)
 }
 
 func storeU64(hc *core.HostContext, addr uint64, v uint64) {
-	vw := hc.View(addr, 8, true)
-	binary.LittleEndian.PutUint64(vw.Data(), v)
-	vw.Commit()
+	binary.LittleEndian.PutUint64(hc.Mem.Bytes(addr, 8, true), v)
 }
 
 // Imports returns the wasi_snapshot_preview1 import table bound to
@@ -262,13 +260,12 @@ type iovec struct {
 	reqLen uint64
 }
 
-// readIovs reads the iovec array through one bounds-checked view
+// readIovs reads the iovec array through one checked range
 // (out-of-bounds arrays trap under every strategy) and clamps each
 // entry's data range to the current memory size — data buffers never
 // trap, they shorten (WASI partial-count semantics).
 func readIovs(hc *core.HostContext, iovs, n uint64) []iovec {
-	view := hc.View(iovs, n*8, false)
-	b := view.Data()
+	b := hc.Mem.Bytes(iovs, n*8, false)
 	memSize := hc.Mem.SizeBytes()
 	out := make([]iovec, n)
 	for i := range out {
@@ -286,10 +283,9 @@ func readIovs(hc *core.HostContext, iovs, n uint64) []iovec {
 }
 
 // fdWrite implements fd_write(fd, iovs, iovsLen, nwrittenPtr):
-// gather from guest memory to the console or a file. Each data
-// buffer is read through a view; the views are all acquired before
-// any data moves, so a mid-hostcall grow (MidHostcall hook)
-// exercises revalidation on every strategy.
+// gather from guest memory to the console or a file. Every data
+// buffer's slice is taken before any data moves, so a mid-hostcall
+// grow (MidHostcall hook) lands while the host holds them.
 func (e *Env) fdWrite(hc *core.HostContext, args []uint64) (uint64, error) {
 	fd := uint32(args[0])
 	var w io.Writer
@@ -306,10 +302,10 @@ func (e *Env) fdWrite(hc *core.HostContext, args []uint64) (uint64, error) {
 		}
 	}
 	iovs := readIovs(hc, uint64(uint32(args[1])), uint64(uint32(args[2])))
-	views := make([]*core.HostMemView, len(iovs))
+	bufs := make([][]byte, len(iovs))
 	for i, ent := range iovs {
 		if ent.n > 0 {
-			views[i] = hc.View(ent.ptr, ent.n, false)
+			bufs[i] = hc.Mem.Bytes(ent.ptr, ent.n, false)
 		}
 	}
 	e.midCall(hc)
@@ -318,8 +314,7 @@ func (e *Env) fdWrite(hc *core.HostContext, args []uint64) (uint64, error) {
 		if ent.reqLen == 0 {
 			continue
 		}
-		if ent.n > 0 {
-			buf := views[i].Data()
+		if buf := bufs[i]; len(buf) > 0 {
 			if of != nil {
 				e.mu.Lock()
 				n := of.f.writeAt(buf, of.pos)
@@ -344,8 +339,8 @@ func (e *Env) fdWrite(hc *core.HostContext, args []uint64) (uint64, error) {
 }
 
 // fdRead implements fd_read(fd, iovs, iovsLen, nreadPtr): scatter
-// from a file (or stdin, which is empty) into guest memory through
-// write views, committed after the mid-hostcall hook.
+// from a file (or stdin, which is empty) into guest memory, in place,
+// after the mid-hostcall hook.
 func (e *Env) fdRead(hc *core.HostContext, args []uint64) (uint64, error) {
 	fd := uint32(args[0])
 	if fd == 0 {
@@ -359,15 +354,14 @@ func (e *Env) fdRead(hc *core.HostContext, args []uint64) (uint64, error) {
 	}
 	iovs := readIovs(hc, uint64(uint32(args[1])), uint64(uint32(args[2])))
 
-	// Plan the reads first: each view covers exactly the bytes the
-	// file will deliver, so Commit writes precisely what was read.
+	// Plan the reads first: each slice covers exactly the bytes the
+	// file will deliver.
 	e.mu.Lock()
 	pos := of.pos
 	size := of.f.size()
 	type readOp struct {
-		view *core.HostMemView
-		off  int64
-		n    uint64
+		buf []byte
+		off int64
 	}
 	var ops []readOp
 	total := uint32(0)
@@ -385,7 +379,7 @@ func (e *Env) fdRead(hc *core.HostContext, args []uint64) (uint64, error) {
 			short = true // data buffer clamped by memory size
 		}
 		if n > 0 {
-			ops = append(ops, readOp{view: hc.View(ent.ptr, n, true), off: pos, n: n})
+			ops = append(ops, readOp{buf: hc.Mem.Bytes(ent.ptr, n, true), off: pos})
 			pos += int64(n)
 			total += uint32(n)
 		}
@@ -398,8 +392,7 @@ func (e *Env) fdRead(hc *core.HostContext, args []uint64) (uint64, error) {
 
 	e.midCall(hc)
 	for _, op := range ops {
-		of.f.readAt(op.view.Data()[:op.n], op.off)
-		op.view.Commit()
+		of.f.readAt(op.buf, op.off)
 	}
 	storeU32(hc, uint64(uint32(args[3])), total)
 	return uint64(errnoSuccess), nil
@@ -473,14 +466,9 @@ func (e *Env) fdFdstatGet(hc *core.HostContext, args []uint64) (uint64, error) {
 		}
 		filetype = 4 // regular_file
 	}
-	buf := uint64(uint32(args[1]))
-	vw := hc.View(buf, 24, true)
-	b := vw.Data()
-	for i := range b {
-		b[i] = 0
-	}
+	b := hc.Mem.Bytes(uint64(uint32(args[1])), 24, true)
+	clear(b)
 	b[0] = filetype
-	vw.Commit()
 	return uint64(errnoSuccess), nil
 }
 
@@ -491,14 +479,10 @@ func (e *Env) fdFilestatGet(hc *core.HostContext, args []uint64) (uint64, error)
 	if !ok {
 		return uint64(errnoBadf), nil
 	}
-	vw := hc.View(uint64(uint32(args[1])), 64, true)
-	b := vw.Data()
-	for i := range b {
-		b[i] = 0
-	}
+	b := hc.Mem.Bytes(uint64(uint32(args[1])), 64, true)
+	clear(b)
 	b[16] = 4 // regular_file
 	binary.LittleEndian.PutUint64(b[32:], uint64(of.f.size()))
-	vw.Commit()
 	return uint64(errnoSuccess), nil
 }
 
@@ -508,12 +492,9 @@ func (e *Env) fdPrestatGet(hc *core.HostContext, args []uint64) (uint64, error) 
 	if uint32(args[0]) != preopenFD || e.FS == nil {
 		return uint64(errnoBadf), nil
 	}
-	buf := uint64(uint32(args[1]))
-	vw := hc.View(buf, 8, true)
-	b := vw.Data()
-	b[0], b[1], b[2], b[3] = 0, 0, 0, 0
+	b := hc.Mem.Bytes(uint64(uint32(args[1])), 8, true)
+	binary.LittleEndian.PutUint32(b, 0)
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(e.PreopenDir)))
-	vw.Commit()
 	return uint64(errnoSuccess), nil
 }
 
@@ -529,9 +510,7 @@ func (e *Env) fdPrestatDirName(hc *core.HostContext, args []uint64) (uint64, err
 	if n == 0 {
 		return uint64(errnoSuccess), nil
 	}
-	vw := hc.View(uint64(uint32(args[1])), n, true)
-	copy(vw.Data(), e.PreopenDir[:n])
-	vw.Commit()
+	copy(hc.Mem.Bytes(uint64(uint32(args[1])), n, true), e.PreopenDir)
 	return uint64(errnoSuccess), nil
 }
 
@@ -542,8 +521,7 @@ func (e *Env) pathOpen(hc *core.HostContext, args []uint64) (uint64, error) {
 	if uint32(args[0]) != preopenFD || e.FS == nil {
 		return uint64(errnoBadf), nil
 	}
-	pview := hc.View(uint64(uint32(args[2])), uint64(uint32(args[3])), false)
-	name := string(pview.Data())
+	name := string(hc.Mem.Bytes(uint64(uint32(args[2])), uint64(uint32(args[3])), false))
 	oflags := uint32(args[4])
 	f, ok := e.FS.lookup(name, oflags&oflagCreat != 0)
 	if !ok {
@@ -572,7 +550,7 @@ func (e *Env) clockTimeGet(hc *core.HostContext, args []uint64) (uint64, error) 
 	default:
 		return uint64(errnoInval), nil
 	}
-	hc.Mem.StoreU64(uint64(uint32(args[2])), ns)
+	storeU64(hc, uint64(uint32(args[2])), ns)
 	return uint64(errnoSuccess), nil
 }
 
@@ -585,8 +563,7 @@ func (e *Env) randomGet(hc *core.HostContext, args []uint64) (uint64, error) {
 	if n == 0 {
 		return uint64(errnoSuccess), nil
 	}
-	vw := hc.View(ptr, n, true)
-	buf := vw.Data()
+	buf := hc.Mem.Bytes(ptr, n, true)
 	var scratch [8]byte
 	e.mu.Lock()
 	if e.Rand == nil {
@@ -597,30 +574,43 @@ func (e *Env) randomGet(hc *core.HostContext, args []uint64) (uint64, error) {
 		copy(buf[i:], scratch[:])
 	}
 	e.mu.Unlock()
-	vw.Commit()
 	return uint64(errnoSuccess), nil
+}
+
+// packedLen is the size of list as packed NUL-terminated strings.
+func packedLen(list []string) uint64 {
+	total := uint64(0)
+	for _, s := range list {
+		total += uint64(len(s)) + 1
+	}
+	return total
 }
 
 // sizes implements {args,environ}_sizes_get.
 func (e *Env) sizes(hc *core.HostContext, list []string, args []uint64) (uint64, error) {
-	total := 0
-	for _, s := range list {
-		total += len(s) + 1
-	}
-	hc.Mem.StoreU32(uint64(uint32(args[0])), uint32(len(list)))
-	hc.Mem.StoreU32(uint64(uint32(args[1])), uint32(total))
+	storeU32(hc, uint64(uint32(args[0])), uint32(len(list)))
+	storeU32(hc, uint64(uint32(args[1])), uint32(packedLen(list)))
 	return uint64(errnoSuccess), nil
 }
 
 // vector implements {args,environ}_get: pointers then packed NUL-
-// terminated strings.
+// terminated strings. The pointer array and the string buffer are one
+// checked range each, so either one out of bounds traps before
+// anything is written; an empty list writes nothing and checks
+// nothing.
 func (e *Env) vector(hc *core.HostContext, list []string, args []uint64) (uint64, error) {
-	ptrs := uint64(uint32(args[0]))
-	buf := uint64(uint32(args[1]))
+	if len(list) == 0 {
+		return uint64(errnoSuccess), nil
+	}
+	ptrs := hc.Mem.Bytes(uint64(uint32(args[0])), uint64(len(list))*4, true)
+	base := uint64(uint32(args[1]))
+	buf := hc.Mem.Bytes(base, packedLen(list), true)
+	at := 0
 	for i, s := range list {
-		hc.Mem.StoreU32(ptrs+uint64(i)*4, uint32(buf))
-		hc.Mem.WriteAt(buf, append([]byte(s), 0))
-		buf += uint64(len(s)) + 1
+		binary.LittleEndian.PutUint32(ptrs[i*4:], uint32(base)+uint32(at))
+		at += copy(buf[at:], s)
+		buf[at] = 0
+		at++
 	}
 	return uint64(errnoSuccess), nil
 }

@@ -3,10 +3,9 @@
 // paper's workloads are pure-compute kernels where the bounds check
 // rides on every memory access; these three invert the ratio — the
 // cost under study is the guest→host boundary crossing itself (per
-// eWAPA, a first-class runtime cost) and the strategy-dependent
-// price of handing the host a validated memory window: the flat
-// strategies copy across the boundary, the virtual-memory strategies
-// fault pages in under the view's bulk check.
+// eWAPA, a first-class runtime cost) and the price of handing the host
+// a checked slice of guest memory: one bulk bounds check per range,
+// which under mprotect/uffd also faults the range's pages in.
 //
 // Like every other workload the three exist twice — as a wasm module
 // driving fd_read/fd_write/fd_seek/path_open against a preopened

@@ -31,6 +31,14 @@ echo "== no point events (.Emit( or obs.Ev*) outside internal/obs and tests"
 events=$(grep -rnE '\.Emit\(|obs\.Ev[A-Z]' --include='*.go' . | grep -v '_test.go' | grep -v '^./internal/obs/' | grep -v '^./benchmark/' || true)
 test -z "$events" || { echo "$events"; exit 1; }
 
+# One host boundary: a WASI host function reaches guest memory through
+# mem.Memory.Bytes, one checked range that traps out of bounds under
+# every strategy. A scalar accessor would clamp-redirect under clamp and
+# write past the wasm size under none.
+echo "== no scalar guest-memory accessors (Mem.Load*/Mem.Store*) in internal/wasi outside tests"
+scalars=$(grep -nE '\.Mem\.(Load|Store)[A-Za-z0-9]*\(' internal/wasi/*.go | grep -v '_test.go' || true)
+test -z "$scalars" || { echo "$scalars"; exit 1; }
+
 echo "== go test ./..."
 go test ./...
 

@@ -29,6 +29,7 @@ var surfaceAllow = map[string]string{
 	"internal/difftest/family.HostCases":          harness,
 	"internal/difftest/family.Fuzz":               harness,
 	"internal/difftest/family.(Host).Row":         harness,
+	"internal/difftest/family.(Host).ReadBack":    harness,
 	"internal/core.NewSharedMemory":               "shared memory stays (ISSUE 21c): harness's shared differential, fuzzer and trace test build theirs with it",
 	"internal/obs.(AttributionReport).Row":        "harness's and obs's attribution tests look one strategy's row up",
 	"internal/rir.Pairs":                          "compiled's TestFlatPairsMatchUnfused walks every fusable pair the pass knows",
