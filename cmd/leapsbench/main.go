@@ -62,7 +62,6 @@ func run() error {
 		trace    = flag.String("trace", "", "record causal spans and write a Chrome/Perfetto trace-event JSON to this file; also prints the critical-path attribution table")
 		nocache  = flag.Bool("nocache", false, "disable the compiled-module cache (every run pays the full compile)")
 		elide    = flag.Bool("elide", true, "single-run mode: bounds-check elision (wavm, the only engine with the pass); -elide=false compiles with per-access checks and is an error on any other engine")
-		dumpIR   = flag.Bool("dump-ir", false, "single-run mode: print the workload entry function's stack ops next to its lowered register IR instead of running it")
 		diskdir  = flag.String("diskcache", "", "attach an on-disk compiled-artifact tier at this directory (cross-process cache; artifacts are content-addressed and corruption-checked)")
 		list     = flag.Bool("list", false, "list workloads and engines")
 		profOut  = flag.String("profile", "", "single-run mode: sample the guest while the run executes and write <prefix>.folded and <prefix>.pb.gz; also prints the self-time table and per-strategy check share")
@@ -151,9 +150,6 @@ func run() error {
 	wl, err := workloads.ByName(*workload)
 	if err != nil {
 		return err
-	}
-	if *dumpIR {
-		return dumpWorkloadIR(os.Stdout, wl, cls)
 	}
 	strat, err := mem.ParseStrategy(*strategy)
 	if err != nil {
@@ -357,29 +353,6 @@ func printOps(workload, engine string, prof *isa.Profile, counts *isa.Counts) {
 	fmt.Printf("modelled time on %s: %v\n", prof.Name, prof.Time(counts))
 }
 
-// dumpWorkloadIR prints the workload entry function's flattened stack
-// ops in one column and the register IR the compiled tier lowers them
-// to in the other, so the effect of dead push/pop elimination and
-// superinstruction fusion is visible per instruction.
-func dumpWorkloadIR(w *os.File, wl workloads.Spec, cls workloads.Class) error {
-	m, _, err := wl.BuildChecked(cls)
-	if err != nil {
-		return err
-	}
-	fi, ok := m.ExportedFunc(workloads.Entry)
-	if !ok {
-		return fmt.Errorf("workload %s exports no %q function", wl.Name, workloads.Entry)
-	}
-	before, after, err := compiled.NewWAVM().EmittedIR(m, int(fi)-m.NumImportedFuncs())
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s %q: %d stack ops -> %d dispatched ops, %d locals\n\n",
-		wl.Name, workloads.Entry, len(before.Code), len(after.Code), after.NumLocals)
-	rir.DumpSideBySide(w, before, after)
-	return nil
-}
-
 func listAll() {
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "WORKLOAD\tSUITE\tDESCRIPTION")
@@ -389,8 +362,8 @@ func listAll() {
 	fmt.Fprintln(w, "\nENGINE\tMODELS")
 	descs := map[string]string{
 		harness.EngineNative:   "native Go twins (the paper's native-Clang baseline)",
-		harness.EngineWAVM:     "optimizing closure AOT (WAVM/LLVM)",
-		harness.EngineWasmtime: "one-pass optimizing closure AOT, no lowering (Wasmtime/Cranelift)",
+		harness.EngineWAVM:     "optimizing register-IR AOT (WAVM/LLVM)",
+		harness.EngineWasmtime: "one-pass optimizing AOT, no lowering (Wasmtime/Cranelift)",
 		harness.EngineV8:       "tiered + GC + worker threads (V8 TurboFan)",
 		harness.EngineWasm3:    "threaded interpreter (Wasm3), trap-only",
 	}

@@ -116,7 +116,7 @@ func run(path string, disasm, dumpIR, check bool) error {
 }
 
 // dumpFuncIR prints one function body's stack ops next to the register
-// IR the optimizing engine emits closures for.
+// IR the optimizing engine runs.
 func dumpFuncIR(m *wasm.Module, i int) error {
 	before, after, err := compiled.NewWAVM().EmittedIR(m, i)
 	if err != nil {

@@ -1,12 +1,12 @@
 // Compiled-module artifacts for the disk cache tier.
 //
-// The compiled engine's final form is a closure graph (cops), which
-// cannot round-trip through bytes. What can is the front half's IR
-// (Engine.frontHalf): the function after rir.Lower (after rir.Optimize
-// and rir.Compact for the single-pass engine) and before elision, when
-// every op and cold payload is plain data. A compiled function keeps
-// none of it, so encoding re-derives each function's front half from
-// the module, on one scratch and without counting it as a compile. An
+// What an artifact holds is the front half's IR (Engine.frontHalf):
+// the function after rir.Lower (after rir.Optimize and rir.Compact for
+// the single-pass engine) and before elision, when every op and cold
+// payload is plain data. A compiled function keeps only the stream emit
+// chose from the back half's IR, so encoding re-derives each
+// function's front half from the module, on one scratch and without
+// counting it as a compile. An
 // artifact is that IR in rir's own flat form (rir.Func.AppendFlat)
 // plus each function's frame size; decoding (rir.ReadFlat) replays only
 // the back half of the pipeline (backHalf → emit), never validation,

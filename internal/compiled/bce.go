@@ -11,7 +11,7 @@ import (
 // rewrites lowered slot IR so that an innermost counted loop — step 1,
 // no call, call_indirect or memory.grow in its body — whose accesses
 // have addresses linear in the induction local and loop-invariant slots
-// runs them through check-free closures guarded by a single up-front
+// runs them unchecked, guarded by a single up-front
 // range check. The loop is cloned: a preheader rir.ShRangeCheck
 // computes each access's first address and stride, proves the whole
 // sequence in bounds via mem.CheckRange, and dispatches to a fast copy
@@ -39,15 +39,15 @@ import (
 
 // The rir.CheckPlan/rir.LoopRange types that carry the pass's output
 // live in internal/rir, in the cold table of the Func they decorate;
-// the passes themselves stay here because the emitters below consume
-// their plans directly.
+// the passes themselves stay here, beside the run loop that evaluates
+// their plans (Instance.inRange).
 
 // Process-wide elision statistics: obs counters the package owns,
 // like modcache's. Stats() reads them and AttachBCEObs registers these
 // same objects in a run registry.
 var (
 	bceChecksEmitted obs.Counter // accesses left per-access checked
-	bceChecksElided  obs.Counter // accesses lowered to unchecked closures
+	bceChecksElided  obs.Counter // accesses lowered to unchecked cases
 	bceHoisted       obs.Counter // per-access checks hoisted to loop preheaders
 	bceAddrFused     obs.Counter // address-mode ops folded into accesses, checked or not
 )
@@ -536,53 +536,6 @@ func (an *affineAnalyzer) build(slot, def, depth int) (affine, bool) {
 	return affine{}, false
 }
 
-// emitRangeCheck compiles a rir.ShRangeCheck rir.Inst: fall through on
-// success, branch to the checked clone on failure.
-func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
-	p := f.Check(s)
-	tgt := int(s.Tgt)
-	ind, bound := p.IndSlot, p.Limit
-	ranges := p.Ranges
-	return func(inst *Instance, base, pc int) int {
-		m := inst.base.Mem
-		if !m.ElisionCapable() {
-			// Clamp: the guard can never pass; skip the plan
-			// evaluation and run the checked copy directly.
-			return tgt
-		}
-		st := inst.stack
-		lo := int64(int32(uint32(st[base+ind])))
-		limit := int64(int32(bound.Eval(st, base)))
-		if lo < 0 || lo >= limit {
-			return tgt
-		}
-		// Step 1: the loop runs limit - lo times, and the induction
-		// reaches limit before it could overflow int32.
-		iters := limit - lo
-		for i := range ranges {
-			r := &ranges[i]
-			// The analyzer only admits addresses linear in the
-			// induction value mod 2^32, so the visited addresses are
-			// exactly a0 + k*Ind (mod 2^32) for k in [0, iters); a
-			// bounded total span pins every interior address inside
-			// [a0, a0+total] with no wraparound.
-			a0 := r.Addr.Eval(st, base) + r.Ind*uint32(lo)
-			total := uint64(r.Ind) * uint64(iters-1)
-			if total >= 1<<32 {
-				return tgt
-			}
-			first := uint64(a0) + r.Off
-			if first+total+r.Width > 1<<32 {
-				return tgt
-			}
-			if _, ok := m.CheckRange(first, total+r.Width, r.Write); !ok {
-				return tgt
-			}
-		}
-		return pc + 1
-	}, nil
-}
-
 // ---------------------------------------------------------------------------
 // Address-mode fusion
 // ---------------------------------------------------------------------------
@@ -590,13 +543,13 @@ func emitRangeCheck(f *rir.Func, s *rir.Inst) (cop, error) {
 // fuseAddrs folds short address-computation chains into the accesses
 // that consume them, checked or unchecked. The i32 mul/add/shl run
 // that builds an access's effective address is pure addressing
-// arithmetic, and the dispatch loop would spend more cycles stepping
-// through those closures than computing anything — the closure-level
+// arithmetic, and the run loop would spend more cycles stepping
+// through those ops than computing anything — the run-loop-level
 // analog of folding the sequence into a native instruction's
 // addressing mode (scale, index, base, displacement), which native
 // compilers do under every bounds-check strategy. The chain becomes
 // one linear form over at most two slots (rir.Lin, the access's Addr),
-// which the access closure evaluates inline from the same source
+// which the access evaluates inline from the same source
 // slots; a chain that is not linear stays as ops. Since it is
 // re-evaluated at the access, it may also be *sunk*: a chain separated
 // from its access by ops that touch neither the address slot nor the

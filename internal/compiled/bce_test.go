@@ -171,7 +171,7 @@ func uncheckedLoops(t *testing.T) []namedModule {
 
 // TestGemmElisionStats compiles the real gemm workload and requires
 // the full pipeline to engage on it: checks elided, and address-mode
-// chains fused into the accesses (the closure-level analog
+// chains fused into the accesses (the run-loop analog
 // of folding the scale/index/base arithmetic into the memory
 // operand). It then runs the kernel under the trap strategy, the one
 // BenchmarkGemmCompiled runs under.

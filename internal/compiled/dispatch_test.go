@@ -8,7 +8,6 @@ import (
 	"leapsandbounds/internal/core"
 	"leapsandbounds/internal/isa"
 	"leapsandbounds/internal/mem"
-	"leapsandbounds/internal/rir"
 	"leapsandbounds/internal/workloads"
 )
 
@@ -24,7 +23,9 @@ const (
 )
 
 // countDispatches runs kernel at class Bench on wavm under strategy s,
-// with elision on or off, and counts its dispatches by cause.
+// with elision on or off, and counts its dispatches by cause: the
+// account op in front of each loop guard charges a class the compiled
+// engines never charge (isa.ClassDispatch) in place of its own.
 func countDispatches(t *testing.T, kernel string, s mem.Strategy, elide bool) map[string]int64 {
 	t.Helper()
 	wl, err := workloads.ByName(kernel)
@@ -39,26 +40,14 @@ func countDispatches(t *testing.T, kernel string, s mem.Strategy, elide bool) ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int64{}
-	sc := new(scratch)
-	for i, cf := range cm.funcs {
-		_, f, err := eng.lowerFunc(module, cm.imported, i, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pc := range f.Code {
-			cause := causeOther
-			if f.Code[pc].Shape == rir.ShRangeCheck {
-				cause = causeLoopGuard
-			}
-			run := cf.code[pc]
-			cf.code[pc] = func(inst *Instance, base, pc int) int {
-				counts[cause]++
-				return run(inst, base, pc)
+	for _, cf := range cm.accountedFuncs() {
+		for pc := 1; pc < len(cf.code); pc += 2 {
+			if cf.code[pc].k == kRangeCheck {
+				cf.code[pc-1].a, cf.code[pc-1].b = int32(isa.ClassDispatch), -1
 			}
 		}
 	}
-	inst, err := cm.instantiate(core.Config{Profile: isa.X86_64(), Strategy: s}, nil, nil)
+	inst, err := cm.instantiate(core.Config{Profile: isa.X86_64(), Strategy: s, CountCycles: true}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +55,8 @@ func countDispatches(t *testing.T, kernel string, s mem.Strategy, elide bool) ma
 	if res, err := inst.Invoke("run"); err != nil || res[0] != native() {
 		t.Fatalf("%s under %v, elide=%v: run() = %v, %v", kernel, s, elide, res, err)
 	}
-	return counts
+	guards := inst.base.CycleCounts[isa.ClassDispatch]
+	return map[string]int64{causeLoopGuard: guards, causeOther: inst.dispatches - guards}
 }
 
 func sum(counts map[string]int64) (n int64) {
@@ -78,7 +68,7 @@ func sum(counts map[string]int64) (n int64) {
 
 // TestDispatchesAcrossStrategies holds address folding to being
 // codegen and elision to being loop versioning: on the steady kernels
-// at class Bench, wavm dispatches exactly as many closures under clamp,
+// at class Bench, wavm dispatches exactly as many ops under clamp,
 // whose guards fail before they evaluate a plan, as under trap, and
 // with elision off it dispatches what trap does less its loop guards —
 // within 2 % on every kernel. Under trap, the default, no kernel
@@ -123,8 +113,8 @@ func TestDispatchesAcrossStrategies(t *testing.T) {
 // TestWasmtimeDispatches pins what the single-pass engine's optimizer
 // buys: wasmtime's exact dispatch count on each steady kernel at class
 // Bench under trap may not exceed its ceiling. Before wasmtime ran
-// rir.Func.Optimize it emitted flatten's stack stream one closure per
-// op, and dispatched the counts in the comments.
+// rir.Func.Optimize it ran flatten's stack stream one dispatch per op,
+// and dispatched the counts in the comments.
 func TestWasmtimeDispatches(t *testing.T) {
 	ceiling := map[string]int64{
 		"gemm":          9972622,  // 20 504 034 unoptimized

@@ -2,6 +2,8 @@ package compiled
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"leapsandbounds/internal/core"
@@ -24,7 +26,8 @@ var (
 	_ core.Instance       = (*Instance)(nil)
 )
 
-// Engine is a closure-compiling AOT engine. Engines are immutable
+// Engine is an AOT engine that compiles to a register-IR stream its
+// run loop switches over. Engines are immutable
 // configuration (name, lowering and elision flags) with no lifecycle,
 // which is what makes their compiled modules safely shareable through
 // the process-wide module cache. Each constructor fixes one pipeline:
@@ -43,7 +46,7 @@ type Engine struct {
 
 // NewWAVM returns the WAVM analog: ahead-of-time compilation with
 // the optimizer, register-IR lowering, bounds-check elision, address
-// folding and pair fusion (the closure-level stand-ins for LLVM's
+// folding and pair fusion (the run-loop-level stand-ins for LLVM's
 // optimizing pipeline). SetElision turns elision off for the ablation
 // and the tiered engine's top tier.
 func NewWAVM() *Engine {
@@ -123,17 +126,21 @@ func (e *Engine) CachedModule(m *wasm.Module) (*Module, bool) {
 func (e *Engine) Name() string { return e.name }
 
 // cfunc is one compiled function: what its execution needs, and no
-// more. The artifact tier re-derives the front half from the module
-// when it encodes (artifact.go), so nothing of the IR stays.
+// more — the executed stream emit chose from the function's register
+// IR, and the cold tables its ops index. The artifact tier re-derives
+// the front half from the module when it encodes (artifact.go), so
+// nothing of the IR stays.
 type cfunc struct {
 	name      string
 	typ       wasm.FuncType
 	numParams int
 	numLocals int
-	frameSize int // locals + operand slots
-	code      []cop
-	meta      []opMeta // by pc: what cycle accounting and the profiler read
-	index     uint32   // function-space index, the profiler's function
+	frameSize int    // locals + registers (or operand slots): what prove checks against
+	index     uint32 // function-space index, the profiler's function
+	code      []op
+	pairs     [][2]op                  // fused pairs' halves, by op.c
+	tables    [][]flatten.BranchTarget // br_tables' targets, default last, by op.c
+	checks    []rir.CheckPlan          // range checks' plans, by op.c
 }
 
 // Module is the compiled form; exported so the tiered engine can
@@ -145,6 +152,11 @@ type Module struct {
 	// imported is wasm.NumImportedFuncs(), counted once: every guest
 	// call splits the function space on it.
 	imported uint32
+	// accounted is funcs with an account op in front of every op, built
+	// by the first instance that counts cycles or publishes to a
+	// profiler cell; plain instances never build it.
+	accountOnce sync.Once
+	accounted   []*cfunc
 }
 
 // Compile implements core.Engine.
@@ -206,8 +218,8 @@ func (e *Engine) compileModule(m *wasm.Module) (*Module, error) {
 // scratch is one compile worker's memory, reused across the functions
 // the worker takes (DESIGN.md §13): flatten's output buffer, the rir
 // passes' tables and the back half's (bceScratch). Nothing a module
-// keeps points into it: emit's closures capture values and cold
-// tables, never a stream.
+// keeps points into it: emit copies what the function runs out of the
+// stream and its cold tables.
 type scratch struct {
 	flat flatten.Scratch
 	ir   rir.Scratch
@@ -357,10 +369,14 @@ func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.
 	inst := &Instance{
 		base:   base,
 		mod:    cm,
+		funcs:  cm.funcs,
 		stack:  make([]uint64, 4096),
 		count:  cfg.CountCycles,
 		prof:   base.ProfCell,
 		ckSoft: ckSoft,
+	}
+	if inst.count || inst.prof != nil {
+		inst.funcs = cm.accountedFuncs()
 	}
 	if snap == nil && cm.wasm.Start != nil {
 		if _, err := inst.invokeIndex(*cm.wasm.Start, nil); err != nil {
@@ -375,18 +391,17 @@ func (cm *Module) instantiate(cfg core.Config, imports core.Imports, snap *core.
 type Instance struct {
 	base  *core.InstanceBase
 	mod   *Module
+	funcs []*cfunc // the module's plain or accounted streams
 	stack []uint64
 	count bool
-	// prof/ckSoft are hoisted from the base at instantiation so the
-	// run loop selects the sampled variant with one nil check per
-	// call frame (nil prof keeps the seed-identical loops).
+	// prof/ckSoft are hoisted from the base at instantiation for the
+	// account op: what it publishes, and whether a checked access shows.
 	prof   *prof.Cell
 	ckSoft bool
-	// dispatches counts closures executed under Config.CountCycles (the
-	// plain loop stays free of it): the unit the closure engine's run
-	// time is made of, which superinstruction fusion exists to shrink. A
-	// fused pair is one dispatch, whatever it charges the cycle model.
-	// BenchmarkSteadyKernels reports it.
+	// dispatches counts the ops executed under Config.CountCycles: the
+	// unit the run loop's time is made of, which superinstruction
+	// fusion exists to shrink. A fused pair is one dispatch, whatever
+	// it charges the cycle model. BenchmarkSteadyKernels reports it.
 	dispatches int64
 }
 
@@ -431,7 +446,7 @@ func (inst *Instance) invokeIndex(idx uint32, args []uint64) (res []uint64, err 
 		}
 		return nil, nil
 	}
-	cf := inst.mod.funcs[idx-imported]
+	cf := inst.funcs[idx-imported]
 	if len(args) != cf.numParams {
 		return nil, fmt.Errorf("compiled: %d args for function with %d params", len(args), cf.numParams)
 	}
@@ -456,60 +471,33 @@ func (inst *Instance) ensureStack(base int, cf *cfunc) {
 	}
 }
 
-// run executes a compiled function with its frame at base.
-func (inst *Instance) run(cf *cfunc, base int) {
-	if inst.prof != nil || inst.count {
-		inst.runInstrumented(cf, base)
-		return
-	}
-	code := cf.code
-	for pc := 0; pc >= 0; {
-		pc = code[pc](inst, base, pc)
-	}
-}
-
-// runInstrumented is the one instrumented dispatch loop. It reads one
-// opMeta per dispatch. When the instance is sampled, it publishes
-// (function, opcode class, check flags) into the instance's cell with
-// one atomic store before every closure; when cycle accounting is on,
-// it charges the closure's classes (both halves of a fused pair, plus
-// the strategy's check on checked accesses) and counts the dispatch.
-// `-cycles -profile` gets both.
-func (inst *Instance) runInstrumented(cf *cfunc, base int) {
-	code, meta := cf.code, cf.meta
-	fn := cf.index
-	cell := inst.prof
-	// pub masks an op's flags down to what the profiler is told: an
-	// elided access always, a checked one only under a software check.
-	pub := prof.FlagElided
-	if inst.ckSoft {
-		pub |= prof.FlagChecked
-	}
-	counting := inst.count
-	var counts *isa.Counts
-	var ck isa.OpClass
-	var ckOn bool
-	if counting {
-		counts = &inst.base.CycleCounts
-		ck, ckOn = inst.base.CheckClass()
-	}
-	for pc := 0; pc >= 0; {
-		m := &meta[pc]
-		if cell != nil {
-			cell.Set(fn, isa.OpClass(m.class), m.flags&pub)
-		}
-		if counting {
-			inst.dispatches++
-			counts[m.class]++
-			if m.class2 != noClass {
-				counts[m.class2]++
+// accountedFuncs returns the module's accounted streams, building them
+// on first use: each op is preceded by the account op that charges and
+// publishes it, and every branch target, in the stream and in the
+// br_table targets, moves to the account op in front of its old
+// target. The pairs and range-check plans are shared with funcs.
+func (cm *Module) accountedFuncs() []*cfunc {
+	cm.accountOnce.Do(func() {
+		cm.accounted = make([]*cfunc, len(cm.funcs))
+		for i, cf := range cm.funcs {
+			ac := *cf
+			ac.code = make([]op, 0, 2*len(cf.code))
+			for _, x := range cf.code {
+				a := cf.account(&x)
+				x.t, x.e = 2*x.t, 2*x.e
+				ac.code = append(ac.code, a, x)
 			}
-			if ckOn && m.flags&prof.FlagChecked != 0 {
-				counts[ck]++
+			ac.tables = make([][]flatten.BranchTarget, len(cf.tables))
+			for k, t := range cf.tables {
+				ac.tables[k] = slices.Clone(t)
+				for j := range ac.tables[k] {
+					ac.tables[k][j].Tgt *= 2
+				}
 			}
+			cm.accounted[i] = &ac
 		}
-		pc = code[pc](inst, base, pc)
-	}
+	})
+	return cm.accounted
 }
 
 // callFunc dispatches a wasm-level call: arguments are already in
@@ -521,7 +509,7 @@ func (inst *Instance) callFunc(fi uint32, calleeBase int) {
 		inst.base.CallImport(fi, inst.stack, calleeBase)
 		return
 	}
-	cf := inst.mod.funcs[fi-imported]
+	cf := inst.funcs[fi-imported]
 	inst.base.EnterCall()
 	inst.ensureStack(calleeBase, cf)
 	for i := calleeBase + cf.numParams; i < calleeBase+cf.numLocals; i++ {

@@ -52,8 +52,8 @@ func (e *Engine) WriteEmitted(w, art io.Writer, m *wasm.Module) error {
 }
 
 // EmittedFunc compiles m.Code[i] on sc and returns what emit received
-// and made of it: every op as its String line, then emit's per-pc
-// class, second class, memory-access and elided entries.
+// and made of it: every op as its String line, then per pc the class,
+// second class, memory-access and elided entries of its account op.
 func (e *Engine) EmittedFunc(m *wasm.Module, i int, sc *Scratch) (string, error) {
 	cf, f, err := e.lowerFunc(m, uint32(m.NumImportedFuncs()), i, sc)
 	if err != nil {
@@ -67,18 +67,17 @@ func (e *Engine) EmittedFunc(m *wasm.Module, i int, sc *Scratch) (string, error)
 	for pc := range f.Code {
 		fmt.Fprintf(&b, "%d %s\n", pc, f.Code[pc].String(f))
 	}
-	// The opMeta table, as four lists: class, second class (-1: none),
-	// checked access, elided access.
-	n := len(cf.meta)
+	// What the account op in front of each op charges and publishes,
+	// as four lists: class, second class (-1: none), checked access,
+	// elided access.
+	n := len(cf.code)
 	classes, classes2 := make([]isa.OpClass, n), make([]isa.OpClass, n)
 	memAcc, elided := make([]bool, n), make([]bool, n)
-	for pc, m := range cf.meta {
-		classes[pc], classes2[pc] = isa.OpClass(m.class), -1
-		if m.class2 != noClass {
-			classes2[pc] = isa.OpClass(m.class2)
-		}
-		memAcc[pc] = m.flags&prof.FlagChecked != 0
-		elided[pc] = m.flags&prof.FlagElided != 0
+	for pc := range cf.code {
+		a := cf.account(&cf.code[pc])
+		classes[pc], classes2[pc] = isa.OpClass(a.a), isa.OpClass(a.b)
+		memAcc[pc] = a.c&int32(prof.FlagChecked) != 0
+		elided[pc] = a.c&int32(prof.FlagElided) != 0
 	}
 	fmt.Fprintf(&b, "classes %v\nclasses2 %v\nmemAcc %v\nelided %v\n", classes, classes2, memAcc, elided)
 	return b.String(), nil

@@ -16,11 +16,14 @@ import (
 	g "leapsandbounds/internal/wasmgen"
 )
 
-// Frame layout of the template test: slots [0,4) hold small indices
+// Frame layout of the pair test: slots [0,4) hold small indices
 // (address arithmetic stays inside the one memory page), [4,8) raw
-// 64-bit patterns, [8,12) finite doubles; [12,16) are written.
+// 64-bit patterns, [8,12) finite doubles; [12,16) are written. Slot
+// pairFrame+k holds k, the marker the return at pc k carries, for k in
+// [2, pairPads).
 const (
 	pairFrame = 16
+	pairPads  = 5
 	pairPage  = 65536
 )
 
@@ -279,35 +282,37 @@ func pairInstance(t *testing.T) *Instance {
 	return inst
 }
 
-// runOps runs code from pc 0 until it leaves [0, n) and returns the pc
-// it left to, or the trap it raised.
-func runOps(inst *Instance, cf *cfunc, n int) (pc int, err error) {
+// runOps runs cf's stream from pc 0 to its return and returns the trap
+// it raised, if any.
+func runOps(inst *Instance, cf *cfunc) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = core.InvokeErr(r)
 		}
 	}()
-	for pc < n {
-		pc = cf.code[pc](inst, 0, pc)
-	}
-	return pc, nil
+	inst.run(cf, 0)
+	return nil
 }
 
 // memHalf marks the halves that access memory.
 var memHalf = map[rir.Half]bool{rir.HLoad64: true, rir.HLoad32: true, rir.HStore64: true}
 
-// TestFlatPairsMatchUnfused runs every flat template against the two
-// closures it replaces, on seeded frames and memory: same registers
-// (the first half's included — when the second half traps, too), same
-// memory, same next pc, same trap kind and address. It draws pairs
-// until FuseMem has fused each template a few hundred times, so the
-// pass's own conditions (what consumes what) are under test with the
-// closures, and a key in rir's table without a closure here fails. A
-// template with a memory half must have run it checked and unchecked,
-// from a slot and through a folded address, and trapped, first half
-// or second.
+// TestFlatPairsMatchUnfused runs every pair case against the two ops
+// it replaces, on seeded frames and memory: same registers (the first
+// half's included — when the second half traps, too), same memory, same
+// branch taken, same trap kind and address. Each branch target, and
+// the fall-through, is a return that carries its own marker slot into
+// slot 0, so the frames show which was taken. It draws pairs until
+// FuseMem has fused each pair a few hundred times, so the pass's own
+// conditions (what consumes what) are under test with the cases, and a
+// key in rir's table without a case here fails. A pair with a memory
+// half must have run it checked and unchecked, from a slot and through
+// a folded address, and trapped, first half or second.
 func TestFlatPairsMatchUnfused(t *testing.T) {
 	unfused, fused := pairInstance(t), pairInstance(t)
+	for k := 2; k < pairPads; k++ {
+		unfused.stack[pairFrame+k], fused.stack[pairFrame+k] = uint64(k), uint64(k)
+	}
 	h := halfGen{r: rand.New(rand.NewSource(42))}
 	keys := rir.Pairs()
 	slices.Sort(keys)
@@ -319,7 +324,7 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 		name := fmt.Sprintf("H%d;H%d", k0, k1)
 		memory := memHalf[k0] || memHalf[k1]
 		const want = 300
-		formed, traps, taken, forms := 0, 0, map[int]int{}, map[string]int{}
+		formed, traps, taken, forms := 0, 0, map[uint64]int{}, map[string]int{}
 		for draw := 0; formed < want; draw++ {
 			if draw > 50*want {
 				t.Fatalf("%s: FuseMem fused %d of %d drawn pairs", name, formed, draw)
@@ -328,9 +333,13 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 			h.f = &rir.Func{NumLocals: 12}
 			p0 := h.first(k0, trap)
 			p1 := h.second(k1, int(p0.Dst), trap)
-			pad := rir.Inst{Shape: rir.ShReturn}
 			stream := h.f
-			stream.Code = []rir.Inst{p0, p1, pad, pad, pad}
+			stream.Code = []rir.Inst{p0, p1}
+			for k := int32(2); k < pairPads; k++ {
+				pad := rir.Inst{Shape: rir.ShReturn}
+				stream.SetCarry(&pad, pairFrame+k, 0)
+				stream.Code = append(stream.Code, pad)
+			}
 			fusedIR := *stream // the same cold tables, its own ops
 			fusedIR.Code = slices.Clone(stream.Code)
 			if fusedIR.FuseMem(nil) != 1 {
@@ -338,7 +347,7 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 			}
 			formed++
 			forms[accessForm(stream, &p0)+accessForm(stream, &p1)]++
-			var cu, cf cfunc
+			cu, cf := cfunc{frameSize: pairFrame + pairPads}, cfunc{frameSize: pairFrame + pairPads}
 			if err := cu.emit(stream); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -355,25 +364,19 @@ func TestFlatPairsMatchUnfused(t *testing.T) {
 				}
 				unfused.stack[i], fused.stack[i] = v, v
 			}
-			pcU, errU := runOps(unfused, &cu, 2)
-			pcF, errF := runOps(fused, &cf, 1)
-			if pcU >= 2 {
-				pcU-- // Compact moved everything behind the pair up by one
-			}
+			errU, errF := runOps(unfused, &cu), runOps(fused, &cf)
 			desc := fmt.Sprintf("%s: %s ; %s", name, p0.String(stream), p1.String(stream))
 			if (errU == nil) != (errF == nil) || (errU != nil && errU.Error() != errF.Error()) {
 				t.Fatalf("%s\n unfused: %v\n   fused: %v", desc, errU, errF)
-			}
-			if errU == nil && pcU != pcF {
-				t.Fatalf("%s: next pc %d unfused, %d fused", desc, pcU, pcF)
 			}
 			if !slices.Equal(unfused.stack[:pairFrame], fused.stack[:pairFrame]) {
 				t.Fatalf("%s: frames differ\n unfused: %x\n   fused: %x", desc, unfused.stack[:pairFrame], fused.stack[:pairFrame])
 			}
 			if errU != nil {
 				traps++
+			} else {
+				taken[fused.stack[0]]++
 			}
-			taken[pcF]++
 		}
 		if !bytes.Equal(unfused.base.Mem.Bytes(0, pairPage, false), fused.base.Mem.Bytes(0, pairPage, false)) {
 			t.Fatalf("%s: memories differ", name)

@@ -155,10 +155,10 @@ func TestCompileErrorIsLowestFunction(t *testing.T) {
 
 // TestUncheckedAccessesAreElided: every op the back half leaves
 // Unchecked — an access, alone or as a fused pair's half, that a range
-// check proved in bounds — is an elided entry of emit's opMeta table,
-// which is what the instrumented loop publishes as prof.FlagElided, and
-// no checked access is one. Versioning clears MemAcc where it sets
-// Unchecked, so an entry that needed both would never be elided.
+// check proved in bounds — has an account op that publishes it as
+// prof.FlagElided, and no checked access has one. Versioning clears
+// MemAcc where it sets Unchecked, so an op that needed both would
+// never be elided.
 func TestUncheckedAccessesAreElided(t *testing.T) {
 	wl, err := workloads.ByName("gemm")
 	if err != nil {
@@ -176,14 +176,15 @@ func TestUncheckedAccessesAreElided(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pc := range f.Code {
-			u, el := f.Code[pc].Has(rir.Unchecked), cf.meta[pc].flags&prof.FlagElided != 0
+			a := cf.account(&cf.code[pc])
+			u, el := f.Code[pc].Has(rir.Unchecked), a.c&int32(prof.FlagElided) != 0
 			if u {
 				unchecked++
 			}
 			if el {
 				elided++
 			}
-			if el && cf.meta[pc].flags&prof.FlagChecked != 0 {
+			if el && a.c&int32(prof.FlagChecked) != 0 {
 				t.Errorf("function %d pc %d: elided and checked at once", i, pc)
 			}
 			if u != el {

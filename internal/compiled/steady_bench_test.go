@@ -53,11 +53,11 @@ func steadyRunner(tb testing.TB, mk func() *Engine, kernel string) func(countCyc
 // BenchmarkSteadyKernels is the layer bench of the compiled engines'
 // run loop: the benchmark's five steady kernels at class Bench under
 // trap, on wavm and on wasmtime, one isolate per op as the benchmark
-// runs them, recompiled for every op because closure and heap
+// runs them, recompiled for every op because code and heap
 // placement moves run time by tens of percent from one compile to the
 // next (benchmark/README.md). Only the invoke is timed. dispatches/op
-// is exact (one counted run); ns/dispatch is what a closure costs on
-// this host, and ns/op is their product.
+// is exact (one counted run); ns/dispatch is what one op of the run
+// loop costs on this host, and ns/op is their product.
 func BenchmarkSteadyKernels(b *testing.B) {
 	for _, e := range []struct {
 		name string

@@ -8,8 +8,8 @@ import (
 
 // ErrNoArtifact is returned by ArtifactCodec implementations for
 // compiled modules that cannot round-trip through bytes (foreign
-// module types, engines whose artifacts are closure graphs with no
-// serializable core).
+// module types, engines whose compiled form has no serializable
+// core).
 var ErrNoArtifact = errors.New("core: compiled module has no serializable artifact")
 
 // ArtifactCodec is implemented by engines whose compiled artifacts

@@ -6,6 +6,7 @@
 package family
 
 import (
+	"bytes"
 	"testing"
 
 	"leapsandbounds/internal/difftest"
@@ -54,10 +55,12 @@ var Edges = []Edge{
 // Fuzz drives Check from the fuzzer. Its first input picks the family:
 // Programs in order (random, oob, linear, linear-oob, copies), built
 // from seed and run on programs; or, past them, a host iovec scenario
-// derived from data (hostFromBytes) and run on host. A nil engine set
+// derived from data (hostFromBytes) and run on host, where Check holds
+// the strategies to one another and Host.ReadBack holds what fd_read
+// delivered, on host's first engine, to the file. A nil engine set
 // leaves its families out, seed inputs included. The seed inputs are
 // four seeds of random and oob, LatchSeeds and four seeds of linear and
-// linear-oob, four of copies, then four host scenarios.
+// linear-oob, four of copies, then five host scenarios.
 func Fuzz(f *testing.F, programs, host []difftest.Engine) {
 	const random, oob, linear, linearOOB, copies, hostFam = 0, 1, 2, 3, 4, 5
 	if programs != nil {
@@ -80,6 +83,9 @@ func Fuzz(f *testing.F, programs, host []difftest.Engine) {
 		f.Add(uint8(hostFam), int64(0), []byte{0xff, 0xff, 0x80, 0x00, 0x10})
 		f.Add(uint8(hostFam), int64(0), []byte{0x00})
 		f.Add(uint8(hostFam), int64(0), []byte{0xfe, 0x01, 0xff, 0xfe, 0x40, 0x00, 0x7f, 0x30, 0x21})
+		// One iovec of 40 bytes at 353, inside the pattern the module
+		// seeds, so the file holds non-zero bytes for ReadBack to see.
+		f.Add(uint8(hostFam), int64(0), []byte{0, 0, 1, 96, 40, 1})
 	}
 	f.Fuzz(func(t *testing.T, fam uint8, seed int64, data []byte) {
 		k := int(fam) % (len(Programs) + 1)
@@ -89,16 +95,22 @@ func Fuzz(f *testing.F, programs, host []difftest.Engine) {
 		case programs == nil:
 			k = len(Programs)
 		}
-		var r difftest.Row
-		var err error
-		if k < len(Programs) {
-			r = difftest.Row{Engines: programs, Rule: Programs[k].Rule}
-			r.Module, err = Programs[k].Build(seed)
-		} else {
-			r, err = hostFromBytes(data).Row(host)
+		if k == len(Programs) {
+			h := hostFromBytes(data)
+			r, err := h.Row(host)
+			if err != nil {
+				t.Skip() // a generator rejects some degenerate inputs
+			}
+			difftest.Check(t, r)
+			if got, want := h.ReadBack(t, host[0]); !bytes.Equal(got, want) {
+				t.Errorf("fd_read left %x in guest memory, the file holds %x", got, want)
+			}
+			return
 		}
-		if err != nil {
-			t.Skip() // a generator rejects some degenerate inputs
+		r := difftest.Row{Engines: programs, Rule: Programs[k].Rule}
+		var err error
+		if r.Module, err = Programs[k].Build(seed); err != nil {
+			t.Skip() // as above
 		}
 		difftest.Check(t, r)
 	})

@@ -473,7 +473,8 @@ func Replication(c *Config) error {
 	// Wasm3 vs V8 on PolyBench (Titzer 2022: roughly 10x; the paper
 	// measures 6-11x). Engine-vs-engine codegen gaps live in the
 	// cycle model; the wall-clock gap between a Go switch
-	// interpreter and Go closure code is structurally compressed.
+	// interpreter and a Go switch over register IR is structurally
+	// compressed.
 	wls := c.suiteWorkloads("polybench")
 	var simRatios, wallRatios []float64
 	for _, wl := range wls {
@@ -513,7 +514,7 @@ func Replication(c *Config) error {
 		v8Wall = append(v8Wall, float64(v8.MedianWall))
 		natWall = append(natWall, float64(nat.MedianWall))
 	}
-	fmt.Fprintf(c.Out, "v8 vs native on SPEC: geomean %.2fx sim (paper: 1.69x on x86_64), %.1fx wall (vs the Go-compiled twin; structurally larger for a closure engine)\n",
+	fmt.Fprintf(c.Out, "v8 vs native on SPEC: geomean %.2fx sim (paper: 1.69x on x86_64), %.1fx wall (vs the Go-compiled twin; structurally larger for an engine written in Go)\n",
 		stats.GeomeanRatios(v8Sim, natSim), stats.GeomeanRatios(v8Wall, natWall))
 
 	// PolyBench distribution vs native on the fastest engine.

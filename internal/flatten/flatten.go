@@ -2,7 +2,7 @@
 // a flat instruction stream with resolved branch targets, static
 // operand-stack heights, and cycle-model classes. Both execution
 // engines build on it: the threaded interpreter dispatches over the
-// stream directly, and the closure compiler uses the static heights
+// stream directly, and the compiled engines use the static heights
 // to assign every operand a fixed register slot.
 //
 // An Instr is 32 bytes and holds no pointer, so two fit a cache line

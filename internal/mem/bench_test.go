@@ -25,7 +25,7 @@ func benchMem(b *testing.B, s Strategy) *Memory {
 }
 
 // The per-strategy load benchmarks time the checked fast path a
-// compiled load closure reduces to (watermark compare + slice read),
+// compiled engines' checked load case reduces to (watermark compare + slice read),
 // one sub-benchmark per strategy. `make bench-hot` runs them next to
 // the elide on/off macro benchmarks so the per-access check cost and
 // the whole-kernel win are visible side by side.

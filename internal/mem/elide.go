@@ -107,7 +107,7 @@ func (m *Memory) faultRange(addr, n uint64, write bool) {
 // Unchecked accessors: raw little-endian loads and stores with no
 // bounds or commit checks of any kind. The caller must have
 // established accessibility of [addr, addr+width) via CheckRange on
-// this Memory. The compiled engines' elided access closures are the
+// this Memory. The compiled engines' unchecked access cases are the
 // only intended callers.
 
 // LoadU8Unchecked reads one byte with no checks.

@@ -63,7 +63,7 @@ type Key struct {
 }
 
 // defaultMaxBytes bounds the shared cache: generous next to the
-// repository's whole workload suite (a few MiB of closures per
+// repository's whole workload suite (a few MiB of compiled code per
 // engine) yet small next to the address-space budgets the harness
 // simulates.
 const defaultMaxBytes = 256 << 20
@@ -217,7 +217,7 @@ func (c *Cache) Purge() {
 }
 
 // estimateSize approximates the in-memory footprint of one compiled
-// artifact for LRU accounting: compiled closure code scales with the
+// artifact for LRU accounting: compiled code scales with the
 // instruction count, plus data segments carried by the module, plus a
 // fixed per-module overhead. Estimates only need to be consistent,
 // not exact — they bound the cache, they don't meter it.

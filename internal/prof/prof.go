@@ -15,7 +15,7 @@
 //
 // Sampling bias: the cell holds the *last dispatched* operation, so
 // a sample charges the whole interval since the previous tick to
-// whatever operation happened to be current. Long-running closures
+// whatever operation happened to be current. Long-running ops
 // (memory.copy, hostcalls) are over-represented at low Hz; raise
 // the rate or run longer to converge. See DESIGN.md §17.
 package prof

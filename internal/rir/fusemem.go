@@ -16,11 +16,11 @@ import (
 //     executed in one dispatch: the second op is not a label and reads
 //     the register the first writes.
 //
-// A pair is fused only when the emitter has a flat closure for it,
-// i.e. when fusable[HalfOf(first)][HalfOf(second)]: a fused closure
-// that calls its halves costs more than the dispatch it saves, so there
+// A pair is fused only when the emitter has a flat case for it,
+// i.e. when fusable[HalfOf(first)][HalfOf(second)]: a fused case that
+// dispatches its halves costs more than the dispatch it saves, so there
 // is no composed fallback. The fused instruction carries both
-// originals in the pairs table (Pair) and the closure runs them back
+// originals in the pairs table (Pair) and the case runs them back
 // to back, including the intermediate register write, so fusion is
 // observationally identical to the unfused pair — no liveness analysis
 // is needed, only adjacency and the guarantee that no branch lands
@@ -96,7 +96,7 @@ func (f *Func) FuseMem(sc *Scratch) int {
 // goes, and the op after the header where it would have fallen
 // through. A loop's back-edge onto its compare header is the case
 // that pays — one dispatch per iteration instead of two, and the
-// induction update before it then fuses into the same closure — and in
+// induction update before it then fuses into the same dispatch — and in
 // a versioned loop the exit is never the next pc (the slow clone sits
 // in between), hence the explicit else-target. The new fall-through
 // target becomes a label.
@@ -134,7 +134,7 @@ func (f *Func) consumes(t *Inst, reg int32) bool {
 }
 
 // Half names the flat body of one half of a fused pair. The emitter
-// has one inlinable, branch-free body per Half and one closure per
+// has one inlinable, branch-free body per Half and one case per
 // fusable pair of them; what a Half covers is decided here, from the
 // instruction alone, so that FuseMem and the emitter cannot disagree.
 type Half uint16
@@ -245,10 +245,10 @@ func (f *Func) HalfOf(s *Inst) Half {
 	return hNone
 }
 
-// fusablePairs is the flat-closure set, each pair as first<<8|second. It
+// fusablePairs is the flat-case set, each pair as first<<8|second. It
 // was chosen from the dynamic frequency of adjacent producer→consumer
 // pairs over every registered PolyBench and SPEC kernel (DESIGN.md §13
-// has the table): a closure body costs compile time and
+// has the table): a case body costs compile time and
 // instruction-cache space for every module, so a pair is here because
 // some kernel spends dispatches on it.
 var fusablePairs = []Half{

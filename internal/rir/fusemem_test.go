@@ -115,7 +115,7 @@ func TestThreadedJumpOntoLatch(t *testing.T) {
 
 // TestFuseNeedsConsumer: adjacency is not enough — the second op must
 // read what the first wrote, as the stored value in the case of a
-// store, and no pair forms without a flat closure for it.
+// store, and no pair forms without a flat case for it.
 func TestFuseNeedsConsumer(t *testing.T) {
 	add := Inst{Shape: ShBin, Op: wasm.OpF64Add, Dst: 5, A: 1, B: 2}
 	store := Inst{Shape: ShStore, Op: wasm.OpF64Store, A: 3, B: 5, Flags: Unchecked}
@@ -128,7 +128,7 @@ func TestFuseNeedsConsumer(t *testing.T) {
 		{"store of another register", func() Inst { s := store; s.B = 6; return s }(), ShBin},
 		{"store addressed by the result", func() Inst { s := store; s.A, s.B = 5, 6; return s }(), ShBin},
 		{"checked store", func() Inst { s := store; s.Flags = MemAcc; return s }(), ShOpStore},
-		{"no closure for f64.add ; f64.div", Inst{Shape: ShBin, Op: wasm.OpF64Div, Dst: 6, A: 5, B: 2}, ShBin},
+		{"no case for f64.add ; f64.div", Inst{Shape: ShBin, Op: wasm.OpF64Div, Dst: 6, A: 5, B: 2}, ShBin},
 	} {
 		f := &Func{NumLocals: 4, Code: []Inst{add, tc.second, {Shape: ShReturn}}}
 		if f.FuseMem(nil); f.Code[0].Shape != tc.want {

@@ -11,7 +11,7 @@ import "leapsandbounds/internal/wasm"
 // the kernels (row-major (i*N + j) << 3 included) is one. It is the one
 // address form of the IR: a folded access's address (Func.Addr), and
 // a range check's ranges and loop bound (CheckPlan), which elision
-// composes through Add and Scale. The form is data, so a closure
+// composes through Add and Scale. The form is data, so the run loop
 // evaluates it inline, branch-free, from captured fields — no
 // per-opcode body and no nested call. A slot whose coefficient is zero
 // is still read, so it must name a valid frame slot: unused terms alias
@@ -123,29 +123,8 @@ func LinearOp(op wasm.Opcode) bool {
 // LinOf returns the linear form of a single i32 ALU op.
 func LinOf(d *Inst) (Lin, bool) { return Lin{}.Then(d, -1) }
 
-// Eval evaluates the form on the frame that starts at base. The
-// emitter's closures inline it: the form is captured data and this is
-// the one body that reads it.
+// Eval evaluates the form on the frame that starts at base. A range
+// check's plan is evaluated through it.
 func (p *Lin) Eval(st []uint64, base int) uint32 {
 	return uint32(st[base+p.X])*p.CX + uint32(st[base+p.Y])*p.CY + p.K
-}
-
-// EvalFwd is Eval with v in place of the frame read of slot X: the
-// second half of a fused pair takes the first half's value in a
-// register (Forward puts the slot it wrote in X).
-func (p *Lin) EvalFwd(st []uint64, base int, v uint64) uint32 {
-	return uint32(v)*p.CX + uint32(st[base+p.Y])*p.CY + p.K
-}
-
-// Forward returns the form with its terms ordered so that X is the one
-// over slot fwd, for EvalFwd; the other term then does not read that
-// slot either.
-func (p Lin) Forward(fwd int) Lin {
-	if p.X != fwd {
-		p.X, p.Y, p.CX, p.CY = p.Y, p.X, p.CY, p.CX
-	}
-	if p.Y == fwd {
-		p.Y, p.CY = 0, 0
-	}
-	return p
 }

@@ -18,7 +18,7 @@
 //  4. FuseMem (after bounds-check elision): the late fusion pass —
 //     jumps threaded onto compare headers (loop latches) and adjacent
 //     producer→consumer pairs fused into one dispatch, wherever the
-//     emitter has a flat closure for the pair.
+//     emitter has a flat case for the pair.
 //
 // The bounds-check elision passes and address folding
 // (internal/compiled/bce.go) run between Lower and FuseMem, over the

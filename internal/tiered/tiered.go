@@ -1,7 +1,7 @@
 // Package tiered implements the V8 (TurboFan + Liftoff) analog: a
 // tiered engine that instantiates modules on a fast baseline tier
 // (the threaded interpreter) while background worker goroutines
-// compile the optimized tier (the closure compiler), plus the two
+// compile the optimized tier (the register-IR compiler), plus the two
 // behaviours responsible for V8's multithreaded pathologies in the
 // paper (§4.1.1, §4.2): internal worker threads that compete with
 // executor threads for cores, and periodic stop-the-world garbage

@@ -27,7 +27,7 @@ go test -run '^$' -bench 'BenchmarkLifecyclePerStrategy' -benchtime 200ms -bench
 echo "== cold start of a 256-function module (front: decode + validate from bytes; then compile per engine, of a module already validated; -cpu 1,2: B/op is the passes' copying, 1-vs-2 the fan-out)"
 go test -run '^$' -bench 'BenchmarkCompileManyFuncs' -benchtime 200ms -benchmem -cpu 1,2 ./internal/compiled
 
-echo "== wavm and wasmtime run loops on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is the closure cost)"
+echo "== wavm and wasmtime run loops on the benchmark's steady kernels (trap, class Bench; dispatches/op is exact, ns/dispatch is what one op costs)"
 go test -run '^$' -bench 'BenchmarkSteadyKernels' -benchtime 20x ./internal/compiled
 
 echo "== interpreter run loop on the same kernels (wasm3, class Bench; guest-ops/op is exact, ns/guest-op is the cost of one interpreted instruction)"

@@ -39,6 +39,13 @@ echo "== no scalar guest-memory accessors (Mem.Load*/Mem.Store*) in internal/was
 scalars=$(grep -nE '\.Mem\.(Load|Store)[A-Za-z0-9]*\(' internal/wasi/*.go | grep -v '_test.go' || true)
 test -z "$scalars" || { echo "$scalars"; exit 1; }
 
+# One run loop: the compiled engines run their stream through one
+# switch (Instance.run), so no op is a closure over an instance and a
+# frame base again.
+echo "== no per-op closures in internal/compiled outside tests"
+closures=$(grep -nE 'func\(inst \*Instance, base' internal/compiled/*.go | grep -v '_test.go' || true)
+test -z "$closures" || { echo "$closures"; exit 1; }
+
 echo "== go test ./..."
 go test ./...
 
@@ -72,17 +79,19 @@ bce=$(go build -gcflags=leapsandbounds/internal/interp=-d=ssa/check_bce/debug=1 
 echo "$bce checks"
 test "$bce" -le 38 || { echo "internal/interp: $bce Go-inserted bounds checks, ceiling 38"; exit 1; }
 
-# The same ceiling for the compiled engines' closures, which index
-# their frame through Go's checks (ROADMAP item 8's emit half, open):
-# 382 before every access took one address form, 343 after, 334 since
-# range-check plans are linear forms, 330 since the back half's tables
-# are a compile worker's scratch, 305 since elision is loop versioning
-# only, 298 since elision versions only call-free, unit-step loops.
-# Lower it when a change removes some.
-echo "== Go-inserted bounds checks in internal/compiled (ceiling 298)"
+# The same ceiling for the compiled engines (ROADMAP item 8's emit
+# half): 382 before every access took one address form, 343 after, 334
+# since range-check plans are linear forms, 330 since the back half's
+# tables are a compile worker's scratch, 305 since elision is loop
+# versioning only, 298 since elision versions only call-free,
+# unit-step loops, 117 since the closures are gone: run is one switch
+# that addresses its frame through a pointer, over slots prove checks
+# at compile time. None of the 117 is on a frame slot; 33 are the run
+# loop's reads of a pair's halves. Lower it when a change removes some.
+echo "== Go-inserted bounds checks in internal/compiled (ceiling 117)"
 bce=$(go build -gcflags=leapsandbounds/internal/compiled=-d=ssa/check_bce/debug=1 ./internal/compiled/ 2>&1 | grep -c 'Found Is')
 echo "$bce checks"
-test "$bce" -le 298 || { echo "internal/compiled: $bce Go-inserted bounds checks, ceiling 298"; exit 1; }
+test "$bce" -le 117 || { echo "internal/compiled: $bce Go-inserted bounds checks, ceiling 117"; exit 1; }
 
 echo "== internal/tiered twice in one process (no compile state may leak into a second pass)"
 go test -count=2 ./internal/tiered/
