@@ -124,7 +124,7 @@ func TestWasmtimeDispatches(t *testing.T) {
 		"531.deepsjeng": 3640410,  // 8 852 009
 	}
 	for _, kernel := range steadyKernels {
-		n := steadyRunner(t, NewWasmtime, kernel)(true).dispatches
+		n := steadyRunner(t, NewWasmtime, mem.Trap, kernel)(true).dispatches
 		t.Logf("%s: %d dispatches", kernel, n)
 		if n > ceiling[kernel] {
 			t.Errorf("%s: wasmtime dispatches %d, more than the %d ceiling", kernel, n, ceiling[kernel])

@@ -113,28 +113,76 @@ func (inst *Instance) run(cf *cfunc, base int) {
 		case kSelect:
 			x.sel(fr)
 
+		// A checked access is the inline check: it compares its end
+		// against mem's watermark, accesses through the unchecked
+		// pointer on a hit and calls the checked accessor only on a
+		// miss, which commits, redirects or traps as the strategy says.
 		case kLoad32:
-			*fr.at(x.d) = uint64(m.LoadU32(x.addr(fr)))
+			if a := x.addr(fr); a+4 <= m.Watermark() {
+				*fr.at(x.d) = uint64(m.LoadU32Unchecked(a))
+			} else {
+				*fr.at(x.d) = uint64(m.LoadU32(a))
+			}
 		case kLoad64:
-			*fr.at(x.d) = m.LoadU64(x.addr(fr))
+			if a := x.addr(fr); a+8 <= m.Watermark() {
+				*fr.at(x.d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(x.d) = m.LoadU64(a)
+			}
 		case kLoad8S32:
-			*fr.at(x.d) = uint64(uint32(int32(int8(m.LoadU8(x.addr(fr))))))
+			if a := x.addr(fr); a+1 <= m.Watermark() {
+				*fr.at(x.d) = uint64(uint32(int32(int8(m.LoadU8Unchecked(a)))))
+			} else {
+				*fr.at(x.d) = uint64(uint32(int32(int8(m.LoadU8(a)))))
+			}
 		case kLoad8U:
-			*fr.at(x.d) = uint64(m.LoadU8(x.addr(fr)))
+			if a := x.addr(fr); a+1 <= m.Watermark() {
+				*fr.at(x.d) = uint64(m.LoadU8Unchecked(a))
+			} else {
+				*fr.at(x.d) = uint64(m.LoadU8(a))
+			}
 		case kLoad16S32:
-			*fr.at(x.d) = uint64(uint32(int32(int16(m.LoadU16(x.addr(fr))))))
+			if a := x.addr(fr); a+2 <= m.Watermark() {
+				*fr.at(x.d) = uint64(uint32(int32(int16(m.LoadU16Unchecked(a)))))
+			} else {
+				*fr.at(x.d) = uint64(uint32(int32(int16(m.LoadU16(a)))))
+			}
 		case kLoad16U:
-			*fr.at(x.d) = uint64(m.LoadU16(x.addr(fr)))
+			if a := x.addr(fr); a+2 <= m.Watermark() {
+				*fr.at(x.d) = uint64(m.LoadU16Unchecked(a))
+			} else {
+				*fr.at(x.d) = uint64(m.LoadU16(a))
+			}
 		case kLoad8S64:
-			*fr.at(x.d) = uint64(int64(int8(m.LoadU8(x.addr(fr)))))
+			if a := x.addr(fr); a+1 <= m.Watermark() {
+				*fr.at(x.d) = uint64(int64(int8(m.LoadU8Unchecked(a))))
+			} else {
+				*fr.at(x.d) = uint64(int64(int8(m.LoadU8(a))))
+			}
 		case kLoad16S64:
-			*fr.at(x.d) = uint64(int64(int16(m.LoadU16(x.addr(fr)))))
+			if a := x.addr(fr); a+2 <= m.Watermark() {
+				*fr.at(x.d) = uint64(int64(int16(m.LoadU16Unchecked(a))))
+			} else {
+				*fr.at(x.d) = uint64(int64(int16(m.LoadU16(a))))
+			}
 		case kLoad32S64:
-			*fr.at(x.d) = uint64(int64(int32(m.LoadU32(x.addr(fr)))))
+			if a := x.addr(fr); a+4 <= m.Watermark() {
+				*fr.at(x.d) = uint64(int64(int32(m.LoadU32Unchecked(a))))
+			} else {
+				*fr.at(x.d) = uint64(int64(int32(m.LoadU32(a))))
+			}
 		case kLoad32Slot:
-			*fr.at(x.d) = uint64(m.LoadU32(x.slotAddr(fr)))
+			if a := x.slotAddr(fr); a+4 <= m.Watermark() {
+				*fr.at(x.d) = uint64(m.LoadU32Unchecked(a))
+			} else {
+				*fr.at(x.d) = uint64(m.LoadU32(a))
+			}
 		case kLoad64Slot:
-			*fr.at(x.d) = m.LoadU64(x.slotAddr(fr))
+			if a := x.slotAddr(fr); a+8 <= m.Watermark() {
+				*fr.at(x.d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(x.d) = m.LoadU64(a)
+			}
 		case kLoad32Unchecked:
 			*fr.at(x.d) = uint64(m.LoadU32Unchecked(x.addr(fr)))
 		case kLoad64Unchecked:
@@ -158,17 +206,41 @@ func (inst *Instance) run(cf *cfunc, base int) {
 		case kLoad64SlotUnchecked:
 			*fr.at(x.d) = m.LoadU64Unchecked(x.slotAddr(fr))
 		case kStore8:
-			m.StoreU8(x.addr(fr), byte(x.yv(fr)))
+			if a := x.addr(fr); a+1 <= m.Watermark() {
+				m.StoreU8Unchecked(a, byte(x.yv(fr)))
+			} else {
+				m.StoreU8(a, byte(x.yv(fr)))
+			}
 		case kStore16:
-			m.StoreU16(x.addr(fr), uint16(x.yv(fr)))
+			if a := x.addr(fr); a+2 <= m.Watermark() {
+				m.StoreU16Unchecked(a, uint16(x.yv(fr)))
+			} else {
+				m.StoreU16(a, uint16(x.yv(fr)))
+			}
 		case kStore32:
-			m.StoreU32(x.addr(fr), uint32(x.yv(fr)))
+			if a := x.addr(fr); a+4 <= m.Watermark() {
+				m.StoreU32Unchecked(a, uint32(x.yv(fr)))
+			} else {
+				m.StoreU32(a, uint32(x.yv(fr)))
+			}
 		case kStore64:
-			m.StoreU64(x.addr(fr), x.yv(fr))
+			if a := x.addr(fr); a+8 <= m.Watermark() {
+				m.StoreU64Unchecked(a, x.yv(fr))
+			} else {
+				m.StoreU64(a, x.yv(fr))
+			}
 		case kStore32Slot:
-			m.StoreU32(x.slotAddr(fr), uint32(*fr.at(x.b)))
+			if a := x.slotAddr(fr); a+4 <= m.Watermark() {
+				m.StoreU32Unchecked(a, uint32(*fr.at(x.b)))
+			} else {
+				m.StoreU32(a, uint32(*fr.at(x.b)))
+			}
 		case kStore64Slot:
-			m.StoreU64(x.slotAddr(fr), *fr.at(x.b))
+			if a := x.slotAddr(fr); a+8 <= m.Watermark() {
+				m.StoreU64Unchecked(a, *fr.at(x.b))
+			} else {
+				m.StoreU64(a, *fr.at(x.b))
+			}
 		case kStore8Unchecked:
 			m.StoreU8Unchecked(x.addr(fr), byte(x.yv(fr)))
 		case kStore16Unchecked:
@@ -261,7 +333,11 @@ func (inst *Instance) run(cf *cfunc, base int) {
 			pc = x.to(int32(v) < int32(x.y.k)) - 1
 		case kPairLoad64BrLt:
 			h := &pairs[x.c]
-			*fr.at(h[0].d) = m.LoadU64(h[0].addr(fr))
+			if a := h[0].addr(fr); a+8 <= m.Watermark() {
+				*fr.at(h[0].d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(h[0].d) = m.LoadU64(a)
+			}
 			pc = x.to(h[1].lt(fr)) - 1
 		case kPairLoad64BrLtUnchecked:
 			h := &pairs[x.c]
@@ -278,14 +354,22 @@ func (inst *Instance) run(cf *cfunc, base int) {
 		case kPairLinLoad64:
 			h := &pairs[x.c]
 			*fr.at(h[0].d) = uint64(h[0].lv(fr))
-			*fr.at(h[1].d) = m.LoadU64(h[1].addr(fr))
+			if a := h[1].addr(fr); a+8 <= m.Watermark() {
+				*fr.at(h[1].d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(h[1].d) = m.LoadU64(a)
+			}
 		case kPairLinLoad64Unchecked:
 			h := &pairs[x.c]
 			*fr.at(h[0].d) = uint64(h[0].lv(fr))
 			*fr.at(h[1].d) = m.LoadU64Unchecked(h[1].addr(fr))
 		case kPairLoad32Lin:
 			h := &pairs[x.c]
-			*fr.at(h[0].d) = uint64(m.LoadU32(h[0].addr(fr)))
+			if a := h[0].addr(fr); a+4 <= m.Watermark() {
+				*fr.at(h[0].d) = uint64(m.LoadU32Unchecked(a))
+			} else {
+				*fr.at(h[0].d) = uint64(m.LoadU32(a))
+			}
 			*fr.at(h[1].d) = uint64(h[1].lv(fr))
 		case kPairLoad32LinUnchecked:
 			h := &pairs[x.c]
@@ -293,15 +377,27 @@ func (inst *Instance) run(cf *cfunc, base int) {
 			*fr.at(h[1].d) = uint64(h[1].lv(fr))
 		case kPairLoad64F64Add:
 			h := &pairs[x.c]
-			*fr.at(h[0].d) = m.LoadU64(h[0].addr(fr))
+			if a := h[0].addr(fr); a+8 <= m.Watermark() {
+				*fr.at(h[0].d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(h[0].d) = m.LoadU64(a)
+			}
 			*fr.at(h[1].d) = f64add(h[1].xv(fr), h[1].yv(fr))
 		case kPairLoad64F64Sub:
 			h := &pairs[x.c]
-			*fr.at(h[0].d) = m.LoadU64(h[0].addr(fr))
+			if a := h[0].addr(fr); a+8 <= m.Watermark() {
+				*fr.at(h[0].d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(h[0].d) = m.LoadU64(a)
+			}
 			*fr.at(h[1].d) = f64sub(h[1].xv(fr), h[1].yv(fr))
 		case kPairLoad64F64Mul:
 			h := &pairs[x.c]
-			*fr.at(h[0].d) = m.LoadU64(h[0].addr(fr))
+			if a := h[0].addr(fr); a+8 <= m.Watermark() {
+				*fr.at(h[0].d) = m.LoadU64Unchecked(a)
+			} else {
+				*fr.at(h[0].d) = m.LoadU64(a)
+			}
 			*fr.at(h[1].d) = f64mul(h[1].xv(fr), h[1].yv(fr))
 		case kPairLoad64F64AddUnchecked:
 			h := &pairs[x.c]
@@ -319,22 +415,38 @@ func (inst *Instance) run(cf *cfunc, base int) {
 			h := &pairs[x.c]
 			v := f64add(h[0].xv(fr), h[0].yv(fr))
 			*fr.at(h[0].d) = v
-			m.StoreU64(h[1].addr(fr), v)
+			if a := h[1].addr(fr); a+8 <= m.Watermark() {
+				m.StoreU64Unchecked(a, v)
+			} else {
+				m.StoreU64(a, v)
+			}
 		case kPairF64SubStore64:
 			h := &pairs[x.c]
 			v := f64sub(h[0].xv(fr), h[0].yv(fr))
 			*fr.at(h[0].d) = v
-			m.StoreU64(h[1].addr(fr), v)
+			if a := h[1].addr(fr); a+8 <= m.Watermark() {
+				m.StoreU64Unchecked(a, v)
+			} else {
+				m.StoreU64(a, v)
+			}
 		case kPairF64MulStore64:
 			h := &pairs[x.c]
 			v := f64mul(h[0].xv(fr), h[0].yv(fr))
 			*fr.at(h[0].d) = v
-			m.StoreU64(h[1].addr(fr), v)
+			if a := h[1].addr(fr); a+8 <= m.Watermark() {
+				m.StoreU64Unchecked(a, v)
+			} else {
+				m.StoreU64(a, v)
+			}
 		case kPairF64DivStore64:
 			h := &pairs[x.c]
 			v := f64div(h[0].xv(fr), h[0].yv(fr))
 			*fr.at(h[0].d) = v
-			m.StoreU64(h[1].addr(fr), v)
+			if a := h[1].addr(fr); a+8 <= m.Watermark() {
+				m.StoreU64Unchecked(a, v)
+			} else {
+				m.StoreU64(a, v)
+			}
 		case kPairF64AddStore64Unchecked:
 			h := &pairs[x.c]
 			v := f64add(h[0].xv(fr), h[0].yv(fr))

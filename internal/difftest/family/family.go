@@ -43,13 +43,23 @@ type Edge struct {
 
 // Edges put accesses on the last byte of memory: a folded address
 // chain, a loop behind elision's range check, past the end and ending
-// exactly on it, and straight-line checked loads. A check one byte or
-// one iteration short makes wavm miss the trap the others take.
+// exactly on it, straight-line checked loads, and one checked load and
+// one checked store of each width ending one byte past the end. A check
+// one byte or one iteration short makes wavm miss the trap the others
+// take.
 var Edges = []Edge{
 	{"fold", foldOOB, ""},
 	{"edge-loop", func() (*wasm.Module, error) { return edgeLoop(1) }, "yes"},
 	{"edge-loop-inbounds", func() (*wasm.Module, error) { return edgeLoop(0) }, "no"},
 	{"edge-group", edgeGroup, "yes"},
+	{"edge-load8", func() (*wasm.Module, error) { return edgeWidth(1, false) }, "yes"},
+	{"edge-load16", func() (*wasm.Module, error) { return edgeWidth(2, false) }, "yes"},
+	{"edge-load32", func() (*wasm.Module, error) { return edgeWidth(4, false) }, "yes"},
+	{"edge-load64", func() (*wasm.Module, error) { return edgeWidth(8, false) }, "yes"},
+	{"edge-store8", func() (*wasm.Module, error) { return edgeWidth(1, true) }, "yes"},
+	{"edge-store16", func() (*wasm.Module, error) { return edgeWidth(2, true) }, "yes"},
+	{"edge-store32", func() (*wasm.Module, error) { return edgeWidth(4, true) }, "yes"},
+	{"edge-store64", func() (*wasm.Module, error) { return edgeWidth(8, true) }, "yes"},
 }
 
 // Fuzz drives Check from the fuzzer. Its first input picks the family:

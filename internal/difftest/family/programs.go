@@ -378,6 +378,37 @@ func edgeGroup() (*wasm.Module, error) {
 	return mb.Module()
 }
 
+// edgeWidth returns a straight-line run() that makes one checked
+// access of w bytes (1, 2, 4 or 8), a load or a store, at 65536-w+1:
+// it ends one byte past the one page, so it must trap there, and a
+// check that is one byte loose at that width lets it through.
+func edgeWidth(w uint32, store bool) (*wasm.Module, error) {
+	load, st, v, widen := g.LoadU8, g.StoreU8, g.Expr(g.I32(-1)), g.I64FromI32U
+	switch w {
+	case 2:
+		load, st = g.LoadU16, g.StoreU16
+	case 4:
+		load, st = g.LoadI32, g.StoreI32
+	case 8:
+		load, st, v, widen = g.LoadI64, g.StoreI64, g.I64(-1), func(e g.Expr) g.Expr { return e }
+	}
+	mb := g.NewModule()
+	mb.Memory(1, 4)
+	f := mb.Func("run", wasm.I64)
+	p, digest := f.LocalI32("p"), f.LocalI64("digest")
+	access := g.Set(digest, widen(load(g.Get(p), 0)))
+	if store {
+		access = st(g.Get(p), 0, v)
+	}
+	f.Body(
+		g.Set(p, g.I32(int32(65536-w+1))),
+		access,
+		g.Return(g.Get(digest)),
+	)
+	mb.Export("run", f)
+	return mb.Module()
+}
+
 // copies returns a straight-line run() over four i32 locals
 // that leaves a local's old value on the stack while it writes the
 // local, which the DSL's expression trees never do: by local.tee, by

@@ -107,8 +107,9 @@ func (m *Memory) faultRange(addr, n uint64, write bool) {
 // Unchecked accessors: raw little-endian loads and stores with no
 // bounds or commit checks of any kind. The caller must have
 // established accessibility of [addr, addr+width) via CheckRange on
-// this Memory. The compiled engines' unchecked access cases are the
-// only intended callers.
+// this Memory, or compared addr+width against Watermark. The compiled
+// run loop is the only intended caller: its unchecked access cases,
+// and its checked ones on a watermark hit.
 
 // LoadU8Unchecked reads one byte with no checks.
 func (m *Memory) LoadU8Unchecked(addr uint64) byte {

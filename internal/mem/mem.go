@@ -431,6 +431,14 @@ func (m *Memory) Grow(delta uint32) int32 {
 	return int32(old)
 }
 
+// Watermark returns the fast-path watermark: an access [addr, addr+w)
+// with addr+w at or below it lies in committed pages and, except under
+// none, inside SizeBytes, so a caller may make it through the unchecked
+// accessors and call the checked ones only on a miss. It only ever
+// rises. Small enough to inline into the compiled run loop, where it
+// is the inline bounds check: one load and one compare per access.
+func (m *Memory) Watermark() uint64 { return m.fastLimit.Load() }
+
 // load fast paths. Addresses passed in are the full effective
 // address (base + static offset) computed in 64-bit arithmetic, so
 // they cannot wrap.

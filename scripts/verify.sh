@@ -93,6 +93,17 @@ bce=$(go build -gcflags=leapsandbounds/internal/compiled=-d=ssa/check_bce/debug=
 echo "$bce checks"
 test "$bce" -le 117 || { echo "internal/compiled: $bce Go-inserted bounds checks, ceiling 117"; exit 1; }
 
+# The inline bounds check: every checked-access case of the compiled
+# run loop compares its end against mem's watermark in place and calls
+# mem only on a miss, which holds only while Memory.Watermark inlines
+# into run. 27 cases read it (11 loads, 6 stores, 10 pair halves);
+# every one must inline, and the count may not drop.
+echo "== inlined watermark compares in internal/compiled's run loop (floor 27)"
+sites=$(grep -c 'm\.Watermark()' internal/compiled/run.go)
+inl=$(go build -gcflags=leapsandbounds/internal/compiled=-m ./internal/compiled/ 2>&1 | grep '^internal/compiled/run.go:' | grep -c 'inlining call to mem.(\*Memory).Watermark')
+echo "$inl of $sites sites inline"
+test "$sites" -ge 27 && test "$inl" -eq "$sites" || { echo "internal/compiled: $inl of $sites watermark reads in run.go inline, floor 27"; exit 1; }
+
 echo "== internal/tiered twice in one process (no compile state may leak into a second pass)"
 go test -count=2 ./internal/tiered/
 
